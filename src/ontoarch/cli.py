@@ -226,7 +226,10 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

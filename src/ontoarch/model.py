@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Any, Iterable, Iterator
 
 from . import metamodel
-from .metamodel import BUILTIN_MODULE, RootKind
+from .metamodel import BUILTIN_MODULE
 from .reporting import Diagnostic
 from .source import SourceSpan, synthetic_span
 
@@ -242,6 +242,13 @@ class ResolvedSuite:
             for r in m.relations:
                 self._relations[(m.name, r.name)] = r
         self._roots: dict[tuple[str, str], str] = {}
+        # Per-suite facts the validator derives once and reuses: the
+        # same-level import components, and the kind-chain outcome of every
+        # relation walked so far with lateral hops escaping (local) or
+        # confined to those components (joint).
+        self._components: dict[str, frozenset[str]] | None = None
+        self._local_chains: dict[tuple[str, str], Any] = {}
+        self._joint_chains: dict[tuple[str, str], Any] = {}
 
     # -- structure queries --------------------------------------------------
 
@@ -250,19 +257,11 @@ class ResolvedSuite:
             return Level.FO
         return self.modules[module_name].level
 
-    def has_module(self, name: str) -> bool:
-        return name == BUILTIN_MODULE or name in self.modules
-
     def get_term(self, module_name: str, term_name: str) -> TermDef | None:
         return self._terms.get((module_name, term_name))
 
     def get_relation(self, module_name: str, rel_name: str) -> RelationDecl | None:
         return self._relations.get((module_name, rel_name))
-
-    def has_term(self, module_name: str, term_name: str) -> bool:
-        if module_name == BUILTIN_MODULE:
-            return metamodel.is_term(term_name)
-        return (module_name, term_name) in self._terms
 
     def all_terms(self) -> Iterator[tuple[str, TermDef]]:
         for m in self.modules.values():
@@ -284,9 +283,6 @@ class ResolvedSuite:
     def term_target(self, ref: QualifiedRef, context_module: str) -> tuple[str, str]:
         return (ref.module or context_module, ref.name)
 
-    def kind_target(self, ref: QualifiedRef, context_module: str) -> tuple[str, str]:
-        return (ref.module or context_module, ref.name)
-
     def world_term_target(self, ref: WorldRef, context_module: str) -> tuple[str, str]:
         if ref.part is None:
             return (context_module, ref.primary)
@@ -304,19 +300,25 @@ class ResolvedSuite:
         cached = self._roots.get(key)
         if cached is not None:
             return cached
-        chain: list[tuple[str, str]] = []
+        # Walk up to ThingFO or to the first ancestor whose root is known.
+        chain: set[tuple[str, str]] = set()
         mod, name = module_name, term_name
-        while mod != BUILTIN_MODULE:
-            chain.append((mod, name))
+        root: str | None = None
+        while root is None:
+            chain.add((mod, name))
             term = self._terms[(mod, name)]
             if term.enriches is None:
                 raise KeyError(f"term {mod}.{name} has no enrichment target")
             mod, name = self.term_target(term.enriches, mod)
-            if (mod, name) in chain:
+            if mod == BUILTIN_MODULE:
+                root = name
+            elif (mod, name) in chain:
                 raise KeyError(f"enrichment cycle through {module_name}.{term_name}")
+            else:
+                root = self._roots.get((mod, name))
         for link in chain:
-            self._roots[link] = name
-        return name
+            self._roots[link] = root
+        return root
 
     def try_enrichment_root(self, module_name: str, term_name: str) -> str | None:
         """Like `enrichment_root`, but None for chains broken by a missing
@@ -325,9 +327,6 @@ class ResolvedSuite:
             return self.enrichment_root(module_name, term_name)
         except KeyError:
             return None
-
-    def root_kind_of(self, module_name: str, term_name: str) -> RootKind:
-        return metamodel.root_kind(self.enrichment_root(module_name, term_name))
 
     # -- summary --------------------------------------------------------------
 
@@ -352,6 +351,9 @@ class _Resolver:
         self.instance_files = instance_files
         self.diagnostics: list[Diagnostic] = []
         self.modules: dict[str, OntologyModule] = {}
+        # Names declared in each registered module, for O(1) reference checks.
+        self.term_names: dict[str, set[str]] = {}
+        self.relation_names: dict[str, set[str]] = {}
 
     def error(self, code: str, message: str, span: SourceSpan) -> None:
         self.diagnostics.append(Diagnostic(code=code, message=message, span=span))
@@ -366,6 +368,8 @@ class _Resolver:
                 self.error("E102", f"duplicate module {m.name}", m.span)
             else:
                 self.modules[m.name] = m
+                self.term_names[m.name] = {t.name for t in m.terms}
+                self.relation_names[m.name] = {r.name for r in m.relations}
 
     def check_imports(self) -> None:
         for m in self.modules.values():
@@ -384,38 +388,48 @@ class _Resolver:
             )
             for name, m in self.modules.items()
         }
+        # Tarjan's algorithm with an explicit stack of (node, next successor
+        # position), so arbitrarily long import chains cannot overflow.
         index: dict[str, int] = {}
         lowlink: dict[str, int] = {}
         on_stack: set[str] = set()
         stack: list[str] = []
-        counter = [0]
         sccs: list[list[str]] = []
-
-        def strongconnect(v: str) -> None:
-            index[v] = lowlink[v] = counter[0]
-            counter[0] += 1
-            stack.append(v)
-            on_stack.add(v)
-            for w in graph[v]:
-                if w not in index:
-                    strongconnect(w)
-                    lowlink[v] = min(lowlink[v], lowlink[w])
-                elif w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if lowlink[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                if len(component) > 1:
-                    sccs.append(sorted(component))
-
-        for name in sorted(graph):
-            if name not in index:
-                strongconnect(name)
+        for root in sorted(graph):
+            if root in index:
+                continue
+            index[root] = lowlink[root] = len(index)
+            stack.append(root)
+            on_stack.add(root)
+            work = [(root, 0)]
+            while work:
+                v, i = work[-1]
+                successors = graph[v]
+                if i < len(successors):
+                    work[-1] = (v, i + 1)
+                    w = successors[i]
+                    if w not in index:
+                        index[w] = lowlink[w] = len(index)
+                        stack.append(w)
+                        on_stack.add(w)
+                        work.append((w, 0))
+                    elif w in on_stack:
+                        lowlink[v] = min(lowlink[v], index[w])
+                    continue
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        component.append(w)
+                        if w == v:
+                            break
+                    if len(component) > 1:
+                        sccs.append(sorted(component))
         for component in sorted(sccs):
             head = self.modules[component[0]]
             self.error("E103", "import cycle: " + " -> ".join(component + [component[0]]), head.span)
@@ -439,11 +453,11 @@ class _Resolver:
                 self.error("E101", f"{what}: no foundational term named {ref.name} in {BUILTIN_MODULE}", ref.span)
                 return False
             return True
-        target = self.modules.get(mod)
-        if target is None:
+        names = self.term_names.get(mod)
+        if names is None:
             self.error("E101", f"{what}: unknown module {mod}", ref.span)
             return False
-        if not any(t.name == ref.name for t in target.terms):
+        if ref.name not in names:
             self.error("E101", f"{what}: no term named {ref.name} in module {mod}", ref.span)
             return False
         return True
@@ -467,11 +481,11 @@ class _Resolver:
             if not metamodel.is_relationship_key(kind.name):
                 self.error("E101", f"{what}: no foundational relationship named {kind.name}", kind.span)
             return
-        target = self.modules.get(mod)
-        if target is None:
+        names = self.relation_names.get(mod)
+        if names is None:
             self.error("E101", f"{what}: unknown module {mod}", kind.span)
             return
-        if not any(rel.name == kind.name for rel in target.relations):
+        if kind.name not in names:
             self.error("E101", f"{what}: no relation named {kind.name} in module {mod}", kind.span)
 
     def check_instances(self) -> None:
@@ -554,26 +568,30 @@ class _Resolver:
 
     def check_enrichment_cycles(self) -> None:
         # Only meaningful for chains whose every link resolved; broken links
-        # already produced E101 above.
-        resolved = {(m.name, t.name): t for m in self.modules.values() for t in m.terms}
-        reported: set[tuple[str, str]] = set()
+        # already produced E101 above. `pending` holds the terms not yet
+        # walked: each walk removes the terms it visited, so each term is
+        # walked once and a walk stops at a term an earlier walk judged. The
+        # first walk to enter a cycle reports it, starting where it entered.
+        pending = {(m.name, t.name): t for m in self.modules.values() for t in m.terms}
         for m in self.modules.values():
             for t in m.terms:
-                seen: list[tuple[str, str]] = []
-                mod, name = m.name, t.name
-                while (mod, name) in resolved:
-                    if (mod, name) in seen:
-                        cycle = seen[seen.index((mod, name)):]
-                        if not reported.intersection(cycle):
-                            reported.update(cycle)
-                            pretty = " -> ".join(f"{cm}.{cn}" for cm, cn in cycle + [cycle[0]])
-                            self.error("E105", f"enrichment cycle: {pretty}", resolved[cycle[0]].span)
+                path: list[tuple[str, str]] = []
+                on_path: dict[tuple[str, str], int] = {}
+                key = (m.name, t.name)
+                while key in pending:
+                    if key in on_path:
+                        cycle = path[on_path[key]:]
+                        pretty = " -> ".join(f"{cm}.{cn}" for cm, cn in cycle + [cycle[0]])
+                        self.error("E105", f"enrichment cycle: {pretty}", pending[cycle[0]].span)
                         break
-                    seen.append((mod, name))
-                    enriches = resolved[(mod, name)].enriches
+                    on_path[key] = len(path)
+                    path.append(key)
+                    enriches = pending[key].enriches
                     if enriches is None:
                         break
-                    mod, name = (enriches.module or mod, enriches.name)
+                    key = (enriches.module or key[0], enriches.name)
+                for visited in path:
+                    del pending[visited]
 
 
 def resolve(

@@ -159,7 +159,15 @@ class ChainStatus:
 
 
 def same_level_components(suite: ResolvedSuite) -> dict[str, frozenset[str]]:
-    """Import-connected components of same-level modules (undirected)."""
+    """Import-connected components of same-level modules (undirected).
+
+    Computed once per suite; every call returns the same read-only map."""
+    if suite._components is None:
+        suite._components = _components(suite)
+    return suite._components
+
+
+def _components(suite: ResolvedSuite) -> dict[str, frozenset[str]]:
     by_level: dict[Level, list[str]] = {}
     for name, m in suite.modules.items():
         by_level.setdefault(m.level, []).append(name)
@@ -191,6 +199,38 @@ def same_level_components(suite: ResolvedSuite) -> dict[str, frozenset[str]]:
     return component_of
 
 
+def _chain_end(
+    suite: ResolvedSuite,
+    cur_mod: str,
+    cur_rel: RelationDecl,
+    components: dict[str, frozenset[str]] | None,
+) -> ChainStatus | None:
+    """The outcome that ends a kind chain at `cur_rel`, or None when the
+    chain follows its kind link."""
+    target_mod, target_name = suite.term_target(cur_rel.kind_ref, cur_mod)
+    if target_mod == BUILTIN_MODULE:
+        return ChainStatus("foundational", key=target_name)
+    here = f"{cur_mod}.{cur_rel.name}"
+    cur_level = suite.level_of(cur_mod)
+    target_level = suite.level_of(target_mod)
+    if target_level.rank > cur_level.rank:
+        return ChainStatus(
+            "downward",
+            detail=f"kind of {here} points to the more concrete level "
+            f"{target_level.name} ({target_mod}.{target_name})",
+        )
+    if target_level.rank == cur_level.rank and target_mod != cur_mod:
+        if components is None:
+            return ChainStatus("escape", detail=f"kind of {here} crosses into {target_mod}")
+        if target_mod not in components.get(cur_mod, frozenset({cur_mod})):
+            return ChainStatus(
+                "dead_end",
+                detail=f"kind of {here} leaves the import-connected component "
+                f"({target_mod} is not related to {cur_mod})",
+            )
+    return None
+
+
 def chain_status(
     suite: ResolvedSuite,
     module_name: str,
@@ -204,38 +244,49 @@ def chain_status(
     (Rule #1 leaves them to Rule #2) and otherwise must stay inside the
     hop source's import-connected component. Hops toward a more concrete
     level never terminate.
+
+    `rel` is the suite's declaration `module_name.rel.name`. Outcomes are
+    recorded per suite for `components` None and for the suite's own
+    `same_level_components` map, so each relation is walked once per mode;
+    a cycle's detail starts where the queried relation's chain enters it.
     """
-    visited: list[str] = []
+    if components is None:
+        table = suite._local_chains
+    elif components is suite._components:
+        table = suite._joint_chains
+    else:
+        table = {}  # a caller-built map: walk without a lasting record
+    path: list[tuple[str, str]] = []
+    on_path: dict[tuple[str, str], int] = {}
     cur_mod, cur_rel = module_name, rel
     while True:
-        here = f"{cur_mod}.{cur_rel.name}"
-        if here in visited:
-            cycle = " -> ".join(visited[visited.index(here):] + [here])
-            return ChainStatus("cycle", detail=f"kind chain cycles: {cycle}")
-        visited.append(here)
-        target_mod, target_name = suite.kind_target(cur_rel.kind_ref, cur_mod)
-        if target_mod == BUILTIN_MODULE:
-            return ChainStatus("foundational", key=target_name)
-        cur_level = suite.level_of(cur_mod)
-        target_level = suite.level_of(target_mod)
-        if target_level.rank > cur_level.rank:
-            return ChainStatus(
-                "downward",
-                detail=f"kind of {here} points to the more concrete level "
-                f"{target_level.name} ({target_mod}.{target_name})",
-            )
-        if target_level.rank == cur_level.rank and target_mod != cur_mod:
-            if components is None:
-                return ChainStatus("escape", detail=f"kind of {here} crosses into {target_mod}")
-            if target_mod not in components.get(cur_mod, frozenset({cur_mod})):
-                return ChainStatus(
-                    "dead_end",
-                    detail=f"kind of {here} leaves the import-connected component "
-                    f"({target_mod} is not related to {cur_mod})",
-                )
+        here = (cur_mod, cur_rel.name)
+        status = table.get(here)
+        if status is not None:
+            break
+        if here in on_path:
+            # Each relation on the cycle reports the rotation from itself;
+            # the relations leading in report the one from the entry point.
+            cycle = path[on_path[here]:]
+            del path[on_path[here]:]
+            names = [f"{m}.{n}" for m, n in cycle]
+            for i, key in enumerate(cycle):
+                rotation = " -> ".join(names[i:] + names[:i + 1])
+                table[key] = ChainStatus("cycle", detail=f"kind chain cycles: {rotation}")
+            status = table[here]
+            break
+        on_path[here] = len(path)
+        path.append(here)
+        status = _chain_end(suite, cur_mod, cur_rel, components)
+        if status is not None:
+            break
+        target_mod, target_name = suite.term_target(cur_rel.kind_ref, cur_mod)
         next_rel = suite.get_relation(target_mod, target_name)
         assert next_rel is not None  # guaranteed by resolution
         cur_mod, cur_rel = target_mod, next_rel
+    for key in path:
+        table[key] = status
+    return table[(module_name, rel.name)]
 
 
 # ---------------------------------------------------------------------------

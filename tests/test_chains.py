@@ -1,0 +1,225 @@
+"""Enrichment, kind and import chains: the memoised walks against naive
+oracles, and deep chains that must stay linear and free of recursion."""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from hypothesis import event, given, settings, strategies as st
+
+from oracles import oracle_chain_status, oracle_enrichment_root
+
+from ontoarch import metamodel
+from ontoarch.cli import build_report
+from ontoarch.metamodel import BUILTIN_MODULE
+from ontoarch.model import (
+    ImportRef,
+    Level,
+    OntologyModule,
+    QualifiedRef,
+    RelationDecl,
+    ResolvedSuite,
+    TermDef,
+    resolve,
+)
+from ontoarch.validator import chain_status, same_level_components, validate_suite
+
+DEPTH = 10_000
+
+
+# ---------------------------------------------------------------------------
+# Memoised walks equal the naive per-start walks, in any query order.
+# ---------------------------------------------------------------------------
+
+THING = QualifiedRef(BUILTIN_MODULE, "Thing")
+FO_TERMS = tuple(spec.id for spec in metamodel.all_term_specs())
+
+
+@st.composite
+def chain_suites(draw) -> list[OntologyModule]:
+    """Modules at random levels with acyclic imports, holding a short kind
+    cycle, a long chain into it, free relations whose kinds point anywhere,
+    and terms whose enrichment chains end in ThingFO or break off."""
+    n_mod = draw(st.integers(1, 5))
+    names = [f"M{i}" for i in range(n_mod)]
+    levels = [draw(st.sampled_from((Level.CO, Level.CO, Level.TDO, Level.LDO))) for _ in names]
+    imports = [tuple(names[j] for j in range(i) if draw(st.booleans())) for i in range(n_mod)]
+
+    cycle_len = draw(st.integers(0, 3))
+    tail_len = draw(st.integers(0, 30)) if cycle_len else 0
+    n_free = draw(st.integers(0, 15))
+    total = cycle_len + tail_len + n_free
+    home = [draw(st.integers(0, n_mod - 1)) for _ in range(total)]
+    kinds: list[int | str] = [(i + 1) % cycle_len for i in range(cycle_len)]
+    for i in range(tail_len):
+        kinds.append(cycle_len + i - 1 if i else draw(st.integers(0, cycle_len - 1)))
+    for _ in range(n_free):
+        kinds.append(draw(st.one_of(st.sampled_from(metamodel.RELATIONSHIP_KEYS), st.integers(0, total - 1))))
+
+    bodies: list[list[TermDef | RelationDecl]] = [[] for _ in names]
+    for i, kind in enumerate(kinds):
+        if isinstance(kind, str):
+            ref = QualifiedRef(BUILTIN_MODULE, kind)
+        elif home[kind] == home[i] and draw(st.booleans()):
+            ref = QualifiedRef(None, f"r{kind}")
+        else:
+            ref = QualifiedRef(names[home[kind]], f"r{kind}")
+        bodies[home[i]].append(RelationDecl(f"r{i}", THING, THING, ref))
+
+    term_home: list[int] = []
+    for k in range(draw(st.integers(0, 10))):
+        term_home.append(draw(st.integers(0, n_mod - 1)))
+        choice = draw(st.integers(0, 3))
+        if choice == 0:
+            enriches = None
+        elif choice == 1 or k == 0:
+            enriches = QualifiedRef(BUILTIN_MODULE, draw(st.sampled_from(FO_TERMS)))
+        else:
+            target = draw(st.integers(0, k - 1))
+            enriches = QualifiedRef(names[term_home[target]], f"t{target}")
+        bodies[term_home[k]].append(TermDef(f"t{k}", enriches))
+
+    return [OntologyModule(n, lvl, tuple(map(ImportRef, imp)), tuple(body))
+            for n, lvl, imp, body in zip(names, levels, imports, bodies)]
+
+
+def _fresh(modules: list[OntologyModule]) -> ResolvedSuite:
+    suite, diags = resolve(modules, [])
+    assert diags == [] and suite is not None
+    return suite
+
+
+def _root(suite: ResolvedSuite, module: str, term: str) -> str:
+    try:
+        return suite.enrichment_root(module, term)
+    except KeyError as exc:
+        return f"KeyError: {exc.args[0]}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_suites(), st.randoms(use_true_random=False))
+def test_memoised_walks_equal_naive_oracles_in_any_order(modules, rnd):
+    reference = _fresh(modules)
+    components = same_level_components(reference)
+    expected: dict[tuple, object] = {}
+    for module, rel in reference.all_relations():
+        for joint in (False, True):
+            status = oracle_chain_status(reference, module, rel, components if joint else None)
+            expected[("rel", module, rel.name, joint)] = status
+            event(f"{'joint' if joint else 'local'} {status.outcome}")
+    for module, term in reference.all_terms():
+        expected[("term", module, term.name)] = oracle_enrichment_root(reference, module, term.name)
+
+    forward = list(expected)
+    shuffled = forward[:]
+    rnd.shuffle(shuffled)
+    for order in (forward, forward[::-1], shuffled):
+        suite = _fresh(modules)
+        comps = same_level_components(suite)
+        for query in order:
+            if query[0] == "rel":
+                _, module, name, joint = query
+                got = chain_status(suite, module, suite.get_relation(module, name), comps if joint else None)
+            else:
+                got = _root(suite, query[1], query[2])
+            assert got == expected[query], query
+
+
+def test_caller_built_component_map_is_honoured():
+    """A component map other than the suite's own is walked, not looked up
+    in the memo of the suite's map."""
+    a = OntologyModule("A", Level.CO, body=(RelationDecl("r", THING, THING, QualifiedRef("B", "s")),))
+    foundational = QualifiedRef(BUILTIN_MODULE, "relatesWith")
+    b = OntologyModule("B", Level.CO, (ImportRef("A"),), (RelationDecl("s", THING, THING, foundational),))
+    suite = _fresh([a, b])
+    rel = suite.get_relation("A", "r")
+    assert chain_status(suite, "A", rel, same_level_components(suite)).outcome == "foundational"
+    split = {"A": frozenset({"A"}), "B": frozenset({"B"})}
+    assert chain_status(suite, "A", rel, split).outcome == "dead_end"
+    assert chain_status(suite, "A", rel, same_level_components(suite)).outcome == "foundational"
+
+
+# ---------------------------------------------------------------------------
+# Deep chains: exact verdicts at depth 10^4.
+# ---------------------------------------------------------------------------
+
+def _module(name: str, lines: list[str], level: str = "CO") -> tuple[str, str]:
+    return (f"{name}.onto", f"ontology {name} at {level} {{\n" + "\n".join(lines) + "\n}\n")
+
+
+def test_deep_enrichment_chain():
+    lines = [f'  term T{i} enriches {"ThingFO.Thing" if i == 0 else f"T{i - 1}"} {{ description "d" }}'
+             for i in range(DEPTH)]
+    below = [f"  term Leaf enriches Chain.T{DEPTH - 1}"]
+    report = build_report([_module("Chain", lines), _module("Below", below, "TDO")])
+    # Every link but the first enriches a term of its own level; the leaf
+    # lacks the description its Thing root asks for.
+    assert Counter(d.code for d in report.diagnostics) == Counter({"E211": DEPTH - 1, "W202": 1})
+    assert "Below.Leaf" in next(d.message for d in report.diagnostics if d.code == "W202")
+
+
+def test_deep_kind_chain_reaching_thingfo():
+    lines = ['  term X enriches ThingFO.Thing { description "d" }', "  term C enriches ThingFO.ThingCategory"]
+    for i in range(DEPTH):
+        kind = "ThingFO.belongsTo" if i == 0 else f"r{i - 1}"
+        ends = "C to X" if i == DEPTH - 1 else "X to C"
+        lines.append(f"  relation r{i} from {ends} kind {kind}")
+    report = build_report([_module("Kinds", lines)])
+    # Only the deepest relation swaps its endpoints against belongsTo.
+    assert Counter(d.code for d in report.diagnostics) == Counter({"E231": 1})
+    assert f"relation Kinds.r{DEPTH - 1} has kind" in report.diagnostics[0].message
+
+
+def test_deep_kind_chain_entering_a_cycle():
+    lines = ['  term X enriches ThingFO.Thing { description "d" }']
+    lines += [f"  relation c{j} from X to X kind c{(j + 1) % 3}" for j in range(3)]
+    lines += [f"  relation r{i} from X to X kind {'c0' if i == 0 else f'r{i - 1}'}" for i in range(DEPTH)]
+    report = build_report([_module("Loop", lines)])
+    assert Counter(d.code for d in report.diagnostics) == Counter({"E212": DEPTH + 3})
+    messages = {d.message.split()[1]: d.message for d in report.diagnostics}
+    entry = "kind chain cycles: Loop.c0 -> Loop.c1 -> Loop.c2 -> Loop.c0"
+    assert messages[f"Loop.r{DEPTH - 1}"].endswith(entry)
+    assert messages["Loop.c0"].endswith(entry)
+    assert messages["Loop.c1"].endswith("kind chain cycles: Loop.c1 -> Loop.c2 -> Loop.c0 -> Loop.c1")
+
+
+def _import_chain(n: int, closed: bool) -> list[tuple[str, str]]:
+    names = [f"M{i:05d}" for i in range(n)]
+    files = []
+    for i, name in enumerate(names):
+        nxt = names[i + 1] if i + 1 < n else (names[0] if closed else None)
+        files.append(_module(name, [f"  imports {nxt}"] if nxt else []))
+    return files
+
+
+def test_deep_import_chain_is_clean():
+    report = build_report(_import_chain(DEPTH, closed=False))
+    assert report.diagnostics == ()
+    assert report.summary["modules_per_level"]["CO"] == DEPTH
+
+
+def test_deep_import_chain_closed_into_a_cycle_is_one_e103():
+    report = build_report(_import_chain(DEPTH, closed=True))
+    assert [d.code for d in report.diagnostics] == ["E103"]
+    names = [f"M{i:05d}" for i in range(DEPTH)]
+    assert report.diagnostics[0].message == "import cycle: " + " -> ".join(names + [names[0]])
+
+
+def test_validate_fetches_each_relation_at_most_once_per_chain_mode(monkeypatch):
+    """Work guard without timing: per-start walks would fetch relations a
+    quadratic number of times."""
+    n = 2_000
+    body = [RelationDecl(f"r{i}", THING, THING,
+                         QualifiedRef(BUILTIN_MODULE, "relatesWith") if i == 0 else QualifiedRef(None, f"r{i - 1}"))
+            for i in range(n)]
+    suite = _fresh([OntologyModule("Kinds", Level.CO, body=tuple(body))])
+    calls = Counter()
+    original = ResolvedSuite.get_relation
+
+    def counting(self, module_name, rel_name):
+        calls["get_relation"] += 1
+        return original(self, module_name, rel_name)
+
+    monkeypatch.setattr(ResolvedSuite, "get_relation", counting)
+    assert validate_suite(suite) == []
+    assert 0 < calls["get_relation"] <= 2 * n + 4

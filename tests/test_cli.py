@@ -96,6 +96,17 @@ def test_validate_unreadable_path_is_exit_2(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("subcommand", ["validate", "graph"])
+def test_unwritable_out_is_exit_2(subcommand, tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "report"
+    rc, out, err = invoke(capsys, subcommand, str(FIG2), "--out", str(target))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("ontoarch: error: cannot write ")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 def test_missing_subcommand_is_exit_2(capsys):
     assert invoke(capsys)[0] == 2
 
