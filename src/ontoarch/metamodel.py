@@ -670,15 +670,22 @@ _RELATIONSHIPS: tuple[RelationshipSpec, ...] = (
 #: Machine keys addressable as `ThingFO.<key>` from relation declarations.
 RELATIONSHIP_KEYS: tuple[str, ...] = tuple(dict.fromkeys(r.key for r in _RELATIONSHIPS))
 
-#: World fact predicates of the DSL mapped to relationship keys.
-PREDICATE_TO_RELATIONSHIP: dict[str, str] = {
-    "enables": "enables",
-    "actsUpon": "actsUpon",
-    "interacts": "interactsWithOther",
-    "belongsTo": "belongsTo",
-    "relatesWith": "relatesWith",
-    "isSeenAs": "isSeenAsOther",
-    "defines": "defines",
+#: World fact predicates of the DSL, in grammar order, mapped to the
+#: relationship each fact grounds (the first variant of its key, so
+#: `relatesWith` relates Things). A side whose sort is Property or Power is a
+#: `thing.part` of that sort, a Thing side is a thing of the world, and any
+#: other side is a term whose enrichment root must be that sort.
+WORLD_PREDICATES: dict[str, RelationshipSpec] = {
+    predicate: next(r for r in _RELATIONSHIPS if r.key == key)
+    for predicate, key in (
+        ("enables", "enables"),
+        ("actsUpon", "actsUpon"),
+        ("interacts", "interactsWithOther"),
+        ("belongsTo", "belongsTo"),
+        ("relatesWith", "relatesWith"),
+        ("isSeenAs", "isSeenAsOther"),
+        ("defines", "defines"),
+    )
 }
 
 
@@ -803,18 +810,6 @@ def root_kind(term_id: str) -> RootKind:
 def property_keys_for_root(root: RootKind) -> tuple[str, ...]:
     """Attribute keys a term rooted at `root` may declare."""
     return tuple(p.key for p in _PROPERTIES if p.owner == root.value)
-
-
-def property_spec(owner_root: RootKind, key: str) -> PropertySpec | None:
-    for p in _PROPERTIES:
-        if p.owner == owner_root.value and p.key == key:
-            return p
-    return None
-
-
-def property_specs_for_key(key: str) -> tuple[PropertySpec, ...]:
-    """All specs sharing a machine key, across owners."""
-    return tuple(p for p in _PROPERTIES if p.key == key)
 
 
 def relationship_variants(key: str) -> tuple[RelationshipSpec, ...]:

@@ -37,9 +37,6 @@ class Level(Enum):
         return self.rank == other.rank - 1
 
 
-MODULE_LEVELS = (Level.FO, Level.CO, Level.TDO, Level.LDO)
-
-
 @dataclass(frozen=True)
 class QualifiedRef:
     """A `Module.Name` or bare `Name` reference; bare names resolve in the
@@ -73,9 +70,6 @@ class TermDef:
     scope: str | None = None  # "particulars" | "universals"
     attributes: tuple[AttrPair, ...] = ()
     span: SourceSpan = field(compare=False, default_factory=synthetic_span)
-
-    def attribute_map(self) -> dict[str, str]:
-        return {a.key: a.value for a in self.attributes}
 
 
 @dataclass(frozen=True)
@@ -137,10 +131,6 @@ class ThingNode:
     span: SourceSpan = field(compare=False, default_factory=synthetic_span)
 
 
-#: World fact predicates, in grammar order.
-PREDICATES = ("enables", "actsUpon", "interacts", "belongsTo", "relatesWith", "isSeenAs", "defines")
-
-
 @dataclass(frozen=True)
 class Fact:
     predicate: str
@@ -155,12 +145,6 @@ class World:
     things: tuple[ThingNode, ...] = ()
     facts: tuple[Fact, ...] = ()
     span: SourceSpan = field(compare=False, default_factory=synthetic_span)
-
-    def thing(self, name: str) -> ThingNode | None:
-        for t in self.things:
-            if t.name == name:
-                return t
-        return None
 
     def facts_of(self, predicate: str) -> tuple[Fact, ...]:
         return tuple(f for f in self.facts if f.predicate == predicate)
@@ -189,38 +173,6 @@ class InstanceFile:
     @property
     def worlds(self) -> tuple[World, ...]:
         return tuple(d for d in self.body if isinstance(d, World))
-
-
-@dataclass(frozen=True)
-class MergedView:
-    """Union of same-level modules with qualified names preserved."""
-
-    level: Level
-    members: tuple[str, ...]
-    terms: dict[str, TermDef]       # "Module.Term" -> decl
-    relations: dict[str, RelationDecl]
-
-
-def merged_view(modules: Iterable[OntologyModule]) -> MergedView:
-    mods = list(modules)
-    if not mods:
-        raise ValueError("merged_view needs at least one module")
-    levels = {m.level for m in mods}
-    if len(levels) > 1:
-        raise ValueError(f"merged_view requires a single level, got {sorted(l.name for l in levels)}")
-    terms: dict[str, TermDef] = {}
-    relations: dict[str, RelationDecl] = {}
-    for m in mods:
-        for t in m.terms:
-            terms[f"{m.name}.{t.name}"] = t
-        for r in m.relations:
-            relations[f"{m.name}.{r.name}"] = r
-    return MergedView(
-        level=levels.pop(),
-        members=tuple(sorted(m.name for m in mods)),
-        terms=terms,
-        relations=relations,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +280,6 @@ class ResolvedSuite:
         except KeyError:
             return None
 
-    # -- summary --------------------------------------------------------------
-
-    def summary(self) -> dict[str, Any]:
-        per_level = {lvl.name: 0 for lvl in MODULE_LEVELS}
-        per_level[Level.FO.name] = 1  # built-in ThingFO
-        for m in self.modules.values():
-            per_level[m.level.name] += 1
-        return {
-            "modules_per_level": per_level,
-            "terms": sum(len(m.terms) for m in self.modules.values()),
-            "relations": sum(len(m.relations) for m in self.modules.values()),
-            "instance_files": len(self.instance_files),
-            "individuals": sum(len(f.individuals) for f in self.instance_files),
-            "worlds": sum(len(f.worlds) for f in self.instance_files),
-        }
-
-
 class _Resolver:
     def __init__(self, modules: list[OntologyModule], instance_files: list[InstanceFile]):
         self.input_modules = modules
@@ -361,7 +296,9 @@ class _Resolver:
     # -- passes ---------------------------------------------------------------
 
     def register_modules(self) -> None:
-        for m in self.input_modules:
+        # In source order, so which of two same-named modules is the
+        # duplicate does not depend on the order the files came in.
+        for m in sorted(self.input_modules, key=lambda m: m.span):
             if m.name == BUILTIN_MODULE:
                 self.error("E102", f"module name {BUILTIN_MODULE} is reserved for the built-in foundational ontology", m.span)
             elif m.name in self.modules:
@@ -527,57 +464,47 @@ class _Resolver:
 
         def check_part(ref: WorldRef, sort: str, what: str) -> None:
             if ref.part is None:
-                self.error("E101", f"{what}: expected a {sort} reference thing.part, got {ref}", ref.span)
+                self.error("E101", f"{what}: expected a {sort.lower()} reference thing.part, got {ref}", ref.span)
                 return
             thing = things.get(ref.primary)
             if thing is None:
                 self.error("E101", f"{what}: unknown thing {ref.primary} in world {w.name}", ref.span)
                 return
-            pool = thing.properties if sort == "property" else thing.powers
+            pool = thing.properties if sort == "Property" else thing.powers
             if not any(p.name == ref.part for p in pool):
-                self.error("E101", f"{what}: thing {ref.primary} has no {sort} named {ref.part}", ref.span)
+                self.error("E101", f"{what}: thing {ref.primary} has no {sort.lower()} named {ref.part}", ref.span)
 
         def check_term(ref: WorldRef, what: str) -> None:
             self._resolve_term_ref(ref.as_qualified(), f.of_module, what)
 
         for fact in w.facts:
-            what = f"{fact.predicate} fact in world {w.name}"
-            if fact.predicate == "enables":
-                check_part(fact.left, "property", what)
-                check_part(fact.right, "power", what)
-            elif fact.predicate == "actsUpon":
-                check_part(fact.left, "power", what)
-                check_part(fact.right, "property", what)
-            elif fact.predicate == "interacts":
-                check_part(fact.left, "power", what)
-                check_thing(fact.right, what)
-            elif fact.predicate == "belongsTo":
-                check_thing(fact.left, what)
-                check_term(fact.right, what)
-            elif fact.predicate == "relatesWith":
-                check_thing(fact.left, what)
-                check_thing(fact.right, what)
-            elif fact.predicate == "isSeenAs":
-                check_part(fact.left, "property", what)
-                check_thing(fact.right, what)
-            elif fact.predicate == "defines":
-                check_thing(fact.left, what)
-                check_term(fact.right, what)
-            else:
+            spec = metamodel.WORLD_PREDICATES.get(fact.predicate)
+            if spec is None:
                 self.error("E101", f"unknown predicate {fact.predicate} in world {w.name}", fact.span)
+                continue
+            what = f"{fact.predicate} fact in world {w.name}"
+            for ref, sort in ((fact.left, spec.domain), (fact.right, spec.range)):
+                if sort in ("Property", "Power"):
+                    check_part(ref, sort, what)
+                elif sort == "Thing":
+                    check_thing(ref, what)
+                else:
+                    check_term(ref, what)
 
     def check_enrichment_cycles(self) -> None:
         # Only meaningful for chains whose every link resolved; broken links
         # already produced E101 above. `pending` holds the terms not yet
         # walked: each walk removes the terms it visited, so each term is
         # walked once and a walk stops at a term an earlier walk judged. The
-        # first walk to enter a cycle reports it, starting where it entered.
+        # first walk to enter a cycle reports it, starting where it entered;
+        # modules are walked in name order, so that is independent of the
+        # order the files came in.
         pending = {(m.name, t.name): t for m in self.modules.values() for t in m.terms}
-        for m in self.modules.values():
-            for t in m.terms:
+        for name in sorted(self.modules):
+            for t in self.modules[name].terms:
                 path: list[tuple[str, str]] = []
                 on_path: dict[tuple[str, str], int] = {}
-                key = (m.name, t.name)
+                key = (name, t.name)
                 while key in pending:
                     if key in on_path:
                         cycle = path[on_path[key]:]

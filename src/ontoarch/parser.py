@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .metamodel import WORLD_PREDICATES
 from .model import (
     AttrPair,
     Fact,
@@ -39,7 +40,6 @@ from .model import (
     Level,
     OntologyModule,
     PartDecl,
-    PREDICATES,
     QualifiedRef,
     RelationDecl,
     TermDef,
@@ -480,7 +480,7 @@ class _Parser:
 
     def parse_fact(self) -> Fact:
         pred = self.expect_ident("a fact predicate")
-        if pred.lexeme not in PREDICATES:
+        if pred.lexeme not in WORLD_PREDICATES:
             self.diagnostics.append(
                 Diagnostic("E004", f"unknown fact predicate {pred.lexeme!r}", pred.span)
             )

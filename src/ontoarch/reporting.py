@@ -208,16 +208,6 @@ CODE_CATALOG: dict[str, CodeDoc] = {
 }
 
 
-def default_anchor(code: str) -> str:
-    doc = CODE_CATALOG.get(code)
-    return doc.anchor if doc else ""
-
-
-def default_rule(code: str) -> str | None:
-    doc = CODE_CATALOG.get(code)
-    return doc.rule if doc else None
-
-
 @dataclass(frozen=True)
 class Report:
     """An ordered batch of diagnostics plus suite summary counts."""

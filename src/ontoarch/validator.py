@@ -4,10 +4,6 @@ Enforces the architecture guidelines (G1/G2), the placement rules (R1-R3),
 the three axioms (A1-A3) over ground worlds, relationship domain/range and
 cardinality conformance, and the property schema. All checks are pure
 functions returning violations; nothing here raises on bad suites.
-
-`oracle_check_axioms` evaluates the axioms by brute-force enumeration of all
-quantifier instantiations and exists solely as an independent test oracle
-for the edge-wise `check_axioms`.
 """
 
 from __future__ import annotations
@@ -25,9 +21,8 @@ from .model import (
     RelationDecl,
     ResolvedSuite,
     World,
-    merged_view,
 )
-from .reporting import Diagnostic, default_anchor
+from .reporting import CODE_CATALOG, Diagnostic
 from .source import SourceSpan
 
 
@@ -43,30 +38,6 @@ class RuleId(Enum):
     REL_CONFORMANCE = "RelConformance"
     PROP_CONFORMANCE = "PropConformance"
     CARDINALITY = "Cardinality"
-
-
-_CODE_RULES: dict[str, RuleId] = {
-    "E201": RuleId.G2,
-    "E202": RuleId.R2,
-    "E203": RuleId.G2,
-    "E211": RuleId.R1,
-    "E212": RuleId.R1,
-    "E213": RuleId.R1,
-    "E221": RuleId.R2,
-    "E231": RuleId.REL_CONFORMANCE,
-    "E232": RuleId.REL_CONFORMANCE,
-    "E233": RuleId.REL_CONFORMANCE,
-    "E234": RuleId.REL_CONFORMANCE,
-    "E301": RuleId.R3,
-    "E302": RuleId.R3,
-    "E311": RuleId.A1,
-    "E312": RuleId.A2,
-    "E313": RuleId.A3,
-    "W201": RuleId.PROP_CONFORMANCE,
-    "W202": RuleId.PROP_CONFORMANCE,
-    "W203": RuleId.PROP_CONFORMANCE,
-    "W301": RuleId.CARDINALITY,
-}
 
 
 @dataclass(frozen=True)
@@ -95,13 +66,14 @@ class Violation:
 
 
 def _violation(code: str, message: str, span: SourceSpan, witness: str = "", anchor: str | None = None) -> Violation:
+    doc = CODE_CATALOG[code]
     return Violation(
-        rule=_CODE_RULES[code],
+        rule=RuleId(doc.rule),
         code=code,
         message=message,
         span=span,
         witness=witness,
-        anchor=anchor if anchor is not None else default_anchor(code),
+        anchor=doc.anchor if anchor is None else anchor,
     )
 
 
@@ -346,10 +318,10 @@ def check_rule1(suite: ResolvedSuite) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 def check_rule2(suite: ResolvedSuite) -> list[Violation]:
-    """Re-runs Rule #1 over each import-connected component's merged view.
+    """Re-runs Rule #1 over each import-connected component as a whole.
 
     Violations already visible module-locally keep their Rule #1 codes;
-    failures that only the merged view exposes (lateral kind chains that
+    failures that only the joint definition exposes (lateral kind chains that
     cycle, dead-end, or leave the component) are tagged E221."""
     components = same_level_components(suite)
     out: list[Violation] = []
@@ -360,7 +332,6 @@ def check_rule2(suite: ResolvedSuite) -> list[Violation]:
             continue
         done.add(component)
         members = sorted(component)
-        view = merged_view([suite.modules[m] for m in members])
         for member in members:
             module = suite.modules[member]
             out.extend(_module_rule1(suite, module))
@@ -373,11 +344,11 @@ def check_rule2(suite: ResolvedSuite) -> list[Violation]:
                     out.append(
                         _violation(
                             "E221",
-                            f"joint definition of {{{', '.join(view.members)}}} leaves "
+                            f"joint definition of {{{', '.join(members)}}} leaves "
                             f"relation {member}.{r.name} without a foundational kind: "
                             f"{joint.detail}",
                             r.span,
-                            witness=f"component: {', '.join(view.members)}; {joint.detail}",
+                            witness=f"component: {', '.join(members)}; {joint.detail}",
                         )
                     )
     return out
@@ -474,51 +445,6 @@ def check_axioms(world: World) -> list[Violation]:
     return out
 
 
-def oracle_check_axioms(world: World) -> list[Violation]:
-    """Brute-force axiom evaluation by enumerating every quantifier
-    instantiation (thing x property x power) with partOf as ownership.
-
-    Semantically equal violation set to `check_axioms`; kept deliberately
-    naive as the independent oracle."""
-    things = [t.name for t in world.things]
-    props = [(t.name, p.name) for t in world.things for p in t.properties]
-    pows = [(t.name, p.name) for t in world.things for p in t.powers]
-
-    def ref_is(ref, owner: str, part: str) -> bool:
-        return ref.primary == owner and ref.part == part
-
-    out: list[Violation] = []
-    # A1: Thing(t) & Property(prop) & partOf(prop,t) & Power(pow) & enables(prop,pow) -> partOf(pow,t)
-    for t in things:
-        for p_owner, p_name in props:
-            if p_owner != t:  # partOf(prop, t)
-                continue
-            for w_owner, w_name in pows:
-                for fact in world.facts_of("enables"):
-                    if ref_is(fact.left, p_owner, p_name) and ref_is(fact.right, w_owner, w_name):
-                        if w_owner != t:  # consequent partOf(pow, t) falsified
-                            out.append(_axiom_violation("E311", fact))
-    # A2: Thing(t) & Power(pow) & partOf(pow,t) & Property(prop) & actsUpon(pow,prop) -> partOf(prop,t)
-    for t in things:
-        for w_owner, w_name in pows:
-            if w_owner != t:
-                continue
-            for p_owner, p_name in props:
-                for fact in world.facts_of("actsUpon"):
-                    if ref_is(fact.left, w_owner, w_name) and ref_is(fact.right, p_owner, p_name):
-                        if p_owner != t:
-                            out.append(_axiom_violation("E312", fact))
-    # A3: Thing(t) & Power(pow) & partOf(pow,t) -> not interactsWithOther(pow, t)
-    for t in things:
-        for w_owner, w_name in pows:
-            if w_owner != t:
-                continue
-            for fact in world.facts_of("interacts"):
-                if ref_is(fact.left, w_owner, w_name) and fact.right.part is None and fact.right.primary == t:
-                    out.append(_axiom_violation("E313", fact))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Relationship conformance and cardinality.
 # ---------------------------------------------------------------------------
@@ -538,6 +464,11 @@ def _anchor_matches(suite: ResolvedSuite, term: tuple[str, str], required: str) 
                 wanted = "particulars" if required == "AssertionOnParticulars" else "universals"
                 return decl.scope == wanted
     return False
+
+
+#: World facts whose target is a term: the code for a target whose
+#: enrichment root is not the predicate's range.
+_TERM_TARGET_CODES = {"ThingCategory": "E232", "Assertion": "E233"}
 
 
 def check_relationship_conformance(suite: ResolvedSuite) -> list[Violation]:
@@ -572,34 +503,26 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Violation]:
                 )
             )
     for f, w in suite.all_worlds():
-        for fact in w.facts_of("belongsTo"):
-            mod, name = suite.world_term_target(fact.right, f.of_module)
-            anchor = suite.try_enrichment_root(mod, name)
-            if anchor is not None and metamodel.root_kind(anchor) is not RootKind.THING_CATEGORY:
-                out.append(
-                    _violation(
-                        "E232",
-                        f"belongsTo target {mod}.{name} is rooted at "
-                        f"{metamodel.root_kind(anchor).value}, not Thing Category",
-                        fact.span,
-                        witness=f"belongsTo({fact.left}, {fact.right})",
+        for fact in w.facts:
+            spec = metamodel.WORLD_PREDICATES[fact.predicate]
+            code = _TERM_TARGET_CODES.get(spec.range)
+            if code is not None:
+                mod, name = suite.world_term_target(fact.right, f.of_module)
+                anchor = suite.try_enrichment_root(mod, name)
+                if anchor is None:
+                    continue  # broken enrichment chain, already flagged as E213
+                root = metamodel.root_kind(anchor)
+                if root.value != spec.range:
+                    out.append(
+                        _violation(
+                            code,
+                            f"{fact.predicate} target {mod}.{name} is rooted at {root.value}, "
+                            f"not {metamodel.term_spec(spec.range).display}",
+                            fact.span,
+                            witness=f"{fact.predicate}({fact.left}, {fact.right})",
+                        )
                     )
-                )
-        for fact in w.facts_of("defines"):
-            mod, name = suite.world_term_target(fact.right, f.of_module)
-            anchor = suite.try_enrichment_root(mod, name)
-            if anchor is not None and metamodel.root_kind(anchor) is not RootKind.ASSERTION:
-                out.append(
-                    _violation(
-                        "E233",
-                        f"defines target {mod}.{name} is rooted at "
-                        f"{metamodel.root_kind(anchor).value}, not Assertion",
-                        fact.span,
-                        witness=f"defines({fact.left}, {fact.right})",
-                    )
-                )
-        for fact in w.facts_of("relatesWith"):
-            if fact.left.primary == fact.right.primary:
+            elif fact.predicate == "relatesWith" and fact.left.primary == fact.right.primary:
                 out.append(
                     _violation(
                         "E234",
@@ -615,7 +538,7 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Violation]:
 def _check_acts_upon_cardinality(world: World) -> list[Violation]:
     # Only enforced in worlds that describe acting at all: ground worlds may
     # legitimately be partial descriptions, hence a warning, not an error.
-    spec = metamodel.relationship_variants("actsUpon")[0]
+    spec = metamodel.WORLD_PREDICATES["actsUpon"]
     if not spec.multiplicity or spec.multiplicity[0] < 1:
         return []
     acts = world.facts_of("actsUpon")
@@ -689,7 +612,7 @@ def check_property_conformance(suite: ResolvedSuite) -> list[Violation]:
 
 def validate_suite(suite: ResolvedSuite) -> list[Violation]:
     """Run every check, deduplicate (Rule #2 re-derives Rule #1 findings on
-    merged views), and emit sorted by (file, span, code)."""
+    each component), and emit sorted by (file, span, code)."""
     collected: list[Violation] = []
     collected.extend(check_architecture(suite))
     collected.extend(check_rule1(suite))

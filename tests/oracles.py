@@ -1,15 +1,17 @@
-"""Naive per-start chain walks, kept as independent oracles for the
-memoised `chain_status` and `ResolvedSuite.enrichment_root`.
+"""Naive reference implementations, kept as independent oracles.
 
-Both walk the whole chain from scratch on every call and detect cycles by
-scanning the list of visited links; neither reads nor writes any cache.
+`oracle_chain_status` and `oracle_enrichment_root` check the memoised
+`chain_status` and `ResolvedSuite.enrichment_root`: both walk the whole chain
+from scratch on every call and detect cycles by scanning the list of visited
+links; neither reads nor writes any cache. `oracle_check_axioms` checks the
+edge-wise `check_axioms` by enumerating every quantifier instantiation.
 """
 
 from __future__ import annotations
 
 from ontoarch.metamodel import BUILTIN_MODULE
-from ontoarch.model import RelationDecl, ResolvedSuite
-from ontoarch.validator import ChainStatus
+from ontoarch.model import RelationDecl, ResolvedSuite, World
+from ontoarch.validator import ChainStatus, Violation, _axiom_violation
 
 
 def oracle_chain_status(
@@ -64,3 +66,48 @@ def oracle_enrichment_root(suite: ResolvedSuite, module_name: str, term_name: st
         if (mod, name) in chain:
             return f"KeyError: enrichment cycle through {module_name}.{term_name}"
     return name
+
+
+def oracle_check_axioms(world: World) -> list[Violation]:
+    """Brute-force axiom evaluation by enumerating every quantifier
+    instantiation (thing x property x power) with partOf as ownership.
+
+    Semantically equal violation set to `check_axioms`; kept deliberately
+    naive as the independent oracle."""
+    things = [t.name for t in world.things]
+    props = [(t.name, p.name) for t in world.things for p in t.properties]
+    pows = [(t.name, p.name) for t in world.things for p in t.powers]
+
+    def ref_is(ref, owner: str, part: str) -> bool:
+        return ref.primary == owner and ref.part == part
+
+    out: list[Violation] = []
+    # A1: Thing(t) & Property(prop) & partOf(prop,t) & Power(pow) & enables(prop,pow) -> partOf(pow,t)
+    for t in things:
+        for p_owner, p_name in props:
+            if p_owner != t:  # partOf(prop, t)
+                continue
+            for w_owner, w_name in pows:
+                for fact in world.facts_of("enables"):
+                    if ref_is(fact.left, p_owner, p_name) and ref_is(fact.right, w_owner, w_name):
+                        if w_owner != t:  # consequent partOf(pow, t) falsified
+                            out.append(_axiom_violation("E311", fact))
+    # A2: Thing(t) & Power(pow) & partOf(pow,t) & Property(prop) & actsUpon(pow,prop) -> partOf(prop,t)
+    for t in things:
+        for w_owner, w_name in pows:
+            if w_owner != t:
+                continue
+            for p_owner, p_name in props:
+                for fact in world.facts_of("actsUpon"):
+                    if ref_is(fact.left, w_owner, w_name) and ref_is(fact.right, p_owner, p_name):
+                        if p_owner != t:
+                            out.append(_axiom_violation("E312", fact))
+    # A3: Thing(t) & Power(pow) & partOf(pow,t) -> not interactsWithOther(pow, t)
+    for t in things:
+        for w_owner, w_name in pows:
+            if w_owner != t:
+                continue
+            for fact in world.facts_of("interacts"):
+                if ref_is(fact.left, w_owner, w_name) and fact.right.part is None and fact.right.primary == t:
+                    out.append(_axiom_violation("E313", fact))
+    return out

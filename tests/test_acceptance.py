@@ -13,6 +13,7 @@ import time
 from contextlib import contextmanager
 
 from conftest import FIG2, MUTATIONS, load_fig2, mutate
+from oracles import oracle_check_axioms
 
 from ontoarch import build_report, parse_suite, render_canonical, resolve
 from ontoarch.cli import run
@@ -22,7 +23,6 @@ from ontoarch.validator import (
     check_axioms,
     check_rule1,
     check_rule2,
-    oracle_check_axioms,
     same_level_components,
 )
 

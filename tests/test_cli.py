@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import FIG2, load_fig2
 
+import ontoarch
 from ontoarch import resolve
 from ontoarch.cli import export_graph, run
 
@@ -121,6 +126,15 @@ def test_metamodel_counts(capsys):
     rc, out, _ = invoke(capsys, "metamodel", "--counts")
     assert rc == 0
     assert out == "terms=19 properties=10 relationships=12\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(ontoarch.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ontoarch", "metamodel", "--counts"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "terms=19 properties=10 relationships=12\n", "")
 
 
 def test_metamodel_listing(capsys):

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
-from ontoarch import metamodel
+from ontoarch import metamodel, parser
 from ontoarch.metamodel import (
     RootKind,
     all_property_specs,
@@ -198,5 +199,9 @@ def test_property_vocabulary_is_closed_over_roots():
 
 
 def test_predicates_map_to_relationship_keys():
-    for key in metamodel.PREDICATE_TO_RELATIONSHIP.values():
-        assert metamodel.is_relationship_key(key)
+    grammar = re.search(r'predicate +:=((?:\s*\|?\s*"\w+")+)', parser.__doc__)
+    assert list(metamodel.WORLD_PREDICATES) == re.findall(r'"(\w+)"', grammar.group(1))
+    specs = all_relationship_specs()
+    for spec in metamodel.WORLD_PREDICATES.values():
+        assert spec in specs
+        assert spec.domain in ("Property", "Power", "Thing"), spec

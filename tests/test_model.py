@@ -1,14 +1,14 @@
-"""Resolution, enrichment chains and merged views."""
+"""Resolution and enrichment chains."""
 
 from __future__ import annotations
 
+from ontoarch.cli import build_report
 from ontoarch.metamodel import BUILTIN_MODULE
 from ontoarch.model import (
     Level,
     OntologyModule,
     QualifiedRef,
     TermDef,
-    merged_view,
     resolve,
 )
 from ontoarch.parser import parse_suite
@@ -35,7 +35,7 @@ def test_empty_suite_resolves_to_builtin_only():
     assert suite is not None
     assert suite.modules == {}
     assert suite.level_of(BUILTIN_MODULE) is Level.FO
-    assert suite.summary()["modules_per_level"] == {"FO": 1, "CO": 0, "TDO": 0, "LDO": 0}
+    assert build_report([]).summary["modules_per_level"] == {"FO": 1, "CO": 0, "TDO": 0, "LDO": 0}
 
 
 def test_core_module_binds_to_builtin_term():
@@ -107,6 +107,16 @@ def test_enrichment_cycle_is_e105():
     src = "ontology A at CO { term X enriches Y term Y enriches X }"
     _, diags = resolve_src(src)
     assert codes(diags) == ["E105"]
+
+
+def test_cross_module_enrichment_cycle_is_reported_from_the_first_module_by_name():
+    modules = [
+        OntologyModule("B", Level.CO, body=(TermDef("Y", QualifiedRef("A", "X")),)),
+        OntologyModule("A", Level.CO, body=(TermDef("X", QualifiedRef("B", "Y")),)),
+    ]
+    for order in (modules, modules[::-1]):
+        _, diags = resolve(order, [])
+        assert [d.message for d in diags] == ["enrichment cycle: A.X -> B.Y -> A.X"]
 
 
 def test_two_step_chain_reaches_thing():
@@ -225,32 +235,6 @@ def test_level_monotonicity_over_fig2(fig2_suite):
         module = fig2_suite.modules[module_name]
         target_mod, _ = fig2_suite.term_target(term.enriches, module_name)
         assert fig2_suite.level_of(target_mod).is_exactly_above(module.level)
-
-
-def test_merged_view_unions_term_sets(fig2_suite):
-    process = fig2_suite.modules["ProcessCO"]
-    situation = fig2_suite.modules["SituationCO"]
-    view = merged_view([process, situation])
-    assert view.members == ("ProcessCO", "SituationCO")
-    assert "ProcessCO.Process" in view.terms
-    assert "SituationCO.ParticularSituation" in view.terms
-    # counting oracle: qualified names keep member contributions disjoint
-    assert len(view.terms) == len(process.terms) + len(situation.terms)
-    assert len(view.relations) == len(process.relations) + len(situation.relations)
-
-
-def test_merged_view_of_single_module_equals_module(fig2_suite):
-    module = fig2_suite.modules["TestingTDO"]
-    view = merged_view([module])
-    assert view.members == ("TestingTDO",)
-    assert set(view.terms.values()) == set(module.terms)
-
-
-def test_merged_view_rejects_mixed_levels(fig2_suite):
-    import pytest
-
-    with pytest.raises(ValueError):
-        merged_view([fig2_suite.modules["ProcessCO"], fig2_suite.modules["TestingTDO"]])
 
 
 def test_programmatic_term_without_enrichment_resolves():

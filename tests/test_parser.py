@@ -227,7 +227,7 @@ def test_attribute_values_survive_round_trip(value):
     ast, diags = parse_suite([("f.onto", src)])
     assert not diags
     (module,) = ast.modules
-    assert module.terms[0].attribute_map() == {"description": value}
+    assert [(a.key, a.value) for a in module.terms[0].attributes] == [("description", value)]
     reparsed, diags2 = parse_suite([("f.onto", render_canonical(ast))])
     assert not diags2
     assert reparsed.decls == ast.decls

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import oracle_check_axioms
+
 from ontoarch.model import (
     Fact,
     PartDecl,
@@ -23,7 +25,6 @@ from ontoarch.validator import (
     check_rule1,
     check_rule2,
     check_rule3,
-    oracle_check_axioms,
     validate_suite,
 )
 
