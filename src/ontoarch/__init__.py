@@ -40,9 +40,21 @@ from .validator import (
     check_rule3,
     validate_suite,
 )
-from .cli import build_report, explain, export_graph, run
 
 __version__ = "0.1.0"
+
+#: Names that live in `ontoarch.cli`. They are looked up on first use, so
+#: `import ontoarch` does not import the CLI, and `python -m ontoarch.cli`
+#: runs a module that is not yet in `sys.modules`.
+_CLI_NAMES = frozenset({"build_report", "explain", "export_graph", "run"})
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BUILTIN_MODULE",

@@ -475,6 +475,12 @@ class _Resolver:
                 self.error("E101", f"{what}: thing {ref.primary} has no {sort.lower()} named {ref.part}", ref.span)
 
         def check_term(ref: WorldRef, what: str) -> None:
+            # `t.q` reads as Module.Term; when no module t exists but this
+            # world has a thing t, it is a part written where a term belongs.
+            is_module = ref.primary == BUILTIN_MODULE or ref.primary in self.term_names
+            if ref.part is not None and ref.primary in things and not is_module:
+                self.error("E101", f"{what}: expected a term, got part reference {ref}", ref.span)
+                return
             self._resolve_term_ref(ref.as_qualified(), f.of_module, what)
 
         for fact in w.facts:

@@ -27,6 +27,7 @@ canonical form whose reparse is structurally identical (spans aside).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,7 +61,6 @@ KEYWORDS = frozenset(
 )
 
 LEVEL_NAMES = ("FO", "CO", "TDO", "LDO")
-PUNCTUATION = "{}(),:;."
 
 
 class TokenKind(Enum):
@@ -71,12 +71,32 @@ class TokenKind(Enum):
     EOI = "end-of-input"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
+    """One token; every token sits on one line, from `col` to `end_col`.
+
+    The span is built only when asked for: most tokens' spans are never read."""
+
     kind: TokenKind
     lexeme: str
-    span: SourceSpan
-    value: str = ""  # unescaped payload for STRING tokens
+    value: str  # unescaped payload for STRING tokens, "" otherwise
+    file: str
+    line: int
+    col: int
+    end_col: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.col, self.line, self.end_col)
+
+    @property
+    def end_line(self) -> int:
+        return self.line
+
+    def to(self, other: SourceSpan | Token) -> SourceSpan:
+        """Smallest span covering this token and `other`, as `SourceSpan.to`
+        gives, without building this token's span or `other`'s."""
+        return SourceSpan(self.file, self.line, self.col, other.end_line, other.end_col)
 
     def is_kw(self, word: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.lexeme == word
@@ -85,109 +105,93 @@ class Token:
         return self.kind is TokenKind.PUNCT and self.lexeme == ch
 
 
-def _ident_start(ch: str) -> bool:
-    return ch.isascii() and (ch.isalpha() or ch == "_")
-
-
-def _ident_char(ch: str) -> bool:
-    return ch.isascii() and (ch.isalnum() or ch == "_")
+#: The lexer's one pattern. `finditer` skips what no alternative matches,
+#: which is exactly blanks, tabs and carriage returns, and a comment matches
+#: with no group; the numbered groups tell the rest apart. Group 4 takes
+#: every string, well-formed or not: it ends after the closing quote or
+#: before the end of the line.
+_SCAN = re.compile(
+    r"//[^\n]*"                       # comment (no group)
+    r"|(\n)"                          # 1: line break
+    r"|([A-Za-z_][A-Za-z0-9_]*)"      # 2: keyword or identifier (ASCII only)
+    r"|([{}(),:;.])"                  # 3: punctuation
+    r'|("(?:[^"\\\n]|\\["\\]?)*"?)'   # 4: string
+    r"|([^ \t\r])"                    # 5: invalid character
+)
 
 
 def tokenize(text: str, path: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
     """Full token stream (with end-of-input marker) plus lex diagnostics.
 
     The tokenizer always recovers: invalid characters and malformed strings
-    are reported and skipped, and scanning continues."""
+    are reported and skipped, and scanning continues. Columns count code
+    points from 1, and only a line feed ends a line."""
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def span_at(l: int, c: int, l2: int | None = None, c2: int | None = None) -> SourceSpan:
-        return SourceSpan(path, l, c, l2 if l2 is not None else l, c2 if c2 is not None else c)
-
-    def advance(ch: str) -> None:
-        nonlocal line, col
-        if ch == "\n":
+    append = tokens.append
+    keyword, ident, punct, string = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.PUNCT, TokenKind.STRING
+    line, line_start = 1, 0
+    for m in _SCAN.finditer(text):
+        group = m.lastindex
+        col = m.start() - line_start + 1
+        if group == 2:
+            lexeme = m.group(2)
+            kind = keyword if lexeme in KEYWORDS else ident
+            append(Token(kind, lexeme, "", path, line, col, col + len(lexeme) - 1))
+        elif group == 3:
+            append(Token(punct, m.group(3), "", path, line, col, col))
+        elif group == 1:
             line += 1
-            col = 1
-        else:
-            col += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                advance(text[i])
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if _ident_start(ch):
-            j = i
-            while j < n and _ident_char(text[j]):
-                advance(text[j])
-                j += 1
-            lexeme = text[i:j]
-            kind = TokenKind.KEYWORD if lexeme in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, lexeme, span_at(start_line, start_col, line, col - 1)))
-            i = j
-            continue
-        if ch in PUNCTUATION:
-            tokens.append(Token(TokenKind.PUNCT, ch, span_at(start_line, start_col)))
-            advance(ch)
-            i += 1
-            continue
-        if ch == '"':
-            advance(ch)
-            i += 1
-            parts: list[str] = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == '"':
-                    advance(c)
-                    i += 1
-                    closed = True
-                    break
-                if c == "\n":
-                    break
-                if c == "\\":
-                    if i + 1 < n and text[i + 1] in ('"', "\\"):
-                        parts.append(text[i + 1])
-                        advance(c)
-                        advance(text[i + 1])
-                        i += 2
-                        continue
-                    bad = text[i + 1] if i + 1 < n else "<eof>"
-                    diagnostics.append(
-                        Diagnostic("E001", f"invalid escape \\{bad} in string", span_at(line, col))
-                    )
-                    advance(c)
-                    i += 1
-                    continue
-                parts.append(c)
-                advance(c)
-                i += 1
-            if not closed:
-                diagnostics.append(
-                    Diagnostic("E001", "unterminated string literal", span_at(start_line, start_col))
-                )
-            value = "".join(parts)
-            tokens.append(
-                Token(TokenKind.STRING, f'"{value}"', span_at(start_line, start_col, line, max(col - 1, 1)), value)
+            line_start = m.end()
+        elif group == 4:
+            lexeme = m.group(4)
+            if len(lexeme) > 1 and lexeme[-1] == '"' and "\\" not in lexeme:
+                append(Token(string, lexeme, lexeme[1:-1], path, line, col, col + len(lexeme) - 1))
+            else:
+                after = text[m.end():m.end() + 1] or "<eof>"
+                append(_escaped_string(lexeme, after, path, line, col, diagnostics))
+        elif group == 5:
+            diagnostics.append(
+                Diagnostic("E001", f"invalid character {m.group(5)!r}", SourceSpan(path, line, col, line, col))
             )
-            continue
-        diagnostics.append(
-            Diagnostic("E001", f"invalid character {ch!r}", span_at(start_line, start_col))
-        )
-        advance(ch)
-        i += 1
-    tokens.append(Token(TokenKind.EOI, "", span_at(line, col)))
+    col = len(text) - line_start + 1
+    append(Token(TokenKind.EOI, "", "", path, line, col, col))
     return tokens, diagnostics
+
+
+def _escaped_string(
+    raw: str, after: str, path: str, line: int, col: int, diagnostics: list[Diagnostic]
+) -> Token:
+    """The STRING token for `raw`, a string with a backslash in it or with no
+    closing quote, which starts at `col`. `after` is what follows `raw` (a
+    line feed, or "<eof>"), which an escape at its very end reads. Reports
+    each invalid escape and a missing closing quote."""
+    parts: list[str] = []
+    i, n = 1, len(raw)
+    closed = False
+    while i < n:
+        c = raw[i]
+        if c == '"':
+            closed = True
+            break
+        if c == "\\":
+            escaped = raw[i + 1] if i + 1 < n else after
+            if escaped in ('"', "\\"):
+                parts.append(escaped)
+                i += 2
+                continue
+            diagnostics.append(
+                Diagnostic("E001", f"invalid escape \\{escaped} in string",
+                           SourceSpan(path, line, col + i, line, col + i))
+            )
+            i += 1
+            continue
+        parts.append(c)
+        i += 1
+    if not closed:
+        diagnostics.append(Diagnostic("E001", "unterminated string literal", SourceSpan(path, line, col, line, col)))
+    value = "".join(parts)
+    return Token(TokenKind.STRING, f'"{value}"', value, path, line, col, col + n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +323,7 @@ class _Parser:
         if self.peek().is_punct("."):
             self.next()
             second = self.expect_ident("a name after '.'")
-            return QualifiedRef(first.lexeme, second.lexeme, first.span.to(second.span))
+            return QualifiedRef(first.lexeme, second.lexeme, first.to(second))
         return QualifiedRef(None, first.lexeme, first.span)
 
     def parse_module(self) -> OntologyModule:
@@ -350,12 +354,12 @@ class _Parser:
                 if self.pos and self.tokens[self.pos - 1].is_punct("}"):
                     # recovery consumed the module's closing brace
                     return OntologyModule(name.lexeme, level, tuple(imports), tuple(body),
-                                          start.span.to(self.tokens[self.pos - 1].span))
+                                          start.to(self.tokens[self.pos - 1]))
                 if self.peek().kind is TokenKind.KEYWORD and self.peek().lexeme in _TOP_SYNC:
                     return OntologyModule(name.lexeme, level, tuple(imports), tuple(body),
-                                          start.span.to(self.peek().span))
+                                          start.to(self.peek()))
         end = self.expect_punct("}")
-        return OntologyModule(name.lexeme, level, tuple(imports), tuple(body), start.span.to(end.span))
+        return OntologyModule(name.lexeme, level, tuple(imports), tuple(body), start.to(end))
 
     def parse_term(self) -> TermDef:
         start = self.expect_kw("term")
@@ -372,7 +376,7 @@ class _Parser:
             else:
                 raise self.fail("expected 'particulars' or 'universals'")
         attrs: list[AttrPair] = []
-        end_span = target.span
+        end: SourceSpan | Token = target.span
         if self.peek().is_punct("{"):
             self.next()
             while not self.peek().is_punct("}"):
@@ -380,9 +384,9 @@ class _Parser:
                 if self.peek().kind is not TokenKind.STRING:
                     raise self.fail("expected a string attribute value")
                 value = self.next()
-                attrs.append(AttrPair(key.lexeme, value.value, key.span.to(value.span)))
-            end_span = self.expect_punct("}").span
-        return TermDef(name.lexeme, target, scope, tuple(attrs), start.span.to(end_span))
+                attrs.append(AttrPair(key.lexeme, value.value, key.to(value)))
+            end = self.expect_punct("}")
+        return TermDef(name.lexeme, target, scope, tuple(attrs), start.to(end))
 
     def parse_relation(self) -> RelationDecl:
         start = self.expect_kw("relation")
@@ -393,7 +397,7 @@ class _Parser:
         to_ref = self.parse_qname()
         self.expect_kw("kind")
         kind_ref = self.parse_qname()
-        return RelationDecl(name.lexeme, from_ref, to_ref, kind_ref, start.span.to(kind_ref.span))
+        return RelationDecl(name.lexeme, from_ref, to_ref, kind_ref, start.to(kind_ref.span))
 
     def parse_instances(self) -> InstanceFile:
         start = self.expect_kw("instances")
@@ -413,18 +417,18 @@ class _Parser:
             except _ParseError:
                 self.skip_to(_INSTANCE_SYNC)
                 if self.pos and self.tokens[self.pos - 1].is_punct("}"):
-                    return InstanceFile(module.lexeme, tuple(body), start.span.to(self.tokens[self.pos - 1].span))
+                    return InstanceFile(module.lexeme, tuple(body), start.to(self.tokens[self.pos - 1]))
                 if self.peek().kind is TokenKind.KEYWORD and self.peek().lexeme in _TOP_SYNC:
-                    return InstanceFile(module.lexeme, tuple(body), start.span.to(self.peek().span))
+                    return InstanceFile(module.lexeme, tuple(body), start.to(self.peek()))
         end = self.expect_punct("}")
-        return InstanceFile(module.lexeme, tuple(body), start.span.to(end.span))
+        return InstanceFile(module.lexeme, tuple(body), start.to(end))
 
     def parse_individual(self) -> Individual:
         start = self.expect_kw("individual")
         name = self.expect_ident("individual name")
         self.expect_punct(":")
         type_ref = self.parse_qname()
-        return Individual(name.lexeme, type_ref, start.span.to(type_ref.span))
+        return Individual(name.lexeme, type_ref, start.to(type_ref.span))
 
     def parse_world(self) -> World:
         start = self.expect_kw("world")
@@ -443,7 +447,7 @@ class _Parser:
             else:
                 raise self.fail("expected a thing declaration, a fact or '}'")
         end = self.expect_punct("}")
-        return World(name.lexeme, tuple(things), tuple(facts), start.span.to(end.span))
+        return World(name.lexeme, tuple(things), tuple(facts), start.to(end))
 
     def parse_thing(self) -> ThingNode:
         start = self.expect_kw("thing")
@@ -468,14 +472,14 @@ class _Parser:
         if self.peek().is_kw("property"):
             raise self.fail("property declarations must precede power declarations")
         end = self.expect_punct("}")
-        return ThingNode(name.lexeme, instance_of, tuple(properties), tuple(powers), start.span.to(end.span))
+        return ThingNode(name.lexeme, instance_of, tuple(properties), tuple(powers), start.to(end))
 
     def parse_ref(self) -> WorldRef:
         first = self.expect_ident("a reference")
         if self.peek().is_punct("."):
             self.next()
             second = self.expect_ident("a name after '.'")
-            return WorldRef(first.lexeme, second.lexeme, first.span.to(second.span))
+            return WorldRef(first.lexeme, second.lexeme, first.to(second))
         return WorldRef(first.lexeme, None, first.span)
 
     def parse_fact(self) -> Fact:
@@ -498,7 +502,7 @@ class _Parser:
         self.expect_punct(",")
         right = self.parse_ref()
         end = self.expect_punct(")")
-        return Fact(pred.lexeme, left, right, pred.span.to(end.span))
+        return Fact(pred.lexeme, left, right, pred.to(end))
 
 
 def parse_suite(files: list[tuple[str, str]]) -> tuple[SuiteAst, list[Diagnostic]]:

@@ -5,12 +5,19 @@
 from scratch on every call and detect cycles by scanning the list of visited
 links; neither reads nor writes any cache. `oracle_check_axioms` checks the
 edge-wise `check_axioms` by enumerating every quantifier instantiation.
+`oracle_tokenize` checks the regex scanner `tokenize`: it walks the text one
+character at a time and builds every token's span as it goes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ontoarch.metamodel import BUILTIN_MODULE
 from ontoarch.model import RelationDecl, ResolvedSuite, World
+from ontoarch.parser import KEYWORDS, TokenKind
+from ontoarch.reporting import Diagnostic
+from ontoarch.source import SourceSpan
 from ontoarch.validator import ChainStatus, Violation, _axiom_violation
 
 
@@ -111,3 +118,118 @@ def oracle_check_axioms(world: World) -> list[Violation]:
                 if ref_is(fact.left, w_owner, w_name) and fact.right.part is None and fact.right.primary == t:
                     out.append(_axiom_violation("E313", fact))
     return out
+
+PUNCTUATION = "{}(),:;."
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: TokenKind
+    lexeme: str
+    span: SourceSpan
+    value: str = ""  # unescaped payload for STRING tokens
+
+
+def _ident_start(ch: str) -> bool:
+    return ch.isascii() and (ch.isalpha() or ch == "_")
+
+
+def _ident_char(ch: str) -> bool:
+    return ch.isascii() and (ch.isalnum() or ch == "_")
+
+
+def oracle_tokenize(text: str, path: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
+    """Full token stream (with end-of-input marker) plus lex diagnostics.
+
+    The tokenizer always recovers: invalid characters and malformed strings
+    are reported and skipped, and scanning continues."""
+    tokens: list[Token] = []
+    diagnostics: list[Diagnostic] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+
+    def span_at(l: int, c: int, l2: int | None = None, c2: int | None = None) -> SourceSpan:
+        return SourceSpan(path, l, c, l2 if l2 is not None else l, c2 if c2 is not None else c)
+
+    def advance(ch: str) -> None:
+        nonlocal line, col
+        if ch == "\n":
+            line += 1
+            col = 1
+        else:
+            col += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance(ch)
+            i += 1
+            continue
+        if ch == "/" and i + 1 < n and text[i + 1] == "/":
+            while i < n and text[i] != "\n":
+                advance(text[i])
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if _ident_start(ch):
+            j = i
+            while j < n and _ident_char(text[j]):
+                advance(text[j])
+                j += 1
+            lexeme = text[i:j]
+            kind = TokenKind.KEYWORD if lexeme in KEYWORDS else TokenKind.IDENT
+            tokens.append(Token(kind, lexeme, span_at(start_line, start_col, line, col - 1)))
+            i = j
+            continue
+        if ch in PUNCTUATION:
+            tokens.append(Token(TokenKind.PUNCT, ch, span_at(start_line, start_col)))
+            advance(ch)
+            i += 1
+            continue
+        if ch == '"':
+            advance(ch)
+            i += 1
+            parts: list[str] = []
+            closed = False
+            while i < n:
+                c = text[i]
+                if c == '"':
+                    advance(c)
+                    i += 1
+                    closed = True
+                    break
+                if c == "\n":
+                    break
+                if c == "\\":
+                    if i + 1 < n and text[i + 1] in ('"', "\\"):
+                        parts.append(text[i + 1])
+                        advance(c)
+                        advance(text[i + 1])
+                        i += 2
+                        continue
+                    bad = text[i + 1] if i + 1 < n else "<eof>"
+                    diagnostics.append(
+                        Diagnostic("E001", f"invalid escape \\{bad} in string", span_at(line, col))
+                    )
+                    advance(c)
+                    i += 1
+                    continue
+                parts.append(c)
+                advance(c)
+                i += 1
+            if not closed:
+                diagnostics.append(
+                    Diagnostic("E001", "unterminated string literal", span_at(start_line, start_col))
+                )
+            value = "".join(parts)
+            tokens.append(
+                Token(TokenKind.STRING, f'"{value}"', span_at(start_line, start_col, line, max(col - 1, 1)), value)
+            )
+            continue
+        diagnostics.append(
+            Diagnostic("E001", f"invalid character {ch!r}", span_at(start_line, start_col))
+        )
+        advance(ch)
+        i += 1
+    tokens.append(Token(TokenKind.EOI, "", span_at(line, col)))
+    return tokens, diagnostics

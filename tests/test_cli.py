@@ -137,6 +137,27 @@ def test_python_dash_m_runs_the_cli():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "terms=19 properties=10 relationships=12\n", "")
 
 
+def test_python_dash_m_runs_the_cli_module():
+    # `import ontoarch` must not import `ontoarch.cli`, or runpy warns that
+    # the module it is about to run is already in `sys.modules`.
+    env = dict(os.environ, PYTHONPATH=str(Path(ontoarch.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ontoarch.cli", "metamodel", "--counts"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "terms=19 properties=10 relationships=12\n", "")
+
+
+def test_package_resolves_cli_names_on_first_use():
+    from ontoarch import build_report
+
+    assert build_report is ontoarch.cli.build_report
+    assert {"build_report", "explain", "export_graph", "run"} <= set(ontoarch.__all__)
+    assert all(hasattr(ontoarch, name) for name in ontoarch.__all__)
+    with pytest.raises(AttributeError):
+        ontoarch.no_such_name
+
+
 def test_metamodel_listing(capsys):
     rc, out, _ = invoke(capsys, "metamodel")
     assert rc == 0

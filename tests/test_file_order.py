@@ -5,6 +5,10 @@ enrichment, kind and import references cross module boundaries at random,
 plus instance files with individuals and worlds. Half of them then take a
 single-token edit (a token dropped, doubled or replaced), so parse errors and
 every class of resolution and conformance finding show up too.
+
+Token soup (arbitrary keywords, punctuation, names, strings and stray
+characters, alone or strewn into declaration fragments) must also end in a
+report, never an exception, in any file order.
 """
 
 from __future__ import annotations
@@ -135,6 +139,58 @@ def suites(draw) -> list[tuple[str, str]]:
     random.Random(0),
 )
 def test_report_is_independent_of_file_order(files, rnd):
+    expected = render_json(build_report(files))
+    shuffled = list(files)
+    rnd.shuffle(shuffled)
+    for order in (files[::-1], shuffled):
+        assert render_json(build_report(order)) == expected
+
+
+#: Token soup: grammar keywords, punctuation, names, strings good and bad,
+#: and stray characters.
+SOUP = (
+    *VOCABULARY, "ThingFO", "ThingCategory", "Assertion", "relatesWith", "x", "y", "p", "q",
+    '"', '"a\\q"', "\\", "//", "/", "é", "٣", "\x00", " ", "\n", "\t",
+)
+HEADERS = ("ontology M0 at CO {", "ontology M1 at TDO { imports M0", "ontology M2 at LDO { imports M1")
+MODULE_BODY = (
+    "term t0 enriches ThingFO.Thing", "term t1 enriches M0.t0", "term t2 enriches t1",
+    "term c0 enriches ThingFO.ThingCategory", "term t0 enriches M1.t0",
+    "relation r0 from t0 to t0 kind ThingFO.relatesWith", "relation r1 from t0 to t0 kind M0.r0",
+)
+THINGS = ("thing x : t0 { property p; power q; }", "thing y { property p; power q; }")
+FACTS = (
+    "enables(x.p, x.q)", "actsUpon(y.q, x.p)", "interacts(x.q, x)", "belongsTo(x, c0)",
+    "relatesWith(x, x)", "isSeenAs(x.p, y)", "defines(y, M0.t0)", "belongsTo(x, y.p)",
+)
+
+module_blocks = st.tuples(
+    st.sampled_from(HEADERS), st.lists(st.sampled_from(MODULE_BODY), max_size=5)
+).map(lambda b: [b[0], *b[1], "}"])
+world_blocks = st.tuples(
+    st.lists(st.sampled_from(THINGS), max_size=2), st.lists(st.sampled_from(FACTS), max_size=4)
+).map(lambda b: ["world w0 {", *b[0], *b[1], "}"])
+instance_blocks = st.lists(
+    st.one_of(st.just(["individual a0 : t0"]), world_blocks), max_size=2
+).map(lambda body: ["instances of M0 {", *(piece for part in body for piece in part), "}"])
+
+
+@st.composite
+def soup_file(draw) -> str:
+    """Arbitrary soup, or declarations stitched from fragments with a few
+    soup tokens strewn in, so that some files reach resolution."""
+    if draw(st.booleans()):
+        return " ".join(draw(st.lists(st.sampled_from(SOUP), max_size=30)))
+    pieces = [p for block in draw(st.lists(st.one_of(module_blocks, instance_blocks), max_size=3)) for p in block]
+    for _ in range(draw(st.integers(0, 2))):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(SOUP)))
+    return "\n".join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(soup_file(), min_size=1, max_size=4), st.randoms(use_true_random=False))
+def test_token_soup_reports_in_any_file_order(texts, rnd):
+    files = [(f"s{k}.onto", text) for k, text in enumerate(texts)]
     expected = render_json(build_report(files))
     shuffled = list(files)
     rnd.shuffle(shuffled)

@@ -63,7 +63,9 @@ RESOLUTION = [
     ("interacts(t1, t2)", "interacts", "expected a power reference thing.part, got t1"),
     ("interacts(t1.x, t2.q)", "interacts", "expected a thing, got part reference t2.q"),
     ("belongsTo(t1.p, Cat)", "belongsTo", "expected a thing, got part reference t1.p"),
-    ("belongsTo(t1, t2.q)", "belongsTo", "unknown module t2"),
+    ("belongsTo(t1, t2.q)", "belongsTo", "expected a term, got part reference t2.q"),
+    ("defines(t1, t2.y)", "defines", "expected a term, got part reference t2.y"),
+    ("belongsTo(t1, t9.q)", "belongsTo", "unknown module t9"),
     ("relatesWith(t1.p, t2)", "relatesWith", "expected a thing, got part reference t1.p"),
     ("relatesWith(t1, t2.y)", "relatesWith", "expected a thing, got part reference t2.y"),
     ("isSeenAs(t1, t2)", "isSeenAs", "expected a property reference thing.part, got t1"),
@@ -91,6 +93,14 @@ def test_well_sorted_fact_is_clean(fact):
 @pytest.mark.parametrize("fact, predicate, detail", RESOLUTION)
 def test_ill_sorted_fact_text(fact, predicate, detail):
     assert _report(fact) == [_e101(predicate, detail)]
+
+
+def test_a_module_name_wins_over_a_thing_name_on_a_term_side():
+    world = WORLD.replace("thing t2 {", "thing M {") % "belongsTo(t1, M.Cat) belongsTo(t1, M.q)"
+    report = build_report([("m.onto", MODULE), ("i.onto", world)])
+    assert [(d.code, d.message) for d in report.diagnostics] == [
+        ("E101", "belongsTo fact in world w: no term named q in module M")
+    ]
 
 
 def test_both_sides_are_reported_left_first():
