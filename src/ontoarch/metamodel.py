@@ -527,6 +527,11 @@ _PROPERTIES: tuple[PropertySpec, ...] = (
     ),
 )
 
+#: Attribute keys each root's terms may declare, in catalog order.
+_PROPERTY_KEYS: dict[RootKind, tuple[str, ...]] = {
+    root: tuple(p.key for p in _PROPERTIES if p.owner == root.value) for root in RootKind
+}
+
 
 # ---------------------------------------------------------------------------
 # Non-taxonomic relationships. `relates with` has three variants, one per
@@ -809,7 +814,7 @@ def root_kind(term_id: str) -> RootKind:
 
 def property_keys_for_root(root: RootKind) -> tuple[str, ...]:
     """Attribute keys a term rooted at `root` may declare."""
-    return tuple(p.key for p in _PROPERTIES if p.owner == root.value)
+    return _PROPERTY_KEYS[root]
 
 
 def relationship_variants(key: str) -> tuple[RelationshipSpec, ...]:

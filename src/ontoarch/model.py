@@ -2,8 +2,9 @@
 
 Declarations are plain frozen dataclasses, shared between the parser (which
 builds them with real source spans) and programmatic construction (tests,
-generators). `resolve` binds every reference or reports E1xx diagnostics;
-a `ResolvedSuite` is immutable afterwards and safe for concurrent reads.
+generators). `resolve` binds every reference or reports E1xx diagnostics.
+A `ResolvedSuite`'s declarations never change afterwards, but the suite fills
+memo tables on first query, so it is not safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -181,7 +182,11 @@ class InstanceFile:
 
 class ResolvedSuite:
     """All user modules plus the built-in ThingFO module, with every
-    reference known to bind. Treat as immutable after `resolve`."""
+    reference known to bind.
+
+    The declarations are immutable after `resolve`. Queries fill memo tables
+    on first use (`_roots`, `_components`, `_local_chains`, `_joint_chains`),
+    so share a suite between threads only behind a lock."""
 
     def __init__(self, modules: list[OntologyModule], instance_files: list[InstanceFile]):
         self.modules: dict[str, OntologyModule] = {m.name: m for m in modules}

@@ -17,7 +17,6 @@ from .metamodel import BUILTIN_MODULE, RootKind
 from .model import (
     Fact,
     Level,
-    OntologyModule,
     RelationDecl,
     ResolvedSuite,
     World,
@@ -171,12 +170,7 @@ def _components(suite: ResolvedSuite) -> dict[str, frozenset[str]]:
     return component_of
 
 
-def _chain_end(
-    suite: ResolvedSuite,
-    cur_mod: str,
-    cur_rel: RelationDecl,
-    components: dict[str, frozenset[str]] | None,
-) -> ChainStatus | None:
+def _chain_end(suite: ResolvedSuite, cur_mod: str, cur_rel: RelationDecl, joint: bool) -> ChainStatus | None:
     """The outcome that ends a kind chain at `cur_rel`, or None when the
     chain follows its kind link."""
     target_mod, target_name = suite.term_target(cur_rel.kind_ref, cur_mod)
@@ -192,9 +186,9 @@ def _chain_end(
             f"{target_level.name} ({target_mod}.{target_name})",
         )
     if target_level.rank == cur_level.rank and target_mod != cur_mod:
-        if components is None:
+        if not joint:
             return ChainStatus("escape", detail=f"kind of {here} crosses into {target_mod}")
-        if target_mod not in components.get(cur_mod, frozenset({cur_mod})):
+        if target_mod not in same_level_components(suite)[cur_mod]:
             return ChainStatus(
                 "dead_end",
                 detail=f"kind of {here} leaves the import-connected component "
@@ -203,31 +197,20 @@ def _chain_end(
     return None
 
 
-def chain_status(
-    suite: ResolvedSuite,
-    module_name: str,
-    rel: RelationDecl,
-    components: dict[str, frozenset[str]] | None,
-) -> ChainStatus:
+def chain_status(suite: ResolvedSuite, module_name: str, rel: RelationDecl, joint: bool) -> ChainStatus:
     """Follow a relation's `kind` links until a foundational relationship.
 
     Hops to a higher level or within the same module are always followed.
-    Lateral hops (same level, other module) escape when `components` is None
-    (Rule #1 leaves them to Rule #2) and otherwise must stay inside the
-    hop source's import-connected component. Hops toward a more concrete
-    level never terminate.
+    Lateral hops (same level, other module) escape unless `joint` (Rule #1
+    leaves them to Rule #2); jointly they must stay inside the hop source's
+    import-connected component. Hops toward a more concrete level never
+    terminate.
 
     `rel` is the suite's declaration `module_name.rel.name`. Outcomes are
-    recorded per suite for `components` None and for the suite's own
-    `same_level_components` map, so each relation is walked once per mode;
+    recorded per suite and mode, so each relation is walked once per mode;
     a cycle's detail starts where the queried relation's chain enters it.
     """
-    if components is None:
-        table = suite._local_chains
-    elif components is suite._components:
-        table = suite._joint_chains
-    else:
-        table = {}  # a caller-built map: walk without a lasting record
+    table = suite._joint_chains if joint else suite._local_chains
     path: list[tuple[str, str]] = []
     on_path: dict[tuple[str, str], int] = {}
     cur_mod, cur_rel = module_name, rel
@@ -249,7 +232,7 @@ def chain_status(
             break
         on_path[here] = len(path)
         path.append(here)
-        status = _chain_end(suite, cur_mod, cur_rel, components)
+        status = _chain_end(suite, cur_mod, cur_rel, joint)
         if status is not None:
             break
         target_mod, target_name = suite.term_target(cur_rel.kind_ref, cur_mod)
@@ -265,51 +248,45 @@ def chain_status(
 # Rule #1: correspondence with the immediately higher level.
 # ---------------------------------------------------------------------------
 
-def _module_rule1(suite: ResolvedSuite, module: OntologyModule) -> list[Violation]:
-    out: list[Violation] = []
-    for t in module.terms:
-        if t.enriches is None:
-            out.append(
-                _violation(
-                    "E213",
-                    f"term {module.name}.{t.name} has no enrichment target",
-                    t.span,
-                    witness=f"term {t.name}",
-                )
-            )
-            continue
-        target_mod, target_name = suite.term_target(t.enriches, module.name)
-        target_level = suite.level_of(target_mod)
-        if not target_level.is_exactly_above(module.level):
-            out.append(
-                _violation(
-                    "E211",
-                    f"term {module.name}.{t.name} ({module.level.name}) enriches "
-                    f"{target_mod}.{target_name} ({target_level.name}), which is not "
-                    f"the immediately higher level",
-                    t.span,
-                    witness=f"{module.level.name} -> {target_level.name}",
-                )
-            )
-    for r in module.relations:
-        status = chain_status(suite, module.name, r, None)
-        if status.outcome in ("cycle", "downward"):
-            out.append(
-                _violation(
-                    "E212",
-                    f"relation {module.name}.{r.name} never reaches a foundational "
-                    f"relationship: {status.detail}",
-                    r.span,
-                    witness=status.detail,
-                )
-            )
-    return out
-
-
 def check_rule1(suite: ResolvedSuite) -> list[Violation]:
     out: list[Violation] = []
     for module in suite.modules.values():
-        out.extend(_module_rule1(suite, module))
+        for t in module.terms:
+            if t.enriches is None:
+                out.append(
+                    _violation(
+                        "E213",
+                        f"term {module.name}.{t.name} has no enrichment target",
+                        t.span,
+                        witness=f"term {t.name}",
+                    )
+                )
+                continue
+            target_mod, target_name = suite.term_target(t.enriches, module.name)
+            target_level = suite.level_of(target_mod)
+            if not target_level.is_exactly_above(module.level):
+                out.append(
+                    _violation(
+                        "E211",
+                        f"term {module.name}.{t.name} ({module.level.name}) enriches "
+                        f"{target_mod}.{target_name} ({target_level.name}), which is not "
+                        f"the immediately higher level",
+                        t.span,
+                        witness=f"{module.level.name} -> {target_level.name}",
+                    )
+                )
+        for r in module.relations:
+            status = chain_status(suite, module.name, r, False)
+            if status.outcome in ("cycle", "downward"):
+                out.append(
+                    _violation(
+                        "E212",
+                        f"relation {module.name}.{r.name} never reaches a foundational "
+                        f"relationship: {status.detail}",
+                        r.span,
+                        witness=status.detail,
+                    )
+                )
     return out
 
 
@@ -318,39 +295,27 @@ def check_rule1(suite: ResolvedSuite) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 def check_rule2(suite: ResolvedSuite) -> list[Violation]:
-    """Re-runs Rule #1 over each import-connected component as a whole.
-
-    Violations already visible module-locally keep their Rule #1 codes;
-    failures that only the joint definition exposes (lateral kind chains that
-    cycle, dead-end, or leave the component) are tagged E221."""
-    components = same_level_components(suite)
+    """Failures only the joint definition of an import-connected component
+    exposes, all tagged E221: relations whose kind chain escapes their module
+    (so Rule #1 does not judge them) and then, followed inside the component,
+    cycles, turns downward or leaves the component. Everything visible
+    module-locally is Rule #1's and is not reported again here."""
     out: list[Violation] = []
-    done: set[frozenset[str]] = set()
-    for name in suite.modules:
-        component = components[name]
-        if component in done:
+    for module_name, r in suite.all_relations():
+        if chain_status(suite, module_name, r, False).outcome != "escape":
             continue
-        done.add(component)
-        members = sorted(component)
-        for member in members:
-            module = suite.modules[member]
-            out.extend(_module_rule1(suite, module))
-            for r in module.relations:
-                local = chain_status(suite, member, r, None)
-                if local.outcome != "escape":
-                    continue
-                joint = chain_status(suite, member, r, components)
-                if joint.outcome in ("cycle", "downward", "dead_end"):
-                    out.append(
-                        _violation(
-                            "E221",
-                            f"joint definition of {{{', '.join(members)}}} leaves "
-                            f"relation {member}.{r.name} without a foundational kind: "
-                            f"{joint.detail}",
-                            r.span,
-                            witness=f"component: {', '.join(members)}; {joint.detail}",
-                        )
-                    )
+        joint = chain_status(suite, module_name, r, True)
+        if joint.outcome in ("cycle", "downward", "dead_end"):
+            members = ", ".join(sorted(same_level_components(suite)[module_name]))
+            out.append(
+                _violation(
+                    "E221",
+                    f"joint definition of {{{members}}} leaves relation "
+                    f"{module_name}.{r.name} without a foundational kind: {joint.detail}",
+                    r.span,
+                    witness=f"component: {members}; {joint.detail}",
+                )
+            )
     return out
 
 
@@ -472,10 +437,9 @@ _TERM_TARGET_CODES = {"ThingCategory": "E232", "Assertion": "E233"}
 
 
 def check_relationship_conformance(suite: ResolvedSuite) -> list[Violation]:
-    components = same_level_components(suite)
     out: list[Violation] = []
     for module_name, r in suite.all_relations():
-        status = chain_status(suite, module_name, r, components)
+        status = chain_status(suite, module_name, r, True)
         if status.outcome != "foundational":
             continue  # chain failures belong to Rule #1 / Rule #2
         variants = metamodel.relationship_variants(status.key or "")
@@ -611,8 +575,10 @@ def check_property_conformance(suite: ResolvedSuite) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 def validate_suite(suite: ResolvedSuite) -> list[Violation]:
-    """Run every check, deduplicate (Rule #2 re-derives Rule #1 findings on
-    each component), and emit sorted by (file, span, code)."""
+    """Run every check and emit the findings sorted by (file, span, code).
+
+    No check re-derives another's findings, so each one is reported once;
+    a fact listed twice in a world is two findings."""
     collected: list[Violation] = []
     collected.extend(check_architecture(suite))
     collected.extend(check_rule1(suite))
@@ -622,8 +588,7 @@ def validate_suite(suite: ResolvedSuite) -> list[Violation]:
     collected.extend(check_property_conformance(suite))
     for _, world in suite.all_worlds():
         collected.extend(check_axioms(world))
-    unique: dict[Violation, None] = dict.fromkeys(collected)
-    return sorted(unique, key=Violation.sort_key)
+    return sorted(collected, key=Violation.sort_key)
 
 
 def violations_to_diagnostics(violations: Iterable[Violation]) -> list[Diagnostic]:

@@ -115,28 +115,13 @@ def test_memoised_walks_equal_naive_oracles_in_any_order(modules, rnd):
     rnd.shuffle(shuffled)
     for order in (forward, forward[::-1], shuffled):
         suite = _fresh(modules)
-        comps = same_level_components(suite)
         for query in order:
             if query[0] == "rel":
                 _, module, name, joint = query
-                got = chain_status(suite, module, suite.get_relation(module, name), comps if joint else None)
+                got = chain_status(suite, module, suite.get_relation(module, name), joint)
             else:
                 got = _root(suite, query[1], query[2])
             assert got == expected[query], query
-
-
-def test_caller_built_component_map_is_honoured():
-    """A component map other than the suite's own is walked, not looked up
-    in the memo of the suite's map."""
-    a = OntologyModule("A", Level.CO, body=(RelationDecl("r", THING, THING, QualifiedRef("B", "s")),))
-    foundational = QualifiedRef(BUILTIN_MODULE, "relatesWith")
-    b = OntologyModule("B", Level.CO, (ImportRef("A"),), (RelationDecl("s", THING, THING, foundational),))
-    suite = _fresh([a, b])
-    rel = suite.get_relation("A", "r")
-    assert chain_status(suite, "A", rel, same_level_components(suite)).outcome == "foundational"
-    split = {"A": frozenset({"A"}), "B": frozenset({"B"})}
-    assert chain_status(suite, "A", rel, split).outcome == "dead_end"
-    assert chain_status(suite, "A", rel, same_level_components(suite)).outcome == "foundational"
 
 
 # ---------------------------------------------------------------------------

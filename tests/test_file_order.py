@@ -4,7 +4,8 @@ Suites are generated from the grammar: several modules, one file each, whose
 enrichment, kind and import references cross module boundaries at random,
 plus instance files with individuals and worlds. Half of them then take a
 single-token edit (a token dropped, doubled or replaced), so parse errors and
-every class of resolution and conformance finding show up too.
+every class of resolution and conformance finding show up too. The same
+suites check that validation reports each finding once.
 
 Token soup (arbitrary keywords, punctuation, names, strings and stray
 characters, alone or strewn into declaration fragments) must also end in a
@@ -15,11 +16,14 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from ontoarch import metamodel
 from ontoarch.cli import build_report
+from ontoarch.model import resolve
+from ontoarch.parser import parse_suite
 from ontoarch.reporting import render_json
+from ontoarch.validator import check_rule1, check_rule2, validate_suite
 
 MODULES = ("M0", "M1", "M2", "M3")
 TERMS = ("t0", "t1", "t2", "t3")
@@ -144,6 +148,23 @@ def test_report_is_independent_of_file_order(files, rnd):
     rnd.shuffle(shuffled)
     for order in (files[::-1], shuffled):
         assert render_json(build_report(order)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(suites())
+def test_each_finding_is_reported_once(files):
+    """Rule #2 reports only what the joint definition exposes (E221), so the
+    collected findings hold no copies and each Rule #1 finding appears once."""
+    ast, _ = parse_suite(files)
+    suite, _ = resolve(ast.modules, ast.instance_files)
+    if suite is None:
+        event("unresolved")
+        return
+    report = validate_suite(suite)
+    assert {v.code for v in check_rule2(suite)} <= {"E221"}
+    assert len(set(report)) == len(report)
+    for v in check_rule1(suite):
+        assert report.count(v) == 1, v
 
 
 #: Token soup: grammar keywords, punctuation, names, strings good and bad,

@@ -9,6 +9,7 @@ from oracles import oracle_check_axioms
 
 from ontoarch.model import (
     Fact,
+    InstanceFile,
     PartDecl,
     ThingNode,
     World,
@@ -175,9 +176,11 @@ def test_rule2_clean_joint_definition(fig2_suite):
     assert check_rule2(fig2_suite) == []
 
 
-def test_rule2_equals_rule1_for_singleton_components():
+def test_rule2_adds_nothing_for_singleton_components():
     suite = resolve_src('ontology A at TDO { term X enriches ThingFO.Thing { description "d" } }')
-    assert check_rule2(suite) == check_rule1(suite)
+    assert codes(check_rule1(suite)) == ["E211"]
+    assert check_rule2(suite) == []
+    assert codes(validate_suite(suite)) == ["E211"]
 
 
 def test_rule2_flags_cross_module_kind_cycle_as_e221():
@@ -555,6 +558,24 @@ def test_validate_suite_is_sorted_and_deduplicated():
     keys = [v.sort_key() for v in violations]
     assert keys == sorted(keys)
     assert len(set(violations)) == len(violations)
+
+
+def test_a_fact_listed_twice_is_reported_twice():
+    """Each listed fact is one finding. Two equal findings need a fact
+    repeated programmatically: parsed facts carry distinct spans."""
+    fact = Fact("enables", WorldRef("t1", "p1"), WorldRef("t2", "w2"))
+    world = World(
+        "w",
+        (ThingNode("t1", None, (PartDecl("p1"),)), ThingNode("t2", None, (), (PartDecl("w2"),))),
+        (fact, fact),
+    )
+    ast, diags = parse_suite([("a.onto", "ontology A at CO { }")])
+    assert not diags
+    suite, rdiags = resolve(ast.modules, [InstanceFile("A", (world,))])
+    assert not rdiags and suite is not None
+    violations = validate_suite(suite)
+    assert codes(violations) == ["E311", "E311"]
+    assert violations[0] == violations[1]
 
 
 def test_validate_fig2_is_fully_clean(fig2_suite):
