@@ -647,7 +647,11 @@ _RELATIONSHIPS: tuple[RelationshipSpec, ...] = (
         domain="Property",
         range="Thing",
         definition="A Property most of the time is seen as another Thing.",
-        # Informational only: declaring it is allowed, absence is never flagged.
+        notes=(
+            "\"Most of the time\" states a tendency, not a constraint: a Property "
+            "may be seen as the Thing it belongs to, so no check enforces \"other\", "
+            "and a Property with no isSeenAs fact is never flagged.",
+        ),
     ),
     RelationshipSpec(
         key="relatesWith",

@@ -89,21 +89,6 @@ class Token:
     def span(self) -> SourceSpan:
         return SourceSpan(self.file, self.line, self.col, self.line, self.end_col)
 
-    @property
-    def end_line(self) -> int:
-        return self.line
-
-    def to(self, other: SourceSpan | Token) -> SourceSpan:
-        """Smallest span covering this token and `other`, as `SourceSpan.to`
-        gives, without building this token's span or `other`'s."""
-        return SourceSpan(self.file, self.line, self.col, other.end_line, other.end_col)
-
-    def is_kw(self, word: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.lexeme == word
-
-    def is_punct(self, ch: str) -> bool:
-        return self.kind is TokenKind.PUNCT and self.lexeme == ch
-
 
 #: The lexer's one pattern. `finditer` skips what no alternative matches,
 #: which is exactly blanks, tabs and carriage returns, and a comment matches
@@ -230,279 +215,358 @@ class _ParseError(Exception):
 _TOP_SYNC = ("ontology", "instances")
 _MODULE_SYNC = _TOP_SYNC + ("imports", "term", "relation")
 _INSTANCE_SYNC = _TOP_SYNC + ("individual", "world")
+_LEVELS = {name: Level[name] for name in LEVEL_NAMES}
 
 
 class _Parser:
+    """Recursive descent over the token list. Each production takes the index
+    of its first token and returns its node and the index after it.
+
+    Keywords and punctuation are told apart by lexeme alone: only KEYWORD
+    tokens carry keyword lexemes, only PUNCT tokens carry punctuation, a
+    STRING lexeme starts with a quote and the end-of-input token, always the
+    last one, has the empty lexeme. A production reads `toks[i + 1]` only
+    after `toks[i]` has matched a lexeme or a kind, which end of input never
+    does, so no index runs past the list. On a syntax error, `fail` records
+    the failing token's index in `pos`, where recovery resumes."""
+
     def __init__(self, tokens: list[Token], path: str):
-        self.tokens = tokens
+        self.toks = tokens
+        self.end = len(tokens) - 1  # index of the end-of-input token
         self.path = path
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
 
-    # -- token plumbing -----------------------------------------------------
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.EOI:
-            self.pos += 1
-        return tok
-
-    def at_eof(self) -> bool:
-        return self.peek().kind is TokenKind.EOI
-
-    def fail(self, message: str, tok: Token | None = None) -> _ParseError:
-        tok = tok or self.peek()
-        shown = tok.lexeme if tok.kind is not TokenKind.EOI else "end of input"
+    def fail(self, message: str, i: int) -> _ParseError:
+        tok = self.toks[i]
+        shown = tok.lexeme or "end of input"
         self.diagnostics.append(Diagnostic("E002", f"{message}, got {shown!r}", tok.span))
+        self.pos = i
         return _ParseError()
 
-    def expect_kw(self, word: str) -> Token:
-        if self.peek().is_kw(word):
-            return self.next()
-        raise self.fail(f"expected '{word}'")
-
-    def expect_punct(self, ch: str) -> Token:
-        if self.peek().is_punct(ch):
-            return self.next()
-        raise self.fail(f"expected '{ch}'")
-
-    def expect_ident(self, what: str = "identifier") -> Token:
-        if self.peek().kind is TokenKind.IDENT:
-            return self.next()
-        raise self.fail(f"expected {what}")
-
-    def skip_to(self, keywords: tuple[str, ...], *, stop_at_close: bool = True) -> None:
-        """Error recovery: consume at least one token, then stop before a
-        sync keyword or after a closing brace."""
-        if not self.at_eof():
-            self.pos += 1
-        while not self.at_eof():
-            tok = self.peek()
-            if tok.kind is TokenKind.KEYWORD and tok.lexeme in keywords:
-                return
-            if stop_at_close and tok.is_punct("}"):
-                self.next()
-                return
-            self.next()
+    def skip_to(self, i: int, keywords: tuple[str, ...], *, stop_at_close: bool = True) -> int:
+        """Error recovery from token `i`: consume at least one token, then
+        stop before a sync keyword or after a closing brace."""
+        toks, end = self.toks, self.end
+        if i < end:
+            i += 1
+        while i < end:
+            lexeme = toks[i].lexeme
+            if lexeme in keywords:
+                return i
+            if stop_at_close and lexeme == "}":
+                return i + 1
+            i += 1
+        return i
 
     # -- grammar ------------------------------------------------------------
 
     def parse_file(self) -> tuple[FileAst, list[Diagnostic]]:
+        toks = self.toks
         decls: list[OntologyModule | InstanceFile] = []
-        while not self.at_eof():
-            tok = self.peek()
+        i = 0
+        while i < self.end:
+            lexeme = toks[i].lexeme
             try:
-                if tok.is_kw("ontology"):
-                    decls.append(self.parse_module())
-                elif tok.is_kw("instances"):
-                    decls.append(self.parse_instances())
+                if lexeme == "ontology":
+                    decl, i = self.parse_module(i)
+                elif lexeme == "instances":
+                    decl, i = self.parse_instances(i)
                 else:
-                    raise self.fail("expected 'ontology' or 'instances'")
+                    raise self.fail("expected 'ontology' or 'instances'", i)
+                decls.append(decl)
             except _ParseError:
-                self.skip_to(_TOP_SYNC, stop_at_close=False)
+                i = self.skip_to(self.pos, _TOP_SYNC, stop_at_close=False)
         return FileAst(self.path, tuple(decls)), self.diagnostics
 
-    def parse_level(self) -> Level:
-        tok = self.peek()
-        if tok.kind is TokenKind.KEYWORD and tok.lexeme in LEVEL_NAMES:
-            self.next()
-            return Level[tok.lexeme]
-        if tok.kind in (TokenKind.IDENT, TokenKind.KEYWORD):
+    def parse_level(self, i: int) -> tuple[Level, int]:
+        tok = self.toks[i]
+        level = _LEVELS.get(tok.lexeme)
+        if level is not None:
+            return level, i + 1
+        if tok.kind is TokenKind.IDENT or tok.lexeme in KEYWORDS:
             self.diagnostics.append(
                 Diagnostic("E003", f"unknown level name {tok.lexeme!r} (expected FO, CO, TDO or LDO)", tok.span)
             )
-            self.next()
-            return Level.CO  # placeholder; the file is excluded anyway
-        raise self.fail("expected a level name")
+            return Level.CO, i + 1  # placeholder; the file is excluded anyway
+        raise self.fail("expected a level name", i)
 
-    def parse_qname(self) -> QualifiedRef:
-        first = self.expect_ident("a name")
-        if self.peek().is_punct("."):
-            self.next()
-            second = self.expect_ident("a name after '.'")
-            return QualifiedRef(first.lexeme, second.lexeme, first.to(second))
-        return QualifiedRef(None, first.lexeme, first.span)
+    def parse_qname(self, i: int) -> tuple[QualifiedRef, int]:
+        toks = self.toks
+        first = toks[i]
+        if first.kind is not TokenKind.IDENT:
+            raise self.fail("expected a name", i)
+        if toks[i + 1].lexeme == ".":
+            second = toks[i + 2]
+            if second.kind is not TokenKind.IDENT:
+                raise self.fail("expected a name after '.'", i + 2)
+            span = SourceSpan(first.file, first.line, first.col, second.line, second.end_col)
+            return QualifiedRef(first.lexeme, second.lexeme, span), i + 3
+        span = SourceSpan(first.file, first.line, first.col, first.line, first.end_col)
+        return QualifiedRef(None, first.lexeme, span), i + 1
 
-    def parse_module(self) -> OntologyModule:
-        start = self.expect_kw("ontology")
-        name = self.expect_ident("ontology name")
-        self.expect_kw("at")
-        level = self.parse_level()
-        self.expect_punct("{")
+    def parse_module(self, i: int) -> tuple[OntologyModule, int]:
+        toks = self.toks
+        start = toks[i]
+        name = toks[i + 1]
+        if name.kind is not TokenKind.IDENT:
+            raise self.fail("expected ontology name", i + 1)
+        if toks[i + 2].lexeme != "at":
+            raise self.fail("expected 'at'", i + 2)
+        level, i = self.parse_level(i + 3)
+        if toks[i].lexeme != "{":
+            raise self.fail("expected '{'", i)
+        i += 1
         imports: list[ImportRef] = []
         body: list[TermDef | RelationDecl] = []
-        while self.peek().is_kw("imports"):
-            self.next()
-            target = self.expect_ident("imported module name")
+        while toks[i].lexeme == "imports":
+            target = toks[i + 1]
+            if target.kind is not TokenKind.IDENT:
+                raise self.fail("expected imported module name", i + 1)
             imports.append(ImportRef(target.lexeme, target.span))
-        while not self.at_eof() and not self.peek().is_punct("}"):
-            tok = self.peek()
+            i += 2
+        while i < self.end:
+            lexeme = toks[i].lexeme
+            if lexeme == "}":
+                break
             try:
-                if tok.is_kw("term"):
-                    body.append(self.parse_term())
-                elif tok.is_kw("relation"):
-                    body.append(self.parse_relation())
-                elif tok.is_kw("imports"):
-                    raise self.fail("imports must precede term and relation declarations", tok)
+                if lexeme == "term":
+                    decl, i = self.parse_term(i)
+                elif lexeme == "relation":
+                    decl, i = self.parse_relation(i)
+                elif lexeme == "imports":
+                    raise self.fail("imports must precede term and relation declarations", i)
                 else:
-                    raise self.fail("expected 'term', 'relation' or '}'")
+                    raise self.fail("expected 'term', 'relation' or '}'", i)
+                body.append(decl)
             except _ParseError:
-                self.skip_to(_MODULE_SYNC)
-                if self.pos and self.tokens[self.pos - 1].is_punct("}"):
+                i = self.skip_to(self.pos, _MODULE_SYNC)
+                if toks[i - 1].lexeme == "}":
                     # recovery consumed the module's closing brace
-                    return OntologyModule(name.lexeme, level, tuple(imports), tuple(body),
-                                          start.to(self.tokens[self.pos - 1]))
-                if self.peek().kind is TokenKind.KEYWORD and self.peek().lexeme in _TOP_SYNC:
-                    return OntologyModule(name.lexeme, level, tuple(imports), tuple(body),
-                                          start.to(self.peek()))
-        end = self.expect_punct("}")
-        return OntologyModule(name.lexeme, level, tuple(imports), tuple(body), start.to(end))
-
-    def parse_term(self) -> TermDef:
-        start = self.expect_kw("term")
-        name = self.expect_ident("term name")
-        self.expect_kw("enriches")
-        target = self.parse_qname()
-        scope: str | None = None
-        if self.peek().is_kw("scope"):
-            self.next()
-            tok = self.peek()
-            if tok.is_kw("particulars") or tok.is_kw("universals"):
-                scope = tok.lexeme
-                self.next()
-            else:
-                raise self.fail("expected 'particulars' or 'universals'")
-        attrs: list[AttrPair] = []
-        end: SourceSpan | Token = target.span
-        if self.peek().is_punct("{"):
-            self.next()
-            while not self.peek().is_punct("}"):
-                key = self.expect_ident("attribute key")
-                if self.peek().kind is not TokenKind.STRING:
-                    raise self.fail("expected a string attribute value")
-                value = self.next()
-                attrs.append(AttrPair(key.lexeme, value.value, key.to(value)))
-            end = self.expect_punct("}")
-        return TermDef(name.lexeme, target, scope, tuple(attrs), start.to(end))
-
-    def parse_relation(self) -> RelationDecl:
-        start = self.expect_kw("relation")
-        name = self.expect_ident("relation name")
-        self.expect_kw("from")
-        from_ref = self.parse_qname()
-        self.expect_kw("to")
-        to_ref = self.parse_qname()
-        self.expect_kw("kind")
-        kind_ref = self.parse_qname()
-        return RelationDecl(name.lexeme, from_ref, to_ref, kind_ref, start.to(kind_ref.span))
-
-    def parse_instances(self) -> InstanceFile:
-        start = self.expect_kw("instances")
-        self.expect_kw("of")
-        module = self.expect_ident("module name")
-        self.expect_punct("{")
-        body: list[Individual | World] = []
-        while not self.at_eof() and not self.peek().is_punct("}"):
-            tok = self.peek()
-            try:
-                if tok.is_kw("individual"):
-                    body.append(self.parse_individual())
-                elif tok.is_kw("world"):
-                    body.append(self.parse_world())
+                    last = toks[i - 1]
+                elif toks[i].lexeme in _TOP_SYNC:
+                    last = toks[i]
                 else:
-                    raise self.fail("expected 'individual', 'world' or '}'")
+                    continue
+                span = SourceSpan(start.file, start.line, start.col, last.line, last.end_col)
+                return OntologyModule(name.lexeme, level, tuple(imports), tuple(body), span), i
+        close = toks[i]
+        if close.lexeme != "}":
+            raise self.fail("expected '}'", i)
+        span = SourceSpan(start.file, start.line, start.col, close.line, close.end_col)
+        return OntologyModule(name.lexeme, level, tuple(imports), tuple(body), span), i + 1
+
+    def parse_term(self, i: int) -> tuple[TermDef, int]:
+        toks = self.toks
+        start = toks[i]
+        name = toks[i + 1]
+        if name.kind is not TokenKind.IDENT:
+            raise self.fail("expected term name", i + 1)
+        if toks[i + 2].lexeme != "enriches":
+            raise self.fail("expected 'enriches'", i + 2)
+        target, i = self.parse_qname(i + 3)
+        scope: str | None = None
+        if toks[i].lexeme == "scope":
+            scope = toks[i + 1].lexeme
+            if scope != "particulars" and scope != "universals":
+                raise self.fail("expected 'particulars' or 'universals'", i + 1)
+            i += 2
+        if toks[i].lexeme != "{":
+            end = target.span
+            span = SourceSpan(start.file, start.line, start.col, end.end_line, end.end_col)
+            return TermDef(name.lexeme, target, scope, (), span), i
+        i += 1
+        attrs: list[AttrPair] = []
+        while toks[i].lexeme != "}":
+            key = toks[i]
+            if key.kind is not TokenKind.IDENT:
+                raise self.fail("expected attribute key", i)
+            value = toks[i + 1]
+            if value.kind is not TokenKind.STRING:
+                raise self.fail("expected a string attribute value", i + 1)
+            attrs.append(AttrPair(key.lexeme, value.value,
+                                  SourceSpan(key.file, key.line, key.col, value.line, value.end_col)))
+            i += 2
+        close = toks[i]
+        span = SourceSpan(start.file, start.line, start.col, close.line, close.end_col)
+        return TermDef(name.lexeme, target, scope, tuple(attrs), span), i + 1
+
+    def parse_relation(self, i: int) -> tuple[RelationDecl, int]:
+        toks = self.toks
+        start = toks[i]
+        name = toks[i + 1]
+        if name.kind is not TokenKind.IDENT:
+            raise self.fail("expected relation name", i + 1)
+        if toks[i + 2].lexeme != "from":
+            raise self.fail("expected 'from'", i + 2)
+        from_ref, i = self.parse_qname(i + 3)
+        if toks[i].lexeme != "to":
+            raise self.fail("expected 'to'", i)
+        to_ref, i = self.parse_qname(i + 1)
+        if toks[i].lexeme != "kind":
+            raise self.fail("expected 'kind'", i)
+        kind_ref, i = self.parse_qname(i + 1)
+        end = kind_ref.span
+        span = SourceSpan(start.file, start.line, start.col, end.end_line, end.end_col)
+        return RelationDecl(name.lexeme, from_ref, to_ref, kind_ref, span), i
+
+    def parse_instances(self, i: int) -> tuple[InstanceFile, int]:
+        toks = self.toks
+        start = toks[i]
+        if toks[i + 1].lexeme != "of":
+            raise self.fail("expected 'of'", i + 1)
+        module = toks[i + 2]
+        if module.kind is not TokenKind.IDENT:
+            raise self.fail("expected module name", i + 2)
+        if toks[i + 3].lexeme != "{":
+            raise self.fail("expected '{'", i + 3)
+        i += 4
+        body: list[Individual | World] = []
+        while i < self.end:
+            lexeme = toks[i].lexeme
+            if lexeme == "}":
+                break
+            try:
+                if lexeme == "individual":
+                    decl, i = self.parse_individual(i)
+                elif lexeme == "world":
+                    decl, i = self.parse_world(i)
+                else:
+                    raise self.fail("expected 'individual', 'world' or '}'", i)
+                body.append(decl)
             except _ParseError:
-                self.skip_to(_INSTANCE_SYNC)
-                if self.pos and self.tokens[self.pos - 1].is_punct("}"):
-                    return InstanceFile(module.lexeme, tuple(body), start.to(self.tokens[self.pos - 1]))
-                if self.peek().kind is TokenKind.KEYWORD and self.peek().lexeme in _TOP_SYNC:
-                    return InstanceFile(module.lexeme, tuple(body), start.to(self.peek()))
-        end = self.expect_punct("}")
-        return InstanceFile(module.lexeme, tuple(body), start.to(end))
+                i = self.skip_to(self.pos, _INSTANCE_SYNC)
+                if toks[i - 1].lexeme == "}":
+                    last = toks[i - 1]
+                elif toks[i].lexeme in _TOP_SYNC:
+                    last = toks[i]
+                else:
+                    continue
+                span = SourceSpan(start.file, start.line, start.col, last.line, last.end_col)
+                return InstanceFile(module.lexeme, tuple(body), span), i
+        close = toks[i]
+        if close.lexeme != "}":
+            raise self.fail("expected '}'", i)
+        span = SourceSpan(start.file, start.line, start.col, close.line, close.end_col)
+        return InstanceFile(module.lexeme, tuple(body), span), i + 1
 
-    def parse_individual(self) -> Individual:
-        start = self.expect_kw("individual")
-        name = self.expect_ident("individual name")
-        self.expect_punct(":")
-        type_ref = self.parse_qname()
-        return Individual(name.lexeme, type_ref, start.to(type_ref.span))
+    def parse_individual(self, i: int) -> tuple[Individual, int]:
+        toks = self.toks
+        start = toks[i]
+        name = toks[i + 1]
+        if name.kind is not TokenKind.IDENT:
+            raise self.fail("expected individual name", i + 1)
+        if toks[i + 2].lexeme != ":":
+            raise self.fail("expected ':'", i + 2)
+        type_ref, i = self.parse_qname(i + 3)
+        end = type_ref.span
+        span = SourceSpan(start.file, start.line, start.col, end.end_line, end.end_col)
+        return Individual(name.lexeme, type_ref, span), i
 
-    def parse_world(self) -> World:
-        start = self.expect_kw("world")
-        name = self.expect_ident("world name")
-        self.expect_punct("{")
+    def parse_world(self, i: int) -> tuple[World, int]:
+        toks = self.toks
+        start = toks[i]
+        name = toks[i + 1]
+        if name.kind is not TokenKind.IDENT:
+            raise self.fail("expected world name", i + 1)
+        if toks[i + 2].lexeme != "{":
+            raise self.fail("expected '{'", i + 2)
+        i += 3
         things: list[ThingNode] = []
         facts: list[Fact] = []
-        while not self.at_eof() and not self.peek().is_punct("}"):
-            tok = self.peek()
-            if tok.is_kw("thing"):
+        while i < self.end:
+            tok = toks[i]
+            if tok.lexeme == "}":
+                break
+            if tok.lexeme == "thing":
                 if facts:
-                    raise self.fail("thing declarations must precede facts", tok)
-                things.append(self.parse_thing())
+                    raise self.fail("thing declarations must precede facts", i)
+                thing, i = self.parse_thing(i)
+                things.append(thing)
             elif tok.kind is TokenKind.IDENT:
-                facts.append(self.parse_fact())
+                fact, i = self.parse_fact(i)
+                facts.append(fact)
             else:
-                raise self.fail("expected a thing declaration, a fact or '}'")
-        end = self.expect_punct("}")
-        return World(name.lexeme, tuple(things), tuple(facts), start.to(end))
+                raise self.fail("expected a thing declaration, a fact or '}'", i)
+        close = toks[i]
+        if close.lexeme != "}":
+            raise self.fail("expected '}'", i)
+        span = SourceSpan(start.file, start.line, start.col, close.line, close.end_col)
+        return World(name.lexeme, tuple(things), tuple(facts), span), i + 1
 
-    def parse_thing(self) -> ThingNode:
-        start = self.expect_kw("thing")
-        name = self.expect_ident("thing name")
+    def parse_thing(self, i: int) -> tuple[ThingNode, int]:
+        toks = self.toks
+        start = toks[i]
+        name = toks[i + 1]
+        if name.kind is not TokenKind.IDENT:
+            raise self.fail("expected thing name", i + 1)
+        i += 2
         instance_of: QualifiedRef | None = None
-        if self.peek().is_punct(":"):
-            self.next()
-            instance_of = self.parse_qname()
-        self.expect_punct("{")
-        properties: list[PartDecl] = []
-        powers: list[PartDecl] = []
-        while self.peek().is_kw("property"):
-            self.next()
-            part = self.expect_ident("property name")
-            self.expect_punct(";")
-            properties.append(PartDecl(part.lexeme, part.span))
-        while self.peek().is_kw("power"):
-            self.next()
-            part = self.expect_ident("power name")
-            self.expect_punct(";")
-            powers.append(PartDecl(part.lexeme, part.span))
-        if self.peek().is_kw("property"):
-            raise self.fail("property declarations must precede power declarations")
-        end = self.expect_punct("}")
-        return ThingNode(name.lexeme, instance_of, tuple(properties), tuple(powers), start.to(end))
+        if toks[i].lexeme == ":":
+            instance_of, i = self.parse_qname(i + 1)
+        if toks[i].lexeme != "{":
+            raise self.fail("expected '{'", i)
+        i += 1
+        parts: tuple[list[PartDecl], list[PartDecl]] = ([], [])
+        for keyword, out in zip(("property", "power"), parts):
+            while toks[i].lexeme == keyword:
+                part = toks[i + 1]
+                if part.kind is not TokenKind.IDENT:
+                    raise self.fail(f"expected {keyword} name", i + 1)
+                if toks[i + 2].lexeme != ";":
+                    raise self.fail("expected ';'", i + 2)
+                out.append(PartDecl(part.lexeme, part.span))
+                i += 3
+        close = toks[i]
+        if close.lexeme == "property":
+            raise self.fail("property declarations must precede power declarations", i)
+        if close.lexeme != "}":
+            raise self.fail("expected '}'", i)
+        span = SourceSpan(start.file, start.line, start.col, close.line, close.end_col)
+        return ThingNode(name.lexeme, instance_of, tuple(parts[0]), tuple(parts[1]), span), i + 1
 
-    def parse_ref(self) -> WorldRef:
-        first = self.expect_ident("a reference")
-        if self.peek().is_punct("."):
-            self.next()
-            second = self.expect_ident("a name after '.'")
-            return WorldRef(first.lexeme, second.lexeme, first.to(second))
-        return WorldRef(first.lexeme, None, first.span)
+    def parse_ref(self, i: int) -> tuple[WorldRef, int]:
+        toks = self.toks
+        first = toks[i]
+        if first.kind is not TokenKind.IDENT:
+            raise self.fail("expected a reference", i)
+        if toks[i + 1].lexeme == ".":
+            second = toks[i + 2]
+            if second.kind is not TokenKind.IDENT:
+                raise self.fail("expected a name after '.'", i + 2)
+            span = SourceSpan(first.file, first.line, first.col, second.line, second.end_col)
+            return WorldRef(first.lexeme, second.lexeme, span), i + 3
+        span = SourceSpan(first.file, first.line, first.col, first.line, first.end_col)
+        return WorldRef(first.lexeme, None, span), i + 1
 
-    def parse_fact(self) -> Fact:
-        pred = self.expect_ident("a fact predicate")
+    def parse_fact(self, i: int) -> tuple[Fact, int]:
+        """A fact; the caller has checked that its first token is a name."""
+        toks = self.toks
+        pred = toks[i]
         if pred.lexeme not in WORLD_PREDICATES:
             self.diagnostics.append(
                 Diagnostic("E004", f"unknown fact predicate {pred.lexeme!r}", pred.span)
             )
             # Recover past the argument list so later facts still parse.
-            if self.peek().is_punct("("):
-                while not self.at_eof() and not self.peek().is_punct(")"):
-                    if self.peek().is_punct("}"):
-                        break
-                    self.next()
-                if self.peek().is_punct(")"):
-                    self.next()
+            i += 1
+            if toks[i].lexeme == "(":
+                while i < self.end and toks[i].lexeme not in (")", "}"):
+                    i += 1
+                if toks[i].lexeme == ")":
+                    i += 1
+            self.pos = i
             raise _ParseError()
-        self.expect_punct("(")
-        left = self.parse_ref()
-        self.expect_punct(",")
-        right = self.parse_ref()
-        end = self.expect_punct(")")
-        return Fact(pred.lexeme, left, right, pred.to(end))
+        if toks[i + 1].lexeme != "(":
+            raise self.fail("expected '('", i + 1)
+        left, i = self.parse_ref(i + 2)
+        if toks[i].lexeme != ",":
+            raise self.fail("expected ','", i)
+        right, i = self.parse_ref(i + 1)
+        close = toks[i]
+        if close.lexeme != ")":
+            raise self.fail("expected ')'", i)
+        span = SourceSpan(pred.file, pred.line, pred.col, close.line, close.end_col)
+        return Fact(pred.lexeme, left, right, span), i + 1
 
 
 def parse_suite(files: list[tuple[str, str]]) -> tuple[SuiteAst, list[Diagnostic]]:

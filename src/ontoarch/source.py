@@ -2,35 +2,36 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class SourceSpan:
-    """A 1-based, inclusive region of a source file."""
-
+class _SpanFields(NamedTuple):
     file: str
     start_line: int
     start_col: int
     end_line: int
     end_col: int
 
-    def __post_init__(self) -> None:
-        if (self.start_line, self.start_col) > (self.end_line, self.end_col):
-            raise ValueError(f"span starts after it ends: {self}")
+
+class SourceSpan(_SpanFields):
+    """A 1-based, inclusive region of a source file.
+
+    A tuple, so equality, hashing and ordering go by (file, start line,
+    start column, end line, end column); the parser builds one per node."""
+
+    __slots__ = ()
+
+    def __new__(cls, file: str, start_line: int, start_col: int, end_line: int, end_col: int) -> SourceSpan:
+        if start_line > end_line or (start_line == end_line and start_col > end_col):
+            raise ValueError(f"span starts after it ends: {file}:{start_line}:{start_col}")
+        return tuple.__new__(cls, (file, start_line, start_col, end_line, end_col))
 
     def __str__(self) -> str:
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
-    def to(self, other: "SourceSpan") -> "SourceSpan":
+    def to(self, other: SourceSpan) -> SourceSpan:
         """Smallest span covering this one and `other` (same file)."""
-        return SourceSpan(
-            self.file,
-            self.start_line,
-            self.start_col,
-            other.end_line,
-            other.end_col,
-        )
+        return SourceSpan(self.file, self.start_line, self.start_col, other.end_line, other.end_col)
 
 
 def synthetic_span(label: str = "<builtin>") -> SourceSpan:

@@ -1,7 +1,10 @@
-"""Shared fixtures: the fig2 corpus and its single-edit mutants."""
+"""Shared fixtures: the fig2 corpus and its single-edit mutants, and the
+benchmark's suite generators."""
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,6 +82,16 @@ def mutate(files: list[tuple[str, str]], fname: str, needle: str, replacement: s
         out.append((name, text))
     assert applied, f"no such fixture file: {fname}"
     return out
+
+
+def load_bench_generators():
+    """`bench/generators.py`, which is not a package module, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("bench_generators", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks the module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture()

@@ -7,15 +7,35 @@ links; neither reads nor writes any cache. `oracle_check_axioms` checks the
 edge-wise `check_axioms` by enumerating every quantifier instantiation.
 `oracle_tokenize` checks the regex scanner `tokenize`: it walks the text one
 character at a time and builds every token's span as it goes.
+`oracle_parse_file` checks the index-based `parser._Parser`: it is the
+parser that `_Parser` replaced, which steps through the same tokens with a
+cursor and a method call per token test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ontoarch.metamodel import BUILTIN_MODULE
-from ontoarch.model import RelationDecl, ResolvedSuite, World
-from ontoarch.parser import KEYWORDS, TokenKind
+from ontoarch.metamodel import BUILTIN_MODULE, WORLD_PREDICATES
+from ontoarch.model import (
+    AttrPair,
+    Fact,
+    ImportRef,
+    Individual,
+    InstanceFile,
+    Level,
+    OntologyModule,
+    PartDecl,
+    QualifiedRef,
+    RelationDecl,
+    ResolvedSuite,
+    TermDef,
+    ThingNode,
+    World,
+    WorldRef,
+)
+from ontoarch import parser
+from ontoarch.parser import KEYWORDS, LEVEL_NAMES, FileAst, TokenKind
 from ontoarch.reporting import Diagnostic
 from ontoarch.source import SourceSpan
 from ontoarch.validator import ChainStatus, Violation, _axiom_violation
@@ -233,3 +253,317 @@ def oracle_tokenize(text: str, path: str = "<input>") -> tuple[list[Token], list
         i += 1
     tokens.append(Token(TokenKind.EOI, "", span_at(line, col)))
     return tokens, diagnostics
+
+
+# ---------------------------------------------------------------------------
+# The cursor parser.
+# ---------------------------------------------------------------------------
+
+class _CursorToken(parser.Token):
+    """A lexer token with the token tests the cursor parser calls."""
+
+    __slots__ = ()
+
+    @property
+    def end_line(self) -> int:
+        return self.line
+
+    def to(self, other: SourceSpan | parser.Token) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.col, other.end_line, other.end_col)
+
+    def is_kw(self, word: str) -> bool:
+        return self.kind is TokenKind.KEYWORD and self.lexeme == word
+
+    def is_punct(self, ch: str) -> bool:
+        return self.kind is TokenKind.PUNCT and self.lexeme == ch
+
+
+def oracle_parse_file(tokens: list[parser.Token], path: str) -> tuple[FileAst, list[Diagnostic]]:
+    """What `parser._Parser(tokens, path).parse_file()` must return."""
+    cursor_tokens = [
+        _CursorToken(t.kind, t.lexeme, t.value, t.file, t.line, t.col, t.end_col) for t in tokens
+    ]
+    return _Parser(cursor_tokens, path).parse_file()
+
+
+class _ParseError(Exception):
+    pass
+
+
+_TOP_SYNC = ("ontology", "instances")
+_MODULE_SYNC = _TOP_SYNC + ("imports", "term", "relation")
+_INSTANCE_SYNC = _TOP_SYNC + ("individual", "world")
+
+
+class _Parser:
+    def __init__(self, tokens: list[Token], path: str):
+        self.tokens = tokens
+        self.path = path
+        self.pos = 0
+        self.diagnostics: list[Diagnostic] = []
+
+    # -- token plumbing -----------------------------------------------------
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind is not TokenKind.EOI:
+            self.pos += 1
+        return tok
+
+    def at_eof(self) -> bool:
+        return self.peek().kind is TokenKind.EOI
+
+    def fail(self, message: str, tok: Token | None = None) -> _ParseError:
+        tok = tok or self.peek()
+        shown = tok.lexeme if tok.kind is not TokenKind.EOI else "end of input"
+        self.diagnostics.append(Diagnostic("E002", f"{message}, got {shown!r}", tok.span))
+        return _ParseError()
+
+    def expect_kw(self, word: str) -> Token:
+        if self.peek().is_kw(word):
+            return self.next()
+        raise self.fail(f"expected '{word}'")
+
+    def expect_punct(self, ch: str) -> Token:
+        if self.peek().is_punct(ch):
+            return self.next()
+        raise self.fail(f"expected '{ch}'")
+
+    def expect_ident(self, what: str = "identifier") -> Token:
+        if self.peek().kind is TokenKind.IDENT:
+            return self.next()
+        raise self.fail(f"expected {what}")
+
+    def skip_to(self, keywords: tuple[str, ...], *, stop_at_close: bool = True) -> None:
+        """Error recovery: consume at least one token, then stop before a
+        sync keyword or after a closing brace."""
+        if not self.at_eof():
+            self.pos += 1
+        while not self.at_eof():
+            tok = self.peek()
+            if tok.kind is TokenKind.KEYWORD and tok.lexeme in keywords:
+                return
+            if stop_at_close and tok.is_punct("}"):
+                self.next()
+                return
+            self.next()
+
+    # -- grammar ------------------------------------------------------------
+
+    def parse_file(self) -> tuple[FileAst, list[Diagnostic]]:
+        decls: list[OntologyModule | InstanceFile] = []
+        while not self.at_eof():
+            tok = self.peek()
+            try:
+                if tok.is_kw("ontology"):
+                    decls.append(self.parse_module())
+                elif tok.is_kw("instances"):
+                    decls.append(self.parse_instances())
+                else:
+                    raise self.fail("expected 'ontology' or 'instances'")
+            except _ParseError:
+                self.skip_to(_TOP_SYNC, stop_at_close=False)
+        return FileAst(self.path, tuple(decls)), self.diagnostics
+
+    def parse_level(self) -> Level:
+        tok = self.peek()
+        if tok.kind is TokenKind.KEYWORD and tok.lexeme in LEVEL_NAMES:
+            self.next()
+            return Level[tok.lexeme]
+        if tok.kind in (TokenKind.IDENT, TokenKind.KEYWORD):
+            self.diagnostics.append(
+                Diagnostic("E003", f"unknown level name {tok.lexeme!r} (expected FO, CO, TDO or LDO)", tok.span)
+            )
+            self.next()
+            return Level.CO  # placeholder; the file is excluded anyway
+        raise self.fail("expected a level name")
+
+    def parse_qname(self) -> QualifiedRef:
+        first = self.expect_ident("a name")
+        if self.peek().is_punct("."):
+            self.next()
+            second = self.expect_ident("a name after '.'")
+            return QualifiedRef(first.lexeme, second.lexeme, first.to(second))
+        return QualifiedRef(None, first.lexeme, first.span)
+
+    def parse_module(self) -> OntologyModule:
+        start = self.expect_kw("ontology")
+        name = self.expect_ident("ontology name")
+        self.expect_kw("at")
+        level = self.parse_level()
+        self.expect_punct("{")
+        imports: list[ImportRef] = []
+        body: list[TermDef | RelationDecl] = []
+        while self.peek().is_kw("imports"):
+            self.next()
+            target = self.expect_ident("imported module name")
+            imports.append(ImportRef(target.lexeme, target.span))
+        while not self.at_eof() and not self.peek().is_punct("}"):
+            tok = self.peek()
+            try:
+                if tok.is_kw("term"):
+                    body.append(self.parse_term())
+                elif tok.is_kw("relation"):
+                    body.append(self.parse_relation())
+                elif tok.is_kw("imports"):
+                    raise self.fail("imports must precede term and relation declarations", tok)
+                else:
+                    raise self.fail("expected 'term', 'relation' or '}'")
+            except _ParseError:
+                self.skip_to(_MODULE_SYNC)
+                if self.pos and self.tokens[self.pos - 1].is_punct("}"):
+                    # recovery consumed the module's closing brace
+                    return OntologyModule(name.lexeme, level, tuple(imports), tuple(body),
+                                          start.to(self.tokens[self.pos - 1]))
+                if self.peek().kind is TokenKind.KEYWORD and self.peek().lexeme in _TOP_SYNC:
+                    return OntologyModule(name.lexeme, level, tuple(imports), tuple(body),
+                                          start.to(self.peek()))
+        end = self.expect_punct("}")
+        return OntologyModule(name.lexeme, level, tuple(imports), tuple(body), start.to(end))
+
+    def parse_term(self) -> TermDef:
+        start = self.expect_kw("term")
+        name = self.expect_ident("term name")
+        self.expect_kw("enriches")
+        target = self.parse_qname()
+        scope: str | None = None
+        if self.peek().is_kw("scope"):
+            self.next()
+            tok = self.peek()
+            if tok.is_kw("particulars") or tok.is_kw("universals"):
+                scope = tok.lexeme
+                self.next()
+            else:
+                raise self.fail("expected 'particulars' or 'universals'")
+        attrs: list[AttrPair] = []
+        end: SourceSpan | Token = target.span
+        if self.peek().is_punct("{"):
+            self.next()
+            while not self.peek().is_punct("}"):
+                key = self.expect_ident("attribute key")
+                if self.peek().kind is not TokenKind.STRING:
+                    raise self.fail("expected a string attribute value")
+                value = self.next()
+                attrs.append(AttrPair(key.lexeme, value.value, key.to(value)))
+            end = self.expect_punct("}")
+        return TermDef(name.lexeme, target, scope, tuple(attrs), start.to(end))
+
+    def parse_relation(self) -> RelationDecl:
+        start = self.expect_kw("relation")
+        name = self.expect_ident("relation name")
+        self.expect_kw("from")
+        from_ref = self.parse_qname()
+        self.expect_kw("to")
+        to_ref = self.parse_qname()
+        self.expect_kw("kind")
+        kind_ref = self.parse_qname()
+        return RelationDecl(name.lexeme, from_ref, to_ref, kind_ref, start.to(kind_ref.span))
+
+    def parse_instances(self) -> InstanceFile:
+        start = self.expect_kw("instances")
+        self.expect_kw("of")
+        module = self.expect_ident("module name")
+        self.expect_punct("{")
+        body: list[Individual | World] = []
+        while not self.at_eof() and not self.peek().is_punct("}"):
+            tok = self.peek()
+            try:
+                if tok.is_kw("individual"):
+                    body.append(self.parse_individual())
+                elif tok.is_kw("world"):
+                    body.append(self.parse_world())
+                else:
+                    raise self.fail("expected 'individual', 'world' or '}'")
+            except _ParseError:
+                self.skip_to(_INSTANCE_SYNC)
+                if self.pos and self.tokens[self.pos - 1].is_punct("}"):
+                    return InstanceFile(module.lexeme, tuple(body), start.to(self.tokens[self.pos - 1]))
+                if self.peek().kind is TokenKind.KEYWORD and self.peek().lexeme in _TOP_SYNC:
+                    return InstanceFile(module.lexeme, tuple(body), start.to(self.peek()))
+        end = self.expect_punct("}")
+        return InstanceFile(module.lexeme, tuple(body), start.to(end))
+
+    def parse_individual(self) -> Individual:
+        start = self.expect_kw("individual")
+        name = self.expect_ident("individual name")
+        self.expect_punct(":")
+        type_ref = self.parse_qname()
+        return Individual(name.lexeme, type_ref, start.to(type_ref.span))
+
+    def parse_world(self) -> World:
+        start = self.expect_kw("world")
+        name = self.expect_ident("world name")
+        self.expect_punct("{")
+        things: list[ThingNode] = []
+        facts: list[Fact] = []
+        while not self.at_eof() and not self.peek().is_punct("}"):
+            tok = self.peek()
+            if tok.is_kw("thing"):
+                if facts:
+                    raise self.fail("thing declarations must precede facts", tok)
+                things.append(self.parse_thing())
+            elif tok.kind is TokenKind.IDENT:
+                facts.append(self.parse_fact())
+            else:
+                raise self.fail("expected a thing declaration, a fact or '}'")
+        end = self.expect_punct("}")
+        return World(name.lexeme, tuple(things), tuple(facts), start.to(end))
+
+    def parse_thing(self) -> ThingNode:
+        start = self.expect_kw("thing")
+        name = self.expect_ident("thing name")
+        instance_of: QualifiedRef | None = None
+        if self.peek().is_punct(":"):
+            self.next()
+            instance_of = self.parse_qname()
+        self.expect_punct("{")
+        properties: list[PartDecl] = []
+        powers: list[PartDecl] = []
+        while self.peek().is_kw("property"):
+            self.next()
+            part = self.expect_ident("property name")
+            self.expect_punct(";")
+            properties.append(PartDecl(part.lexeme, part.span))
+        while self.peek().is_kw("power"):
+            self.next()
+            part = self.expect_ident("power name")
+            self.expect_punct(";")
+            powers.append(PartDecl(part.lexeme, part.span))
+        if self.peek().is_kw("property"):
+            raise self.fail("property declarations must precede power declarations")
+        end = self.expect_punct("}")
+        return ThingNode(name.lexeme, instance_of, tuple(properties), tuple(powers), start.to(end))
+
+    def parse_ref(self) -> WorldRef:
+        first = self.expect_ident("a reference")
+        if self.peek().is_punct("."):
+            self.next()
+            second = self.expect_ident("a name after '.'")
+            return WorldRef(first.lexeme, second.lexeme, first.to(second))
+        return WorldRef(first.lexeme, None, first.span)
+
+    def parse_fact(self) -> Fact:
+        pred = self.expect_ident("a fact predicate")
+        if pred.lexeme not in WORLD_PREDICATES:
+            self.diagnostics.append(
+                Diagnostic("E004", f"unknown fact predicate {pred.lexeme!r}", pred.span)
+            )
+            # Recover past the argument list so later facts still parse.
+            if self.peek().is_punct("("):
+                while not self.at_eof() and not self.peek().is_punct(")"):
+                    if self.peek().is_punct("}"):
+                        break
+                    self.next()
+                if self.peek().is_punct(")"):
+                    self.next()
+            raise _ParseError()
+        self.expect_punct("(")
+        left = self.parse_ref()
+        self.expect_punct(",")
+        right = self.parse_ref()
+        end = self.expect_punct(")")
+        return Fact(pred.lexeme, left, right, pred.to(end))
+

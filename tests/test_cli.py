@@ -196,6 +196,13 @@ def test_explain_relationship_and_rule(capsys):
     assert "enables" in out
 
 
+def test_explain_is_seen_as_other_says_other_is_not_checked(capsys):
+    rc, out, _ = invoke(capsys, "explain", "isSeenAsOther")
+    assert rc == 0
+    assert "a tendency, not a constraint" in out
+    assert "no check enforces \"other\"" in out
+
+
 def test_explain_unknown_topic_is_exit_2(capsys):
     rc, _, err = invoke(capsys, "explain", "Zorp")
     assert rc == 2

@@ -114,13 +114,15 @@ def _join(tokens: list[str]) -> str:
 
 
 @st.composite
-def suites(draw) -> list[tuple[str, str]]:
+def suites(draw, edits: bool = True) -> list[tuple[str, str]]:
+    """Grammar-generated files; with `edits`, half of them take a single-token
+    edit, and without, every file parses clean."""
     names = MODULES[:draw(st.integers(2, len(MODULES)))]
     terms = {m: draw(st.lists(st.sampled_from(TERMS), min_size=1, unique=True)) for m in names}
     relations = {m: draw(st.lists(st.sampled_from(RELATIONS), unique=True)) for m in names}
     files = [draw(module_tokens(m, terms, relations)) for m in names]
     files += [draw(instance_tokens(terms)) for _ in range(draw(st.integers(0, 2)))]
-    if draw(st.booleans()):
+    if edits and draw(st.booleans()):
         tokens = files[draw(st.integers(0, len(files) - 1))]
         at = draw(st.integers(0, len(tokens) - 1))
         edit = draw(st.sampled_from(("drop", "double", "replace")))

@@ -7,13 +7,10 @@ string values and diagnostics on any text.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import load_bench_generators
 from oracles import oracle_tokenize
 
 from ontoarch import parser
@@ -37,15 +34,6 @@ texts = st.one_of(
 )
 
 
-def _generators():
-    path = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
-    spec = importlib.util.spec_from_file_location("bench_generators", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses looks the module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def _lexed(lexer, text: str, path: str = "f.onto"):
     tokens, diagnostics = lexer(text, path)
     return [(t.kind, t.lexeme, t.span, t.value) for t in tokens], diagnostics
@@ -63,7 +51,7 @@ def test_tokenize_equals_the_character_walk(text):
 
 @pytest.mark.parametrize("workload", ["wide_clean", "deep_chains", "dirty_worlds"])
 def test_tokenize_equals_the_character_walk_on_bench_suites(workload):
-    suite = getattr(_generators(), workload)(1)
+    suite = getattr(load_bench_generators(), workload)(1)
     for name, text in suite.files.items():
         assert _lexed(tokenize, text, name) == _lexed(oracle_tokenize, text, name)
 

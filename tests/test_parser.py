@@ -67,7 +67,7 @@ def test_tokenize_unterminated_string():
 def test_tokenize_comments_discarded():
     tokens, diags = tokenize("// a comment\nontology A at CO { } // tail")
     assert not diags
-    assert tokens[0].is_kw("ontology")
+    assert (tokens[0].kind, tokens[0].lexeme) == (TokenKind.KEYWORD, "ontology")
     assert tokens[0].span.start_line == 2
 
 

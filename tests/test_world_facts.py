@@ -51,6 +51,7 @@ CLEAN = [
     "belongsTo(t1, ThingFO.ThingCategory)",
     "relatesWith(t1, t2)",
     "isSeenAs(t1.p, t2)",
+    "isSeenAs(t1.p, t1)",  # "other" is a tendency in ThingFO, not a constraint
     "defines(t1, M.Goal)",
 ]
 
