@@ -14,6 +14,7 @@ diagnostic, 2 usage or IO failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 from typing import Any
@@ -322,11 +323,18 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         code = exc.code
         return code if isinstance(code, int) else 2
+    # A verdict makes no reference cycles, so the cyclic collector's passes
+    # over the growing AST would free nothing; pause it for the command.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"ontoarch: error: {exc}\n")
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def main() -> None:

@@ -71,25 +71,6 @@ class TokenKind(Enum):
     EOI = "end-of-input"
 
 
-@dataclass(slots=True)
-class Token:
-    """One token; every token sits on one line, from `col` to `end_col`.
-
-    The span is built only when asked for: most tokens' spans are never read."""
-
-    kind: TokenKind
-    lexeme: str
-    value: str  # unescaped payload for STRING tokens, "" otherwise
-    file: str
-    line: int
-    col: int
-    end_col: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.file, self.line, self.col, self.line, self.end_col)
-
-
 #: The lexer's one pattern. `finditer` skips what no alternative matches,
 #: which is exactly blanks, tabs and carriage returns, and a comment matches
 #: with no group; the numbered groups tell the rest apart. Group 4 takes
@@ -105,13 +86,19 @@ _SCAN = re.compile(
 )
 
 
-def tokenize(text: str, path: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
+def tokenize(text: str, path: str = "<input>") -> tuple[list[tuple], list[Diagnostic]]:
     """Full token stream (with end-of-input marker) plus lex diagnostics.
+
+    Each token is a plain tuple `(kind, lexeme, value, line, col, end_col)`:
+    a `TokenKind`, the source text, the unescaped payload of a STRING token
+    ("" otherwise), and the token's line and first and last columns; every
+    token sits on one line. The file is `path` for every token, so a token
+    leaves it out; `_token_span` builds a token's span when one is needed.
 
     The tokenizer always recovers: invalid characters and malformed strings
     are reported and skipped, and scanning continues. Columns count code
     points from 1, and only a line feed ends a line."""
-    tokens: list[Token] = []
+    tokens: list[tuple] = []
     diagnostics: list[Diagnostic] = []
     append = tokens.append
     keyword, ident, punct, string = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.PUNCT, TokenKind.STRING
@@ -122,16 +109,16 @@ def tokenize(text: str, path: str = "<input>") -> tuple[list[Token], list[Diagno
         if group == 2:
             lexeme = m.group(2)
             kind = keyword if lexeme in KEYWORDS else ident
-            append(Token(kind, lexeme, "", path, line, col, col + len(lexeme) - 1))
+            append((kind, lexeme, "", line, col, col + len(lexeme) - 1))
         elif group == 3:
-            append(Token(punct, m.group(3), "", path, line, col, col))
+            append((punct, m.group(3), "", line, col, col))
         elif group == 1:
             line += 1
             line_start = m.end()
         elif group == 4:
             lexeme = m.group(4)
             if len(lexeme) > 1 and lexeme[-1] == '"' and "\\" not in lexeme:
-                append(Token(string, lexeme, lexeme[1:-1], path, line, col, col + len(lexeme) - 1))
+                append((string, lexeme, lexeme[1:-1], line, col, col + len(lexeme) - 1))
             else:
                 after = text[m.end():m.end() + 1] or "<eof>"
                 append(_escaped_string(lexeme, after, path, line, col, diagnostics))
@@ -140,13 +127,13 @@ def tokenize(text: str, path: str = "<input>") -> tuple[list[Token], list[Diagno
                 Diagnostic("E001", f"invalid character {m.group(5)!r}", SourceSpan(path, line, col, line, col))
             )
     col = len(text) - line_start + 1
-    append(Token(TokenKind.EOI, "", "", path, line, col, col))
+    append((TokenKind.EOI, "", "", line, col, col))
     return tokens, diagnostics
 
 
 def _escaped_string(
     raw: str, after: str, path: str, line: int, col: int, diagnostics: list[Diagnostic]
-) -> Token:
+) -> tuple:
     """The STRING token for `raw`, a string with a backslash in it or with no
     closing quote, which starts at `col`. `after` is what follows `raw` (a
     line feed, or "<eof>"), which an escape at its very end reads. Reports
@@ -176,7 +163,12 @@ def _escaped_string(
     if not closed:
         diagnostics.append(Diagnostic("E001", "unterminated string literal", SourceSpan(path, line, col, line, col)))
     value = "".join(parts)
-    return Token(TokenKind.STRING, f'"{value}"', value, path, line, col, col + n - 1)
+    return (TokenKind.STRING, f'"{value}"', value, line, col, col + n - 1)
+
+
+def _token_span(path: str, tok: tuple) -> SourceSpan:
+    """The span of one token of file `path`."""
+    return SourceSpan(path, tok[3], tok[4], tok[3], tok[5])
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +212,9 @@ _LEVELS = {name: Level[name] for name in LEVEL_NAMES}
 
 class _Parser:
     """Recursive descent over the token list. Each production takes the index
-    of its first token and returns its node and the index after it.
+    of its first token and returns its node and the index after it. Tokens
+    are read by field index (see `tokenize`): `tok[0]` is the kind, `tok[1]`
+    the lexeme.
 
     Keywords and punctuation are told apart by lexeme alone: only KEYWORD
     tokens carry keyword lexemes, only PUNCT tokens carry punctuation, a
@@ -230,7 +224,7 @@ class _Parser:
     does, so no index runs past the list. On a syntax error, `fail` records
     the failing token's index in `pos`, where recovery resumes."""
 
-    def __init__(self, tokens: list[Token], path: str):
+    def __init__(self, tokens: list[tuple], path: str):
         self.toks = tokens
         self.end = len(tokens) - 1  # index of the end-of-input token
         self.path = path
@@ -239,8 +233,8 @@ class _Parser:
 
     def fail(self, message: str, i: int) -> _ParseError:
         tok = self.toks[i]
-        shown = tok.lexeme or "end of input"
-        self.diagnostics.append(Diagnostic("E002", f"{message}, got {shown!r}", tok.span))
+        shown = tok[1] or "end of input"
+        self.diagnostics.append(Diagnostic("E002", f"{message}, got {shown!r}", _token_span(self.path, tok)))
         self.pos = i
         return _ParseError()
 
@@ -251,7 +245,7 @@ class _Parser:
         if i < end:
             i += 1
         while i < end:
-            lexeme = toks[i].lexeme
+            lexeme = toks[i][1]
             if lexeme in keywords:
                 return i
             if stop_at_close and lexeme == "}":
@@ -266,7 +260,7 @@ class _Parser:
         decls: list[OntologyModule | InstanceFile] = []
         i = 0
         while i < self.end:
-            lexeme = toks[i].lexeme
+            lexeme = toks[i][1]
             try:
                 if lexeme == "ontology":
                     decl, i = self.parse_module(i)
@@ -281,12 +275,13 @@ class _Parser:
 
     def parse_level(self, i: int) -> tuple[Level, int]:
         tok = self.toks[i]
-        level = _LEVELS.get(tok.lexeme)
+        level = _LEVELS.get(tok[1])
         if level is not None:
             return level, i + 1
-        if tok.kind is TokenKind.IDENT or tok.lexeme in KEYWORDS:
+        if tok[0] is TokenKind.IDENT or tok[1] in KEYWORDS:
             self.diagnostics.append(
-                Diagnostic("E003", f"unknown level name {tok.lexeme!r} (expected FO, CO, TDO or LDO)", tok.span)
+                Diagnostic("E003", f"unknown level name {tok[1]!r} (expected FO, CO, TDO or LDO)",
+                           _token_span(self.path, tok))
             )
             return Level.CO, i + 1  # placeholder; the file is excluded anyway
         raise self.fail("expected a level name", i)
@@ -294,39 +289,38 @@ class _Parser:
     def parse_qname(self, i: int) -> tuple[QualifiedRef, int]:
         toks = self.toks
         first = toks[i]
-        if first.kind is not TokenKind.IDENT:
+        if first[0] is not TokenKind.IDENT:
             raise self.fail("expected a name", i)
-        if toks[i + 1].lexeme == ".":
+        if toks[i + 1][1] == ".":
             second = toks[i + 2]
-            if second.kind is not TokenKind.IDENT:
+            if second[0] is not TokenKind.IDENT:
                 raise self.fail("expected a name after '.'", i + 2)
-            span = SourceSpan(first.file, first.line, first.col, second.line, second.end_col)
-            return QualifiedRef(first.lexeme, second.lexeme, span), i + 3
-        span = SourceSpan(first.file, first.line, first.col, first.line, first.end_col)
-        return QualifiedRef(None, first.lexeme, span), i + 1
+            span = SourceSpan(self.path, first[3], first[4], second[3], second[5])
+            return QualifiedRef(first[1], second[1], span), i + 3
+        return QualifiedRef(None, first[1], _token_span(self.path, first)), i + 1
 
     def parse_module(self, i: int) -> tuple[OntologyModule, int]:
-        toks = self.toks
+        toks, path = self.toks, self.path
         start = toks[i]
         name = toks[i + 1]
-        if name.kind is not TokenKind.IDENT:
+        if name[0] is not TokenKind.IDENT:
             raise self.fail("expected ontology name", i + 1)
-        if toks[i + 2].lexeme != "at":
+        if toks[i + 2][1] != "at":
             raise self.fail("expected 'at'", i + 2)
         level, i = self.parse_level(i + 3)
-        if toks[i].lexeme != "{":
+        if toks[i][1] != "{":
             raise self.fail("expected '{'", i)
         i += 1
         imports: list[ImportRef] = []
         body: list[TermDef | RelationDecl] = []
-        while toks[i].lexeme == "imports":
+        while toks[i][1] == "imports":
             target = toks[i + 1]
-            if target.kind is not TokenKind.IDENT:
+            if target[0] is not TokenKind.IDENT:
                 raise self.fail("expected imported module name", i + 1)
-            imports.append(ImportRef(target.lexeme, target.span))
+            imports.append(ImportRef(target[1], _token_span(path, target)))
             i += 2
         while i < self.end:
-            lexeme = toks[i].lexeme
+            lexeme = toks[i][1]
             if lexeme == "}":
                 break
             try:
@@ -341,89 +335,88 @@ class _Parser:
                 body.append(decl)
             except _ParseError:
                 i = self.skip_to(self.pos, _MODULE_SYNC)
-                if toks[i - 1].lexeme == "}":
+                if toks[i - 1][1] == "}":
                     # recovery consumed the module's closing brace
                     last = toks[i - 1]
-                elif toks[i].lexeme in _TOP_SYNC:
+                elif toks[i][1] in _TOP_SYNC:
                     last = toks[i]
                 else:
                     continue
-                span = SourceSpan(start.file, start.line, start.col, last.line, last.end_col)
-                return OntologyModule(name.lexeme, level, tuple(imports), tuple(body), span), i
+                span = SourceSpan(path, start[3], start[4], last[3], last[5])
+                return OntologyModule(name[1], level, tuple(imports), tuple(body), span), i
         close = toks[i]
-        if close.lexeme != "}":
+        if close[1] != "}":
             raise self.fail("expected '}'", i)
-        span = SourceSpan(start.file, start.line, start.col, close.line, close.end_col)
-        return OntologyModule(name.lexeme, level, tuple(imports), tuple(body), span), i + 1
+        span = SourceSpan(path, start[3], start[4], close[3], close[5])
+        return OntologyModule(name[1], level, tuple(imports), tuple(body), span), i + 1
 
     def parse_term(self, i: int) -> tuple[TermDef, int]:
-        toks = self.toks
+        toks, path = self.toks, self.path
         start = toks[i]
         name = toks[i + 1]
-        if name.kind is not TokenKind.IDENT:
+        if name[0] is not TokenKind.IDENT:
             raise self.fail("expected term name", i + 1)
-        if toks[i + 2].lexeme != "enriches":
+        if toks[i + 2][1] != "enriches":
             raise self.fail("expected 'enriches'", i + 2)
         target, i = self.parse_qname(i + 3)
         scope: str | None = None
-        if toks[i].lexeme == "scope":
-            scope = toks[i + 1].lexeme
+        if toks[i][1] == "scope":
+            scope = toks[i + 1][1]
             if scope != "particulars" and scope != "universals":
                 raise self.fail("expected 'particulars' or 'universals'", i + 1)
             i += 2
-        if toks[i].lexeme != "{":
+        if toks[i][1] != "{":
             end = target.span
-            span = SourceSpan(start.file, start.line, start.col, end.end_line, end.end_col)
-            return TermDef(name.lexeme, target, scope, (), span), i
+            span = SourceSpan(path, start[3], start[4], end.end_line, end.end_col)
+            return TermDef(name[1], target, scope, (), span), i
         i += 1
         attrs: list[AttrPair] = []
-        while toks[i].lexeme != "}":
+        while toks[i][1] != "}":
             key = toks[i]
-            if key.kind is not TokenKind.IDENT:
+            if key[0] is not TokenKind.IDENT:
                 raise self.fail("expected attribute key", i)
             value = toks[i + 1]
-            if value.kind is not TokenKind.STRING:
+            if value[0] is not TokenKind.STRING:
                 raise self.fail("expected a string attribute value", i + 1)
-            attrs.append(AttrPair(key.lexeme, value.value,
-                                  SourceSpan(key.file, key.line, key.col, value.line, value.end_col)))
+            attrs.append(AttrPair(key[1], value[2], SourceSpan(path, key[3], key[4], value[3], value[5])))
             i += 2
         close = toks[i]
-        span = SourceSpan(start.file, start.line, start.col, close.line, close.end_col)
-        return TermDef(name.lexeme, target, scope, tuple(attrs), span), i + 1
+        span = SourceSpan(path, start[3], start[4], close[3], close[5])
+        return TermDef(name[1], target, scope, tuple(attrs), span), i + 1
 
     def parse_relation(self, i: int) -> tuple[RelationDecl, int]:
         toks = self.toks
         start = toks[i]
         name = toks[i + 1]
-        if name.kind is not TokenKind.IDENT:
+        if name[0] is not TokenKind.IDENT:
             raise self.fail("expected relation name", i + 1)
-        if toks[i + 2].lexeme != "from":
+        if toks[i + 2][1] != "from":
             raise self.fail("expected 'from'", i + 2)
         from_ref, i = self.parse_qname(i + 3)
-        if toks[i].lexeme != "to":
+        if toks[i][1] != "to":
             raise self.fail("expected 'to'", i)
         to_ref, i = self.parse_qname(i + 1)
-        if toks[i].lexeme != "kind":
+        if toks[i][1] != "kind":
             raise self.fail("expected 'kind'", i)
         kind_ref, i = self.parse_qname(i + 1)
         end = kind_ref.span
-        span = SourceSpan(start.file, start.line, start.col, end.end_line, end.end_col)
-        return RelationDecl(name.lexeme, from_ref, to_ref, kind_ref, span), i
+        span = SourceSpan(self.path, start[3], start[4], end.end_line, end.end_col)
+        return RelationDecl(name[1], from_ref, to_ref, kind_ref, span), i
 
     def parse_instances(self, i: int) -> tuple[InstanceFile, int]:
-        toks = self.toks
+        toks, path = self.toks, self.path
         start = toks[i]
-        if toks[i + 1].lexeme != "of":
+        if toks[i + 1][1] != "of":
             raise self.fail("expected 'of'", i + 1)
         module = toks[i + 2]
-        if module.kind is not TokenKind.IDENT:
+        if module[0] is not TokenKind.IDENT:
             raise self.fail("expected module name", i + 2)
-        if toks[i + 3].lexeme != "{":
+        if toks[i + 3][1] != "{":
             raise self.fail("expected '{'", i + 3)
         i += 4
         body: list[Individual | World] = []
         while i < self.end:
-            lexeme = toks[i].lexeme
+            lexeme = toks[i][1]
             if lexeme == "}":
                 break
             try:
@@ -436,137 +429,136 @@ class _Parser:
                 body.append(decl)
             except _ParseError:
                 i = self.skip_to(self.pos, _INSTANCE_SYNC)
-                if toks[i - 1].lexeme == "}":
+                if toks[i - 1][1] == "}":
                     last = toks[i - 1]
-                elif toks[i].lexeme in _TOP_SYNC:
+                elif toks[i][1] in _TOP_SYNC:
                     last = toks[i]
                 else:
                     continue
-                span = SourceSpan(start.file, start.line, start.col, last.line, last.end_col)
-                return InstanceFile(module.lexeme, tuple(body), span), i
+                span = SourceSpan(path, start[3], start[4], last[3], last[5])
+                return InstanceFile(module[1], tuple(body), span), i
         close = toks[i]
-        if close.lexeme != "}":
+        if close[1] != "}":
             raise self.fail("expected '}'", i)
-        span = SourceSpan(start.file, start.line, start.col, close.line, close.end_col)
-        return InstanceFile(module.lexeme, tuple(body), span), i + 1
+        span = SourceSpan(path, start[3], start[4], close[3], close[5])
+        return InstanceFile(module[1], tuple(body), span), i + 1
 
     def parse_individual(self, i: int) -> tuple[Individual, int]:
         toks = self.toks
         start = toks[i]
         name = toks[i + 1]
-        if name.kind is not TokenKind.IDENT:
+        if name[0] is not TokenKind.IDENT:
             raise self.fail("expected individual name", i + 1)
-        if toks[i + 2].lexeme != ":":
+        if toks[i + 2][1] != ":":
             raise self.fail("expected ':'", i + 2)
         type_ref, i = self.parse_qname(i + 3)
         end = type_ref.span
-        span = SourceSpan(start.file, start.line, start.col, end.end_line, end.end_col)
-        return Individual(name.lexeme, type_ref, span), i
+        span = SourceSpan(self.path, start[3], start[4], end.end_line, end.end_col)
+        return Individual(name[1], type_ref, span), i
 
     def parse_world(self, i: int) -> tuple[World, int]:
         toks = self.toks
         start = toks[i]
         name = toks[i + 1]
-        if name.kind is not TokenKind.IDENT:
+        if name[0] is not TokenKind.IDENT:
             raise self.fail("expected world name", i + 1)
-        if toks[i + 2].lexeme != "{":
+        if toks[i + 2][1] != "{":
             raise self.fail("expected '{'", i + 2)
         i += 3
         things: list[ThingNode] = []
         facts: list[Fact] = []
         while i < self.end:
             tok = toks[i]
-            if tok.lexeme == "}":
+            if tok[1] == "}":
                 break
-            if tok.lexeme == "thing":
+            if tok[1] == "thing":
                 if facts:
                     raise self.fail("thing declarations must precede facts", i)
                 thing, i = self.parse_thing(i)
                 things.append(thing)
-            elif tok.kind is TokenKind.IDENT:
+            elif tok[0] is TokenKind.IDENT:
                 fact, i = self.parse_fact(i)
                 facts.append(fact)
             else:
                 raise self.fail("expected a thing declaration, a fact or '}'", i)
         close = toks[i]
-        if close.lexeme != "}":
+        if close[1] != "}":
             raise self.fail("expected '}'", i)
-        span = SourceSpan(start.file, start.line, start.col, close.line, close.end_col)
-        return World(name.lexeme, tuple(things), tuple(facts), span), i + 1
+        span = SourceSpan(self.path, start[3], start[4], close[3], close[5])
+        return World(name[1], tuple(things), tuple(facts), span), i + 1
 
     def parse_thing(self, i: int) -> tuple[ThingNode, int]:
         toks = self.toks
         start = toks[i]
         name = toks[i + 1]
-        if name.kind is not TokenKind.IDENT:
+        if name[0] is not TokenKind.IDENT:
             raise self.fail("expected thing name", i + 1)
         i += 2
         instance_of: QualifiedRef | None = None
-        if toks[i].lexeme == ":":
+        if toks[i][1] == ":":
             instance_of, i = self.parse_qname(i + 1)
-        if toks[i].lexeme != "{":
+        if toks[i][1] != "{":
             raise self.fail("expected '{'", i)
         i += 1
         parts: tuple[list[PartDecl], list[PartDecl]] = ([], [])
         for keyword, out in zip(("property", "power"), parts):
-            while toks[i].lexeme == keyword:
+            while toks[i][1] == keyword:
                 part = toks[i + 1]
-                if part.kind is not TokenKind.IDENT:
+                if part[0] is not TokenKind.IDENT:
                     raise self.fail(f"expected {keyword} name", i + 1)
-                if toks[i + 2].lexeme != ";":
+                if toks[i + 2][1] != ";":
                     raise self.fail("expected ';'", i + 2)
-                out.append(PartDecl(part.lexeme, part.span))
+                out.append(PartDecl(part[1], _token_span(self.path, part)))
                 i += 3
         close = toks[i]
-        if close.lexeme == "property":
+        if close[1] == "property":
             raise self.fail("property declarations must precede power declarations", i)
-        if close.lexeme != "}":
+        if close[1] != "}":
             raise self.fail("expected '}'", i)
-        span = SourceSpan(start.file, start.line, start.col, close.line, close.end_col)
-        return ThingNode(name.lexeme, instance_of, tuple(parts[0]), tuple(parts[1]), span), i + 1
+        span = SourceSpan(self.path, start[3], start[4], close[3], close[5])
+        return ThingNode(name[1], instance_of, tuple(parts[0]), tuple(parts[1]), span), i + 1
 
     def parse_ref(self, i: int) -> tuple[WorldRef, int]:
         toks = self.toks
         first = toks[i]
-        if first.kind is not TokenKind.IDENT:
+        if first[0] is not TokenKind.IDENT:
             raise self.fail("expected a reference", i)
-        if toks[i + 1].lexeme == ".":
+        if toks[i + 1][1] == ".":
             second = toks[i + 2]
-            if second.kind is not TokenKind.IDENT:
+            if second[0] is not TokenKind.IDENT:
                 raise self.fail("expected a name after '.'", i + 2)
-            span = SourceSpan(first.file, first.line, first.col, second.line, second.end_col)
-            return WorldRef(first.lexeme, second.lexeme, span), i + 3
-        span = SourceSpan(first.file, first.line, first.col, first.line, first.end_col)
-        return WorldRef(first.lexeme, None, span), i + 1
+            span = SourceSpan(self.path, first[3], first[4], second[3], second[5])
+            return WorldRef(first[1], second[1], span), i + 3
+        return WorldRef(first[1], None, _token_span(self.path, first)), i + 1
 
     def parse_fact(self, i: int) -> tuple[Fact, int]:
         """A fact; the caller has checked that its first token is a name."""
         toks = self.toks
         pred = toks[i]
-        if pred.lexeme not in WORLD_PREDICATES:
+        if pred[1] not in WORLD_PREDICATES:
             self.diagnostics.append(
-                Diagnostic("E004", f"unknown fact predicate {pred.lexeme!r}", pred.span)
+                Diagnostic("E004", f"unknown fact predicate {pred[1]!r}", _token_span(self.path, pred))
             )
             # Recover past the argument list so later facts still parse.
             i += 1
-            if toks[i].lexeme == "(":
-                while i < self.end and toks[i].lexeme not in (")", "}"):
+            if toks[i][1] == "(":
+                while i < self.end and toks[i][1] not in (")", "}"):
                     i += 1
-                if toks[i].lexeme == ")":
+                if toks[i][1] == ")":
                     i += 1
             self.pos = i
             raise _ParseError()
-        if toks[i + 1].lexeme != "(":
+        if toks[i + 1][1] != "(":
             raise self.fail("expected '('", i + 1)
         left, i = self.parse_ref(i + 2)
-        if toks[i].lexeme != ",":
+        if toks[i][1] != ",":
             raise self.fail("expected ','", i)
         right, i = self.parse_ref(i + 1)
         close = toks[i]
-        if close.lexeme != ")":
+        if close[1] != ")":
             raise self.fail("expected ')'", i)
-        span = SourceSpan(pred.file, pred.line, pred.col, close.line, close.end_col)
-        return Fact(pred.lexeme, left, right, span), i + 1
+        span = SourceSpan(self.path, pred[3], pred[4], close[3], close[5])
+        return Fact(pred[1], left, right, span), i + 1
 
 
 def parse_suite(files: list[tuple[str, str]]) -> tuple[SuiteAst, list[Diagnostic]]:

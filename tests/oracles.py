@@ -6,10 +6,11 @@ from scratch on every call and detect cycles by scanning the list of visited
 links; neither reads nor writes any cache. `oracle_check_axioms` checks the
 edge-wise `check_axioms` by enumerating every quantifier instantiation.
 `oracle_tokenize` checks the regex scanner `tokenize`: it walks the text one
-character at a time and builds every token's span as it goes.
-`oracle_parse_file` checks the index-based `parser._Parser`: it is the
-parser that `_Parser` replaced, which steps through the same tokens with a
-cursor and a method call per token test.
+character at a time and returns `Token` objects, where `tokenize` returns
+plain tuples. `oracle_parse_file` checks the index-based `parser._Parser`:
+it is the parser that `_Parser` replaced, which steps through the same
+tokens, wrapped in `Token` objects, with a cursor and a method call per
+token test.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from ontoarch.model import (
     World,
     WorldRef,
 )
-from ontoarch import parser
 from ontoarch.parser import KEYWORDS, LEVEL_NAMES, FileAst, TokenKind
 from ontoarch.reporting import Diagnostic
 from ontoarch.source import SourceSpan
@@ -142,12 +142,22 @@ def oracle_check_axioms(world: World) -> list[Violation]:
 PUNCTUATION = "{}(),:;."
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
+    """One token of the oracles; every token sits on one line, from `col`
+    to `end_col`."""
+
     kind: TokenKind
     lexeme: str
-    span: SourceSpan
-    value: str = ""  # unescaped payload for STRING tokens
+    value: str  # unescaped payload for STRING tokens, "" otherwise
+    file: str
+    line: int
+    col: int
+    end_col: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.col, self.line, self.end_col)
 
 
 def _ident_start(ch: str) -> bool:
@@ -168,8 +178,8 @@ def oracle_tokenize(text: str, path: str = "<input>") -> tuple[list[Token], list
     line, col = 1, 1
     i, n = 0, len(text)
 
-    def span_at(l: int, c: int, l2: int | None = None, c2: int | None = None) -> SourceSpan:
-        return SourceSpan(path, l, c, l2 if l2 is not None else l, c2 if c2 is not None else c)
+    def span_at(l: int, c: int) -> SourceSpan:
+        return SourceSpan(path, l, c, l, c)
 
     def advance(ch: str) -> None:
         nonlocal line, col
@@ -198,11 +208,11 @@ def oracle_tokenize(text: str, path: str = "<input>") -> tuple[list[Token], list
                 j += 1
             lexeme = text[i:j]
             kind = TokenKind.KEYWORD if lexeme in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, lexeme, span_at(start_line, start_col, line, col - 1)))
+            tokens.append(Token(kind, lexeme, "", path, start_line, start_col, col - 1))
             i = j
             continue
         if ch in PUNCTUATION:
-            tokens.append(Token(TokenKind.PUNCT, ch, span_at(start_line, start_col)))
+            tokens.append(Token(TokenKind.PUNCT, ch, "", path, start_line, start_col, start_col))
             advance(ch)
             i += 1
             continue
@@ -242,16 +252,14 @@ def oracle_tokenize(text: str, path: str = "<input>") -> tuple[list[Token], list
                     Diagnostic("E001", "unterminated string literal", span_at(start_line, start_col))
                 )
             value = "".join(parts)
-            tokens.append(
-                Token(TokenKind.STRING, f'"{value}"', span_at(start_line, start_col, line, max(col - 1, 1)), value)
-            )
+            tokens.append(Token(TokenKind.STRING, f'"{value}"', value, path, start_line, start_col, col - 1))
             continue
         diagnostics.append(
             Diagnostic("E001", f"invalid character {ch!r}", span_at(start_line, start_col))
         )
         advance(ch)
         i += 1
-    tokens.append(Token(TokenKind.EOI, "", span_at(line, col)))
+    tokens.append(Token(TokenKind.EOI, "", "", path, line, col, col))
     return tokens, diagnostics
 
 
@@ -259,7 +267,7 @@ def oracle_tokenize(text: str, path: str = "<input>") -> tuple[list[Token], list
 # The cursor parser.
 # ---------------------------------------------------------------------------
 
-class _CursorToken(parser.Token):
+class _CursorToken(Token):
     """A lexer token with the token tests the cursor parser calls."""
 
     __slots__ = ()
@@ -268,7 +276,7 @@ class _CursorToken(parser.Token):
     def end_line(self) -> int:
         return self.line
 
-    def to(self, other: SourceSpan | parser.Token) -> SourceSpan:
+    def to(self, other: SourceSpan | Token) -> SourceSpan:
         return SourceSpan(self.file, self.line, self.col, other.end_line, other.end_col)
 
     def is_kw(self, word: str) -> bool:
@@ -278,10 +286,12 @@ class _CursorToken(parser.Token):
         return self.kind is TokenKind.PUNCT and self.lexeme == ch
 
 
-def oracle_parse_file(tokens: list[parser.Token], path: str) -> tuple[FileAst, list[Diagnostic]]:
-    """What `parser._Parser(tokens, path).parse_file()` must return."""
+def oracle_parse_file(tokens: list[tuple], path: str) -> tuple[FileAst, list[Diagnostic]]:
+    """What `parser._Parser(tokens, path).parse_file()` must return, for
+    the tuple tokens `parser.tokenize(text, path)` returns."""
     cursor_tokens = [
-        _CursorToken(t.kind, t.lexeme, t.value, t.file, t.line, t.col, t.end_col) for t in tokens
+        _CursorToken(kind, lexeme, value, path, line, col, end_col)
+        for kind, lexeme, value, line, col, end_col in tokens
     ]
     return _Parser(cursor_tokens, path).parse_file()
 

@@ -1,7 +1,9 @@
-"""End-to-end CLI behavior: subcommands, exit codes, determinism, DOT export."""
+"""End-to-end CLI behavior: subcommands, exit codes, determinism, DOT export,
+and the pause of the cyclic garbage collector during a command."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
@@ -10,12 +12,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIG2, load_fig2
+from test_file_order import soup_file, suites
 
 import ontoarch
-from ontoarch import resolve
-from ontoarch.cli import export_graph, run
+from ontoarch import cli, resolve
+from ontoarch.cli import build_report, export_graph, run
+from ontoarch.reporting import render_json, render_text
 
 
 def invoke(capsys, *argv):
@@ -264,3 +269,52 @@ def test_validate_single_file_inputs(fmt, capsys, tmp_path):
     )
     assert rc == 0
     assert "0" in out or json.loads(out)["summary"]["errors"] == 0
+
+
+@pytest.mark.parametrize("unwritable_out", [False, True], ids=["clean", "unwritable-out"])
+def test_run_pauses_an_enabled_collector_and_enables_it_again(unwritable_out, tmp_path, capsys, monkeypatch):
+    seen = []
+    real = cli.build_report
+
+    def build_report_noting_the_collector(files):
+        seen.append(gc.isenabled())
+        return real(files)
+
+    monkeypatch.setattr(cli, "build_report", build_report_noting_the_collector)
+    out = tmp_path / "no" / "such" / "dir" / "report" if unwritable_out else tmp_path / "report"
+    assert gc.isenabled()
+    rc, _, _ = invoke(capsys, "validate", str(FIG2), "--out", str(out))
+    assert (rc, seen, gc.isenabled()) == (2 if unwritable_out else 0, [False], True)
+
+
+def test_run_leaves_a_disabled_collector_disabled(capsys):
+    gc.disable()
+    try:
+        rc, _, _ = invoke(capsys, "validate", str(FIG2))
+        enabled = gc.isenabled()
+    finally:
+        gc.enable()
+    assert (rc, enabled) == (0, False)
+
+
+soup_suites = st.lists(soup_file(), min_size=1, max_size=4).map(
+    lambda texts: [(f"s{k}.onto", text) for k, text in enumerate(texts)]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(suites(), soup_suites))
+def test_a_verdict_leaves_no_cyclic_garbage(files):
+    """Why `run` may pause the collector: building and rendering a report
+    makes no reference cycle, so the collector would find nothing to free."""
+    gc.disable()
+    gc.freeze()  # from here on the collector looks only at new objects
+    try:
+        report = build_report(files)
+        render_json(report)
+        render_text(report)
+        unreachable = gc.collect()
+    finally:
+        gc.unfreeze()
+        gc.enable()
+    assert unreachable == 0

@@ -1,8 +1,8 @@
 """The regex scanner `tokenize` against a character-by-character walk.
 
-`oracle_tokenize` (in `oracles.py`) builds every span as it walks; `tokenize`
-builds spans only when they are read. Both must give the same tokens, spans,
-string values and diagnostics on any text.
+`oracle_tokenize` (in `oracles.py`) returns `Token` objects; `tokenize`
+returns plain tuples and builds no span. Both must give the same tokens,
+spans, string values and diagnostics on any text.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from oracles import oracle_tokenize
 
 from ontoarch import parser
 from ontoarch.parser import KEYWORDS, tokenize
+from ontoarch.source import SourceSpan
 
 #: Pieces that exercise every branch of both lexers, including the ones that
 #: only one of them takes a shortcut for: escapes, bad escapes, strings cut
@@ -34,8 +35,16 @@ texts = st.one_of(
 )
 
 
-def _lexed(lexer, text: str, path: str = "f.onto"):
-    tokens, diagnostics = lexer(text, path)
+def _lexed(text: str, path: str = "f.onto"):
+    tokens, diagnostics = tokenize(text, path)
+    return [
+        (kind, lexeme, SourceSpan(path, line, col, line, end_col), value)
+        for kind, lexeme, value, line, col, end_col in tokens
+    ], diagnostics
+
+
+def _oracle_lexed(text: str, path: str = "f.onto"):
+    tokens, diagnostics = oracle_tokenize(text, path)
     return [(t.kind, t.lexeme, t.span, t.value) for t in tokens], diagnostics
 
 
@@ -46,17 +55,17 @@ def _lexed(lexer, text: str, path: str = "f.onto"):
 @example('"a\\q" "b\\\n"c')  # bad escapes, one of them before a line break
 @example('x "a\\"b\\\\" // tail "\n\ty')  # good escapes, a comment with a quote
 def test_tokenize_equals_the_character_walk(text):
-    assert _lexed(tokenize, text) == _lexed(oracle_tokenize, text)
+    assert _lexed(text) == _oracle_lexed(text)
 
 
 @pytest.mark.parametrize("workload", ["wide_clean", "deep_chains", "dirty_worlds"])
 def test_tokenize_equals_the_character_walk_on_bench_suites(workload):
     suite = getattr(load_bench_generators(), workload)(1)
     for name, text in suite.files.items():
-        assert _lexed(tokenize, text, name) == _lexed(oracle_tokenize, text, name)
+        assert _lexed(text, name) == _oracle_lexed(text, name)
 
 
-def test_tokenize_builds_no_span_until_one_is_read(monkeypatch):
+def test_tokenize_builds_no_span_and_returns_plain_six_tuples(monkeypatch):
     lines = ["ontology M at CO {"]
     for k in range(1000):
         lines.append(f'  term t{k} enriches ThingFO.Thing scope particulars {{ description "t \\"{k}\\"" }}')
@@ -73,6 +82,6 @@ def test_tokenize_builds_no_span_until_one_is_read(monkeypatch):
 
     monkeypatch.setattr(parser, "SourceSpan", counting)
     tokens, diagnostics = tokenize(text, "m.onto")
-    assert (diagnostics, len(built)) == ([], 0)
+    assert (diagnostics, built) == ([], [])
     assert len(tokens) == len(expected)
-    assert tokens[-2].span == expected[-2].span and len(built) == 1
+    assert all(type(tok) is tuple and len(tok) == 6 for tok in tokens)

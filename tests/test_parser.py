@@ -16,7 +16,7 @@ from ontoarch.parser import (
 
 
 def kinds_and_lexemes(tokens):
-    return [(t.kind, t.lexeme) for t in tokens]
+    return [(t[0], t[1]) for t in tokens]
 
 
 def test_tokenize_module_header():
@@ -36,7 +36,7 @@ def test_tokenize_module_header():
 def test_tokenize_empty_input():
     tokens, diags = tokenize("")
     assert not diags
-    assert [t.kind for t in tokens] == [TokenKind.EOI]
+    assert [t[0] for t in tokens] == [TokenKind.EOI]
 
 
 def test_tokenize_invalid_character_recovers():
@@ -54,28 +54,30 @@ def test_tokenize_invalid_character_recovers():
 def test_tokenize_strings_and_escapes():
     tokens, diags = tokenize('description "a \\"quoted\\" \\\\ value"')
     assert not diags
-    assert tokens[1].kind is TokenKind.STRING
-    assert tokens[1].value == 'a "quoted" \\ value'
+    kind, _, value, *_ = tokens[1]
+    assert kind is TokenKind.STRING
+    assert value == 'a "quoted" \\ value'
 
 
 def test_tokenize_unterminated_string():
     tokens, diags = tokenize('description "oops\n')
     assert [d.code for d in diags] == ["E001"]
-    assert tokens[1].kind is TokenKind.STRING
+    assert tokens[1][0] is TokenKind.STRING
 
 
 def test_tokenize_comments_discarded():
     tokens, diags = tokenize("// a comment\nontology A at CO { } // tail")
     assert not diags
-    assert (tokens[0].kind, tokens[0].lexeme) == (TokenKind.KEYWORD, "ontology")
-    assert tokens[0].span.start_line == 2
+    kind, lexeme, _, line, *_ = tokens[0]
+    assert (kind, lexeme, line) == (TokenKind.KEYWORD, "ontology", 2)
 
 
 def test_tokenize_spans_are_ordered_and_disjoint():
     tokens, _ = tokenize('ontology A at CO {\n  term B enriches ThingFO.Thing\n}')
-    spans = [t.span for t in tokens if t.kind is not TokenKind.EOI]
-    for earlier, later in zip(spans, spans[1:]):
-        assert (earlier.end_line, earlier.end_col) < (later.start_line, later.start_col)
+    spans = [(line, col, end_col) for kind, _, _, line, col, end_col in tokens if kind is not TokenKind.EOI]
+    assert all(col <= end_col for _, col, end_col in spans)
+    for (line, _, end_col), (next_line, next_col, _) in zip(spans, spans[1:]):
+        assert (line, end_col) < (next_line, next_col)
 
 
 def test_parse_single_term_module():
@@ -236,4 +238,4 @@ def test_attribute_values_survive_round_trip(value):
 @given(st.text(max_size=40))
 def test_tokenizer_never_crashes_and_always_terminates(text):
     tokens, _ = tokenize(text)
-    assert tokens[-1].kind is TokenKind.EOI
+    assert tokens[-1][0] is TokenKind.EOI

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from ontoarch.parser import tokenize
+from ontoarch.parser import _token_span, tokenize
 from ontoarch.source import SourceSpan
 
 
@@ -39,7 +39,7 @@ def test_spans_sort_by_file_line_column_and_end():
 
 def test_token_span_equals_the_span_built_by_hand():
     tokens, _ = tokenize('ontology A\n  description "x y"', "f.onto")
-    assert [t.span for t in tokens] == [
+    assert [_token_span("f.onto", t) for t in tokens] == [
         SourceSpan("f.onto", 1, 1, 1, 8),
         SourceSpan("f.onto", 1, 10, 1, 10),
         SourceSpan("f.onto", 2, 3, 2, 13),
