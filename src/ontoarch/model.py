@@ -2,9 +2,12 @@
 
 Declarations are plain frozen dataclasses, shared between the parser (which
 builds them with real source spans) and programmatic construction (tests,
-generators). `resolve` binds every reference or reports E1xx diagnostics.
-A `ResolvedSuite`'s declarations never change afterwards, but the suite fills
-memo tables on first query, so it is not safe for concurrent use.
+generators). `resolve` binds every reference or reports E1xx diagnostics;
+on success it also hands the suite the facts its passes computed once: the
+declaration index, each term's enrichment root and each module's same-level
+import component. A `ResolvedSuite` never changes them afterwards. Only the
+validator's kind-chain tables fill on use, so a suite is not safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -131,6 +134,10 @@ class ThingNode:
     powers: tuple[PartDecl, ...] = ()
     span: SourceSpan = field(compare=False, default_factory=synthetic_span)
 
+    def parts(self, sort: str) -> tuple[PartDecl, ...]:
+        """The thing's parts of sort `Property` or `Power`."""
+        return self.properties if sort == "Property" else self.powers
+
 
 @dataclass(frozen=True)
 class Fact:
@@ -146,9 +153,6 @@ class World:
     things: tuple[ThingNode, ...] = ()
     facts: tuple[Fact, ...] = ()
     span: SourceSpan = field(compare=False, default_factory=synthetic_span)
-
-    def facts_of(self, predicate: str) -> tuple[Fact, ...]:
-        return tuple(f for f in self.facts if f.predicate == predicate)
 
 
 @dataclass(frozen=True)
@@ -184,26 +188,26 @@ class ResolvedSuite:
     """All user modules plus the built-in ThingFO module, with every
     reference known to bind.
 
-    The declarations are immutable after `resolve`. Queries fill memo tables
-    on first use (`_roots`, `_components`, `_local_chains`, `_joint_chains`),
-    so share a suite between threads only behind a lock."""
+    Resolution hands over the declaration index, each term's enrichment
+    outcome and the same-level import components; the suite only reads
+    them. The validator's kind-chain tables (`_local_chains`,
+    `_joint_chains`) fill on first use, so share a suite between threads
+    only behind a lock."""
 
-    def __init__(self, modules: list[OntologyModule], instance_files: list[InstanceFile]):
-        self.modules: dict[str, OntologyModule] = {m.name: m for m in modules}
+    def __init__(self, modules: dict[str, OntologyModule], instance_files: list[InstanceFile],
+                 terms: dict[tuple[str, str], TermDef], relations: dict[tuple[str, str], RelationDecl],
+                 roots: dict[tuple[str, str], str | tuple[str, str]], components: dict[str, frozenset[str]]):
+        self.modules = modules
         self.instance_files: tuple[InstanceFile, ...] = tuple(instance_files)
-        self._terms: dict[tuple[str, str], TermDef] = {}
-        self._relations: dict[tuple[str, str], RelationDecl] = {}
-        for m in modules:
-            for t in m.terms:
-                self._terms[(m.name, t.name)] = t
-            for r in m.relations:
-                self._relations[(m.name, r.name)] = r
-        self._roots: dict[tuple[str, str], str] = {}
-        # Per-suite facts the validator derives once and reuses: the
-        # same-level import components, and the kind-chain outcome of every
-        # relation walked so far with lateral hops escaping (local) or
-        # confined to those components (joint).
-        self._components: dict[str, frozenset[str]] | None = None
+        self._terms = terms
+        self._relations = relations
+        # A term's foundational root, or the (module, term) of the term whose
+        # missing `enriches` breaks its chain.
+        self._enrichment_roots = roots
+        #: Each module's import-connected component of same-level modules.
+        self.components = components
+        # The kind-chain outcome of every relation walked so far, with
+        # lateral hops escaping (local) or confined to `components` (joint).
         self._local_chains: dict[tuple[str, str], Any] = {}
         self._joint_chains: dict[tuple[str, str], Any] = {}
 
@@ -221,14 +225,10 @@ class ResolvedSuite:
         return self._relations.get((module_name, rel_name))
 
     def all_terms(self) -> Iterator[tuple[str, TermDef]]:
-        for m in self.modules.values():
-            for t in m.terms:
-                yield m.name, t
+        return ((module_name, t) for (module_name, _), t in self._terms.items())
 
     def all_relations(self) -> Iterator[tuple[str, RelationDecl]]:
-        for m in self.modules.values():
-            for r in m.relations:
-                yield m.name, r
+        return ((module_name, r) for (module_name, _), r in self._relations.items())
 
     def all_worlds(self) -> Iterator[tuple[InstanceFile, World]]:
         for f in self.instance_files:
@@ -248,52 +248,38 @@ class ResolvedSuite:
     def enrichment_root(self, module_name: str, term_name: str) -> str:
         """Foundational term reached by following `enriches` links upward.
 
-        Total on cleanly resolved suites (cycles were rejected with E105)."""
+        Raises KeyError for a chain broken by a missing enrichment link
+        (possible only on programmatically built terms)."""
         if module_name == BUILTIN_MODULE:
             if not metamodel.is_term(term_name):
                 raise KeyError(f"unknown foundational term {term_name}")
             return term_name
-        key = (module_name, term_name)
-        cached = self._roots.get(key)
-        if cached is not None:
-            return cached
-        # Walk up to ThingFO or to the first ancestor whose root is known.
-        chain: set[tuple[str, str]] = set()
-        mod, name = module_name, term_name
-        root: str | None = None
-        while root is None:
-            chain.add((mod, name))
-            term = self._terms[(mod, name)]
-            if term.enriches is None:
-                raise KeyError(f"term {mod}.{name} has no enrichment target")
-            mod, name = self.term_target(term.enriches, mod)
-            if mod == BUILTIN_MODULE:
-                root = name
-            elif (mod, name) in chain:
-                raise KeyError(f"enrichment cycle through {module_name}.{term_name}")
-            else:
-                root = self._roots.get((mod, name))
-        for link in chain:
-            self._roots[link] = root
+        root = self._enrichment_roots[(module_name, term_name)]
+        if isinstance(root, tuple):
+            raise KeyError(f"term {root[0]}.{root[1]} has no enrichment target")
         return root
 
     def try_enrichment_root(self, module_name: str, term_name: str) -> str | None:
         """Like `enrichment_root`, but None for chains broken by a missing
-        enrichment link (possible only on programmatically built terms)."""
+        enrichment link."""
         try:
             return self.enrichment_root(module_name, term_name)
         except KeyError:
             return None
+
 
 class _Resolver:
     def __init__(self, modules: list[OntologyModule], instance_files: list[InstanceFile]):
         self.input_modules = modules
         self.instance_files = instance_files
         self.diagnostics: list[Diagnostic] = []
+        # What `ResolvedSuite` reads: the declaration index, enrichment
+        # outcomes and same-level import components.
         self.modules: dict[str, OntologyModule] = {}
-        # Names declared in each registered module, for O(1) reference checks.
-        self.term_names: dict[str, set[str]] = {}
-        self.relation_names: dict[str, set[str]] = {}
+        self.terms: dict[tuple[str, str], TermDef] = {}
+        self.relations: dict[tuple[str, str], RelationDecl] = {}
+        self.roots: dict[tuple[str, str], str | tuple[str, str]] = {}
+        self.components: dict[str, frozenset[str]] = {}
 
     def error(self, code: str, message: str, span: SourceSpan) -> None:
         self.diagnostics.append(Diagnostic(code=code, message=message, span=span))
@@ -310,8 +296,9 @@ class _Resolver:
                 self.error("E102", f"duplicate module {m.name}", m.span)
             else:
                 self.modules[m.name] = m
-                self.term_names[m.name] = {t.name for t in m.terms}
-                self.relation_names[m.name] = {r.name for r in m.relations}
+                for decl in m.body:
+                    table = self.terms if isinstance(decl, TermDef) else self.relations
+                    table[(m.name, decl.name)] = decl
 
     def check_imports(self) -> None:
         for m in self.modules.values():
@@ -375,6 +362,22 @@ class _Resolver:
         for component in sorted(sccs):
             head = self.modules[component[0]]
             self.error("E103", "import cycle: " + " -> ".join(component + [component[0]]), head.span)
+        # Same-level import components: connected over import edges taken
+        # as undirected, keeping only edges between modules of one level.
+        neighbors: dict[str, set[str]] = {name: set() for name in graph}
+        for v, successors in graph.items():
+            for w in successors:
+                if self.modules[w].level is self.modules[v].level:
+                    neighbors[v].add(w)
+                    neighbors[w].add(v)
+        for start in graph:
+            if start not in self.components:
+                group, queue = {start}, [start]
+                while queue:
+                    for w in neighbors[queue.pop()] - group:
+                        group.add(w)
+                        queue.append(w)
+                self.components.update(dict.fromkeys(group, frozenset(group)))
 
     def check_module_bodies(self) -> None:
         for m in self.modules.values():
@@ -395,11 +398,10 @@ class _Resolver:
                 self.error("E101", f"{what}: no foundational term named {ref.name} in {BUILTIN_MODULE}", ref.span)
                 return False
             return True
-        names = self.term_names.get(mod)
-        if names is None:
+        if mod not in self.modules:
             self.error("E101", f"{what}: unknown module {mod}", ref.span)
             return False
-        if ref.name not in names:
+        if (mod, ref.name) not in self.terms:
             self.error("E101", f"{what}: no term named {ref.name} in module {mod}", ref.span)
             return False
         return True
@@ -423,11 +425,10 @@ class _Resolver:
             if not metamodel.is_relationship_key(kind.name):
                 self.error("E101", f"{what}: no foundational relationship named {kind.name}", kind.span)
             return
-        names = self.relation_names.get(mod)
-        if names is None:
+        if mod not in self.modules:
             self.error("E101", f"{what}: unknown module {mod}", kind.span)
             return
-        if kind.name not in names:
+        if (mod, kind.name) not in self.relations:
             self.error("E101", f"{what}: no relation named {kind.name} in module {mod}", kind.span)
 
     def check_instances(self) -> None:
@@ -475,14 +476,13 @@ class _Resolver:
             if thing is None:
                 self.error("E101", f"{what}: unknown thing {ref.primary} in world {w.name}", ref.span)
                 return
-            pool = thing.properties if sort == "Property" else thing.powers
-            if not any(p.name == ref.part for p in pool):
+            if not any(p.name == ref.part for p in thing.parts(sort)):
                 self.error("E101", f"{what}: thing {ref.primary} has no {sort.lower()} named {ref.part}", ref.span)
 
         def check_term(ref: WorldRef, what: str) -> None:
             # `t.q` reads as Module.Term; when no module t exists but this
             # world has a thing t, it is a part written where a term belongs.
-            is_module = ref.primary == BUILTIN_MODULE or ref.primary in self.term_names
+            is_module = ref.primary == BUILTIN_MODULE or ref.primary in self.modules
             if ref.part is not None and ref.primary in things and not is_module:
                 self.error("E101", f"{what}: expected a term, got part reference {ref}", ref.span)
                 return
@@ -509,8 +509,9 @@ class _Resolver:
         # walked once and a walk stops at a term an earlier walk judged. The
         # first walk to enter a cycle reports it, starting where it entered;
         # modules are walked in name order, so that is independent of the
-        # order the files came in.
-        pending = {(m.name, t.name): t for m in self.modules.values() for t in m.terms}
+        # order the files came in. Every visited term records its chain's
+        # outcome in `roots`.
+        pending = dict(self.terms)
         for name in sorted(self.modules):
             for t in self.modules[name].terms:
                 path: list[tuple[str, str]] = []
@@ -528,8 +529,15 @@ class _Resolver:
                     if enriches is None:
                         break
                     key = (enriches.module or key[0], enriches.name)
+                if key in pending:  # the term lacking `enriches`, or a cycle (E105)
+                    root = key
+                elif key[0] == BUILTIN_MODULE:
+                    root = key[1]
+                else:  # judged by an earlier walk, or unbound (E101)
+                    root = self.roots.get(key)
                 for visited in path:
                     del pending[visited]
+                    self.roots[visited] = root
 
 
 def resolve(
@@ -550,5 +558,5 @@ def resolve(
     r.check_enrichment_cycles()
     if r.diagnostics:
         return None, r.diagnostics
-    suite = ResolvedSuite(list(r.modules.values()), list(r.instance_files))
+    suite = ResolvedSuite(r.modules, r.instance_files, r.terms, r.relations, r.roots, r.components)
     return suite, []

@@ -176,20 +176,11 @@ def _token_span(path: str, tok: tuple) -> SourceSpan:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FileAst:
-    path: str
-    decls: tuple[OntologyModule | InstanceFile, ...]
-
-
-@dataclass(frozen=True)
 class SuiteAst:
-    """Parsed (unresolved) declaration trees for all files that parsed."""
+    """Parsed (unresolved) declaration trees for all files that parsed, in
+    input order."""
 
-    files: tuple[FileAst, ...] = ()
-
-    @property
-    def decls(self) -> tuple[OntologyModule | InstanceFile, ...]:
-        return tuple(d for f in self.files for d in f.decls)
+    decls: tuple[OntologyModule | InstanceFile, ...] = ()
 
     @property
     def modules(self) -> tuple[OntologyModule, ...]:
@@ -255,7 +246,7 @@ class _Parser:
 
     # -- grammar ------------------------------------------------------------
 
-    def parse_file(self) -> tuple[FileAst, list[Diagnostic]]:
+    def parse_file(self) -> tuple[tuple[OntologyModule | InstanceFile, ...], list[Diagnostic]]:
         toks = self.toks
         decls: list[OntologyModule | InstanceFile] = []
         i = 0
@@ -271,7 +262,7 @@ class _Parser:
                 decls.append(decl)
             except _ParseError:
                 i = self.skip_to(self.pos, _TOP_SYNC, stop_at_close=False)
-        return FileAst(self.path, tuple(decls)), self.diagnostics
+        return tuple(decls), self.diagnostics
 
     def parse_level(self, i: int) -> tuple[Level, int]:
         tok = self.toks[i]
@@ -566,17 +557,17 @@ def parse_suite(files: list[tuple[str, str]]) -> tuple[SuiteAst, list[Diagnostic
 
     Files that produce any diagnostic contribute their diagnostics but no
     declarations, so the returned AST is fully well-formed."""
-    parsed: list[FileAst] = []
+    decls: list[OntologyModule | InstanceFile] = []
     diagnostics: list[Diagnostic] = []
     for path, text in files:
         tokens, lex_diags = tokenize(text, path)
         parser = _Parser(tokens, path)
-        file_ast, parse_diags = parser.parse_file()
+        file_decls, parse_diags = parser.parse_file()
         file_diags = lex_diags + parse_diags
         diagnostics.extend(file_diags)
         if not file_diags:
-            parsed.append(file_ast)
-    return SuiteAst(tuple(parsed)), diagnostics
+            decls.extend(file_decls)
+    return SuiteAst(tuple(decls)), diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,6 @@ class SourceSpan(_SpanFields):
     def __str__(self) -> str:
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
-    def to(self, other: SourceSpan) -> SourceSpan:
-        """Smallest span covering this one and `other` (same file)."""
-        return SourceSpan(self.file, self.start_line, self.start_col, other.end_line, other.end_col)
-
 
 def synthetic_span(label: str = "<builtin>") -> SourceSpan:
     """Placeholder span for declarations built in memory rather than parsed."""

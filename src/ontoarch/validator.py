@@ -129,47 +129,6 @@ class ChainStatus:
     detail: str = ""
 
 
-def same_level_components(suite: ResolvedSuite) -> dict[str, frozenset[str]]:
-    """Import-connected components of same-level modules (undirected).
-
-    Computed once per suite; every call returns the same read-only map."""
-    if suite._components is None:
-        suite._components = _components(suite)
-    return suite._components
-
-
-def _components(suite: ResolvedSuite) -> dict[str, frozenset[str]]:
-    by_level: dict[Level, list[str]] = {}
-    for name, m in suite.modules.items():
-        by_level.setdefault(m.level, []).append(name)
-    component_of: dict[str, frozenset[str]] = {}
-    for level in sorted(by_level, key=lambda l: l.rank):
-        names = sorted(by_level[level])
-        neighbors: dict[str, set[str]] = {n: set() for n in names}
-        for n in names:
-            for imp in suite.modules[n].imports:
-                if imp.name in neighbors:
-                    neighbors[n].add(imp.name)
-                    neighbors[imp.name].add(n)
-        seen: set[str] = set()
-        for n in names:
-            if n in seen:
-                continue
-            group: set[str] = set()
-            queue = [n]
-            while queue:
-                cur = queue.pop()
-                if cur in group:
-                    continue
-                group.add(cur)
-                queue.extend(sorted(neighbors[cur] - group))
-            seen.update(group)
-            frozen = frozenset(group)
-            for member in group:
-                component_of[member] = frozen
-    return component_of
-
-
 def _chain_end(suite: ResolvedSuite, cur_mod: str, cur_rel: RelationDecl, joint: bool) -> ChainStatus | None:
     """The outcome that ends a kind chain at `cur_rel`, or None when the
     chain follows its kind link."""
@@ -188,7 +147,7 @@ def _chain_end(suite: ResolvedSuite, cur_mod: str, cur_rel: RelationDecl, joint:
     if target_level.rank == cur_level.rank and target_mod != cur_mod:
         if not joint:
             return ChainStatus("escape", detail=f"kind of {here} crosses into {target_mod}")
-        if target_mod not in same_level_components(suite)[cur_mod]:
+        if target_mod not in suite.components[cur_mod]:
             return ChainStatus(
                 "dead_end",
                 detail=f"kind of {here} leaves the import-connected component "
@@ -306,7 +265,7 @@ def check_rule2(suite: ResolvedSuite) -> list[Violation]:
             continue
         joint = chain_status(suite, module_name, r, True)
         if joint.outcome in ("cycle", "downward", "dead_end"):
-            members = ", ".join(sorted(same_level_components(suite)[module_name]))
+            members = ", ".join(sorted(suite.components[module_name]))
             out.append(
                 _violation(
                     "E221",
@@ -414,10 +373,8 @@ def check_axioms(world: World) -> list[Violation]:
 # Relationship conformance and cardinality.
 # ---------------------------------------------------------------------------
 
-def _anchor_matches(suite: ResolvedSuite, term: tuple[str, str], required: str) -> bool:
-    anchor = suite.try_enrichment_root(*term)
-    if anchor is None:
-        return True  # unjudgeable without an enrichment chain; E213 owns it
+def _anchor_matches(suite: ResolvedSuite, term: tuple[str, str], anchor: str, required: str) -> bool:
+    """Whether `term`, whose enrichment root is `anchor`, is a `required`."""
     if metamodel.is_descendant(anchor, required):
         return True
     # Scope facets stand in for the two scope subtypes: an assertion-rooted
@@ -445,10 +402,13 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Violation]:
         variants = metamodel.relationship_variants(status.key or "")
         from_term = suite.term_target(r.from_ref, module_name)
         to_term = suite.term_target(r.to_ref, module_name)
-        if suite.try_enrichment_root(*from_term) is None or suite.try_enrichment_root(*to_term) is None:
+        from_root = suite.try_enrichment_root(*from_term)
+        to_root = suite.try_enrichment_root(*to_term)
+        if from_root is None or to_root is None:
             continue  # endpoint chain broken, already flagged as E213
         ok = any(
-            _anchor_matches(suite, from_term, v.domain) and _anchor_matches(suite, to_term, v.range)
+            _anchor_matches(suite, from_term, from_root, v.domain)
+            and _anchor_matches(suite, to_term, to_root, v.range)
             for v in variants
         )
         if not ok:
@@ -458,11 +418,10 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Violation]:
                 _violation(
                     "E231",
                     f"relation {module_name}.{r.name} has kind {variants[0].display!r} "
-                    f"but connects {suite.enrichment_root(*from_term)}-rooted to "
-                    f"{suite.enrichment_root(*to_term)}-rooted terms (expected {expected})",
+                    f"but connects {from_root}-rooted to {to_root}-rooted terms "
+                    f"(expected {expected})",
                     r.span,
-                    witness=f"from root {suite.enrichment_root(*from_term)}, "
-                    f"to root {suite.enrichment_root(*to_term)}",
+                    witness=f"from root {from_root}, to root {to_root}",
                     anchor=definition,
                 )
             )
@@ -495,33 +454,33 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Violation]:
                         witness=f"relatesWith({fact.left}, {fact.right})",
                     )
                 )
-        out.extend(_check_acts_upon_cardinality(w))
+        out.extend(_check_cardinality(w))
     return out
 
 
-def _check_acts_upon_cardinality(world: World) -> list[Violation]:
-    # Only enforced in worlds that describe acting at all: ground worlds may
-    # legitimately be partial descriptions, hence a warning, not an error.
-    spec = metamodel.WORLD_PREDICATES["actsUpon"]
-    if not spec.multiplicity or spec.multiplicity[0] < 1:
-        return []
-    acts = world.facts_of("actsUpon")
-    if not acts:
-        return []
-    covered = {(fact.left.primary, fact.left.part) for fact in acts}
+def _check_cardinality(world: World) -> list[Violation]:
+    # Only enforced in worlds that use the predicate at all: ground worlds
+    # may legitimately be partial descriptions, hence a warning, not an error.
     out: list[Violation] = []
-    for thing in world.things:
-        for power in thing.powers:
-            if (thing.name, power.name) not in covered:
-                out.append(
-                    _violation(
-                        "W301",
-                        f"power {thing.name}.{power.name} acts upon no property in "
-                        f"world {world.name}, which declares actsUpon facts",
-                        power.span,
-                        witness=f"power {thing.name}.{power.name}; 0 actsUpon edges",
+    for predicate, spec in metamodel.WORLD_PREDICATES.items():
+        if not spec.multiplicity or spec.multiplicity[0] < 1:
+            continue
+        covered = {(f.left.primary, f.left.part) for f in world.facts if f.predicate == predicate}
+        if not covered:
+            continue
+        sort = spec.domain.lower()
+        for thing in world.things:
+            for part in thing.parts(spec.domain):
+                if (thing.name, part.name) not in covered:
+                    out.append(
+                        _violation(
+                            "W301",
+                            f"{sort} {thing.name}.{part.name} {spec.display} no {spec.range.lower()} "
+                            f"in world {world.name}, which declares {predicate} facts",
+                            part.span,
+                            witness=f"{sort} {thing.name}.{part.name}; 0 {predicate} edges",
+                        )
                     )
-                )
     return out
 
 

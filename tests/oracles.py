@@ -1,9 +1,12 @@
 """Naive reference implementations, kept as independent oracles.
 
 `oracle_chain_status` and `oracle_enrichment_root` check the memoised
-`chain_status` and `ResolvedSuite.enrichment_root`: both walk the whole chain
-from scratch on every call and detect cycles by scanning the list of visited
-links; neither reads nor writes any cache. `oracle_check_axioms` checks the
+`chain_status` and the roots that resolution records for
+`ResolvedSuite.enrichment_root`: both walk the whole chain from scratch on
+every call and detect cycles by scanning the list of visited links; neither
+reads nor writes any cache. `oracle_components` checks the same-level import
+components that resolution records in `ResolvedSuite.components` with a
+breadth-first search from each module. `oracle_check_axioms` checks the
 edge-wise `check_axioms` by enumerating every quantifier instantiation.
 `oracle_tokenize` checks the regex scanner `tokenize`: it walks the text one
 character at a time and returns `Token` objects, where `tokenize` returns
@@ -35,7 +38,7 @@ from ontoarch.model import (
     World,
     WorldRef,
 )
-from ontoarch.parser import KEYWORDS, LEVEL_NAMES, FileAst, TokenKind
+from ontoarch.parser import KEYWORDS, LEVEL_NAMES, TokenKind
 from ontoarch.reporting import Diagnostic
 from ontoarch.source import SourceSpan
 from ontoarch.validator import ChainStatus, Violation, _axiom_violation
@@ -95,6 +98,30 @@ def oracle_enrichment_root(suite: ResolvedSuite, module_name: str, term_name: st
     return name
 
 
+def oracle_components(suite: ResolvedSuite) -> dict[str, frozenset[str]]:
+    """Each module's same-level import component: a breadth-first search
+    from every module over the import edges between modules of one level,
+    read from the module list and taken as undirected."""
+    modules = list(suite.modules.values())
+
+    def linked(a: OntologyModule, b: OntologyModule) -> bool:
+        return a.level is b.level and (
+            b.name in [i.name for i in a.imports] or a.name in [i.name for i in b.imports]
+        )
+
+    out: dict[str, frozenset[str]] = {}
+    for start in modules:
+        queue = [start]
+        for cur in queue:  # the queue grows while it is read
+            queue += [m for m in modules if linked(cur, m) and m.name not in [q.name for q in queue]]
+        out[start.name] = frozenset(m.name for m in queue)
+    return out
+
+
+def _facts_of(world: World, predicate: str) -> list[Fact]:
+    return [f for f in world.facts if f.predicate == predicate]
+
+
 def oracle_check_axioms(world: World) -> list[Violation]:
     """Brute-force axiom evaluation by enumerating every quantifier
     instantiation (thing x property x power) with partOf as ownership.
@@ -115,7 +142,7 @@ def oracle_check_axioms(world: World) -> list[Violation]:
             if p_owner != t:  # partOf(prop, t)
                 continue
             for w_owner, w_name in pows:
-                for fact in world.facts_of("enables"):
+                for fact in _facts_of(world, "enables"):
                     if ref_is(fact.left, p_owner, p_name) and ref_is(fact.right, w_owner, w_name):
                         if w_owner != t:  # consequent partOf(pow, t) falsified
                             out.append(_axiom_violation("E311", fact))
@@ -125,7 +152,7 @@ def oracle_check_axioms(world: World) -> list[Violation]:
             if w_owner != t:
                 continue
             for p_owner, p_name in props:
-                for fact in world.facts_of("actsUpon"):
+                for fact in _facts_of(world, "actsUpon"):
                     if ref_is(fact.left, w_owner, w_name) and ref_is(fact.right, p_owner, p_name):
                         if p_owner != t:
                             out.append(_axiom_violation("E312", fact))
@@ -134,7 +161,7 @@ def oracle_check_axioms(world: World) -> list[Violation]:
         for w_owner, w_name in pows:
             if w_owner != t:
                 continue
-            for fact in world.facts_of("interacts"):
+            for fact in _facts_of(world, "interacts"):
                 if ref_is(fact.left, w_owner, w_name) and fact.right.part is None and fact.right.primary == t:
                     out.append(_axiom_violation("E313", fact))
     return out
@@ -286,7 +313,9 @@ class _CursorToken(Token):
         return self.kind is TokenKind.PUNCT and self.lexeme == ch
 
 
-def oracle_parse_file(tokens: list[tuple], path: str) -> tuple[FileAst, list[Diagnostic]]:
+def oracle_parse_file(
+    tokens: list[tuple], path: str
+) -> tuple[tuple[OntologyModule | InstanceFile, ...], list[Diagnostic]]:
     """What `parser._Parser(tokens, path).parse_file()` must return, for
     the tuple tokens `parser.tokenize(text, path)` returns."""
     cursor_tokens = [
@@ -363,7 +392,7 @@ class _Parser:
 
     # -- grammar ------------------------------------------------------------
 
-    def parse_file(self) -> tuple[FileAst, list[Diagnostic]]:
+    def parse_file(self) -> tuple[tuple[OntologyModule | InstanceFile, ...], list[Diagnostic]]:
         decls: list[OntologyModule | InstanceFile] = []
         while not self.at_eof():
             tok = self.peek()
@@ -376,7 +405,7 @@ class _Parser:
                     raise self.fail("expected 'ontology' or 'instances'")
             except _ParseError:
                 self.skip_to(_TOP_SYNC, stop_at_close=False)
-        return FileAst(self.path, tuple(decls)), self.diagnostics
+        return tuple(decls), self.diagnostics
 
     def parse_level(self) -> Level:
         tok = self.peek()

@@ -19,13 +19,7 @@ from ontoarch import build_report, parse_suite, render_canonical, resolve
 from ontoarch.cli import run
 from ontoarch.model import Fact, PartDecl, ThingNode, World, WorldRef
 from ontoarch.source import SourceSpan
-from ontoarch.validator import (
-    check_axioms,
-    check_rule1,
-    check_rule2,
-    same_level_components,
-    validate_suite,
-)
+from ontoarch.validator import check_axioms, check_rule1, check_rule2, validate_suite
 
 
 @contextmanager
@@ -172,7 +166,7 @@ def test_criterion_7_rule2_conservative_on_singleton_components():
             assert not diags
             suite, rdiags = resolve(ast.modules, ast.instance_files)
             assert not rdiags and suite is not None
-            components = same_level_components(suite)
+            components = suite.components
             rule1 = check_rule1(suite)
             rule2 = check_rule2(suite)
             report = validate_suite(suite)

@@ -1,5 +1,6 @@
-"""Enrichment, kind and import chains: the memoised walks against naive
-oracles, and deep chains that must stay linear and free of recursion."""
+"""Enrichment, kind and import chains: the enrichment roots and import
+components recorded by resolution and the memoised kind-chain walks against
+naive oracles, and deep chains that must stay linear and free of recursion."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ from collections import Counter
 
 from hypothesis import event, given, settings, strategies as st
 
-from oracles import oracle_chain_status, oracle_enrichment_root
+from oracles import oracle_chain_status, oracle_components, oracle_enrichment_root
+from test_file_order import suites
 
 from ontoarch import metamodel
 from ontoarch.cli import build_report
@@ -22,7 +24,8 @@ from ontoarch.model import (
     TermDef,
     resolve,
 )
-from ontoarch.validator import chain_status, same_level_components, validate_suite
+from ontoarch.parser import parse_suite
+from ontoarch.validator import chain_status, validate_suite
 
 DEPTH = 10_000
 
@@ -100,7 +103,7 @@ def _root(suite: ResolvedSuite, module: str, term: str) -> str:
 @given(chain_suites(), st.randoms(use_true_random=False))
 def test_memoised_walks_equal_naive_oracles_in_any_order(modules, rnd):
     reference = _fresh(modules)
-    components = same_level_components(reference)
+    components = reference.components
     expected: dict[tuple, object] = {}
     for module, rel in reference.all_relations():
         for joint in (False, True):
@@ -122,6 +125,21 @@ def test_memoised_walks_equal_naive_oracles_in_any_order(modules, rnd):
             else:
                 got = _root(suite, query[1], query[2])
             assert got == expected[query], query
+
+
+def _resolved(files: list[tuple[str, str]]) -> ResolvedSuite | None:
+    ast, _ = parse_suite(files)
+    return resolve(ast.modules, ast.instance_files)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(chain_suites().map(_fresh), suites().map(_resolved)))
+def test_components_equal_the_naive_oracle(suite):
+    if suite is None:
+        event("unresolved")
+        return
+    event(f"{len(set(suite.components.values()))} components over {len(suite.modules)} modules")
+    assert suite.components == oracle_components(suite)
 
 
 # ---------------------------------------------------------------------------

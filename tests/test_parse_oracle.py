@@ -41,8 +41,8 @@ def _tree(node):
 
 def _parsed(parse_file, text: str, path: str):
     tokens, _ = tokenize(text, path)
-    file_ast, diagnostics = parse_file(tokens, path)
-    return _tree(file_ast), _tree(diagnostics)
+    decls, diagnostics = parse_file(tokens, path)
+    return _tree(decls), _tree(diagnostics)
 
 
 def _parse_file(tokens, path):

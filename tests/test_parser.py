@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from ontoarch.model import Level, OntologyModule
 from ontoarch.parser import (
-    FileAst,
     SuiteAst,
     TokenKind,
     parse_suite,
@@ -177,7 +176,7 @@ def test_decl_spans_nest_within_module_span():
 
 
 def test_render_canonical_empty_module():
-    ast = SuiteAst((FileAst("f.onto", (OntologyModule("A", Level.CO),)),))
+    ast = SuiteAst((OntologyModule("A", Level.CO),))
     assert render_canonical(ast) == "ontology A at CO {\n}\n"
 
 

@@ -20,11 +20,6 @@ def test_str_is_file_line_column():
     assert str(SourceSpan("f", 2, 1, 3, 9)) == "f:2:1"
 
 
-def test_to_covers_both_spans():
-    first, second = SourceSpan("f", 2, 3, 2, 7), SourceSpan("f", 4, 1, 5, 2)
-    assert first.to(second) == SourceSpan("f", 2, 3, 5, 2)
-
-
 def test_spans_sort_by_file_line_column_and_end():
     spans = [
         SourceSpan("g", 1, 1, 1, 1),
