@@ -1,11 +1,16 @@
 """Data model and name resolution for user-authored ontology suites.
 
-Declarations are plain frozen dataclasses, shared between the parser (which
+Declarations are slotted dataclasses, shared between the parser (which
 builds them with real source spans) and programmatic construction (tests,
-generators). `resolve` binds every reference or reports E1xx diagnostics;
-on success it also hands the suite the facts its passes computed once: the
-declaration index, each term's enrichment root and each module's same-level
-import component. A `ResolvedSuite` never changes them afterwards. Only the
+generators). They compare and hash by their fields, spans aside, and nothing
+changes a node after it is built. They are not frozen: a frozen `__init__`
+sets each field through `object.__setattr__` and costs about three times a
+plain one.
+
+`resolve` binds every reference or reports E1xx diagnostics; on success it
+also hands the suite the facts its passes computed once: the declaration
+index, each term's enrichment root and each module's same-level import
+component. A `ResolvedSuite` never changes them afterwards. Only the
 validator's kind-chain tables fill on use, so a suite is not safe for
 concurrent use.
 """
@@ -41,7 +46,7 @@ class Level(Enum):
         return self.rank == other.rank - 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class QualifiedRef:
     """A `Module.Name` or bare `Name` reference; bare names resolve in the
     declaring module (or the instance file's module)."""
@@ -54,20 +59,20 @@ class QualifiedRef:
         return f"{self.module}.{self.name}" if self.module else self.name
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ImportRef:
     name: str
     span: SourceSpan = field(compare=False, default_factory=synthetic_span)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AttrPair:
     key: str
     value: str
     span: SourceSpan = field(compare=False, default_factory=synthetic_span)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TermDef:
     name: str
     enriches: QualifiedRef | None
@@ -76,7 +81,7 @@ class TermDef:
     span: SourceSpan = field(compare=False, default_factory=synthetic_span)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RelationDecl:
     name: str
     from_ref: QualifiedRef
@@ -85,7 +90,7 @@ class RelationDecl:
     span: SourceSpan = field(compare=False, default_factory=synthetic_span)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OntologyModule:
     name: str
     level: Level
@@ -102,7 +107,7 @@ class OntologyModule:
         return tuple(d for d in self.body if isinstance(d, RelationDecl))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WorldRef:
     """A fact argument: bare `thing` or dotted `thing.part` / `Module.Term`,
     disambiguated by the predicate position during resolution."""
@@ -120,13 +125,13 @@ class WorldRef:
         return QualifiedRef(self.primary, self.part, self.span)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PartDecl:
     name: str
     span: SourceSpan = field(compare=False, default_factory=synthetic_span)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ThingNode:
     name: str
     instance_of: QualifiedRef | None = None
@@ -139,7 +144,7 @@ class ThingNode:
         return self.properties if sort == "Property" else self.powers
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Fact:
     predicate: str
     left: WorldRef
@@ -147,7 +152,7 @@ class Fact:
     span: SourceSpan = field(compare=False, default_factory=synthetic_span)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class World:
     name: str
     things: tuple[ThingNode, ...] = ()
@@ -155,14 +160,14 @@ class World:
     span: SourceSpan = field(compare=False, default_factory=synthetic_span)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Individual:
     name: str
     type_ref: QualifiedRef
     span: SourceSpan = field(compare=False, default_factory=synthetic_span)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class InstanceFile:
     """An `instances of <Module>` block: the Instance Ontological Level
     content attached to one module."""

@@ -27,7 +27,7 @@ def severity_of(code: str) -> str:
     return "error" if code.startswith("E") else "warning"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Diagnostic:
     code: str
     message: str

@@ -39,7 +39,12 @@ class RuleId(Enum):
     CARDINALITY = "Cardinality"
 
 
-@dataclass(frozen=True)
+#: Each rule by its catalog name, so a finding looks its rule up without a
+#: call to `RuleId`.
+_RULE_IDS: dict[str, RuleId] = {r.value: r for r in RuleId}
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class Violation:
     """One falsified rule with a witness sufficient to re-derive it by hand."""
 
@@ -67,7 +72,7 @@ class Violation:
 def _violation(code: str, message: str, span: SourceSpan, witness: str = "", anchor: str | None = None) -> Violation:
     doc = CODE_CATALOG[code]
     return Violation(
-        rule=RuleId(doc.rule),
+        rule=_RULE_IDS[doc.rule],
         code=code,
         message=message,
         span=span,
@@ -122,7 +127,7 @@ def check_architecture(suite: ResolvedSuite) -> list[Violation]:
 # Kind chains (shared by Rule #1, Rule #2 and relationship conformance).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ChainStatus:
     outcome: str  # "foundational" | "escape" | "dead_end" | "cycle" | "downward"
     key: str | None = None

@@ -1,13 +1,16 @@
-"""Shared fixtures: the fig2 corpus and its single-edit mutants, and the
-benchmark's suite generators."""
+"""Shared fixtures: the fig2 corpus and its single-edit mutants, the
+benchmark's suite generators, and a field-by-field walk of AST nodes."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
+
+from ontoarch.source import SourceSpan
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIG2 = FIXTURES / "fig2"
@@ -62,6 +65,19 @@ MUTATIONS: tuple[tuple[str, str, str, str], ...] = (
         "interacts(run1.execute, run1)",
     ),
 )
+
+
+def tree(node):
+    """A node, or a list or tuple of them, as nested tuples of type names,
+    field values and spans. Nodes compare without their spans (`span` is
+    `compare=False`); their trees compare with them."""
+    if isinstance(node, SourceSpan):
+        return ("span", *node)
+    if dataclasses.is_dataclass(node):
+        return (type(node).__name__, *(tree(getattr(node, f.name)) for f in dataclasses.fields(node)))
+    if isinstance(node, (list, tuple)):
+        return tuple(tree(item) for item in node)
+    return node
 
 
 def load_fig2() -> list[tuple[str, str]]:

@@ -54,6 +54,9 @@ def _oracle_lexed(text: str, path: str = "f.onto"):
 @example('description "ab\\')  # a backslash at the end of input, inside a string
 @example('"a\\q" "b\\\n"c')  # bad escapes, one of them before a line break
 @example('x "a\\"b\\\\" // tail "\n\ty')  # good escapes, a comment with a quote
+@example("a / b")  # a lone slash
+@example("a /\nb")  # a slash before a line break
+@example("a //")  # a comment at the end of input
 def test_tokenize_equals_the_character_walk(text):
     assert _lexed(text) == _oracle_lexed(text)
 

@@ -4,19 +4,18 @@ canonical rendering as a fixed point.
 `oracle_parse_file` (in `oracles.py`) is the former parser, which steps
 through the tokens with a cursor. On the same tokens both must give the same
 declarations and the same diagnostics. Nodes compare without their spans
-(`span` is `compare=False`), so `_tree` spells every node out field by field,
-spans included.
+(`span` is `compare=False`), so `tree` (in `conftest.py`) spells every node
+out field by field, spans included.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import MUTATIONS, load_bench_generators, load_fig2, mutate
+from conftest import MUTATIONS, load_bench_generators, load_fig2, mutate, tree
 from oracles import oracle_parse_file
 from test_file_order import soup_file, suites
 
@@ -24,25 +23,12 @@ from ontoarch import parser
 from ontoarch.cli import build_report
 from ontoarch.parser import parse_suite, render_canonical, tokenize
 from ontoarch.reporting import render_json
-from ontoarch.source import SourceSpan
-
-
-def _tree(node):
-    """A node, or a list or tuple of them, as nested tuples of type names,
-    field values and spans."""
-    if isinstance(node, SourceSpan):
-        return ("span", *node)
-    if dataclasses.is_dataclass(node):
-        return (type(node).__name__, *(_tree(getattr(node, f.name)) for f in dataclasses.fields(node)))
-    if isinstance(node, (list, tuple)):
-        return tuple(_tree(item) for item in node)
-    return node
 
 
 def _parsed(parse_file, text: str, path: str):
     tokens, _ = tokenize(text, path)
     decls, diagnostics = parse_file(tokens, path)
-    return _tree(decls), _tree(diagnostics)
+    return tree(decls), tree(diagnostics)
 
 
 def _parse_file(tokens, path):
@@ -118,8 +104,7 @@ def test_parser_equals_the_cursor_parser_on_fig2_and_its_mutants(mutation):
 
 
 def _held_spans(node) -> int:
-    tree = _tree(node)
-    stack, count = [tree], 0
+    stack, count = [tree(node)], 0
     while stack:
         item = stack.pop()
         if isinstance(item, tuple):
