@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 from typing import Any
@@ -31,10 +32,11 @@ class UsageError(Exception):
     pass
 
 
-def _collect_files(paths: list[str]) -> list[Path]:
+def _collect_files(paths: list[str]) -> list[tuple[str, Path]]:
     """Explicit files are taken as given; directories are recursed for
     `.onto` files, everything else in them is ignored. Sorted by path so
-    reports are independent of argument order and filesystem order."""
+    reports are independent of argument order and filesystem order. Each
+    path comes with its name in reports: UTF-8, with other bytes as `\\xNN`."""
     found: set[Path] = set()
     for raw in paths:
         path = Path(raw)
@@ -44,16 +46,16 @@ def _collect_files(paths: list[str]) -> list[Path]:
             found.add(path)
         else:
             raise UsageError(f"cannot read {raw}: no such file or directory")
-    return sorted(found, key=str)
+    return [(os.fsencode(p).decode("utf-8", "backslashreplace"), p) for p in sorted(found, key=str)]
 
 
-def _read_files(paths: list[Path]) -> list[tuple[str, str]]:
+def _read_files(paths: list[tuple[str, Path]]) -> list[tuple[str, str]]:
     out = []
-    for path in paths:
+    for name, path in paths:
         try:
-            out.append((str(path), path.read_text(encoding="utf-8")))
+            out.append((name, path.read_text(encoding="utf-8")))
         except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"cannot read {path}: {exc}") from exc
+            raise UsageError(f"cannot read {name}: {exc}") from exc
     return out
 
 

@@ -9,17 +9,16 @@ plain one.
 
 `resolve` binds every reference or reports E1xx diagnostics; on success it
 also hands the suite the facts its passes computed once: the declaration
-index, each term's enrichment root and each module's same-level import
-component. A `ResolvedSuite` never changes them afterwards. Only the
-validator's kind-chain tables fill on use, so a suite is not safe for
-concurrent use.
+index, each term's enrichment root, each module's same-level import
+component and each relation's kind-chain outcome. A `ResolvedSuite` never
+changes them afterwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import metamodel
 from .metamodel import BUILTIN_MODULE
@@ -189,19 +188,39 @@ class InstanceFile:
 # Resolution.
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True, unsafe_hash=True)
+class ChainStatus:
+    """Where a relation's `kind` chain ends, following lateral hops (same
+    level, other module) inside import components; `escapes` when it takes
+    one. A cycle is its members' names in walk order, shared by them all."""
+
+    outcome: str  # "foundational" | "escape" | "dead_end" | "cycle" | "downward"
+    key: str | None = None  # the foundational relationship reached
+    detail: str = ""  # why a "downward" or "dead_end" chain ends
+    cycle: tuple[str, ...] = ()
+    index: int = 0  # where the chain enters `cycle`
+    escapes: bool = False
+
+    @property
+    def text(self) -> str:
+        """The detail, with a cycle spelled out from where the chain enters it."""
+        if self.outcome != "cycle":
+            return self.detail
+        return "kind chain cycles: " + " -> ".join(self.cycle[self.index:] + self.cycle[:self.index + 1])
+
+
 class ResolvedSuite:
     """All user modules plus the built-in ThingFO module, with every
     reference known to bind.
 
     Resolution hands over the declaration index, each term's enrichment
-    outcome and the same-level import components; the suite only reads
-    them. The validator's kind-chain tables (`_local_chains`,
-    `_joint_chains`) fill on first use, so share a suite between threads
-    only behind a lock."""
+    outcome, the same-level import components and each relation's
+    kind-chain outcome; the suite only reads them."""
 
     def __init__(self, modules: dict[str, OntologyModule], instance_files: list[InstanceFile],
                  terms: dict[tuple[str, str], TermDef], relations: dict[tuple[str, str], RelationDecl],
-                 roots: dict[tuple[str, str], str | tuple[str, str]], components: dict[str, frozenset[str]]):
+                 roots: dict[tuple[str, str], str | tuple[str, str]], components: dict[str, frozenset[str]],
+                 kind_chains: dict[tuple[str, str], ChainStatus]):
         self.modules = modules
         self.instance_files: tuple[InstanceFile, ...] = tuple(instance_files)
         self._terms = terms
@@ -211,10 +230,8 @@ class ResolvedSuite:
         self._enrichment_roots = roots
         #: Each module's import-connected component of same-level modules.
         self.components = components
-        # The kind-chain outcome of every relation walked so far, with
-        # lateral hops escaping (local) or confined to `components` (joint).
-        self._local_chains: dict[tuple[str, str], Any] = {}
-        self._joint_chains: dict[tuple[str, str], Any] = {}
+        #: Each relation's kind-chain outcome, by (module, relation).
+        self.kind_chains = kind_chains
 
     # -- structure queries --------------------------------------------------
 
@@ -225,9 +242,6 @@ class ResolvedSuite:
 
     def get_term(self, module_name: str, term_name: str) -> TermDef | None:
         return self._terms.get((module_name, term_name))
-
-    def get_relation(self, module_name: str, rel_name: str) -> RelationDecl | None:
-        return self._relations.get((module_name, rel_name))
 
     def all_terms(self) -> Iterator[tuple[str, TermDef]]:
         return ((module_name, t) for (module_name, _), t in self._terms.items())
@@ -279,12 +293,13 @@ class _Resolver:
         self.instance_files = instance_files
         self.diagnostics: list[Diagnostic] = []
         # What `ResolvedSuite` reads: the declaration index, enrichment
-        # outcomes and same-level import components.
+        # outcomes, same-level import components and kind-chain outcomes.
         self.modules: dict[str, OntologyModule] = {}
         self.terms: dict[tuple[str, str], TermDef] = {}
         self.relations: dict[tuple[str, str], RelationDecl] = {}
         self.roots: dict[tuple[str, str], str | tuple[str, str]] = {}
         self.components: dict[str, frozenset[str]] = {}
+        self.kind_chains: dict[tuple[str, str], ChainStatus] = {}
 
     def error(self, code: str, message: str, span: SourceSpan) -> None:
         self.diagnostics.append(Diagnostic(code=code, message=message, span=span))
@@ -453,19 +468,19 @@ class _Resolver:
                 self._check_world(f, w)
 
     def _check_world(self, f: InstanceFile, w: World) -> None:
-        things: dict[str, ThingNode] = {}
+        things: dict[str, dict[str, set[str]]] = {}  # each thing's part names by sort
         for t in w.things:
             if t.name in things:
                 self.error("E102", f"duplicate thing {t.name} in world {w.name}", t.span)
                 continue
-            things[t.name] = t
             if t.instance_of is not None:
                 self._resolve_term_ref(t.instance_of, f.of_module, f"thing {t.name}")
-            part_names: set[str] = set()
-            for part in t.properties + t.powers:
-                if part.name in part_names:
-                    self.error("E102", f"duplicate part {part.name} on thing {t.name}", part.span)
-                part_names.add(part.name)
+            parts = things[t.name] = {"Property": set(), "Power": set()}
+            for sort, decls in (("Property", t.properties), ("Power", t.powers)):
+                for part in decls:
+                    if part.name in parts["Property"] or part.name in parts["Power"]:
+                        self.error("E102", f"duplicate part {part.name} on thing {t.name}", part.span)
+                    parts[sort].add(part.name)
 
         def check_thing(ref: WorldRef, what: str) -> None:
             if ref.part is not None:
@@ -477,11 +492,11 @@ class _Resolver:
             if ref.part is None:
                 self.error("E101", f"{what}: expected a {sort.lower()} reference thing.part, got {ref}", ref.span)
                 return
-            thing = things.get(ref.primary)
-            if thing is None:
+            parts = things.get(ref.primary)
+            if parts is None:
                 self.error("E101", f"{what}: unknown thing {ref.primary} in world {w.name}", ref.span)
                 return
-            if not any(p.name == ref.part for p in thing.parts(sort)):
+            if ref.part not in parts[sort]:
                 self.error("E101", f"{what}: thing {ref.primary} has no {sort.lower()} named {ref.part}", ref.span)
 
         def check_term(ref: WorldRef, what: str) -> None:
@@ -544,6 +559,48 @@ class _Resolver:
                     del pending[visited]
                     self.roots[visited] = root
 
+    def record_kind_chains(self) -> None:
+        # As in `check_enrichment_cycles`, a walk stops at a relation an
+        # earlier walk judged, so each relation is walked once. Lateral hops
+        # (same level, other module) are followed inside the hop source's
+        # import component, and a chain that takes one escapes its module.
+        chains = self.kind_chains
+        for key in self.relations:
+            path: dict[tuple[str, str], bool] = {}  # each relation walked: is its hop lateral?
+            while key not in chains:
+                if key in path:
+                    order = list(path)
+                    cycle = order[order.index(key):]
+                    names = tuple(f"{m}.{n}" for m, n in cycle)
+                    escapes = any(path[member] for member in cycle)
+                    for i, member in enumerate(cycle):
+                        del path[member]
+                        chains[member] = ChainStatus("cycle", cycle=names, index=i, escapes=escapes)
+                    break
+                mod, name = key
+                kind = self.relations[key].kind_ref
+                target = (kind.module or mod, kind.name)
+                if target[0] == BUILTIN_MODULE:
+                    chains[key] = ChainStatus("foundational", key=kind.name)
+                    break
+                level, target_level = self.modules[mod].level, self.modules[target[0]].level
+                path[key] = lateral = target_level is level and target[0] != mod
+                if target_level.rank > level.rank:
+                    chains[key] = ChainStatus("downward", detail=f"kind of {mod}.{name} points to the more "
+                                              f"concrete level {target_level.name} ({target[0]}.{target[1]})")
+                    break
+                if lateral and target[0] not in self.components[mod]:
+                    chains[key] = ChainStatus("dead_end", escapes=True, detail=f"kind of {mod}.{name} leaves the "
+                                              f"import-connected component ({target[0]} is not related to {mod})")
+                    break
+                key = target
+            # `key` is judged now, and the path leads into it.
+            status = chains[key]
+            for walked, lateral in reversed(path.items()):
+                if lateral and not status.escapes:
+                    status = replace(status, escapes=True)
+                chains[walked] = status
+
 
 def resolve(
     modules: Iterable[OntologyModule],
@@ -563,5 +620,6 @@ def resolve(
     r.check_enrichment_cycles()
     if r.diagnostics:
         return None, r.diagnostics
-    suite = ResolvedSuite(r.modules, r.instance_files, r.terms, r.relations, r.roots, r.components)
+    r.record_kind_chains()
+    suite = ResolvedSuite(r.modules, r.instance_files, r.terms, r.relations, r.roots, r.components, r.kind_chains)
     return suite, []

@@ -15,6 +15,7 @@ from typing import Iterable
 from . import metamodel
 from .metamodel import BUILTIN_MODULE, RootKind
 from .model import (
+    ChainStatus,
     Fact,
     Level,
     RelationDecl,
@@ -127,85 +128,19 @@ def check_architecture(suite: ResolvedSuite) -> list[Violation]:
 # Kind chains (shared by Rule #1, Rule #2 and relationship conformance).
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
-class ChainStatus:
-    outcome: str  # "foundational" | "escape" | "dead_end" | "cycle" | "downward"
-    key: str | None = None
-    detail: str = ""
-
-
-def _chain_end(suite: ResolvedSuite, cur_mod: str, cur_rel: RelationDecl, joint: bool) -> ChainStatus | None:
-    """The outcome that ends a kind chain at `cur_rel`, or None when the
-    chain follows its kind link."""
-    target_mod, target_name = suite.term_target(cur_rel.kind_ref, cur_mod)
-    if target_mod == BUILTIN_MODULE:
-        return ChainStatus("foundational", key=target_name)
-    here = f"{cur_mod}.{cur_rel.name}"
-    cur_level = suite.level_of(cur_mod)
-    target_level = suite.level_of(target_mod)
-    if target_level.rank > cur_level.rank:
-        return ChainStatus(
-            "downward",
-            detail=f"kind of {here} points to the more concrete level "
-            f"{target_level.name} ({target_mod}.{target_name})",
-        )
-    if target_level.rank == cur_level.rank and target_mod != cur_mod:
-        if not joint:
-            return ChainStatus("escape", detail=f"kind of {here} crosses into {target_mod}")
-        if target_mod not in suite.components[cur_mod]:
-            return ChainStatus(
-                "dead_end",
-                detail=f"kind of {here} leaves the import-connected component "
-                f"({target_mod} is not related to {cur_mod})",
-            )
-    return None
+_ESCAPE = ChainStatus("escape")
 
 
 def chain_status(suite: ResolvedSuite, module_name: str, rel: RelationDecl, joint: bool) -> ChainStatus:
-    """Follow a relation's `kind` links until a foundational relationship.
+    """Where a relation's `kind` links end, as resolution recorded it.
 
     Hops to a higher level or within the same module are always followed.
     Lateral hops (same level, other module) escape unless `joint` (Rule #1
     leaves them to Rule #2); jointly they must stay inside the hop source's
     import-connected component. Hops toward a more concrete level never
-    terminate.
-
-    `rel` is the suite's declaration `module_name.rel.name`. Outcomes are
-    recorded per suite and mode, so each relation is walked once per mode;
-    a cycle's detail starts where the queried relation's chain enters it.
-    """
-    table = suite._joint_chains if joint else suite._local_chains
-    path: list[tuple[str, str]] = []
-    on_path: dict[tuple[str, str], int] = {}
-    cur_mod, cur_rel = module_name, rel
-    while True:
-        here = (cur_mod, cur_rel.name)
-        status = table.get(here)
-        if status is not None:
-            break
-        if here in on_path:
-            # Each relation on the cycle reports the rotation from itself;
-            # the relations leading in report the one from the entry point.
-            cycle = path[on_path[here]:]
-            del path[on_path[here]:]
-            names = [f"{m}.{n}" for m, n in cycle]
-            for i, key in enumerate(cycle):
-                rotation = " -> ".join(names[i:] + names[:i + 1])
-                table[key] = ChainStatus("cycle", detail=f"kind chain cycles: {rotation}")
-            status = table[here]
-            break
-        on_path[here] = len(path)
-        path.append(here)
-        status = _chain_end(suite, cur_mod, cur_rel, joint)
-        if status is not None:
-            break
-        target_mod, target_name = suite.term_target(cur_rel.kind_ref, cur_mod)
-        next_rel = suite.get_relation(target_mod, target_name)
-        assert next_rel is not None  # guaranteed by resolution
-        cur_mod, cur_rel = target_mod, next_rel
-    for key in path:
-        table[key] = status
-    return table[(module_name, rel.name)]
+    terminate."""
+    status = suite.kind_chains[(module_name, rel.name)]
+    return _ESCAPE if status.escapes and not joint else status
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +177,14 @@ def check_rule1(suite: ResolvedSuite) -> list[Violation]:
         for r in module.relations:
             status = chain_status(suite, module.name, r, False)
             if status.outcome in ("cycle", "downward"):
+                detail = status.text
                 out.append(
                     _violation(
                         "E212",
                         f"relation {module.name}.{r.name} never reaches a foundational "
-                        f"relationship: {status.detail}",
+                        f"relationship: {detail}",
                         r.span,
-                        witness=status.detail,
+                        witness=detail,
                     )
                 )
     return out
@@ -265,19 +201,21 @@ def check_rule2(suite: ResolvedSuite) -> list[Violation]:
     cycles, turns downward or leaves the component. Everything visible
     module-locally is Rule #1's and is not reported again here."""
     out: list[Violation] = []
+    joined = {component: ", ".join(sorted(component)) for component in set(suite.components.values())}
     for module_name, r in suite.all_relations():
         if chain_status(suite, module_name, r, False).outcome != "escape":
             continue
         joint = chain_status(suite, module_name, r, True)
         if joint.outcome in ("cycle", "downward", "dead_end"):
-            members = ", ".join(sorted(suite.components[module_name]))
+            members = joined[suite.components[module_name]]
+            detail = joint.text
             out.append(
                 _violation(
                     "E221",
                     f"joint definition of {{{members}}} leaves relation "
-                    f"{module_name}.{r.name} without a foundational kind: {joint.detail}",
+                    f"{module_name}.{r.name} without a foundational kind: {detail}",
                     r.span,
-                    witness=f"component: {members}; {joint.detail}",
+                    witness=f"component: {members}; {detail}",
                 )
             )
     return out

@@ -1,8 +1,8 @@
 """Naive reference implementations, kept as independent oracles.
 
-`oracle_chain_status` and `oracle_enrichment_root` check the memoised
-`chain_status` and the roots that resolution records for
-`ResolvedSuite.enrichment_root`: both walk the whole chain from scratch on
+`oracle_chain_status` and `oracle_enrichment_root` check the kind-chain
+outcomes and enrichment roots that resolution records for `chain_status`
+and `ResolvedSuite.enrichment_root`: both walk the whole chain from scratch on
 every call and detect cycles by scanning the list of visited links; neither
 reads nor writes any cache. `oracle_components` checks the same-level import
 components that resolution records in `ResolvedSuite.components` with a
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from ontoarch.metamodel import BUILTIN_MODULE, WORLD_PREDICATES
 from ontoarch.model import (
     AttrPair,
+    ChainStatus,
     Fact,
     ImportRef,
     Individual,
@@ -41,7 +42,7 @@ from ontoarch.model import (
 from ontoarch.parser import KEYWORDS, LEVEL_NAMES, TokenKind
 from ontoarch.reporting import Diagnostic
 from ontoarch.source import SourceSpan
-from ontoarch.validator import ChainStatus, Violation, _axiom_violation
+from ontoarch.validator import Violation, _axiom_violation
 
 
 def oracle_chain_status(
@@ -78,9 +79,7 @@ def oracle_chain_status(
                     detail=f"kind of {here} leaves the import-connected component "
                     f"({target_mod} is not related to {cur_mod})",
                 )
-        next_rel = suite.get_relation(target_mod, target_name)
-        assert next_rel is not None
-        cur_mod, cur_rel = target_mod, next_rel
+        cur_mod, cur_rel = target_mod, next(r for r in suite.modules[target_mod].relations if r.name == target_name)
 
 
 def oracle_enrichment_root(suite: ResolvedSuite, module_name: str, term_name: str) -> str:

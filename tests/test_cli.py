@@ -4,6 +4,7 @@ and the pause of the cyclic garbage collector during a command."""
 from __future__ import annotations
 
 import gc
+import io
 import json
 import os
 import random
@@ -98,6 +99,33 @@ def test_validate_recurses_nested_directories(tmp_path, capsys):
     rc, out, _ = invoke(capsys, "validate", str(tmp_path))
     assert rc == 0
     assert out == "0 errors, 0 warnings\n"
+
+
+def test_a_file_name_that_is_not_utf8_is_reported_as_utf8(tmp_path, capsys, monkeypatch):
+    """A name's bytes that are not UTF-8 appear as `\\xNN` in the report,
+    which stays valid UTF-8 on a strict stdout and in an `--out` file."""
+    raw = os.path.join(os.fsencode(tmp_path), b"\xffbad.onto")
+    try:
+        with open(raw, "wb") as fh:
+            fh.write(b"ontology MyFO at FO { }\n")
+    except OSError:
+        pytest.skip("the file system refuses a file name that is not UTF-8")
+    shown = os.fsencode(tmp_path).decode("utf-8", "backslashreplace") + "/\\xffbad.onto"
+    out_file = tmp_path / "report.json"
+    assert invoke(capsys, "validate", str(tmp_path), "--format", "json", "--out", str(out_file))[:2] == (1, "")
+    report = json.loads(out_file.read_bytes().decode("utf-8", "strict"))
+    assert [d["file"] for d in report["diagnostics"]] == [shown]
+
+    for fmt in ("json", "text"):
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run(["validate", str(tmp_path), "--format", fmt]) == 1
+        stdout.flush()
+        text = stdout.buffer.getvalue().decode("utf-8", "strict")
+        if fmt == "json":
+            assert json.loads(text) == report
+        else:
+            assert text.startswith(f"{shown}:1:1: error[E201] ")
 
 
 def test_validate_unreadable_path_is_exit_2(capsys):

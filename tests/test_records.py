@@ -21,6 +21,7 @@ from test_file_order import suites
 from ontoarch import cli
 from ontoarch.model import (
     AttrPair,
+    ChainStatus,
     Fact,
     ImportRef,
     Individual,
@@ -39,7 +40,7 @@ from ontoarch.model import (
 from ontoarch.parser import parse_suite
 from ontoarch.reporting import Diagnostic
 from ontoarch.source import SourceSpan
-from ontoarch.validator import ChainStatus, RuleId, Violation, validate_suite
+from ontoarch.validator import RuleId, Violation, validate_suite
 
 SPAN = SourceSpan("a.onto", 1, 1, 1, 5)
 OTHER_SPAN = SourceSpan("b.onto", 2, 3, 4, 5)
@@ -118,8 +119,15 @@ RECORDS = (
     ),
     (
         ChainStatus,
-        {"outcome": "foundational", "key": "belongsTo", "detail": ""},
-        {"outcome": "cycle", "key": None, "detail": "kind chain cycles: M.r -> M.r"},
+        {"outcome": "foundational", "key": "belongsTo", "detail": "", "cycle": (), "index": 0, "escapes": False},
+        {
+            "outcome": "dead_end",
+            "key": None,
+            "detail": "kind of M.r leaves the import-connected component (N is not related to M)",
+            "cycle": ("M.r", "M.s"),
+            "index": 1,
+            "escapes": True,
+        },
     ),
 )
 
