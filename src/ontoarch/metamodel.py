@@ -57,7 +57,6 @@ class RelationshipSpec:
     definition: str
     #: (min, max) on the target end; max None = unbounded; None = unconstrained.
     multiplicity: tuple[int, int | None] | None = None
-    cardinality_severity: str = "warning"
     axiom_links: frozenset[str] = frozenset()
     notes: tuple[str, ...] = ()
 
@@ -419,9 +418,6 @@ _TERMS: tuple[FoundationalTermSpec, ...] = (
 
 _TERM_INDEX: dict[str, FoundationalTermSpec] = {t.id: t for t in _TERMS}
 
-#: The five taxonomy roots, in catalog order.
-ROOT_IDS: tuple[str, ...] = ("Thing", "Property", "Power", "ThingCategory", "Assertion")
-
 
 # ---------------------------------------------------------------------------
 # Properties. Machine keys are the snake-cased catalog names; the `name`
@@ -549,7 +545,6 @@ _RELATIONSHIPS: tuple[RelationshipSpec, ...] = (
             "or update the status of the Thing's properties."
         ),
         multiplicity=(1, None),
-        cardinality_severity="warning",
         axiom_links=frozenset({"A2"}),
         notes=(
             "This relationship represents internal actions, i.e., on the same "
@@ -827,4 +822,4 @@ def relationship_variants(key: str) -> tuple[RelationshipSpec, ...]:
 
 
 def is_relationship_key(key: str) -> bool:
-    return any(r.key == key for r in _RELATIONSHIPS)
+    return key in RELATIONSHIP_KEYS

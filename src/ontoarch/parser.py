@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NoReturn
 
 from .metamodel import WORLD_PREDICATES
 from .model import (
@@ -311,43 +312,48 @@ class _Parser:
             raise self.fail("expected '{'", i)
         i += 1
         imports: list[ImportRef] = []
-        body: list[TermDef | RelationDecl] = []
         while toks[i][1] == "imports":
             target = toks[i + 1]
             if target[0] is not TokenKind.IDENT:
                 raise self.fail("expected imported module name", i + 1)
             imports.append(ImportRef(target[1], _token_span(path, target)))
             i += 2
+        body, last, i = self.parse_body(i, _MODULE_BODY, _MODULE_SYNC, "expected 'term', 'relation' or '}'")
+        span = SourceSpan(path, start[3], start[4], last[3], last[5])
+        return OntologyModule(name[1], level, tuple(imports), tuple(body), span), i
+
+    def parse_body(self, i: int, productions: dict, sync: tuple[str, ...], expected: str) -> tuple[list, tuple, int]:
+        """The declarations of a block from token `i` up to its closing
+        brace. `productions` maps each declaration keyword to the `_Parser`
+        function that parses it. A declaration that fails to parse is skipped
+        up to the next `sync` keyword; if recovery consumes the closing brace
+        or reaches a top-level keyword, the block ends there. Returns the
+        declarations, the block's last token and the index after the block."""
+        toks = self.toks
+        body = []
         while i < self.end:
             lexeme = toks[i][1]
             if lexeme == "}":
                 break
             try:
-                if lexeme == "term":
-                    decl, i = self.parse_term(i)
-                elif lexeme == "relation":
-                    decl, i = self.parse_relation(i)
-                elif lexeme == "imports":
-                    raise self.fail("imports must precede term and relation declarations", i)
-                else:
-                    raise self.fail("expected 'term', 'relation' or '}'", i)
+                production = productions.get(lexeme)
+                if production is None:
+                    raise self.fail(expected, i)
+                decl, i = production(self, i)
                 body.append(decl)
             except _ParseError:
-                i = self.skip_to(self.pos, _MODULE_SYNC)
+                i = self.skip_to(self.pos, sync)
                 if toks[i - 1][1] == "}":
-                    # recovery consumed the module's closing brace
-                    last = toks[i - 1]
-                elif toks[i][1] in _TOP_SYNC:
-                    last = toks[i]
-                else:
-                    continue
-                span = SourceSpan(path, start[3], start[4], last[3], last[5])
-                return OntologyModule(name[1], level, tuple(imports), tuple(body), span), i
+                    return body, toks[i - 1], i
+                if toks[i][1] in _TOP_SYNC:
+                    return body, toks[i], i
         close = toks[i]
         if close[1] != "}":
             raise self.fail("expected '}'", i)
-        span = SourceSpan(path, start[3], start[4], close[3], close[5])
-        return OntologyModule(name[1], level, tuple(imports), tuple(body), span), i + 1
+        return body, close, i + 1
+
+    def misplaced_imports(self, i: int) -> NoReturn:
+        raise self.fail("imports must precede term and relation declarations", i)
 
     def parse_term(self, i: int) -> tuple[TermDef, int]:
         toks, path = self.toks, self.path
@@ -412,35 +418,9 @@ class _Parser:
             raise self.fail("expected module name", i + 2)
         if toks[i + 3][1] != "{":
             raise self.fail("expected '{'", i + 3)
-        i += 4
-        body: list[Individual | World] = []
-        while i < self.end:
-            lexeme = toks[i][1]
-            if lexeme == "}":
-                break
-            try:
-                if lexeme == "individual":
-                    decl, i = self.parse_individual(i)
-                elif lexeme == "world":
-                    decl, i = self.parse_world(i)
-                else:
-                    raise self.fail("expected 'individual', 'world' or '}'", i)
-                body.append(decl)
-            except _ParseError:
-                i = self.skip_to(self.pos, _INSTANCE_SYNC)
-                if toks[i - 1][1] == "}":
-                    last = toks[i - 1]
-                elif toks[i][1] in _TOP_SYNC:
-                    last = toks[i]
-                else:
-                    continue
-                span = SourceSpan(path, start[3], start[4], last[3], last[5])
-                return InstanceFile(module[1], tuple(body), span), i
-        close = toks[i]
-        if close[1] != "}":
-            raise self.fail("expected '}'", i)
-        span = SourceSpan(path, start[3], start[4], close[3], close[5])
-        return InstanceFile(module[1], tuple(body), span), i + 1
+        body, last, i = self.parse_body(i + 4, _INSTANCE_BODY, _INSTANCE_SYNC, "expected 'individual', 'world' or '}'")
+        span = SourceSpan(path, start[3], start[4], last[3], last[5])
+        return InstanceFile(module[1], tuple(body), span), i
 
     def parse_individual(self, i: int) -> tuple[Individual, int]:
         toks = self.toks
@@ -558,6 +538,12 @@ class _Parser:
             raise self.fail("expected ')'", i)
         span = SourceSpan(self.path, pred[3], pred[4], close[3], close[5])
         return Fact(pred[1], left, right, span), i + 1
+
+
+#: Block productions by their first keyword, as plain functions: bound
+#: methods kept on a parser would make a reference cycle.
+_MODULE_BODY = {"term": _Parser.parse_term, "relation": _Parser.parse_relation, "imports": _Parser.misplaced_imports}
+_INSTANCE_BODY = {"individual": _Parser.parse_individual, "world": _Parser.parse_world}
 
 
 def parse_suite(files: list[tuple[str, str]]) -> tuple[SuiteAst, list[Diagnostic]]:

@@ -41,14 +41,10 @@ class Diagnostic:
         return severity_of(self.code)
 
     def sort_key(self) -> tuple:
-        return (
-            self.span.file,
-            self.span.start_line,
-            self.span.start_col,
-            0 if self.severity == "error" else 1,
-            self.code,
-            self.message,
-        )
+        """Order by place, then code. Every code starts with its severity's
+        letter and "E" < "W", so at one place errors come before warnings."""
+        span = self.span
+        return (span.file, span.start_line, span.start_col, self.code, self.message)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ functions returning violations; nothing here raises on bad suites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 from . import metamodel
@@ -26,45 +25,24 @@ from .reporting import CODE_CATALOG, Diagnostic
 from .source import SourceSpan
 
 
-class RuleId(Enum):
-    G1 = "G1"
-    G2 = "G2"
-    R1 = "R1"
-    R2 = "R2"
-    R3 = "R3"
-    A1 = "A1"
-    A2 = "A2"
-    A3 = "A3"
-    REL_CONFORMANCE = "RelConformance"
-    PROP_CONFORMANCE = "PropConformance"
-    CARDINALITY = "Cardinality"
-
-
-#: Each rule by its catalog name, so a finding looks its rule up without a
-#: call to `RuleId`.
-_RULE_IDS: dict[str, RuleId] = {r.value: r for r in RuleId}
-
-
 @dataclass(slots=True, unsafe_hash=True)
 class Violation:
-    """One falsified rule with a witness sufficient to re-derive it by hand."""
+    """One falsified rule with a witness sufficient to re-derive it by hand.
+    `rule` is the rule's name in the code catalog, such as "R1"."""
 
-    rule: RuleId
+    rule: str
     code: str
     message: str
     span: SourceSpan
     witness: str = ""
     anchor: str = ""
 
-    def sort_key(self) -> tuple:
-        return (self.span.file, self.span.start_line, self.span.start_col, self.code, self.message)
-
     def to_diagnostic(self) -> Diagnostic:
         return Diagnostic(
             code=self.code,
             message=self.message,
             span=self.span,
-            rule=self.rule.value,
+            rule=self.rule,
             anchor=self.anchor,
             witness=self.witness or None,
         )
@@ -73,7 +51,7 @@ class Violation:
 def _violation(code: str, message: str, span: SourceSpan, witness: str = "", anchor: str | None = None) -> Violation:
     doc = CODE_CATALOG[code]
     return Violation(
-        rule=_RULE_IDS[doc.rule],
+        rule=doc.rule,
         code=code,
         message=message,
         span=span,
@@ -477,7 +455,8 @@ def check_property_conformance(suite: ResolvedSuite) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 def validate_suite(suite: ResolvedSuite) -> list[Violation]:
-    """Run every check and emit the findings sorted by (file, span, code).
+    """Run every check and emit the findings in check order; `Report.build`
+    orders them.
 
     No check re-derives another's findings, so each one is reported once;
     a fact listed twice in a world is two findings."""
@@ -490,7 +469,7 @@ def validate_suite(suite: ResolvedSuite) -> list[Violation]:
     collected.extend(check_property_conformance(suite))
     for _, world in suite.all_worlds():
         collected.extend(check_axioms(world))
-    return sorted(collected, key=Violation.sort_key)
+    return collected
 
 
 def violations_to_diagnostics(violations: Iterable[Violation]) -> list[Diagnostic]:

@@ -16,6 +16,7 @@ from ontoarch.metamodel import (
     is_descendant,
     root_kind,
 )
+from ontoarch.reporting import severity_of
 
 ROOTS = {"Thing", "Property", "Power", "ThingCategory", "Assertion"}
 
@@ -175,7 +176,7 @@ def test_belongs_to_multiplicity():
 def test_acts_upon_multiplicity_is_a_warning():
     (spec,) = metamodel.relationship_variants("actsUpon")
     assert spec.multiplicity == (1, None)
-    assert spec.cardinality_severity == "warning"
+    assert severity_of("W301") == "warning"
 
 
 def test_is_seen_as_other_carries_no_cardinality():

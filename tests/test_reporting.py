@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 from conftest import FIXTURES, load_fig2, mutate
 
@@ -118,6 +119,13 @@ def test_counts_equal_list_tallies():
     )
     assert report.error_count == 2
     assert report.warning_count == 1
+
+
+def test_every_code_is_a_severity_letter_and_three_digits():
+    """`Diagnostic.sort_key` orders errors before warnings at one place by
+    the code alone, which holds because "E" < "W"."""
+    for code in CODE_CATALOG:
+        assert re.fullmatch(r"[EW]\d{3}", code), code
 
 
 def test_severity_derived_from_code_prefix():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_check_axioms
 
+from ontoarch.cli import build_report
 from ontoarch.model import (
     Fact,
     InstanceFile,
@@ -17,6 +18,7 @@ from ontoarch.model import (
     resolve,
 )
 from ontoarch.parser import parse_suite
+from ontoarch.reporting import CODE_CATALOG
 from ontoarch.source import SourceSpan
 from ontoarch.validator import (
     check_architecture,
@@ -90,7 +92,7 @@ def test_user_fo_module_is_e201():
     suite = resolve_src("ontology MyFO at FO { }")
     violations = check_architecture(suite)
     assert codes(violations) == ["E201"]
-    assert violations[0].rule.value == "G2"
+    assert violations[0].rule == "G2"
     assert "only one foundational ontology" in violations[0].anchor
 
 
@@ -549,15 +551,22 @@ def test_scope_on_non_assertion_root_is_w203():
 # Orchestration.
 # ---------------------------------------------------------------------------
 
-def test_validate_suite_is_sorted_and_deduplicated():
+def test_validate_suite_reports_each_finding_once_in_check_order():
     suite = resolve_src(
         "ontology A at TDO { term X enriches ThingFO.Thing relation r from X to X kind r }"
     )
     violations = validate_suite(suite)
-    assert codes(violations) == ["E211", "E212", "W202"]
-    keys = [v.sort_key() for v in violations]
-    assert keys == sorted(keys)
+    assert [v.code for v in violations] == ["E211", "E212", "W202"]
     assert len(set(violations)) == len(violations)
+
+
+def test_report_build_orders_findings_by_place():
+    """`check_architecture` runs first, so its E201 on line 2 comes before
+    Rule #1's E211 on line 1 until the report orders them."""
+    text = "ontology A at TDO { term X enriches ThingFO.Thing { description \"d\" } }\nontology MyFO at FO { }"
+    assert [v.code for v in validate_suite(resolve_src(text))] == ["E201", "E211"]
+    report = build_report([("f0.onto", text)])
+    assert [(d.span.start_line, d.code) for d in report.diagnostics] == [(1, "E211"), (2, "E201")]
 
 
 def test_a_fact_listed_twice_is_reported_twice():
@@ -588,5 +597,5 @@ def test_every_violation_carries_rule_and_anchor():
         "ontology MyFO at FO { }",
     )
     for v in validate_suite(suite):
-        assert v.rule is not None
+        assert v.rule == CODE_CATALOG[v.code].rule and isinstance(v.rule, str)
         assert v.anchor, v.code
