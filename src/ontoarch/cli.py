@@ -193,15 +193,15 @@ def _explain_code(code: str) -> str:
 def explain(topic: str) -> str | None:
     """Catalog entry or diagnostic documentation for a topic; None when
     the topic is unknown."""
-    code = topic.upper()
-    if code in CODE_CATALOG:
-        return _explain_code(code)
-    if topic in AXIOMS:
-        ax = AXIOMS[topic]
-        return f"{topic}: {ax.description}\nformula: {ax.formula}\n"
-    if topic in ARCHITECTURE_RULES:
-        kind = "Guideline" if topic.startswith("G") else "Rule"
-        return f"{kind} #{topic[1:]} ({topic}): {ARCHITECTURE_RULES[topic]}\n"
+    ident = topic.upper()  # codes, axioms and rules are matched in any case
+    if ident in CODE_CATALOG:
+        return _explain_code(ident)
+    if ident in AXIOMS:
+        ax = AXIOMS[ident]
+        return f"{ident}: {ax.description}\nformula: {ax.formula}\n"
+    if ident in ARCHITECTURE_RULES:
+        kind = "Guideline" if ident.startswith("G") else "Rule"
+        return f"{kind} #{ident[1:]} ({ident}): {ARCHITECTURE_RULES[ident]}\n"
     lowered = topic.lower()
     for spec in metamodel.all_term_specs():
         if lowered == spec.id.lower() or lowered == spec.display.lower() or any(

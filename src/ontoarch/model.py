@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import metamodel
 from .metamodel import BUILTIN_MODULE
@@ -194,7 +194,7 @@ class ChainStatus:
     level, other module) inside import components; `escapes` when it takes
     one. A cycle is its members' names in walk order, shared by them all."""
 
-    outcome: str  # "foundational" | "escape" | "dead_end" | "cycle" | "downward"
+    outcome: str  # "foundational" | "dead_end" | "cycle" | "downward"
     key: str | None = None  # the foundational relationship reached
     detail: str = ""  # why a "downward" or "dead_end" chain ends
     cycle: tuple[str, ...] = ()
@@ -219,14 +219,14 @@ class ResolvedSuite:
 
     def __init__(self, modules: dict[str, OntologyModule], instance_files: list[InstanceFile],
                  terms: dict[tuple[str, str], TermDef], relations: dict[tuple[str, str], RelationDecl],
-                 roots: dict[tuple[str, str], str | tuple[str, str]], components: dict[str, frozenset[str]],
+                 roots: dict[tuple[str, str], str | None], components: dict[str, frozenset[str]],
                  kind_chains: dict[tuple[str, str], ChainStatus]):
         self.modules = modules
         self.instance_files: tuple[InstanceFile, ...] = tuple(instance_files)
         self._terms = terms
         self._relations = relations
-        # A term's foundational root, or the (module, term) of the term whose
-        # missing `enriches` breaks its chain.
+        # Each term's foundational root, or None where a missing `enriches`
+        # breaks its chain; ThingFO's terms are their own roots.
         self._enrichment_roots = roots
         #: Each module's import-connected component of same-level modules.
         self.components = components
@@ -264,27 +264,24 @@ class ResolvedSuite:
             return (context_module, ref.primary)
         return (ref.primary, ref.part)
 
-    def enrichment_root(self, module_name: str, term_name: str) -> str:
-        """Foundational term reached by following `enriches` links upward.
+    def enrichment_root(self, module_name: str, term_name: str) -> str | None:
+        """Foundational term reached by following `enriches` links upward;
+        None for a chain broken by a missing enrichment link (possible only
+        on programmatically built terms)."""
+        return self._enrichment_roots[(module_name, term_name)]
 
-        Raises KeyError for a chain broken by a missing enrichment link
-        (possible only on programmatically built terms)."""
-        if module_name == BUILTIN_MODULE:
-            if not metamodel.is_term(term_name):
-                raise KeyError(f"unknown foundational term {term_name}")
-            return term_name
-        root = self._enrichment_roots[(module_name, term_name)]
-        if isinstance(root, tuple):
-            raise KeyError(f"term {root[0]}.{root[1]} has no enrichment target")
-        return root
 
-    def try_enrichment_root(self, module_name: str, term_name: str) -> str | None:
-        """Like `enrichment_root`, but None for chains broken by a missing
-        enrichment link."""
-        try:
-            return self.enrichment_root(module_name, term_name)
-        except KeyError:
-            return None
+def _flood(start: str, seen: set[str], step: Callable[[str], Iterable[str]]) -> list[str]:
+    """`start` and every module not yet `seen` that `step` leads to from it,
+    in the order reached; marks them all seen."""
+    group = [start]
+    seen.add(start)
+    for v in group:  # the group grows while it is read
+        for w in step(v):
+            if w not in seen:
+                seen.add(w)
+                group.append(w)
+    return group
 
 
 class _Resolver:
@@ -297,7 +294,9 @@ class _Resolver:
         self.modules: dict[str, OntologyModule] = {}
         self.terms: dict[tuple[str, str], TermDef] = {}
         self.relations: dict[tuple[str, str], RelationDecl] = {}
-        self.roots: dict[tuple[str, str], str | tuple[str, str]] = {}
+        self.roots: dict[tuple[str, str], str | None] = {
+            (BUILTIN_MODULE, spec.id): spec.id for spec in metamodel.all_term_specs()
+        }
         self.components: dict[str, frozenset[str]] = {}
         self.kind_chains: dict[tuple[str, str], ChainStatus] = {}
 
@@ -321,83 +320,63 @@ class _Resolver:
                     table[(m.name, decl.name)] = decl
 
     def check_imports(self) -> None:
+        # One walk over each module's imports reports E104/E101 and keeps the
+        # edges between known modules both ways; then a Kosaraju-Sharir pass
+        # finds the import cycles (E103) and a flood the same-level import
+        # components. Nothing recurses, so long import chains cannot overflow.
+        imports: dict[str, list[str]] = {name: [] for name in self.modules}
+        importers: dict[str, list[str]] = {name: [] for name in self.modules}
         for m in self.modules.values():
             for imp in m.imports:
                 if imp.name == m.name:
                     self.error("E104", f"module {m.name} imports itself", imp.span)
-                elif imp.name != BUILTIN_MODULE and imp.name not in self.modules:
+                elif imp.name in self.modules:
+                    imports[m.name].append(imp.name)
+                    importers[imp.name].append(m.name)
+                elif imp.name != BUILTIN_MODULE:
                     # ThingFO is implicitly visible; importing it resolves but
                     # is a cross-level import, flagged by the validator.
                     self.error("E101", f"import of unknown module {imp.name}", imp.span)
-
-    def check_import_cycles(self) -> None:
-        graph = {
-            name: sorted(
-                {i.name for i in m.imports if i.name in self.modules and i.name != name}
-            )
-            for name, m in self.modules.items()
-        }
-        # Tarjan's algorithm with an explicit stack of (node, next successor
-        # position), so arbitrarily long import chains cannot overflow.
-        index: dict[str, int] = {}
-        lowlink: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        sccs: list[list[str]] = []
-        for root in sorted(graph):
-            if root in index:
+        # Depth-first over imports, listing each module as its walk finishes.
+        finished: list[str] = []
+        seen: set[str] = set()
+        for root in self.modules:
+            if root in seen:
                 continue
-            index[root] = lowlink[root] = len(index)
-            stack.append(root)
-            on_stack.add(root)
-            work = [(root, 0)]
-            while work:
-                v, i = work[-1]
-                successors = graph[v]
-                if i < len(successors):
-                    work[-1] = (v, i + 1)
-                    w = successors[i]
-                    if w not in index:
-                        index[w] = lowlink[w] = len(index)
-                        stack.append(w)
-                        on_stack.add(w)
-                        work.append((w, 0))
-                    elif w in on_stack:
-                        lowlink[v] = min(lowlink[v], index[w])
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[v])
-                if lowlink[v] == index[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        component.append(w)
-                        if w == v:
-                            break
-                    if len(component) > 1:
-                        sccs.append(sorted(component))
-        for component in sorted(sccs):
-            head = self.modules[component[0]]
-            self.error("E103", "import cycle: " + " -> ".join(component + [component[0]]), head.span)
+            seen.add(root)
+            stack = [(root, iter(imports[root]))]
+            while stack:
+                v, successors = stack[-1]
+                for w in successors:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append((w, iter(imports[w])))
+                        break
+                else:
+                    stack.pop()
+                    finished.append(v)
+        # Latest finisher first, the modules not yet placed that reach a
+        # module back along imports form its strongly connected component.
+        seen.clear()
+        cycles = []
+        for v in reversed(finished):
+            if v not in seen:
+                scc = _flood(v, seen, importers.__getitem__)
+                if len(scc) > 1:
+                    cycles.append(sorted(scc))
+        for cycle in sorted(cycles):
+            self.error("E103", "import cycle: " + " -> ".join(cycle + [cycle[0]]), self.modules[cycle[0]].span)
         # Same-level import components: connected over import edges taken
         # as undirected, keeping only edges between modules of one level.
-        neighbors: dict[str, set[str]] = {name: set() for name in graph}
-        for v, successors in graph.items():
-            for w in successors:
-                if self.modules[w].level is self.modules[v].level:
-                    neighbors[v].add(w)
-                    neighbors[w].add(v)
-        for start in graph:
-            if start not in self.components:
-                group, queue = {start}, [start]
-                while queue:
-                    for w in neighbors[queue.pop()] - group:
-                        group.add(w)
-                        queue.append(w)
-                self.components.update(dict.fromkeys(group, frozenset(group)))
+        def same_level(v: str) -> Iterator[str]:
+            level = self.modules[v].level
+            return (w for w in imports[v] + importers[v] if self.modules[w].level is level)
+
+        seen.clear()
+        for name in self.modules:
+            if name not in seen:
+                group = frozenset(_flood(name, seen, same_level))
+                self.components.update(dict.fromkeys(group, group))
 
     def check_module_bodies(self) -> None:
         for m in self.modules.values():
@@ -549,12 +528,10 @@ class _Resolver:
                     if enriches is None:
                         break
                     key = (enriches.module or key[0], enriches.name)
-                if key in pending:  # the term lacking `enriches`, or a cycle (E105)
-                    root = key
-                elif key[0] == BUILTIN_MODULE:
-                    root = key[1]
-                else:  # judged by an earlier walk, or unbound (E101)
-                    root = self.roots.get(key)
+                # Still pending: the term lacking `enriches`, or a cycle
+                # (E105). Otherwise a ThingFO term, a term an earlier walk
+                # judged, or an unbound one (E101).
+                root = None if key in pending else self.roots.get(key)
                 for visited in path:
                     del pending[visited]
                     self.roots[visited] = root
@@ -614,7 +591,6 @@ def resolve(
     r = _Resolver(list(modules), list(instance_files))
     r.register_modules()
     r.check_imports()
-    r.check_import_cycles()
     r.check_module_bodies()
     r.check_instances()
     r.check_enrichment_cycles()

@@ -106,19 +106,15 @@ def check_architecture(suite: ResolvedSuite) -> list[Violation]:
 # Kind chains (shared by Rule #1, Rule #2 and relationship conformance).
 # ---------------------------------------------------------------------------
 
-_ESCAPE = ChainStatus("escape")
-
-
-def chain_status(suite: ResolvedSuite, module_name: str, rel: RelationDecl, joint: bool) -> ChainStatus:
+def chain_status(suite: ResolvedSuite, module_name: str, rel: RelationDecl) -> ChainStatus:
     """Where a relation's `kind` links end, as resolution recorded it.
 
     Hops to a higher level or within the same module are always followed.
-    Lateral hops (same level, other module) escape unless `joint` (Rule #1
-    leaves them to Rule #2); jointly they must stay inside the hop source's
-    import-connected component. Hops toward a more concrete level never
-    terminate."""
-    status = suite.kind_chains[(module_name, rel.name)]
-    return _ESCAPE if status.escapes and not joint else status
+    Lateral hops (same level, other module) must stay inside the hop
+    source's import-connected component, and a chain that takes one
+    `escapes` its module: Rule #1 leaves it to Rule #2, which judges the
+    joint definition. Hops toward a more concrete level never terminate."""
+    return suite.kind_chains[(module_name, rel.name)]
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +149,8 @@ def check_rule1(suite: ResolvedSuite) -> list[Violation]:
                     )
                 )
         for r in module.relations:
-            status = chain_status(suite, module.name, r, False)
-            if status.outcome in ("cycle", "downward"):
+            status = chain_status(suite, module.name, r)
+            if not status.escapes and status.outcome in ("cycle", "downward"):
                 detail = status.text
                 out.append(
                     _violation(
@@ -181,12 +177,10 @@ def check_rule2(suite: ResolvedSuite) -> list[Violation]:
     out: list[Violation] = []
     joined = {component: ", ".join(sorted(component)) for component in set(suite.components.values())}
     for module_name, r in suite.all_relations():
-        if chain_status(suite, module_name, r, False).outcome != "escape":
-            continue
-        joint = chain_status(suite, module_name, r, True)
-        if joint.outcome in ("cycle", "downward", "dead_end"):
+        status = chain_status(suite, module_name, r)
+        if status.escapes and status.outcome in ("cycle", "downward", "dead_end"):
             members = joined[suite.components[module_name]]
-            detail = joint.text
+            detail = status.text
             out.append(
                 _violation(
                     "E221",
@@ -206,7 +200,7 @@ def check_rule2(suite: ResolvedSuite) -> list[Violation]:
 def _classify_individual(
     suite: ResolvedSuite, name: str, type_mod: str, type_name: str, span: SourceSpan, where: str
 ) -> Violation | None:
-    anchor = suite.try_enrichment_root(type_mod, type_name)
+    anchor = suite.enrichment_root(type_mod, type_name)
     if anchor is None:
         return None  # broken enrichment chain, already flagged as E213
     root = metamodel.root_kind(anchor)
@@ -317,14 +311,14 @@ _TERM_TARGET_CODES = {"ThingCategory": "E232", "Assertion": "E233"}
 def check_relationship_conformance(suite: ResolvedSuite) -> list[Violation]:
     out: list[Violation] = []
     for module_name, r in suite.all_relations():
-        status = chain_status(suite, module_name, r, True)
+        status = chain_status(suite, module_name, r)
         if status.outcome != "foundational":
             continue  # chain failures belong to Rule #1 / Rule #2
         variants = metamodel.relationship_variants(status.key or "")
         from_term = suite.term_target(r.from_ref, module_name)
         to_term = suite.term_target(r.to_ref, module_name)
-        from_root = suite.try_enrichment_root(*from_term)
-        to_root = suite.try_enrichment_root(*to_term)
+        from_root = suite.enrichment_root(*from_term)
+        to_root = suite.enrichment_root(*to_term)
         if from_root is None or to_root is None:
             continue  # endpoint chain broken, already flagged as E213
         ok = any(
@@ -352,7 +346,7 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Violation]:
             code = _TERM_TARGET_CODES.get(spec.range)
             if code is not None:
                 mod, name = suite.world_term_target(fact.right, f.of_module)
-                anchor = suite.try_enrichment_root(mod, name)
+                anchor = suite.enrichment_root(mod, name)
                 if anchor is None:
                     continue  # broken enrichment chain, already flagged as E213
                 root = metamodel.root_kind(anchor)
@@ -412,7 +406,7 @@ def _check_cardinality(world: World) -> list[Violation]:
 def check_property_conformance(suite: ResolvedSuite) -> list[Violation]:
     out: list[Violation] = []
     for module_name, t in suite.all_terms():
-        anchor = suite.try_enrichment_root(module_name, t.name)
+        anchor = suite.enrichment_root(module_name, t.name)
         if anchor is None:
             continue  # broken enrichment chain, already flagged as E213
         root = metamodel.root_kind(anchor)

@@ -4,10 +4,14 @@
 outcomes and enrichment roots that resolution records for `chain_status`
 and `ResolvedSuite.enrichment_root`: both walk the whole chain from scratch on
 every call and detect cycles by scanning the list of visited links; neither
-reads nor writes any cache. `oracle_components` checks the same-level import
-components that resolution records in `ResolvedSuite.components` with a
-breadth-first search from each module. `oracle_check_axioms` checks the
-edge-wise `check_axioms` by enumerating every quantifier instantiation.
+reads nor writes any cache. `oracle_chain_status` also keeps the module-local
+mode, where a lateral hop ends the chain as an "escape". `oracle_components`
+checks the same-level import components that resolution records in
+`ResolvedSuite.components` with a breadth-first search from each module.
+`oracle_import_cycles` checks the import cycles (E103) that resolution
+reports: it finds which modules reach each other by a breadth-first search
+from every module. `oracle_check_axioms` checks the edge-wise
+`check_axioms` by enumerating every quantifier instantiation.
 `oracle_tokenize` checks the regex scanner `tokenize`: it walks the text one
 character at a time and returns `Token` objects, where `tokenize` returns
 plain tuples. `oracle_parse_file` checks the index-based `parser._Parser`:
@@ -82,18 +86,18 @@ def oracle_chain_status(
         cur_mod, cur_rel = target_mod, next(r for r in suite.modules[target_mod].relations if r.name == target_name)
 
 
-def oracle_enrichment_root(suite: ResolvedSuite, module_name: str, term_name: str) -> str:
-    """The root name, or the `KeyError` message `enrichment_root` must raise."""
+def oracle_enrichment_root(suite: ResolvedSuite, module_name: str, term_name: str) -> str | None:
+    """The root name, or None where a term lacking `enriches` breaks the chain."""
     chain: list[tuple[str, str]] = []
     mod, name = module_name, term_name
     while mod != BUILTIN_MODULE:
         chain.append((mod, name))
         term = suite.get_term(mod, name)
         if term.enriches is None:
-            return f"KeyError: term {mod}.{name} has no enrichment target"
+            return None
         mod, name = suite.term_target(term.enriches, mod)
         if (mod, name) in chain:
-            return f"KeyError: enrichment cycle through {module_name}.{term_name}"
+            return f"enrichment cycle through {module_name}.{term_name}"
     return name
 
 
@@ -115,6 +119,33 @@ def oracle_components(suite: ResolvedSuite) -> dict[str, frozenset[str]]:
             queue += [m for m in modules if linked(cur, m) and m.name not in [q.name for q in queue]]
         out[start.name] = frozenset(m.name for m in queue)
     return out
+
+
+def oracle_import_cycles(modules: list[OntologyModule]) -> list[tuple[str, SourceSpan]]:
+    """Each E103 as its message and span: the modules that reach each other
+    along imports, found by a breadth-first search from every module. Only
+    the modules resolution registers count: the first of each name in
+    source order, and none named like ThingFO."""
+    registered: dict[str, OntologyModule] = {}
+    for m in sorted(modules, key=lambda m: m.span):
+        if m.name != BUILTIN_MODULE and m.name not in registered:
+            registered[m.name] = m
+
+    def reach(start: str) -> list[str]:
+        queue = [start]
+        for cur in queue:  # the queue grows while it is read
+            for imp in registered[cur].imports:
+                if imp.name in registered and imp.name not in queue:
+                    queue.append(imp.name)
+        return queue
+
+    reaches = {name: reach(name) for name in registered}
+    groups = {tuple(sorted(b for b in reaches[a] if a in reaches[b])) for a in registered}
+    return [
+        ("import cycle: " + " -> ".join(group + group[:1]), registered[group[0]].span)
+        for group in sorted(groups)
+        if len(group) > 1
+    ]
 
 
 def _facts_of(world: World, predicate: str) -> list[Fact]:

@@ -9,13 +9,14 @@ from collections import Counter
 
 from hypothesis import event, given, settings, strategies as st
 
-from oracles import oracle_chain_status, oracle_components, oracle_enrichment_root
+from oracles import oracle_chain_status, oracle_components, oracle_enrichment_root, oracle_import_cycles
 from test_file_order import suites
 
 from ontoarch import metamodel, model
 from ontoarch.cli import build_report
 from ontoarch.metamodel import BUILTIN_MODULE
 from ontoarch.model import (
+    ChainStatus,
     ImportRef,
     Level,
     OntologyModule,
@@ -26,6 +27,7 @@ from ontoarch.model import (
     resolve,
 )
 from ontoarch.parser import parse_suite
+from ontoarch.source import SourceSpan
 from ontoarch.validator import chain_status
 
 DEPTH = 10_000
@@ -93,11 +95,10 @@ def _fresh(modules: list[OntologyModule]) -> ResolvedSuite:
     return suite
 
 
-def _root(suite: ResolvedSuite, module: str, term: str) -> str:
-    try:
-        return suite.enrichment_root(module, term)
-    except KeyError as exc:
-        return f"KeyError: {exc.args[0]}"
+def _local(status: ChainStatus) -> tuple[str, str | None]:
+    """The outcome and key of a chain followed inside its own module, where
+    a lateral hop ends it as an escape."""
+    return ("escape", None) if status.escapes else (status.outcome, status.key)
 
 
 @settings(max_examples=200, deadline=None)
@@ -105,16 +106,16 @@ def _root(suite: ResolvedSuite, module: str, term: str) -> str:
 def test_recorded_chains_and_roots_equal_naive_oracles(modules):
     suite = _fresh(modules)
     for module, rel in suite.all_relations():
-        for joint in (False, True):
+        status = chain_status(suite, module, rel)
+        for joint, got in ((False, _local(status)), (True, (status.outcome, status.key))):
             want = oracle_chain_status(suite, module, rel, suite.components if joint else None)
-            got = chain_status(suite, module, rel, joint)
-            lateral = " lateral" if got.outcome == "cycle" and suite.kind_chains[(module, rel.name)].escapes else ""
-            event(f"{'joint' if joint else 'local'} {got.outcome}{lateral}")
-            assert (got.outcome, got.key) == (want.outcome, want.key), (module, rel.name, joint)
+            lateral = " lateral" if got[0] == "cycle" and status.escapes else ""
+            event(f"{'joint' if joint else 'local'} {got[0]}{lateral}")
+            assert got == (want.outcome, want.key), (module, rel.name, joint)
             if want.outcome in ("cycle", "downward", "dead_end"):
-                assert got.text == want.detail, (module, rel.name, joint)
+                assert status.text == want.detail, (module, rel.name, joint)
     for module, term in suite.all_terms():
-        assert _root(suite, module, term.name) == oracle_enrichment_root(suite, module, term.name)
+        assert suite.enrichment_root(module, term.name) == oracle_enrichment_root(suite, module, term.name)
 
 
 def _resolved(files: list[tuple[str, str]]) -> ResolvedSuite | None:
@@ -130,6 +131,35 @@ def test_components_equal_the_naive_oracle(suite):
         return
     event(f"{len(set(suite.components.values()))} components over {len(suite.modules)} modules")
     assert suite.components == oracle_components(suite)
+
+
+@st.composite
+def import_graphs(draw) -> list[OntologyModule]:
+    """Up to seven empty modules at any level, some sharing a name, in a
+    random source order; each imports a few of the names, possibly its own or
+    one twice, ThingFO or a module no one declares."""
+    n = draw(st.integers(1, 7))
+    names = [f"M{i}" for i in range(n)]
+    targets = st.sampled_from(names + [BUILTIN_MODULE, "Nowhere"])
+    modules = []
+    for i in range(n):
+        name = names[draw(st.integers(0, i))] if draw(st.integers(0, 5)) == 0 else names[i]
+        level = draw(st.sampled_from((Level.CO, Level.CO, Level.CO, Level.TDO, Level.FO)))
+        imports = tuple(map(ImportRef, draw(st.lists(st.one_of(st.sampled_from(names), targets), max_size=4))))
+        span = SourceSpan(f"f{draw(st.integers(0, 9))}.onto", i + 1, 1, i + 1, 1)
+        modules.append(OntologyModule(name, level, imports, span=span))
+    return modules
+
+
+@settings(max_examples=300, deadline=None)
+@given(import_graphs())
+def test_import_cycles_and_components_equal_the_naive_oracles(modules):
+    suite, diagnostics = resolve(modules, [])
+    cycles = [(d.message, d.span) for d in diagnostics if d.code == "E103"]
+    event(f"{len(cycles)} import cycles" if suite is None else "resolved")
+    assert cycles == oracle_import_cycles(modules)
+    if suite is not None:
+        assert suite.components == oracle_components(suite)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +279,9 @@ def _traced_outcomes(modules: list[OntologyModule]) -> tuple[Counter, int, int]:
         suite = _fresh(modules)
         outcomes: Counter = Counter()
         for module, rel in suite.all_relations():
-            for joint in (False, True):
-                status = chain_status(suite, module, rel, joint)
-                outcomes[(joint, status.outcome, status.key)] += 1
+            status = chain_status(suite, module, rel)
+            outcomes[(False, *_local(status))] += 1
+            outcomes[(True, status.outcome, status.key)] += 1
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -260,11 +290,12 @@ def _traced_outcomes(modules: list[OntologyModule]) -> tuple[Counter, int, int]:
 
 def _assert_linear(retained: int, peak: int) -> None:
     # About 350 bytes a relation stay allocated (the declaration index, the
-    # import components and the one outcome table) and 850 at peak, inside
-    # the import-cycle pass. A per-relation text or rotation, or a second
+    # import components and the one outcome table) and 600 at peak on the
+    # lateral chain, inside the import pass: its graph kept both ways and
+    # its depth-first stack. A per-relation text or rotation, or a second
     # table, goes over.
     assert retained <= 450 * CHAIN_N
-    assert peak <= 1_200 * CHAIN_N
+    assert peak <= 700 * CHAIN_N
 
 
 def test_a_long_kind_cycle_is_stored_once():
@@ -277,7 +308,7 @@ def test_a_long_kind_cycle_is_stored_once():
     suite = _fresh(modules)
     names = [f"Loop.r{i}" for i in range(n)]
     for i in (0, 1, n - 1):
-        status = chain_status(suite, "Loop", body[i], False)
+        status = chain_status(suite, "Loop", body[i])
         assert status.text == "kind chain cycles: " + " -> ".join(names[i:] + names[:i + 1])
 
 
@@ -299,3 +330,21 @@ def test_a_long_lateral_chain_keeps_no_text_per_relation():
         (True, "foundational", "relatesWith"): n,
     })
     _assert_linear(retained, peak)
+
+
+def test_a_long_import_cycle_is_one_e103_in_linear_memory():
+    n = CHAIN_N
+    names = [f"M{i:05d}" for i in range(n)]
+    modules = [OntologyModule(name, Level.CO, (ImportRef(names[(i + 1) % n]),)) for i, name in enumerate(names)]
+    tracemalloc.start()
+    try:
+        suite, diagnostics = resolve(modules, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert suite is None
+    assert [(d.code, d.message) for d in diagnostics] == [("E103", "import cycle: " + " -> ".join(names + [names[0]]))]
+    # The import pass peaks near 550 bytes a module: the import graph kept
+    # both ways, the depth-first stack, the finishing list and one seen set.
+    # An index table or a set of neighbours per module on top goes over.
+    assert peak <= 650 * n

@@ -221,12 +221,19 @@ def test_explain_relationship_and_rule(capsys):
     rc, out, _ = invoke(capsys, "explain", "relatesWith")
     assert rc == 0
     assert out.count("->") >= 3
-    rc, out, _ = invoke(capsys, "explain", "R1")
+    for topic in ("R1", "r1"):
+        rc, out, _ = invoke(capsys, "explain", topic)
+        assert rc == 0
+        assert out.startswith("Rule #1 (R1): ")
+        assert "immediately higher level" in out
+    for topic in ("A1", "a1"):
+        rc, out, _ = invoke(capsys, "explain", topic)
+        assert rc == 0
+        assert out.startswith("A1: ")
+        assert "enables" in out
+    rc, out, _ = invoke(capsys, "explain", "g2")
     assert rc == 0
-    assert "immediately higher level" in out
-    rc, out, _ = invoke(capsys, "explain", "A1")
-    assert rc == 0
-    assert "enables" in out
+    assert out.startswith("Guideline #2 (G2): ")
 
 
 def test_explain_is_seen_as_other_says_other_is_not_checked(capsys):

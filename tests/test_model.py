@@ -241,7 +241,7 @@ def test_programmatic_term_without_enrichment_resolves():
     module = OntologyModule("A", Level.CO, body=(TermDef("X", None),))
     suite, diags = resolve([module], [])
     assert diags == []
-    assert suite.try_enrichment_root("A", "X") is None
+    assert suite.enrichment_root("A", "X") is None
 
 
 def test_qualified_ref_str_forms():
