@@ -50,10 +50,12 @@ def _collect_files(paths: list[str]) -> list[tuple[str, Path]]:
 
 
 def _read_files(paths: list[tuple[str, Path]]) -> list[tuple[str, str]]:
+    """Decode each file's bytes as UTF-8 as they are: no newline is
+    translated, so only a line feed ends a line, as in `build_report`."""
     out = []
     for name, path in paths:
         try:
-            out.append((name, path.read_text(encoding="utf-8")))
+            out.append((name, path.read_bytes().decode("utf-8")))
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {name}: {exc}") from exc
     return out

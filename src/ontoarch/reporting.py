@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from typing import Any, Iterable
 
 from .metamodel import ARCHITECTURE_RULES, AXIOMS
@@ -206,23 +207,18 @@ CODE_CATALOG: dict[str, CodeDoc] = {
 
 @dataclass(frozen=True)
 class Report:
-    """An ordered batch of diagnostics plus suite summary counts."""
+    """An ordered batch of diagnostics, their error and warning counts, and suite summary counts."""
 
     diagnostics: tuple[Diagnostic, ...]
     summary: dict[str, Any] = field(default_factory=dict)
+    error_count: int = 0
+    warning_count: int = 0
 
     @classmethod
     def build(cls, diagnostics: Iterable[Diagnostic], summary: dict[str, Any] | None = None) -> "Report":
         ordered = tuple(sorted(diagnostics, key=Diagnostic.sort_key))
-        return cls(diagnostics=ordered, summary=dict(summary or {}))
-
-    @property
-    def error_count(self) -> int:
-        return sum(1 for d in self.diagnostics if d.severity == "error")
-
-    @property
-    def warning_count(self) -> int:
-        return sum(1 for d in self.diagnostics if d.severity == "warning")
+        errors = [d.severity for d in ordered].count("error")
+        return cls(ordered, dict(summary or {}), errors, len(ordered) - errors)
 
 
 def _plural(n: int, word: str) -> str:
@@ -244,33 +240,38 @@ def render_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _diagnostic_json(d: Diagnostic) -> dict[str, Any]:
-    return {
-        "code": d.code,
-        "severity": d.severity,
-        "rule": d.rule,
-        "message": d.message,
-        "file": d.span.file,
-        "start_line": d.span.start_line,
-        "start_col": d.span.start_col,
-        "end_line": d.span.end_line,
-        "end_col": d.span.end_col,
-        "anchor": d.anchor,
-        "witness": d.witness,
-    }
-
-
 def render_json(report: Report) -> str:
-    """Canonical JSON: sorted keys, no insignificant whitespace, UTF-8."""
-    summary = dict(report.summary)
-    summary["errors"] = report.error_count
-    summary["warnings"] = report.warning_count
-    payload = {
-        "report_version": REPORT_VERSION,
-        "diagnostics": [_diagnostic_json(d) for d in report.diagnostics],
-        "summary": summary,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    """Canonical JSON: sorted keys, no insignificant whitespace, UTF-8. It
+    equals `json.dumps(payload, sort_keys=True, separators=(",", ":"),
+    ensure_ascii=False)`: each finding is written with its keys in sorted
+    order and its strings escaped by the same `encode_basestring`. Files,
+    anchors, rules and codes repeat, so each distinct one is escaped once."""
+    encoded: dict[str | None, str] = {None: "null"}
+    by_code: dict[str, tuple[str, str]] = {}  # code -> its text and its severity's
+    parts = ['{"diagnostics":[']
+    sep = ""
+    for d in report.diagnostics:
+        span = d.span
+        if (file := encoded.get(span.file)) is None:
+            file = encoded[span.file] = encode_basestring(span.file)
+        if (anchor := encoded.get(d.anchor)) is None:
+            anchor = encoded[d.anchor] = encode_basestring(d.anchor)
+        if (rule := encoded.get(d.rule)) is None:
+            rule = encoded[d.rule] = encode_basestring(d.rule)
+        if (code := by_code.get(d.code)) is None:
+            code = by_code[d.code] = (encode_basestring(d.code), encode_basestring(d.severity))
+        witness = "null" if d.witness is None else encode_basestring(d.witness)
+        parts.append(
+            f'{sep}{{"anchor":{anchor},"code":{code[0]},"end_col":{span.end_col},'
+            f'"end_line":{span.end_line},"file":{file},"message":{encode_basestring(d.message)},'
+            f'"rule":{rule},"severity":{code[1]},"start_col":{span.start_col},'
+            f'"start_line":{span.start_line},"witness":{witness}}}'
+        )
+        sep = ","
+    summary = {**report.summary, "errors": report.error_count, "warnings": report.warning_count}
+    summary_text = json.dumps(summary, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    parts.append(f'],"report_version":{REPORT_VERSION},"summary":{summary_text}}}')
+    return "".join(parts)
 
 
 def exit_code(report: Report, *, strict: bool = False) -> int:

@@ -38,14 +38,7 @@ class Violation:
     anchor: str = ""
 
     def to_diagnostic(self) -> Diagnostic:
-        return Diagnostic(
-            code=self.code,
-            message=self.message,
-            span=self.span,
-            rule=self.rule,
-            anchor=self.anchor,
-            witness=self.witness or None,
-        )
+        return Diagnostic(self.code, self.message, self.span, self.rule, self.anchor, self.witness or None)
 
 
 def _violation(code: str, message: str, span: SourceSpan, witness: str = "", anchor: str | None = None) -> Violation:

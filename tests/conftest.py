@@ -1,11 +1,11 @@
 """Shared fixtures: the fig2 corpus and its single-edit mutants, the
-benchmark's suite generators, and a field-by-field walk of AST nodes."""
+benchmark's modules loaded by path, and a field-by-field walk of AST nodes."""
 
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -100,13 +100,14 @@ def mutate(files: list[tuple[str, str]], fname: str, needle: str, replacement: s
     return out
 
 
-def load_bench_generators():
-    """`bench/generators.py`, which is not a package module, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
-    spec = importlib.util.spec_from_file_location("bench_generators", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses looks the module up
-    spec.loader.exec_module(module)
+def load_bench(stem: str):
+    """`bench/<stem>.py`, which is not a package module, loaded by path.
+    It is compiled from its source, so nothing is written under `bench/`."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{stem}.py"
+    module = types.ModuleType(f"bench_{stem}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses looks the module up
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
 
 

@@ -17,12 +17,16 @@ character at a time and returns `Token` objects, where `tokenize` returns
 plain tuples. `oracle_parse_file` checks the index-based `parser._Parser`:
 it is the parser that `_Parser` replaced, which steps through the same
 tokens, wrapped in `Token` objects, with a cursor and a method call per
-token test.
+token test. `oracle_render_json` checks the direct JSON writer `render_json`:
+it is the serializer that the writer replaced, which builds one dict per
+finding and has `json.dumps` sort every key.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from typing import Any
 
 from ontoarch.metamodel import BUILTIN_MODULE, WORLD_PREDICATES
 from ontoarch.model import (
@@ -44,7 +48,7 @@ from ontoarch.model import (
     WorldRef,
 )
 from ontoarch.parser import KEYWORDS, LEVEL_NAMES, TokenKind
-from ontoarch.reporting import Diagnostic
+from ontoarch.reporting import REPORT_VERSION, Diagnostic, Report
 from ontoarch.source import SourceSpan
 from ontoarch.validator import Violation, _axiom_violation
 
@@ -636,3 +640,31 @@ class _Parser:
         end = self.expect_punct(")")
         return Fact(pred.lexeme, left, right, pred.to(end))
 
+
+def _diagnostic_json(d: Diagnostic) -> dict[str, Any]:
+    return {
+        "code": d.code,
+        "severity": d.severity,
+        "rule": d.rule,
+        "message": d.message,
+        "file": d.span.file,
+        "start_line": d.span.start_line,
+        "start_col": d.span.start_col,
+        "end_line": d.span.end_line,
+        "end_col": d.span.end_col,
+        "anchor": d.anchor,
+        "witness": d.witness,
+    }
+
+
+def oracle_render_json(report: Report) -> str:
+    """Canonical JSON: sorted keys, no insignificant whitespace, UTF-8."""
+    summary = dict(report.summary)
+    summary["errors"] = report.error_count
+    summary["warnings"] = report.warning_count
+    payload = {
+        "report_version": REPORT_VERSION,
+        "diagnostics": [_diagnostic_json(d) for d in report.diagnostics],
+        "summary": summary,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)

@@ -128,6 +128,17 @@ def test_a_file_name_that_is_not_utf8_is_reported_as_utf8(tmp_path, capsys, monk
             assert text.startswith(f"{shown}:1:1: error[E201] ")
 
 
+def test_a_lone_carriage_return_does_not_end_a_line(tmp_path, capsys):
+    """Files are decoded from their bytes with no newline translation, so the
+    CLI reports the positions `build_report` gives for the same text."""
+    text = "ontology A at CO {\r  term X enriches ThingFO.Thingy\r}\r"
+    (tmp_path / "a.onto").write_bytes(text.encode("utf-8"))
+    rc, out, _ = invoke(capsys, "validate", str(tmp_path / "a.onto"))
+    assert rc == 1
+    assert out.startswith(f"{tmp_path / 'a.onto'}:1:38: error[E101] ")
+    assert out == render_text(build_report([(str(tmp_path / "a.onto"), text)]))
+
+
 def test_validate_unreadable_path_is_exit_2(capsys):
     rc, _, err = invoke(capsys, "validate", "no/such/path.onto")
     assert rc == 2

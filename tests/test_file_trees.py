@@ -3,10 +3,12 @@ output.
 
 Trees are built on disk from names with a space, `é`, U+2028, a byte that
 is not UTF-8 or a leading `-`, and from files that are empty, start with a
-byte-order mark, hold token soup or are not UTF-8. Some trees also hold a
-directory named `x.onto` and a symlink loop. `validate` (text and JSON, on
-stdout and with `--out`) and `graph` (on stdout and with `--out`) run over
-each tree, with stdout and stderr encoding strictly to UTF-8.
+byte-order mark, hold token soup, have lone carriage returns or CRLF line
+ends, or are not UTF-8. Some trees also hold a directory named `x.onto` and
+a symlink loop. `validate` (text and JSON, on stdout and with `--out`) and
+`graph` (on stdout and with `--out`) run over each tree, with stdout and
+stderr encoding strictly to UTF-8. A JSON report equals the one
+`build_report` gives for the files' bytes decoded as UTF-8.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from hypothesis import HealthCheck, given, reject, settings, strategies as st
 from conftest import load_fig2
 from test_file_order import soup_file
 
-from ontoarch import cli
+from ontoarch import build_report, cli
+from ontoarch.reporting import render_json
 
 #: Stems of file and directory names. A file is `<stem>.onto`, so no file
 #: name equals a directory name.
@@ -36,9 +39,12 @@ SAMPLES = (
 )
 
 texts = st.one_of(st.sampled_from(SAMPLES), soup_file())
+line_ends = st.sampled_from(("\r", "\r\n"))
 contents = st.one_of(
     st.just(b""),
     texts.map(str.encode),
+    st.tuples(texts, line_ends).map(lambda p: p[0].replace("\n", p[1]).encode()),
+    st.tuples(texts, line_ends, st.integers(0, 40)).map(lambda p: (p[0][:p[2]] + p[1] + p[0][p[2]:]).encode()),
     texts.map(lambda t: "\ufeff".encode() + t.encode()),  # byte-order mark
     st.tuples(texts, st.integers(0, 40)).map(lambda p: p[0].encode()[:p[1]] + b"\xe9" + p[0].encode()[p[1]:]),
 )
@@ -70,6 +76,16 @@ def _build(root: bytes, entries: list[tuple[bytes, bytes]], onto_dir: bool, loop
     if loop:
         os.symlink(b".", os.path.join(root, b"loop"))
     return paths
+
+
+def _decoded(paths: list[bytes]) -> list[tuple[str, str]]:
+    """The files at `paths` as (report name, text), their bytes decoded as
+    UTF-8 with no newline translation."""
+    out = []
+    for path in sorted(set(paths), key=os.fsdecode):
+        with open(path, "rb") as fh:
+            out.append((path.decode("utf-8", "backslashreplace"), fh.read().decode("utf-8")))
+    return out
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -124,6 +140,7 @@ def test_every_cli_path_over_a_file_tree_ends_in_0_1_or_2(tmp_path, tree, explic
                 assert out == ""
             elif fmt == "json":
                 json.loads(out)
+                assert out == render_json(build_report(_decoded(paths))) + "\n"
         rc, out = _check(["graph", *inputs], None)
         assert _check(["graph", *inputs], out_file) == (rc, out)
         assert (rc == 0) == out.startswith("digraph ontoarch {")

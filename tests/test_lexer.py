@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import load_bench_generators
+from conftest import load_bench
 from oracles import oracle_tokenize
 
 from ontoarch import parser
@@ -63,7 +63,7 @@ def test_tokenize_equals_the_character_walk(text):
 
 @pytest.mark.parametrize("workload", ["wide_clean", "deep_chains", "dirty_worlds"])
 def test_tokenize_equals_the_character_walk_on_bench_suites(workload):
-    suite = getattr(load_bench_generators(), workload)(1)
+    suite = getattr(load_bench("generators"), workload)(1)
     for name, text in suite.files.items():
         assert _lexed(text, name) == _oracle_lexed(text, name)
 

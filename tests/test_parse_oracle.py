@@ -15,7 +15,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from conftest import MUTATIONS, load_bench_generators, load_fig2, mutate, tree
+from conftest import MUTATIONS, load_bench, load_fig2, mutate, tree
 from oracles import oracle_parse_file
 from test_file_order import soup_file, suites
 
@@ -91,7 +91,7 @@ def test_parser_equals_the_cursor_parser_on_recovery_cases(text):
 
 @pytest.mark.parametrize("workload", ["wide_clean", "deep_chains", "dirty_worlds"])
 def test_parser_equals_the_cursor_parser_on_bench_suites(workload):
-    suite = getattr(load_bench_generators(), workload)(1)
+    suite = getattr(load_bench("generators"), workload)(1)
     for path, text in suite.files.items():
         assert_same_parse(text, path)
 

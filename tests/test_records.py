@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from conftest import load_bench_generators, tree
+from conftest import load_bench, tree
 from test_file_order import suites
 
 from ontoarch import cli
@@ -173,5 +173,5 @@ def test_a_verdict_never_changes_the_ast(files):
 
 @pytest.mark.parametrize("workload", ["wide_clean", "deep_chains", "dirty_worlds"])
 def test_a_verdict_never_changes_the_ast_of_bench_suites(workload):
-    suite = getattr(load_bench_generators(), workload)(1)
+    suite = getattr(load_bench("generators"), workload)(1)
     _assert_verdict_keeps_ast(list(suite.files.items()))

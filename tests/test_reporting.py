@@ -1,4 +1,5 @@
-"""Report rendering, ordering, golden files and exit codes."""
+"""Report rendering, ordering, golden files and exit codes, and the JSON
+writer against the `json.dumps` serializer it replaced."""
 
 from __future__ import annotations
 
@@ -6,7 +7,10 @@ import json
 import random
 import re
 
+from hypothesis import given, settings, strategies as st
+
 from conftest import FIXTURES, load_fig2, mutate
+from oracles import oracle_render_json
 
 from ontoarch import build_report
 from ontoarch.reporting import (
@@ -138,3 +142,47 @@ def test_rule_backed_codes_have_anchors_and_examples():
         if doc.rule is not None:
             assert doc.anchor, code
         assert doc.title
+
+
+#: Characters that JSON escapes or that are easy to get wrong: a quote, a
+#: backslash, C0 controls, DEL, the line and paragraph separators, an astral
+#: character and a lone surrogate.
+AWKWARD = '"\\\x00\x08\t\n\x1f\x7f\u2028\u2029\U0001f600\ud800é'
+strings = st.text(st.sampled_from(AWKWARD) | st.characters(), max_size=8)
+file_names = st.one_of(strings, st.binary(max_size=6).map(lambda b: b.decode("utf-8", "backslashreplace")))
+codes = st.one_of(st.sampled_from(sorted(CODE_CATALOG)), st.text('EWe0"\\\u2028', max_size=4))
+rules = st.one_of(st.none(), st.sampled_from(sorted({d.rule for d in CODE_CATALOG.values()} - {None})), strings)
+positions = st.tuples(st.integers(1, 10**12), st.integers(1, 10**12))  # (line, column)
+summaries = st.dictionaries(
+    strings, st.one_of(st.none(), st.integers(), strings, st.dictionaries(strings, st.integers(), max_size=3)), max_size=3
+)
+
+
+@st.composite
+def reports(draw) -> Report:
+    """Reports whose files and anchors repeat across findings, as they do
+    in a real report, so the writer's per-value caches are exercised."""
+    files = draw(st.lists(file_names, min_size=1, max_size=3))
+    anchors = draw(st.lists(strings, min_size=1, max_size=3))
+    diagnostics = []
+    for _ in range(draw(st.integers(0, 6))):
+        start, end = sorted([draw(positions), draw(positions)])
+        diagnostics.append(Diagnostic(
+            draw(codes),
+            draw(strings),
+            SourceSpan(draw(st.sampled_from(files)), *start, *end),
+            draw(rules),
+            draw(st.sampled_from(anchors)),
+            draw(st.none() | strings),
+        ))
+    return Report.build(diagnostics, draw(summaries))
+
+
+@settings(max_examples=500, deadline=None)
+@given(reports())
+def test_render_json_equals_the_json_dumps_oracle(report):
+    assert render_json(report) == oracle_render_json(report)
+    severities = [d.severity for d in report.diagnostics]
+    assert report.error_count == severities.count("error")
+    assert report.warning_count == severities.count("warning")
+    assert report.error_count + report.warning_count == len(report.diagnostics)
