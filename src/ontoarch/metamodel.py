@@ -418,6 +418,11 @@ _TERMS: tuple[FoundationalTermSpec, ...] = (
 
 _TERM_INDEX: dict[str, FoundationalTermSpec] = {t.id: t for t in _TERMS}
 
+#: Each term's taxonomy root; `_TERMS` lists every parent before its children.
+_ROOT_KINDS: dict[str, RootKind] = {}
+for _spec in _TERMS:
+    _ROOT_KINDS[_spec.id] = _ROOT_KINDS[_spec.parent] if _spec.parent else RootKind(_spec.id)
+
 
 # ---------------------------------------------------------------------------
 # Properties. Machine keys are the snake-cased catalog names; the `name`
@@ -805,10 +810,7 @@ def is_descendant(a: str, b: str) -> bool:
 
 def root_kind(term_id: str) -> RootKind:
     """The root of `term_id`'s parent chain."""
-    current = _TERM_INDEX[term_id]
-    while current.parent is not None:
-        current = _TERM_INDEX[current.parent]
-    return RootKind(current.id)
+    return _ROOT_KINDS[term_id]
 
 
 def property_keys_for_root(root: RootKind) -> tuple[str, ...]:

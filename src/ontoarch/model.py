@@ -36,13 +36,14 @@ class Level(Enum):
     LDO = 3
     IO = 4
 
+    # `_value_` is the stored value; `.value` or a dict lookup costs ten times as much.
     @property
     def rank(self) -> int:
-        return self.value
+        return self._value_
 
     def is_exactly_above(self, other: "Level") -> bool:
         """True iff self is exactly one tier more abstract than `other`."""
-        return self.rank == other.rank - 1
+        return self._value_ == other._value_ - 1
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -117,11 +118,6 @@ class WorldRef:
 
     def __str__(self) -> str:
         return f"{self.primary}.{self.part}" if self.part else self.primary
-
-    def as_qualified(self) -> QualifiedRef:
-        if self.part is None:
-            return QualifiedRef(None, self.primary, self.span)
-        return QualifiedRef(self.primary, self.part, self.span)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -390,20 +386,20 @@ class _Resolver:
             for r in m.relations:
                 self._check_relation(m, r)
 
-    def _resolve_term_ref(self, ref: QualifiedRef, context_module: str, what: str) -> bool:
-        mod = ref.module or context_module
+    def _unbound_term(self, mod: str, name: str) -> str | None:
+        """Why `mod.name` names no term, or None when it names one."""
         if mod == BUILTIN_MODULE:
-            if not metamodel.is_term(ref.name):
-                self.error("E101", f"{what}: no foundational term named {ref.name} in {BUILTIN_MODULE}", ref.span)
-                return False
-            return True
+            return None if metamodel.is_term(name) else f"no foundational term named {name} in {BUILTIN_MODULE}"
         if mod not in self.modules:
-            self.error("E101", f"{what}: unknown module {mod}", ref.span)
-            return False
-        if (mod, ref.name) not in self.terms:
-            self.error("E101", f"{what}: no term named {ref.name} in module {mod}", ref.span)
-            return False
-        return True
+            return f"unknown module {mod}"
+        if (mod, name) not in self.terms:
+            return f"no term named {name} in module {mod}"
+        return None
+
+    def _resolve_term_ref(self, ref: QualifiedRef, context_module: str, what: str) -> None:
+        problem = self._unbound_term(ref.module or context_module, ref.name)
+        if problem:
+            self.error("E101", f"{what}: {problem}", ref.span)
 
     def _check_term(self, m: OntologyModule, t: TermDef) -> None:
         if t.enriches is not None:
@@ -461,45 +457,48 @@ class _Resolver:
                         self.error("E102", f"duplicate part {part.name} on thing {t.name}", part.span)
                     parts[sort].add(part.name)
 
-        def check_thing(ref: WorldRef, what: str) -> None:
+        # Each check returns what is wrong with a fact's argument, or None;
+        # the fact is named only in a finding.
+        def thing_problem(ref: WorldRef) -> str | None:
             if ref.part is not None:
-                self.error("E101", f"{what}: expected a thing, got part reference {ref}", ref.span)
-            elif ref.primary not in things:
-                self.error("E101", f"{what}: unknown thing {ref.primary} in world {w.name}", ref.span)
+                return f"expected a thing, got part reference {ref}"
+            if ref.primary not in things:
+                return f"unknown thing {ref.primary} in world {w.name}"
+            return None
 
-        def check_part(ref: WorldRef, sort: str, what: str) -> None:
+        def part_problem(ref: WorldRef, sort: str) -> str | None:
             if ref.part is None:
-                self.error("E101", f"{what}: expected a {sort.lower()} reference thing.part, got {ref}", ref.span)
-                return
+                return f"expected a {sort.lower()} reference thing.part, got {ref}"
             parts = things.get(ref.primary)
             if parts is None:
-                self.error("E101", f"{what}: unknown thing {ref.primary} in world {w.name}", ref.span)
-                return
+                return f"unknown thing {ref.primary} in world {w.name}"
             if ref.part not in parts[sort]:
-                self.error("E101", f"{what}: thing {ref.primary} has no {sort.lower()} named {ref.part}", ref.span)
+                return f"thing {ref.primary} has no {sort.lower()} named {ref.part}"
+            return None
 
-        def check_term(ref: WorldRef, what: str) -> None:
+        def term_problem(ref: WorldRef) -> str | None:
             # `t.q` reads as Module.Term; when no module t exists but this
             # world has a thing t, it is a part written where a term belongs.
-            is_module = ref.primary == BUILTIN_MODULE or ref.primary in self.modules
-            if ref.part is not None and ref.primary in things and not is_module:
-                self.error("E101", f"{what}: expected a term, got part reference {ref}", ref.span)
-                return
-            self._resolve_term_ref(ref.as_qualified(), f.of_module, what)
+            if ref.part is None:
+                return self._unbound_term(f.of_module, ref.primary)
+            if ref.primary in things and not (ref.primary == BUILTIN_MODULE or ref.primary in self.modules):
+                return f"expected a term, got part reference {ref}"
+            return self._unbound_term(ref.primary, ref.part)
 
         for fact in w.facts:
             spec = metamodel.WORLD_PREDICATES.get(fact.predicate)
             if spec is None:
                 self.error("E101", f"unknown predicate {fact.predicate} in world {w.name}", fact.span)
                 continue
-            what = f"{fact.predicate} fact in world {w.name}"
             for ref, sort in ((fact.left, spec.domain), (fact.right, spec.range)):
                 if sort in ("Property", "Power"):
-                    check_part(ref, sort, what)
+                    problem = part_problem(ref, sort)
                 elif sort == "Thing":
-                    check_thing(ref, what)
+                    problem = thing_problem(ref)
                 else:
-                    check_term(ref, what)
+                    problem = term_problem(ref)
+                if problem:
+                    self.error("E101", f"{fact.predicate} fact in world {w.name}: {problem}", ref.span)
 
     def check_enrichment_cycles(self) -> None:
         # Only meaningful for chains whose every link resolved; broken links

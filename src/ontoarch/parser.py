@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import NoReturn
 
 from .metamodel import WORLD_PREDICATES
@@ -71,6 +72,14 @@ class TokenKind(Enum):
     PUNCT = "punctuation"
     EOI = "end-of-input"
 
+
+_IDENT, _STRING = TokenKind.IDENT, TokenKind.STRING
+
+#: `_span((file, start_line, start_col, end_line, end_col))` builds a
+#: `SourceSpan` without the start <= end check of `SourceSpan(...)`: the
+#: parser takes each span's ends from tokens in order, and the tests check
+#: every span it builds.
+_span = partial(tuple.__new__, SourceSpan)
 
 #: The lexer's one pattern. It has no capture group, since groups slow every
 #: match (by about a fifth under `finditer` on the bench suites), so
@@ -133,7 +142,7 @@ def tokenize(text: str, path: str = "<input>") -> tuple[list[tuple], list[Diagno
         elif len(lexeme) == 1:  # an invalid character; a comment is longer
             col = m.start() - line_start + 1
             diagnostics.append(
-                Diagnostic("E001", f"invalid character {lexeme!r}", SourceSpan(path, line, col, line, col))
+                Diagnostic("E001", f"invalid character {lexeme!r}", _span((path, line, col, line, col)))
             )
     col = len(text) - line_start + 1
     append((TokenKind.EOI, "", "", line, col, col))
@@ -161,23 +170,24 @@ def _escaped_string(
                 parts.append(escaped)
                 i += 2
                 continue
-            diagnostics.append(
-                Diagnostic("E001", f"invalid escape \\{escaped} in string",
-                           SourceSpan(path, line, col + i, line, col + i))
-            )
+            # A line feed or other unprintable character would break the
+            # one-line finding, so it is named instead of shown.
+            shown = f"\\{escaped}" if escaped.isprintable() else f"of U+{ord(escaped):04X}"
+            message = "invalid escape at end of line" if escaped == "\n" else f"invalid escape {shown} in string"
+            diagnostics.append(Diagnostic("E001", message, _span((path, line, col + i, line, col + i))))
             i += 1
             continue
         parts.append(c)
         i += 1
     if not closed:
-        diagnostics.append(Diagnostic("E001", "unterminated string literal", SourceSpan(path, line, col, line, col)))
+        diagnostics.append(Diagnostic("E001", "unterminated string literal", _span((path, line, col, line, col))))
     value = "".join(parts)
-    return (TokenKind.STRING, f'"{value}"', value, line, col, col + n - 1)
+    return (_STRING, f'"{value}"', value, line, col, col + n - 1)
 
 
 def _token_span(path: str, tok: tuple) -> SourceSpan:
     """The span of one token of file `path`."""
-    return SourceSpan(path, tok[3], tok[4], tok[3], tok[5])
+    return _span((path, tok[3], tok[4], tok[3], tok[5]))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +288,7 @@ class _Parser:
         level = _LEVELS.get(tok[1])
         if level is not None:
             return level, i + 1
-        if tok[0] is TokenKind.IDENT or tok[1] in KEYWORDS:
+        if tok[0] is _IDENT or tok[1] in KEYWORDS:
             self.diagnostics.append(
                 Diagnostic("E003", f"unknown level name {tok[1]!r} (expected FO, CO, TDO or LDO)",
                            _token_span(self.path, tok))
@@ -289,13 +299,13 @@ class _Parser:
     def parse_qname(self, i: int) -> tuple[QualifiedRef, int]:
         toks = self.toks
         first = toks[i]
-        if first[0] is not TokenKind.IDENT:
+        if first[0] is not _IDENT:
             raise self.fail("expected a name", i)
         if toks[i + 1][1] == ".":
             second = toks[i + 2]
-            if second[0] is not TokenKind.IDENT:
+            if second[0] is not _IDENT:
                 raise self.fail("expected a name after '.'", i + 2)
-            span = SourceSpan(self.path, first[3], first[4], second[3], second[5])
+            span = _span((self.path, first[3], first[4], second[3], second[5]))
             return QualifiedRef(first[1], second[1], span), i + 3
         return QualifiedRef(None, first[1], _token_span(self.path, first)), i + 1
 
@@ -303,7 +313,7 @@ class _Parser:
         toks, path = self.toks, self.path
         start = toks[i]
         name = toks[i + 1]
-        if name[0] is not TokenKind.IDENT:
+        if name[0] is not _IDENT:
             raise self.fail("expected ontology name", i + 1)
         if toks[i + 2][1] != "at":
             raise self.fail("expected 'at'", i + 2)
@@ -314,12 +324,12 @@ class _Parser:
         imports: list[ImportRef] = []
         while toks[i][1] == "imports":
             target = toks[i + 1]
-            if target[0] is not TokenKind.IDENT:
+            if target[0] is not _IDENT:
                 raise self.fail("expected imported module name", i + 1)
             imports.append(ImportRef(target[1], _token_span(path, target)))
             i += 2
         body, last, i = self.parse_body(i, _MODULE_BODY, _MODULE_SYNC, "expected 'term', 'relation' or '}'")
-        span = SourceSpan(path, start[3], start[4], last[3], last[5])
+        span = _span((path, start[3], start[4], last[3], last[5]))
         return OntologyModule(name[1], level, tuple(imports), tuple(body), span), i
 
     def parse_body(self, i: int, productions: dict, sync: tuple[str, ...], expected: str) -> tuple[list, tuple, int]:
@@ -359,7 +369,7 @@ class _Parser:
         toks, path = self.toks, self.path
         start = toks[i]
         name = toks[i + 1]
-        if name[0] is not TokenKind.IDENT:
+        if name[0] is not _IDENT:
             raise self.fail("expected term name", i + 1)
         if toks[i + 2][1] != "enriches":
             raise self.fail("expected 'enriches'", i + 2)
@@ -372,28 +382,28 @@ class _Parser:
             i += 2
         if toks[i][1] != "{":
             end = target.span
-            span = SourceSpan(path, start[3], start[4], end.end_line, end.end_col)
+            span = _span((path, start[3], start[4], end.end_line, end.end_col))
             return TermDef(name[1], target, scope, (), span), i
         i += 1
         attrs: list[AttrPair] = []
         while toks[i][1] != "}":
             key = toks[i]
-            if key[0] is not TokenKind.IDENT:
+            if key[0] is not _IDENT:
                 raise self.fail("expected attribute key", i)
             value = toks[i + 1]
-            if value[0] is not TokenKind.STRING:
+            if value[0] is not _STRING:
                 raise self.fail("expected a string attribute value", i + 1)
-            attrs.append(AttrPair(key[1], value[2], SourceSpan(path, key[3], key[4], value[3], value[5])))
+            attrs.append(AttrPair(key[1], value[2], _span((path, key[3], key[4], value[3], value[5]))))
             i += 2
         close = toks[i]
-        span = SourceSpan(path, start[3], start[4], close[3], close[5])
+        span = _span((path, start[3], start[4], close[3], close[5]))
         return TermDef(name[1], target, scope, tuple(attrs), span), i + 1
 
     def parse_relation(self, i: int) -> tuple[RelationDecl, int]:
         toks = self.toks
         start = toks[i]
         name = toks[i + 1]
-        if name[0] is not TokenKind.IDENT:
+        if name[0] is not _IDENT:
             raise self.fail("expected relation name", i + 1)
         if toks[i + 2][1] != "from":
             raise self.fail("expected 'from'", i + 2)
@@ -405,7 +415,7 @@ class _Parser:
             raise self.fail("expected 'kind'", i)
         kind_ref, i = self.parse_qname(i + 1)
         end = kind_ref.span
-        span = SourceSpan(self.path, start[3], start[4], end.end_line, end.end_col)
+        span = _span((self.path, start[3], start[4], end.end_line, end.end_col))
         return RelationDecl(name[1], from_ref, to_ref, kind_ref, span), i
 
     def parse_instances(self, i: int) -> tuple[InstanceFile, int]:
@@ -414,32 +424,32 @@ class _Parser:
         if toks[i + 1][1] != "of":
             raise self.fail("expected 'of'", i + 1)
         module = toks[i + 2]
-        if module[0] is not TokenKind.IDENT:
+        if module[0] is not _IDENT:
             raise self.fail("expected module name", i + 2)
         if toks[i + 3][1] != "{":
             raise self.fail("expected '{'", i + 3)
         body, last, i = self.parse_body(i + 4, _INSTANCE_BODY, _INSTANCE_SYNC, "expected 'individual', 'world' or '}'")
-        span = SourceSpan(path, start[3], start[4], last[3], last[5])
+        span = _span((path, start[3], start[4], last[3], last[5]))
         return InstanceFile(module[1], tuple(body), span), i
 
     def parse_individual(self, i: int) -> tuple[Individual, int]:
         toks = self.toks
         start = toks[i]
         name = toks[i + 1]
-        if name[0] is not TokenKind.IDENT:
+        if name[0] is not _IDENT:
             raise self.fail("expected individual name", i + 1)
         if toks[i + 2][1] != ":":
             raise self.fail("expected ':'", i + 2)
         type_ref, i = self.parse_qname(i + 3)
         end = type_ref.span
-        span = SourceSpan(self.path, start[3], start[4], end.end_line, end.end_col)
+        span = _span((self.path, start[3], start[4], end.end_line, end.end_col))
         return Individual(name[1], type_ref, span), i
 
     def parse_world(self, i: int) -> tuple[World, int]:
         toks = self.toks
         start = toks[i]
         name = toks[i + 1]
-        if name[0] is not TokenKind.IDENT:
+        if name[0] is not _IDENT:
             raise self.fail("expected world name", i + 1)
         if toks[i + 2][1] != "{":
             raise self.fail("expected '{'", i + 2)
@@ -455,7 +465,7 @@ class _Parser:
                     raise self.fail("thing declarations must precede facts", i)
                 thing, i = self.parse_thing(i)
                 things.append(thing)
-            elif tok[0] is TokenKind.IDENT:
+            elif tok[0] is _IDENT:
                 fact, i = self.parse_fact(i)
                 facts.append(fact)
             else:
@@ -463,14 +473,14 @@ class _Parser:
         close = toks[i]
         if close[1] != "}":
             raise self.fail("expected '}'", i)
-        span = SourceSpan(self.path, start[3], start[4], close[3], close[5])
+        span = _span((self.path, start[3], start[4], close[3], close[5]))
         return World(name[1], tuple(things), tuple(facts), span), i + 1
 
     def parse_thing(self, i: int) -> tuple[ThingNode, int]:
         toks = self.toks
         start = toks[i]
         name = toks[i + 1]
-        if name[0] is not TokenKind.IDENT:
+        if name[0] is not _IDENT:
             raise self.fail("expected thing name", i + 1)
         i += 2
         instance_of: QualifiedRef | None = None
@@ -483,7 +493,7 @@ class _Parser:
         for keyword, out in zip(("property", "power"), parts):
             while toks[i][1] == keyword:
                 part = toks[i + 1]
-                if part[0] is not TokenKind.IDENT:
+                if part[0] is not _IDENT:
                     raise self.fail(f"expected {keyword} name", i + 1)
                 if toks[i + 2][1] != ";":
                     raise self.fail("expected ';'", i + 2)
@@ -494,19 +504,19 @@ class _Parser:
             raise self.fail("property declarations must precede power declarations", i)
         if close[1] != "}":
             raise self.fail("expected '}'", i)
-        span = SourceSpan(self.path, start[3], start[4], close[3], close[5])
+        span = _span((self.path, start[3], start[4], close[3], close[5]))
         return ThingNode(name[1], instance_of, tuple(parts[0]), tuple(parts[1]), span), i + 1
 
     def parse_ref(self, i: int) -> tuple[WorldRef, int]:
         toks = self.toks
         first = toks[i]
-        if first[0] is not TokenKind.IDENT:
+        if first[0] is not _IDENT:
             raise self.fail("expected a reference", i)
         if toks[i + 1][1] == ".":
             second = toks[i + 2]
-            if second[0] is not TokenKind.IDENT:
+            if second[0] is not _IDENT:
                 raise self.fail("expected a name after '.'", i + 2)
-            span = SourceSpan(self.path, first[3], first[4], second[3], second[5])
+            span = _span((self.path, first[3], first[4], second[3], second[5]))
             return WorldRef(first[1], second[1], span), i + 3
         return WorldRef(first[1], None, _token_span(self.path, first)), i + 1
 
@@ -536,7 +546,7 @@ class _Parser:
         close = toks[i]
         if close[1] != ")":
             raise self.fail("expected ')'", i)
-        span = SourceSpan(self.path, pred[3], pred[4], close[3], close[5])
+        span = _span((self.path, pred[3], pred[4], close[3], close[5]))
         return Fact(pred[1], left, right, span), i + 1
 
 

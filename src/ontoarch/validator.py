@@ -296,9 +296,9 @@ def _anchor_matches(suite: ResolvedSuite, term: tuple[str, str], anchor: str, re
     return False
 
 
-#: World facts whose target is a term: the code for a target whose
-#: enrichment root is not the predicate's range.
-_TERM_TARGET_CODES = {"ThingCategory": "E232", "Assertion": "E233"}
+#: World facts whose target is a term: the root the predicate's range
+#: requires, and the code for a target with another enrichment root.
+_TERM_TARGETS = {"ThingCategory": (RootKind.THING_CATEGORY, "E232"), "Assertion": (RootKind.ASSERTION, "E233")}
 
 
 def check_relationship_conformance(suite: ResolvedSuite) -> list[Violation]:
@@ -336,14 +336,14 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Violation]:
     for f, w in suite.all_worlds():
         for fact in w.facts:
             spec = metamodel.WORLD_PREDICATES[fact.predicate]
-            code = _TERM_TARGET_CODES.get(spec.range)
+            required, code = _TERM_TARGETS.get(spec.range, (None, None))
             if code is not None:
                 mod, name = suite.world_term_target(fact.right, f.of_module)
                 anchor = suite.enrichment_root(mod, name)
                 if anchor is None:
                     continue  # broken enrichment chain, already flagged as E213
                 root = metamodel.root_kind(anchor)
-                if root.value != spec.range:
+                if root is not required:
                     out.append(
                         _violation(
                             code,
@@ -398,6 +398,7 @@ def _check_cardinality(world: World) -> list[Violation]:
 
 def check_property_conformance(suite: ResolvedSuite) -> list[Violation]:
     out: list[Violation] = []
+    thing, assertion = RootKind.THING, RootKind.ASSERTION
     for module_name, t in suite.all_terms():
         anchor = suite.enrichment_root(module_name, t.name)
         if anchor is None:
@@ -415,7 +416,7 @@ def check_property_conformance(suite: ResolvedSuite) -> list[Violation]:
                         witness=f"{t.name}.{attr.key}",
                     )
                 )
-        if root is RootKind.THING and "description" not in {a.key for a in t.attributes}:
+        if root is thing and "description" not in {a.key for a in t.attributes}:
             out.append(
                 _violation(
                     "W202",
@@ -424,7 +425,7 @@ def check_property_conformance(suite: ResolvedSuite) -> list[Violation]:
                     witness=f"term {t.name}",
                 )
             )
-        if t.scope is not None and root is not RootKind.ASSERTION:
+        if t.scope is not None and root is not assertion:
             out.append(
                 _violation(
                     "W203",

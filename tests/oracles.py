@@ -299,9 +299,13 @@ def oracle_tokenize(text: str, path: str = "<input>") -> tuple[list[Token], list
                         i += 2
                         continue
                     bad = text[i + 1] if i + 1 < n else "<eof>"
-                    diagnostics.append(
-                        Diagnostic("E001", f"invalid escape \\{bad} in string", span_at(line, col))
-                    )
+                    if bad == "\n":
+                        message = "invalid escape at end of line"
+                    elif bad.isprintable():
+                        message = f"invalid escape \\{bad} in string"
+                    else:
+                        message = f"invalid escape of U+{ord(bad):04X} in string"
+                    diagnostics.append(Diagnostic("E001", message, span_at(line, col)))
                     advance(c)
                     i += 1
                     continue

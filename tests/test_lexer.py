@@ -14,7 +14,7 @@ from conftest import load_bench
 from oracles import oracle_tokenize
 
 from ontoarch import parser
-from ontoarch.parser import KEYWORDS, tokenize
+from ontoarch.parser import KEYWORDS, parse_suite, tokenize
 from ontoarch.source import SourceSpan
 
 #: Pieces that exercise every branch of both lexers, including the ones that
@@ -61,6 +61,34 @@ def test_tokenize_equals_the_character_walk(text):
     assert _lexed(text) == _oracle_lexed(text)
 
 
+def test_an_escape_of_a_line_end_or_an_unprintable_character_is_named_on_one_line():
+    text = 'description "x\\\n "a\\q" "b\\\r" "c\\\x1b[31m" "d\\'
+    assert [(d.message, d.span.start_col) for d in _lexed(text)[1]] == [
+        ("invalid escape at end of line", 15),
+        ("unterminated string literal", 13),
+        ("invalid escape \\q in string", 4),
+        ("invalid escape of U+000D in string", 10),
+        ("invalid escape of U+001B in string", 16),
+        ("invalid escape \\<eof> in string", 26),
+        ("unterminated string literal", 24),
+    ]
+
+
+#: A quote and a backslash before a control character, a line or paragraph
+#: separator or an invisible format character.
+unprintable_escapes = st.one_of(
+    st.characters(max_codepoint=0x9F), st.sampled_from("\u2028\u2029\u200b\ufeff")
+).map(lambda c: '"\\' + c)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(ATOMS), unprintable_escapes), max_size=30).map("".join))
+def test_every_diagnostic_message_is_printable(text):
+    _, diagnostics = parse_suite([("f.onto", text)])
+    assert [d.message for d in diagnostics if not d.message.isprintable()] == []
+    assert _lexed(text)[1] == _oracle_lexed(text)[1]
+
+
 @pytest.mark.parametrize("workload", ["wide_clean", "deep_chains", "dirty_worlds"])
 def test_tokenize_equals_the_character_walk_on_bench_suites(workload):
     suite = getattr(load_bench("generators"), workload)(1)
@@ -77,13 +105,13 @@ def test_tokenize_builds_no_span_and_returns_plain_six_tuples(monkeypatch):
     expected, _ = oracle_tokenize(text, "m.onto")
 
     built = []
-    real = parser.SourceSpan
+    real = parser._span
 
-    def counting(*args):
-        built.append(args)
-        return real(*args)
+    def counting(fields):
+        built.append(fields)
+        return real(fields)
 
-    monkeypatch.setattr(parser, "SourceSpan", counting)
+    monkeypatch.setattr(parser, "_span", counting)
     tokens, diagnostics = tokenize(text, "m.onto")
     assert (diagnostics, built) == ([], [])
     assert len(tokens) == len(expected)

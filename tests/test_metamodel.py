@@ -69,6 +69,10 @@ def test_every_term_maps_to_exactly_one_root():
     for spec in all_term_specs():
         kind = root_kind(spec.id)
         assert isinstance(kind, RootKind)
+        root = spec
+        while root.parent is not None:
+            root = metamodel.term_spec(root.parent)
+        assert kind is RootKind(root.id)
 
 
 def _descendant_oracle() -> dict[tuple[str, str], bool]:

@@ -23,6 +23,7 @@ from ontoarch import parser
 from ontoarch.cli import build_report
 from ontoarch.parser import parse_suite, render_canonical, tokenize
 from ontoarch.reporting import render_json
+from ontoarch.source import SourceSpan
 
 
 def _parsed(parse_file, text: str, path: str):
@@ -103,16 +104,17 @@ def test_parser_equals_the_cursor_parser_on_fig2_and_its_mutants(mutation):
         assert_same_parse(text, path)
 
 
-def _held_spans(node) -> int:
-    stack, count = [tree(node)], 0
+def _spans(node) -> list[tuple]:
+    """The fields of every span in a node, or a list or tuple of nodes."""
+    stack, spans = [tree(node)], []
     while stack:
         item = stack.pop()
         if isinstance(item, tuple):
             if item[:1] == ("span",):
-                count += 1
+                spans.append(item[1:])
             else:
                 stack.extend(item)
-    return count
+    return spans
 
 
 def test_parser_builds_only_the_spans_its_ast_holds(monkeypatch):
@@ -123,19 +125,72 @@ def test_parser_builds_only_the_spans_its_ast_holds(monkeypatch):
     text = "\n".join(lines + ["}"])
 
     built = []
-    real = parser.SourceSpan
+    real = parser._span
 
-    def counting(*args):
-        built.append(args)
-        return real(*args)
+    def counting(fields):
+        built.append(fields)
+        return real(fields)
 
-    monkeypatch.setattr(parser, "SourceSpan", counting)
+    monkeypatch.setattr(parser, "_span", counting)
     ast, diagnostics = parse_suite([("m.onto", text)])
     assert diagnostics == []
     # the module and its import; each term, its target and its attribute;
     # each relation and its three references
-    assert _held_spans(ast) == 1 + 1 + 1000 * 3 + 1000 * 4
-    assert len(built) == _held_spans(ast)
+    assert len(_spans(ast)) == 1 + 1 + 1000 * 3 + 1000 * 4
+    assert len(built) == len(_spans(ast))
+
+
+@pytest.mark.parametrize("workload", ["wide_clean", "deep_chains", "dirty_worlds"])
+def test_a_clean_parse_never_calls_the_checked_span_constructor(workload, monkeypatch):
+    files = sorted(getattr(load_bench("generators"), workload)(1).files.items())
+    calls = []
+    checked = SourceSpan.__new__
+
+    def counting(cls, *fields):
+        calls.append(fields)
+        return checked(cls, *fields)
+
+    monkeypatch.setattr(SourceSpan, "__new__", counting)
+    ast, diagnostics = parse_suite(files)
+    assert diagnostics == [] and ast.decls
+    assert calls == []
+    SourceSpan("f.onto", 1, 1, 1, 1)  # the count does see a checked span
+    assert calls == [("f.onto", 1, 1, 1, 1)]
+
+
+def assert_spans_well_formed(text: str, path: str = "f.onto") -> None:
+    """Every span of a file's declarations and diagnostics, kept or not,
+    names `path` and starts no later than it ends, on lines and columns
+    that the text has (one past a line's end marks where it ends)."""
+    tokens, lex_diagnostics = tokenize(text, path)
+    decls, parse_diagnostics = _parse_file(tokens, path)
+    widths = [len(line) + 1 for line in text.split("\n")]
+    for file, start_line, start_col, end_line, end_col in _spans((decls, lex_diagnostics, parse_diagnostics)):
+        assert file == path
+        assert (start_line, start_col) <= (end_line, end_col)
+        assert 1 <= start_line and end_line <= len(widths)
+        assert 1 <= start_col <= widths[start_line - 1] and end_col <= widths[end_line - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(suites())
+def test_every_parsed_span_is_well_formed_on_generated_suites(files):
+    for path, text in files:
+        assert_spans_well_formed(text, path)
+    assert_spans_well_formed(render_canonical(parse_suite(files)[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(soup_file())
+def test_every_parsed_span_is_well_formed_on_token_soup(text):
+    assert_spans_well_formed(text)
+    assert_spans_well_formed(render_canonical(parse_suite([("f.onto", text)])[0]))
+
+
+@pytest.mark.parametrize("workload", ["wide_clean", "deep_chains", "dirty_worlds"])
+def test_every_parsed_span_is_well_formed_on_bench_suites(workload):
+    for path, text in getattr(load_bench("generators"), workload)(1).files.items():
+        assert_spans_well_formed(text, path)
 
 
 def _each_canonical(files: list[tuple[str, str]]) -> list[tuple[str, str]]:
