@@ -29,7 +29,6 @@ from .model import (
 from .parser import SuiteAst, parse_suite, render_canonical, tokenize
 from .reporting import Diagnostic, Report, exit_code, render_json, render_text
 from .validator import (
-    Violation,
     check_architecture,
     check_axioms,
     check_property_conformance,
@@ -86,7 +85,6 @@ __all__ = [
     "exit_code",
     "render_json",
     "render_text",
-    "Violation",
     "check_architecture",
     "check_axioms",
     "check_property_conformance",

@@ -396,14 +396,22 @@ class _Resolver:
             return f"no term named {name} in module {mod}"
         return None
 
-    def _resolve_term_ref(self, ref: QualifiedRef, context_module: str, what: str) -> None:
-        problem = self._unbound_term(ref.module or context_module, ref.name)
-        if problem:
-            self.error("E101", f"{what}: {problem}", ref.span)
+    def _unbound_relation(self, mod: str, name: str) -> str | None:
+        """Why `mod.name` names no relation, or None when it names one."""
+        if mod == BUILTIN_MODULE:
+            return None if metamodel.is_relationship_key(name) else f"no foundational relationship named {name}"
+        if mod not in self.modules:
+            return f"unknown module {mod}"
+        if (mod, name) not in self.relations:
+            return f"no relation named {name} in module {mod}"
+        return None
+
+    # The checks below format an E101 text only for a reference that is unbound.
 
     def _check_term(self, m: OntologyModule, t: TermDef) -> None:
-        if t.enriches is not None:
-            self._resolve_term_ref(t.enriches, m.name, f"term {m.name}.{t.name}")
+        ref = t.enriches
+        if ref is not None and (problem := self._unbound_term(ref.module or m.name, ref.name)):
+            self.error("E101", f"term {m.name}.{t.name}: {problem}", ref.span)
         seen_keys: set[str] = set()
         for attr in t.attributes:
             if attr.key in seen_keys:
@@ -411,20 +419,10 @@ class _Resolver:
             seen_keys.add(attr.key)
 
     def _check_relation(self, m: OntologyModule, r: RelationDecl) -> None:
-        what = f"relation {m.name}.{r.name}"
-        self._resolve_term_ref(r.from_ref, m.name, what)
-        self._resolve_term_ref(r.to_ref, m.name, what)
-        kind = r.kind_ref
-        mod = kind.module or m.name
-        if mod == BUILTIN_MODULE:
-            if not metamodel.is_relationship_key(kind.name):
-                self.error("E101", f"{what}: no foundational relationship named {kind.name}", kind.span)
-            return
-        if mod not in self.modules:
-            self.error("E101", f"{what}: unknown module {mod}", kind.span)
-            return
-        if (mod, kind.name) not in self.relations:
-            self.error("E101", f"{what}: no relation named {kind.name} in module {mod}", kind.span)
+        for ref, unbound in ((r.from_ref, self._unbound_term), (r.to_ref, self._unbound_term),
+                             (r.kind_ref, self._unbound_relation)):
+            if problem := unbound(ref.module or m.name, ref.name):
+                self.error("E101", f"relation {m.name}.{r.name}: {problem}", ref.span)
 
     def check_instances(self) -> None:
         for f in self.instance_files:
@@ -438,7 +436,9 @@ class _Resolver:
                     self.error("E102", f"duplicate {kind} {decl.name} in instances of {f.of_module}", decl.span)
                 names.add(decl.name)
             for ind in f.individuals:
-                self._resolve_term_ref(ind.type_ref, f.of_module, f"individual {ind.name}")
+                ref = ind.type_ref
+                if problem := self._unbound_term(ref.module or f.of_module, ref.name):
+                    self.error("E101", f"individual {ind.name}: {problem}", ref.span)
             for w in f.worlds:
                 self._check_world(f, w)
 
@@ -448,8 +448,9 @@ class _Resolver:
             if t.name in things:
                 self.error("E102", f"duplicate thing {t.name} in world {w.name}", t.span)
                 continue
-            if t.instance_of is not None:
-                self._resolve_term_ref(t.instance_of, f.of_module, f"thing {t.name}")
+            ref = t.instance_of
+            if ref is not None and (problem := self._unbound_term(ref.module or f.of_module, ref.name)):
+                self.error("E101", f"thing {t.name}: {problem}", ref.span)
             parts = things[t.name] = {"Property": set(), "Power": set()}
             for sort, decls in (("Property", t.properties), ("Power", t.powers)):
                 for part in decls:

@@ -307,7 +307,7 @@ class _Parser:
                 raise self.fail("expected a name after '.'", i + 2)
             span = _span((self.path, first[3], first[4], second[3], second[5]))
             return QualifiedRef(first[1], second[1], span), i + 3
-        return QualifiedRef(None, first[1], _token_span(self.path, first)), i + 1
+        return QualifiedRef(None, first[1], _span((self.path, first[3], first[4], first[3], first[5]))), i + 1
 
     def parse_module(self, i: int) -> tuple[OntologyModule, int]:
         toks, path = self.toks, self.path
@@ -518,7 +518,7 @@ class _Parser:
                 raise self.fail("expected a name after '.'", i + 2)
             span = _span((self.path, first[3], first[4], second[3], second[5]))
             return WorldRef(first[1], second[1], span), i + 3
-        return WorldRef(first[1], None, _token_span(self.path, first)), i + 1
+        return WorldRef(first[1], None, _span((self.path, first[3], first[4], first[3], first[5]))), i + 1
 
     def parse_fact(self, i: int) -> tuple[Fact, int]:
         """A fact; the caller has checked that its first token is a name."""

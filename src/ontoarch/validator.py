@@ -3,13 +3,11 @@
 Enforces the architecture guidelines (G1/G2), the placement rules (R1-R3),
 the three axioms (A1-A3) over ground worlds, relationship domain/range and
 cardinality conformance, and the property schema. All checks are pure
-functions returning violations; nothing here raises on bad suites.
+functions returning findings as `Diagnostic`s; nothing here raises on bad
+suites.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterable
 
 from . import metamodel
 from .metamodel import BUILTIN_MODULE, RootKind
@@ -25,46 +23,25 @@ from .reporting import CODE_CATALOG, Diagnostic
 from .source import SourceSpan
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Violation:
-    """One falsified rule with a witness sufficient to re-derive it by hand.
-    `rule` is the rule's name in the code catalog, such as "R1"."""
-
-    rule: str
-    code: str
-    message: str
-    span: SourceSpan
-    witness: str = ""
-    anchor: str = ""
-
-    def to_diagnostic(self) -> Diagnostic:
-        return Diagnostic(self.code, self.message, self.span, self.rule, self.anchor, self.witness or None)
-
-
-def _violation(code: str, message: str, span: SourceSpan, witness: str = "", anchor: str | None = None) -> Violation:
+def _finding(code: str, message: str, span: SourceSpan, witness: str, anchor: str | None = None) -> Diagnostic:
+    """One falsified rule, with the rule's name and anchor from the code
+    catalog and a witness sufficient to re-derive it by hand."""
     doc = CODE_CATALOG[code]
-    return Violation(
-        rule=doc.rule,
-        code=code,
-        message=message,
-        span=span,
-        witness=witness,
-        anchor=doc.anchor if anchor is None else anchor,
-    )
+    return Diagnostic(code, message, span, doc.rule, doc.anchor if anchor is None else anchor, witness)
 
 
 # ---------------------------------------------------------------------------
 # Architecture (Guidelines #1 and #2).
 # ---------------------------------------------------------------------------
 
-def check_architecture(suite: ResolvedSuite) -> list[Violation]:
+def check_architecture(suite: ResolvedSuite) -> list[Diagnostic]:
     """The built-in ThingFO is the one permitted FO ontology: user modules at
     FO are errors, as are imports that cross levels."""
-    out: list[Violation] = []
+    out: list[Diagnostic] = []
     for m in suite.modules.values():
         if m.level is Level.FO:
             out.append(
-                _violation(
+                _finding(
                     "E201",
                     f"module {m.name} declares itself at the foundational level; "
                     f"only the built-in {BUILTIN_MODULE} ontology may live there",
@@ -75,7 +52,7 @@ def check_architecture(suite: ResolvedSuite) -> list[Violation]:
         for imp in m.imports:
             if m.level is Level.FO:
                 out.append(
-                    _violation(
+                    _finding(
                         "E203",
                         f"foundational-level module {m.name} may not import anything",
                         imp.span,
@@ -84,7 +61,7 @@ def check_architecture(suite: ResolvedSuite) -> list[Violation]:
                 )
             elif suite.level_of(imp.name) is not m.level:
                 out.append(
-                    _violation(
+                    _finding(
                         "E202",
                         f"import crosses levels: {m.name} ({m.level.name}) imports "
                         f"{imp.name} ({suite.level_of(imp.name).name})",
@@ -114,13 +91,13 @@ def chain_status(suite: ResolvedSuite, module_name: str, rel: RelationDecl) -> C
 # Rule #1: correspondence with the immediately higher level.
 # ---------------------------------------------------------------------------
 
-def check_rule1(suite: ResolvedSuite) -> list[Violation]:
-    out: list[Violation] = []
+def check_rule1(suite: ResolvedSuite) -> list[Diagnostic]:
+    out: list[Diagnostic] = []
     for module in suite.modules.values():
         for t in module.terms:
             if t.enriches is None:
                 out.append(
-                    _violation(
+                    _finding(
                         "E213",
                         f"term {module.name}.{t.name} has no enrichment target",
                         t.span,
@@ -132,7 +109,7 @@ def check_rule1(suite: ResolvedSuite) -> list[Violation]:
             target_level = suite.level_of(target_mod)
             if not target_level.is_exactly_above(module.level):
                 out.append(
-                    _violation(
+                    _finding(
                         "E211",
                         f"term {module.name}.{t.name} ({module.level.name}) enriches "
                         f"{target_mod}.{target_name} ({target_level.name}), which is not "
@@ -146,7 +123,7 @@ def check_rule1(suite: ResolvedSuite) -> list[Violation]:
             if not status.escapes and status.outcome in ("cycle", "downward"):
                 detail = status.text
                 out.append(
-                    _violation(
+                    _finding(
                         "E212",
                         f"relation {module.name}.{r.name} never reaches a foundational "
                         f"relationship: {detail}",
@@ -161,13 +138,13 @@ def check_rule1(suite: ResolvedSuite) -> list[Violation]:
 # Rule #2: joint definitions of import-related same-level modules.
 # ---------------------------------------------------------------------------
 
-def check_rule2(suite: ResolvedSuite) -> list[Violation]:
+def check_rule2(suite: ResolvedSuite) -> list[Diagnostic]:
     """Failures only the joint definition of an import-connected component
     exposes, all tagged E221: relations whose kind chain escapes their module
     (so Rule #1 does not judge them) and then, followed inside the component,
     cycles, turns downward or leaves the component. Everything visible
     module-locally is Rule #1's and is not reported again here."""
-    out: list[Violation] = []
+    out: list[Diagnostic] = []
     joined = {component: ", ".join(sorted(component)) for component in set(suite.components.values())}
     for module_name, r in suite.all_relations():
         status = chain_status(suite, module_name, r)
@@ -175,7 +152,7 @@ def check_rule2(suite: ResolvedSuite) -> list[Violation]:
             members = joined[suite.components[module_name]]
             detail = status.text
             out.append(
-                _violation(
+                _finding(
                     "E221",
                     f"joint definition of {{{members}}} leaves relation "
                     f"{module_name}.{r.name} without a foundational kind: {detail}",
@@ -192,13 +169,13 @@ def check_rule2(suite: ResolvedSuite) -> list[Violation]:
 
 def _classify_individual(
     suite: ResolvedSuite, name: str, type_mod: str, type_name: str, span: SourceSpan, where: str
-) -> Violation | None:
+) -> Diagnostic | None:
     anchor = suite.enrichment_root(type_mod, type_name)
     if anchor is None:
         return None  # broken enrichment chain, already flagged as E213
     root = metamodel.root_kind(anchor)
     if root is RootKind.THING_CATEGORY:
-        return _violation(
+        return _finding(
             "E301",
             f"{where} {name} instantiates {type_mod}.{type_name}, whose enrichment "
             f"root is Thing Category; categories do not result in instances",
@@ -206,7 +183,7 @@ def _classify_individual(
             witness=f"{name} : {type_mod}.{type_name} (root ThingCategory)",
         )
     if root in (RootKind.PROPERTY, RootKind.POWER):
-        return _violation(
+        return _finding(
             "E302",
             f"{where} {name} instantiates {type_mod}.{type_name}, whose enrichment "
             f"root is {root.value}; properties and powers exist only as parts of "
@@ -217,8 +194,8 @@ def _classify_individual(
     return None  # Thing and Assertion roots result in instances
 
 
-def check_rule3(suite: ResolvedSuite) -> list[Violation]:
-    out: list[Violation] = []
+def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
+    out: list[Diagnostic] = []
     for f in suite.instance_files:
         for ind in f.individuals:
             type_mod, type_name = suite.term_target(ind.type_ref, f.of_module)
@@ -240,7 +217,7 @@ def check_rule3(suite: ResolvedSuite) -> list[Violation]:
 # Axioms A1-A3 over ground worlds.
 # ---------------------------------------------------------------------------
 
-def _axiom_violation(code: str, fact: Fact) -> Violation:
+def _axiom_finding(code: str, fact: Fact) -> Diagnostic:
     left, right = fact.left, fact.right
     if code == "E311":
         message = (
@@ -257,23 +234,23 @@ def _axiom_violation(code: str, fact: Fact) -> Violation:
     else:  # E313
         message = f"power {left} interacts with its own thing {right.primary}"
         witness = f"interacts({left}, {right}); owner({left})={left.primary}"
-    return _violation(code, message, fact.span, witness=witness)
+    return _finding(code, message, fact.span, witness=witness)
 
 
-def check_axioms(world: World) -> list[Violation]:
+def check_axioms(world: World) -> list[Diagnostic]:
     """Edge-wise axiom evaluation.
 
     Ownership is functional and syntactically evident (parts are referenced
     as `thing.part`), so A1/A2 reduce to owner equality on each edge and A3
     to owner inequality against the interaction target."""
-    out: list[Violation] = []
+    out: list[Diagnostic] = []
     for fact in world.facts:
         if fact.predicate == "enables" and fact.left.primary != fact.right.primary:
-            out.append(_axiom_violation("E311", fact))
+            out.append(_axiom_finding("E311", fact))
         elif fact.predicate == "actsUpon" and fact.left.primary != fact.right.primary:
-            out.append(_axiom_violation("E312", fact))
+            out.append(_axiom_finding("E312", fact))
         elif fact.predicate == "interacts" and fact.left.primary == fact.right.primary:
-            out.append(_axiom_violation("E313", fact))
+            out.append(_axiom_finding("E313", fact))
     return out
 
 
@@ -301,8 +278,8 @@ def _anchor_matches(suite: ResolvedSuite, term: tuple[str, str], anchor: str, re
 _TERM_TARGETS = {"ThingCategory": (RootKind.THING_CATEGORY, "E232"), "Assertion": (RootKind.ASSERTION, "E233")}
 
 
-def check_relationship_conformance(suite: ResolvedSuite) -> list[Violation]:
-    out: list[Violation] = []
+def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
+    out: list[Diagnostic] = []
     for module_name, r in suite.all_relations():
         status = chain_status(suite, module_name, r)
         if status.outcome != "foundational":
@@ -323,7 +300,7 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Violation]:
             expected = " or ".join(f"{v.domain} -> {v.range}" for v in variants)
             definition = "; ".join(dict.fromkeys(v.definition for v in variants))
             out.append(
-                _violation(
+                _finding(
                     "E231",
                     f"relation {module_name}.{r.name} has kind {variants[0].display!r} "
                     f"but connects {from_root}-rooted to {to_root}-rooted terms "
@@ -345,7 +322,7 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Violation]:
                 root = metamodel.root_kind(anchor)
                 if root is not required:
                     out.append(
-                        _violation(
+                        _finding(
                             code,
                             f"{fact.predicate} target {mod}.{name} is rooted at {root.value}, "
                             f"not {metamodel.term_spec(spec.range).display}",
@@ -355,7 +332,7 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Violation]:
                     )
             elif fact.predicate == "relatesWith" and fact.left.primary == fact.right.primary:
                 out.append(
-                    _violation(
+                    _finding(
                         "E234",
                         f"thing {fact.left.primary} relates with itself in world {w.name}",
                         fact.span,
@@ -366,10 +343,10 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Violation]:
     return out
 
 
-def _check_cardinality(world: World) -> list[Violation]:
+def _check_cardinality(world: World) -> list[Diagnostic]:
     # Only enforced in worlds that use the predicate at all: ground worlds
     # may legitimately be partial descriptions, hence a warning, not an error.
-    out: list[Violation] = []
+    out: list[Diagnostic] = []
     for predicate, spec in metamodel.WORLD_PREDICATES.items():
         if not spec.multiplicity or spec.multiplicity[0] < 1:
             continue
@@ -381,7 +358,7 @@ def _check_cardinality(world: World) -> list[Violation]:
             for part in thing.parts(spec.domain):
                 if (thing.name, part.name) not in covered:
                     out.append(
-                        _violation(
+                        _finding(
                             "W301",
                             f"{sort} {thing.name}.{part.name} {spec.display} no {spec.range.lower()} "
                             f"in world {world.name}, which declares {predicate} facts",
@@ -396,8 +373,8 @@ def _check_cardinality(world: World) -> list[Violation]:
 # Property schema conformance.
 # ---------------------------------------------------------------------------
 
-def check_property_conformance(suite: ResolvedSuite) -> list[Violation]:
-    out: list[Violation] = []
+def check_property_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
+    out: list[Diagnostic] = []
     thing, assertion = RootKind.THING, RootKind.ASSERTION
     for module_name, t in suite.all_terms():
         anchor = suite.enrichment_root(module_name, t.name)
@@ -408,7 +385,7 @@ def check_property_conformance(suite: ResolvedSuite) -> list[Violation]:
         for attr in t.attributes:
             if attr.key not in allowed:
                 out.append(
-                    _violation(
+                    _finding(
                         "W201",
                         f"attribute {attr.key!r} on term {module_name}.{t.name} is not "
                         f"owned by {root.value}-rooted terms (allowed: {', '.join(allowed)})",
@@ -418,7 +395,7 @@ def check_property_conformance(suite: ResolvedSuite) -> list[Violation]:
                 )
         if root is thing and "description" not in {a.key for a in t.attributes}:
             out.append(
-                _violation(
+                _finding(
                     "W202",
                     f"thing-rooted term {module_name}.{t.name} declares no description",
                     t.span,
@@ -427,7 +404,7 @@ def check_property_conformance(suite: ResolvedSuite) -> list[Violation]:
             )
         if t.scope is not None and root is not assertion:
             out.append(
-                _violation(
+                _finding(
                     "W203",
                     f"term {module_name}.{t.name} declares scope {t.scope!r} but its "
                     f"enrichment root is {root.value}, not Assertion",
@@ -442,13 +419,13 @@ def check_property_conformance(suite: ResolvedSuite) -> list[Violation]:
 # Orchestration.
 # ---------------------------------------------------------------------------
 
-def validate_suite(suite: ResolvedSuite) -> list[Violation]:
+def validate_suite(suite: ResolvedSuite) -> list[Diagnostic]:
     """Run every check and emit the findings in check order; `Report.build`
     orders them.
 
     No check re-derives another's findings, so each one is reported once;
     a fact listed twice in a world is two findings."""
-    collected: list[Violation] = []
+    collected: list[Diagnostic] = []
     collected.extend(check_architecture(suite))
     collected.extend(check_rule1(suite))
     collected.extend(check_rule2(suite))
@@ -460,5 +437,7 @@ def validate_suite(suite: ResolvedSuite) -> list[Violation]:
     return collected
 
 
-def violations_to_diagnostics(violations: Iterable[Violation]) -> list[Diagnostic]:
-    return [v.to_diagnostic() for v in violations]
+def violations_to_diagnostics(findings: list[Diagnostic]) -> list[Diagnostic]:
+    """The findings, unchanged. This stage exists only as the name that
+    `bench/tracing.py` times; ROADMAP item 2 removes it."""
+    return findings

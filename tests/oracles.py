@@ -50,7 +50,7 @@ from ontoarch.model import (
 from ontoarch.parser import KEYWORDS, LEVEL_NAMES, TokenKind
 from ontoarch.reporting import REPORT_VERSION, Diagnostic, Report
 from ontoarch.source import SourceSpan
-from ontoarch.validator import Violation, _axiom_violation
+from ontoarch.validator import _axiom_finding
 
 
 def oracle_chain_status(
@@ -156,7 +156,7 @@ def _facts_of(world: World, predicate: str) -> list[Fact]:
     return [f for f in world.facts if f.predicate == predicate]
 
 
-def oracle_check_axioms(world: World) -> list[Violation]:
+def oracle_check_axioms(world: World) -> list[Diagnostic]:
     """Brute-force axiom evaluation by enumerating every quantifier
     instantiation (thing x property x power) with partOf as ownership.
 
@@ -169,7 +169,7 @@ def oracle_check_axioms(world: World) -> list[Violation]:
     def ref_is(ref, owner: str, part: str) -> bool:
         return ref.primary == owner and ref.part == part
 
-    out: list[Violation] = []
+    out: list[Diagnostic] = []
     # A1: Thing(t) & Property(prop) & partOf(prop,t) & Power(pow) & enables(prop,pow) -> partOf(pow,t)
     for t in things:
         for p_owner, p_name in props:
@@ -179,7 +179,7 @@ def oracle_check_axioms(world: World) -> list[Violation]:
                 for fact in _facts_of(world, "enables"):
                     if ref_is(fact.left, p_owner, p_name) and ref_is(fact.right, w_owner, w_name):
                         if w_owner != t:  # consequent partOf(pow, t) falsified
-                            out.append(_axiom_violation("E311", fact))
+                            out.append(_axiom_finding("E311", fact))
     # A2: Thing(t) & Power(pow) & partOf(pow,t) & Property(prop) & actsUpon(pow,prop) -> partOf(prop,t)
     for t in things:
         for w_owner, w_name in pows:
@@ -189,7 +189,7 @@ def oracle_check_axioms(world: World) -> list[Violation]:
                 for fact in _facts_of(world, "actsUpon"):
                     if ref_is(fact.left, w_owner, w_name) and ref_is(fact.right, p_owner, p_name):
                         if p_owner != t:
-                            out.append(_axiom_violation("E312", fact))
+                            out.append(_axiom_finding("E312", fact))
     # A3: Thing(t) & Power(pow) & partOf(pow,t) -> not interactsWithOther(pow, t)
     for t in things:
         for w_owner, w_name in pows:
@@ -197,7 +197,7 @@ def oracle_check_axioms(world: World) -> list[Violation]:
                 continue
             for fact in _facts_of(world, "interacts"):
                 if ref_is(fact.left, w_owner, w_name) and fact.right.part is None and fact.right.primary == t:
-                    out.append(_axiom_violation("E313", fact))
+                    out.append(_axiom_finding("E313", fact))
     return out
 
 PUNCTUATION = "{}(),:;."

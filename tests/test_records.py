@@ -40,7 +40,7 @@ from ontoarch.model import (
 from ontoarch.parser import parse_suite
 from ontoarch.reporting import Diagnostic
 from ontoarch.source import SourceSpan
-from ontoarch.validator import Violation, validate_suite
+from ontoarch.validator import validate_suite
 
 SPAN = SourceSpan("a.onto", 1, 1, 1, 5)
 OTHER_SPAN = SourceSpan("b.onto", 2, 3, 4, 5)
@@ -111,11 +111,6 @@ RECORDS = (
         Diagnostic,
         {"code": "E001", "message": "m", "span": SPAN, "rule": None, "anchor": "", "witness": None},
         {"code": "E211", "message": "n", "span": OTHER_SPAN, "rule": "R1", "anchor": "a", "witness": "w"},
-    ),
-    (
-        Violation,
-        {"rule": "R1", "code": "E211", "message": "m", "span": SPAN, "witness": "", "anchor": ""},
-        {"rule": "R2", "code": "E221", "message": "n", "span": OTHER_SPAN, "witness": "w", "anchor": "a"},
     ),
     (
         ChainStatus,
