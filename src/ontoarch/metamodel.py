@@ -10,8 +10,8 @@ ontology, and it is this one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 THINGFO_VERSION = "1.3"
 
@@ -29,8 +29,7 @@ class RootKind(Enum):
     ASSERTION = "Assertion"
 
 
-@dataclass(frozen=True)
-class FoundationalTermSpec:
+class FoundationalTermSpec(NamedTuple):
     id: str
     display: str
     parent: str | None
@@ -39,8 +38,7 @@ class FoundationalTermSpec:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class PropertySpec:
+class PropertySpec(NamedTuple):
     owner: str
     key: str
     display: str
@@ -48,8 +46,7 @@ class PropertySpec:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class RelationshipSpec:
+class RelationshipSpec(NamedTuple):
     key: str
     display: str
     domain: str
@@ -61,8 +58,7 @@ class RelationshipSpec:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class AxiomSpec:
+class AxiomSpec(NamedTuple):
     id: str
     description: str
     #: The implication whose falsified instances the checker reports.

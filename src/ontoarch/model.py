@@ -1,11 +1,11 @@
 """Data model and name resolution for user-authored ontology suites.
 
-Declarations are slotted dataclasses, shared between the parser (which
-builds them with real source spans) and programmatic construction (tests,
-generators). They compare and hash by their fields, spans aside, and nothing
-changes a node after it is built. They are not frozen: a frozen `__init__`
-sets each field through `object.__setattr__` and costs about three times a
-plain one.
+Declarations are slotted `Record`s with a plain `__init__`, built by the
+parser with real source spans and by tests and generators with
+`synthetic_span()` ones. They compare and hash by their fields, spans aside,
+and nothing changes a node after it is built. They are not frozen: a frozen
+`__init__` sets each field through `object.__setattr__` and costs about three
+times a plain one.
 
 `resolve` binds every reference or reports E1xx diagnostics; on success it
 also hands the suite the facts its passes computed once: the declaration
@@ -16,14 +16,13 @@ changes them afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
 from . import metamodel
 from .metamodel import BUILTIN_MODULE
 from .reporting import Diagnostic
-from .source import SourceSpan, synthetic_span
+from .source import Record, SourceSpan, synthetic_span
 
 
 class Level(Enum):
@@ -46,57 +45,72 @@ class Level(Enum):
         return self._value_ == other._value_ - 1
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class QualifiedRef:
+class QualifiedRef(Record):
     """A `Module.Name` or bare `Name` reference; bare names resolve in the
     declaring module (or the instance file's module)."""
 
-    module: str | None
-    name: str
-    span: SourceSpan = field(compare=False, default_factory=synthetic_span)
+    __slots__ = ("module", "name", "span")
+
+    def __init__(self, module: str | None, name: str, span: SourceSpan | None = None):
+        self.module = module
+        self.name = name
+        self.span = synthetic_span() if span is None else span
 
     def __str__(self) -> str:
         return f"{self.module}.{self.name}" if self.module else self.name
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class ImportRef:
-    name: str
-    span: SourceSpan = field(compare=False, default_factory=synthetic_span)
+class ImportRef(Record):
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: SourceSpan | None = None):
+        self.name = name
+        self.span = synthetic_span() if span is None else span
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class AttrPair:
-    key: str
-    value: str
-    span: SourceSpan = field(compare=False, default_factory=synthetic_span)
+class AttrPair(Record):
+    __slots__ = ("key", "value", "span")
+
+    def __init__(self, key: str, value: str, span: SourceSpan | None = None):
+        self.key = key
+        self.value = value
+        self.span = synthetic_span() if span is None else span
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TermDef:
-    name: str
-    enriches: QualifiedRef | None
-    scope: str | None = None  # "particulars" | "universals"
-    attributes: tuple[AttrPair, ...] = ()
-    span: SourceSpan = field(compare=False, default_factory=synthetic_span)
+class TermDef(Record):
+    __slots__ = ("name", "enriches", "scope", "attributes", "span")
+
+    def __init__(self, name: str, enriches: QualifiedRef | None, scope: str | None = None,
+                 attributes: tuple[AttrPair, ...] = (), span: SourceSpan | None = None):
+        self.name = name
+        self.enriches = enriches
+        self.scope = scope  # "particulars" | "universals"
+        self.attributes = attributes
+        self.span = synthetic_span() if span is None else span
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class RelationDecl:
-    name: str
-    from_ref: QualifiedRef
-    to_ref: QualifiedRef
-    kind_ref: QualifiedRef
-    span: SourceSpan = field(compare=False, default_factory=synthetic_span)
+class RelationDecl(Record):
+    __slots__ = ("name", "from_ref", "to_ref", "kind_ref", "span")
+
+    def __init__(self, name: str, from_ref: QualifiedRef, to_ref: QualifiedRef, kind_ref: QualifiedRef,
+                 span: SourceSpan | None = None):
+        self.name = name
+        self.from_ref = from_ref
+        self.to_ref = to_ref
+        self.kind_ref = kind_ref
+        self.span = synthetic_span() if span is None else span
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class OntologyModule:
-    name: str
-    level: Level
-    imports: tuple[ImportRef, ...] = ()
-    body: tuple[TermDef | RelationDecl, ...] = ()
-    span: SourceSpan = field(compare=False, default_factory=synthetic_span)
+class OntologyModule(Record):
+    __slots__ = ("name", "level", "imports", "body", "span")
+
+    def __init__(self, name: str, level: Level, imports: tuple[ImportRef, ...] = (),
+                 body: tuple[TermDef | RelationDecl, ...] = (), span: SourceSpan | None = None):
+        self.name = name
+        self.level = level
+        self.imports = imports
+        self.body = body
+        self.span = synthetic_span() if span is None else span
 
     @property
     def terms(self) -> tuple[TermDef, ...]:
@@ -107,69 +121,85 @@ class OntologyModule:
         return tuple(d for d in self.body if isinstance(d, RelationDecl))
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class WorldRef:
+class WorldRef(Record):
     """A fact argument: bare `thing` or dotted `thing.part` / `Module.Term`,
     disambiguated by the predicate position during resolution."""
 
-    primary: str
-    part: str | None = None
-    span: SourceSpan = field(compare=False, default_factory=synthetic_span)
+    __slots__ = ("primary", "part", "span")
+
+    def __init__(self, primary: str, part: str | None = None, span: SourceSpan | None = None):
+        self.primary = primary
+        self.part = part
+        self.span = synthetic_span() if span is None else span
 
     def __str__(self) -> str:
         return f"{self.primary}.{self.part}" if self.part else self.primary
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class PartDecl:
-    name: str
-    span: SourceSpan = field(compare=False, default_factory=synthetic_span)
+class PartDecl(Record):
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: SourceSpan | None = None):
+        self.name = name
+        self.span = synthetic_span() if span is None else span
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class ThingNode:
-    name: str
-    instance_of: QualifiedRef | None = None
-    properties: tuple[PartDecl, ...] = ()
-    powers: tuple[PartDecl, ...] = ()
-    span: SourceSpan = field(compare=False, default_factory=synthetic_span)
+class ThingNode(Record):
+    __slots__ = ("name", "instance_of", "properties", "powers", "span")
+
+    def __init__(self, name: str, instance_of: QualifiedRef | None = None, properties: tuple[PartDecl, ...] = (),
+                 powers: tuple[PartDecl, ...] = (), span: SourceSpan | None = None):
+        self.name = name
+        self.instance_of = instance_of
+        self.properties = properties
+        self.powers = powers
+        self.span = synthetic_span() if span is None else span
 
     def parts(self, sort: str) -> tuple[PartDecl, ...]:
         """The thing's parts of sort `Property` or `Power`."""
         return self.properties if sort == "Property" else self.powers
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Fact:
-    predicate: str
-    left: WorldRef
-    right: WorldRef
-    span: SourceSpan = field(compare=False, default_factory=synthetic_span)
+class Fact(Record):
+    __slots__ = ("predicate", "left", "right", "span")
+
+    def __init__(self, predicate: str, left: WorldRef, right: WorldRef, span: SourceSpan | None = None):
+        self.predicate = predicate
+        self.left = left
+        self.right = right
+        self.span = synthetic_span() if span is None else span
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class World:
-    name: str
-    things: tuple[ThingNode, ...] = ()
-    facts: tuple[Fact, ...] = ()
-    span: SourceSpan = field(compare=False, default_factory=synthetic_span)
+class World(Record):
+    __slots__ = ("name", "things", "facts", "span")
+
+    def __init__(self, name: str, things: tuple[ThingNode, ...] = (), facts: tuple[Fact, ...] = (),
+                 span: SourceSpan | None = None):
+        self.name = name
+        self.things = things
+        self.facts = facts
+        self.span = synthetic_span() if span is None else span
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Individual:
-    name: str
-    type_ref: QualifiedRef
-    span: SourceSpan = field(compare=False, default_factory=synthetic_span)
+class Individual(Record):
+    __slots__ = ("name", "type_ref", "span")
+
+    def __init__(self, name: str, type_ref: QualifiedRef, span: SourceSpan | None = None):
+        self.name = name
+        self.type_ref = type_ref
+        self.span = synthetic_span() if span is None else span
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class InstanceFile:
+class InstanceFile(Record):
     """An `instances of <Module>` block: the Instance Ontological Level
     content attached to one module."""
 
-    of_module: str
-    body: tuple[Individual | World, ...] = ()
-    span: SourceSpan = field(compare=False, default_factory=synthetic_span)
+    __slots__ = ("of_module", "body", "span")
+
+    def __init__(self, of_module: str, body: tuple[Individual | World, ...] = (), span: SourceSpan | None = None):
+        self.of_module = of_module
+        self.body = body
+        self.span = synthetic_span() if span is None else span
 
     @property
     def individuals(self) -> tuple[Individual, ...]:
@@ -184,18 +214,21 @@ class InstanceFile:
 # Resolution.
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
-class ChainStatus:
+class ChainStatus(Record):
     """Where a relation's `kind` chain ends, following lateral hops (same
     level, other module) inside import components; `escapes` when it takes
     one. A cycle is its members' names in walk order, shared by them all."""
 
-    outcome: str  # "foundational" | "dead_end" | "cycle" | "downward"
-    key: str | None = None  # the foundational relationship reached
-    detail: str = ""  # why a "downward" or "dead_end" chain ends
-    cycle: tuple[str, ...] = ()
-    index: int = 0  # where the chain enters `cycle`
-    escapes: bool = False
+    __slots__ = ("outcome", "key", "detail", "cycle", "index", "escapes")
+
+    def __init__(self, outcome: str, key: str | None = None, detail: str = "", cycle: tuple[str, ...] = (),
+                 index: int = 0, escapes: bool = False):
+        self.outcome = outcome  # "foundational" | "dead_end" | "cycle" | "downward"
+        self.key = key  # the foundational relationship reached
+        self.detail = detail  # why a "downward" or "dead_end" chain ends
+        self.cycle = cycle
+        self.index = index  # where the chain enters `cycle`
+        self.escapes = escapes
 
     @property
     def text(self) -> str:
@@ -575,7 +608,7 @@ class _Resolver:
             status = chains[key]
             for walked, lateral in reversed(path.items()):
                 if lateral and not status.escapes:
-                    status = replace(status, escapes=True)
+                    status = ChainStatus(status.outcome, status.key, status.detail, status.cycle, status.index, True)
                 chains[walked] = status
 
 

@@ -28,7 +28,6 @@ canonical form whose reparse is structurally identical (spans aside).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import NoReturn
@@ -51,7 +50,7 @@ from .model import (
     WorldRef,
 )
 from .reporting import Diagnostic
-from .source import SourceSpan
+from .source import Record, SourceSpan
 
 KEYWORDS = frozenset(
     {
@@ -194,20 +193,20 @@ def _token_span(path: str, tok: tuple) -> SourceSpan:
 # Parsing.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuiteAst:
+class SuiteAst(Record):
     """Parsed (unresolved) declaration trees for all files that parsed, in
-    input order."""
+    input order, with their modules and instance files split out once."""
 
-    decls: tuple[OntologyModule | InstanceFile, ...] = ()
+    __slots__ = ("decls", "modules", "instance_files")
+    _compared = ("decls",)
 
-    @property
-    def modules(self) -> tuple[OntologyModule, ...]:
-        return tuple(d for d in self.decls if isinstance(d, OntologyModule))
+    def __init__(self, decls: tuple[OntologyModule | InstanceFile, ...] = ()):
+        self.decls = decls
+        self.modules: tuple[OntologyModule, ...] = tuple(d for d in decls if isinstance(d, OntologyModule))
+        self.instance_files: tuple[InstanceFile, ...] = tuple(d for d in decls if isinstance(d, InstanceFile))
 
-    @property
-    def instance_files(self) -> tuple[InstanceFile, ...]:
-        return tuple(d for d in self.decls if isinstance(d, InstanceFile))
+    def __repr__(self) -> str:
+        return f"SuiteAst(decls={self.decls!r})"
 
 
 class _ParseError(Exception):

@@ -13,13 +13,10 @@ enforces, so reports are self-explaining.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from json.encoder import encode_basestring
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .metamodel import ARCHITECTURE_RULES, AXIOMS
-from .source import SourceSpan
+from .source import Record, SourceSpan
 
 REPORT_VERSION = 1
 
@@ -28,14 +25,18 @@ def severity_of(code: str) -> str:
     return "error" if code.startswith("E") else "warning"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Diagnostic:
-    code: str
-    message: str
-    span: SourceSpan
-    rule: str | None = None
-    anchor: str = ""
-    witness: str | None = None
+class Diagnostic(Record):
+    __slots__ = ("code", "message", "span", "rule", "anchor", "witness")
+    _compared = __slots__  # the same finding at two places is two findings
+
+    def __init__(self, code: str, message: str, span: SourceSpan, rule: str | None = None, anchor: str = "",
+                 witness: str | None = None):
+        self.code = code
+        self.message = message
+        self.span = span
+        self.rule = rule
+        self.anchor = anchor
+        self.witness = witness
 
     @property
     def severity(self) -> str:
@@ -48,8 +49,7 @@ class Diagnostic:
         return (span.file, span.start_line, span.start_col, self.code, self.message)
 
 
-@dataclass(frozen=True)
-class CodeDoc:
+class CodeDoc(NamedTuple):
     title: str
     rule: str | None
     anchor: str
@@ -205,14 +205,17 @@ CODE_CATALOG: dict[str, CodeDoc] = {
 }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """An ordered batch of diagnostics, their error and warning counts, and suite summary counts."""
 
-    diagnostics: tuple[Diagnostic, ...]
-    summary: dict[str, Any] = field(default_factory=dict)
-    error_count: int = 0
-    warning_count: int = 0
+    __slots__ = ("diagnostics", "summary", "error_count", "warning_count")
+
+    def __init__(self, diagnostics: tuple[Diagnostic, ...], summary: dict[str, Any] | None = None,
+                 error_count: int = 0, warning_count: int = 0):
+        self.diagnostics = diagnostics
+        self.summary = {} if summary is None else summary
+        self.error_count = error_count
+        self.warning_count = warning_count
 
     @classmethod
     def build(cls, diagnostics: Iterable[Diagnostic], summary: dict[str, Any] | None = None) -> "Report":
@@ -246,6 +249,8 @@ def render_json(report: Report) -> str:
     ensure_ascii=False)`: each finding is written with its keys in sorted
     order and its strings escaped by the same `encode_basestring`. Files,
     anchors, rules and codes repeat, so each distinct one is escaped once."""
+    import json  # here, so that a text report never loads it
+    from json.encoder import encode_basestring
     encoded: dict[str | None, str] = {None: "null"}
     by_code: dict[str, tuple[str, str]] = {}  # code -> its text and its severity's
     parts = ['{"diagnostics":[']

@@ -1,4 +1,5 @@
-"""Source positions shared by the tokenizer, parser, model and reports."""
+"""Source positions shared by the tokenizer, parser, model and reports, and
+the base class of their slotted records."""
 
 from __future__ import annotations
 
@@ -33,3 +34,29 @@ class SourceSpan(_SpanFields):
 def synthetic_span(label: str = "<builtin>") -> SourceSpan:
     """Placeholder span for declarations built in memory rather than parsed."""
     return SourceSpan(label, 1, 1, 1, 1)
+
+
+class Record:
+    """Base of the slotted records. A subclass lists its fields in `__slots__`
+    in constructor order and writes its own `__init__`; `repr` shows every
+    field, and equality and hashing go by those in `_compared`, by default
+    all but a node's `span`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_compared" not in cls.__dict__:
+            cls._compared = tuple(name for name in cls.__slots__ if name != "span")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({shown})"

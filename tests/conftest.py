@@ -3,14 +3,13 @@ benchmark's modules loaded by path, and a field-by-field walk of AST nodes."""
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 import types
 from pathlib import Path
 
 import pytest
 
-from ontoarch.source import SourceSpan
+from ontoarch.source import Record, SourceSpan
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIG2 = FIXTURES / "fig2"
@@ -69,12 +68,12 @@ MUTATIONS: tuple[tuple[str, str, str, str], ...] = (
 
 def tree(node):
     """A node, or a list or tuple of them, as nested tuples of type names,
-    field values and spans. Nodes compare without their spans (`span` is
-    `compare=False`); their trees compare with them."""
+    field values and spans. Nodes compare without their spans (`span` is not
+    in their `_compared`); their trees compare with them."""
     if isinstance(node, SourceSpan):
         return ("span", *node)
-    if dataclasses.is_dataclass(node):
-        return (type(node).__name__, *(tree(getattr(node, f.name)) for f in dataclasses.fields(node)))
+    if isinstance(node, Record):
+        return (type(node).__name__, *(tree(getattr(node, name)) for name in node.__slots__))
     if isinstance(node, (list, tuple)):
         return tuple(tree(item) for item in node)
     return node

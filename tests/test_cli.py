@@ -192,6 +192,18 @@ def test_python_dash_m_runs_the_cli_module():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "terms=19 properties=10 relationships=12\n", "")
 
 
+def test_import_loads_no_dataclass_or_json_machinery():
+    # The records are plain classes and `render_json` imports `json` itself,
+    # so a fresh `import ontoarch` loads none of these.
+    env = dict(os.environ, PYTHONPATH=str(Path(ontoarch.__file__).parents[1]))
+    unwanted = ("dataclasses", "inspect", "ast", "dis", "json")
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, ontoarch; print([m for m in {unwanted!r} if m in sys.modules])"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_package_resolves_cli_names_on_first_use():
     from ontoarch import build_report
 

@@ -136,8 +136,8 @@ def test_parser_builds_only_the_spans_its_ast_holds(monkeypatch):
     assert diagnostics == []
     # the module and its import; each term, its target and its attribute;
     # each relation and its three references
-    assert len(_spans(ast)) == 1 + 1 + 1000 * 3 + 1000 * 4
-    assert len(built) == len(_spans(ast))
+    assert len(_spans(ast.decls)) == 1 + 1 + 1000 * 3 + 1000 * 4
+    assert len(built) == len(_spans(ast.decls))
 
 
 @pytest.mark.parametrize("workload", ["wide_clean", "deep_chains", "dirty_worlds"])

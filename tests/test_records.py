@@ -1,15 +1,16 @@
-"""The per-declaration and per-finding records: slotted dataclasses that
-compare and hash by their fields (a node's span aside), and AST nodes that a
+"""The records: slotted classes that compare and hash by their fields (a
+node's span aside) and show every field in their `repr`, and AST nodes that a
 verdict never changes.
 
-The records are not frozen, so nothing stops an assignment to a field;
+AST nodes, findings, chain outcomes, reports and the parsed suite are plain
+slotted classes (`source.Record`); the catalog entries are `NamedTuple`s.
+The plain records are not frozen, so nothing stops an assignment to a field;
 `test_a_verdict_never_changes_the_ast` guards the AST instead, field by
 field and spans included (`tree` in `conftest.py`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from unittest import mock
 
 import pytest
@@ -37,8 +38,9 @@ from ontoarch.model import (
     WorldRef,
     resolve,
 )
-from ontoarch.parser import parse_suite
-from ontoarch.reporting import Diagnostic
+from ontoarch.metamodel import AxiomSpec, FoundationalTermSpec, PropertySpec, RelationshipSpec
+from ontoarch.parser import SuiteAst, parse_suite
+from ontoarch.reporting import CodeDoc, Diagnostic, Report
 from ontoarch.source import SourceSpan
 from ontoarch.validator import validate_suite
 
@@ -124,26 +126,145 @@ RECORDS = (
             "escapes": True,
         },
     ),
+    (
+        FoundationalTermSpec,
+        {"id": "Thing", "display": "Thing", "parent": None, "synonyms": ("Object",), "definition": "d", "notes": ()},
+        {"id": "Power", "display": "Power", "parent": "Thing", "synonyms": (), "definition": "e", "notes": ("n",)},
+    ),
+    (
+        PropertySpec,
+        {"owner": "Thing", "key": "name", "display": "name", "definition": "d", "notes": ()},
+        {"owner": "Power", "key": "description", "display": "description", "definition": "e", "notes": ("n",)},
+    ),
+    (
+        RelationshipSpec,
+        {
+            "key": "actsUpon",
+            "display": "acts upon",
+            "domain": "Power",
+            "range": "Property",
+            "definition": "d",
+            "multiplicity": (1, None),
+            "axiom_links": frozenset({"A2"}),
+            "notes": (),
+        },
+        {
+            "key": "enables",
+            "display": "enables",
+            "domain": "Property",
+            "range": "Power",
+            "definition": "e",
+            "multiplicity": None,
+            "axiom_links": frozenset(),
+            "notes": ("n",),
+        },
+    ),
+    (
+        AxiomSpec,
+        {"id": "A1", "description": "d", "constraint": "c", "formula": "f"},
+        {"id": "A2", "description": "e", "constraint": "k", "formula": "g"},
+    ),
+    (
+        CodeDoc,
+        {"title": "t", "rule": None, "anchor": "", "example": "x"},
+        {"title": "u", "rule": "R1", "anchor": "a", "example": "y"},
+    ),
+    (
+        Report,
+        {"diagnostics": (), "summary": {}, "error_count": 0, "warning_count": 0},
+        {"diagnostics": (Diagnostic("W201", "m", SPAN),), "summary": {"terms": 1}, "error_count": 1, "warning_count": 1},
+    ),
 )
 
 
 @pytest.mark.parametrize(("cls", "fields", "others"), RECORDS, ids=[r[0].__name__ for r in RECORDS])
 def test_records_are_slotted_and_compare_by_their_fields(cls, fields, others):
-    names = {f.name for f in dataclasses.fields(cls)}
+    names = set(cls._fields if issubclass(cls, tuple) else cls.__slots__)
     assert set(others) == set(fields) and names - set(fields) <= {"span"}
     record = cls(**fields)
     assert not hasattr(record, "__dict__")
     twin = cls(**fields)
-    assert twin == record and hash(twin) == hash(record)
+    assert twin == record
+    if cls is not Report:  # a report's summary is a dict
+        assert hash(twin) == hash(record)
 
     for name, value in others.items():
         assert value != fields[name]
-        assert dataclasses.replace(record, **{name: value}) != record, name
+        assert cls(**{**fields, name: value}) != record, name
 
     if "span" in names and "span" not in fields:
-        moved = dataclasses.replace(record, span=OTHER_SPAN)
+        moved = cls(**fields, span=OTHER_SPAN)
         assert moved.span != record.span
         assert moved == record and hash(moved) == hash(record)
+
+
+BUILTIN_SPAN = "SourceSpan(file='<builtin>', start_line=1, start_col=1, end_line=1, end_col=1)"
+
+#: The `repr` of each record built from its `RECORDS` fields: every field,
+#: spans included, as `Name(field=value, ...)`.
+REPRS = {
+    "QualifiedRef": f"QualifiedRef(module='M', name='t', span={BUILTIN_SPAN})",
+    "ImportRef": f"ImportRef(name='M', span={BUILTIN_SPAN})",
+    "AttrPair": f"AttrPair(key='description', value='d', span={BUILTIN_SPAN})",
+    "TermDef": (
+        f"TermDef(name='t', enriches=QualifiedRef(module='ThingFO', name='Thing', "
+        f"span={BUILTIN_SPAN}), scope=None, attributes=(), span={BUILTIN_SPAN})"
+    ),
+    "RelationDecl": (
+        f"RelationDecl(name='r', from_ref=QualifiedRef(module=None, name='a', "
+        f"span={BUILTIN_SPAN}), to_ref=QualifiedRef(module=None, name='b', "
+        f"span={BUILTIN_SPAN}), kind_ref=QualifiedRef(module='ThingFO', name='relatesWith', "
+        f"span={BUILTIN_SPAN}), span={BUILTIN_SPAN})"
+    ),
+    "OntologyModule": f"OntologyModule(name='M', level=<Level.CO: 1>, imports=(), body=(), span={BUILTIN_SPAN})",
+    "WorldRef": f"WorldRef(primary='x', part=None, span={BUILTIN_SPAN})",
+    "PartDecl": f"PartDecl(name='p', span={BUILTIN_SPAN})",
+    "ThingNode": f"ThingNode(name='x', instance_of=None, properties=(), powers=(), span={BUILTIN_SPAN})",
+    "Fact": (
+        f"Fact(predicate='enables', left=WorldRef(primary='x', part='p', "
+        f"span={BUILTIN_SPAN}), right=WorldRef(primary='x', part='q', span={BUILTIN_SPAN}), "
+        f"span={BUILTIN_SPAN})"
+    ),
+    "World": f"World(name='w', things=(), facts=(), span={BUILTIN_SPAN})",
+    "Individual": (
+        f"Individual(name='i', type_ref=QualifiedRef(module=None, name='T', "
+        f"span={BUILTIN_SPAN}), span={BUILTIN_SPAN})"
+    ),
+    "InstanceFile": f"InstanceFile(of_module='M', body=(), span={BUILTIN_SPAN})",
+    "Diagnostic": (
+        "Diagnostic(code='E001', message='m', span=SourceSpan(file='a.onto', start_line=1, "
+        "start_col=1, end_line=1, end_col=5), rule=None, anchor='', witness=None)"
+    ),
+    "ChainStatus": "ChainStatus(outcome='foundational', key='belongsTo', detail='', cycle=(), index=0, escapes=False)",
+    "FoundationalTermSpec": (
+        "FoundationalTermSpec(id='Thing', display='Thing', parent=None, "
+        "synonyms=('Object',), definition='d', notes=())"
+    ),
+    "PropertySpec": "PropertySpec(owner='Thing', key='name', display='name', definition='d', notes=())",
+    "RelationshipSpec": (
+        "RelationshipSpec(key='actsUpon', display='acts upon', domain='Power', "
+        "range='Property', definition='d', multiplicity=(1, None), "
+        "axiom_links=frozenset({'A2'}), notes=())"
+    ),
+    "AxiomSpec": "AxiomSpec(id='A1', description='d', constraint='c', formula='f')",
+    "CodeDoc": "CodeDoc(title='t', rule=None, anchor='', example='x')",
+    "Report": "Report(diagnostics=(), summary={}, error_count=0, warning_count=0)",
+}
+
+
+@pytest.mark.parametrize(("cls", "fields"), [r[:2] for r in RECORDS], ids=[r[0].__name__ for r in RECORDS])
+def test_record_repr_shows_every_field(cls, fields):
+    assert repr(cls(**fields)) == REPRS[cls.__name__]
+
+
+def test_suite_ast_splits_its_declarations_once():
+    module, instances = OntologyModule("M", Level.CO), InstanceFile("M")
+    ast = SuiteAst((instances, module))
+    assert ast.modules == (module,) and ast.instance_files == (instances,)
+    assert ast.modules is ast.modules and ast.instance_files is ast.instance_files
+    assert ast == SuiteAst((instances, module)) and hash(ast) == hash(SuiteAst((instances, module)))
+    assert ast != SuiteAst((module, instances))
+    assert repr(SuiteAst((module,))) == f"SuiteAst(decls=({REPRS['OntologyModule']},))"
 
 
 def _assert_verdict_keeps_ast(files: list[tuple[str, str]]) -> None:
