@@ -130,8 +130,8 @@ def export_graph(suite: ResolvedSuite) -> str:
     for module_name in sorted(suite.modules):
         module = suite.modules[module_name]
         for term in module.terms:
-            target = suite.term_target(term.enriches, module_name) if term.enriches else None
-            if target:
+            if term.enriches:
+                target = suite.term_target(term.enriches, module_name)
                 edges.append(f'  "{module_name}.{term.name}" -> "{target[0]}.{target[1]}";')
         for imp in sorted(i.name for i in module.imports):
             edges.append(f'  "{module_name}" -> "{imp}" [style=dashed];')

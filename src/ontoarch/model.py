@@ -5,7 +5,9 @@ parser with real source spans and by tests and generators with
 `synthetic_span()` ones. They compare and hash by their fields, spans aside,
 and nothing changes a node after it is built. They are not frozen: a frozen
 `__init__` sets each field through `object.__setattr__` and costs about three
-times a plain one.
+times a plain one. A module's `terms` and `relations` and an instance
+file's `individuals` and `worlds` are split from `body` at construction, so
+rebinding `body` afterwards does not update them.
 
 `resolve` binds every reference or reports E1xx diagnostics; on success it
 also hands the suite the facts its passes computed once: the declaration
@@ -102,7 +104,8 @@ class RelationDecl(Record):
 
 
 class OntologyModule(Record):
-    __slots__ = ("name", "level", "imports", "body", "span")
+    _fields = ("name", "level", "imports", "body", "span")
+    __slots__ = _fields + ("terms", "relations")
 
     def __init__(self, name: str, level: Level, imports: tuple[ImportRef, ...] = (),
                  body: tuple[TermDef | RelationDecl, ...] = (), span: SourceSpan | None = None):
@@ -111,14 +114,8 @@ class OntologyModule(Record):
         self.imports = imports
         self.body = body
         self.span = synthetic_span() if span is None else span
-
-    @property
-    def terms(self) -> tuple[TermDef, ...]:
-        return tuple(d for d in self.body if isinstance(d, TermDef))
-
-    @property
-    def relations(self) -> tuple[RelationDecl, ...]:
-        return tuple(d for d in self.body if isinstance(d, RelationDecl))
+        self.terms: tuple[TermDef, ...] = tuple(d for d in body if isinstance(d, TermDef))
+        self.relations: tuple[RelationDecl, ...] = tuple(d for d in body if isinstance(d, RelationDecl))
 
 
 class WorldRef(Record):
@@ -194,20 +191,15 @@ class InstanceFile(Record):
     """An `instances of <Module>` block: the Instance Ontological Level
     content attached to one module."""
 
-    __slots__ = ("of_module", "body", "span")
+    _fields = ("of_module", "body", "span")
+    __slots__ = _fields + ("individuals", "worlds")
 
     def __init__(self, of_module: str, body: tuple[Individual | World, ...] = (), span: SourceSpan | None = None):
         self.of_module = of_module
         self.body = body
         self.span = synthetic_span() if span is None else span
-
-    @property
-    def individuals(self) -> tuple[Individual, ...]:
-        return tuple(d for d in self.body if isinstance(d, Individual))
-
-    @property
-    def worlds(self) -> tuple[World, ...]:
-        return tuple(d for d in self.body if isinstance(d, World))
+        self.individuals: tuple[Individual, ...] = tuple(d for d in body if isinstance(d, Individual))
+        self.worlds: tuple[World, ...] = tuple(d for d in body if isinstance(d, World))
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +336,8 @@ class _Resolver:
                 self.error("E102", f"duplicate module {m.name}", m.span)
             else:
                 self.modules[m.name] = m
-                for decl in m.body:
-                    table = self.terms if isinstance(decl, TermDef) else self.relations
-                    table[(m.name, decl.name)] = decl
+                self.terms.update({(m.name, t.name): t for t in m.terms})
+                self.relations.update({(m.name, r.name): r for r in m.relations})
 
     def check_imports(self) -> None:
         # One walk over each module's imports reports E104/E101 and keeps the

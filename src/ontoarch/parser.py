@@ -197,16 +197,13 @@ class SuiteAst(Record):
     """Parsed (unresolved) declaration trees for all files that parsed, in
     input order, with their modules and instance files split out once."""
 
-    __slots__ = ("decls", "modules", "instance_files")
-    _compared = ("decls",)
+    _fields = ("decls",)
+    __slots__ = _fields + ("modules", "instance_files")
 
     def __init__(self, decls: tuple[OntologyModule | InstanceFile, ...] = ()):
         self.decls = decls
         self.modules: tuple[OntologyModule, ...] = tuple(d for d in decls if isinstance(d, OntologyModule))
         self.instance_files: tuple[InstanceFile, ...] = tuple(d for d in decls if isinstance(d, InstanceFile))
-
-    def __repr__(self) -> str:
-        return f"SuiteAst(decls={self.decls!r})"
 
 
 class _ParseError(Exception):

@@ -206,22 +206,20 @@ CODE_CATALOG: dict[str, CodeDoc] = {
 
 
 class Report(Record):
-    """An ordered batch of diagnostics, their error and warning counts, and suite summary counts."""
+    """An ordered batch of diagnostics and suite summary counts; it counts its errors and warnings itself."""
 
-    __slots__ = ("diagnostics", "summary", "error_count", "warning_count")
+    _fields = ("diagnostics", "summary")
+    __slots__ = _fields + ("error_count", "warning_count")
 
-    def __init__(self, diagnostics: tuple[Diagnostic, ...], summary: dict[str, Any] | None = None,
-                 error_count: int = 0, warning_count: int = 0):
+    def __init__(self, diagnostics: tuple[Diagnostic, ...], summary: dict[str, Any] | None = None):
         self.diagnostics = diagnostics
         self.summary = {} if summary is None else summary
-        self.error_count = error_count
-        self.warning_count = warning_count
+        self.error_count = errors = [d.severity for d in diagnostics].count("error")
+        self.warning_count = len(diagnostics) - errors
 
     @classmethod
     def build(cls, diagnostics: Iterable[Diagnostic], summary: dict[str, Any] | None = None) -> "Report":
-        ordered = tuple(sorted(diagnostics, key=Diagnostic.sort_key))
-        errors = [d.severity for d in ordered].count("error")
-        return cls(ordered, dict(summary or {}), errors, len(ordered) - errors)
+        return cls(tuple(sorted(diagnostics, key=Diagnostic.sort_key)), dict(summary or {}))
 
 
 def _plural(n: int, word: str) -> str:

@@ -31,22 +31,26 @@ class SourceSpan(_SpanFields):
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
-def synthetic_span(label: str = "<builtin>") -> SourceSpan:
+def synthetic_span() -> SourceSpan:
     """Placeholder span for declarations built in memory rather than parsed."""
-    return SourceSpan(label, 1, 1, 1, 1)
+    return SourceSpan("<builtin>", 1, 1, 1, 1)
 
 
 class Record:
-    """Base of the slotted records. A subclass lists its fields in `__slots__`
-    in constructor order and writes its own `__init__`; `repr` shows every
-    field, and equality and hashing go by those in `_compared`, by default
-    all but a node's `span`."""
+    """Base of the slotted records. A subclass lists its constructor fields,
+    in order, in `_fields`, by default its `__slots__`, and writes its own
+    `__init__`. A slot after the fields holds a value that `__init__`
+    computes once from them; rebinding a field afterwards does not update
+    it. `repr` shows the fields, and equality and hashing go by those in
+    `_compared`, by default all fields but a node's `span`."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
         if "_compared" not in cls.__dict__:
-            cls._compared = tuple(name for name in cls.__slots__ if name != "span")
+            cls._compared = tuple(name for name in cls._fields if name != "span")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._compared])
@@ -58,5 +62,5 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({shown})"

@@ -69,11 +69,12 @@ MUTATIONS: tuple[tuple[str, str, str, str], ...] = (
 def tree(node):
     """A node, or a list or tuple of them, as nested tuples of type names,
     field values and spans. Nodes compare without their spans (`span` is not
-    in their `_compared`); their trees compare with them."""
+    in their `_compared`); their trees compare with them. A tree walks a
+    record's `_fields`, not the slots it derives from them."""
     if isinstance(node, SourceSpan):
         return ("span", *node)
     if isinstance(node, Record):
-        return (type(node).__name__, *(tree(getattr(node, name)) for name in node.__slots__))
+        return (type(node).__name__, *(tree(getattr(node, name)) for name in node._fields))
     if isinstance(node, (list, tuple)):
         return tuple(tree(item) for item in node)
     return node

@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from conftest import load_bench, tree
+from conftest import load_bench, load_fig2, tree
 from test_file_order import suites
 
 from ontoarch import cli
@@ -171,15 +171,15 @@ RECORDS = (
     ),
     (
         Report,
-        {"diagnostics": (), "summary": {}, "error_count": 0, "warning_count": 0},
-        {"diagnostics": (Diagnostic("W201", "m", SPAN),), "summary": {"terms": 1}, "error_count": 1, "warning_count": 1},
+        {"diagnostics": (), "summary": {}},
+        {"diagnostics": (Diagnostic("W201", "m", SPAN),), "summary": {"terms": 1}},
     ),
 )
 
 
 @pytest.mark.parametrize(("cls", "fields", "others"), RECORDS, ids=[r[0].__name__ for r in RECORDS])
 def test_records_are_slotted_and_compare_by_their_fields(cls, fields, others):
-    names = set(cls._fields if issubclass(cls, tuple) else cls.__slots__)
+    names = set(cls._fields)
     assert set(others) == set(fields) and names - set(fields) <= {"span"}
     record = cls(**fields)
     assert not hasattr(record, "__dict__")
@@ -248,7 +248,7 @@ REPRS = {
     ),
     "AxiomSpec": "AxiomSpec(id='A1', description='d', constraint='c', formula='f')",
     "CodeDoc": "CodeDoc(title='t', rule=None, anchor='', example='x')",
-    "Report": "Report(diagnostics=(), summary={}, error_count=0, warning_count=0)",
+    "Report": "Report(diagnostics=(), summary={})",
 }
 
 
@@ -257,14 +257,67 @@ def test_record_repr_shows_every_field(cls, fields):
     assert repr(cls(**fields)) == REPRS[cls.__name__]
 
 
+#: Each container, the field it splits and the slots it splits it into,
+#: with the declaration type each keeps.
+SPLITS = {
+    SuiteAst: ("decls", {"modules": OntologyModule, "instance_files": InstanceFile}),
+    OntologyModule: ("body", {"terms": TermDef, "relations": RelationDecl}),
+    InstanceFile: ("body", {"individuals": Individual, "worlds": World}),
+}
+
+
+def _assert_split(container) -> None:
+    """Each derived tuple of `container` is its split field filtered by
+    type, in order, and every declaration lands in one of them."""
+    field, derived = SPLITS[type(container)]
+    decls = getattr(container, field)
+    for name, kind in derived.items():
+        assert getattr(container, name) == tuple(d for d in decls if isinstance(d, kind)), name
+    assert sum(len(getattr(container, name)) for name in derived) == len(decls)
+
+
+def _assert_splits_once(ast: SuiteAst) -> None:
+    for container in (ast, *ast.decls):
+        cls = type(container)
+        derived = SPLITS[cls][1]
+        _assert_split(container)
+        assert cls.__slots__ == cls._fields + tuple(derived)
+        for name in derived:
+            assert getattr(container, name) is getattr(container, name)
+        # The derived slots take no part in equality, hashing or `repr`.
+        twin = cls(**{name: getattr(container, name) for name in cls._fields})
+        for name in derived:
+            setattr(twin, name, ())
+        assert twin == container and hash(twin) == hash(container) and repr(twin) == repr(container)
+
+
+def _interleaved() -> SuiteAst:
+    ref = QualifiedRef(None, "a")
+    module = OntologyModule("M", Level.CO, body=(
+        TermDef("a", QualifiedRef("ThingFO", "Thing")),
+        RelationDecl("r", ref, ref, QualifiedRef("ThingFO", "relatesWith")),
+        TermDef("b", ref),
+        RelationDecl("s", ref, ref, QualifiedRef(None, "r")),
+        TermDef("c", ref),
+    ))
+    instances = InstanceFile("M", (World("w"), Individual("i", ref), World("v"), Individual("j", ref)))
+    return SuiteAst((instances, module, InstanceFile("M"), OntologyModule("N", Level.TDO)))
+
+
 def test_suite_ast_splits_its_declarations_once():
     module, instances = OntologyModule("M", Level.CO), InstanceFile("M")
     ast = SuiteAst((instances, module))
     assert ast.modules == (module,) and ast.instance_files == (instances,)
-    assert ast.modules is ast.modules and ast.instance_files is ast.instance_files
     assert ast == SuiteAst((instances, module)) and hash(ast) == hash(SuiteAst((instances, module)))
     assert ast != SuiteAst((module, instances))
     assert repr(SuiteAst((module,))) == f"SuiteAst(decls=({REPRS['OntologyModule']},))"
+
+    # So do the modules and instance files, parsed or built.
+    generators = load_bench("generators")
+    _assert_splits_once(_interleaved())
+    _assert_splits_once(parse_suite(load_fig2())[0])
+    for workload in ("wide_clean", "deep_chains", "dirty_worlds"):
+        _assert_splits_once(parse_suite(list(getattr(generators, workload)(1).files.items()))[0])
 
 
 def _assert_verdict_keeps_ast(files: list[tuple[str, str]]) -> None:
@@ -279,6 +332,10 @@ def _assert_verdict_keeps_ast(files: list[tuple[str, str]]) -> None:
     with mock.patch.object(cli, "parse_suite", return_value=(ast, diagnostics)):
         cli.build_report(files)
     assert tree((ast.decls, diagnostics)) == before
+    # `tree` walks fields only: the split each container made when it was
+    # built must still match its declarations.
+    for container in (ast, *ast.decls):
+        _assert_split(container)
 
 
 @settings(max_examples=300, deadline=None)

@@ -186,3 +186,14 @@ def test_render_json_equals_the_json_dumps_oracle(report):
     assert report.error_count == severities.count("error")
     assert report.warning_count == severities.count("warning")
     assert report.error_count + report.warning_count == len(report.diagnostics)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(codes, max_size=8), summaries)
+def test_a_report_built_directly_counts_its_severities(drawn, summary):
+    diagnostics = tuple(Diagnostic(code, "m", span(line)) for line, code in enumerate(drawn, 1))
+    report = Report(diagnostics, summary)
+    severities = [d.severity for d in diagnostics]
+    assert report.error_count == severities.count("error")
+    assert report.warning_count == severities.count("warning")
+    assert report.diagnostics is diagnostics and report.summary is summary
