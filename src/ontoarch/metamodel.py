@@ -672,8 +672,13 @@ _RELATIONSHIPS: tuple[RelationshipSpec, ...] = (
     ),
 )
 
+#: Each machine key's relationship specs (1 or 3 variants), in catalog order.
+_RELATIONSHIP_VARIANTS: dict[str, tuple[RelationshipSpec, ...]] = {
+    key: tuple(r for r in _RELATIONSHIPS if r.key == key) for key in dict.fromkeys(r.key for r in _RELATIONSHIPS)
+}
+
 #: Machine keys addressable as `ThingFO.<key>` from relation declarations.
-RELATIONSHIP_KEYS: tuple[str, ...] = tuple(dict.fromkeys(r.key for r in _RELATIONSHIPS))
+RELATIONSHIP_KEYS: tuple[str, ...] = tuple(_RELATIONSHIP_VARIANTS)
 
 #: World fact predicates of the DSL, in grammar order, mapped to the
 #: relationship each fact grounds (the first variant of its key, so
@@ -681,7 +686,7 @@ RELATIONSHIP_KEYS: tuple[str, ...] = tuple(dict.fromkeys(r.key for r in _RELATIO
 #: `thing.part` of that sort, a Thing side is a thing of the world, and any
 #: other side is a term whose enrichment root must be that sort.
 WORLD_PREDICATES: dict[str, RelationshipSpec] = {
-    predicate: next(r for r in _RELATIONSHIPS if r.key == key)
+    predicate: _RELATIONSHIP_VARIANTS[key][0]
     for predicate, key in (
         ("enables", "enables"),
         ("actsUpon", "actsUpon"),
@@ -815,9 +820,10 @@ def property_keys_for_root(root: RootKind) -> tuple[str, ...]:
 
 
 def relationship_variants(key: str) -> tuple[RelationshipSpec, ...]:
-    """All relationship specs with the given machine key (1 or 3 entries)."""
-    return tuple(r for r in _RELATIONSHIPS if r.key == key)
+    """All relationship specs with the given machine key (1 or 3 entries;
+    none for an unknown key)."""
+    return _RELATIONSHIP_VARIANTS.get(key, ())
 
 
 def is_relationship_key(key: str) -> bool:
-    return key in RELATIONSHIP_KEYS
+    return key in _RELATIONSHIP_VARIANTS

@@ -28,6 +28,7 @@ canonical form whose reparse is structurally identical (spans aside).
 from __future__ import annotations
 
 import re
+import sys
 from enum import Enum
 from functools import partial
 from typing import NoReturn
@@ -60,6 +61,10 @@ KEYWORDS = frozenset(
         "power", "FO", "CO", "TDO", "LDO",
     }
 )
+
+#: Each keyword mapped to itself: `tokenize` looks a word up here, and a
+#: keyword token's lexeme is the one `KEYWORDS` string for that word.
+_KEYWORD_LEXEMES = {word: word for word in KEYWORDS}
 
 LEVEL_NAMES = ("FO", "CO", "TDO", "LDO")
 
@@ -109,6 +114,10 @@ def tokenize(text: str, path: str = "<input>") -> tuple[list[tuple], list[Diagno
     token sits on one line. The file is `path` for every token, so a token
     leaves it out; `_token_span` builds a token's span when one is needed.
 
+    An identifier's lexeme is interned with `sys.intern` and a keyword's
+    lexeme is the member of `KEYWORDS`, so each distinct name is one string
+    that every token, AST node, index key and finding naming it shares.
+
     The tokenizer always recovers: invalid characters and malformed strings
     are reported and skipped, and scanning continues. Columns count code
     points from 1, and only a line feed ends a line."""
@@ -116,15 +125,18 @@ def tokenize(text: str, path: str = "<input>") -> tuple[list[tuple], list[Diagno
     diagnostics: list[Diagnostic] = []
     append = tokens.append
     keyword, ident, punct, string = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.PUNCT, TokenKind.STRING
-    ident_start, punctuation = _IDENT_START, _PUNCT
+    ident_start, punctuation, keywords, intern = _IDENT_START, _PUNCT, _KEYWORD_LEXEMES, sys.intern
     line, line_start = 1, 0
     for m in _SCAN.finditer(text):
         lexeme = m.group()
         first = lexeme[0]
         if first in ident_start:
             col = m.start() - line_start + 1
-            kind = keyword if lexeme in KEYWORDS else ident
-            append((kind, lexeme, "", line, col, col + len(lexeme) - 1))
+            word = keywords.get(lexeme)
+            if word is None:
+                append((ident, intern(lexeme), "", line, col, col + len(lexeme) - 1))
+            else:
+                append((keyword, word, "", line, col, col + len(lexeme) - 1))
         elif first in punctuation:
             col = m.start() - line_start + 1
             append((punct, lexeme, "", line, col, col))
@@ -556,18 +568,26 @@ def parse_suite(files: list[tuple[str, str]]) -> tuple[SuiteAst, list[Diagnostic
     """Parse every `(path, text)` pair.
 
     Files that produce any diagnostic contribute their diagnostics but no
-    declarations, so the returned AST is fully well-formed."""
+    declarations, so the returned AST is fully well-formed. One file's
+    tokens live only while that file is parsed."""
     decls: list[OntologyModule | InstanceFile] = []
     diagnostics: list[Diagnostic] = []
     for path, text in files:
-        tokens, lex_diags = tokenize(text, path)
-        parser = _Parser(tokens, path)
-        file_decls, parse_diags = parser.parse_file()
-        file_diags = lex_diags + parse_diags
-        diagnostics.extend(file_diags)
-        if not file_diags:
-            decls.extend(file_decls)
+        _parse_file(path, text, decls, diagnostics)
     return SuiteAst(tuple(decls)), diagnostics
+
+
+def _parse_file(path: str, text: str, decls: list, diagnostics: list[Diagnostic]) -> None:
+    """Add one file's diagnostics to `diagnostics`, and its declarations to
+    `decls` if it has none. Its token list, its parser and the declarations
+    of a file that failed are freed on return, before the next file is
+    lexed."""
+    tokens, lex_diags = tokenize(text, path)
+    file_decls, parse_diags = _Parser(tokens, path).parse_file()
+    diagnostics.extend(lex_diags)
+    diagnostics.extend(parse_diags)
+    if not lex_diags and not parse_diags:
+        decls.extend(file_decls)
 
 
 # ---------------------------------------------------------------------------

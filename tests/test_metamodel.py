@@ -163,6 +163,19 @@ def test_relationship_names_and_variants():
     ]
 
 
+def test_relationship_variants_are_one_table_built_at_import():
+    specs = all_relationship_specs()
+    assert metamodel.RELATIONSHIP_KEYS == tuple(dict.fromkeys(r.key for r in specs))
+    for key in metamodel.RELATIONSHIP_KEYS:
+        variants = metamodel.relationship_variants(key)
+        assert variants == tuple(r for r in specs if r.key == key)
+        assert metamodel.relationship_variants(key) is variants
+        assert metamodel.is_relationship_key(key)
+    for unknown in ("", "relates", "Thing", "interacts"):
+        assert metamodel.relationship_variants(unknown) == ()
+        assert not metamodel.is_relationship_key(unknown)
+
+
 def test_relationship_axiom_links():
     links = {r.key: r.axiom_links for r in all_relationship_specs() if r.axiom_links}
     assert links == {
