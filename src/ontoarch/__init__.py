@@ -23,7 +23,6 @@ from .model import (
     TermDef,
     ThingNode,
     World,
-    WorldRef,
     resolve,
 )
 from .parser import SuiteAst, parse_suite, render_canonical, tokenize
@@ -74,7 +73,6 @@ __all__ = [
     "TermDef",
     "ThingNode",
     "World",
-    "WorldRef",
     "resolve",
     "SuiteAst",
     "parse_suite",

@@ -24,7 +24,7 @@ from . import metamodel
 from .metamodel import ARCHITECTURE_RULES, AXIOMS, BUILTIN_MODULE
 from .model import Level, ResolvedSuite, resolve
 from .parser import SuiteAst, parse_suite
-from .reporting import CODE_CATALOG, Report, exit_code, render_json, render_text
+from .reporting import CODE_CATALOG, Diagnostic, Report, exit_code, render_json, render_text
 from .validator import validate_suite, violations_to_diagnostics
 
 
@@ -76,15 +76,19 @@ def _summary_from_ast(ast: SuiteAst) -> dict[str, Any]:
     }
 
 
+def _parse_and_resolve(files: list[tuple[str, str]]) -> tuple[SuiteAst, ResolvedSuite | None, list[Diagnostic]]:
+    """The AST, the resolved suite or None, and the diagnostics of both steps."""
+    ast, diagnostics = parse_suite(files)
+    suite, resolve_diags = resolve(ast.modules, ast.instance_files)
+    return ast, suite, diagnostics + resolve_diags
+
+
 def build_report(files: list[tuple[str, str]]) -> Report:
     """Full pipeline over in-memory `(path, text)` pairs."""
-    ast, diagnostics = parse_suite(files)
-    all_diags = list(diagnostics)
-    suite, resolve_diags = resolve(ast.modules, ast.instance_files)
-    all_diags.extend(resolve_diags)
+    ast, suite, diagnostics = _parse_and_resolve(files)
     if suite is not None:
-        all_diags.extend(violations_to_diagnostics(validate_suite(suite)))
-    return Report.build(all_diags, _summary_from_ast(ast))
+        diagnostics.extend(violations_to_diagnostics(validate_suite(suite)))
+    return Report.build(diagnostics, _summary_from_ast(ast))
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +273,7 @@ def _cmd_metamodel(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    files = _read_files(_collect_files(args.paths))
-    ast, diagnostics = parse_suite(files)
-    suite, resolve_diags = resolve(ast.modules, ast.instance_files)
-    diagnostics = diagnostics + resolve_diags
+    _, suite, diagnostics = _parse_and_resolve(_read_files(_collect_files(args.paths)))
     if suite is None or diagnostics:
         sys.stderr.write(render_text(Report.build(diagnostics)))
         return 1

@@ -2,7 +2,7 @@
 
 Declarations are slotted `Record`s with a plain `__init__`, built by the
 parser with real source spans and by tests and generators with
-`synthetic_span()` ones. They compare and hash by their fields, spans aside,
+`SYNTHETIC_SPAN`. They compare and hash by their fields, spans aside,
 and nothing changes a node after it is built. They are not frozen: a frozen
 `__init__` sets each field through `object.__setattr__` and costs about three
 times a plain one. A module's `terms` and `relations` and an instance
@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator
 from . import metamodel
 from .metamodel import BUILTIN_MODULE
 from .reporting import Diagnostic
-from .source import Record, SourceSpan, synthetic_span
+from .source import SYNTHETIC_SPAN, Record, SourceSpan
 
 
 class Level(Enum):
@@ -49,14 +49,16 @@ class Level(Enum):
 
 class QualifiedRef(Record):
     """A `Module.Name` or bare `Name` reference; bare names resolve in the
-    declaring module (or the instance file's module)."""
+    declaring module (or the instance file's module). A fact's `thing`,
+    `thing.part` or `Module.Term` is one too, read by its predicate position:
+    `module` is the qualifier, a term's module or a part's thing."""
 
     __slots__ = ("module", "name", "span")
 
-    def __init__(self, module: str | None, name: str, span: SourceSpan | None = None):
+    def __init__(self, module: str | None, name: str, span: SourceSpan = SYNTHETIC_SPAN):
         self.module = module
         self.name = name
-        self.span = synthetic_span() if span is None else span
+        self.span = span
 
     def __str__(self) -> str:
         return f"{self.module}.{self.name}" if self.module else self.name
@@ -65,42 +67,42 @@ class QualifiedRef(Record):
 class ImportRef(Record):
     __slots__ = ("name", "span")
 
-    def __init__(self, name: str, span: SourceSpan | None = None):
+    def __init__(self, name: str, span: SourceSpan = SYNTHETIC_SPAN):
         self.name = name
-        self.span = synthetic_span() if span is None else span
+        self.span = span
 
 
 class AttrPair(Record):
     __slots__ = ("key", "value", "span")
 
-    def __init__(self, key: str, value: str, span: SourceSpan | None = None):
+    def __init__(self, key: str, value: str, span: SourceSpan = SYNTHETIC_SPAN):
         self.key = key
         self.value = value
-        self.span = synthetic_span() if span is None else span
+        self.span = span
 
 
 class TermDef(Record):
     __slots__ = ("name", "enriches", "scope", "attributes", "span")
 
     def __init__(self, name: str, enriches: QualifiedRef | None, scope: str | None = None,
-                 attributes: tuple[AttrPair, ...] = (), span: SourceSpan | None = None):
+                 attributes: tuple[AttrPair, ...] = (), span: SourceSpan = SYNTHETIC_SPAN):
         self.name = name
         self.enriches = enriches
         self.scope = scope  # "particulars" | "universals"
         self.attributes = attributes
-        self.span = synthetic_span() if span is None else span
+        self.span = span
 
 
 class RelationDecl(Record):
     __slots__ = ("name", "from_ref", "to_ref", "kind_ref", "span")
 
     def __init__(self, name: str, from_ref: QualifiedRef, to_ref: QualifiedRef, kind_ref: QualifiedRef,
-                 span: SourceSpan | None = None):
+                 span: SourceSpan = SYNTHETIC_SPAN):
         self.name = name
         self.from_ref = from_ref
         self.to_ref = to_ref
         self.kind_ref = kind_ref
-        self.span = synthetic_span() if span is None else span
+        self.span = span
 
 
 class OntologyModule(Record):
@@ -108,49 +110,34 @@ class OntologyModule(Record):
     __slots__ = _fields + ("terms", "relations")
 
     def __init__(self, name: str, level: Level, imports: tuple[ImportRef, ...] = (),
-                 body: tuple[TermDef | RelationDecl, ...] = (), span: SourceSpan | None = None):
+                 body: tuple[TermDef | RelationDecl, ...] = (), span: SourceSpan = SYNTHETIC_SPAN):
         self.name = name
         self.level = level
         self.imports = imports
         self.body = body
-        self.span = synthetic_span() if span is None else span
+        self.span = span
         self.terms: tuple[TermDef, ...] = tuple(d for d in body if isinstance(d, TermDef))
         self.relations: tuple[RelationDecl, ...] = tuple(d for d in body if isinstance(d, RelationDecl))
-
-
-class WorldRef(Record):
-    """A fact argument: bare `thing` or dotted `thing.part` / `Module.Term`,
-    disambiguated by the predicate position during resolution."""
-
-    __slots__ = ("primary", "part", "span")
-
-    def __init__(self, primary: str, part: str | None = None, span: SourceSpan | None = None):
-        self.primary = primary
-        self.part = part
-        self.span = synthetic_span() if span is None else span
-
-    def __str__(self) -> str:
-        return f"{self.primary}.{self.part}" if self.part else self.primary
 
 
 class PartDecl(Record):
     __slots__ = ("name", "span")
 
-    def __init__(self, name: str, span: SourceSpan | None = None):
+    def __init__(self, name: str, span: SourceSpan = SYNTHETIC_SPAN):
         self.name = name
-        self.span = synthetic_span() if span is None else span
+        self.span = span
 
 
 class ThingNode(Record):
     __slots__ = ("name", "instance_of", "properties", "powers", "span")
 
     def __init__(self, name: str, instance_of: QualifiedRef | None = None, properties: tuple[PartDecl, ...] = (),
-                 powers: tuple[PartDecl, ...] = (), span: SourceSpan | None = None):
+                 powers: tuple[PartDecl, ...] = (), span: SourceSpan = SYNTHETIC_SPAN):
         self.name = name
         self.instance_of = instance_of
         self.properties = properties
         self.powers = powers
-        self.span = synthetic_span() if span is None else span
+        self.span = span
 
     def parts(self, sort: str) -> tuple[PartDecl, ...]:
         """The thing's parts of sort `Property` or `Power`."""
@@ -160,31 +147,31 @@ class ThingNode(Record):
 class Fact(Record):
     __slots__ = ("predicate", "left", "right", "span")
 
-    def __init__(self, predicate: str, left: WorldRef, right: WorldRef, span: SourceSpan | None = None):
+    def __init__(self, predicate: str, left: QualifiedRef, right: QualifiedRef, span: SourceSpan = SYNTHETIC_SPAN):
         self.predicate = predicate
         self.left = left
         self.right = right
-        self.span = synthetic_span() if span is None else span
+        self.span = span
 
 
 class World(Record):
     __slots__ = ("name", "things", "facts", "span")
 
     def __init__(self, name: str, things: tuple[ThingNode, ...] = (), facts: tuple[Fact, ...] = (),
-                 span: SourceSpan | None = None):
+                 span: SourceSpan = SYNTHETIC_SPAN):
         self.name = name
         self.things = things
         self.facts = facts
-        self.span = synthetic_span() if span is None else span
+        self.span = span
 
 
 class Individual(Record):
     __slots__ = ("name", "type_ref", "span")
 
-    def __init__(self, name: str, type_ref: QualifiedRef, span: SourceSpan | None = None):
+    def __init__(self, name: str, type_ref: QualifiedRef, span: SourceSpan = SYNTHETIC_SPAN):
         self.name = name
         self.type_ref = type_ref
-        self.span = synthetic_span() if span is None else span
+        self.span = span
 
 
 class InstanceFile(Record):
@@ -194,10 +181,10 @@ class InstanceFile(Record):
     _fields = ("of_module", "body", "span")
     __slots__ = _fields + ("individuals", "worlds")
 
-    def __init__(self, of_module: str, body: tuple[Individual | World, ...] = (), span: SourceSpan | None = None):
+    def __init__(self, of_module: str, body: tuple[Individual | World, ...] = (), span: SourceSpan = SYNTHETIC_SPAN):
         self.of_module = of_module
         self.body = body
-        self.span = synthetic_span() if span is None else span
+        self.span = span
         self.individuals: tuple[Individual, ...] = tuple(d for d in body if isinstance(d, Individual))
         self.worlds: tuple[World, ...] = tuple(d for d in body if isinstance(d, World))
 
@@ -279,11 +266,6 @@ class ResolvedSuite:
 
     def term_target(self, ref: QualifiedRef, context_module: str) -> tuple[str, str]:
         return (ref.module or context_module, ref.name)
-
-    def world_term_target(self, ref: WorldRef, context_module: str) -> tuple[str, str]:
-        if ref.part is None:
-            return (context_module, ref.primary)
-        return (ref.primary, ref.part)
 
     def enrichment_root(self, module_name: str, term_name: str) -> str | None:
         """Foundational term reached by following `enriches` links upward;
@@ -484,31 +466,30 @@ class _Resolver:
 
         # Each check returns what is wrong with a fact's argument, or None;
         # the fact is named only in a finding.
-        def thing_problem(ref: WorldRef) -> str | None:
-            if ref.part is not None:
+        def thing_problem(ref: QualifiedRef) -> str | None:
+            if ref.module is not None:
                 return f"expected a thing, got part reference {ref}"
-            if ref.primary not in things:
-                return f"unknown thing {ref.primary} in world {w.name}"
+            if ref.name not in things:
+                return f"unknown thing {ref.name} in world {w.name}"
             return None
 
-        def part_problem(ref: WorldRef, sort: str) -> str | None:
-            if ref.part is None:
+        def part_problem(ref: QualifiedRef, sort: str) -> str | None:
+            if ref.module is None:
                 return f"expected a {sort.lower()} reference thing.part, got {ref}"
-            parts = things.get(ref.primary)
+            parts = things.get(ref.module)
             if parts is None:
-                return f"unknown thing {ref.primary} in world {w.name}"
-            if ref.part not in parts[sort]:
-                return f"thing {ref.primary} has no {sort.lower()} named {ref.part}"
+                return f"unknown thing {ref.module} in world {w.name}"
+            if ref.name not in parts[sort]:
+                return f"thing {ref.module} has no {sort.lower()} named {ref.name}"
             return None
 
-        def term_problem(ref: WorldRef) -> str | None:
+        def term_problem(ref: QualifiedRef) -> str | None:
             # `t.q` reads as Module.Term; when no module t exists but this
             # world has a thing t, it is a part written where a term belongs.
-            if ref.part is None:
-                return self._unbound_term(f.of_module, ref.primary)
-            if ref.primary in things and not (ref.primary == BUILTIN_MODULE or ref.primary in self.modules):
+            mod = ref.module
+            if mod in things and not (mod == BUILTIN_MODULE or mod in self.modules):
                 return f"expected a term, got part reference {ref}"
-            return self._unbound_term(ref.primary, ref.part)
+            return self._unbound_term(mod or f.of_module, ref.name)
 
         for fact in w.facts:
             spec = metamodel.WORLD_PREDICATES.get(fact.predicate)

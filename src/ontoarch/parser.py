@@ -20,6 +20,9 @@ Grammar (EBNF; `//` comments run to end of line, files are UTF-8):
     ref         := IDENT ("." IDENT)?
     qname       := IDENT "." IDENT | IDENT
 
+`ref` and `qname` are one production, `parse_qname`, which builds a
+`QualifiedRef`; a fact's `thing.part` is qualified by its thing.
+
 Files that produce any diagnostic are excluded from the returned AST, so
 resolution only ever sees well-formed declarations. The renderer emits a
 canonical form whose reparse is structurally identical (spans aside).
@@ -48,7 +51,6 @@ from .model import (
     TermDef,
     ThingNode,
     World,
-    WorldRef,
 )
 from .reporting import Diagnostic
 from .source import Record, SourceSpan
@@ -304,11 +306,11 @@ class _Parser:
             return Level.CO, i + 1  # placeholder; the file is excluded anyway
         raise self.fail("expected a level name", i)
 
-    def parse_qname(self, i: int) -> tuple[QualifiedRef, int]:
+    def parse_qname(self, i: int, expected: str = "expected a name") -> tuple[QualifiedRef, int]:
         toks = self.toks
         first = toks[i]
         if first[0] is not _IDENT:
-            raise self.fail("expected a name", i)
+            raise self.fail(expected, i)
         if toks[i + 1][1] == ".":
             second = toks[i + 2]
             if second[0] is not _IDENT:
@@ -515,19 +517,6 @@ class _Parser:
         span = _span((self.path, start[3], start[4], close[3], close[5]))
         return ThingNode(name[1], instance_of, tuple(parts[0]), tuple(parts[1]), span), i + 1
 
-    def parse_ref(self, i: int) -> tuple[WorldRef, int]:
-        toks = self.toks
-        first = toks[i]
-        if first[0] is not _IDENT:
-            raise self.fail("expected a reference", i)
-        if toks[i + 1][1] == ".":
-            second = toks[i + 2]
-            if second[0] is not _IDENT:
-                raise self.fail("expected a name after '.'", i + 2)
-            span = _span((self.path, first[3], first[4], second[3], second[5]))
-            return WorldRef(first[1], second[1], span), i + 3
-        return WorldRef(first[1], None, _span((self.path, first[3], first[4], first[3], first[5]))), i + 1
-
     def parse_fact(self, i: int) -> tuple[Fact, int]:
         """A fact; the caller has checked that its first token is a name."""
         toks = self.toks
@@ -547,10 +536,10 @@ class _Parser:
             raise _ParseError()
         if toks[i + 1][1] != "(":
             raise self.fail("expected '('", i + 1)
-        left, i = self.parse_ref(i + 2)
+        left, i = self.parse_qname(i + 2, "expected a reference")
         if toks[i][1] != ",":
             raise self.fail("expected ','", i)
-        right, i = self.parse_ref(i + 1)
+        right, i = self.parse_qname(i + 1, "expected a reference")
         close = toks[i]
         if close[1] != ")":
             raise self.fail("expected ')'", i)

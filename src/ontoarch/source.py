@@ -31,9 +31,8 @@ class SourceSpan(_SpanFields):
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
-def synthetic_span() -> SourceSpan:
-    """Placeholder span for declarations built in memory rather than parsed."""
-    return SourceSpan("<builtin>", 1, 1, 1, 1)
+#: Placeholder span for declarations built in memory rather than parsed.
+SYNTHETIC_SPAN = SourceSpan("<builtin>", 1, 1, 1, 1)
 
 
 class Record:

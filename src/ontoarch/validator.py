@@ -222,34 +222,34 @@ def _axiom_finding(code: str, fact: Fact) -> Diagnostic:
     if code == "E311":
         message = (
             f"property {left} enables power {right}, but they belong to different "
-            f"things ({left.primary} vs {right.primary})"
+            f"things ({left.module} vs {right.module})"
         )
-        witness = f"enables({left}, {right}); owner({left})={left.primary}, owner({right})={right.primary}"
+        witness = f"enables({left}, {right}); owner({left})={left.module}, owner({right})={right.module}"
     elif code == "E312":
         message = (
             f"power {left} acts upon property {right}, but they belong to different "
-            f"things ({left.primary} vs {right.primary})"
+            f"things ({left.module} vs {right.module})"
         )
-        witness = f"actsUpon({left}, {right}); owner({left})={left.primary}, owner({right})={right.primary}"
+        witness = f"actsUpon({left}, {right}); owner({left})={left.module}, owner({right})={right.module}"
     else:  # E313
-        message = f"power {left} interacts with its own thing {right.primary}"
-        witness = f"interacts({left}, {right}); owner({left})={left.primary}"
+        message = f"power {left} interacts with its own thing {right.name}"
+        witness = f"interacts({left}, {right}); owner({left})={left.module}"
     return _finding(code, message, fact.span, witness=witness)
 
 
 def check_axioms(world: World) -> list[Diagnostic]:
     """Edge-wise axiom evaluation.
 
-    Ownership is functional and syntactically evident (parts are referenced
-    as `thing.part`), so A1/A2 reduce to owner equality on each edge and A3
-    to owner inequality against the interaction target."""
+    Ownership is functional and syntactically evident (a part `thing.part`
+    is qualified by its owner), so A1/A2 reduce to owner equality on each
+    edge and A3 to owner inequality against the interaction target."""
     out: list[Diagnostic] = []
     for fact in world.facts:
-        if fact.predicate == "enables" and fact.left.primary != fact.right.primary:
+        if fact.predicate == "enables" and fact.left.module != fact.right.module:
             out.append(_axiom_finding("E311", fact))
-        elif fact.predicate == "actsUpon" and fact.left.primary != fact.right.primary:
+        elif fact.predicate == "actsUpon" and fact.left.module != fact.right.module:
             out.append(_axiom_finding("E312", fact))
-        elif fact.predicate == "interacts" and fact.left.primary == fact.right.primary:
+        elif fact.predicate == "interacts" and fact.left.module == fact.right.name:
             out.append(_axiom_finding("E313", fact))
     return out
 
@@ -315,7 +315,7 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
             spec = metamodel.WORLD_PREDICATES[fact.predicate]
             required, code = _TERM_TARGETS.get(spec.range, (None, None))
             if code is not None:
-                mod, name = suite.world_term_target(fact.right, f.of_module)
+                mod, name = suite.term_target(fact.right, f.of_module)
                 anchor = suite.enrichment_root(mod, name)
                 if anchor is None:
                     continue  # broken enrichment chain, already flagged as E213
@@ -330,11 +330,11 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
                             witness=f"{fact.predicate}({fact.left}, {fact.right})",
                         )
                     )
-            elif fact.predicate == "relatesWith" and fact.left.primary == fact.right.primary:
+            elif fact.predicate == "relatesWith" and fact.left.name == fact.right.name:
                 out.append(
                     _finding(
                         "E234",
-                        f"thing {fact.left.primary} relates with itself in world {w.name}",
+                        f"thing {fact.left.name} relates with itself in world {w.name}",
                         fact.span,
                         witness=f"relatesWith({fact.left}, {fact.right})",
                     )
@@ -350,7 +350,7 @@ def _check_cardinality(world: World) -> list[Diagnostic]:
     for predicate, spec in metamodel.WORLD_PREDICATES.items():
         if not spec.multiplicity or spec.multiplicity[0] < 1:
             continue
-        covered = {(f.left.primary, f.left.part) for f in world.facts if f.predicate == predicate}
+        covered = {(f.left.module, f.left.name) for f in world.facts if f.predicate == predicate}
         if not covered:
             continue
         sort = spec.domain.lower()

@@ -45,7 +45,6 @@ from ontoarch.model import (
     TermDef,
     ThingNode,
     World,
-    WorldRef,
 )
 from ontoarch.parser import KEYWORDS, LEVEL_NAMES, TokenKind
 from ontoarch.reporting import REPORT_VERSION, Diagnostic, Report
@@ -167,7 +166,7 @@ def oracle_check_axioms(world: World) -> list[Diagnostic]:
     pows = [(t.name, p.name) for t in world.things for p in t.powers]
 
     def ref_is(ref, owner: str, part: str) -> bool:
-        return ref.primary == owner and ref.part == part
+        return ref.module == owner and ref.name == part
 
     out: list[Diagnostic] = []
     # A1: Thing(t) & Property(prop) & partOf(prop,t) & Power(pow) & enables(prop,pow) -> partOf(pow,t)
@@ -196,7 +195,7 @@ def oracle_check_axioms(world: World) -> list[Diagnostic]:
             if w_owner != t:
                 continue
             for fact in _facts_of(world, "interacts"):
-                if ref_is(fact.left, w_owner, w_name) and fact.right.part is None and fact.right.primary == t:
+                if ref_is(fact.left, w_owner, w_name) and fact.right.module is None and fact.right.name == t:
                     out.append(_axiom_finding("E313", fact))
     return out
 
@@ -614,13 +613,13 @@ class _Parser:
         end = self.expect_punct("}")
         return ThingNode(name.lexeme, instance_of, tuple(properties), tuple(powers), start.to(end))
 
-    def parse_ref(self) -> WorldRef:
+    def parse_ref(self) -> QualifiedRef:
         first = self.expect_ident("a reference")
         if self.peek().is_punct("."):
             self.next()
             second = self.expect_ident("a name after '.'")
-            return WorldRef(first.lexeme, second.lexeme, first.to(second))
-        return WorldRef(first.lexeme, None, first.span)
+            return QualifiedRef(first.lexeme, second.lexeme, first.to(second))
+        return QualifiedRef(None, first.lexeme, first.span)
 
     def parse_fact(self) -> Fact:
         pred = self.expect_ident("a fact predicate")

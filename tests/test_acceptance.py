@@ -17,7 +17,7 @@ from oracles import oracle_check_axioms
 
 from ontoarch import build_report, parse_suite, render_canonical, resolve
 from ontoarch.cli import run
-from ontoarch.model import Fact, PartDecl, ThingNode, World, WorldRef
+from ontoarch.model import Fact, PartDecl, QualifiedRef, ThingNode, World
 from ontoarch.source import SourceSpan
 from ontoarch.validator import check_axioms, check_rule1, check_rule2, validate_suite
 
@@ -49,11 +49,11 @@ def _two_thing_worlds():
     shapes = [([], []), (["p"], []), ([], ["w"]), (["p"], ["w"])]
     span = SourceSpan("<enum>", 1, 1, 1, 1)
 
-    def ref(text: str) -> WorldRef:
+    def ref(text: str) -> QualifiedRef:
         if "." in text:
             a, b = text.split(".")
-            return WorldRef(a, b, span)
-        return WorldRef(text, None, span)
+            return QualifiedRef(a, b, span)
+        return QualifiedRef(None, text, span)
 
     total = 0
     for shape1, shape2 in itertools.product(shapes, repeat=2):

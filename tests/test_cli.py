@@ -313,6 +313,22 @@ def test_graph_cli_fails_on_unresolved_suite(tmp_path, capsys):
     assert "E101" in err
 
 
+@pytest.mark.parametrize(
+    "broken",
+    ["ontology Broken at CO { term X enriches }", "ontology Lost at CO { imports Nowhere }"],
+    ids=["parse_error", "resolve_error"],
+)
+def test_graph_failure_reports_what_validate_reports(broken, tmp_path, capsys):
+    """A suite that does not parse or resolve fails `graph` with exit 1 and
+    `validate`'s text report on stderr, and nothing on stdout."""
+    for name, text in load_fig2():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "broken.onto").write_text(broken, encoding="utf-8")
+    rc, out, err = invoke(capsys, "graph", str(tmp_path))
+    assert (rc, out) == (1, "")
+    assert invoke(capsys, "validate", str(tmp_path)) == (1, err, "")
+
+
 def test_graph_is_deterministic(fig2_suite):
     assert export_graph(fig2_suite) == export_graph(fig2_suite)
 

@@ -226,8 +226,8 @@ def test_world_ownership_is_functional_by_construction(fig2_suite):
                 seen[key] = thing.name
         for fact in world.facts:
             for ref in (fact.left, fact.right):
-                if ref.part is not None and f"{ref.primary}.{ref.part}" in seen:
-                    assert seen[f"{ref.primary}.{ref.part}"] == ref.primary
+                if ref.module is not None and f"{ref.module}.{ref.name}" in seen:
+                    assert seen[f"{ref.module}.{ref.name}"] == ref.module
 
 
 def test_level_monotonicity_over_fig2(fig2_suite):

@@ -1,9 +1,10 @@
-"""No unused helpers in `src/`: every function, class and method that the
-package defines is used somewhere in it, or is part of its public API.
+"""No unused helpers or tables in `src/`: every function, class and method
+that the package defines, and every name a module assigns at its top level,
+is used somewhere in it, or is part of its public API.
 
-A name counts as used when the code of `src/ontoarch/` refers to it outside
-its own definition: as a name, an attribute or an imported name. Comments,
-docstrings and tests do not count."""
+A name counts as used when the code of `src/ontoarch/` reads it: as a name,
+an attribute or an imported name. Assigning it does not count, and neither
+do comments, docstrings and tests."""
 
 from __future__ import annotations
 
@@ -17,8 +18,9 @@ SRC = Path(ontoarch.__file__).parent
 
 
 def _definitions(tree: ast.Module) -> list[str]:
-    """Module-level functions and classes, and the methods of those classes.
-    Dunders, such as a module's `__getattr__`, are called by Python itself."""
+    """Module-level functions, classes and assigned names, and the methods of
+    those classes. Dunders, such as a module's `__getattr__` or `__all__`, are
+    read by Python itself."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
     for node in tree.body:
@@ -26,15 +28,18 @@ def _definitions(tree: ast.Module) -> list[str]:
             out.append(node.name)
         if isinstance(node, ast.ClassDef):
             out.extend(item.name for item in node.body if isinstance(item, defs[:2]))
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
     return [name for name in out if not (name.startswith("__") and name.endswith("__"))]
 
 
 def _references(tree: ast.Module) -> Counter:
     refs: Counter = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             refs[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             refs[node.attr] += 1
         elif isinstance(node, ast.alias):
             refs[node.name] += 1

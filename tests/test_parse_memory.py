@@ -81,11 +81,11 @@ def test_a_name_is_one_string_across_files_nodes_and_tables():
     assert s.instance_of.module is core.name and s.instance_of.name is agent.name
     assert s.properties[0].name is r.properties[0].name
     enables, acts = world.facts
-    assert (enables.left.primary, enables.left.part) == ("r", "grip")
-    assert enables.left.primary is r.name and enables.left.part is r.properties[0].name
-    assert enables.right.primary is r.name and enables.right.part is r.powers[0].name
-    assert acts.left.part is r.powers[0].name
-    assert acts.right.primary is s.name and acts.right.part is s.properties[0].name
+    assert (enables.left.module, enables.left.name) == ("r", "grip")
+    assert enables.left.module is r.name and enables.left.name is r.properties[0].name
+    assert enables.right.module is r.name and enables.right.name is r.powers[0].name
+    assert acts.left.name is r.powers[0].name
+    assert acts.right.module is s.name and acts.right.name is s.properties[0].name
     for fact in world.facts:
         assert fact.predicate is _table_key(WORLD_PREDICATES, fact.predicate)
 

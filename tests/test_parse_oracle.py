@@ -60,7 +60,9 @@ def test_parser_equals_the_cursor_parser_on_token_soup(text):
 #: Syntax errors that reach each recovery branch: a module or an instances
 #: block cut short by the next top-level keyword or by a closing brace that
 #: recovery consumes, an unknown predicate with and without its argument
-#: list, and errors at the end of input.
+#: list, and errors at the end of input. A fact side and a term reference
+#: share one production but keep their own message for a first token that is
+#: not a name.
 RECOVERY = (
     "ontology A at CO { term X enriches T scope other ontology B at CO { } }",
     "ontology A at CO { term X enriches T scope term Y enriches T }",
@@ -79,6 +81,8 @@ RECOVERY = (
     "instances of M { world w { thing t { power q; property p; } } }",
     "instances of M { world w { relatesWith(t, t) thing u { } } } }",
     "instances of M { world w { ( } } individual",
+    "instances of M { world w { enables(, t) } }",
+    "ontology A at CO { term X enriches , }",
     "instances M { } of } instances of { } instances of M individual",
     "} ; term ontology",
     "",

@@ -35,7 +35,6 @@ from ontoarch.model import (
     TermDef,
     ThingNode,
     World,
-    WorldRef,
     resolve,
 )
 from ontoarch.metamodel import AxiomSpec, FoundationalTermSpec, PropertySpec, RelationshipSpec
@@ -85,7 +84,6 @@ RECORDS = (
         {"name": "M", "level": Level.CO, "imports": (), "body": ()},
         {"name": "N", "level": Level.TDO, "imports": (ImportRef("P"),), "body": (TermDef("t", None),)},
     ),
-    (WorldRef, {"primary": "x", "part": None}, {"primary": "y", "part": "p"}),
     (PartDecl, {"name": "p"}, {"name": "q"}),
     (
         ThingNode,
@@ -99,13 +97,17 @@ RECORDS = (
     ),
     (
         Fact,
-        {"predicate": "enables", "left": WorldRef("x", "p"), "right": WorldRef("x", "q")},
-        {"predicate": "actsUpon", "left": WorldRef("y", "q"), "right": WorldRef("y", "p")},
+        {"predicate": "enables", "left": QualifiedRef("x", "p"), "right": QualifiedRef("x", "q")},
+        {"predicate": "actsUpon", "left": QualifiedRef("y", "q"), "right": QualifiedRef("y", "p")},
     ),
     (
         World,
         {"name": "w", "things": (), "facts": ()},
-        {"name": "v", "things": (ThingNode("x"),), "facts": (Fact("interacts", WorldRef("x", "q"), WorldRef("y")),)},
+        {
+            "name": "v",
+            "things": (ThingNode("x"),),
+            "facts": (Fact("interacts", QualifiedRef("x", "q"), QualifiedRef(None, "y")),),
+        },
     ),
     (Individual, {"name": "i", "type_ref": QualifiedRef(None, "T")}, {"name": "j", "type_ref": QualifiedRef("M", "T")}),
     (InstanceFile, {"of_module": "M", "body": ()}, {"of_module": "N", "body": (World("w"),)}),
@@ -217,12 +219,11 @@ REPRS = {
         f"span={BUILTIN_SPAN}), span={BUILTIN_SPAN})"
     ),
     "OntologyModule": f"OntologyModule(name='M', level=<Level.CO: 1>, imports=(), body=(), span={BUILTIN_SPAN})",
-    "WorldRef": f"WorldRef(primary='x', part=None, span={BUILTIN_SPAN})",
     "PartDecl": f"PartDecl(name='p', span={BUILTIN_SPAN})",
     "ThingNode": f"ThingNode(name='x', instance_of=None, properties=(), powers=(), span={BUILTIN_SPAN})",
     "Fact": (
-        f"Fact(predicate='enables', left=WorldRef(primary='x', part='p', "
-        f"span={BUILTIN_SPAN}), right=WorldRef(primary='x', part='q', span={BUILTIN_SPAN}), "
+        f"Fact(predicate='enables', left=QualifiedRef(module='x', name='p', "
+        f"span={BUILTIN_SPAN}), right=QualifiedRef(module='x', name='q', span={BUILTIN_SPAN}), "
         f"span={BUILTIN_SPAN})"
     ),
     "World": f"World(name='w', things=(), facts=(), span={BUILTIN_SPAN})",

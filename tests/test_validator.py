@@ -12,9 +12,9 @@ from ontoarch.model import (
     Fact,
     InstanceFile,
     PartDecl,
+    QualifiedRef,
     ThingNode,
     World,
-    WorldRef,
     resolve,
 )
 from ontoarch.parser import parse_suite
@@ -49,11 +49,11 @@ def codes(violations):
 # world builders for programmatic axiom tests
 # ---------------------------------------------------------------------------
 
-def _ref(text: str, span: SourceSpan) -> WorldRef:
+def _ref(text: str, span: SourceSpan) -> QualifiedRef:
     if "." in text:
-        primary, part = text.split(".")
-        return WorldRef(primary, part, span)
-    return WorldRef(text, None, span)
+        thing, part = text.split(".")
+        return QualifiedRef(thing, part, span)
+    return QualifiedRef(None, text, span)
 
 
 def build_world(things, facts, name="w"):
@@ -572,7 +572,7 @@ def test_report_build_orders_findings_by_place():
 def test_a_fact_listed_twice_is_reported_twice():
     """Each listed fact is one finding. Two equal findings need a fact
     repeated programmatically: parsed facts carry distinct spans."""
-    fact = Fact("enables", WorldRef("t1", "p1"), WorldRef("t2", "w2"))
+    fact = Fact("enables", QualifiedRef("t1", "p1"), QualifiedRef("t2", "w2"))
     world = World(
         "w",
         (ThingNode("t1", None, (PartDecl("p1"),)), ThingNode("t2", None, (), (PartDecl("w2"),))),

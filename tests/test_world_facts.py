@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from ontoarch.cli import build_report
-from ontoarch.model import Fact, InstanceFile, ThingNode, World, WorldRef, resolve
+from ontoarch.model import Fact, InstanceFile, QualifiedRef, ThingNode, World, resolve
 from ontoarch.parser import parse_suite
 from ontoarch.reporting import CODE_CATALOG
 
@@ -144,7 +144,7 @@ def test_conformance_fact_text(fact, code, message, witness, where):
 def test_programmatic_unknown_predicate_is_e101():
     ast, diags = parse_suite([("m.onto", MODULE)])
     assert diags == []
-    fact = Fact("emits", WorldRef("t1"), WorldRef("t1"))
+    fact = Fact("emits", QualifiedRef(None, "t1"), QualifiedRef(None, "t1"))
     world = World("w", (ThingNode("t1"),), (fact,))
     suite, diags = resolve(ast.modules, [InstanceFile("M", (world,))])
     assert suite is None
