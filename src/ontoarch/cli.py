@@ -231,21 +231,40 @@ def explain(topic: str) -> str | None:
 # Subcommand handlers.
 # ---------------------------------------------------------------------------
 
-def _write_output(text: str, out: str | None) -> None:
+#: Characters written at a time. A text stream encodes what it is given in
+#: one piece, and UTF-8 encoding first reserves up to twice the bytes of a
+#: text that is not ASCII, so a report written whole would cost it that much
+#: again.
+_WRITE_CHUNK = 1 << 16
+
+
+def _write_output(out: str | None, *parts: str) -> None:
+    """Write `parts` one after another to the file `out`, or to stdout when
+    it is None, a slice at a time: a report is never joined with what
+    follows it, nor encoded whole."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc}") from exc
+        _write_parts(sys.stdout, parts)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            _write_parts(fh, parts)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
+
+
+def _write_parts(stream: Any, parts: tuple[str, ...]) -> None:
+    for part in parts:
+        for i in range(0, len(part), _WRITE_CHUNK):
+            stream.write(part[i:i + _WRITE_CHUNK])
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     files = _read_files(_collect_files(args.paths))
     report = build_report(files)
-    text = render_text(report) if args.format == "text" else render_json(report) + "\n"
-    _write_output(text, args.out)
+    if args.format == "text":
+        _write_output(args.out, render_text(report))
+    else:
+        _write_output(args.out, render_json(report), "\n")
     return exit_code(report, strict=args.strict)
 
 
@@ -277,7 +296,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     if suite is None or diagnostics:
         sys.stderr.write(render_text(Report.build(diagnostics)))
         return 1
-    _write_output(export_graph(suite), args.out)
+    _write_output(args.out, export_graph(suite))
     return 0
 
 

@@ -1,13 +1,15 @@
 """Data model and name resolution for user-authored ontology suites.
 
 Declarations are slotted `Record`s with a plain `__init__`, built by the
-parser with real source spans and by tests and generators with
-`SYNTHETIC_SPAN`. They compare and hash by their fields, spans aside,
-and nothing changes a node after it is built. They are not frozen: a frozen
-`__init__` sets each field through `object.__setattr__` and costs about three
-times a plain one. A module's `terms` and `relations` and an instance
-file's `individuals` and `worlds` are split from `body` at construction, so
-rebinding `body` afterwards does not update them.
+parser with real source locations and by tests and generators with `loc`
+0. A node's `loc` packs its character offsets (see `source.Source`); its
+module or instance file holds the `Source` that turns it into a span, which
+only a finding needs. Nodes compare and hash by their fields, locations and
+sources aside, and nothing changes a node after it is built. They are not
+frozen: a frozen `__init__` sets each field through `object.__setattr__` and
+costs about three times a plain one. A module's `terms` and `relations` and
+an instance file's `individuals` and `worlds` are split from `body` at
+construction, so rebinding `body` afterwards does not update them.
 
 `resolve` binds every reference or reports E1xx diagnostics; on success it
 also hands the suite the facts its passes computed once: the declaration
@@ -24,7 +26,7 @@ from typing import Callable, Iterable, Iterator
 from . import metamodel
 from .metamodel import BUILTIN_MODULE
 from .reporting import Diagnostic
-from .source import SYNTHETIC_SPAN, Record, SourceSpan
+from .source import SYNTHETIC_SOURCE, Record, Source
 
 
 class Level(Enum):
@@ -53,91 +55,95 @@ class QualifiedRef(Record):
     `thing.part` or `Module.Term` is one too, read by its predicate position:
     `module` is the qualifier, a term's module or a part's thing."""
 
-    __slots__ = ("module", "name", "span")
+    __slots__ = ("module", "name", "loc")
 
-    def __init__(self, module: str | None, name: str, span: SourceSpan = SYNTHETIC_SPAN):
+    def __init__(self, module: str | None, name: str, loc: int = 0):
         self.module = module
         self.name = name
-        self.span = span
+        self.loc = loc
 
     def __str__(self) -> str:
         return f"{self.module}.{self.name}" if self.module else self.name
 
 
 class ImportRef(Record):
-    __slots__ = ("name", "span")
+    __slots__ = ("name", "loc")
 
-    def __init__(self, name: str, span: SourceSpan = SYNTHETIC_SPAN):
+    def __init__(self, name: str, loc: int = 0):
         self.name = name
-        self.span = span
+        self.loc = loc
 
 
 class AttrPair(Record):
-    __slots__ = ("key", "value", "span")
+    __slots__ = ("key", "value", "loc")
 
-    def __init__(self, key: str, value: str, span: SourceSpan = SYNTHETIC_SPAN):
+    def __init__(self, key: str, value: str, loc: int = 0):
         self.key = key
         self.value = value
-        self.span = span
+        self.loc = loc
 
 
 class TermDef(Record):
-    __slots__ = ("name", "enriches", "scope", "attributes", "span")
+    __slots__ = ("name", "enriches", "scope", "attributes", "loc")
 
     def __init__(self, name: str, enriches: QualifiedRef | None, scope: str | None = None,
-                 attributes: tuple[AttrPair, ...] = (), span: SourceSpan = SYNTHETIC_SPAN):
+                 attributes: tuple[AttrPair, ...] = (), loc: int = 0):
         self.name = name
         self.enriches = enriches
         self.scope = scope  # "particulars" | "universals"
         self.attributes = attributes
-        self.span = span
+        self.loc = loc
 
 
 class RelationDecl(Record):
-    __slots__ = ("name", "from_ref", "to_ref", "kind_ref", "span")
+    __slots__ = ("name", "from_ref", "to_ref", "kind_ref", "loc")
 
     def __init__(self, name: str, from_ref: QualifiedRef, to_ref: QualifiedRef, kind_ref: QualifiedRef,
-                 span: SourceSpan = SYNTHETIC_SPAN):
+                 loc: int = 0):
         self.name = name
         self.from_ref = from_ref
         self.to_ref = to_ref
         self.kind_ref = kind_ref
-        self.span = span
+        self.loc = loc
 
 
 class OntologyModule(Record):
-    _fields = ("name", "level", "imports", "body", "span")
+    """A module; `source` is the file it was parsed from, which places the
+    `loc` of every node in it."""
+
+    _fields = ("name", "level", "imports", "body", "loc", "source")
     __slots__ = _fields + ("terms", "relations")
 
     def __init__(self, name: str, level: Level, imports: tuple[ImportRef, ...] = (),
-                 body: tuple[TermDef | RelationDecl, ...] = (), span: SourceSpan = SYNTHETIC_SPAN):
+                 body: tuple[TermDef | RelationDecl, ...] = (), loc: int = 0, source: Source = SYNTHETIC_SOURCE):
         self.name = name
         self.level = level
         self.imports = imports
         self.body = body
-        self.span = span
+        self.loc = loc
+        self.source = source
         self.terms: tuple[TermDef, ...] = tuple(d for d in body if isinstance(d, TermDef))
         self.relations: tuple[RelationDecl, ...] = tuple(d for d in body if isinstance(d, RelationDecl))
 
 
 class PartDecl(Record):
-    __slots__ = ("name", "span")
+    __slots__ = ("name", "loc")
 
-    def __init__(self, name: str, span: SourceSpan = SYNTHETIC_SPAN):
+    def __init__(self, name: str, loc: int = 0):
         self.name = name
-        self.span = span
+        self.loc = loc
 
 
 class ThingNode(Record):
-    __slots__ = ("name", "instance_of", "properties", "powers", "span")
+    __slots__ = ("name", "instance_of", "properties", "powers", "loc")
 
     def __init__(self, name: str, instance_of: QualifiedRef | None = None, properties: tuple[PartDecl, ...] = (),
-                 powers: tuple[PartDecl, ...] = (), span: SourceSpan = SYNTHETIC_SPAN):
+                 powers: tuple[PartDecl, ...] = (), loc: int = 0):
         self.name = name
         self.instance_of = instance_of
         self.properties = properties
         self.powers = powers
-        self.span = span
+        self.loc = loc
 
     def parts(self, sort: str) -> tuple[PartDecl, ...]:
         """The thing's parts of sort `Property` or `Power`."""
@@ -145,46 +151,49 @@ class ThingNode(Record):
 
 
 class Fact(Record):
-    __slots__ = ("predicate", "left", "right", "span")
+    __slots__ = ("predicate", "left", "right", "loc")
 
-    def __init__(self, predicate: str, left: QualifiedRef, right: QualifiedRef, span: SourceSpan = SYNTHETIC_SPAN):
+    def __init__(self, predicate: str, left: QualifiedRef, right: QualifiedRef, loc: int = 0):
         self.predicate = predicate
         self.left = left
         self.right = right
-        self.span = span
+        self.loc = loc
 
 
 class World(Record):
-    __slots__ = ("name", "things", "facts", "span")
+    __slots__ = ("name", "things", "facts", "loc")
 
     def __init__(self, name: str, things: tuple[ThingNode, ...] = (), facts: tuple[Fact, ...] = (),
-                 span: SourceSpan = SYNTHETIC_SPAN):
+                 loc: int = 0):
         self.name = name
         self.things = things
         self.facts = facts
-        self.span = span
+        self.loc = loc
 
 
 class Individual(Record):
-    __slots__ = ("name", "type_ref", "span")
+    __slots__ = ("name", "type_ref", "loc")
 
-    def __init__(self, name: str, type_ref: QualifiedRef, span: SourceSpan = SYNTHETIC_SPAN):
+    def __init__(self, name: str, type_ref: QualifiedRef, loc: int = 0):
         self.name = name
         self.type_ref = type_ref
-        self.span = span
+        self.loc = loc
 
 
 class InstanceFile(Record):
     """An `instances of <Module>` block: the Instance Ontological Level
-    content attached to one module."""
+    content attached to one module. `source` places its nodes, as a
+    module's does."""
 
-    _fields = ("of_module", "body", "span")
+    _fields = ("of_module", "body", "loc", "source")
     __slots__ = _fields + ("individuals", "worlds")
 
-    def __init__(self, of_module: str, body: tuple[Individual | World, ...] = (), span: SourceSpan = SYNTHETIC_SPAN):
+    def __init__(self, of_module: str, body: tuple[Individual | World, ...] = (), loc: int = 0,
+                 source: Source = SYNTHETIC_SOURCE):
         self.of_module = of_module
         self.body = body
-        self.span = span
+        self.loc = loc
+        self.source = source
         self.individuals: tuple[Individual, ...] = tuple(d for d in body if isinstance(d, Individual))
         self.worlds: tuple[World, ...] = tuple(d for d in body if isinstance(d, World))
 
@@ -303,19 +312,28 @@ class _Resolver:
         self.components: dict[str, frozenset[str]] = {}
         self.kind_chains: dict[tuple[str, str], ChainStatus] = {}
 
-    def error(self, code: str, message: str, span: SourceSpan) -> None:
-        self.diagnostics.append(Diagnostic(code=code, message=message, span=span))
+    def error(self, code: str, message: str, source: Source, loc: int) -> None:
+        self.diagnostics.append(Diagnostic(code, message, source.span(loc)))
 
     # -- passes ---------------------------------------------------------------
 
     def register_modules(self) -> None:
         # In source order, so which of two same-named modules is the
-        # duplicate does not depend on the order the files came in.
-        for m in sorted(self.input_modules, key=lambda m: m.span):
+        # duplicate does not depend on the order the files came in. Offsets
+        # order the modules of one file as their spans do, so spans, and the
+        # line tables they need, are built only when two files share a path.
+        modules = self.input_modules
+        by_path = {m.source.path: m.source for m in modules}
+        if all(by_path[m.source.path] is m.source for m in modules):
+            modules = sorted(modules, key=lambda m: (m.source.path, m.loc))
+        else:
+            modules = sorted(modules, key=lambda m: m.source.span(m.loc))
+        for m in modules:
             if m.name == BUILTIN_MODULE:
-                self.error("E102", f"module name {BUILTIN_MODULE} is reserved for the built-in foundational ontology", m.span)
+                self.error("E102", f"module name {BUILTIN_MODULE} is reserved for the built-in foundational ontology",
+                           m.source, m.loc)
             elif m.name in self.modules:
-                self.error("E102", f"duplicate module {m.name}", m.span)
+                self.error("E102", f"duplicate module {m.name}", m.source, m.loc)
             else:
                 self.modules[m.name] = m
                 self.terms.update({(m.name, t.name): t for t in m.terms})
@@ -331,14 +349,14 @@ class _Resolver:
         for m in self.modules.values():
             for imp in m.imports:
                 if imp.name == m.name:
-                    self.error("E104", f"module {m.name} imports itself", imp.span)
+                    self.error("E104", f"module {m.name} imports itself", m.source, imp.loc)
                 elif imp.name in self.modules:
                     imports[m.name].append(imp.name)
                     importers[imp.name].append(m.name)
                 elif imp.name != BUILTIN_MODULE:
                     # ThingFO is implicitly visible; importing it resolves but
                     # is a cross-level import, flagged by the validator.
-                    self.error("E101", f"import of unknown module {imp.name}", imp.span)
+                    self.error("E101", f"import of unknown module {imp.name}", m.source, imp.loc)
         # Depth-first over imports, listing each module as its walk finishes.
         finished: list[str] = []
         seen: set[str] = set()
@@ -367,7 +385,8 @@ class _Resolver:
                 if len(scc) > 1:
                     cycles.append(sorted(scc))
         for cycle in sorted(cycles):
-            self.error("E103", "import cycle: " + " -> ".join(cycle + [cycle[0]]), self.modules[cycle[0]].span)
+            first = self.modules[cycle[0]]
+            self.error("E103", "import cycle: " + " -> ".join(cycle + [cycle[0]]), first.source, first.loc)
         # Same-level import components: connected over import edges taken
         # as undirected, keeping only edges between modules of one level.
         def same_level(v: str) -> Iterator[str]:
@@ -385,7 +404,7 @@ class _Resolver:
             names: set[str] = set()
             for decl in m.body:
                 if decl.name in names:
-                    self.error("E102", f"duplicate declaration {decl.name} in module {m.name}", decl.span)
+                    self.error("E102", f"duplicate declaration {decl.name} in module {m.name}", m.source, decl.loc)
                 names.add(decl.name)
             for t in m.terms:
                 self._check_term(m, t)
@@ -417,34 +436,35 @@ class _Resolver:
     def _check_term(self, m: OntologyModule, t: TermDef) -> None:
         ref = t.enriches
         if ref is not None and (problem := self._unbound_term(ref.module or m.name, ref.name)):
-            self.error("E101", f"term {m.name}.{t.name}: {problem}", ref.span)
+            self.error("E101", f"term {m.name}.{t.name}: {problem}", m.source, ref.loc)
         seen_keys: set[str] = set()
         for attr in t.attributes:
             if attr.key in seen_keys:
-                self.error("E102", f"duplicate attribute {attr.key} on term {m.name}.{t.name}", attr.span)
+                self.error("E102", f"duplicate attribute {attr.key} on term {m.name}.{t.name}", m.source, attr.loc)
             seen_keys.add(attr.key)
 
     def _check_relation(self, m: OntologyModule, r: RelationDecl) -> None:
         for ref, unbound in ((r.from_ref, self._unbound_term), (r.to_ref, self._unbound_term),
                              (r.kind_ref, self._unbound_relation)):
             if problem := unbound(ref.module or m.name, ref.name):
-                self.error("E101", f"relation {m.name}.{r.name}: {problem}", ref.span)
+                self.error("E101", f"relation {m.name}.{r.name}: {problem}", m.source, ref.loc)
 
     def check_instances(self) -> None:
         for f in self.instance_files:
             if not (f.of_module == BUILTIN_MODULE or f.of_module in self.modules):
-                self.error("E101", f"instances block names unknown module {f.of_module}", f.span)
+                self.error("E101", f"instances block names unknown module {f.of_module}", f.source, f.loc)
                 continue
             names: set[str] = set()
             for decl in f.body:
                 if decl.name in names:
                     kind = "individual" if isinstance(decl, Individual) else "world"
-                    self.error("E102", f"duplicate {kind} {decl.name} in instances of {f.of_module}", decl.span)
+                    self.error("E102", f"duplicate {kind} {decl.name} in instances of {f.of_module}",
+                               f.source, decl.loc)
                 names.add(decl.name)
             for ind in f.individuals:
                 ref = ind.type_ref
                 if problem := self._unbound_term(ref.module or f.of_module, ref.name):
-                    self.error("E101", f"individual {ind.name}: {problem}", ref.span)
+                    self.error("E101", f"individual {ind.name}: {problem}", f.source, ref.loc)
             for w in f.worlds:
                 self._check_world(f, w)
 
@@ -452,16 +472,16 @@ class _Resolver:
         things: dict[str, dict[str, set[str]]] = {}  # each thing's part names by sort
         for t in w.things:
             if t.name in things:
-                self.error("E102", f"duplicate thing {t.name} in world {w.name}", t.span)
+                self.error("E102", f"duplicate thing {t.name} in world {w.name}", f.source, t.loc)
                 continue
             ref = t.instance_of
             if ref is not None and (problem := self._unbound_term(ref.module or f.of_module, ref.name)):
-                self.error("E101", f"thing {t.name}: {problem}", ref.span)
+                self.error("E101", f"thing {t.name}: {problem}", f.source, ref.loc)
             parts = things[t.name] = {"Property": set(), "Power": set()}
             for sort, decls in (("Property", t.properties), ("Power", t.powers)):
                 for part in decls:
                     if part.name in parts["Property"] or part.name in parts["Power"]:
-                        self.error("E102", f"duplicate part {part.name} on thing {t.name}", part.span)
+                        self.error("E102", f"duplicate part {part.name} on thing {t.name}", f.source, part.loc)
                     parts[sort].add(part.name)
 
         # Each check returns what is wrong with a fact's argument, or None;
@@ -494,7 +514,7 @@ class _Resolver:
         for fact in w.facts:
             spec = metamodel.WORLD_PREDICATES.get(fact.predicate)
             if spec is None:
-                self.error("E101", f"unknown predicate {fact.predicate} in world {w.name}", fact.span)
+                self.error("E101", f"unknown predicate {fact.predicate} in world {w.name}", f.source, fact.loc)
                 continue
             for ref, sort in ((fact.left, spec.domain), (fact.right, spec.range)):
                 if sort in ("Property", "Power"):
@@ -504,7 +524,7 @@ class _Resolver:
                 else:
                     problem = term_problem(ref)
                 if problem:
-                    self.error("E101", f"{fact.predicate} fact in world {w.name}: {problem}", ref.span)
+                    self.error("E101", f"{fact.predicate} fact in world {w.name}: {problem}", f.source, ref.loc)
 
     def check_enrichment_cycles(self) -> None:
         # Only meaningful for chains whose every link resolved; broken links
@@ -525,7 +545,9 @@ class _Resolver:
                     if key in on_path:
                         cycle = path[on_path[key]:]
                         pretty = " -> ".join(f"{cm}.{cn}" for cm, cn in cycle + [cycle[0]])
-                        self.error("E105", f"enrichment cycle: {pretty}", pending[cycle[0]].span)
+                        first = cycle[0]
+                        self.error("E105", f"enrichment cycle: {pretty}", self.modules[first[0]].source,
+                                   pending[first].loc)
                         break
                     on_path[key] = len(path)
                     path.append(key)

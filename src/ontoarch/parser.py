@@ -25,18 +25,16 @@ Grammar (EBNF; `//` comments run to end of line, files are UTF-8):
 
 Files that produce any diagnostic are excluded from the returned AST, so
 resolution only ever sees well-formed declarations. The renderer emits a
-canonical form whose reparse is structurally identical (spans aside).
+canonical form whose reparse is structurally identical (locations aside).
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from enum import Enum
-from functools import partial
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-from .metamodel import WORLD_PREDICATES
+from .metamodel import BUILTIN_MODULE, WORLD_PREDICATES
 from .model import (
     AttrPair,
     Fact,
@@ -53,7 +51,10 @@ from .model import (
     World,
 )
 from .reporting import Diagnostic
-from .source import Record, SourceSpan
+from .source import Record, Source, SourceSpan
+
+if TYPE_CHECKING:
+    from array import array
 
 KEYWORDS = frozenset(
     {
@@ -63,10 +64,6 @@ KEYWORDS = frozenset(
         "power", "FO", "CO", "TDO", "LDO",
     }
 )
-
-#: Each keyword mapped to itself: `tokenize` looks a word up here, and a
-#: keyword token's lexeme is the one `KEYWORDS` string for that word.
-_KEYWORD_LEXEMES = {word: word for word in KEYWORDS}
 
 LEVEL_NAMES = ("FO", "CO", "TDO", "LDO")
 
@@ -81,94 +78,103 @@ class TokenKind(Enum):
 
 _IDENT, _STRING = TokenKind.IDENT, TokenKind.STRING
 
-#: `_span((file, start_line, start_col, end_line, end_col))` builds a
-#: `SourceSpan` without the start <= end check of `SourceSpan(...)`: the
-#: parser takes each span's ends from tokens in order, and the tests check
-#: every span it builds.
-_span = partial(tuple.__new__, SourceSpan)
+#: The tokens that every run shares, by lexeme: each keyword, whose lexeme
+#: is the `KEYWORDS` string, each punctuation mark, and an identifier for
+#: `ThingFO` and each fact predicate, whose lexemes are the metamodel's
+#: `BUILTIN_MODULE` and `WORLD_PREDICATES` keys. A run's name table takes its
+#: token from here the first time it meets one of these lexemes.
+_SHARED: dict[str, tuple] = {
+    **{name: (_IDENT, name, "") for name in (BUILTIN_MODULE, *WORLD_PREDICATES)},
+    **{word: (TokenKind.KEYWORD, word, "") for word in KEYWORDS},
+    **{mark: (TokenKind.PUNCT, mark, "") for mark in "{}(),:;."},
+}
+_EOI = (TokenKind.EOI, "", "")
 
 #: The lexer's one pattern. It has no capture group, since groups slow every
 #: match (by about a fifth under `finditer` on the bench suites), so
 #: `tokenize` tells matches apart by their first character. `finditer` skips
-#: what no alternative matches, which is exactly blanks, tabs and carriage
-#: returns. A string match takes every string, well-formed or not: it ends
-#: after the closing quote or before the end of the line. A `/` that starts
-#: no comment is an invalid character.
+#: what no alternative matches, which is exactly blanks, tabs, carriage
+#: returns and line feeds. A string match takes every string, well-formed or
+#: not: it ends after the closing quote or before the end of the line. A `/`
+#: that starts no comment is an invalid character.
 _SCAN = re.compile(
     r"//[^\n]*"                       # comment
-    r"|\n"                            # line break
     r"|[A-Za-z_][A-Za-z0-9_]*"        # keyword or identifier (ASCII only)
     r"|[{}(),:;.]"                    # punctuation
     r'|"(?:[^"\\\n]|\\["\\]?)*"?'     # string
-    r"|[^ \t\r]"                      # invalid character
+    r"|[^ \t\r\n]"                    # invalid character
 )
 
-_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_PUNCT = frozenset("{}(),:;.")
+#: The first characters of the lexemes that a name table holds: words and
+#: punctuation.
+_SHAREABLE = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_{}(),:;.")
 
 
-def tokenize(text: str, path: str = "<input>") -> tuple[list[tuple], list[Diagnostic]]:
-    """Full token stream (with end-of-input marker) plus lex diagnostics.
+def tokenize(
+    text: str, path: str = "<input>", names: dict[str, tuple] | None = None
+) -> tuple[list[tuple], array, list[Diagnostic]]:
+    """Full token stream (with end-of-input marker), each token's start
+    offset, and the lex diagnostics.
 
-    Each token is a plain tuple `(kind, lexeme, value, line, col, end_col)`:
-    a `TokenKind`, the source text, the unescaped payload of a STRING token
-    ("" otherwise), and the token's line and first and last columns; every
-    token sits on one line. The file is `path` for every token, so a token
-    leaves it out; `_token_span` builds a token's span when one is needed.
+    A token is a plain tuple `(kind, lexeme, value)`: a `TokenKind`, its
+    source text and "". A STRING token is `(kind, lexeme, value, length)`:
+    its value is the unescaped payload and its length is the one it has in
+    the source, since an escaped or unterminated string rebuilds its lexeme.
+    Token `i` starts at offset `starts[i]` and ends `len(lexeme)` (or a
+    STRING's length) later; the end-of-input token starts and ends at
+    `len(text)`. Tokens know neither line nor file.
 
-    An identifier's lexeme is interned with `sys.intern` and a keyword's
-    lexeme is the member of `KEYWORDS`, so each distinct name is one string
-    that every token, AST node, index key and finding naming it shares.
+    Every token but a STRING is shared: `names` maps each word and mark met
+    so far to its one token, and `tokenize` adds each new one, taking a
+    keyword's, a mark's or a metamodel name's from `_SHARED`. So each
+    distinct name is one string that every token, AST node, index key and
+    finding naming it shares, for as long as the table is used:
+    `parse_suite` passes one table for all its files, and without one
+    `tokenize` starts its own. No name is interned.
 
     The tokenizer always recovers: invalid characters and malformed strings
-    are reported and skipped, and scanning continues. Columns count code
-    points from 1, and only a line feed ends a line."""
+    are reported and skipped, and scanning continues."""
+    from array import array  # here, so that `import ontoarch` does not load it
+
+    if names is None:
+        names = {}
     tokens: list[tuple] = []
-    diagnostics: list[Diagnostic] = []
-    append = tokens.append
-    keyword, ident, punct, string = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.PUNCT, TokenKind.STRING
-    ident_start, punctuation, keywords, intern = _IDENT_START, _PUNCT, _KEYWORD_LEXEMES, sys.intern
-    line, line_start = 1, 0
+    starts = array("l")
+    errors: list[tuple[str, int]] = []  # (message, loc) of each E001, in order
+    append, start_at, known = tokens.append, starts.append, names.get
+    ident, string, shareable, shared = _IDENT, _STRING, _SHAREABLE, _SHARED.get
     for m in _SCAN.finditer(text):
         lexeme = m.group()
-        first = lexeme[0]
-        if first in ident_start:
-            col = m.start() - line_start + 1
-            word = keywords.get(lexeme)
-            if word is None:
-                append((ident, intern(lexeme), "", line, col, col + len(lexeme) - 1))
+        tok = known(lexeme)
+        if tok is None:
+            first = lexeme[0]
+            if first in shareable:
+                tok = names[lexeme] = shared(lexeme) or (ident, lexeme, "")
+            elif first == '"':
+                if len(lexeme) > 1 and lexeme[-1] == '"' and "\\" not in lexeme:
+                    tok = (string, lexeme, lexeme[1:-1], len(lexeme))
+                else:
+                    tok = _escaped_string(lexeme, text[m.end():m.end() + 1] or "<eof>", m.start(), errors)
             else:
-                append((keyword, word, "", line, col, col + len(lexeme) - 1))
-        elif first in punctuation:
-            col = m.start() - line_start + 1
-            append((punct, lexeme, "", line, col, col))
-        elif first == "\n":
-            line += 1
-            line_start = m.end()
-        elif first == '"':
-            col = m.start() - line_start + 1
-            if len(lexeme) > 1 and lexeme[-1] == '"' and "\\" not in lexeme:
-                append((string, lexeme, lexeme[1:-1], line, col, col + len(lexeme) - 1))
-            else:
-                after = text[m.end():m.end() + 1] or "<eof>"
-                append(_escaped_string(lexeme, after, path, line, col, diagnostics))
-        elif len(lexeme) == 1:  # an invalid character; a comment is longer
-            col = m.start() - line_start + 1
-            diagnostics.append(
-                Diagnostic("E001", f"invalid character {lexeme!r}", _span((path, line, col, line, col)))
-            )
-    col = len(text) - line_start + 1
-    append((TokenKind.EOI, "", "", line, col, col))
-    return tokens, diagnostics
+                if len(lexeme) == 1:  # an invalid character; a comment is longer
+                    where = m.start()
+                    errors.append((f"invalid character {lexeme!r}", where << 32 | where + 1))
+                continue
+        append(tok)
+        start_at(m.start())
+    append(_EOI)
+    start_at(len(text))
+    if not errors:
+        return tokens, starts, []
+    source = Source(path, text)
+    return tokens, starts, [Diagnostic("E001", message, source.span(loc)) for message, loc in errors]
 
 
-def _escaped_string(
-    raw: str, after: str, path: str, line: int, col: int, diagnostics: list[Diagnostic]
-) -> tuple:
+def _escaped_string(raw: str, after: str, start: int, errors: list[tuple[str, int]]) -> tuple:
     """The STRING token for `raw`, a string with a backslash in it or with no
-    closing quote, which starts at `col`. `after` is what follows `raw` (a
-    line feed, or "<eof>"), which an escape at its very end reads. Reports
-    each invalid escape and a missing closing quote."""
+    closing quote, which starts at offset `start`. `after` is what follows
+    `raw` (a line feed, or "<eof>"), which an escape at its very end reads.
+    Adds each invalid escape and a missing closing quote to `errors`."""
     parts: list[str] = []
     i, n = 1, len(raw)
     closed = False
@@ -187,20 +193,15 @@ def _escaped_string(
             # one-line finding, so it is named instead of shown.
             shown = f"\\{escaped}" if escaped.isprintable() else f"of U+{ord(escaped):04X}"
             message = "invalid escape at end of line" if escaped == "\n" else f"invalid escape {shown} in string"
-            diagnostics.append(Diagnostic("E001", message, _span((path, line, col + i, line, col + i))))
+            errors.append((message, (start + i) << 32 | start + i + 1))
             i += 1
             continue
         parts.append(c)
         i += 1
     if not closed:
-        diagnostics.append(Diagnostic("E001", "unterminated string literal", _span((path, line, col, line, col))))
+        errors.append(("unterminated string literal", start << 32 | start + 1))
     value = "".join(parts)
-    return (_STRING, f'"{value}"', value, line, col, col + n - 1)
-
-
-def _token_span(path: str, tok: tuple) -> SourceSpan:
-    """The span of one token of file `path`."""
-    return _span((path, tok[3], tok[4], tok[3], tok[5]))
+    return (_STRING, f'"{value}"', value, n)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +235,8 @@ class _Parser:
     """Recursive descent over the token list. Each production takes the index
     of its first token and returns its node and the index after it. Tokens
     are read by field index (see `tokenize`): `tok[0]` is the kind, `tok[1]`
-    the lexeme.
+    the lexeme. A node's `loc` runs from its first token's start to its last
+    token's end; every node of the file shares the parser's `source`.
 
     Keywords and punctuation are told apart by lexeme alone: only KEYWORD
     tokens carry keyword lexemes, only PUNCT tokens carry punctuation, a
@@ -244,17 +246,22 @@ class _Parser:
     does, so no index runs past the list. On a syntax error, `fail` records
     the failing token's index in `pos`, where recovery resumes."""
 
-    def __init__(self, tokens: list[tuple], path: str):
+    def __init__(self, tokens: list[tuple], starts: array, source: Source):
         self.toks = tokens
+        self.starts = starts
         self.end = len(tokens) - 1  # index of the end-of-input token
-        self.path = path
+        self.source = source
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
 
+    def token_span(self, i: int) -> SourceSpan:
+        """The span of token `i`, which a diagnostic reports."""
+        tok, start = self.toks[i], self.starts[i]
+        return self.source.span(start << 32 | start + (tok[3] if tok[0] is _STRING else len(tok[1])))
+
     def fail(self, message: str, i: int) -> _ParseError:
-        tok = self.toks[i]
-        shown = tok[1] or "end of input"
-        self.diagnostics.append(Diagnostic("E002", f"{message}, got {shown!r}", _token_span(self.path, tok)))
+        shown = self.toks[i][1] or "end of input"
+        self.diagnostics.append(Diagnostic("E002", f"{message}, got {shown!r}", self.token_span(i)))
         self.pos = i
         return _ParseError()
 
@@ -300,8 +307,7 @@ class _Parser:
             return level, i + 1
         if tok[0] is _IDENT or tok[1] in KEYWORDS:
             self.diagnostics.append(
-                Diagnostic("E003", f"unknown level name {tok[1]!r} (expected FO, CO, TDO or LDO)",
-                           _token_span(self.path, tok))
+                Diagnostic("E003", f"unknown level name {tok[1]!r} (expected FO, CO, TDO or LDO)", self.token_span(i))
             )
             return Level.CO, i + 1  # placeholder; the file is excluded anyway
         raise self.fail("expected a level name", i)
@@ -311,17 +317,17 @@ class _Parser:
         first = toks[i]
         if first[0] is not _IDENT:
             raise self.fail(expected, i)
+        start = self.starts[i]
         if toks[i + 1][1] == ".":
             second = toks[i + 2]
             if second[0] is not _IDENT:
                 raise self.fail("expected a name after '.'", i + 2)
-            span = _span((self.path, first[3], first[4], second[3], second[5]))
-            return QualifiedRef(first[1], second[1], span), i + 3
-        return QualifiedRef(None, first[1], _span((self.path, first[3], first[4], first[3], first[5]))), i + 1
+            return QualifiedRef(first[1], second[1], start << 32 | self.starts[i + 2] + len(second[1])), i + 3
+        return QualifiedRef(None, first[1], start << 32 | start + len(first[1])), i + 1
 
     def parse_module(self, i: int) -> tuple[OntologyModule, int]:
-        toks, path = self.toks, self.path
-        start = toks[i]
+        toks, starts = self.toks, self.starts
+        start = starts[i]
         name = toks[i + 1]
         if name[0] is not _IDENT:
             raise self.fail("expected ontology name", i + 1)
@@ -336,19 +342,21 @@ class _Parser:
             target = toks[i + 1]
             if target[0] is not _IDENT:
                 raise self.fail("expected imported module name", i + 1)
-            imports.append(ImportRef(target[1], _token_span(path, target)))
+            at = starts[i + 1]
+            imports.append(ImportRef(target[1], at << 32 | at + len(target[1])))
             i += 2
         body, last, i = self.parse_body(i, _MODULE_BODY, _MODULE_SYNC, "expected 'term', 'relation' or '}'")
-        span = _span((path, start[3], start[4], last[3], last[5]))
-        return OntologyModule(name[1], level, tuple(imports), tuple(body), span), i
+        loc = start << 32 | starts[last] + len(toks[last][1])
+        return OntologyModule(name[1], level, tuple(imports), tuple(body), loc, self.source), i
 
-    def parse_body(self, i: int, productions: dict, sync: tuple[str, ...], expected: str) -> tuple[list, tuple, int]:
+    def parse_body(self, i: int, productions: dict, sync: tuple[str, ...], expected: str) -> tuple[list, int, int]:
         """The declarations of a block from token `i` up to its closing
         brace. `productions` maps each declaration keyword to the `_Parser`
         function that parses it. A declaration that fails to parse is skipped
         up to the next `sync` keyword; if recovery consumes the closing brace
         or reaches a top-level keyword, the block ends there. Returns the
-        declarations, the block's last token and the index after the block."""
+        declarations, the index of the block's last token, a brace or a
+        keyword, and the index after the block."""
         toks = self.toks
         body = []
         while i < self.end:
@@ -364,26 +372,26 @@ class _Parser:
             except _ParseError:
                 i = self.skip_to(self.pos, sync)
                 if toks[i - 1][1] == "}":
-                    return body, toks[i - 1], i
+                    return body, i - 1, i
                 if toks[i][1] in _TOP_SYNC:
-                    return body, toks[i], i
-        close = toks[i]
-        if close[1] != "}":
+                    return body, i, i
+        if toks[i][1] != "}":
             raise self.fail("expected '}'", i)
-        return body, close, i + 1
+        return body, i, i + 1
 
     def misplaced_imports(self, i: int) -> NoReturn:
         raise self.fail("imports must precede term and relation declarations", i)
 
     def parse_term(self, i: int) -> tuple[TermDef, int]:
-        toks, path = self.toks, self.path
-        start = toks[i]
+        toks, starts = self.toks, self.starts
+        start = starts[i]
         name = toks[i + 1]
         if name[0] is not _IDENT:
             raise self.fail("expected term name", i + 1)
         if toks[i + 2][1] != "enriches":
             raise self.fail("expected 'enriches'", i + 2)
         target, i = self.parse_qname(i + 3)
+        end = starts[i - 1] + len(toks[i - 1][1])  # the target's last name
         scope: str | None = None
         if toks[i][1] == "scope":
             scope = toks[i + 1][1]
@@ -391,9 +399,7 @@ class _Parser:
                 raise self.fail("expected 'particulars' or 'universals'", i + 1)
             i += 2
         if toks[i][1] != "{":
-            end = target.span
-            span = _span((path, start[3], start[4], end.end_line, end.end_col))
-            return TermDef(name[1], target, scope, (), span), i
+            return TermDef(name[1], target, scope, (), start << 32 | end), i
         i += 1
         attrs: list[AttrPair] = []
         while toks[i][1] != "}":
@@ -403,15 +409,13 @@ class _Parser:
             value = toks[i + 1]
             if value[0] is not _STRING:
                 raise self.fail("expected a string attribute value", i + 1)
-            attrs.append(AttrPair(key[1], value[2], _span((path, key[3], key[4], value[3], value[5]))))
+            attrs.append(AttrPair(key[1], value[2], starts[i] << 32 | starts[i + 1] + value[3]))
             i += 2
-        close = toks[i]
-        span = _span((path, start[3], start[4], close[3], close[5]))
-        return TermDef(name[1], target, scope, tuple(attrs), span), i + 1
+        return TermDef(name[1], target, scope, tuple(attrs), start << 32 | starts[i] + 1), i + 1
 
     def parse_relation(self, i: int) -> tuple[RelationDecl, int]:
         toks = self.toks
-        start = toks[i]
+        start = self.starts[i]
         name = toks[i + 1]
         if name[0] is not _IDENT:
             raise self.fail("expected relation name", i + 1)
@@ -424,13 +428,12 @@ class _Parser:
         if toks[i][1] != "kind":
             raise self.fail("expected 'kind'", i)
         kind_ref, i = self.parse_qname(i + 1)
-        end = kind_ref.span
-        span = _span((self.path, start[3], start[4], end.end_line, end.end_col))
-        return RelationDecl(name[1], from_ref, to_ref, kind_ref, span), i
+        end = self.starts[i - 1] + len(toks[i - 1][1])  # the reference's last name
+        return RelationDecl(name[1], from_ref, to_ref, kind_ref, start << 32 | end), i
 
     def parse_instances(self, i: int) -> tuple[InstanceFile, int]:
-        toks, path = self.toks, self.path
-        start = toks[i]
+        toks, starts = self.toks, self.starts
+        start = starts[i]
         if toks[i + 1][1] != "of":
             raise self.fail("expected 'of'", i + 1)
         module = toks[i + 2]
@@ -439,25 +442,23 @@ class _Parser:
         if toks[i + 3][1] != "{":
             raise self.fail("expected '{'", i + 3)
         body, last, i = self.parse_body(i + 4, _INSTANCE_BODY, _INSTANCE_SYNC, "expected 'individual', 'world' or '}'")
-        span = _span((path, start[3], start[4], last[3], last[5]))
-        return InstanceFile(module[1], tuple(body), span), i
+        loc = start << 32 | starts[last] + len(toks[last][1])
+        return InstanceFile(module[1], tuple(body), loc, self.source), i
 
     def parse_individual(self, i: int) -> tuple[Individual, int]:
         toks = self.toks
-        start = toks[i]
+        start = self.starts[i]
         name = toks[i + 1]
         if name[0] is not _IDENT:
             raise self.fail("expected individual name", i + 1)
         if toks[i + 2][1] != ":":
             raise self.fail("expected ':'", i + 2)
         type_ref, i = self.parse_qname(i + 3)
-        end = type_ref.span
-        span = _span((self.path, start[3], start[4], end.end_line, end.end_col))
-        return Individual(name[1], type_ref, span), i
+        return Individual(name[1], type_ref, start << 32 | self.starts[i - 1] + len(toks[i - 1][1])), i
 
     def parse_world(self, i: int) -> tuple[World, int]:
         toks = self.toks
-        start = toks[i]
+        start = self.starts[i]
         name = toks[i + 1]
         if name[0] is not _IDENT:
             raise self.fail("expected world name", i + 1)
@@ -480,15 +481,13 @@ class _Parser:
                 facts.append(fact)
             else:
                 raise self.fail("expected a thing declaration, a fact or '}'", i)
-        close = toks[i]
-        if close[1] != "}":
+        if toks[i][1] != "}":
             raise self.fail("expected '}'", i)
-        span = _span((self.path, start[3], start[4], close[3], close[5]))
-        return World(name[1], tuple(things), tuple(facts), span), i + 1
+        return World(name[1], tuple(things), tuple(facts), start << 32 | self.starts[i] + 1), i + 1
 
     def parse_thing(self, i: int) -> tuple[ThingNode, int]:
-        toks = self.toks
-        start = toks[i]
+        toks, starts = self.toks, self.starts
+        start = starts[i]
         name = toks[i + 1]
         if name[0] is not _IDENT:
             raise self.fail("expected thing name", i + 1)
@@ -507,24 +506,22 @@ class _Parser:
                     raise self.fail(f"expected {keyword} name", i + 1)
                 if toks[i + 2][1] != ";":
                     raise self.fail("expected ';'", i + 2)
-                out.append(PartDecl(part[1], _token_span(self.path, part)))
+                at = starts[i + 1]
+                out.append(PartDecl(part[1], at << 32 | at + len(part[1])))
                 i += 3
-        close = toks[i]
-        if close[1] == "property":
+        close = toks[i][1]
+        if close == "property":
             raise self.fail("property declarations must precede power declarations", i)
-        if close[1] != "}":
+        if close != "}":
             raise self.fail("expected '}'", i)
-        span = _span((self.path, start[3], start[4], close[3], close[5]))
-        return ThingNode(name[1], instance_of, tuple(parts[0]), tuple(parts[1]), span), i + 1
+        return ThingNode(name[1], instance_of, tuple(parts[0]), tuple(parts[1]), start << 32 | starts[i] + 1), i + 1
 
     def parse_fact(self, i: int) -> tuple[Fact, int]:
         """A fact; the caller has checked that its first token is a name."""
         toks = self.toks
-        pred = toks[i]
-        if pred[1] not in WORLD_PREDICATES:
-            self.diagnostics.append(
-                Diagnostic("E004", f"unknown fact predicate {pred[1]!r}", _token_span(self.path, pred))
-            )
+        pred = toks[i][1]
+        if pred not in WORLD_PREDICATES:
+            self.diagnostics.append(Diagnostic("E004", f"unknown fact predicate {pred!r}", self.token_span(i)))
             # Recover past the argument list so later facts still parse.
             i += 1
             if toks[i][1] == "(":
@@ -534,17 +531,16 @@ class _Parser:
                     i += 1
             self.pos = i
             raise _ParseError()
+        start = self.starts[i]
         if toks[i + 1][1] != "(":
             raise self.fail("expected '('", i + 1)
         left, i = self.parse_qname(i + 2, "expected a reference")
         if toks[i][1] != ",":
             raise self.fail("expected ','", i)
         right, i = self.parse_qname(i + 1, "expected a reference")
-        close = toks[i]
-        if close[1] != ")":
+        if toks[i][1] != ")":
             raise self.fail("expected ')'", i)
-        span = _span((self.path, pred[3], pred[4], close[3], close[5]))
-        return Fact(pred[1], left, right, span), i + 1
+        return Fact(pred, left, right, start << 32 | self.starts[i] + 1), i + 1
 
 
 #: Block productions by their first keyword, as plain functions: bound
@@ -557,22 +553,24 @@ def parse_suite(files: list[tuple[str, str]]) -> tuple[SuiteAst, list[Diagnostic
     """Parse every `(path, text)` pair.
 
     Files that produce any diagnostic contribute their diagnostics but no
-    declarations, so the returned AST is fully well-formed. One file's
-    tokens live only while that file is parsed."""
+    declarations, so the returned AST is fully well-formed. One name table
+    serves every file, and lives only for this call. One file's tokens live
+    only while that file is parsed."""
+    names: dict[str, tuple] = {}
     decls: list[OntologyModule | InstanceFile] = []
     diagnostics: list[Diagnostic] = []
     for path, text in files:
-        _parse_file(path, text, decls, diagnostics)
+        _parse_file(path, text, names, decls, diagnostics)
     return SuiteAst(tuple(decls)), diagnostics
 
 
-def _parse_file(path: str, text: str, decls: list, diagnostics: list[Diagnostic]) -> None:
+def _parse_file(path: str, text: str, names: dict[str, tuple], decls: list, diagnostics: list[Diagnostic]) -> None:
     """Add one file's diagnostics to `diagnostics`, and its declarations to
     `decls` if it has none. Its token list, its parser and the declarations
     of a file that failed are freed on return, before the next file is
     lexed."""
-    tokens, lex_diags = tokenize(text, path)
-    file_decls, parse_diags = _Parser(tokens, path).parse_file()
+    tokens, starts, lex_diags = tokenize(text, path, names)
+    file_decls, parse_diags = _Parser(tokens, starts, Source(path, text)).parse_file()
     diagnostics.extend(lex_diags)
     diagnostics.extend(parse_diags)
     if not lex_diags and not parse_diags:

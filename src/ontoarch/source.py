@@ -1,9 +1,14 @@
-"""Source positions shared by the tokenizer, parser, model and reports, and
-the base class of their slotted records."""
+"""Source files and positions shared by the tokenizer, parser, model and
+reports, and the base class of their slotted records."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import re
+from bisect import bisect_right
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from array import array
 
 
 class _SpanFields(NamedTuple):
@@ -18,7 +23,8 @@ class SourceSpan(_SpanFields):
     """A 1-based, inclusive region of a source file.
 
     A tuple, so equality, hashing and ordering go by (file, start line,
-    start column, end line, end column); the parser builds one per node."""
+    start column, end line, end column); `Source.span` builds one for a
+    finding."""
 
     __slots__ = ()
 
@@ -31,8 +37,49 @@ class SourceSpan(_SpanFields):
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
-#: Placeholder span for declarations built in memory rather than parsed.
-SYNTHETIC_SPAN = SourceSpan("<builtin>", 1, 1, 1, 1)
+_LINE_END = re.compile("\n")
+_END_MASK = (1 << 32) - 1
+
+
+class Source:
+    """One parsed file: its path, its text, and where its lines start.
+
+    A node holds its place in the file as one `loc`, the character offsets
+    `start << 32 | end`, where `end` is one past its last character. The
+    line-start table is built the first time `span` needs it, so a file
+    without findings never has one. Columns count code points from 1, and
+    only a line feed ends a line."""
+
+    __slots__ = ("path", "text", "_lines")
+
+    def __init__(self, path: str, text: str):
+        self.path = path
+        self.text = text
+        self._lines: array | None = None
+
+    def __repr__(self) -> str:
+        return f"Source({self.path!r})"
+
+    def span(self, loc: int) -> SourceSpan:
+        """The span of the characters that `loc` covers; an empty stretch,
+        such as the end of input, spans the one place where it starts."""
+        lines = self._lines
+        if lines is None:
+            from array import array  # here, as in `parser.tokenize`
+
+            lines = self._lines = array("l", [0])
+            lines.extend([m.end() for m in _LINE_END.finditer(self.text)])
+        start = loc >> 32
+        last = max((loc & _END_MASK) - 1, start)
+        start_line = bisect_right(lines, start)
+        end_line = bisect_right(lines, last, start_line - 1)
+        return tuple.__new__(SourceSpan, (self.path, start_line, start - lines[start_line - 1] + 1,
+                                          end_line, last - lines[end_line - 1] + 1))
+
+
+#: The source of declarations built in memory rather than parsed: their
+#: `loc` is 0, which spans `<builtin>:1:1`.
+SYNTHETIC_SOURCE = Source("<builtin>", "")
 
 
 class Record:
@@ -41,7 +88,7 @@ class Record:
     `__init__`. A slot after the fields holds a value that `__init__`
     computes once from them; rebinding a field afterwards does not update
     it. `repr` shows the fields, and equality and hashing go by those in
-    `_compared`, by default all fields but a node's `span`."""
+    `_compared`, by default all fields but a node's `loc` and `source`."""
 
     __slots__ = ()
 
@@ -49,7 +96,7 @@ class Record:
         if "_fields" not in cls.__dict__:
             cls._fields = cls.__slots__
         if "_compared" not in cls.__dict__:
-            cls._compared = tuple(name for name in cls._fields if name != "span")
+            cls._compared = tuple(name for name in cls._fields if name not in ("loc", "source"))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._compared])

@@ -20,7 +20,7 @@ from .model import (
     World,
 )
 from .reporting import CODE_CATALOG, Diagnostic
-from .source import SourceSpan
+from .source import SYNTHETIC_SOURCE, Source, SourceSpan
 
 
 def _finding(code: str, message: str, span: SourceSpan, witness: str, anchor: str | None = None) -> Diagnostic:
@@ -45,7 +45,7 @@ def check_architecture(suite: ResolvedSuite) -> list[Diagnostic]:
                     "E201",
                     f"module {m.name} declares itself at the foundational level; "
                     f"only the built-in {BUILTIN_MODULE} ontology may live there",
-                    m.span,
+                    m.source.span(m.loc),
                     witness=f"ontology {m.name} at FO",
                 )
             )
@@ -55,7 +55,7 @@ def check_architecture(suite: ResolvedSuite) -> list[Diagnostic]:
                     _finding(
                         "E203",
                         f"foundational-level module {m.name} may not import anything",
-                        imp.span,
+                        m.source.span(imp.loc),
                         witness=f"{m.name} imports {imp.name}",
                     )
                 )
@@ -65,7 +65,7 @@ def check_architecture(suite: ResolvedSuite) -> list[Diagnostic]:
                         "E202",
                         f"import crosses levels: {m.name} ({m.level.name}) imports "
                         f"{imp.name} ({suite.level_of(imp.name).name})",
-                        imp.span,
+                        m.source.span(imp.loc),
                         witness=f"{m.name} imports {imp.name}",
                     )
                 )
@@ -94,13 +94,14 @@ def chain_status(suite: ResolvedSuite, module_name: str, rel: RelationDecl) -> C
 def check_rule1(suite: ResolvedSuite) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     for module in suite.modules.values():
+        source = module.source
         for t in module.terms:
             if t.enriches is None:
                 out.append(
                     _finding(
                         "E213",
                         f"term {module.name}.{t.name} has no enrichment target",
-                        t.span,
+                        source.span(t.loc),
                         witness=f"term {t.name}",
                     )
                 )
@@ -114,7 +115,7 @@ def check_rule1(suite: ResolvedSuite) -> list[Diagnostic]:
                         f"term {module.name}.{t.name} ({module.level.name}) enriches "
                         f"{target_mod}.{target_name} ({target_level.name}), which is not "
                         f"the immediately higher level",
-                        t.span,
+                        source.span(t.loc),
                         witness=f"{module.level.name} -> {target_level.name}",
                     )
                 )
@@ -127,7 +128,7 @@ def check_rule1(suite: ResolvedSuite) -> list[Diagnostic]:
                         "E212",
                         f"relation {module.name}.{r.name} never reaches a foundational "
                         f"relationship: {detail}",
-                        r.span,
+                        source.span(r.loc),
                         witness=detail,
                     )
                 )
@@ -156,7 +157,7 @@ def check_rule2(suite: ResolvedSuite) -> list[Diagnostic]:
                     "E221",
                     f"joint definition of {{{members}}} leaves relation "
                     f"{module_name}.{r.name} without a foundational kind: {detail}",
-                    r.span,
+                    suite.modules[module_name].source.span(r.loc),
                     witness=f"component: {members}; {detail}",
                 )
             )
@@ -168,7 +169,7 @@ def check_rule2(suite: ResolvedSuite) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 def _classify_individual(
-    suite: ResolvedSuite, name: str, type_mod: str, type_name: str, span: SourceSpan, where: str
+    suite: ResolvedSuite, name: str, type_mod: str, type_name: str, source: Source, loc: int, where: str
 ) -> Diagnostic | None:
     anchor = suite.enrichment_root(type_mod, type_name)
     if anchor is None:
@@ -179,7 +180,7 @@ def _classify_individual(
             "E301",
             f"{where} {name} instantiates {type_mod}.{type_name}, whose enrichment "
             f"root is Thing Category; categories do not result in instances",
-            span,
+            source.span(loc),
             witness=f"{name} : {type_mod}.{type_name} (root ThingCategory)",
         )
     if root in (RootKind.PROPERTY, RootKind.POWER):
@@ -188,7 +189,7 @@ def _classify_individual(
             f"{where} {name} instantiates {type_mod}.{type_name}, whose enrichment "
             f"root is {root.value}; properties and powers exist only as parts of "
             f"things inside worlds",
-            span,
+            source.span(loc),
             witness=f"{name} : {type_mod}.{type_name} (root {root.value})",
         )
     return None  # Thing and Assertion roots result in instances
@@ -199,7 +200,7 @@ def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
     for f in suite.instance_files:
         for ind in f.individuals:
             type_mod, type_name = suite.term_target(ind.type_ref, f.of_module)
-            v = _classify_individual(suite, ind.name, type_mod, type_name, ind.span, "individual")
+            v = _classify_individual(suite, ind.name, type_mod, type_name, f.source, ind.loc, "individual")
             if v:
                 out.append(v)
         for w in f.worlds:
@@ -207,7 +208,7 @@ def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
                 if thing.instance_of is None:
                     continue
                 type_mod, type_name = suite.term_target(thing.instance_of, f.of_module)
-                v = _classify_individual(suite, thing.name, type_mod, type_name, thing.span, "thing")
+                v = _classify_individual(suite, thing.name, type_mod, type_name, f.source, thing.loc, "thing")
                 if v:
                     out.append(v)
     return out
@@ -217,7 +218,7 @@ def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
 # Axioms A1-A3 over ground worlds.
 # ---------------------------------------------------------------------------
 
-def _axiom_finding(code: str, fact: Fact) -> Diagnostic:
+def _axiom_finding(code: str, fact: Fact, source: Source) -> Diagnostic:
     left, right = fact.left, fact.right
     if code == "E311":
         message = (
@@ -234,11 +235,11 @@ def _axiom_finding(code: str, fact: Fact) -> Diagnostic:
     else:  # E313
         message = f"power {left} interacts with its own thing {right.name}"
         witness = f"interacts({left}, {right}); owner({left})={left.module}"
-    return _finding(code, message, fact.span, witness=witness)
+    return _finding(code, message, source.span(fact.loc), witness=witness)
 
 
-def check_axioms(world: World) -> list[Diagnostic]:
-    """Edge-wise axiom evaluation.
+def check_axioms(world: World, source: Source = SYNTHETIC_SOURCE) -> list[Diagnostic]:
+    """Edge-wise axiom evaluation over a world of the file `source`.
 
     Ownership is functional and syntactically evident (a part `thing.part`
     is qualified by its owner), so A1/A2 reduce to owner equality on each
@@ -246,11 +247,11 @@ def check_axioms(world: World) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     for fact in world.facts:
         if fact.predicate == "enables" and fact.left.module != fact.right.module:
-            out.append(_axiom_finding("E311", fact))
+            out.append(_axiom_finding("E311", fact, source))
         elif fact.predicate == "actsUpon" and fact.left.module != fact.right.module:
-            out.append(_axiom_finding("E312", fact))
+            out.append(_axiom_finding("E312", fact, source))
         elif fact.predicate == "interacts" and fact.left.module == fact.right.name:
-            out.append(_axiom_finding("E313", fact))
+            out.append(_axiom_finding("E313", fact, source))
     return out
 
 
@@ -305,7 +306,7 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
                     f"relation {module_name}.{r.name} has kind {variants[0].display!r} "
                     f"but connects {from_root}-rooted to {to_root}-rooted terms "
                     f"(expected {expected})",
-                    r.span,
+                    suite.modules[module_name].source.span(r.loc),
                     witness=f"from root {from_root}, to root {to_root}",
                     anchor=definition,
                 )
@@ -326,7 +327,7 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
                             code,
                             f"{fact.predicate} target {mod}.{name} is rooted at {root.value}, "
                             f"not {metamodel.term_spec(spec.range).display}",
-                            fact.span,
+                            f.source.span(fact.loc),
                             witness=f"{fact.predicate}({fact.left}, {fact.right})",
                         )
                     )
@@ -335,15 +336,15 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
                     _finding(
                         "E234",
                         f"thing {fact.left.name} relates with itself in world {w.name}",
-                        fact.span,
+                        f.source.span(fact.loc),
                         witness=f"relatesWith({fact.left}, {fact.right})",
                     )
                 )
-        out.extend(_check_cardinality(w))
+        out.extend(_check_cardinality(w, f.source))
     return out
 
 
-def _check_cardinality(world: World) -> list[Diagnostic]:
+def _check_cardinality(world: World, source: Source) -> list[Diagnostic]:
     # Only enforced in worlds that use the predicate at all: ground worlds
     # may legitimately be partial descriptions, hence a warning, not an error.
     out: list[Diagnostic] = []
@@ -362,7 +363,7 @@ def _check_cardinality(world: World) -> list[Diagnostic]:
                             "W301",
                             f"{sort} {thing.name}.{part.name} {spec.display} no {spec.range.lower()} "
                             f"in world {world.name}, which declares {predicate} facts",
-                            part.span,
+                            source.span(part.loc),
                             witness=f"{sort} {thing.name}.{part.name}; 0 {predicate} edges",
                         )
                     )
@@ -380,6 +381,7 @@ def check_property_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
         anchor = suite.enrichment_root(module_name, t.name)
         if anchor is None:
             continue  # broken enrichment chain, already flagged as E213
+        source = suite.modules[module_name].source
         root = metamodel.root_kind(anchor)
         allowed = metamodel.property_keys_for_root(root)
         for attr in t.attributes:
@@ -389,7 +391,7 @@ def check_property_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
                         "W201",
                         f"attribute {attr.key!r} on term {module_name}.{t.name} is not "
                         f"owned by {root.value}-rooted terms (allowed: {', '.join(allowed)})",
-                        attr.span,
+                        source.span(attr.loc),
                         witness=f"{t.name}.{attr.key}",
                     )
                 )
@@ -398,7 +400,7 @@ def check_property_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
                 _finding(
                     "W202",
                     f"thing-rooted term {module_name}.{t.name} declares no description",
-                    t.span,
+                    source.span(t.loc),
                     witness=f"term {t.name}",
                 )
             )
@@ -408,7 +410,7 @@ def check_property_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
                     "W203",
                     f"term {module_name}.{t.name} declares scope {t.scope!r} but its "
                     f"enrichment root is {root.value}, not Assertion",
-                    t.span,
+                    source.span(t.loc),
                     witness=f"term {t.name} scope {t.scope}",
                 )
             )
@@ -432,8 +434,8 @@ def validate_suite(suite: ResolvedSuite) -> list[Diagnostic]:
     collected.extend(check_rule3(suite))
     collected.extend(check_relationship_conformance(suite))
     collected.extend(check_property_conformance(suite))
-    for _, world in suite.all_worlds():
-        collected.extend(check_axioms(world))
+    for f, world in suite.all_worlds():
+        collected.extend(check_axioms(world, f.source))
     return collected
 
 

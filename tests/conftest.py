@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ontoarch.source import Record, SourceSpan
+from ontoarch.source import SYNTHETIC_SOURCE, Record, Source, SourceSpan
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIG2 = FIXTURES / "fig2"
@@ -66,17 +66,27 @@ MUTATIONS: tuple[tuple[str, str, str, str], ...] = (
 )
 
 
-def tree(node):
+def tree(node, source: Source = SYNTHETIC_SOURCE):
     """A node, or a list or tuple of them, as nested tuples of type names,
-    field values and spans. Nodes compare without their spans (`span` is not
-    in their `_compared`); their trees compare with them. A tree walks a
-    record's `_fields`, not the slots it derives from them."""
+    field values and spans. Nodes compare without their locations (`loc` and
+    `source` are not in their `_compared`); their trees compare with them. A
+    node's `loc` is spelled out as the span its file's `Source` gives it: a
+    module's or instance file's own `source` places the nodes inside it, and
+    `source` places the rest; the `source` fields themselves are left out. A
+    `loc` that holds a `SourceSpan` already, as the oracle parser's nodes do,
+    is spelled out as it is. A tree walks a record's `_fields`, not the slots
+    it derives from them."""
     if isinstance(node, SourceSpan):
         return ("span", *node)
     if isinstance(node, Record):
-        return (type(node).__name__, *(tree(getattr(node, name)) for name in node._fields))
+        source = getattr(node, "source", source)
+        return (type(node).__name__, *(
+            ("span", *source.span(value)) if name == "loc" and isinstance(value, int) else tree(value, source)
+            for name in node._fields if name != "source"
+            for value in (getattr(node, name),)
+        ))
     if isinstance(node, (list, tuple)):
-        return tuple(tree(item) for item in node)
+        return tuple(tree(item, source) for item in node)
     return node
 
 

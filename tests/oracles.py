@@ -13,13 +13,15 @@ reports: it finds which modules reach each other by a breadth-first search
 from every module. `oracle_check_axioms` checks the edge-wise
 `check_axioms` by enumerating every quantifier instantiation.
 `oracle_tokenize` checks the regex scanner `tokenize`: it walks the text one
-character at a time and returns `Token` objects, where `tokenize` returns
-plain tuples. `oracle_parse_file` checks the index-based `parser._Parser`:
-it is the parser that `_Parser` replaced, which steps through the same
-tokens, wrapped in `Token` objects, with a cursor and a method call per
-token test. `oracle_render_json` checks the direct JSON writer `render_json`:
-it is the serializer that the writer replaced, which builds one dict per
-finding and has `json.dumps` sort every key.
+character at a time, counting lines and columns, and returns `Token` objects,
+where `tokenize` returns shared tuples and start offsets. `oracle_parse_file`
+checks the index-based `parser._Parser`: it is the parser that `_Parser`
+replaced, which steps through the same tokens, wrapped in `Token` objects
+that carry lines and columns counted from the text, with a cursor and a
+method call per token test; its nodes carry spans, not offsets.
+`oracle_render_json` checks the direct JSON writer `render_json`: it is the
+serializer that the writer replaced, which builds one dict per finding and
+has `json.dumps` sort every key.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from ontoarch.model import (
 )
 from ontoarch.parser import KEYWORDS, LEVEL_NAMES, TokenKind
 from ontoarch.reporting import REPORT_VERSION, Diagnostic, Report
-from ontoarch.source import SourceSpan
+from ontoarch.source import SYNTHETIC_SOURCE, Source, SourceSpan
 from ontoarch.validator import _axiom_finding
 
 
@@ -130,7 +132,7 @@ def oracle_import_cycles(modules: list[OntologyModule]) -> list[tuple[str, Sourc
     the modules resolution registers count: the first of each name in
     source order, and none named like ThingFO."""
     registered: dict[str, OntologyModule] = {}
-    for m in sorted(modules, key=lambda m: m.span):
+    for m in sorted(modules, key=lambda m: m.source.span(m.loc)):
         if m.name != BUILTIN_MODULE and m.name not in registered:
             registered[m.name] = m
 
@@ -144,8 +146,11 @@ def oracle_import_cycles(modules: list[OntologyModule]) -> list[tuple[str, Sourc
 
     reaches = {name: reach(name) for name in registered}
     groups = {tuple(sorted(b for b in reaches[a] if a in reaches[b])) for a in registered}
+    def span(name: str) -> SourceSpan:
+        return registered[name].source.span(registered[name].loc)
+
     return [
-        ("import cycle: " + " -> ".join(group + group[:1]), registered[group[0]].span)
+        ("import cycle: " + " -> ".join(group + group[:1]), span(group[0]))
         for group in sorted(groups)
         if len(group) > 1
     ]
@@ -155,7 +160,7 @@ def _facts_of(world: World, predicate: str) -> list[Fact]:
     return [f for f in world.facts if f.predicate == predicate]
 
 
-def oracle_check_axioms(world: World) -> list[Diagnostic]:
+def oracle_check_axioms(world: World, source: Source = SYNTHETIC_SOURCE) -> list[Diagnostic]:
     """Brute-force axiom evaluation by enumerating every quantifier
     instantiation (thing x property x power) with partOf as ownership.
 
@@ -178,7 +183,7 @@ def oracle_check_axioms(world: World) -> list[Diagnostic]:
                 for fact in _facts_of(world, "enables"):
                     if ref_is(fact.left, p_owner, p_name) and ref_is(fact.right, w_owner, w_name):
                         if w_owner != t:  # consequent partOf(pow, t) falsified
-                            out.append(_axiom_finding("E311", fact))
+                            out.append(_axiom_finding("E311", fact, source))
     # A2: Thing(t) & Power(pow) & partOf(pow,t) & Property(prop) & actsUpon(pow,prop) -> partOf(prop,t)
     for t in things:
         for w_owner, w_name in pows:
@@ -188,7 +193,7 @@ def oracle_check_axioms(world: World) -> list[Diagnostic]:
                 for fact in _facts_of(world, "actsUpon"):
                     if ref_is(fact.left, w_owner, w_name) and ref_is(fact.right, p_owner, p_name):
                         if p_owner != t:
-                            out.append(_axiom_finding("E312", fact))
+                            out.append(_axiom_finding("E312", fact, source))
     # A3: Thing(t) & Power(pow) & partOf(pow,t) -> not interactsWithOther(pow, t)
     for t in things:
         for w_owner, w_name in pows:
@@ -196,7 +201,7 @@ def oracle_check_axioms(world: World) -> list[Diagnostic]:
                 continue
             for fact in _facts_of(world, "interacts"):
                 if ref_is(fact.left, w_owner, w_name) and fact.right.module is None and fact.right.name == t:
-                    out.append(_axiom_finding("E313", fact))
+                    out.append(_axiom_finding("E313", fact, source))
     return out
 
 PUNCTUATION = "{}(),:;."
@@ -351,14 +356,28 @@ class _CursorToken(Token):
 
 
 def oracle_parse_file(
-    tokens: list[tuple], path: str
+    tokens: list[tuple], starts: list[int], text: str, path: str
 ) -> tuple[tuple[OntologyModule | InstanceFile, ...], list[Diagnostic]]:
-    """What `parser._Parser(tokens, path).parse_file()` must return, for
-    the tuple tokens `parser.tokenize(text, path)` returns."""
-    cursor_tokens = [
-        _CursorToken(kind, lexeme, value, path, line, col, end_col)
-        for kind, lexeme, value, line, col, end_col in tokens
-    ]
+    """What `parser._Parser(tokens, starts, Source(path, text)).parse_file()`
+    must return, for the tokens and start offsets that
+    `parser.tokenize(text, path)` returns, with each node's `loc` read as a
+    span.
+
+    Each token's line is one more than the line feeds before it and its
+    column one more than the characters since the last of them, counted in
+    the text from token to token. Its nodes hold that `SourceSpan` in their
+    `loc`, and `tree` (in `conftest.py`) spells out either kind of `loc`."""
+    cursor_tokens = []
+    line, line_start, counted = 1, 0, 0
+    for (kind, lexeme, value, *rest), start in zip(tokens, starts):
+        newlines = text.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", counted, start) + 1
+        counted = start
+        col = start - line_start + 1
+        length = rest[0] if kind is TokenKind.STRING else len(lexeme)
+        cursor_tokens.append(_CursorToken(kind, lexeme, value, path, line, col, col + max(length - 1, 0)))
     return _Parser(cursor_tokens, path).parse_file()
 
 
@@ -515,7 +534,7 @@ class _Parser:
             else:
                 raise self.fail("expected 'particulars' or 'universals'")
         attrs: list[AttrPair] = []
-        end: SourceSpan | Token = target.span
+        end: SourceSpan | Token = target.loc
         if self.peek().is_punct("{"):
             self.next()
             while not self.peek().is_punct("}"):
@@ -536,7 +555,7 @@ class _Parser:
         to_ref = self.parse_qname()
         self.expect_kw("kind")
         kind_ref = self.parse_qname()
-        return RelationDecl(name.lexeme, from_ref, to_ref, kind_ref, start.to(kind_ref.span))
+        return RelationDecl(name.lexeme, from_ref, to_ref, kind_ref, start.to(kind_ref.loc))
 
     def parse_instances(self) -> InstanceFile:
         start = self.expect_kw("instances")
@@ -567,7 +586,7 @@ class _Parser:
         name = self.expect_ident("individual name")
         self.expect_punct(":")
         type_ref = self.parse_qname()
-        return Individual(name.lexeme, type_ref, start.to(type_ref.span))
+        return Individual(name.lexeme, type_ref, start.to(type_ref.loc))
 
     def parse_world(self) -> World:
         start = self.expect_kw("world")

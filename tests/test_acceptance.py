@@ -18,7 +18,6 @@ from oracles import oracle_check_axioms
 from ontoarch import build_report, parse_suite, render_canonical, resolve
 from ontoarch.cli import run
 from ontoarch.model import Fact, PartDecl, QualifiedRef, ThingNode, World
-from ontoarch.source import SourceSpan
 from ontoarch.validator import check_axioms, check_rule1, check_rule2, validate_suite
 
 
@@ -47,13 +46,11 @@ def _two_thing_worlds():
     """Every world with 2 things, each owning <=1 property and <=1 power,
     over all subsets of the well-typed candidate edges."""
     shapes = [([], []), (["p"], []), ([], ["w"]), (["p"], ["w"])]
-    span = SourceSpan("<enum>", 1, 1, 1, 1)
-
     def ref(text: str) -> QualifiedRef:
         if "." in text:
             a, b = text.split(".")
-            return QualifiedRef(a, b, span)
-        return QualifiedRef(None, text, span)
+            return QualifiedRef(a, b)
+        return QualifiedRef(None, text)
 
     total = 0
     for shape1, shape2 in itertools.product(shapes, repeat=2):
@@ -77,7 +74,7 @@ def _two_thing_worlds():
         )
         for mask in range(2 ** len(candidates)):
             facts = tuple(
-                Fact(pred, ref(a), ref(b), SourceSpan("<enum>", i + 1, 1, i + 1, 1))
+                Fact(pred, ref(a), ref(b), i << 32 | i + 1)
                 for i, (pred, a, b) in enumerate(candidates)
                 if mask >> i & 1
             )
@@ -172,9 +169,10 @@ def test_criterion_7_rule2_conservative_on_singleton_components():
             report = validate_suite(suite)
 
             def in_module(violation, module):
+                span = module.source.span(module.loc)
                 return (
-                    violation.span.file == module.span.file
-                    and module.span.start_line <= violation.span.start_line <= module.span.end_line
+                    violation.span.file == span.file
+                    and span.start_line <= violation.span.start_line <= span.end_line
                 )
 
             for name, component in components.items():

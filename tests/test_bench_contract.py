@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import FIG2, MUTATIONS, load_bench, load_fig2, mutate
+from oracles import oracle_tokenize
 
 from ontoarch import cli, model, parser, reporting, validator
 
@@ -64,3 +65,29 @@ def test_a_traced_verdict_profiles_every_stage_and_restores_the_originals(findin
     for old, new in zip(before, after):
         assert old.keys() == new.keys()
         assert [k for k in old if old[k] is not new[k]] == []
+
+
+#: The traced benchmark's `parser.tokens` for each bench suite at seed 1:
+#: every file's tokens, its end-of-input token included, as counted before
+#: tokens lost their line and columns.
+TOKENS = {"wide_clean": 91057, "deep_chains": 9642, "dirty_worlds": 117003}
+
+
+@pytest.mark.parametrize("workload", sorted(TOKENS))
+def test_the_tracer_sees_one_tokenize_per_file_and_counts_every_token(workload):
+    files = sorted(getattr(load_bench("generators"), workload)(1).files.items())
+    tracer = tracing.Tracer()
+    restore = tracer.install()
+    try:
+        # `parse_suite` finds the wrapper only by looking `tokenize` up in
+        # `parser` at call time.
+        ast, diagnostics = parser.parse_suite(files)
+    finally:
+        restore()
+    assert diagnostics == [] and ast.decls
+    assert [span[2] for span in tracer.spans] == ["tokenize"] * len(files)
+    assert tracer.counts["tokens"] == TOKENS[workload]
+    for path, text in files:
+        tokens, starts, _ = parser.tokenize(text, path)
+        assert len(tokens) == len(starts) == len(oracle_tokenize(text, path)[0])
+        assert tokens[-1][0] is parser.TokenKind.EOI

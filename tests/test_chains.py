@@ -27,7 +27,7 @@ from ontoarch.model import (
     resolve,
 )
 from ontoarch.parser import parse_suite
-from ontoarch.source import SourceSpan
+from ontoarch.source import Source
 from ontoarch.validator import chain_status
 
 DEPTH = 10_000
@@ -142,12 +142,16 @@ def import_graphs(draw) -> list[OntologyModule]:
     names = [f"M{i}" for i in range(n)]
     targets = st.sampled_from(names + [BUILTIN_MODULE, "Nowhere"])
     modules = []
+    # Module i covers offset i of one of ten paths. Two files may share a
+    # path, with one layout each: n blank lines, where offset i is line
+    # i + 1, or lines of two characters, where it is line i // 3 + 1.
+    sources = {(k, layout): Source(f"f{k}.onto", layout * n) for k in range(10) for layout in ("\n", "xy\n")}
     for i in range(n):
         name = names[draw(st.integers(0, i))] if draw(st.integers(0, 5)) == 0 else names[i]
         level = draw(st.sampled_from((Level.CO, Level.CO, Level.CO, Level.TDO, Level.FO)))
         imports = tuple(map(ImportRef, draw(st.lists(st.one_of(st.sampled_from(names), targets), max_size=4))))
-        span = SourceSpan(f"f{draw(st.integers(0, 9))}.onto", i + 1, 1, i + 1, 1)
-        modules.append(OntologyModule(name, level, imports, span=span))
+        source = sources[draw(st.integers(0, 9)), draw(st.sampled_from(("\n", "xy\n")))]
+        modules.append(OntologyModule(name, level, imports, loc=i << 32 | i + 1, source=source))
     return modules
 
 

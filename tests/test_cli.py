@@ -10,12 +10,13 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIG2, load_fig2
+from conftest import FIG2, load_bench, load_fig2
 from test_file_order import soup_file, suites
 
 import ontoarch
@@ -87,6 +88,42 @@ def test_validate_out_file(tmp_path, capsys):
     assert rc == 0
     assert out == ""
     assert json.loads(target.read_text(encoding="utf-8"))["report_version"] == 1
+
+
+def test_a_json_report_is_written_as_rendered_with_no_copy_of_it(tmp_path, monkeypatch):
+    """`validate --out` writes the rendered text and then its line feed
+    through one open file, a slice at a time. Counted from when the text is
+    rendered, the write adds a few slices: joining the line feed to the text
+    would add a copy of it, and encoding a report that is not ASCII in one
+    piece up to two more."""
+    # A directory name that is not ASCII is in every finding, so the file's
+    # encoder must copy the text once.
+    suite = tmp_path / "wörlds"
+    suite.mkdir()
+    for name, text in load_bench("generators").dirty_worlds(1).files.items():
+        (suite / name).write_text(text, encoding="utf-8")
+    seen = []
+    real = cli.render_json
+
+    def render_json(report):
+        text = real(report)
+        tracemalloc.reset_peak()
+        seen.append((text, tracemalloc.get_traced_memory()[0]))  # the report and its text
+        return text
+
+    monkeypatch.setattr(cli, "render_json", render_json)
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        rc = run(["validate", str(suite), "--format", "json", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ((text, held),) = seen
+    size = len(text.encode("utf-8"))
+    assert rc == 1 and size > 1_000_000 and not text.isascii()
+    assert out.read_bytes() == text.encode("utf-8") + b"\n"
+    assert peak - held <= 0.2 * size
 
 
 def test_validate_recurses_nested_directories(tmp_path, capsys):
@@ -193,10 +230,11 @@ def test_python_dash_m_runs_the_cli_module():
 
 
 def test_import_loads_no_dataclass_or_json_machinery():
-    # The records are plain classes and `render_json` imports `json` itself,
-    # so a fresh `import ontoarch` loads none of these.
+    # The records are plain classes, `render_json` imports `json` itself and
+    # the lexer and `Source.span` import `array` when they first run, so a
+    # fresh `import ontoarch` loads none of these.
     env = dict(os.environ, PYTHONPATH=str(Path(ontoarch.__file__).parents[1]))
-    unwanted = ("dataclasses", "inspect", "ast", "dis", "json")
+    unwanted = ("dataclasses", "inspect", "ast", "dis", "json", "array")
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys, ontoarch; print([m for m in {unwanted!r} if m in sys.modules])"],
         capture_output=True, text=True, env=env, timeout=60,

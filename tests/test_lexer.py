@@ -1,8 +1,9 @@
 """The regex scanner `tokenize` against a character-by-character walk.
 
-`oracle_tokenize` (in `oracles.py`) returns `Token` objects; `tokenize`
-returns plain tuples and builds no span. Both must give the same tokens,
-spans, string values and diagnostics on any text.
+`oracle_tokenize` (in `oracles.py`) returns `Token` objects that count their
+own lines and columns; `tokenize` returns shared tuples and start offsets,
+and builds no span. Both must give the same tokens, spans (through
+`Source.span` for `tokenize`), string values and diagnostics on any text.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from conftest import load_bench
 from oracles import oracle_tokenize
 
 from ontoarch import parser
-from ontoarch.parser import KEYWORDS, parse_suite, tokenize
-from ontoarch.source import SourceSpan
+from ontoarch.parser import KEYWORDS, TokenKind, parse_suite, tokenize
+from ontoarch.source import Source
 
 #: Pieces that exercise every branch of both lexers, including the ones that
 #: only one of them takes a shortcut for: escapes, bad escapes, strings cut
@@ -35,11 +36,16 @@ texts = st.one_of(
 )
 
 
+def _token_length(tok: tuple) -> int:
+    return tok[3] if tok[0] is TokenKind.STRING else len(tok[1])
+
+
 def _lexed(text: str, path: str = "f.onto"):
-    tokens, diagnostics = tokenize(text, path)
+    tokens, starts, diagnostics = tokenize(text, path)
+    source = Source(path, text)
     return [
-        (kind, lexeme, SourceSpan(path, line, col, line, end_col), value)
-        for kind, lexeme, value, line, col, end_col in tokens
+        (tok[0], tok[1], source.span(start << 32 | start + _token_length(tok)), tok[2])
+        for tok, start in zip(tokens, starts, strict=True)
     ], diagnostics
 
 
@@ -96,7 +102,7 @@ def test_tokenize_equals_the_character_walk_on_bench_suites(workload):
         assert _lexed(text, name) == _oracle_lexed(text, name)
 
 
-def test_tokenize_builds_no_span_and_returns_plain_six_tuples(monkeypatch):
+def test_tokenize_builds_no_span_and_shares_every_tuple_but_strings(monkeypatch):
     lines = ["ontology M at CO {"]
     for k in range(1000):
         lines.append(f'  term t{k} enriches ThingFO.Thing scope particulars {{ description "t \\"{k}\\"" }}')
@@ -104,15 +110,19 @@ def test_tokenize_builds_no_span_and_returns_plain_six_tuples(monkeypatch):
     text = "\n".join(lines + ["}"])
     expected, _ = oracle_tokenize(text, "m.onto")
 
-    built = []
-    real = parser._span
-
-    def counting(fields):
-        built.append(fields)
-        return real(fields)
-
-    monkeypatch.setattr(parser, "_span", counting)
-    tokens, diagnostics = tokenize(text, "m.onto")
-    assert (diagnostics, built) == ([], [])
-    assert len(tokens) == len(expected)
-    assert all(type(tok) is tuple and len(tok) == 6 for tok in tokens)
+    asked = []
+    monkeypatch.setattr(Source, "span", lambda self, loc: asked.append(loc))
+    names: dict = {}
+    tokens, starts, diagnostics = tokenize(text, "m.onto", names)
+    assert (diagnostics, asked) == ([], [])
+    assert len(tokens) == len(starts) == len(expected)
+    assert starts.typecode == "l"
+    strings = [tok for tok in tokens if tok[0] is TokenKind.STRING]
+    assert len(strings) == 1000 and all(type(tok) is tuple and len(tok) == 4 for tok in strings)
+    shared = [tok for tok in tokens if tok[0] is not TokenKind.STRING]
+    assert all(type(tok) is tuple and len(tok) == 3 for tok in shared)
+    # One tuple per distinct lexeme, kept in the name table that was passed.
+    assert len({id(tok) for tok in shared}) == len({tok[1] for tok in shared})
+    assert all(names[tok[1]] is tok for tok in shared if tok[0] is not TokenKind.EOI)
+    again, _, _ = tokenize(text, "n.onto", names)
+    assert all(a is b for a, b in zip(again, tokens) if a[0] is not TokenKind.STRING)

@@ -66,6 +66,18 @@ def test_duplicate_module_is_e102():
     assert codes(diags) == ["E102"]
 
 
+def test_two_files_with_one_path_order_their_modules_by_line_and_column():
+    # Offsets would put the first file's module first; lines and columns
+    # put the second's first, so the first file's module is the duplicate.
+    lines = ("f.onto", "\n\nontology A at CO { }")
+    columns = ("f.onto", " " * 20 + "ontology A at CO { }")
+    for files in ([lines, columns], [columns, lines]):
+        diags = build_report(files).diagnostics
+        assert [(d.code, d.message, tuple(d.span)) for d in diags] == [
+            ("E102", "duplicate module A", ("f.onto", 3, 1, 3, 20)),
+        ]
+
+
 def test_builtin_module_name_is_reserved():
     _, diags = resolve_src("ontology ThingFO at FO { }")
     assert codes(diags) == ["E102"]

@@ -1,18 +1,19 @@
-"""What parsing keeps in memory: one string per name, and one file's tokens
-at a time.
+"""What parsing keeps in memory: one string per name, one file's tokens at
+a time, and one `int` per node location.
 
-`tokenize` interns every identifier and takes each keyword lexeme from
+`parse_suite` keeps one name table for the files of one call: `tokenize`
+builds one token per distinct identifier there and takes each keyword's from
 `KEYWORDS`, so a name that a suite repeats is one string shared by every
-node and table key that names it. `parse_suite` frees each file's token
-list before it lexes the next file. The bounds below count bytes as
-`tracemalloc` sees them, with the cyclic collector paused as in a CLI
-verdict; they assert no timings.
+token, node and table key that names it. Nothing is interned, so the
+interpreter's table of interned strings does not grow. `parse_suite` frees
+each file's token list before it lexes the next file. The bounds below count
+bytes as `tracemalloc` sees them, with the cyclic collector paused as in a
+CLI verdict; they assert no timings.
 """
 
 from __future__ import annotations
 
 import gc
-import re
 import sys
 import tracemalloc
 
@@ -90,21 +91,56 @@ def test_a_name_is_one_string_across_files_nodes_and_tables():
         assert fact.predicate is _table_key(WORLD_PREDICATES, fact.predicate)
 
 
+def _names(node) -> list[str]:
+    """Every string field of every record in a node, or a list or tuple of
+    nodes: names, qualifiers, predicates and attribute values."""
+    stack, names = [node], []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            names.append(item)
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif hasattr(item, "_fields"):
+            stack.extend(getattr(item, field) for field in item._fields if field not in ("loc", "source"))
+    return names
+
+
 @pytest.mark.parametrize("workload", [None, "dirty_worlds", "wide_clean"])
-def test_tokenize_interns_identifiers_and_takes_keywords_from_KEYWORDS(workload):
+def test_names_are_shared_across_the_files_of_one_parse_and_keywords_come_from_KEYWORDS(workload):
     files = {"core.onto": CORE, "domain.onto": DOMAIN}
     if workload is not None:
         files = getattr(load_bench("generators"), workload)(1).files
+    ast, diagnostics = parse_suite(sorted(files.items()))
+    assert diagnostics == [] and len(ast.decls) > 1
+    by_value: dict[str, set[int]] = {}
+    for decl in ast.decls:
+        for name in _names(decl):
+            by_value.setdefault(name, set()).add(id(name))
+    assert [name for name, ids in by_value.items() if len(ids) > 1] == []
+    # A name repeated in two files is still one string.
+    first, *rest = ast.decls
+    assert set(_names(first)) & {name for decl in rest for name in _names(decl)}
+
     kinds = set()
     for name, text in files.items():
-        tokens, _ = tokenize(text, name)
+        tokens, _, _ = tokenize(text, name)
         for kind, lexeme, *_ in tokens:
             kinds.add(kind)
-            if kind is TokenKind.IDENT:
-                assert lexeme is sys.intern(lexeme), (name, lexeme)
-            elif kind is TokenKind.KEYWORD:
+            if kind is TokenKind.KEYWORD:
                 assert lexeme is _table_key(KEYWORDS, lexeme), (name, lexeme)
     assert {TokenKind.IDENT, TokenKind.KEYWORD} <= kinds
+
+
+def test_no_name_is_interned():
+    # A name that no code or earlier test has: built here, from pieces.
+    name = "".join(["Unseen", str(id(object())), "Module"])
+    copy = "".join([name[:3], name[3:]])
+    ast, diagnostics = parse_suite([("f.onto", f"ontology {name} at CO {{ }}")])
+    assert diagnostics == []
+    (module,) = ast.modules
+    assert module.name == copy
+    assert sys.intern(copy) is not module.name
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +149,9 @@ def test_tokenize_interns_identifiers_and_takes_keywords_from_KEYWORDS(workload)
 
 def _traced_parse(files: list[tuple[str, str]]):
     """`parse_suite(files)` under `tracemalloc` with the collector paused:
-    the AST, its diagnostics, and the bytes retained and at peak.
-
-    Every word of the files is interned, and held, before tracing starts.
-    Adding a name to the interpreter's table of interned strings can grow
-    that table by a few MB, depending on how full what ran before left it,
-    so only a parse that adds no name to it measures the same in any
-    process. The distinct names then count for nothing; a string made per
-    occurrence still counts in full."""
-    names = {sys.intern(word) for _, text in files for word in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)}
+    the AST, its diagnostics, and the bytes retained and at peak. The
+    files' texts are held before tracing starts; everything the parse makes,
+    each distinct name included, counts."""
     was_enabled = gc.isenabled()
     gc.disable()
     tracemalloc.start()
@@ -132,17 +162,17 @@ def _traced_parse(files: list[tuple[str, str]]):
         tracemalloc.stop()
         if was_enabled:
             gc.enable()
-    del names
     return ast, diagnostics, retained, peak
 
 
 #: Bytes per declaration (terms, relations, individuals, things and facts)
 #: that the AST keeps, and that parsing reaches at peak, on the bench suites
-#: at seed 1 in the CLI's file order. Measured on CPython 3.11 at about 570
-#: and 705 on dirty_worlds, and 610 and 805 on wide_clean. With a fresh
-#: string per name and each file's token list alive while the next file is
-#: lexed, they read about 790 and 1,000, and 800 and 1,210.
-BOUNDS = {"dirty_worlds": (630, 780), "wide_clean": (680, 900)}
+#: at seed 1 in the CLI's file order. Measured on CPython 3.11 at about 337
+#: and 364 on dirty_worlds, and 441 and 542 on wide_clean, each distinct
+#: name included. With a five-field `SourceSpan` per node and a six-tuple
+#: per token, and with the names interned beforehand so that they counted
+#: for nothing, they read about 570 and 705, and 612 and 808.
+BOUNDS = {"dirty_worlds": (370, 400), "wide_clean": (485, 600)}
 
 
 @pytest.mark.parametrize("workload", sorted(BOUNDS))
@@ -156,9 +186,26 @@ def test_parse_suite_bytes_per_declaration(workload):
     assert peak <= max_peak * decls
 
 
-def _token_list_bytes(tokens: list[tuple]) -> int:
-    """The list and its tuples, without the strings they share with the AST."""
-    return sys.getsizeof(tokens) + sum(map(sys.getsizeof, tokens))
+def _token_list_bytes(tokens: list[tuple], starts) -> int:
+    """The list, its start offsets and its STRING tuples, which no other
+    token shares; the other tuples belong to the run's name table."""
+    strings = [tok for tok in tokens if tok[0] is TokenKind.STRING]
+    return sys.getsizeof(tokens) + sys.getsizeof(starts) + sum(map(sys.getsizeof, strings))
+
+
+#: Bytes per token of one file's token list, measured on CPython 3.11 at
+#: about 17 on the largest file of either bench suite: a list slot and an
+#: array entry. A six-tuple per token took about 100.
+MAX_TOKEN_BYTES = 20
+
+
+@pytest.mark.parametrize("workload", sorted(BOUNDS))
+def test_a_token_costs_its_list_slot_and_its_start_offset(workload):
+    files = getattr(load_bench("generators"), workload)(1).files
+    path, text = max(files.items(), key=lambda item: len(item[1]))
+    tokens, starts, diagnostics = tokenize(text, path)
+    assert diagnostics == [] and len(tokens) > 10_000
+    assert _token_list_bytes(tokens, starts) <= MAX_TOKEN_BYTES * len(tokens)
 
 
 def test_a_file_that_fails_to_parse_frees_its_tokens_before_the_next_is_lexed():
@@ -167,12 +214,23 @@ def test_a_file_that_fails_to_parse_frees_its_tokens_before_the_next_is_lexed():
     head, sep, tail = first.rpartition("    thing t0 : ")  # in the last world
     broken = head + "    thing thing t0 : " + tail
     assert sep
+    pair = [("a.onto", broken), ("b.onto", second)]
 
-    ast, diagnostics, retained, peak = _traced_parse([("a.onto", broken), ("b.onto", second)])
+    ast, diagnostics, retained, peak = _traced_parse(pair)
     assert {(d.code, d.span.file) for d in diagnostics} == {("E002", "a.onto")}
-    assert [d.span.file for d in ast.decls] == ["b.onto"]
-    tokens, _ = tokenize(second, "b.onto")
-    # Parsing the second file holds its own token list and its growing AST;
-    # the first file's list, alive through its recovery or after it, would
-    # add as much again.
-    assert peak <= _token_list_bytes(tokens) + retained
+    assert [d.source.path for d in ast.decls] == ["b.onto"]
+    (_, _, first_retained, first_peak), (_, _, _, second_peak) = (_traced_parse([file]) for file in pair)
+    names: dict = {}
+    first_tokens = _token_list_bytes(*tokenize(broken, "a.onto", names)[:2])
+    tokenize(second, "b.onto", names)
+    table = sys.getsizeof(names) + sum(map(sys.getsizeof, names.values()))
+    # The pair peaks where one of its files does: the first while it holds
+    # its tokens and its whole AST, or the second on top of what the first
+    # leaves, its diagnostics. Each file parsed alone has a name table of its
+    # own, the pair one. The first file's token list, alive through its
+    # recovery or after it, would add its size to the second file's peak.
+    assert table < first_tokens / 4
+    # The failed file leaves its diagnostics, not its tokens or its AST.
+    assert first_retained < first_tokens / 4
+    assert first_retained + second_peak + first_tokens > first_peak + table
+    assert peak <= max(first_peak, first_retained + second_peak) + table

@@ -1,11 +1,15 @@
-"""The index-based parser against the cursor parser it replaced, and
-canonical rendering as a fixed point.
+"""The index-based parser against the cursor parser it replaced, every
+node's location against lines and columns counted by hand, and canonical
+rendering as a fixed point.
 
 `oracle_parse_file` (in `oracles.py`) is the former parser, which steps
-through the tokens with a cursor. On the same tokens both must give the same
-declarations and the same diagnostics. Nodes compare without their spans
-(`span` is `compare=False`), so `tree` (in `conftest.py`) spells every node
-out field by field, spans included.
+through the tokens with a cursor, each token carrying the line and columns
+that the oracle counts in the text. On the same tokens both must give the
+same declarations and the same diagnostics. Nodes compare without their
+locations, so `tree` (in `conftest.py`) spells every node out field by
+field, with the parser's `loc` turned into a span by `Source.span`, the
+line-start table and `bisect`: the two trees agree only if every node's
+`source.span(loc)` is the span the oracle computes.
 """
 
 from __future__ import annotations
@@ -23,21 +27,26 @@ from ontoarch import parser
 from ontoarch.cli import build_report
 from ontoarch.parser import parse_suite, render_canonical, tokenize
 from ontoarch.reporting import render_json
-from ontoarch.source import SourceSpan
+from ontoarch.source import Source
 
 
-def _parsed(parse_file, text: str, path: str):
-    tokens, _ = tokenize(text, path)
-    decls, diagnostics = parse_file(tokens, path)
-    return tree(decls), tree(diagnostics)
+def _parse_file(text: str, path: str):
+    """One file's declarations, kept or not, and its parse diagnostics;
+    every module and instance file must hold the file's `Source`."""
+    tokens, starts, _ = tokenize(text, path)
+    source = Source(path, text)
+    decls, diagnostics = parser._Parser(tokens, starts, source).parse_file()
+    assert all(decl.source is source for decl in decls)
+    return decls, diagnostics
 
 
-def _parse_file(tokens, path):
-    return parser._Parser(tokens, path).parse_file()
+def _oracle_parse_file(text: str, path: str):
+    tokens, starts, _ = tokenize(text, path)
+    return oracle_parse_file(tokens, starts, text, path)
 
 
 def assert_same_parse(text: str, path: str = "f.onto") -> None:
-    assert _parsed(_parse_file, text, path) == _parsed(oracle_parse_file, text, path)
+    assert tree(_parse_file(text, path)) == tree(_oracle_parse_file(text, path))
 
 
 @settings(max_examples=300, deadline=None)
@@ -108,6 +117,40 @@ def test_parser_equals_the_cursor_parser_on_fig2_and_its_mutants(mutation):
         assert_same_parse(text, path)
 
 
+#: Texts whose layout moves columns and lines away from what a count of
+#: tokens would give: CRLF line ends, a byte order mark (an invalid
+#: character), tabs, escaped strings whose lexeme is shorter than their
+#: source, unterminated strings, declarations cut off by the end of input,
+#: with and without a final line feed, and characters outside ASCII, one
+#: code point each.
+LAYOUTS = {
+    "crlf": 'ontology A at CO {\r\n  term X enriches ThingFO.Thing {\r\n    description "d"\r\n  }\r\n}\r\n'
+            "instances of A {\r\n  individual i : X\r\n}\r\n",
+    "bom": "\ufeffontology A at CO { term X enriches ThingFO.Thing }\n\ufeffinstances of A { }",
+    "tabs": "\tontology\tA at CO {\n\t\tterm X enriches\tThingFO.Thing\t{ description\t\"d\" }\n\t}\n"
+            "instances of A {\n\tworld w {\n\t\tthing t : X { property p;\tpower q; }\n\t\tenables(t.p,\tt.q)\n\t}\n}",
+    "escapes": 'ontology A at CO {\n  term X enriches ThingFO.Thing { description "a \\"b\\" \\\\ c" name "\\"" }\n'
+               '  term Y enriches X { description "\\q" }\n  relation r from X to Y kind ThingFO.relatesWith\n}',
+    "unterminated": 'ontology A at CO {\n  term X enriches ThingFO.Thing { description "open\n  name "x" }\n'
+                    '  term Y enriches X { description "\\\n  }\n}',
+    "end of input": "ontology A at CO {\n  term X enriches ThingFO.Thing\n  relation r from X to",
+    "end of input after a line feed": "instances of A {\n  world w {\n    thing t { property p; }\n",
+    "end of input in a string": 'ontology A at CO { term X enriches ThingFO.Thing { description "d\\',
+    "wide characters": 'ontology A at CO {\n  term X enriches ThingFO.Thing { description "é ß 𝔘" }\n'
+                       '  term Y enriches X { description "🙂" } term Z enriches Y\n}',
+}
+
+
+@pytest.mark.parametrize("text", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_every_node_location_equals_the_span_counted_by_hand(text):
+    decls, diagnostics = _parse_file(text, "f.onto")
+    assert decls or diagnostics
+    assert_same_parse(text)
+    # The same tokens on other lines: doubled line feeds, and CRLF ends.
+    assert_same_parse(text.replace("\n", "\n\n"))
+    assert_same_parse(text.replace("\r\n", "\n").replace("\n", "\r\n"))
+
+
 def _spans(node) -> list[tuple]:
     """The fields of every span in a node, or a list or tuple of nodes."""
     stack, spans = [tree(node)], []
@@ -121,53 +164,69 @@ def _spans(node) -> list[tuple]:
     return spans
 
 
-def test_parser_builds_only_the_spans_its_ast_holds(monkeypatch):
+def _counting_spans(monkeypatch) -> list[int]:
+    """Each `loc` that `Source.span` is asked for from now on."""
+    asked: list[int] = []
+    real = Source.span
+
+    def counting(self, loc):
+        asked.append(loc)
+        return real(self, loc)
+
+    monkeypatch.setattr(Source, "span", counting)
+    return asked
+
+
+def test_parser_gives_every_node_an_int_loc_and_builds_no_span(monkeypatch):
     lines = ["ontology M at CO {", "  imports N"]
     for k in range(1000):
         lines.append(f'  term t{k} enriches ThingFO.Thing scope particulars {{ description "t{k}" }}')
         lines.append(f"  relation r{k} from t{k} to M.t{k} kind ThingFO.relatesWith")
     text = "\n".join(lines + ["}"])
 
-    built = []
-    real = parser._span
-
-    def counting(fields):
-        built.append(fields)
-        return real(fields)
-
-    monkeypatch.setattr(parser, "_span", counting)
+    asked = _counting_spans(monkeypatch)
     ast, diagnostics = parse_suite([("m.onto", text)])
-    assert diagnostics == []
+    assert (diagnostics, asked) == ([], [])
+    (module,) = ast.decls
+    assert module.source.path == "m.onto" and module.source.text is text
     # the module and its import; each term, its target and its attribute;
     # each relation and its three references
-    assert len(_spans(ast.decls)) == 1 + 1 + 1000 * 3 + 1000 * 4
-    assert len(built) == len(_spans(ast.decls))
+    locs = [loc for loc in _field_values(ast.decls, "loc")]
+    assert len(locs) == 1 + 1 + 1000 * 3 + 1000 * 4
+    assert all(type(loc) is int and loc >> 32 < loc & 0xFFFFFFFF <= len(text) for loc in locs)
+
+
+def _field_values(node, name: str) -> list:
+    """The value of field `name` in every record in a node, or a list or
+    tuple of nodes."""
+    stack, values = [node], []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif hasattr(item, "_fields"):
+            values += [getattr(item, name)] if name in item._fields else []
+            stack.extend(getattr(item, field) for field in item._fields if field != name)
+    return values
 
 
 @pytest.mark.parametrize("workload", ["wide_clean", "deep_chains", "dirty_worlds"])
-def test_a_clean_parse_never_calls_the_checked_span_constructor(workload, monkeypatch):
+def test_a_clean_parse_builds_no_span(workload, monkeypatch):
     files = sorted(getattr(load_bench("generators"), workload)(1).files.items())
-    calls = []
-    checked = SourceSpan.__new__
-
-    def counting(cls, *fields):
-        calls.append(fields)
-        return checked(cls, *fields)
-
-    monkeypatch.setattr(SourceSpan, "__new__", counting)
+    asked = _counting_spans(monkeypatch)
     ast, diagnostics = parse_suite(files)
     assert diagnostics == [] and ast.decls
-    assert calls == []
-    SourceSpan("f.onto", 1, 1, 1, 1)  # the count does see a checked span
-    assert calls == [("f.onto", 1, 1, 1, 1)]
+    assert asked == []
+    ast.decls[0].source.span(ast.decls[0].loc)  # the count does see a span
+    assert asked == [ast.decls[0].loc]
 
 
 def assert_spans_well_formed(text: str, path: str = "f.onto") -> None:
     """Every span of a file's declarations and diagnostics, kept or not,
     names `path` and starts no later than it ends, on lines and columns
     that the text has (one past a line's end marks where it ends)."""
-    tokens, lex_diagnostics = tokenize(text, path)
-    decls, parse_diagnostics = _parse_file(tokens, path)
+    _, _, lex_diagnostics = tokenize(text, path)
+    decls, parse_diagnostics = _parse_file(text, path)
     widths = [len(line) + 1 for line in text.split("\n")]
     for file, start_line, start_col, end_line, end_col in _spans((decls, lex_diagnostics, parse_diagnostics)):
         assert file == path

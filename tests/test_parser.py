@@ -1,4 +1,4 @@
-"""Tokenizer, parser, error recovery, spans and canonical round-trips."""
+"""Tokenizer, parser, error recovery, locations and canonical round-trips."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ def kinds_and_lexemes(tokens):
 
 
 def test_tokenize_module_header():
-    tokens, diags = tokenize("ontology A at CO { }")
+    tokens, _, diags = tokenize("ontology A at CO { }")
     assert not diags
     assert kinds_and_lexemes(tokens) == [
         (TokenKind.KEYWORD, "ontology"),
@@ -33,13 +33,13 @@ def test_tokenize_module_header():
 
 
 def test_tokenize_empty_input():
-    tokens, diags = tokenize("")
+    tokens, _, diags = tokenize("")
     assert not diags
     assert [t[0] for t in tokens] == [TokenKind.EOI]
 
 
 def test_tokenize_invalid_character_recovers():
-    tokens, diags = tokenize("term Pro¢ess")
+    tokens, _, diags = tokenize("term Pro¢ess")
     assert [d.code for d in diags] == ["E001"]
     assert diags[0].span.start_col == 9
     assert kinds_and_lexemes(tokens) == [
@@ -51,7 +51,7 @@ def test_tokenize_invalid_character_recovers():
 
 
 def test_tokenize_strings_and_escapes():
-    tokens, diags = tokenize('description "a \\"quoted\\" \\\\ value"')
+    tokens, _, diags = tokenize('description "a \\"quoted\\" \\\\ value"')
     assert not diags
     kind, _, value, *_ = tokens[1]
     assert kind is TokenKind.STRING
@@ -59,24 +59,27 @@ def test_tokenize_strings_and_escapes():
 
 
 def test_tokenize_unterminated_string():
-    tokens, diags = tokenize('description "oops\n')
+    tokens, _, diags = tokenize('description "oops\n')
     assert [d.code for d in diags] == ["E001"]
     assert tokens[1][0] is TokenKind.STRING
 
 
 def test_tokenize_comments_discarded():
-    tokens, diags = tokenize("// a comment\nontology A at CO { } // tail")
+    tokens, starts, diags = tokenize("// a comment\nontology A at CO { } // tail")
     assert not diags
-    kind, lexeme, _, line, *_ = tokens[0]
-    assert (kind, lexeme, line) == (TokenKind.KEYWORD, "ontology", 2)
+    kind, lexeme, _ = tokens[0]
+    assert (kind, lexeme, starts[0]) == (TokenKind.KEYWORD, "ontology", len("// a comment\n"))
+    assert len(tokens) == len(starts) == 7
 
 
-def test_tokenize_spans_are_ordered_and_disjoint():
-    tokens, _ = tokenize('ontology A at CO {\n  term B enriches ThingFO.Thing\n}')
-    spans = [(line, col, end_col) for kind, _, _, line, col, end_col in tokens if kind is not TokenKind.EOI]
-    assert all(col <= end_col for _, col, end_col in spans)
-    for (line, _, end_col), (next_line, next_col, _) in zip(spans, spans[1:]):
-        assert (line, end_col) < (next_line, next_col)
+def test_tokenize_offsets_are_ordered_and_disjoint():
+    text = 'ontology A at CO {\n  term B enriches ThingFO.Thing { d "x\\"y" }\n}'
+    tokens, starts, _ = tokenize(text)
+    ends = [start + (tok[3] if tok[0] is TokenKind.STRING else len(tok[1])) for tok, start in zip(tokens, starts)]
+    assert all(start < end for start, end in zip(starts[:-1], ends))
+    assert all(end <= next_start for end, next_start in zip(ends, starts[1:]))
+    assert starts[-1] == ends[-1] == len(text)
+    assert [text[start:end] for start, end in zip(starts, ends)][-5:] == ["d", '"x\\"y"', "}", "}", ""]
 
 
 def test_parse_single_term_module():
@@ -171,8 +174,8 @@ def test_decl_spans_nest_within_module_span():
     assert not diags
     (module,) = ast.modules
     for decl in module.body:
-        assert module.span.start_line <= decl.span.start_line
-        assert decl.span.end_line <= module.span.end_line
+        assert module.loc >> 32 < decl.loc >> 32
+        assert decl.loc & 0xFFFFFFFF < module.loc & 0xFFFFFFFF
 
 
 def test_render_canonical_empty_module():
@@ -236,5 +239,5 @@ def test_attribute_values_survive_round_trip(value):
 
 @given(st.text(max_size=40))
 def test_tokenizer_never_crashes_and_always_terminates(text):
-    tokens, _ = tokenize(text)
-    assert tokens[-1][0] is TokenKind.EOI
+    tokens, starts, _ = tokenize(text)
+    assert tokens[-1][0] is TokenKind.EOI and len(starts) == len(tokens)

@@ -1,12 +1,12 @@
 """The records: slotted classes that compare and hash by their fields (a
-node's span aside) and show every field in their `repr`, and AST nodes that a
-verdict never changes.
+node's location and source aside) and show every field in their `repr`, and
+AST nodes that a verdict never changes.
 
 AST nodes, findings, chain outcomes, reports and the parsed suite are plain
 slotted classes (`source.Record`); the catalog entries are `NamedTuple`s.
 The plain records are not frozen, so nothing stops an assignment to a field;
 `test_a_verdict_never_changes_the_ast` guards the AST instead, field by
-field and spans included (`tree` in `conftest.py`).
+field and locations included (`tree` in `conftest.py`).
 """
 
 from __future__ import annotations
@@ -40,16 +40,16 @@ from ontoarch.model import (
 from ontoarch.metamodel import AxiomSpec, FoundationalTermSpec, PropertySpec, RelationshipSpec
 from ontoarch.parser import SuiteAst, parse_suite
 from ontoarch.reporting import CodeDoc, Diagnostic, Report
-from ontoarch.source import SourceSpan
+from ontoarch.source import Source, SourceSpan
 from ontoarch.validator import validate_suite
 
 SPAN = SourceSpan("a.onto", 1, 1, 1, 5)
 OTHER_SPAN = SourceSpan("b.onto", 2, 3, 4, 5)
 
 #: Each record class with the fields of one instance and, for each of them,
-#: a value that differs from that instance's. A node's span is left out: it
-#: does not take part in equality. A finding's span does: the same finding
-#: at two places is two findings.
+#: a value that differs from that instance's. A node's `loc` and `source` are
+#: left out: they take no part in equality. A finding's span does: the same
+#: finding at two places is two findings.
 RECORDS = (
     (QualifiedRef, {"module": "M", "name": "t"}, {"module": None, "name": "u"}),
     (ImportRef, {"name": "M"}, {"name": "N"}),
@@ -182,7 +182,7 @@ RECORDS = (
 @pytest.mark.parametrize(("cls", "fields", "others"), RECORDS, ids=[r[0].__name__ for r in RECORDS])
 def test_records_are_slotted_and_compare_by_their_fields(cls, fields, others):
     names = set(cls._fields)
-    assert set(others) == set(fields) and names - set(fields) <= {"span"}
+    assert set(others) == set(fields) and names - set(fields) <= {"loc", "source"}
     record = cls(**fields)
     assert not hasattr(record, "__dict__")
     twin = cls(**fields)
@@ -194,44 +194,51 @@ def test_records_are_slotted_and_compare_by_their_fields(cls, fields, others):
         assert value != fields[name]
         assert cls(**{**fields, name: value}) != record, name
 
-    if "span" in names and "span" not in fields:
-        moved = cls(**fields, span=OTHER_SPAN)
-        assert moved.span != record.span
+    if "loc" in names:
+        moved = cls(**fields, loc=3 << 32 | 5)
+        assert moved.loc != record.loc
+        assert moved == record and hash(moved) == hash(record)
+    if "source" in names:
+        moved = cls(**fields, source=Source("b.onto", "x"))
+        assert moved.source is not record.source
         assert moved == record and hash(moved) == hash(record)
 
 
-BUILTIN_SPAN = "SourceSpan(file='<builtin>', start_line=1, start_col=1, end_line=1, end_col=1)"
+BUILTIN_LOC = "loc=0"
+BUILTIN_SOURCE = "source=Source('<builtin>')"
 
 #: The `repr` of each record built from its `RECORDS` fields: every field,
-#: spans included, as `Name(field=value, ...)`.
+#: locations included, as `Name(field=value, ...)`.
 REPRS = {
-    "QualifiedRef": f"QualifiedRef(module='M', name='t', span={BUILTIN_SPAN})",
-    "ImportRef": f"ImportRef(name='M', span={BUILTIN_SPAN})",
-    "AttrPair": f"AttrPair(key='description', value='d', span={BUILTIN_SPAN})",
+    "QualifiedRef": f"QualifiedRef(module='M', name='t', {BUILTIN_LOC})",
+    "ImportRef": f"ImportRef(name='M', {BUILTIN_LOC})",
+    "AttrPair": f"AttrPair(key='description', value='d', {BUILTIN_LOC})",
     "TermDef": (
         f"TermDef(name='t', enriches=QualifiedRef(module='ThingFO', name='Thing', "
-        f"span={BUILTIN_SPAN}), scope=None, attributes=(), span={BUILTIN_SPAN})"
+        f"{BUILTIN_LOC}), scope=None, attributes=(), {BUILTIN_LOC})"
     ),
     "RelationDecl": (
         f"RelationDecl(name='r', from_ref=QualifiedRef(module=None, name='a', "
-        f"span={BUILTIN_SPAN}), to_ref=QualifiedRef(module=None, name='b', "
-        f"span={BUILTIN_SPAN}), kind_ref=QualifiedRef(module='ThingFO', name='relatesWith', "
-        f"span={BUILTIN_SPAN}), span={BUILTIN_SPAN})"
+        f"{BUILTIN_LOC}), to_ref=QualifiedRef(module=None, name='b', "
+        f"{BUILTIN_LOC}), kind_ref=QualifiedRef(module='ThingFO', name='relatesWith', "
+        f"{BUILTIN_LOC}), {BUILTIN_LOC})"
     ),
-    "OntologyModule": f"OntologyModule(name='M', level=<Level.CO: 1>, imports=(), body=(), span={BUILTIN_SPAN})",
-    "PartDecl": f"PartDecl(name='p', span={BUILTIN_SPAN})",
-    "ThingNode": f"ThingNode(name='x', instance_of=None, properties=(), powers=(), span={BUILTIN_SPAN})",
+    "OntologyModule": (
+        f"OntologyModule(name='M', level=<Level.CO: 1>, imports=(), body=(), {BUILTIN_LOC}, {BUILTIN_SOURCE})"
+    ),
+    "PartDecl": f"PartDecl(name='p', {BUILTIN_LOC})",
+    "ThingNode": f"ThingNode(name='x', instance_of=None, properties=(), powers=(), {BUILTIN_LOC})",
     "Fact": (
         f"Fact(predicate='enables', left=QualifiedRef(module='x', name='p', "
-        f"span={BUILTIN_SPAN}), right=QualifiedRef(module='x', name='q', span={BUILTIN_SPAN}), "
-        f"span={BUILTIN_SPAN})"
+        f"{BUILTIN_LOC}), right=QualifiedRef(module='x', name='q', {BUILTIN_LOC}), "
+        f"{BUILTIN_LOC})"
     ),
-    "World": f"World(name='w', things=(), facts=(), span={BUILTIN_SPAN})",
+    "World": f"World(name='w', things=(), facts=(), {BUILTIN_LOC})",
     "Individual": (
         f"Individual(name='i', type_ref=QualifiedRef(module=None, name='T', "
-        f"span={BUILTIN_SPAN}), span={BUILTIN_SPAN})"
+        f"{BUILTIN_LOC}), {BUILTIN_LOC})"
     ),
-    "InstanceFile": f"InstanceFile(of_module='M', body=(), span={BUILTIN_SPAN})",
+    "InstanceFile": f"InstanceFile(of_module='M', body=(), {BUILTIN_LOC}, {BUILTIN_SOURCE})",
     "Diagnostic": (
         "Diagnostic(code='E001', message='m', span=SourceSpan(file='a.onto', start_line=1, "
         "start_col=1, end_line=1, end_col=5), rule=None, anchor='', witness=None)"
@@ -323,7 +330,7 @@ def test_suite_ast_splits_its_declarations_once():
 
 def _assert_verdict_keeps_ast(files: list[tuple[str, str]]) -> None:
     """Resolve, validate and report on one parse of `files`, and check that
-    its declarations and diagnostics are as they were, spans included."""
+    its declarations and diagnostics are as they were, locations included."""
     ast, diagnostics = parse_suite(files)
     before = tree((ast.decls, diagnostics))
     suite, _ = resolve(ast.modules, ast.instance_files)

@@ -19,7 +19,6 @@ from ontoarch.model import (
 )
 from ontoarch.parser import parse_suite
 from ontoarch.reporting import CODE_CATALOG
-from ontoarch.source import SourceSpan
 from ontoarch.validator import (
     check_architecture,
     check_axioms,
@@ -49,11 +48,11 @@ def codes(violations):
 # world builders for programmatic axiom tests
 # ---------------------------------------------------------------------------
 
-def _ref(text: str, span: SourceSpan) -> QualifiedRef:
+def _ref(text: str, loc: int) -> QualifiedRef:
     if "." in text:
         thing, part = text.split(".")
-        return QualifiedRef(thing, part, span)
-    return QualifiedRef(None, text, span)
+        return QualifiedRef(thing, part, loc)
+    return QualifiedRef(None, text, loc)
 
 
 def build_world(things, facts, name="w"):
@@ -67,10 +66,9 @@ def build_world(things, facts, name="w"):
         )
         for tname, props, pows in things
     )
+    # Fact i covers character i, so each finding has its own span.
     fact_nodes = tuple(
-        Fact(pred, _ref(left, SourceSpan("w", i + 1, 1, i + 1, 1)),
-             _ref(right, SourceSpan("w", i + 1, 1, i + 1, 1)),
-             SourceSpan("w", i + 1, 1, i + 1, 1))
+        Fact(pred, _ref(left, i << 32 | i + 1), _ref(right, i << 32 | i + 1), i << 32 | i + 1)
         for i, (pred, left, right) in enumerate(facts)
     )
     return World(name, nodes, fact_nodes)

@@ -14,6 +14,7 @@ from ontoarch.cli import build_report
 from ontoarch.model import Fact, InstanceFile, QualifiedRef, ThingNode, World, resolve
 from ontoarch.parser import parse_suite
 from ontoarch.reporting import CODE_CATALOG
+from ontoarch.source import SYNTHETIC_SOURCE
 
 MODULE = """\
 ontology M at CO {
@@ -149,5 +150,5 @@ def test_programmatic_unknown_predicate_is_e101():
     suite, diags = resolve(ast.modules, [InstanceFile("M", (world,))])
     assert suite is None
     assert [(d.code, d.message, d.span) for d in diags] == [
-        ("E101", "unknown predicate emits in world w", fact.span)
+        ("E101", "unknown predicate emits in world w", SYNTHETIC_SOURCE.span(fact.loc))
     ]
