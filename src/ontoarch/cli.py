@@ -22,7 +22,7 @@ from typing import Any
 
 from . import metamodel
 from .metamodel import ARCHITECTURE_RULES, AXIOMS, BUILTIN_MODULE
-from .model import Level, ResolvedSuite, resolve
+from .model import MODULE_LEVELS, Level, ResolvedSuite, resolve
 from .parser import SuiteAst, parse_suite
 from .reporting import CODE_CATALOG, Diagnostic, Report, exit_code, render_json, render_text
 from .validator import validate_suite, violations_to_diagnostics
@@ -62,7 +62,7 @@ def _read_files(paths: list[tuple[str, Path]]) -> list[tuple[str, str]]:
 
 
 def _summary_from_ast(ast: SuiteAst) -> dict[str, Any]:
-    per_level = {lvl.name: 0 for lvl in (Level.FO, Level.CO, Level.TDO, Level.LDO)}
+    per_level = {lvl.name: 0 for lvl in MODULE_LEVELS}
     per_level[Level.FO.name] = 1  # built-in ThingFO
     for m in ast.modules:
         per_level[m.level.name] += 1
@@ -231,31 +231,38 @@ def explain(topic: str) -> str | None:
 # Subcommand handlers.
 # ---------------------------------------------------------------------------
 
-#: Characters written at a time. A text stream encodes what it is given in
-#: one piece, and UTF-8 encoding first reserves up to twice the bytes of a
-#: text that is not ASCII, so a report written whole would cost it that much
-#: again.
+#: Characters encoded and written at a time. UTF-8 encoding first reserves
+#: up to twice the bytes of a text that is not ASCII, so a report encoded
+#: whole would cost that much again.
 _WRITE_CHUNK = 1 << 16
 
 
 def _write_output(out: str | None, *parts: str) -> None:
-    """Write `parts` one after another to the file `out`, or to stdout when
-    it is None, a slice at a time: a report is never joined with what
-    follows it, nor encoded whole."""
-    if out is None:
-        _write_parts(sys.stdout, parts)
-        return
+    """Write `parts` one after another, as UTF-8 bytes, to the file `out`,
+    or to stdout when it is None, whatever encoding stdout has. They are
+    encoded a slice at a time: a report is never joined with what follows
+    it, nor encoded whole. A failed write is a `UsageError`."""
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            _write_parts(fh, parts)
+        if out is None:
+            sys.stdout.flush()
+            _write_parts(sys.stdout.buffer, parts)
+        else:
+            with open(out, "wb") as fh:
+                _write_parts(fh, parts)
     except OSError as exc:
-        raise UsageError(f"cannot write {out}: {exc}") from exc
+        if out is None:
+            # Python flushes stdout again at exit, and what the failed write
+            # left in its buffer would fail again there, with a traceback:
+            # the null device takes it instead.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write {out or 'to stdout'}: {exc}") from exc
 
 
 def _write_parts(stream: Any, parts: tuple[str, ...]) -> None:
     for part in parts:
         for i in range(0, len(part), _WRITE_CHUNK):
-            stream.write(part[i:i + _WRITE_CHUNK])
+            stream.write(part[i:i + _WRITE_CHUNK].encode("utf-8"))
+    stream.flush()
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -273,7 +280,7 @@ def _cmd_metamodel(args: argparse.Namespace) -> int:
     props = metamodel.all_property_specs()
     rels = metamodel.all_relationship_specs()
     if args.counts:
-        sys.stdout.write(f"terms={len(terms)} properties={len(props)} relationships={len(rels)}\n")
+        _write_output(None, f"terms={len(terms)} properties={len(props)} relationships={len(rels)}\n")
         return 0
     lines = [f"{BUILTIN_MODULE} v{metamodel.THINGFO_VERSION}", "", "terms:"]
     for spec in terms:
@@ -287,7 +294,7 @@ def _cmd_metamodel(args: argparse.Namespace) -> int:
     lines.append("relationships:")
     for r in rels:
         lines.append(f"  {r.key}: {r.domain} -> {r.range}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write_output(None, "\n".join(lines) + "\n")
     return 0
 
 
@@ -305,7 +312,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if text is None:
         sys.stderr.write(f"unknown topic: {args.topic}\n")
         return 2
-    sys.stdout.write(text)
+    _write_output(None, text)
     return 0
 
 

@@ -419,6 +419,10 @@ _ROOT_KINDS: dict[str, RootKind] = {}
 for _spec in _TERMS:
     _ROOT_KINDS[_spec.id] = _ROOT_KINDS[_spec.parent] if _spec.parent else RootKind(_spec.id)
 
+#: The scopes a user term may declare, each standing in for the Assertion
+#: subtype it names on an Assertion-rooted term.
+SCOPE_FACETS: dict[str, str] = {"particulars": "AssertionOnParticulars", "universals": "AssertionOnUniversals"}
+
 
 # ---------------------------------------------------------------------------
 # Properties. Machine keys are the snake-cased catalog names; the `name`

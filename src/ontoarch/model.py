@@ -11,11 +11,11 @@ costs about three times a plain one. A module's `terms` and `relations` and
 an instance file's `individuals` and `worlds` are split from `body` at
 construction, so rebinding `body` afterwards does not update them.
 
-`resolve` binds every reference or reports E1xx diagnostics; on success it
-also hands the suite the facts its passes computed once: the declaration
-index, each term's enrichment root, each module's same-level import
-component and each relation's kind-chain outcome. A `ResolvedSuite` never
-changes them afterwards.
+`resolve` binds every reference or reports E1xx diagnostics. Its passes are
+`ResolvedSuite` methods that fill the suite's own indexes once: the
+declaration index, each term's enrichment root, each module's same-level
+import component and each relation's kind-chain outcome. On success it
+returns that suite, which never changes them afterwards.
 """
 
 from __future__ import annotations
@@ -47,6 +47,10 @@ class Level(Enum):
     def is_exactly_above(self, other: "Level") -> bool:
         """True iff self is exactly one tier more abstract than `other`."""
         return self._value_ == other._value_ - 1
+
+
+#: The levels a module can be declared at, most abstract first.
+MODULE_LEVELS: tuple[Level, ...] = tuple(level for level in Level if level is not Level.IO)
 
 
 class QualifiedRef(Record):
@@ -90,7 +94,7 @@ class TermDef(Record):
                  attributes: tuple[AttrPair, ...] = (), loc: int = 0):
         self.name = name
         self.enriches = enriches
-        self.scope = scope  # "particulars" | "universals"
+        self.scope = scope  # a key of `metamodel.SCOPE_FACETS`
         self.attributes = attributes
         self.loc = loc
 
@@ -230,25 +234,27 @@ class ResolvedSuite:
     """All user modules plus the built-in ThingFO module, with every
     reference known to bind.
 
-    Resolution hands over the declaration index, each term's enrichment
-    outcome, the same-level import components and each relation's
-    kind-chain outcome; the suite only reads them."""
+    `resolve` builds one and runs its resolution passes, which fill its
+    declaration index, each term's enrichment outcome, the same-level import
+    components and each relation's kind-chain outcome. It hands the suite
+    out only when the passes found nothing wrong; nothing changes it
+    afterwards."""
 
-    def __init__(self, modules: dict[str, OntologyModule], instance_files: list[InstanceFile],
-                 terms: dict[tuple[str, str], TermDef], relations: dict[tuple[str, str], RelationDecl],
-                 roots: dict[tuple[str, str], str | None], components: dict[str, frozenset[str]],
-                 kind_chains: dict[tuple[str, str], ChainStatus]):
-        self.modules = modules
+    def __init__(self, instance_files: Iterable[InstanceFile]):
+        self.modules: dict[str, OntologyModule] = {}
         self.instance_files: tuple[InstanceFile, ...] = tuple(instance_files)
-        self._terms = terms
-        self._relations = relations
+        self._terms: dict[tuple[str, str], TermDef] = {}
+        self._relations: dict[tuple[str, str], RelationDecl] = {}
         # Each term's foundational root, or None where a missing `enriches`
         # breaks its chain; ThingFO's terms are their own roots.
-        self._enrichment_roots = roots
+        self._enrichment_roots: dict[tuple[str, str], str | None] = {
+            (BUILTIN_MODULE, spec.id): spec.id for spec in metamodel.all_term_specs()
+        }
         #: Each module's import-connected component of same-level modules.
-        self.components = components
+        self.components: dict[str, frozenset[str]] = {}
         #: Each relation's kind-chain outcome, by (module, relation).
-        self.kind_chains = kind_chains
+        self.kind_chains: dict[tuple[str, str], ChainStatus] = {}
+        self._diagnostics: list[Diagnostic] = []  # what the passes find
 
     # -- structure queries --------------------------------------------------
 
@@ -282,47 +288,16 @@ class ResolvedSuite:
         on programmatically built terms)."""
         return self._enrichment_roots[(module_name, term_name)]
 
+    def _error(self, code: str, message: str, source: Source, loc: int) -> None:
+        self._diagnostics.append(Diagnostic(code, message, source.span(loc)))
 
-def _flood(start: str, seen: set[str], step: Callable[[str], Iterable[str]]) -> list[str]:
-    """`start` and every module not yet `seen` that `step` leads to from it,
-    in the order reached; marks them all seen."""
-    group = [start]
-    seen.add(start)
-    for v in group:  # the group grows while it is read
-        for w in step(v):
-            if w not in seen:
-                seen.add(w)
-                group.append(w)
-    return group
+    # -- resolution passes, which `resolve` runs ----------------------------
 
-
-class _Resolver:
-    def __init__(self, modules: list[OntologyModule], instance_files: list[InstanceFile]):
-        self.input_modules = modules
-        self.instance_files = instance_files
-        self.diagnostics: list[Diagnostic] = []
-        # What `ResolvedSuite` reads: the declaration index, enrichment
-        # outcomes, same-level import components and kind-chain outcomes.
-        self.modules: dict[str, OntologyModule] = {}
-        self.terms: dict[tuple[str, str], TermDef] = {}
-        self.relations: dict[tuple[str, str], RelationDecl] = {}
-        self.roots: dict[tuple[str, str], str | None] = {
-            (BUILTIN_MODULE, spec.id): spec.id for spec in metamodel.all_term_specs()
-        }
-        self.components: dict[str, frozenset[str]] = {}
-        self.kind_chains: dict[tuple[str, str], ChainStatus] = {}
-
-    def error(self, code: str, message: str, source: Source, loc: int) -> None:
-        self.diagnostics.append(Diagnostic(code, message, source.span(loc)))
-
-    # -- passes ---------------------------------------------------------------
-
-    def register_modules(self) -> None:
+    def _register_modules(self, modules: list[OntologyModule]) -> None:
         # In source order, so which of two same-named modules is the
         # duplicate does not depend on the order the files came in. Offsets
         # order the modules of one file as their spans do, so spans, and the
         # line tables they need, are built only when two files share a path.
-        modules = self.input_modules
         by_path = {m.source.path: m.source for m in modules}
         if all(by_path[m.source.path] is m.source for m in modules):
             modules = sorted(modules, key=lambda m: (m.source.path, m.loc))
@@ -330,16 +305,16 @@ class _Resolver:
             modules = sorted(modules, key=lambda m: m.source.span(m.loc))
         for m in modules:
             if m.name == BUILTIN_MODULE:
-                self.error("E102", f"module name {BUILTIN_MODULE} is reserved for the built-in foundational ontology",
-                           m.source, m.loc)
+                self._error("E102", f"module name {BUILTIN_MODULE} is reserved for the built-in foundational ontology",
+                            m.source, m.loc)
             elif m.name in self.modules:
-                self.error("E102", f"duplicate module {m.name}", m.source, m.loc)
+                self._error("E102", f"duplicate module {m.name}", m.source, m.loc)
             else:
                 self.modules[m.name] = m
-                self.terms.update({(m.name, t.name): t for t in m.terms})
-                self.relations.update({(m.name, r.name): r for r in m.relations})
+                self._terms.update({(m.name, t.name): t for t in m.terms})
+                self._relations.update({(m.name, r.name): r for r in m.relations})
 
-    def check_imports(self) -> None:
+    def _check_imports(self) -> None:
         # One walk over each module's imports reports E104/E101 and keeps the
         # edges between known modules both ways; then a Kosaraju-Sharir pass
         # finds the import cycles (E103) and a flood the same-level import
@@ -349,14 +324,14 @@ class _Resolver:
         for m in self.modules.values():
             for imp in m.imports:
                 if imp.name == m.name:
-                    self.error("E104", f"module {m.name} imports itself", m.source, imp.loc)
+                    self._error("E104", f"module {m.name} imports itself", m.source, imp.loc)
                 elif imp.name in self.modules:
                     imports[m.name].append(imp.name)
                     importers[imp.name].append(m.name)
                 elif imp.name != BUILTIN_MODULE:
                     # ThingFO is implicitly visible; importing it resolves but
                     # is a cross-level import, flagged by the validator.
-                    self.error("E101", f"import of unknown module {imp.name}", m.source, imp.loc)
+                    self._error("E101", f"import of unknown module {imp.name}", m.source, imp.loc)
         # Depth-first over imports, listing each module as its walk finishes.
         finished: list[str] = []
         seen: set[str] = set()
@@ -386,7 +361,7 @@ class _Resolver:
                     cycles.append(sorted(scc))
         for cycle in sorted(cycles):
             first = self.modules[cycle[0]]
-            self.error("E103", "import cycle: " + " -> ".join(cycle + [cycle[0]]), first.source, first.loc)
+            self._error("E103", "import cycle: " + " -> ".join(cycle + [cycle[0]]), first.source, first.loc)
         # Same-level import components: connected over import edges taken
         # as undirected, keeping only edges between modules of one level.
         def same_level(v: str) -> Iterator[str]:
@@ -399,12 +374,12 @@ class _Resolver:
                 group = frozenset(_flood(name, seen, same_level))
                 self.components.update(dict.fromkeys(group, group))
 
-    def check_module_bodies(self) -> None:
+    def _check_module_bodies(self) -> None:
         for m in self.modules.values():
             names: set[str] = set()
             for decl in m.body:
                 if decl.name in names:
-                    self.error("E102", f"duplicate declaration {decl.name} in module {m.name}", m.source, decl.loc)
+                    self._error("E102", f"duplicate declaration {decl.name} in module {m.name}", m.source, decl.loc)
                 names.add(decl.name)
             for t in m.terms:
                 self._check_term(m, t)
@@ -417,7 +392,7 @@ class _Resolver:
             return None if metamodel.is_term(name) else f"no foundational term named {name} in {BUILTIN_MODULE}"
         if mod not in self.modules:
             return f"unknown module {mod}"
-        if (mod, name) not in self.terms:
+        if (mod, name) not in self._terms:
             return f"no term named {name} in module {mod}"
         return None
 
@@ -427,7 +402,7 @@ class _Resolver:
             return None if metamodel.is_relationship_key(name) else f"no foundational relationship named {name}"
         if mod not in self.modules:
             return f"unknown module {mod}"
-        if (mod, name) not in self.relations:
+        if (mod, name) not in self._relations:
             return f"no relation named {name} in module {mod}"
         return None
 
@@ -436,35 +411,35 @@ class _Resolver:
     def _check_term(self, m: OntologyModule, t: TermDef) -> None:
         ref = t.enriches
         if ref is not None and (problem := self._unbound_term(ref.module or m.name, ref.name)):
-            self.error("E101", f"term {m.name}.{t.name}: {problem}", m.source, ref.loc)
+            self._error("E101", f"term {m.name}.{t.name}: {problem}", m.source, ref.loc)
         seen_keys: set[str] = set()
         for attr in t.attributes:
             if attr.key in seen_keys:
-                self.error("E102", f"duplicate attribute {attr.key} on term {m.name}.{t.name}", m.source, attr.loc)
+                self._error("E102", f"duplicate attribute {attr.key} on term {m.name}.{t.name}", m.source, attr.loc)
             seen_keys.add(attr.key)
 
     def _check_relation(self, m: OntologyModule, r: RelationDecl) -> None:
         for ref, unbound in ((r.from_ref, self._unbound_term), (r.to_ref, self._unbound_term),
                              (r.kind_ref, self._unbound_relation)):
             if problem := unbound(ref.module or m.name, ref.name):
-                self.error("E101", f"relation {m.name}.{r.name}: {problem}", m.source, ref.loc)
+                self._error("E101", f"relation {m.name}.{r.name}: {problem}", m.source, ref.loc)
 
-    def check_instances(self) -> None:
+    def _check_instances(self) -> None:
         for f in self.instance_files:
             if not (f.of_module == BUILTIN_MODULE or f.of_module in self.modules):
-                self.error("E101", f"instances block names unknown module {f.of_module}", f.source, f.loc)
+                self._error("E101", f"instances block names unknown module {f.of_module}", f.source, f.loc)
                 continue
             names: set[str] = set()
             for decl in f.body:
                 if decl.name in names:
                     kind = "individual" if isinstance(decl, Individual) else "world"
-                    self.error("E102", f"duplicate {kind} {decl.name} in instances of {f.of_module}",
-                               f.source, decl.loc)
+                    self._error("E102", f"duplicate {kind} {decl.name} in instances of {f.of_module}",
+                                f.source, decl.loc)
                 names.add(decl.name)
             for ind in f.individuals:
                 ref = ind.type_ref
                 if problem := self._unbound_term(ref.module or f.of_module, ref.name):
-                    self.error("E101", f"individual {ind.name}: {problem}", f.source, ref.loc)
+                    self._error("E101", f"individual {ind.name}: {problem}", f.source, ref.loc)
             for w in f.worlds:
                 self._check_world(f, w)
 
@@ -472,16 +447,16 @@ class _Resolver:
         things: dict[str, dict[str, set[str]]] = {}  # each thing's part names by sort
         for t in w.things:
             if t.name in things:
-                self.error("E102", f"duplicate thing {t.name} in world {w.name}", f.source, t.loc)
+                self._error("E102", f"duplicate thing {t.name} in world {w.name}", f.source, t.loc)
                 continue
             ref = t.instance_of
             if ref is not None and (problem := self._unbound_term(ref.module or f.of_module, ref.name)):
-                self.error("E101", f"thing {t.name}: {problem}", f.source, ref.loc)
+                self._error("E101", f"thing {t.name}: {problem}", f.source, ref.loc)
             parts = things[t.name] = {"Property": set(), "Power": set()}
             for sort, decls in (("Property", t.properties), ("Power", t.powers)):
                 for part in decls:
                     if part.name in parts["Property"] or part.name in parts["Power"]:
-                        self.error("E102", f"duplicate part {part.name} on thing {t.name}", f.source, part.loc)
+                        self._error("E102", f"duplicate part {part.name} on thing {t.name}", f.source, part.loc)
                     parts[sort].add(part.name)
 
         # Each check returns what is wrong with a fact's argument, or None;
@@ -514,7 +489,7 @@ class _Resolver:
         for fact in w.facts:
             spec = metamodel.WORLD_PREDICATES.get(fact.predicate)
             if spec is None:
-                self.error("E101", f"unknown predicate {fact.predicate} in world {w.name}", f.source, fact.loc)
+                self._error("E101", f"unknown predicate {fact.predicate} in world {w.name}", f.source, fact.loc)
                 continue
             for ref, sort in ((fact.left, spec.domain), (fact.right, spec.range)):
                 if sort in ("Property", "Power"):
@@ -524,9 +499,9 @@ class _Resolver:
                 else:
                     problem = term_problem(ref)
                 if problem:
-                    self.error("E101", f"{fact.predicate} fact in world {w.name}: {problem}", f.source, ref.loc)
+                    self._error("E101", f"{fact.predicate} fact in world {w.name}: {problem}", f.source, ref.loc)
 
-    def check_enrichment_cycles(self) -> None:
+    def _check_enrichment_cycles(self) -> None:
         # Only meaningful for chains whose every link resolved; broken links
         # already produced E101 above. `pending` holds the terms not yet
         # walked: each walk removes the terms it visited, so each term is
@@ -534,8 +509,8 @@ class _Resolver:
         # first walk to enter a cycle reports it, starting where it entered;
         # modules are walked in name order, so that is independent of the
         # order the files came in. Every visited term records its chain's
-        # outcome in `roots`.
-        pending = dict(self.terms)
+        # outcome in `_enrichment_roots`.
+        pending = dict(self._terms)
         for name in sorted(self.modules):
             for t in self.modules[name].terms:
                 path: list[tuple[str, str]] = []
@@ -546,8 +521,8 @@ class _Resolver:
                         cycle = path[on_path[key]:]
                         pretty = " -> ".join(f"{cm}.{cn}" for cm, cn in cycle + [cycle[0]])
                         first = cycle[0]
-                        self.error("E105", f"enrichment cycle: {pretty}", self.modules[first[0]].source,
-                                   pending[first].loc)
+                        self._error("E105", f"enrichment cycle: {pretty}", self.modules[first[0]].source,
+                                    pending[first].loc)
                         break
                     on_path[key] = len(path)
                     path.append(key)
@@ -558,18 +533,18 @@ class _Resolver:
                 # Still pending: the term lacking `enriches`, or a cycle
                 # (E105). Otherwise a ThingFO term, a term an earlier walk
                 # judged, or an unbound one (E101).
-                root = None if key in pending else self.roots.get(key)
+                root = None if key in pending else self._enrichment_roots.get(key)
                 for visited in path:
                     del pending[visited]
-                    self.roots[visited] = root
+                    self._enrichment_roots[visited] = root
 
-    def record_kind_chains(self) -> None:
-        # As in `check_enrichment_cycles`, a walk stops at a relation an
+    def _record_kind_chains(self) -> None:
+        # As in `_check_enrichment_cycles`, a walk stops at a relation an
         # earlier walk judged, so each relation is walked once. Lateral hops
         # (same level, other module) are followed inside the hop source's
         # import component, and a chain that takes one escapes its module.
         chains = self.kind_chains
-        for key in self.relations:
+        for key in self._relations:
             path: dict[tuple[str, str], bool] = {}  # each relation walked: is its hop lateral?
             while key not in chains:
                 if key in path:
@@ -582,7 +557,7 @@ class _Resolver:
                         chains[member] = ChainStatus("cycle", cycle=names, index=i, escapes=escapes)
                     break
                 mod, name = key
-                kind = self.relations[key].kind_ref
+                kind = self._relations[key].kind_ref
                 target = (kind.module or mod, kind.name)
                 if target[0] == BUILTIN_MODULE:
                     chains[key] = ChainStatus("foundational", key=kind.name)
@@ -606,6 +581,19 @@ class _Resolver:
                 chains[walked] = status
 
 
+def _flood(start: str, seen: set[str], step: Callable[[str], Iterable[str]]) -> list[str]:
+    """`start` and every module not yet `seen` that `step` leads to from it,
+    in the order reached; marks them all seen."""
+    group = [start]
+    seen.add(start)
+    for v in group:  # the group grows while it is read
+        for w in step(v):
+            if w not in seen:
+                seen.add(w)
+                group.append(w)
+    return group
+
+
 def resolve(
     modules: Iterable[OntologyModule],
     instance_files: Iterable[InstanceFile] = (),
@@ -615,14 +603,13 @@ def resolve(
     Returns `(suite, [])` on success, `(None, diagnostics)` otherwise;
     resolution never partially succeeds silently.
     """
-    r = _Resolver(list(modules), list(instance_files))
-    r.register_modules()
-    r.check_imports()
-    r.check_module_bodies()
-    r.check_instances()
-    r.check_enrichment_cycles()
-    if r.diagnostics:
-        return None, r.diagnostics
-    r.record_kind_chains()
-    suite = ResolvedSuite(r.modules, r.instance_files, r.terms, r.relations, r.roots, r.components, r.kind_chains)
+    suite = ResolvedSuite(instance_files)
+    suite._register_modules(list(modules))
+    suite._check_imports()
+    suite._check_module_bodies()
+    suite._check_instances()
+    suite._check_enrichment_cycles()
+    if suite._diagnostics:
+        return None, suite._diagnostics
+    suite._record_kind_chains()
     return suite, []

@@ -34,8 +34,9 @@ import re
 from enum import Enum
 from typing import TYPE_CHECKING, NoReturn
 
-from .metamodel import BUILTIN_MODULE, WORLD_PREDICATES
+from .metamodel import BUILTIN_MODULE, SCOPE_FACETS, WORLD_PREDICATES
 from .model import (
+    MODULE_LEVELS,
     AttrPair,
     Fact,
     ImportRef,
@@ -56,16 +57,19 @@ from .source import Record, Source, SourceSpan
 if TYPE_CHECKING:
     from array import array
 
+_LEVELS = {level.name: level for level in MODULE_LEVELS}
+
 KEYWORDS = frozenset(
     {
         "ontology", "at", "imports", "term", "enriches", "scope",
-        "particulars", "universals", "relation", "from", "to", "kind",
-        "instances", "of", "individual", "world", "thing", "property",
-        "power", "FO", "CO", "TDO", "LDO",
+        "relation", "from", "to", "kind", "instances", "of", "individual",
+        "world", "thing", "property", "power", *_LEVELS, *SCOPE_FACETS,
     }
 )
 
-LEVEL_NAMES = ("FO", "CO", "TDO", "LDO")
+*_FIRST_LEVELS, _LAST_LEVEL = _LEVELS
+_EXPECTED_LEVEL = f"(expected {', '.join(_FIRST_LEVELS)} or {_LAST_LEVEL})"
+_EXPECTED_SCOPE = "expected " + " or ".join(f"'{scope}'" for scope in SCOPE_FACETS)
 
 
 class TokenKind(Enum):
@@ -228,7 +232,6 @@ class _ParseError(Exception):
 _TOP_SYNC = ("ontology", "instances")
 _MODULE_SYNC = _TOP_SYNC + ("imports", "term", "relation")
 _INSTANCE_SYNC = _TOP_SYNC + ("individual", "world")
-_LEVELS = {name: Level[name] for name in LEVEL_NAMES}
 
 
 class _Parser:
@@ -307,7 +310,7 @@ class _Parser:
             return level, i + 1
         if tok[0] is _IDENT or tok[1] in KEYWORDS:
             self.diagnostics.append(
-                Diagnostic("E003", f"unknown level name {tok[1]!r} (expected FO, CO, TDO or LDO)", self.token_span(i))
+                Diagnostic("E003", f"unknown level name {tok[1]!r} {_EXPECTED_LEVEL}", self.token_span(i))
             )
             return Level.CO, i + 1  # placeholder; the file is excluded anyway
         raise self.fail("expected a level name", i)
@@ -395,8 +398,8 @@ class _Parser:
         scope: str | None = None
         if toks[i][1] == "scope":
             scope = toks[i + 1][1]
-            if scope != "particulars" and scope != "universals":
-                raise self.fail("expected 'particulars' or 'universals'", i + 1)
+            if scope not in SCOPE_FACETS:
+                raise self.fail(_EXPECTED_SCOPE, i + 1)
             i += 2
         if toks[i][1] != "{":
             return TermDef(name[1], target, scope, (), start << 32 | end), i

@@ -10,7 +10,7 @@ suites.
 from __future__ import annotations
 
 from . import metamodel
-from .metamodel import BUILTIN_MODULE, RootKind
+from .metamodel import BUILTIN_MODULE, SCOPE_FACETS, RootKind
 from .model import (
     ChainStatus,
     Fact,
@@ -263,20 +263,18 @@ def _anchor_matches(suite: ResolvedSuite, term: tuple[str, str], anchor: str, re
     """Whether `term`, whose enrichment root is `anchor`, is a `required`."""
     if metamodel.is_descendant(anchor, required):
         return True
-    # Scope facets stand in for the two scope subtypes: an assertion-rooted
-    # term with scope particulars/universals satisfies the matching subtype.
-    if required in ("AssertionOnParticulars", "AssertionOnUniversals"):
-        if metamodel.root_kind(anchor) is RootKind.ASSERTION:
-            decl = suite.get_term(*term)
-            if decl is not None and decl.scope is not None:
-                wanted = "particulars" if required == "AssertionOnParticulars" else "universals"
-                return decl.scope == wanted
+    # A scope stands in for the Assertion subtype it names: an
+    # assertion-rooted term with a scope satisfies that subtype only.
+    if required in SCOPE_FACETS.values() and metamodel.root_kind(anchor) is RootKind.ASSERTION:
+        decl = suite.get_term(*term)
+        if decl is not None and decl.scope is not None:
+            return SCOPE_FACETS[decl.scope] == required
     return False
 
 
-#: World facts whose target is a term: the root the predicate's range
-#: requires, and the code for a target with another enrichment root.
-_TERM_TARGETS = {"ThingCategory": (RootKind.THING_CATEGORY, "E232"), "Assertion": (RootKind.ASSERTION, "E233")}
+#: The code for a world fact whose target, a term, has an enrichment root
+#: other than the root of the predicate's range, by that range.
+_TERM_TARGETS = {"ThingCategory": "E232", "Assertion": "E233"}
 
 
 def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
@@ -314,14 +312,14 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
     for f, w in suite.all_worlds():
         for fact in w.facts:
             spec = metamodel.WORLD_PREDICATES[fact.predicate]
-            required, code = _TERM_TARGETS.get(spec.range, (None, None))
+            code = _TERM_TARGETS.get(spec.range)
             if code is not None:
                 mod, name = suite.term_target(fact.right, f.of_module)
                 anchor = suite.enrichment_root(mod, name)
                 if anchor is None:
                     continue  # broken enrichment chain, already flagged as E213
                 root = metamodel.root_kind(anchor)
-                if root is not required:
+                if root is not metamodel.root_kind(spec.range):
                     out.append(
                         _finding(
                             code,

@@ -32,6 +32,7 @@ from typing import Any
 
 from ontoarch.metamodel import BUILTIN_MODULE, WORLD_PREDICATES
 from ontoarch.model import (
+    MODULE_LEVELS,
     AttrPair,
     ChainStatus,
     Fact,
@@ -48,7 +49,7 @@ from ontoarch.model import (
     ThingNode,
     World,
 )
-from ontoarch.parser import KEYWORDS, LEVEL_NAMES, TokenKind
+from ontoarch.parser import KEYWORDS, TokenKind
 from ontoarch.reporting import REPORT_VERSION, Diagnostic, Report
 from ontoarch.source import SYNTHETIC_SOURCE, Source, SourceSpan
 from ontoarch.validator import _axiom_finding
@@ -465,7 +466,7 @@ class _Parser:
 
     def parse_level(self) -> Level:
         tok = self.peek()
-        if tok.kind is TokenKind.KEYWORD and tok.lexeme in LEVEL_NAMES:
+        if tok.kind is TokenKind.KEYWORD and tok.lexeme in (level.name for level in MODULE_LEVELS):
             self.next()
             return Level[tok.lexeme]
         if tok.kind in (TokenKind.IDENT, TokenKind.KEYWORD):

@@ -29,7 +29,7 @@ import sys
 from collections import Counter
 from typing import Iterator
 
-from conftest import FIXTURES, MUTATIONS, load_fig2, mutate
+from fig2_corpus import FIXTURES, MUTATIONS, load_fig2, mutate
 
 from ontoarch import metamodel
 from ontoarch.cli import build_report

@@ -255,13 +255,13 @@ def test_resolve_reads_each_relation_of_a_kind_chain_once(monkeypatch):
             reads["relations"] += 1
             return super().get(key, default)
 
-    original_init = model._Resolver.__init__
+    original_init = model.ResolvedSuite.__init__
 
     def init(self, *args):
         original_init(self, *args)
-        self.relations = CountingIndex()
+        self._relations = CountingIndex()
 
-    monkeypatch.setattr(model._Resolver, "__init__", init)
+    monkeypatch.setattr(model.ResolvedSuite, "__init__", init)
     suite = _fresh([OntologyModule("Kinds", Level.CO, body=tuple(body))])
     assert Counter(status.outcome for status in suite.kind_chains.values()) == Counter({"foundational": n})
     assert 0 < reads["relations"] <= 2 * n + 4

@@ -193,6 +193,64 @@ def test_unwritable_out_is_exit_2(subcommand, tmp_path, capsys):
     assert not target.exists()
 
 
+def _cli_process(argv: list[str], stdout, **env: str) -> subprocess.CompletedProcess:
+    """`python -m ontoarch` run on `argv` with `stdout` as its stdout; its
+    stdout, when that is a pipe, and stderr come back as bytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ontoarch.__file__).parents[1]), **env)
+    return subprocess.run([sys.executable, "-m", "ontoarch", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          env=env, timeout=60)
+
+
+#: One command of each subcommand that writes to stdout.
+STDOUT_COMMANDS = (["validate", str(FIG2), "--format", "json"], ["graph", str(FIG2)], ["metamodel"],
+                   ["explain", "Thing"])
+
+
+def _assert_one_error_line(proc: subprocess.CompletedProcess) -> None:
+    """Exit 2 and a single `ontoarch: error:` line: no traceback, and no
+    "Exception ignored" from the flush of stdout at exit."""
+    err = proc.stderr.decode("utf-8")
+    assert proc.returncode == 2, err
+    assert err.startswith("ontoarch: error: cannot write to stdout: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=lambda argv: argv[0])
+def test_a_stdout_pipe_that_nobody_reads_is_exit_2(argv):
+    """As in `ontoarch validate DIR | head -c 100`, the write finds the pipe
+    closed; the read end is closed before the command starts, so it does at
+    once."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process(argv, write_end)
+    finally:
+        os.close(write_end)
+    _assert_one_error_line(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=lambda argv: argv[0])
+def test_a_full_stdout_device_is_exit_2(argv):
+    with open("/dev/full", "wb") as full:
+        _assert_one_error_line(_cli_process(argv, full))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_stdout_gets_the_utf8_bytes_of_the_out_file_whatever_its_encoding(fmt, tmp_path):
+    """A report that is not ASCII reaches an ASCII stdout as the UTF-8 bytes
+    that `--out` writes."""
+    suite = tmp_path / "m.onto"
+    suite.write_text("ontology Mödul at CO { }\n", encoding="utf-8")
+    argv = ["validate", str(suite), "--format", fmt]
+    out = tmp_path / "report"
+    to_file = _cli_process([*argv, "--out", str(out)], subprocess.PIPE)
+    to_stdout = _cli_process(argv, subprocess.PIPE, PYTHONIOENCODING="ascii")
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (1, b"", b"")
+    assert (to_stdout.returncode, to_stdout.stderr) == (1, b"")
+    assert to_stdout.stdout == out.read_bytes()
+    assert not to_stdout.stdout.isascii()
+
+
 def test_missing_subcommand_is_exit_2(capsys):
     assert invoke(capsys)[0] == 2
 
