@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from itertools import accumulate, compress
 from typing import TYPE_CHECKING, NoReturn
 
 from .metamodel import BUILTIN_MODULE, SCOPE_FACETS, WORLD_PREDICATES
@@ -94,24 +95,38 @@ _SHARED: dict[str, tuple] = {
 }
 _EOI = (TokenKind.EOI, "", "")
 
-#: The lexer's one pattern. It has no capture group, since groups slow every
-#: match (by about a fifth under `finditer` on the bench suites), so
-#: `tokenize` tells matches apart by their first character. `finditer` skips
-#: what no alternative matches, which is exactly blanks, tabs, carriage
-#: returns and line feeds. A string match takes every string, well-formed or
-#: not: it ends after the closing quote or before the end of the line. A `/`
-#: that starts no comment is an invalid character.
-_SCAN = re.compile(
+#: The lexemes, as one string of alternatives with no capture group, so
+#: `tokenize` tells them apart by their first characters. What no
+#: alternative matches is exactly the blanks: spaces, tabs, carriage returns
+#: and line feeds. A string match takes every string, well-formed or not: it
+#: ends after the closing quote or before the end of the line. A `/` that
+#: starts no comment is an invalid character. No lexeme spans a line feed.
+_BLANKS = " \t\r\n"
+_LEXEME = (
     r"//[^\n]*"                       # comment
     r"|[A-Za-z_][A-Za-z0-9_]*"        # keyword or identifier (ASCII only)
     r"|[{}(),:;.]"                    # punctuation
     r'|"(?:[^"\\\n]|\\["\\]?)*"?'     # string
-    r"|[^ \t\r\n]"                    # invalid character
+    f"|[^{_BLANKS}]"                  # invalid character
 )
+
+#: A lexeme alone, to find where the next one starts and to re-read one at
+#: its offset; and a lexeme with the blanks after it, so that the matches of
+#: one `findall` from a lexeme's start lie end to end.
+_SCAN = re.compile(_LEXEME)
+_SCAN_WITH_BLANKS = re.compile(f"(?:{_LEXEME})[{_BLANKS}]*")
+
+#: About how many characters `tokenize` scans at a time: its working set
+#: beyond the tokens it returns is one chunk's matches and their table.
+_CHUNK_SIZE = 8192
 
 #: The first characters of the lexemes that a name table holds: words and
 #: punctuation.
 _SHAREABLE = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_{}(),:;.")
+
+#: A chunk's table entry for a lexeme that needs its offset: an invalid
+#: character, or a string with a backslash or no closing quote.
+_BY_OFFSET = object()
 
 
 def tokenize(
@@ -134,7 +149,15 @@ def tokenize(
     distinct name is one string that every token, AST node, index key and
     finding naming it shares, for as long as the table is used:
     `parse_suite` passes one table for all its files, and without one
-    `tokenize` starts its own. No name is interned.
+    `tokenize` starts its own. No name is interned. No STRING enters the
+    name table, though equal strings in one chunk may share a tuple.
+
+    The text is read in chunks, each with one `findall` of a lexeme and the
+    blanks after it. The matches lie end to end, so their lengths give the
+    starts, and a table from each distinct match to its token gives the
+    tokens: Python runs once per distinct match in a chunk, not once per
+    token. A chunk holding an invalid character or a string with an escape
+    or no closing quote is read match by match, since those need offsets.
 
     The tokenizer always recovers: invalid characters and malformed strings
     are reported and skipped, and scanning continues."""
@@ -145,29 +168,57 @@ def tokenize(
     tokens: list[tuple] = []
     starts = array("l")
     errors: list[tuple[str, int]] = []  # (message, loc) of each E001, in order
-    append, start_at, known = tokens.append, starts.append, names.get
-    ident, string, shareable, shared = _IDENT, _STRING, _SHAREABLE, _SHARED.get
-    for m in _SCAN.finditer(text):
-        lexeme = m.group()
-        tok = known(lexeme)
-        if tok is None:
-            first = lexeme[0]
-            if first in shareable:
-                tok = names[lexeme] = shared(lexeme) or (ident, lexeme, "")
-            elif first == '"':
-                if len(lexeme) > 1 and lexeme[-1] == '"' and "\\" not in lexeme:
-                    tok = (string, lexeme, lexeme[1:-1], len(lexeme))
-                else:
-                    tok = _escaped_string(lexeme, text[m.end():m.end() + 1] or "<eof>", m.start(), errors)
+    n = len(text)
+    following = _SCAN.search(text)
+    while following:
+        # A chunk runs from a lexeme's start to the next lexeme after the
+        # first line feed at least `_CHUNK_SIZE` characters on.
+        pos = following.start()
+        cut = text.find("\n", pos + _CHUNK_SIZE) + 1
+        following = _SCAN.search(text, cut) if cut else None
+        matches = _SCAN_WITH_BLANKS.findall(text, pos, following.start() if following else n)
+        table = dict.fromkeys(matches)  # each distinct match to its token; a comment's stays None
+        comments = by_offset = False
+        for match in table:
+            first = match[0]
+            if first in _SHAREABLE:
+                lexeme = match.rstrip(_BLANKS)
+                tok = names.get(lexeme)
+                if tok is None:
+                    tok = names[lexeme] = _SHARED.get(lexeme) or (_IDENT, lexeme, "")
+                table[match] = tok
+            elif match[:2] == "//":
+                comments = True
+            elif first == '"' and (lexeme := match.rstrip(_BLANKS)).endswith('"', 1) and "\\" not in lexeme:
+                table[match] = (_STRING, lexeme, lexeme[1:-1], len(lexeme))
             else:
-                if len(lexeme) == 1:  # an invalid character; a comment is longer
-                    where = m.start()
-                    errors.append((f"invalid character {lexeme!r}", where << 32 | where + 1))
-                continue
-        append(tok)
-        start_at(m.start())
-    append(_EOI)
-    start_at(len(text))
+                table[match] = _BY_OFFSET
+                by_offset = True
+        *chunk_starts, _ = accumulate(map(len, matches), initial=pos)
+        if by_offset:
+            for match, start in zip(matches, chunk_starts):
+                tok = table[match]
+                if tok is _BY_OFFSET:
+                    if match[0] != '"':
+                        errors.append((f"invalid character {match[0]!r}", start << 32 | start + 1))
+                        continue
+                    # Re-read at its offset: the blanks after an unterminated
+                    # string cannot be told from its own.
+                    end = _SCAN.match(text, start).end()
+                    tok = _escaped_string(text[start:end], text[end:end + 1] or "<eof>", start, errors)
+                elif tok is None:
+                    continue
+                tokens.append(tok)
+                starts.append(start)
+        elif comments:
+            chunk = list(map(table.__getitem__, matches))
+            tokens.extend(filter(None, chunk))
+            starts.fromlist(list(compress(chunk_starts, chunk)))
+        else:
+            tokens.extend(map(table.__getitem__, matches))
+            starts.fromlist(chunk_starts)
+    tokens.append(_EOI)
+    starts.append(n)
     if not errors:
         return tokens, starts, []
     source = Source(path, text)

@@ -69,7 +69,7 @@ CODE_CATALOG: dict[str, CodeDoc] = {
     "E101": CodeDoc("unresolved reference", None, "", "term X enriches ThingFO.Entityy"),
     "E102": CodeDoc("duplicate definition", None, "", "two terms named X in one ontology"),
     "E103": CodeDoc("import cycle", None, "", "A imports B and B imports A"),
-    "E104": CodeDoc("self-import", None, "", "ontology A { imports A }"),
+    "E104": CodeDoc("self-import", None, "", "ontology A at CO { imports A }"),
     "E105": CodeDoc("enrichment cycle", None, "", "term X enriches Y, term Y enriches X"),
     "E201": CodeDoc(
         "user-defined foundational ontology",

@@ -3,10 +3,13 @@
 `oracle_tokenize` (in `oracles.py`) returns `Token` objects that count their
 own lines and columns; `tokenize` returns shared tuples and start offsets,
 and builds no span. Both must give the same tokens, spans (through
-`Source.span` for `tokenize`), string values and diagnostics on any text.
+`Source.span` for `tokenize`), string values and diagnostics on any text,
+however `tokenize` cuts it into chunks.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -65,6 +68,37 @@ def _oracle_lexed(text: str, path: str = "f.onto"):
 @example("a //")  # a comment at the end of input
 def test_tokenize_equals_the_character_walk(text):
     assert _lexed(text) == _oracle_lexed(text)
+
+
+#: Pieces that `tokenize` must read the same wherever a chunk is cut: a
+#: carriage return before a line feed and alone, indentation after a line
+#: feed, a comment last in a chunk, an invalid character and an escaped
+#: string first or last in one, an unterminated string ending in blanks
+#: before a line feed and at the end of input, and no final line feed.
+AT_A_CUT = (
+    "a\r\nb\r\n", "a\rb\r\n", "a\n    b\n\t\tc",
+    "a // c \nb", "a //c\r\n",
+    "@ b\n", "a\t@\n", '"x\\"y" b\n', 'a "x\\"y"  \n',
+    '"ab \t \n  b', 'a "ab \t', '"ab \\\n', "a b",
+)
+
+
+@pytest.mark.parametrize("piece", AT_A_CUT)
+def test_tokenize_equals_the_character_walk_wherever_a_chunk_is_cut(piece):
+    # With chunks of 1 to 64 characters, each line feed of these texts is a
+    # cut, so each piece lies at, just before and just after one.
+    for text in (piece, f"{piece}\n{piece}", f"x\n{piece}\n  y {piece}"):
+        expected = _oracle_lexed(text)
+        for size in range(1, 65):
+            with mock.patch.object(parser, "_CHUNK_SIZE", size):
+                assert _lexed(text) == expected, (text, size)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(ATOMS), max_size=120).map("".join), st.integers(1, 64))
+def test_tokenize_equals_the_character_walk_over_many_chunks(text, size):
+    with mock.patch.object(parser, "_CHUNK_SIZE", size):
+        assert _lexed(text) == _oracle_lexed(text)
 
 
 def test_an_escape_of_a_line_end_or_an_unprintable_character_is_named_on_one_line():

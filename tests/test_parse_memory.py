@@ -21,6 +21,7 @@ import pytest
 
 from conftest import load_bench
 
+from ontoarch import parser
 from ontoarch.metamodel import BUILTIN_MODULE, WORLD_PREDICATES
 from ontoarch.parser import KEYWORDS, TokenKind, parse_suite, tokenize
 
@@ -147,21 +148,27 @@ def test_no_name_is_interned():
 # Bytes per declaration.
 # ---------------------------------------------------------------------------
 
-def _traced_parse(files: list[tuple[str, str]]):
-    """`parse_suite(files)` under `tracemalloc` with the collector paused:
-    the AST, its diagnostics, and the bytes retained and at peak. The
-    files' texts are held before tracing starts; everything the parse makes,
-    each distinct name included, counts."""
+def _traced(function, *args):
+    """`function(*args)` under `tracemalloc` with the collector paused: its
+    result, and the bytes retained and at peak. The arguments are held
+    before tracing starts; everything the call makes counts."""
     was_enabled = gc.isenabled()
     gc.disable()
     tracemalloc.start()
     try:
-        ast, diagnostics = parse_suite(files)
+        result = function(*args)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         if was_enabled:
             gc.enable()
+    return result, retained, peak
+
+
+def _traced_parse(files: list[tuple[str, str]]):
+    """`parse_suite(files)` traced: the AST, its diagnostics, and the bytes
+    retained and at peak, each distinct name included."""
+    (ast, diagnostics), retained, peak = _traced(parse_suite, files)
     return ast, diagnostics, retained, peak
 
 
@@ -206,6 +213,30 @@ def test_a_token_costs_its_list_slot_and_its_start_offset(workload):
     tokens, starts, diagnostics = tokenize(text, path)
     assert diagnostics == [] and len(tokens) > 10_000
     assert _token_list_bytes(tokens, starts) <= MAX_TOKEN_BYTES * len(tokens)
+
+
+def _working_set(text: str) -> int:
+    """Bytes that `tokenize(text)` holds at its peak beyond what it returns:
+    one chunk's matches, their starts and their table, and the name table
+    it starts and drops."""
+    _, retained, peak = _traced(tokenize, text, "f.onto")
+    return peak - retained
+
+
+#: `tokenize`'s working set per character of a chunk, measured on CPython
+#: 3.11 at about 37 on the largest dirty_worlds file: each match's string,
+#: its list slot and its start offset. One `findall` over the whole file
+#: held about 27 bytes per character of the file.
+MAX_CHUNK_BYTES = 48
+
+
+def test_tokenize_holds_one_chunk_not_the_file():
+    files = load_bench("generators").dirty_worlds(1).files
+    text = max(files.values(), key=len)
+    assert len(text) > 4 * parser._CHUNK_SIZE
+    one, four = _working_set(text), _working_set(text * 4)
+    assert one <= MAX_CHUNK_BYTES * parser._CHUNK_SIZE
+    assert four <= 1.25 * one
 
 
 def test_a_file_that_fails_to_parse_frees_its_tokens_before_the_next_is_lexed():

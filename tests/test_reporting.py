@@ -144,6 +144,13 @@ def test_rule_backed_codes_have_anchors_and_examples():
         assert doc.title
 
 
+def test_each_catalog_example_written_as_a_declaration_raises_exactly_its_own_code():
+    declarations = {code: doc.example for code, doc in CODE_CATALOG.items() if doc.example.startswith("ontology ")}
+    assert sorted(declarations) == ["E002", "E003", "E104", "E201"]
+    for code, example in declarations.items():
+        assert [d.code for d in build_report([("f.onto", example)]).diagnostics] == [code], example
+
+
 #: Characters that JSON escapes or that are easy to get wrong: a quote, a
 #: backslash, C0 controls, DEL, the line and paragraph separators, an astral
 #: character and a lone surrogate.
