@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import TYPE_CHECKING, NoReturn
 
 from .metamodel import BUILTIN_MODULE, SCOPE_FACETS, WORLD_PREDICATES
@@ -117,7 +117,8 @@ _SCAN = re.compile(_LEXEME)
 _SCAN_WITH_BLANKS = re.compile(f"(?:{_LEXEME})[{_BLANKS}]*")
 
 #: About how many characters `tokenize` scans at a time: its working set
-#: beyond the tokens it returns is one chunk's matches and their table.
+#: beyond the tokens it returns is one chunk's matches and their table. A
+#: chunk ends only after a line feed, so text without one is a single chunk.
 _CHUNK_SIZE = 8192
 
 #: The first characters of the lexemes that a name table holds: words and
@@ -156,8 +157,11 @@ def tokenize(
     blanks after it. The matches lie end to end, so their lengths give the
     starts, and a table from each distinct match to its token gives the
     tokens: Python runs once per distinct match in a chunk, not once per
-    token. A chunk holding an invalid character or a string with an escape
-    or no closing quote is read match by match, since those need offsets.
+    token. A chunk holding a comment, an invalid character or a string with
+    an escape or no closing quote is read match by match, since a comment
+    yields no token and the others need offsets. A chunk is cut only after a
+    line feed, so text with none (one long line, or lone carriage returns as
+    line ends) is one chunk, and the working set then grows with the text.
 
     The tokenizer always recovers: invalid characters and malformed strings
     are reported and skipped, and scanning continues."""
@@ -178,7 +182,7 @@ def tokenize(
         following = _SCAN.search(text, cut) if cut else None
         matches = _SCAN_WITH_BLANKS.findall(text, pos, following.start() if following else n)
         table = dict.fromkeys(matches)  # each distinct match to its token; a comment's stays None
-        comments = by_offset = False
+        by_offset = False
         for match in table:
             first = match[0]
             if first in _SHAREABLE:
@@ -188,7 +192,7 @@ def tokenize(
                     tok = names[lexeme] = _SHARED.get(lexeme) or (_IDENT, lexeme, "")
                 table[match] = tok
             elif match[:2] == "//":
-                comments = True
+                by_offset = True  # its entry stays None, so the match-by-match loop drops it
             elif first == '"' and (lexeme := match.rstrip(_BLANKS)).endswith('"', 1) and "\\" not in lexeme:
                 table[match] = (_STRING, lexeme, lexeme[1:-1], len(lexeme))
             else:
@@ -210,10 +214,6 @@ def tokenize(
                     continue
                 tokens.append(tok)
                 starts.append(start)
-        elif comments:
-            chunk = list(map(table.__getitem__, matches))
-            tokens.extend(filter(None, chunk))
-            starts.fromlist(list(compress(chunk_starts, chunk)))
         else:
             tokens.extend(map(table.__getitem__, matches))
             starts.fromlist(chunk_starts)

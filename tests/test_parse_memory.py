@@ -239,6 +239,19 @@ def test_tokenize_holds_one_chunk_not_the_file():
     assert four <= 1.25 * one
 
 
+def test_text_without_a_line_feed_is_one_chunk():
+    # A chunk is cut only after a line feed, since a string or a comment may
+    # hold a carriage return. With lone carriage returns as line ends the
+    # whole text is one chunk: measured on CPython 3.11 at about 27 bytes
+    # per character of the file, however long the file.
+    files = load_bench("generators").dirty_worlds(1).files
+    text = max(files.values(), key=len).replace("\n", "\r")
+    assert tokenize(text)[2] == []
+    one, four = _working_set(text), _working_set(text * 4)
+    assert 16 * len(text) <= one <= MAX_CHUNK_BYTES * len(text)
+    assert four >= 3.5 * one
+
+
 def test_a_file_that_fails_to_parse_frees_its_tokens_before_the_next_is_lexed():
     files = getattr(load_bench("generators"), "dirty_worlds")(1).files
     first, second = files["dirty_worlds_0.onto"], files["dirty_worlds_1.onto"]
