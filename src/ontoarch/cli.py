@@ -84,11 +84,16 @@ def _parse_and_resolve(files: list[tuple[str, str]]) -> tuple[SuiteAst, Resolved
 
 
 def build_report(files: list[tuple[str, str]]) -> Report:
-    """Full pipeline over in-memory `(path, text)` pairs."""
+    """Full pipeline over in-memory `(path, text)` pairs. The findings name
+    no node, so the AST and the resolved suite are let go before
+    `Report.build` sorts them."""
     ast, suite, diagnostics = _parse_and_resolve(files)
+    summary = _summary_from_ast(ast)
+    del ast
     if suite is not None:
         diagnostics.extend(violations_to_diagnostics(validate_suite(suite)))
-    return Report.build(diagnostics, _summary_from_ast(ast))
+    del suite
+    return Report.build(diagnostics, summary)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,14 @@ Declarations are slotted `Record`s with a plain `__init__`, built by the
 parser with real source locations and by tests and generators with `loc`
 0. A node's `loc` packs its character offsets (see `source.Source`); its
 module or instance file holds the `Source` that turns it into a span, which
-only a finding needs. Nodes compare and hash by their fields, locations and
-sources aside, and nothing changes a node after it is built. They are not
-frozen: a frozen `__init__` sets each field through `object.__setattr__` and
-costs about three times a plain one. A module's `terms` and `relations` and
+only a finding needs. A `QualifiedRef` has no `loc`: the parser shares one
+per distinct reference, so the term, relation, individual, thing or fact
+that holds it packs the reference's offsets above its own, and
+`source.ref_loc` reads them back. Nodes compare and hash by their fields,
+locations and sources aside, and nothing changes a node after it is built,
+which is what lets one reference serve every place that names it. They are
+not frozen: a frozen `__init__` sets each field through `object.__setattr__`
+and costs about three times a plain one. A module's `terms` and `relations` and
 an instance file's `individuals` and `worlds` are split from `body` at
 construction, so rebinding `body` afterwards does not update them.
 
@@ -26,7 +30,7 @@ from typing import Callable, Iterable, Iterator
 from . import metamodel
 from .metamodel import BUILTIN_MODULE
 from .reporting import Diagnostic
-from .source import SYNTHETIC_SOURCE, Record, Source
+from .source import SYNTHETIC_SOURCE, Record, Source, ref_loc
 
 
 class Level(Enum):
@@ -57,14 +61,17 @@ class QualifiedRef(Record):
     """A `Module.Name` or bare `Name` reference; bare names resolve in the
     declaring module (or the instance file's module). A fact's `thing`,
     `thing.part` or `Module.Term` is one too, read by its predicate position:
-    `module` is the qualifier, a term's module or a part's thing."""
+    `module` is the qualifier, a term's module or a part's thing.
 
-    __slots__ = ("module", "name", "loc")
+    A reference is a value with no place of its own: `parse_suite` builds one
+    per distinct `(module, name)` and shares it, and the declaration that
+    holds it keeps where it stands in its own `loc` (see `source.ref_loc`)."""
 
-    def __init__(self, module: str | None, name: str, loc: int = 0):
+    __slots__ = ("module", "name")
+
+    def __init__(self, module: str | None, name: str):
         self.module = module
         self.name = name
-        self.loc = loc
 
     def __str__(self) -> str:
         return f"{self.module}.{self.name}" if self.module else self.name
@@ -411,7 +418,7 @@ class ResolvedSuite:
     def _check_term(self, m: OntologyModule, t: TermDef) -> None:
         ref = t.enriches
         if ref is not None and (problem := self._unbound_term(ref.module or m.name, ref.name)):
-            self._error("E101", f"term {m.name}.{t.name}: {problem}", m.source, ref.loc)
+            self._error("E101", f"term {m.name}.{t.name}: {problem}", m.source, ref_loc(t.loc, 0))
         seen_keys: set[str] = set()
         for attr in t.attributes:
             if attr.key in seen_keys:
@@ -419,10 +426,10 @@ class ResolvedSuite:
             seen_keys.add(attr.key)
 
     def _check_relation(self, m: OntologyModule, r: RelationDecl) -> None:
-        for ref, unbound in ((r.from_ref, self._unbound_term), (r.to_ref, self._unbound_term),
-                             (r.kind_ref, self._unbound_relation)):
+        for index, (ref, unbound) in enumerate(((r.from_ref, self._unbound_term), (r.to_ref, self._unbound_term),
+                                                (r.kind_ref, self._unbound_relation))):
             if problem := unbound(ref.module or m.name, ref.name):
-                self._error("E101", f"relation {m.name}.{r.name}: {problem}", m.source, ref.loc)
+                self._error("E101", f"relation {m.name}.{r.name}: {problem}", m.source, ref_loc(r.loc, index))
 
     def _check_instances(self) -> None:
         for f in self.instance_files:
@@ -439,7 +446,7 @@ class ResolvedSuite:
             for ind in f.individuals:
                 ref = ind.type_ref
                 if problem := self._unbound_term(ref.module or f.of_module, ref.name):
-                    self._error("E101", f"individual {ind.name}: {problem}", f.source, ref.loc)
+                    self._error("E101", f"individual {ind.name}: {problem}", f.source, ref_loc(ind.loc, 0))
             for w in f.worlds:
                 self._check_world(f, w)
 
@@ -451,7 +458,7 @@ class ResolvedSuite:
                 continue
             ref = t.instance_of
             if ref is not None and (problem := self._unbound_term(ref.module or f.of_module, ref.name)):
-                self._error("E101", f"thing {t.name}: {problem}", f.source, ref.loc)
+                self._error("E101", f"thing {t.name}: {problem}", f.source, ref_loc(t.loc, 0))
             parts = things[t.name] = {"Property": set(), "Power": set()}
             for sort, decls in (("Property", t.properties), ("Power", t.powers)):
                 for part in decls:
@@ -491,7 +498,7 @@ class ResolvedSuite:
             if spec is None:
                 self._error("E101", f"unknown predicate {fact.predicate} in world {w.name}", f.source, fact.loc)
                 continue
-            for ref, sort in ((fact.left, spec.domain), (fact.right, spec.range)):
+            for index, (ref, sort) in enumerate(((fact.left, spec.domain), (fact.right, spec.range))):
                 if sort in ("Property", "Power"):
                     problem = part_problem(ref, sort)
                 elif sort == "Thing":
@@ -499,7 +506,8 @@ class ResolvedSuite:
                 else:
                     problem = term_problem(ref)
                 if problem:
-                    self._error("E101", f"{fact.predicate} fact in world {w.name}: {problem}", f.source, ref.loc)
+                    self._error("E101", f"{fact.predicate} fact in world {w.name}: {problem}", f.source,
+                                ref_loc(fact.loc, index))
 
     def _check_enrichment_cycles(self) -> None:
         # Only meaningful for chains whose every link resolved; broken links

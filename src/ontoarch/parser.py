@@ -106,7 +106,7 @@ _LEXEME = (
     r"//[^\n]*"                       # comment
     r"|[A-Za-z_][A-Za-z0-9_]*"        # keyword or identifier (ASCII only)
     r"|[{}(),:;.]"                    # punctuation
-    r'|"(?:[^"\\\n]|\\["\\]?)*"?'     # string
+    r'|"[^"\\\n]*(?:\\["\\]?[^"\\\n]*)*"?'  # string: plain runs between escapes
     f"|[^{_BLANKS}]"                  # invalid character
 )
 
@@ -298,13 +298,21 @@ class _Parser:
     last one, has the empty lexeme. A production reads `toks[i + 1]` only
     after `toks[i]` has matched a lexeme or a kind, which end of input never
     does, so no index runs past the list. On a syntax error, `fail` records
-    the failing token's index in `pos`, where recovery resumes."""
+    the failing token's index in `pos`, where recovery resumes.
 
-    def __init__(self, tokens: list[tuple], starts: array, source: Source):
+    `refs` holds one `QualifiedRef` per distinct reference, as one dict of
+    names per qualifier (None for a bare name), so a lookup builds no key;
+    `parse_suite` passes one table for all its files. A declaration packs
+    the `loc` of each reference it holds above its own (see
+    `source.Source`)."""
+
+    def __init__(self, tokens: list[tuple], starts: array, source: Source,
+                 refs: dict[str | None, dict[str, QualifiedRef]]):
         self.toks = tokens
         self.starts = starts
         self.end = len(tokens) - 1  # index of the end-of-input token
         self.source = source
+        self.refs = refs
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
 
@@ -366,7 +374,9 @@ class _Parser:
             return Level.CO, i + 1  # placeholder; the file is excluded anyway
         raise self.fail("expected a level name", i)
 
-    def parse_qname(self, i: int, expected: str = "expected a name") -> tuple[QualifiedRef, int]:
+    def parse_qname(self, i: int, expected: str = "expected a name") -> tuple[QualifiedRef, int, int]:
+        """The shared reference from token `i`, its `loc` and the index
+        after it."""
         toks = self.toks
         first = toks[i]
         if first[0] is not _IDENT:
@@ -376,8 +386,22 @@ class _Parser:
             second = toks[i + 2]
             if second[0] is not _IDENT:
                 raise self.fail("expected a name after '.'", i + 2)
-            return QualifiedRef(first[1], second[1], start << 32 | self.starts[i + 2] + len(second[1])), i + 3
-        return QualifiedRef(None, first[1], start << 32 | start + len(first[1])), i + 1
+            module = first[1]
+            name = second[1]
+            loc = start << 32 | self.starts[i + 2] + len(name)
+            i += 3
+        else:
+            module = None
+            name = first[1]
+            loc = start << 32 | start + len(name)
+            i += 1
+        by_name = self.refs.get(module)
+        if by_name is None:
+            by_name = self.refs[module] = {}
+        ref = by_name.get(name)
+        if ref is None:
+            ref = by_name[name] = QualifiedRef(module, name)
+        return ref, loc, i
 
     def parse_module(self, i: int) -> tuple[OntologyModule, int]:
         toks, starts = self.toks, self.starts
@@ -444,7 +468,7 @@ class _Parser:
             raise self.fail("expected term name", i + 1)
         if toks[i + 2][1] != "enriches":
             raise self.fail("expected 'enriches'", i + 2)
-        target, i = self.parse_qname(i + 3)
+        target, target_loc, i = self.parse_qname(i + 3)
         end = starts[i - 1] + len(toks[i - 1][1])  # the target's last name
         scope: str | None = None
         if toks[i][1] == "scope":
@@ -453,7 +477,7 @@ class _Parser:
                 raise self.fail(_EXPECTED_SCOPE, i + 1)
             i += 2
         if toks[i][1] != "{":
-            return TermDef(name[1], target, scope, (), start << 32 | end), i
+            return TermDef(name[1], target, scope, (), start << 32 | end | target_loc << 64), i
         i += 1
         attrs: list[AttrPair] = []
         while toks[i][1] != "}":
@@ -465,7 +489,7 @@ class _Parser:
                 raise self.fail("expected a string attribute value", i + 1)
             attrs.append(AttrPair(key[1], value[2], starts[i] << 32 | starts[i + 1] + value[3]))
             i += 2
-        return TermDef(name[1], target, scope, tuple(attrs), start << 32 | starts[i] + 1), i + 1
+        return TermDef(name[1], target, scope, tuple(attrs), start << 32 | starts[i] + 1 | target_loc << 64), i + 1
 
     def parse_relation(self, i: int) -> tuple[RelationDecl, int]:
         toks = self.toks
@@ -475,15 +499,16 @@ class _Parser:
             raise self.fail("expected relation name", i + 1)
         if toks[i + 2][1] != "from":
             raise self.fail("expected 'from'", i + 2)
-        from_ref, i = self.parse_qname(i + 3)
+        from_ref, from_loc, i = self.parse_qname(i + 3)
         if toks[i][1] != "to":
             raise self.fail("expected 'to'", i)
-        to_ref, i = self.parse_qname(i + 1)
+        to_ref, to_loc, i = self.parse_qname(i + 1)
         if toks[i][1] != "kind":
             raise self.fail("expected 'kind'", i)
-        kind_ref, i = self.parse_qname(i + 1)
+        kind_ref, kind_loc, i = self.parse_qname(i + 1)
         end = self.starts[i - 1] + len(toks[i - 1][1])  # the reference's last name
-        return RelationDecl(name[1], from_ref, to_ref, kind_ref, start << 32 | end), i
+        loc = start << 32 | end | from_loc << 64 | to_loc << 128 | kind_loc << 192
+        return RelationDecl(name[1], from_ref, to_ref, kind_ref, loc), i
 
     def parse_instances(self, i: int) -> tuple[InstanceFile, int]:
         toks, starts = self.toks, self.starts
@@ -507,8 +532,9 @@ class _Parser:
             raise self.fail("expected individual name", i + 1)
         if toks[i + 2][1] != ":":
             raise self.fail("expected ':'", i + 2)
-        type_ref, i = self.parse_qname(i + 3)
-        return Individual(name[1], type_ref, start << 32 | self.starts[i - 1] + len(toks[i - 1][1])), i
+        type_ref, type_loc, i = self.parse_qname(i + 3)
+        end = self.starts[i - 1] + len(toks[i - 1][1])
+        return Individual(name[1], type_ref, start << 32 | end | type_loc << 64), i
 
     def parse_world(self, i: int) -> tuple[World, int]:
         toks = self.toks
@@ -547,8 +573,9 @@ class _Parser:
             raise self.fail("expected thing name", i + 1)
         i += 2
         instance_of: QualifiedRef | None = None
+        type_loc = 0
         if toks[i][1] == ":":
-            instance_of, i = self.parse_qname(i + 1)
+            instance_of, type_loc, i = self.parse_qname(i + 1)
         if toks[i][1] != "{":
             raise self.fail("expected '{'", i)
         i += 1
@@ -568,7 +595,8 @@ class _Parser:
             raise self.fail("property declarations must precede power declarations", i)
         if close != "}":
             raise self.fail("expected '}'", i)
-        return ThingNode(name[1], instance_of, tuple(parts[0]), tuple(parts[1]), start << 32 | starts[i] + 1), i + 1
+        loc = start << 32 | starts[i] + 1 | type_loc << 64
+        return ThingNode(name[1], instance_of, tuple(parts[0]), tuple(parts[1]), loc), i + 1
 
     def parse_fact(self, i: int) -> tuple[Fact, int]:
         """A fact; the caller has checked that its first token is a name."""
@@ -588,13 +616,13 @@ class _Parser:
         start = self.starts[i]
         if toks[i + 1][1] != "(":
             raise self.fail("expected '('", i + 1)
-        left, i = self.parse_qname(i + 2, "expected a reference")
+        left, left_loc, i = self.parse_qname(i + 2, "expected a reference")
         if toks[i][1] != ",":
             raise self.fail("expected ','", i)
-        right, i = self.parse_qname(i + 1, "expected a reference")
+        right, right_loc, i = self.parse_qname(i + 1, "expected a reference")
         if toks[i][1] != ")":
             raise self.fail("expected ')'", i)
-        return Fact(pred, left, right, start << 32 | self.starts[i] + 1), i + 1
+        return Fact(pred, left, right, start << 32 | self.starts[i] + 1 | left_loc << 64 | right_loc << 128), i + 1
 
 
 #: Block productions by their first keyword, as plain functions: bound
@@ -608,23 +636,26 @@ def parse_suite(files: list[tuple[str, str]]) -> tuple[SuiteAst, list[Diagnostic
 
     Files that produce any diagnostic contribute their diagnostics but no
     declarations, so the returned AST is fully well-formed. One name table
-    serves every file, and lives only for this call. One file's tokens live
-    only while that file is parsed."""
+    and one reference table serve every file, and live only for this call:
+    each distinct name is one string and each distinct reference one
+    `QualifiedRef`. One file's tokens live only while that file is parsed."""
     names: dict[str, tuple] = {}
+    refs: dict[str | None, dict[str, QualifiedRef]] = {}
     decls: list[OntologyModule | InstanceFile] = []
     diagnostics: list[Diagnostic] = []
     for path, text in files:
-        _parse_file(path, text, names, decls, diagnostics)
+        _parse_file(path, text, names, refs, decls, diagnostics)
     return SuiteAst(tuple(decls)), diagnostics
 
 
-def _parse_file(path: str, text: str, names: dict[str, tuple], decls: list, diagnostics: list[Diagnostic]) -> None:
+def _parse_file(path: str, text: str, names: dict[str, tuple], refs: dict[str | None, dict[str, QualifiedRef]],
+                decls: list, diagnostics: list[Diagnostic]) -> None:
     """Add one file's diagnostics to `diagnostics`, and its declarations to
     `decls` if it has none. Its token list, its parser and the declarations
     of a file that failed are freed on return, before the next file is
     lexed."""
     tokens, starts, lex_diags = tokenize(text, path, names)
-    file_decls, parse_diags = _Parser(tokens, starts, Source(path, text)).parse_file()
+    file_decls, parse_diags = _Parser(tokens, starts, Source(path, text), refs).parse_file()
     diagnostics.extend(lex_diags)
     diagnostics.extend(parse_diags)
     if not lex_diags and not parse_diags:

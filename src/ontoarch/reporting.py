@@ -246,12 +246,17 @@ def render_json(report: Report) -> str:
     equals `json.dumps(payload, sort_keys=True, separators=(",", ":"),
     ensure_ascii=False)`: each finding is written with its keys in sorted
     order and its strings escaped by the same `encode_basestring`. Files,
-    anchors, rules and codes repeat, so each distinct one is escaped once."""
+    anchors, rules and codes repeat, so each distinct one is escaped once.
+
+    The text grows as one local string: CPython extends a string in place
+    when `+=` holds its only reference, so the rendering peaks at about the
+    length of its result; a list of parts and their join would hold twice
+    that."""
     import json  # here, so that a text report never loads it
     from json.encoder import encode_basestring
     encoded: dict[str | None, str] = {None: "null"}
     by_code: dict[str, tuple[str, str]] = {}  # code -> its text and its severity's
-    parts = ['{"diagnostics":[']
+    text = '{"diagnostics":['
     sep = ""
     for d in report.diagnostics:
         span = d.span
@@ -264,7 +269,7 @@ def render_json(report: Report) -> str:
         if (code := by_code.get(d.code)) is None:
             code = by_code[d.code] = (encode_basestring(d.code), encode_basestring(d.severity))
         witness = "null" if d.witness is None else encode_basestring(d.witness)
-        parts.append(
+        text += (
             f'{sep}{{"anchor":{anchor},"code":{code[0]},"end_col":{span.end_col},'
             f'"end_line":{span.end_line},"file":{file},"message":{encode_basestring(d.message)},'
             f'"rule":{rule},"severity":{code[1]},"start_col":{span.start_col},'
@@ -273,8 +278,8 @@ def render_json(report: Report) -> str:
         sep = ","
     summary = {**report.summary, "errors": report.error_count, "warnings": report.warning_count}
     summary_text = json.dumps(summary, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    parts.append(f'],"report_version":{REPORT_VERSION},"summary":{summary_text}}}')
-    return "".join(parts)
+    text += f'],"report_version":{REPORT_VERSION},"summary":{summary_text}}}'
+    return text
 
 
 def exit_code(report: Report, *, strict: bool = False) -> int:

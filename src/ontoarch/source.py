@@ -39,13 +39,24 @@ class SourceSpan(_SpanFields):
 
 _LINE_END = re.compile("\n")
 _END_MASK = (1 << 32) - 1
+_LOC_MASK = (1 << 64) - 1
+
+
+def ref_loc(loc: int, index: int) -> int:
+    """The `loc` of reference `index` (0 for the first, in field order) of
+    a declaration whose own `loc` is `loc`; see `Source`."""
+    return loc >> 64 * (index + 1) & _LOC_MASK
 
 
 class Source:
     """One parsed file: its path, its text, and where its lines start.
 
     A node holds its place in the file as one `loc`, the character offsets
-    `start << 32 | end`, where `end` is one past its last character. The
+    `start << 32 | end`, where `end` is one past its last character. A
+    declaration that holds references holds their places too, since a
+    `QualifiedRef` is shared by every place that names it: above its own 64
+    bits, each reference's `start << 32 | end` in field order, 64 bits
+    each, which `ref_loc` reads. `span` reads only the low 64 bits. The
     line-start table is built the first time `span` needs it, so a file
     without findings never has one. Columns count code points from 1, and
     only a line feed ends a line."""
@@ -69,6 +80,7 @@ class Source:
 
             lines = self._lines = array("l", [0])
             lines.extend([m.end() for m in _LINE_END.finditer(self.text)])
+        loc &= _LOC_MASK  # the node's own offsets; a declaration's references lie above them
         start = loc >> 32
         last = max((loc & _END_MASK) - 1, start)
         start_line = bisect_right(lines, start)

@@ -22,21 +22,32 @@ def tree(node, source: Source = SYNTHETIC_SOURCE):
     node's `loc` is spelled out as the span its file's `Source` gives it: a
     module's or instance file's own `source` places the nodes inside it, and
     `source` places the rest; the `source` fields themselves are left out. A
-    `loc` that holds a `SourceSpan` already, as the oracle parser's nodes do,
-    is spelled out as it is. A tree walks a record's `_fields`, not the slots
-    it derives from them."""
+    declaration's `loc` that also packs its references' offsets, 64 bits
+    each above its own, is spelled out as the tuple of its span and theirs.
+    A `loc` that holds a `SourceSpan` already, or a tuple of them, as the
+    oracle parser's nodes do, is spelled out as it is. A tree walks a
+    record's `_fields`, not the slots it derives from them."""
     if isinstance(node, SourceSpan):
         return ("span", *node)
     if isinstance(node, Record):
         source = getattr(node, "source", source)
         return (type(node).__name__, *(
-            ("span", *source.span(value)) if name == "loc" and isinstance(value, int) else tree(value, source)
+            _loc_tree(value, source) if name == "loc" and isinstance(value, int) else tree(value, source)
             for name in node._fields if name != "source"
             for value in (getattr(node, name),)
         ))
     if isinstance(node, (list, tuple)):
         return tuple(tree(item, source) for item in node)
     return node
+
+
+def _loc_tree(loc: int, source: Source) -> tuple:
+    # `Source.span` is given the whole rest of `loc`, so a tree also checks
+    # that it reads only the low 64 bits.
+    spans = [("span", *source.span(loc))]
+    while loc := loc >> 64:
+        spans.append(("span", *source.span(loc)))
+    return spans[0] if len(spans) == 1 else tuple(spans)
 
 
 def load_bench(stem: str):

@@ -359,7 +359,7 @@ class _CursorToken(Token):
 def oracle_parse_file(
     tokens: list[tuple], starts: list[int], text: str, path: str
 ) -> tuple[tuple[OntologyModule | InstanceFile, ...], list[Diagnostic]]:
-    """What `parser._Parser(tokens, starts, Source(path, text)).parse_file()`
+    """What `parser._Parser(tokens, starts, Source(path, text), {}).parse_file()`
     must return, for the tokens and start offsets that
     `parser.tokenize(text, path)` returns, with each node's `loc` read as a
     span.
@@ -367,7 +367,9 @@ def oracle_parse_file(
     Each token's line is one more than the line feeds before it and its
     column one more than the characters since the last of them, counted in
     the text from token to token. Its nodes hold that `SourceSpan` in their
-    `loc`, and `tree` (in `conftest.py`) spells out either kind of `loc`."""
+    `loc`; a declaration that holds references holds the tuple of its own
+    span and each reference's, in field order. `tree` (in `conftest.py`)
+    spells out either kind of `loc` the same way."""
     cursor_tokens = []
     line, line_start, counted = 1, 0, 0
     for (kind, lexeme, value, *rest), start in zip(tokens, starts):
@@ -477,13 +479,13 @@ class _Parser:
             return Level.CO  # placeholder; the file is excluded anyway
         raise self.fail("expected a level name")
 
-    def parse_qname(self) -> QualifiedRef:
+    def parse_qname(self) -> tuple[QualifiedRef, SourceSpan]:
         first = self.expect_ident("a name")
         if self.peek().is_punct("."):
             self.next()
             second = self.expect_ident("a name after '.'")
-            return QualifiedRef(first.lexeme, second.lexeme, first.to(second))
-        return QualifiedRef(None, first.lexeme, first.span)
+            return QualifiedRef(first.lexeme, second.lexeme), first.to(second)
+        return QualifiedRef(None, first.lexeme), first.span
 
     def parse_module(self) -> OntologyModule:
         start = self.expect_kw("ontology")
@@ -524,7 +526,7 @@ class _Parser:
         start = self.expect_kw("term")
         name = self.expect_ident("term name")
         self.expect_kw("enriches")
-        target = self.parse_qname()
+        target, target_span = self.parse_qname()
         scope: str | None = None
         if self.peek().is_kw("scope"):
             self.next()
@@ -535,7 +537,7 @@ class _Parser:
             else:
                 raise self.fail("expected 'particulars' or 'universals'")
         attrs: list[AttrPair] = []
-        end: SourceSpan | Token = target.loc
+        end: SourceSpan | Token = target_span
         if self.peek().is_punct("{"):
             self.next()
             while not self.peek().is_punct("}"):
@@ -545,18 +547,19 @@ class _Parser:
                 value = self.next()
                 attrs.append(AttrPair(key.lexeme, value.value, key.to(value)))
             end = self.expect_punct("}")
-        return TermDef(name.lexeme, target, scope, tuple(attrs), start.to(end))
+        return TermDef(name.lexeme, target, scope, tuple(attrs), (start.to(end), target_span))
 
     def parse_relation(self) -> RelationDecl:
         start = self.expect_kw("relation")
         name = self.expect_ident("relation name")
         self.expect_kw("from")
-        from_ref = self.parse_qname()
+        from_ref, from_span = self.parse_qname()
         self.expect_kw("to")
-        to_ref = self.parse_qname()
+        to_ref, to_span = self.parse_qname()
         self.expect_kw("kind")
-        kind_ref = self.parse_qname()
-        return RelationDecl(name.lexeme, from_ref, to_ref, kind_ref, start.to(kind_ref.loc))
+        kind_ref, kind_span = self.parse_qname()
+        return RelationDecl(name.lexeme, from_ref, to_ref, kind_ref,
+                            (start.to(kind_span), from_span, to_span, kind_span))
 
     def parse_instances(self) -> InstanceFile:
         start = self.expect_kw("instances")
@@ -586,8 +589,8 @@ class _Parser:
         start = self.expect_kw("individual")
         name = self.expect_ident("individual name")
         self.expect_punct(":")
-        type_ref = self.parse_qname()
-        return Individual(name.lexeme, type_ref, start.to(type_ref.loc))
+        type_ref, type_span = self.parse_qname()
+        return Individual(name.lexeme, type_ref, (start.to(type_span), type_span))
 
     def parse_world(self) -> World:
         start = self.expect_kw("world")
@@ -612,9 +615,11 @@ class _Parser:
         start = self.expect_kw("thing")
         name = self.expect_ident("thing name")
         instance_of: QualifiedRef | None = None
+        type_spans: tuple[SourceSpan, ...] = ()
         if self.peek().is_punct(":"):
             self.next()
-            instance_of = self.parse_qname()
+            instance_of, type_span = self.parse_qname()
+            type_spans = (type_span,)
         self.expect_punct("{")
         properties: list[PartDecl] = []
         powers: list[PartDecl] = []
@@ -631,15 +636,16 @@ class _Parser:
         if self.peek().is_kw("property"):
             raise self.fail("property declarations must precede power declarations")
         end = self.expect_punct("}")
-        return ThingNode(name.lexeme, instance_of, tuple(properties), tuple(powers), start.to(end))
+        loc = (start.to(end), *type_spans) if type_spans else start.to(end)
+        return ThingNode(name.lexeme, instance_of, tuple(properties), tuple(powers), loc)
 
-    def parse_ref(self) -> QualifiedRef:
+    def parse_ref(self) -> tuple[QualifiedRef, SourceSpan]:
         first = self.expect_ident("a reference")
         if self.peek().is_punct("."):
             self.next()
             second = self.expect_ident("a name after '.'")
-            return QualifiedRef(first.lexeme, second.lexeme, first.to(second))
-        return QualifiedRef(None, first.lexeme, first.span)
+            return QualifiedRef(first.lexeme, second.lexeme), first.to(second)
+        return QualifiedRef(None, first.lexeme), first.span
 
     def parse_fact(self) -> Fact:
         pred = self.expect_ident("a fact predicate")
@@ -657,11 +663,11 @@ class _Parser:
                     self.next()
             raise _ParseError()
         self.expect_punct("(")
-        left = self.parse_ref()
+        left, left_span = self.parse_ref()
         self.expect_punct(",")
-        right = self.parse_ref()
+        right, right_span = self.parse_ref()
         end = self.expect_punct(")")
-        return Fact(pred.lexeme, left, right, pred.to(end))
+        return Fact(pred.lexeme, left, right, (pred.to(end), left_span, right_span))
 
 
 def _diagnostic_json(d: Diagnostic) -> dict[str, Any]:

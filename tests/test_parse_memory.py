@@ -1,14 +1,17 @@
-"""What parsing keeps in memory: one string per name, one file's tokens at
-a time, and one `int` per node location.
+"""What parsing and a verdict keep in memory: one string per name, one
+`QualifiedRef` per reference, one file's tokens at a time, one `int` per
+node location, and a report rendered without a second copy.
 
 `parse_suite` keeps one name table for the files of one call: `tokenize`
 builds one token per distinct identifier there and takes each keyword's from
 `KEYWORDS`, so a name that a suite repeats is one string shared by every
-token, node and table key that names it. Nothing is interned, so the
-interpreter's table of interned strings does not grow. `parse_suite` frees
-each file's token list before it lexes the next file. The bounds below count
-bytes as `tracemalloc` sees them, with the cyclic collector paused as in a
-CLI verdict; they assert no timings.
+token, node and table key that names it. Beside it a reference table gives
+each distinct `(module, name)` one `QualifiedRef`, whose places its holders
+keep. Nothing is interned, so the interpreter's table of interned strings
+does not grow. `parse_suite` frees each file's token list before it lexes
+the next file, and `build_report` lets the AST go before it sorts the
+findings. The bounds below count bytes as `tracemalloc` sees them, with the
+cyclic collector paused as in a CLI verdict; they assert no timings.
 """
 
 from __future__ import annotations
@@ -22,8 +25,12 @@ import pytest
 from conftest import load_bench
 
 from ontoarch import parser
+from ontoarch.cli import build_report
 from ontoarch.metamodel import BUILTIN_MODULE, WORLD_PREDICATES
+from ontoarch.model import QualifiedRef
 from ontoarch.parser import KEYWORDS, TokenKind, parse_suite, tokenize
+from ontoarch.reporting import Diagnostic, Report, render_json
+from ontoarch.source import SourceSpan
 
 CORE = """\
 ontology Core at CO {
@@ -92,19 +99,21 @@ def test_a_name_is_one_string_across_files_nodes_and_tables():
         assert fact.predicate is _table_key(WORLD_PREDICATES, fact.predicate)
 
 
-def _names(node) -> list[str]:
-    """Every string field of every record in a node, or a list or tuple of
-    nodes: names, qualifiers, predicates and attribute values."""
-    stack, names = [node], []
+def _instances(node, kind: type) -> list:
+    """Every `kind` field value of every record in a node, or a list or
+    tuple of nodes, once per field that holds it; a `kind` record is not
+    looked into. With `str`: names, qualifiers, predicates and attribute
+    values."""
+    stack, found = [node], []
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
-            names.append(item)
+        if isinstance(item, kind):
+            found.append(item)
         elif isinstance(item, (list, tuple)):
             stack.extend(item)
         elif hasattr(item, "_fields"):
             stack.extend(getattr(item, field) for field in item._fields if field not in ("loc", "source"))
-    return names
+    return found
 
 
 @pytest.mark.parametrize("workload", [None, "dirty_worlds", "wide_clean"])
@@ -116,12 +125,12 @@ def test_names_are_shared_across_the_files_of_one_parse_and_keywords_come_from_K
     assert diagnostics == [] and len(ast.decls) > 1
     by_value: dict[str, set[int]] = {}
     for decl in ast.decls:
-        for name in _names(decl):
+        for name in _instances(decl, str):
             by_value.setdefault(name, set()).add(id(name))
     assert [name for name, ids in by_value.items() if len(ids) > 1] == []
     # A name repeated in two files is still one string.
     first, *rest = ast.decls
-    assert set(_names(first)) & {name for decl in rest for name in _names(decl)}
+    assert set(_instances(first, str)) & {name for decl in rest for name in _instances(decl, str)}
 
     kinds = set()
     for name, text in files.items():
@@ -131,6 +140,46 @@ def test_names_are_shared_across_the_files_of_one_parse_and_keywords_come_from_K
             if kind is TokenKind.KEYWORD:
                 assert lexeme is _table_key(KEYWORDS, lexeme), (name, lexeme)
     assert {TokenKind.IDENT, TokenKind.KEYWORD} <= kinds
+
+
+@pytest.mark.parametrize("workload", [None, "dirty_worlds"])
+def test_a_reference_is_one_record_across_the_files_of_one_parse(workload):
+    files = {"core.onto": CORE, "domain.onto": DOMAIN}
+    if workload is not None:
+        files = getattr(load_bench("generators"), workload)(1).files
+    ast, diagnostics = parse_suite(sorted(files.items()))
+    assert diagnostics == []
+    refs = _instances(ast.decls, QualifiedRef)
+    by_value: dict[tuple, set[int]] = {}
+    for ref in refs:
+        by_value.setdefault((ref.module, ref.name), set()).add(id(ref))
+    assert [value for value, ids in by_value.items() if len(ids) > 1] == []
+    assert len(by_value) < len(refs)
+    # The table lives for one call: a second parse shares nothing with it.
+    again, _ = parse_suite(sorted(files.items()))
+    assert {id(ref) for ref in _instances(again.decls, QualifiedRef)}.isdisjoint(id(ref) for ref in refs)
+
+
+def test_a_reference_shared_across_files_keeps_each_place_in_its_holder():
+    ast, diagnostics = parse_suite([("core.onto", CORE), ("domain.onto", DOMAIN)])
+    assert diagnostics == []
+    _, domain = ast.modules
+    (drives,) = domain.relations
+    (instances,) = ast.instance_files
+    (world,) = instances.worlds
+    _, s = world.things
+    enables, _ = world.facts
+    assert drives.from_ref is s.instance_of
+    # Each holder spans its own text; its references' places lie inside it,
+    # 64 bits each above its own, in field order.
+    mask = (1 << 64) - 1
+    for holder, texts in ((drives, ["Core.Agent", "Core.Skill", "Core.uses"]), (s, ["Core.Agent"]),
+                          (enables, ["r.grip", "r.move"])):
+        own = holder.loc & mask
+        places = [holder.loc >> 64 * (index + 1) & mask for index in range(len(texts))]
+        assert holder.loc >> 64 * (len(texts) + 1) == 0
+        assert all(own >> 32 <= place >> 32 < place & 0xFFFFFFFF <= own & 0xFFFFFFFF for place in places)
+        assert [DOMAIN[place >> 32:place & 0xFFFFFFFF] for place in places] == texts
 
 
 def test_no_name_is_interned():
@@ -174,12 +223,13 @@ def _traced_parse(files: list[tuple[str, str]]):
 
 #: Bytes per declaration (terms, relations, individuals, things and facts)
 #: that the AST keeps, and that parsing reaches at peak, on the bench suites
-#: at seed 1 in the CLI's file order. Measured on CPython 3.11 at about 337
-#: and 364 on dirty_worlds, and 441 and 542 on wide_clean, each distinct
-#: name included. With a five-field `SourceSpan` per node and a six-tuple
-#: per token, and with the names interned beforehand so that they counted
-#: for nothing, they read about 570 and 705, and 612 and 808.
-BOUNDS = {"dirty_worlds": (370, 400), "wide_clean": (485, 600)}
+#: at seed 1 in the CLI's file order. Measured on CPython 3.11 at about 192
+#: and 220 on dirty_worlds, and 371 and 512 on wide_clean, each distinct
+#: name included. With a `QualifiedRef` and a `loc` per reference they read
+#: about 337 and 364, and 441 and 542; with a five-field `SourceSpan` per
+#: node and a six-tuple per token, and with the names interned beforehand
+#: so that they counted for nothing, about 570 and 705, and 612 and 808.
+BOUNDS = {"dirty_worlds": (210, 240), "wide_clean": (410, 565)}
 
 
 @pytest.mark.parametrize("workload", sorted(BOUNDS))
@@ -278,3 +328,45 @@ def test_a_file_that_fails_to_parse_frees_its_tokens_before_the_next_is_lexed():
     assert first_retained < first_tokens / 4
     assert first_retained + second_peak + first_tokens > first_peak + table
     assert peak <= max(first_peak, first_retained + second_peak) + table
+
+
+# ---------------------------------------------------------------------------
+# The verdict's peak.
+# ---------------------------------------------------------------------------
+
+def _verdict(files: list[tuple[str, str]]) -> int:
+    """The JSON report's length, as `validate --format json` renders it."""
+    return len(render_json(build_report(files)))
+
+
+#: Bytes per declaration at the peak of `build_report` and `render_json`
+#: together, on the bench suites at seed 1 in the CLI's file order: the
+#: AST with the findings, or the report with its rendering. Measured on
+#: CPython 3.11 at about 334 on dirty_worlds (4.23 MB) and 491 on
+#: wide_clean. With a `QualifiedRef` per reference, the AST alive while
+#: `Report.build` sorted and the rendering joined from a list of parts,
+#: they read about 511 and 523.
+VERDICT_BOUNDS = {"dirty_worlds": 360, "wide_clean": 520}
+
+
+@pytest.mark.parametrize("workload", sorted(VERDICT_BOUNDS))
+def test_a_verdict_peaks_below_its_bytes_per_declaration(workload):
+    suite = getattr(load_bench("generators"), workload)(1)
+    length, _, peak = _traced(_verdict, sorted(suite.files.items()))
+    assert length > 0
+    assert peak <= VERDICT_BOUNDS[workload] * suite.props["decls"]
+
+
+def test_render_json_peaks_at_about_the_length_of_its_result():
+    # Grown in place, the text is the one large block; joined from a list
+    # of parts, the parts and the text would both be alive, about twice it.
+    # ASCII text takes one byte per character.
+    anchor = "A Thing defines none or many Assertions."
+    report = Report.build(
+        Diagnostic("E311" if i % 3 else "W301", f"finding {i} of a long run",
+                   SourceSpan(f"f{i % 7}.onto", i + 1, 1, i + 1, 9), "A1", anchor, f"t{i}" if i % 2 else None)
+        for i in range(12_000)
+    )
+    text, _, peak = _traced(render_json, report)
+    assert len(report.diagnostics) >= 10_000 and text.isascii()
+    assert peak < 1.25 * len(text)

@@ -9,7 +9,8 @@ same declarations and the same diagnostics. Nodes compare without their
 locations, so `tree` (in `conftest.py`) spells every node out field by
 field, with the parser's `loc` turned into a span by `Source.span`, the
 line-start table and `bisect`: the two trees agree only if every node's
-`source.span(loc)` is the span the oracle computes.
+`source.span(loc)`, and every reference's place that its holder's `loc`
+packs, is the span the oracle computes.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def _parse_file(text: str, path: str):
     every module and instance file must hold the file's `Source`."""
     tokens, starts, _ = tokenize(text, path)
     source = Source(path, text)
-    decls, diagnostics = parser._Parser(tokens, starts, source).parse_file()
+    decls, diagnostics = parser._Parser(tokens, starts, source, {}).parse_file()
     assert all(decl.source is source for decl in decls)
     return decls, diagnostics
 
@@ -189,11 +190,15 @@ def test_parser_gives_every_node_an_int_loc_and_builds_no_span(monkeypatch):
     assert (diagnostics, asked) == ([], [])
     (module,) = ast.decls
     assert module.source.path == "m.onto" and module.source.text is text
-    # the module and its import; each term, its target and its attribute;
-    # each relation and its three references
-    locs = [loc for loc in _field_values(ast.decls, "loc")]
-    assert len(locs) == 1 + 1 + 1000 * 3 + 1000 * 4
-    assert all(type(loc) is int and loc >> 32 < loc & 0xFFFFFFFF <= len(text) for loc in locs)
+    # the module and its import; each term and its attribute; each relation
+    locs = _field_values(ast.decls, "loc")
+    assert len(locs) == 1 + 1 + 1000 * 2 + 1000
+    assert all(type(loc) is int for loc in locs)
+    # and in 64-bit places: each term's target, and each relation's three
+    # references, above the declaration's own
+    places = [loc >> shift & (1 << 64) - 1 for loc in locs for shift in range(0, loc.bit_length(), 64)]
+    assert len(places) == 1 + 1 + 1000 * 3 + 1000 * 4
+    assert all(place >> 32 < place & 0xFFFFFFFF <= len(text) for place in places)
 
 
 def _field_values(node, name: str) -> list:

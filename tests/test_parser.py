@@ -174,7 +174,7 @@ def test_decl_spans_nest_within_module_span():
     assert not diags
     (module,) = ast.modules
     for decl in module.body:
-        assert module.loc >> 32 < decl.loc >> 32
+        assert module.loc >> 32 < decl.loc >> 32 & 0xFFFFFFFF
         assert decl.loc & 0xFFFFFFFF < module.loc & 0xFFFFFFFF
 
 

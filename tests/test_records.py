@@ -210,18 +210,17 @@ BUILTIN_SOURCE = "source=Source('<builtin>')"
 #: The `repr` of each record built from its `RECORDS` fields: every field,
 #: locations included, as `Name(field=value, ...)`.
 REPRS = {
-    "QualifiedRef": f"QualifiedRef(module='M', name='t', {BUILTIN_LOC})",
+    "QualifiedRef": "QualifiedRef(module='M', name='t')",
     "ImportRef": f"ImportRef(name='M', {BUILTIN_LOC})",
     "AttrPair": f"AttrPair(key='description', value='d', {BUILTIN_LOC})",
     "TermDef": (
-        f"TermDef(name='t', enriches=QualifiedRef(module='ThingFO', name='Thing', "
-        f"{BUILTIN_LOC}), scope=None, attributes=(), {BUILTIN_LOC})"
+        f"TermDef(name='t', enriches=QualifiedRef(module='ThingFO', name='Thing'), "
+        f"scope=None, attributes=(), {BUILTIN_LOC})"
     ),
     "RelationDecl": (
-        f"RelationDecl(name='r', from_ref=QualifiedRef(module=None, name='a', "
-        f"{BUILTIN_LOC}), to_ref=QualifiedRef(module=None, name='b', "
-        f"{BUILTIN_LOC}), kind_ref=QualifiedRef(module='ThingFO', name='relatesWith', "
-        f"{BUILTIN_LOC}), {BUILTIN_LOC})"
+        "RelationDecl(name='r', from_ref=QualifiedRef(module=None, name='a'), "
+        "to_ref=QualifiedRef(module=None, name='b'), "
+        f"kind_ref=QualifiedRef(module='ThingFO', name='relatesWith'), {BUILTIN_LOC})"
     ),
     "OntologyModule": (
         f"OntologyModule(name='M', level=<Level.CO: 1>, imports=(), body=(), {BUILTIN_LOC}, {BUILTIN_SOURCE})"
@@ -229,14 +228,12 @@ REPRS = {
     "PartDecl": f"PartDecl(name='p', {BUILTIN_LOC})",
     "ThingNode": f"ThingNode(name='x', instance_of=None, properties=(), powers=(), {BUILTIN_LOC})",
     "Fact": (
-        f"Fact(predicate='enables', left=QualifiedRef(module='x', name='p', "
-        f"{BUILTIN_LOC}), right=QualifiedRef(module='x', name='q', {BUILTIN_LOC}), "
-        f"{BUILTIN_LOC})"
+        "Fact(predicate='enables', left=QualifiedRef(module='x', name='p'), "
+        f"right=QualifiedRef(module='x', name='q'), {BUILTIN_LOC})"
     ),
     "World": f"World(name='w', things=(), facts=(), {BUILTIN_LOC})",
     "Individual": (
-        f"Individual(name='i', type_ref=QualifiedRef(module=None, name='T', "
-        f"{BUILTIN_LOC}), {BUILTIN_LOC})"
+        f"Individual(name='i', type_ref=QualifiedRef(module=None, name='T'), {BUILTIN_LOC})"
     ),
     "InstanceFile": f"InstanceFile(of_module='M', body=(), {BUILTIN_LOC}, {BUILTIN_SOURCE})",
     "Diagnostic": (

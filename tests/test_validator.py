@@ -48,11 +48,11 @@ def codes(violations):
 # world builders for programmatic axiom tests
 # ---------------------------------------------------------------------------
 
-def _ref(text: str, loc: int) -> QualifiedRef:
+def _ref(text: str) -> QualifiedRef:
     if "." in text:
         thing, part = text.split(".")
-        return QualifiedRef(thing, part, loc)
-    return QualifiedRef(None, text, loc)
+        return QualifiedRef(thing, part)
+    return QualifiedRef(None, text)
 
 
 def build_world(things, facts, name="w"):
@@ -68,7 +68,7 @@ def build_world(things, facts, name="w"):
     )
     # Fact i covers character i, so each finding has its own span.
     fact_nodes = tuple(
-        Fact(pred, _ref(left, i << 32 | i + 1), _ref(right, i << 32 | i + 1), i << 32 | i + 1)
+        Fact(pred, _ref(left), _ref(right), i << 32 | i + 1)
         for i, (pred, left, right) in enumerate(facts)
     )
     return World(name, nodes, fact_nodes)
