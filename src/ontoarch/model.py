@@ -7,8 +7,10 @@ module or instance file holds the `Source` that turns it into a span, which
 only a finding needs. A `QualifiedRef` has no `loc`: the parser shares one
 per distinct reference, so the term, relation, individual, thing or fact
 that holds it packs the reference's offsets above its own, and
-`source.ref_loc` reads them back. Nodes compare and hash by their fields,
-locations and sources aside, and nothing changes a node after it is built,
+`source.ref_loc` reads them back. A thing's parts are names, placed the
+same way in the thing's `loc` (see `ThingNode`). Nodes compare and hash by
+their fields, locations and sources aside, and nothing changes a node after
+it is built,
 which is what lets one reference serve every place that names it. They are
 not frozen: a frozen `__init__` sets each field through `object.__setattr__`
 and costs about three times a plain one. A module's `terms` and `relations` and
@@ -25,6 +27,7 @@ returns that suite, which never changes them afterwards.
 from __future__ import annotations
 
 from enum import Enum
+from struct import unpack
 from typing import Callable, Iterable, Iterator
 
 from . import metamodel
@@ -137,28 +140,36 @@ class OntologyModule(Record):
         self.relations: tuple[RelationDecl, ...] = tuple(d for d in body if isinstance(d, RelationDecl))
 
 
-class PartDecl(Record):
-    __slots__ = ("name", "loc")
-
-    def __init__(self, name: str, loc: int = 0):
-        self.name = name
-        self.loc = loc
-
-
 class ThingNode(Record):
+    """A thing of a world, with the names of its properties and its powers.
+
+    A part is its name alone, the string the parser's name table shares, so
+    its place lies in the thing's `loc`: after the `instance_of` slot (0 when
+    the thing has no type), one 64-bit place per part, properties first,
+    then powers, in the order written. Part `k`'s is `ref_loc(loc, k + 1)`;
+    `part_locs` reads them all at once."""
+
     __slots__ = ("name", "instance_of", "properties", "powers", "loc")
 
-    def __init__(self, name: str, instance_of: QualifiedRef | None = None, properties: tuple[PartDecl, ...] = (),
-                 powers: tuple[PartDecl, ...] = (), loc: int = 0):
+    def __init__(self, name: str, instance_of: QualifiedRef | None = None, properties: tuple[str, ...] = (),
+                 powers: tuple[str, ...] = (), loc: int = 0):
         self.name = name
         self.instance_of = instance_of
         self.properties = properties
         self.powers = powers
         self.loc = loc
 
-    def parts(self, sort: str) -> tuple[PartDecl, ...]:
-        """The thing's parts of sort `Property` or `Power`."""
-        return self.properties if sort == "Property" else self.powers
+    def parts(self, sort: str) -> tuple[tuple[str, ...], int]:
+        """The names of the thing's parts of sort `Property` or `Power`, and
+        the index of the first of them among all its parts."""
+        return (self.properties, 0) if sort == "Property" else (self.powers, len(self.properties))
+
+    def part_locs(self) -> tuple[int, ...]:
+        """The `loc` of each part, properties then powers, read in one pass:
+        `ref_loc` shifts the whole `loc` for each, which a thing with
+        thousands of parts would pay once per part."""
+        count = len(self.properties) + len(self.powers)
+        return unpack(f"<{count}Q", (self.loc >> 128).to_bytes(8 * count, "little"))
 
 
 class Fact(Record):
@@ -460,11 +471,14 @@ class ResolvedSuite:
             if ref is not None and (problem := self._unbound_term(ref.module or f.of_module, ref.name)):
                 self._error("E101", f"thing {t.name}: {problem}", f.source, ref_loc(t.loc, 0))
             parts = things[t.name] = {"Property": set(), "Power": set()}
-            for sort, decls in (("Property", t.properties), ("Power", t.powers)):
-                for part in decls:
-                    if part.name in parts["Property"] or part.name in parts["Power"]:
-                        self._error("E102", f"duplicate part {part.name} on thing {t.name}", f.source, part.loc)
-                    parts[sort].add(part.name)
+            locs: tuple[int, ...] = ()  # read at the first duplicate
+            for sort, seen in parts.items():
+                names, first = t.parts(sort)
+                for index, part in enumerate(names, first):
+                    if part in parts["Property"] or part in parts["Power"]:
+                        locs = locs or t.part_locs()
+                        self._error("E102", f"duplicate part {part} on thing {t.name}", f.source, locs[index])
+                    seen.add(part)
 
         # Each check returns what is wrong with a fact's argument, or None;
         # the fact is named only in a finding.

@@ -45,7 +45,6 @@ from .model import (
     InstanceFile,
     Level,
     OntologyModule,
-    PartDecl,
     QualifiedRef,
     RelationDecl,
     TermDef,
@@ -304,7 +303,8 @@ class _Parser:
     names per qualifier (None for a bare name), so a lookup builds no key;
     `parse_suite` passes one table for all its files. A declaration packs
     the `loc` of each reference it holds above its own (see
-    `source.Source`)."""
+    `source.Source`), and a thing the `loc` of each part after its type's
+    (see `model.ThingNode`)."""
 
     def __init__(self, tokens: list[tuple], starts: array, source: Source,
                  refs: dict[str | None, dict[str, QualifiedRef]]):
@@ -579,7 +579,8 @@ class _Parser:
         if toks[i][1] != "{":
             raise self.fail("expected '{'", i)
         i += 1
-        parts: tuple[list[PartDecl], list[PartDecl]] = ([], [])
+        parts: tuple[list[str], list[str]] = ([], [])
+        places: list[bytes] = []  # each part's `loc`, as 8 bytes, least significant first
         for keyword, out in zip(("property", "power"), parts):
             while toks[i][1] == keyword:
                 part = toks[i + 1]
@@ -588,7 +589,8 @@ class _Parser:
                 if toks[i + 2][1] != ";":
                     raise self.fail("expected ';'", i + 2)
                 at = starts[i + 1]
-                out.append(PartDecl(part[1], at << 32 | at + len(part[1])))
+                out.append(part[1])
+                places.append((at << 32 | at + len(part[1])).to_bytes(8, "little"))
                 i += 3
         close = toks[i][1]
         if close == "property":
@@ -596,6 +598,10 @@ class _Parser:
         if close != "}":
             raise self.fail("expected '}'", i)
         loc = start << 32 | starts[i] + 1 | type_loc << 64
+        if places:
+            # Above the type's place, built in one pass: or-ing in one part
+            # at a time would copy the growing `int` once per part.
+            loc |= int.from_bytes(b"".join(places), "little") << 128
         return ThingNode(name[1], instance_of, tuple(parts[0]), tuple(parts[1]), loc), i + 1
 
     def parse_fact(self, i: int) -> tuple[Fact, int]:
@@ -704,9 +710,9 @@ def _render_thing(t: ThingNode, indent: str) -> list[str]:
         head += f" : {t.instance_of}"
     lines = [head + " {"]
     for part in t.properties:
-        lines.append(f"{indent}  property {part.name};")
+        lines.append(f"{indent}  property {part};")
     for part in t.powers:
-        lines.append(f"{indent}  power {part.name};")
+        lines.append(f"{indent}  power {part};")
     lines.append(indent + "}")
     return lines
 

@@ -241,6 +241,11 @@ def render_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: About how many characters of findings `render_json` joins before it
+#: adds them to its text.
+_RENDER_CHUNK = 1 << 16
+
+
 def render_json(report: Report) -> str:
     """Canonical JSON: sorted keys, no insignificant whitespace, UTF-8. It
     equals `json.dumps(payload, sort_keys=True, separators=(",", ":"),
@@ -248,15 +253,21 @@ def render_json(report: Report) -> str:
     order and its strings escaped by the same `encode_basestring`. Files,
     anchors, rules and codes repeat, so each distinct one is escaped once.
 
-    The text grows as one local string: CPython extends a string in place
-    when `+=` holds its only reference, so the rendering peaks at about the
-    length of its result; a list of parts and their join would hold twice
-    that."""
+    The text grows as one local string, by chunks of about
+    `_RENDER_CHUNK` characters of findings, each joined from its parts.
+    CPython extends a string in place when `+=` holds its only reference, so
+    the rendering peaks at about the length of its result plus one chunk; a
+    list of every part and their join would hold twice that. Under a trace
+    or profile hook, as in a coverage run or a debugger, `+=` copies the
+    text instead: growing it once per chunk rather than once per finding
+    makes that one copy per chunk."""
     import json  # here, so that a text report never loads it
     from json.encoder import encode_basestring
     encoded: dict[str | None, str] = {None: "null"}
     by_code: dict[str, tuple[str, str]] = {}  # code -> its text and its severity's
     text = '{"diagnostics":['
+    chunk: list[str] = []
+    size = 0  # characters in `chunk`
     sep = ""
     for d in report.diagnostics:
         span = d.span
@@ -269,13 +280,20 @@ def render_json(report: Report) -> str:
         if (code := by_code.get(d.code)) is None:
             code = by_code[d.code] = (encode_basestring(d.code), encode_basestring(d.severity))
         witness = "null" if d.witness is None else encode_basestring(d.witness)
-        text += (
+        part = (
             f'{sep}{{"anchor":{anchor},"code":{code[0]},"end_col":{span.end_col},'
             f'"end_line":{span.end_line},"file":{file},"message":{encode_basestring(d.message)},'
             f'"rule":{rule},"severity":{code[1]},"start_col":{span.start_col},'
             f'"start_line":{span.start_line},"witness":{witness}}}'
         )
+        chunk.append(part)
+        size += len(part)
+        if size >= _RENDER_CHUNK:
+            text += "".join(chunk)
+            chunk.clear()
+            size = 0
         sep = ","
+    text += "".join(chunk)
     summary = {**report.summary, "errors": report.error_count, "warnings": report.warning_count}
     summary_text = json.dumps(summary, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     text += f'],"report_version":{REPORT_VERSION},"summary":{summary_text}}}'

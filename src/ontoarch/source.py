@@ -44,7 +44,8 @@ _LOC_MASK = (1 << 64) - 1
 
 def ref_loc(loc: int, index: int) -> int:
     """The `loc` of reference `index` (0 for the first, in field order) of
-    a declaration whose own `loc` is `loc`; see `Source`."""
+    a declaration whose own `loc` is `loc`, or of a thing's part `index - 1`;
+    see `Source`."""
     return loc >> 64 * (index + 1) & _LOC_MASK
 
 
@@ -56,10 +57,11 @@ class Source:
     declaration that holds references holds their places too, since a
     `QualifiedRef` is shared by every place that names it: above its own 64
     bits, each reference's `start << 32 | end` in field order, 64 bits
-    each, which `ref_loc` reads. `span` reads only the low 64 bits. The
-    line-start table is built the first time `span` needs it, so a file
-    without findings never has one. Columns count code points from 1, and
-    only a line feed ends a line."""
+    each, which `ref_loc` reads. A thing's parts are names, so the thing
+    holds their places the same way, after its type's. `span` reads only
+    the low 64 bits. The line-start table is built the first time `span`
+    needs it, so a file without findings never has one. Columns count code
+    points from 1, and only a line feed ends a line."""
 
     __slots__ = ("path", "text", "_lines")
 
@@ -84,8 +86,14 @@ class Source:
         start = loc >> 32
         last = max((loc & _END_MASK) - 1, start)
         start_line = bisect_right(lines, start)
-        end_line = bisect_right(lines, last, start_line - 1)
-        return tuple.__new__(SourceSpan, (self.path, start_line, start - lines[start_line - 1] + 1,
+        line_start = lines[start_line - 1]
+        if start_line == len(lines) or last < lines[start_line]:
+            # On one line, as most are: one bisect, and one line number
+            # object for both ends.
+            return tuple.__new__(SourceSpan, (self.path, start_line, start - line_start + 1,
+                                              start_line, last - line_start + 1))
+        end_line = bisect_right(lines, last, start_line)
+        return tuple.__new__(SourceSpan, (self.path, start_line, start - line_start + 1,
                                           end_line, last - lines[end_line - 1] + 1))
 
 

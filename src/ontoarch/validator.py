@@ -5,6 +5,19 @@ the three axioms (A1-A3) over ground worlds, relationship domain/range and
 cardinality conformance, and the property schema. All checks are pure
 functions returning findings as `Diagnostic`s; nothing here raises on bad
 suites.
+
+The findings on worlds repeat from world to world: the same thing names,
+parts and terms give the same texts, and so do the witnesses made of level
+or root names alone (E211, E231). Each check that makes them keeps a table
+for its call, `texts`, from each text to the first string that held it,
+and `_finding` hands a finding that one string, so equal texts are one
+string. A text is its own key: a key that copied the inputs of a text's
+format could drift from it, a `Record` key would hash in Python, and an
+`id()` key could be handed on when a node is freed. The axioms run once per
+world, so `validate_suite` passes one table to all of those calls. The
+tables go with their calls, so no text outlives its verdict in one. The
+other checks name module declarations, which a resolved suite holds once,
+and format their texts per finding.
 """
 
 from __future__ import annotations
@@ -23,10 +36,15 @@ from .reporting import CODE_CATALOG, Diagnostic
 from .source import SYNTHETIC_SOURCE, Source, SourceSpan
 
 
-def _finding(code: str, message: str, span: SourceSpan, witness: str, anchor: str | None = None) -> Diagnostic:
+def _finding(code: str, message: str, span: SourceSpan, witness: str, anchor: str | None = None,
+             texts: dict[str, str] | None = None) -> Diagnostic:
     """One falsified rule, with the rule's name and anchor from the code
-    catalog and a witness sufficient to re-derive it by hand."""
+    catalog and a witness sufficient to re-derive it by hand; with `texts`,
+    its message and witness are the strings that table holds for them."""
     doc = CODE_CATALOG[code]
+    if texts is not None:
+        message = texts.setdefault(message, message)
+        witness = texts.setdefault(witness, witness)
     return Diagnostic(code, message, span, doc.rule, doc.anchor if anchor is None else anchor, witness)
 
 
@@ -92,6 +110,7 @@ def chain_status(suite: ResolvedSuite, module_name: str, rel: RelationDecl) -> C
 # ---------------------------------------------------------------------------
 
 def check_rule1(suite: ResolvedSuite) -> list[Diagnostic]:
+    texts: dict[str, str] = {}
     out: list[Diagnostic] = []
     for module in suite.modules.values():
         source = module.source
@@ -117,6 +136,7 @@ def check_rule1(suite: ResolvedSuite) -> list[Diagnostic]:
                         f"the immediately higher level",
                         source.span(t.loc),
                         witness=f"{module.level.name} -> {target_level.name}",
+                        texts=texts,
                     )
                 )
         for r in module.relations:
@@ -169,7 +189,8 @@ def check_rule2(suite: ResolvedSuite) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 def _classify_individual(
-    suite: ResolvedSuite, name: str, type_mod: str, type_name: str, source: Source, loc: int, where: str
+    suite: ResolvedSuite, name: str, type_mod: str, type_name: str, source: Source, loc: int, where: str,
+    texts: dict[str, str],
 ) -> Diagnostic | None:
     anchor = suite.enrichment_root(type_mod, type_name)
     if anchor is None:
@@ -182,6 +203,7 @@ def _classify_individual(
             f"root is Thing Category; categories do not result in instances",
             source.span(loc),
             witness=f"{name} : {type_mod}.{type_name} (root ThingCategory)",
+            texts=texts,
         )
     if root in (RootKind.PROPERTY, RootKind.POWER):
         return _finding(
@@ -191,16 +213,18 @@ def _classify_individual(
             f"things inside worlds",
             source.span(loc),
             witness=f"{name} : {type_mod}.{type_name} (root {root.value})",
+            texts=texts,
         )
     return None  # Thing and Assertion roots result in instances
 
 
 def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
+    texts: dict[str, str] = {}
     out: list[Diagnostic] = []
     for f in suite.instance_files:
         for ind in f.individuals:
             type_mod, type_name = suite.term_target(ind.type_ref, f.of_module)
-            v = _classify_individual(suite, ind.name, type_mod, type_name, f.source, ind.loc, "individual")
+            v = _classify_individual(suite, ind.name, type_mod, type_name, f.source, ind.loc, "individual", texts)
             if v:
                 out.append(v)
         for w in f.worlds:
@@ -208,7 +232,7 @@ def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
                 if thing.instance_of is None:
                     continue
                 type_mod, type_name = suite.term_target(thing.instance_of, f.of_module)
-                v = _classify_individual(suite, thing.name, type_mod, type_name, f.source, thing.loc, "thing")
+                v = _classify_individual(suite, thing.name, type_mod, type_name, f.source, thing.loc, "thing", texts)
                 if v:
                     out.append(v)
     return out
@@ -218,7 +242,7 @@ def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
 # Axioms A1-A3 over ground worlds.
 # ---------------------------------------------------------------------------
 
-def _axiom_finding(code: str, fact: Fact, source: Source) -> Diagnostic:
+def _axiom_finding(code: str, fact: Fact, source: Source, texts: dict[str, str]) -> Diagnostic:
     left, right = fact.left, fact.right
     if code == "E311":
         message = (
@@ -235,23 +259,27 @@ def _axiom_finding(code: str, fact: Fact, source: Source) -> Diagnostic:
     else:  # E313
         message = f"power {left} interacts with its own thing {right.name}"
         witness = f"interacts({left}, {right}); owner({left})={left.module}"
-    return _finding(code, message, source.span(fact.loc), witness=witness)
+    return _finding(code, message, source.span(fact.loc), witness=witness, texts=texts)
 
 
-def check_axioms(world: World, source: Source = SYNTHETIC_SOURCE) -> list[Diagnostic]:
+def check_axioms(world: World, source: Source = SYNTHETIC_SOURCE,
+                 texts: dict[str, str] | None = None) -> list[Diagnostic]:
     """Edge-wise axiom evaluation over a world of the file `source`.
 
     Ownership is functional and syntactically evident (a part `thing.part`
     is qualified by its owner), so A1/A2 reduce to owner equality on each
-    edge and A3 to owner inequality against the interaction target."""
+    edge and A3 to owner inequality against the interaction target.
+    `texts` shares the findings' texts across the calls that pass it (see
+    the module's docstring); without it, across this call's findings."""
+    texts = {} if texts is None else texts
     out: list[Diagnostic] = []
     for fact in world.facts:
         if fact.predicate == "enables" and fact.left.module != fact.right.module:
-            out.append(_axiom_finding("E311", fact, source))
+            out.append(_axiom_finding("E311", fact, source, texts))
         elif fact.predicate == "actsUpon" and fact.left.module != fact.right.module:
-            out.append(_axiom_finding("E312", fact, source))
+            out.append(_axiom_finding("E312", fact, source, texts))
         elif fact.predicate == "interacts" and fact.left.module == fact.right.name:
-            out.append(_axiom_finding("E313", fact, source))
+            out.append(_axiom_finding("E313", fact, source, texts))
     return out
 
 
@@ -278,6 +306,7 @@ _TERM_TARGETS = {"ThingCategory": "E232", "Assertion": "E233"}
 
 
 def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
+    texts: dict[str, str] = {}
     out: list[Diagnostic] = []
     for module_name, r in suite.all_relations():
         status = chain_status(suite, module_name, r)
@@ -307,6 +336,7 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
                     suite.modules[module_name].source.span(r.loc),
                     witness=f"from root {from_root}, to root {to_root}",
                     anchor=definition,
+                    texts=texts,
                 )
             )
     for f, w in suite.all_worlds():
@@ -327,6 +357,7 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
                             f"not {metamodel.term_spec(spec.range).display}",
                             f.source.span(fact.loc),
                             witness=f"{fact.predicate}({fact.left}, {fact.right})",
+                            texts=texts,
                         )
                     )
             elif fact.predicate == "relatesWith" and fact.left.name == fact.right.name:
@@ -336,13 +367,14 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
                         f"thing {fact.left.name} relates with itself in world {w.name}",
                         f.source.span(fact.loc),
                         witness=f"relatesWith({fact.left}, {fact.right})",
+                        texts=texts,
                     )
                 )
-        out.extend(_check_cardinality(w, f.source))
+        out.extend(_check_cardinality(w, f.source, texts))
     return out
 
 
-def _check_cardinality(world: World, source: Source) -> list[Diagnostic]:
+def _check_cardinality(world: World, source: Source, texts: dict[str, str]) -> list[Diagnostic]:
     # Only enforced in worlds that use the predicate at all: ground worlds
     # may legitimately be partial descriptions, hence a warning, not an error.
     out: list[Diagnostic] = []
@@ -354,15 +386,19 @@ def _check_cardinality(world: World, source: Source) -> list[Diagnostic]:
             continue
         sort = spec.domain.lower()
         for thing in world.things:
-            for part in thing.parts(spec.domain):
-                if (thing.name, part.name) not in covered:
+            names, first = thing.parts(spec.domain)
+            locs: tuple[int, ...] = ()  # read at the first part with no edge
+            for index, part in enumerate(names, first):
+                if (thing.name, part) not in covered:
+                    locs = locs or thing.part_locs()
                     out.append(
                         _finding(
                             "W301",
-                            f"{sort} {thing.name}.{part.name} {spec.display} no {spec.range.lower()} "
+                            f"{sort} {thing.name}.{part} {spec.display} no {spec.range.lower()} "
                             f"in world {world.name}, which declares {predicate} facts",
-                            source.span(part.loc),
-                            witness=f"{sort} {thing.name}.{part.name}; 0 {predicate} edges",
+                            source.span(locs[index]),
+                            witness=f"{sort} {thing.name}.{part}; 0 {predicate} edges",
+                            texts=texts,
                         )
                     )
     return out
@@ -424,7 +460,9 @@ def validate_suite(suite: ResolvedSuite) -> list[Diagnostic]:
     orders them.
 
     No check re-derives another's findings, so each one is reported once;
-    a fact listed twice in a world is two findings."""
+    a fact listed twice in a world is two findings. The axiom checks of
+    all worlds share one table of texts, which lives for this call only."""
+    texts: dict[str, str] = {}
     collected: list[Diagnostic] = []
     collected.extend(check_architecture(suite))
     collected.extend(check_rule1(suite))
@@ -433,7 +471,7 @@ def validate_suite(suite: ResolvedSuite) -> list[Diagnostic]:
     collected.extend(check_relationship_conformance(suite))
     collected.extend(check_property_conformance(suite))
     for f, world in suite.all_worlds():
-        collected.extend(check_axioms(world, f.source))
+        collected.extend(check_axioms(world, f.source, texts))
     return collected
 
 

@@ -23,10 +23,11 @@ def tree(node, source: Source = SYNTHETIC_SOURCE):
     module's or instance file's own `source` places the nodes inside it, and
     `source` places the rest; the `source` fields themselves are left out. A
     declaration's `loc` that also packs its references' offsets, 64 bits
-    each above its own, is spelled out as the tuple of its span and theirs.
-    A `loc` that holds a `SourceSpan` already, or a tuple of them, as the
-    oracle parser's nodes do, is spelled out as it is. A tree walks a
-    record's `_fields`, not the slots it derives from them."""
+    each above its own, is spelled out as the tuple of its span and theirs;
+    a thing's parts come after its type's place, which is None for a thing
+    with no type. A `loc` that holds a `SourceSpan` already, or a tuple of
+    them, as the oracle parser's nodes do, is spelled out as it is. A tree
+    walks a record's `_fields`, not the slots it derives from them."""
     if isinstance(node, SourceSpan):
         return ("span", *node)
     if isinstance(node, Record):
@@ -46,7 +47,7 @@ def _loc_tree(loc: int, source: Source) -> tuple:
     # that it reads only the low 64 bits.
     spans = [("span", *source.span(loc))]
     while loc := loc >> 64:
-        spans.append(("span", *source.span(loc)))
+        spans.append(("span", *source.span(loc)) if loc & (1 << 64) - 1 else None)
     return spans[0] if len(spans) == 1 else tuple(spans)
 
 

@@ -41,7 +41,6 @@ from ontoarch.model import (
     InstanceFile,
     Level,
     OntologyModule,
-    PartDecl,
     QualifiedRef,
     RelationDecl,
     ResolvedSuite,
@@ -168,8 +167,8 @@ def oracle_check_axioms(world: World, source: Source = SYNTHETIC_SOURCE) -> list
     Semantically equal violation set to `check_axioms`; kept deliberately
     naive as the independent oracle."""
     things = [t.name for t in world.things]
-    props = [(t.name, p.name) for t in world.things for p in t.properties]
-    pows = [(t.name, p.name) for t in world.things for p in t.powers]
+    props = [(t.name, p) for t in world.things for p in t.properties]
+    pows = [(t.name, p) for t in world.things for p in t.powers]
 
     def ref_is(ref, owner: str, part: str) -> bool:
         return ref.module == owner and ref.name == part
@@ -184,7 +183,7 @@ def oracle_check_axioms(world: World, source: Source = SYNTHETIC_SOURCE) -> list
                 for fact in _facts_of(world, "enables"):
                     if ref_is(fact.left, p_owner, p_name) and ref_is(fact.right, w_owner, w_name):
                         if w_owner != t:  # consequent partOf(pow, t) falsified
-                            out.append(_axiom_finding("E311", fact, source))
+                            out.append(_axiom_finding("E311", fact, source, {}))
     # A2: Thing(t) & Power(pow) & partOf(pow,t) & Property(prop) & actsUpon(pow,prop) -> partOf(prop,t)
     for t in things:
         for w_owner, w_name in pows:
@@ -194,7 +193,7 @@ def oracle_check_axioms(world: World, source: Source = SYNTHETIC_SOURCE) -> list
                 for fact in _facts_of(world, "actsUpon"):
                     if ref_is(fact.left, w_owner, w_name) and ref_is(fact.right, p_owner, p_name):
                         if p_owner != t:
-                            out.append(_axiom_finding("E312", fact, source))
+                            out.append(_axiom_finding("E312", fact, source, {}))
     # A3: Thing(t) & Power(pow) & partOf(pow,t) -> not interactsWithOther(pow, t)
     for t in things:
         for w_owner, w_name in pows:
@@ -202,7 +201,7 @@ def oracle_check_axioms(world: World, source: Source = SYNTHETIC_SOURCE) -> list
                 continue
             for fact in _facts_of(world, "interacts"):
                 if ref_is(fact.left, w_owner, w_name) and fact.right.module is None and fact.right.name == t:
-                    out.append(_axiom_finding("E313", fact, source))
+                    out.append(_axiom_finding("E313", fact, source, {}))
     return out
 
 PUNCTUATION = "{}(),:;."
@@ -359,7 +358,7 @@ class _CursorToken(Token):
 def oracle_parse_file(
     tokens: list[tuple], starts: list[int], text: str, path: str
 ) -> tuple[tuple[OntologyModule | InstanceFile, ...], list[Diagnostic]]:
-    """What `parser._Parser(tokens, starts, Source(path, text), {}).parse_file()`
+    """What `parser._Parser(tokens, starts, Source(path, text), {}, {}).parse_file()`
     must return, for the tokens and start offsets that
     `parser.tokenize(text, path)` returns, with each node's `loc` read as a
     span.
@@ -615,28 +614,31 @@ class _Parser:
         start = self.expect_kw("thing")
         name = self.expect_ident("thing name")
         instance_of: QualifiedRef | None = None
-        type_spans: tuple[SourceSpan, ...] = ()
+        type_span: SourceSpan | None = None
         if self.peek().is_punct(":"):
             self.next()
             instance_of, type_span = self.parse_qname()
-            type_spans = (type_span,)
         self.expect_punct("{")
-        properties: list[PartDecl] = []
-        powers: list[PartDecl] = []
+        properties: list[str] = []
+        powers: list[str] = []
+        part_spans: list[SourceSpan] = []
         while self.peek().is_kw("property"):
             self.next()
             part = self.expect_ident("property name")
             self.expect_punct(";")
-            properties.append(PartDecl(part.lexeme, part.span))
+            properties.append(part.lexeme)
+            part_spans.append(part.span)
         while self.peek().is_kw("power"):
             self.next()
             part = self.expect_ident("power name")
             self.expect_punct(";")
-            powers.append(PartDecl(part.lexeme, part.span))
+            powers.append(part.lexeme)
+            part_spans.append(part.span)
         if self.peek().is_kw("property"):
             raise self.fail("property declarations must precede power declarations")
         end = self.expect_punct("}")
-        loc = (start.to(end), *type_spans) if type_spans else start.to(end)
+        # The thing's span, its type's (None for none) and each part's.
+        loc = (start.to(end), type_span, *part_spans) if type_span or part_spans else start.to(end)
         return ThingNode(name.lexeme, instance_of, tuple(properties), tuple(powers), loc)
 
     def parse_ref(self) -> tuple[QualifiedRef, SourceSpan]:

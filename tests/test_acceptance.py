@@ -17,7 +17,7 @@ from oracles import oracle_check_axioms
 
 from ontoarch import build_report, parse_suite, render_canonical, resolve
 from ontoarch.cli import run
-from ontoarch.model import Fact, PartDecl, QualifiedRef, ThingNode, World
+from ontoarch.model import Fact, QualifiedRef, ThingNode, World
 from ontoarch.validator import check_axioms, check_rule1, check_rule2, validate_suite
 
 
@@ -59,13 +59,13 @@ def _two_thing_worlds():
             ThingNode(
                 name,
                 None,
-                tuple(PartDecl(f"{name}_{p}") for p in props),
-                tuple(PartDecl(f"{name}_{w}") for w in pows),
+                tuple(f"{name}_{p}" for p in props),
+                tuple(f"{name}_{w}" for w in pows),
             )
             for name, props, pows in specs
         )
-        props = [f"{t.name}.{p.name}" for t in things for p in t.properties]
-        pows = [f"{t.name}.{p.name}" for t in things for p in t.powers]
+        props = [f"{t.name}.{p}" for t in things for p in t.properties]
+        pows = [f"{t.name}.{p}" for t in things for p in t.powers]
         names = [t.name for t in things]
         candidates = (
             [("enables", p, w) for p in props for w in pows]

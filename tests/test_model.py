@@ -228,12 +228,34 @@ def test_instances_of_unknown_module_is_e101():
     assert codes(diags) == ["E101"]
 
 
+def test_a_duplicate_part_is_reported_at_its_own_place():
+    # A part's place is read from its thing's `loc`, after the type's slot,
+    # which is 0 for a thing with no type; a power counts after every
+    # property.
+    src = (
+        "ontology M at CO { term T enriches ThingFO.Thing }\n"
+        "instances of M {\n"
+        "  world w {\n"
+        "    thing a : T { property p; property q; power p; power r; power r; }\n"
+        "    thing b { property s; property s; power s; }\n"
+        "  }\n"
+        "}\n"
+    )
+    _, diags = resolve_src(src)
+    assert [(d.code, d.message, d.span.start_line, d.span.start_col, d.span.end_col) for d in diags] == [
+        ("E102", "duplicate part p on thing a", 4, 49, 49),
+        ("E102", "duplicate part r on thing a", 4, 67, 67),
+        ("E102", "duplicate part s on thing b", 5, 36, 36),
+        ("E102", "duplicate part s on thing b", 5, 45, 45),
+    ]
+
+
 def test_world_ownership_is_functional_by_construction(fig2_suite):
     for _, world in fig2_suite.all_worlds():
         seen: dict[str, str] = {}
         for thing in world.things:
             for part in thing.properties + thing.powers:
-                key = f"{thing.name}.{part.name}"
+                key = f"{thing.name}.{part}"
                 assert key not in seen
                 seen[key] = thing.name
         for fact in world.facts:

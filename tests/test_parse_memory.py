@@ -1,17 +1,20 @@
 """What parsing and a verdict keep in memory: one string per name, one
-`QualifiedRef` per reference, one file's tokens at a time, one `int` per
-node location, and a report rendered without a second copy.
+`QualifiedRef` per reference, one string per part name, one file's tokens
+at a time, one `int` per node location, one string per finding text, and a
+report rendered without a second copy.
 
 `parse_suite` keeps one name table for the files of one call: `tokenize`
 builds one token per distinct identifier there and takes each keyword's from
 `KEYWORDS`, so a name that a suite repeats is one string shared by every
 token, node and table key that names it. Beside it a reference table gives
 each distinct `(module, name)` one `QualifiedRef`, whose places its holders
-keep. Nothing is interned, so the interpreter's table of interned strings
-does not grow. `parse_suite` frees each file's token list before it lexes
-the next file, and `build_report` lets the AST go before it sorts the
-findings. The bounds below count bytes as `tracemalloc` sees them, with the
-cyclic collector paused as in a CLI verdict; they assert no timings.
+keep; a thing keeps its parts' places, and their names are those strings.
+Nothing is interned, so the interpreter's table of interned strings does not
+grow. `parse_suite` frees each file's token list before it lexes the next
+file, `validate_suite` gives equal finding texts one string, and
+`build_report` lets the AST go before it sorts the findings. The bounds
+below count bytes as `tracemalloc` sees them, with the cyclic collector
+paused as in a CLI verdict; they assert no timings.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from conftest import load_bench
 from ontoarch import parser
 from ontoarch.cli import build_report
 from ontoarch.metamodel import BUILTIN_MODULE, WORLD_PREDICATES
-from ontoarch.model import QualifiedRef
+from ontoarch.model import QualifiedRef, resolve
 from ontoarch.parser import KEYWORDS, TokenKind, parse_suite, tokenize
 from ontoarch.reporting import Diagnostic, Report, render_json
-from ontoarch.source import SourceSpan
+from ontoarch.source import SourceSpan, ref_loc
+from ontoarch.validator import validate_suite
 
 CORE = """\
 ontology Core at CO {
@@ -88,13 +92,13 @@ def test_a_name_is_one_string_across_files_nodes_and_tables():
     r, s = world.things
     assert r.instance_of.name is robot.name
     assert s.instance_of.module is core.name and s.instance_of.name is agent.name
-    assert s.properties[0].name is r.properties[0].name
+    assert s.properties[0] is r.properties[0]
     enables, acts = world.facts
     assert (enables.left.module, enables.left.name) == ("r", "grip")
-    assert enables.left.module is r.name and enables.left.name is r.properties[0].name
-    assert enables.right.module is r.name and enables.right.name is r.powers[0].name
-    assert acts.left.name is r.powers[0].name
-    assert acts.right.module is s.name and acts.right.name is s.properties[0].name
+    assert enables.left.module is r.name and enables.left.name is r.properties[0]
+    assert enables.right.module is r.name and enables.right.name is r.powers[0]
+    assert acts.left.name is r.powers[0]
+    assert acts.right.module is s.name and acts.right.name is s.properties[0]
     for fact in world.facts:
         assert fact.predicate is _table_key(WORLD_PREDICATES, fact.predicate)
 
@@ -160,6 +164,24 @@ def test_a_reference_is_one_record_across_the_files_of_one_parse(workload):
     assert {id(ref) for ref in _instances(again.decls, QualifiedRef)}.isdisjoint(id(ref) for ref in refs)
 
 
+def test_a_part_is_its_name_with_its_place_in_the_things_loc():
+    files = sorted(load_bench("generators").dirty_worlds(1).files.items())
+    ast, diagnostics = parse_suite(files)
+    assert diagnostics == []
+    parts = []
+    for f in ast.instance_files:
+        for world in f.worlds:
+            for thing in world.things:
+                names = thing.properties + thing.powers
+                parts += names
+                # Each part's place, after the type's, spans its name.
+                locs = thing.part_locs()
+                assert locs == tuple(ref_loc(thing.loc, k + 1) for k in range(len(names)))
+                assert [f.source.text[loc >> 32:loc & 0xFFFFFFFF] for loc in locs] == list(names)
+    assert len(parts) > 1000
+    assert len({id(part) for part in parts}) == len(set(parts)) == 4
+
+
 def test_a_reference_shared_across_files_keeps_each_place_in_its_holder():
     ast, diagnostics = parse_suite([("core.onto", CORE), ("domain.onto", DOMAIN)])
     assert diagnostics == []
@@ -167,14 +189,16 @@ def test_a_reference_shared_across_files_keeps_each_place_in_its_holder():
     (drives,) = domain.relations
     (instances,) = ast.instance_files
     (world,) = instances.worlds
-    _, s = world.things
+    r, s = world.things
     enables, _ = world.facts
     assert drives.from_ref is s.instance_of
+    assert r.properties[0] is s.properties[0]
     # Each holder spans its own text; its references' places lie inside it,
-    # 64 bits each above its own, in field order.
+    # 64 bits each above its own, in field order, and a thing's parts'
+    # places after its type's.
     mask = (1 << 64) - 1
-    for holder, texts in ((drives, ["Core.Agent", "Core.Skill", "Core.uses"]), (s, ["Core.Agent"]),
-                          (enables, ["r.grip", "r.move"])):
+    for holder, texts in ((drives, ["Core.Agent", "Core.Skill", "Core.uses"]), (s, ["Core.Agent", "grip"]),
+                          (r, ["Robot", "grip", "move"]), (enables, ["r.grip", "r.move"])):
         own = holder.loc & mask
         places = [holder.loc >> 64 * (index + 1) & mask for index in range(len(texts))]
         assert holder.loc >> 64 * (len(texts) + 1) == 0
@@ -223,13 +247,17 @@ def _traced_parse(files: list[tuple[str, str]]):
 
 #: Bytes per declaration (terms, relations, individuals, things and facts)
 #: that the AST keeps, and that parsing reaches at peak, on the bench suites
-#: at seed 1 in the CLI's file order. Measured on CPython 3.11 at about 192
-#: and 220 on dirty_worlds, and 371 and 512 on wide_clean, each distinct
-#: name included. With a `QualifiedRef` and a `loc` per reference they read
-#: about 337 and 364, and 441 and 542; with a five-field `SourceSpan` per
-#: node and a six-tuple per token, and with the names interned beforehand
-#: so that they counted for nothing, about 570 and 705, and 612 and 808.
-BOUNDS = {"dirty_worlds": (210, 240), "wide_clean": (410, 565)}
+#: at seed 1 in the CLI's file order. Measured on CPython 3.11 with the test
+#: run alone, at about 149 and 177 on dirty_worlds, and 364 and 504 on
+#: wide_clean, each distinct name included. After other tests the figures
+#: read up to a tenth lower: a tuple taken from CPython's free lists is no
+#: new allocation. With a record and a `loc` per part, alone, 189 and 217,
+#: and 379 and 520; earlier figures, with a `QualifiedRef` and a `loc` per
+#: reference as well, about 337 and 364, and 441 and 542; with a five-field
+#: `SourceSpan` per node and a six-tuple per token, and with the names
+#: interned beforehand so that they counted for nothing, about 570 and 705,
+#: and 612 and 808.
+BOUNDS = {"dirty_worlds": (163, 193), "wide_clean": (402, 557)}
 
 
 @pytest.mark.parametrize("workload", sorted(BOUNDS))
@@ -342,11 +370,13 @@ def _verdict(files: list[tuple[str, str]]) -> int:
 #: Bytes per declaration at the peak of `build_report` and `render_json`
 #: together, on the bench suites at seed 1 in the CLI's file order: the
 #: AST with the findings, or the report with its rendering. Measured on
-#: CPython 3.11 at about 334 on dirty_worlds (4.23 MB) and 491 on
-#: wide_clean. With a `QualifiedRef` per reference, the AST alive while
-#: `Report.build` sorted and the rendering joined from a list of parts,
-#: they read about 511 and 523.
-VERDICT_BOUNDS = {"dirty_worlds": 360, "wide_clean": 520}
+#: CPython 3.11 with the test run alone (see `BOUNDS`) at about 252 on
+#: dirty_worlds (3.19 MB, in `validate_suite`) and 504 on wide_clean (in
+#: `parse_suite`). With a record per part and a string per finding, alone,
+#: about 334 and 520; earlier, with a `QualifiedRef` per reference, the AST
+#: alive while `Report.build` sorted and the rendering joined from a list
+#: of parts, about 511 and 523.
+VERDICT_BOUNDS = {"dirty_worlds": 272, "wide_clean": 520}
 
 
 @pytest.mark.parametrize("workload", sorted(VERDICT_BOUNDS))
@@ -355,6 +385,23 @@ def test_a_verdict_peaks_below_its_bytes_per_declaration(workload):
     length, _, peak = _traced(_verdict, sorted(suite.files.items()))
     assert length > 0
     assert peak <= VERDICT_BOUNDS[workload] * suite.props["decls"]
+
+
+def test_a_finding_text_is_one_string_per_verdict():
+    files = sorted(load_bench("generators").dirty_worlds(1).files.items())
+    ast, diagnostics = parse_suite(files)
+    suite, diagnostics = resolve(ast.modules, ast.instance_files)
+    assert diagnostics == []
+    findings = validate_suite(suite)
+    assert len(findings) == 3960
+    for field in ("message", "witness"):
+        texts = [getattr(d, field) for d in findings]
+        assert len({id(text) for text in texts}) == len(set(texts)) < len(texts) / 1.5, field
+    # The table lives for one call: a second verdict shares no text with it.
+    again = validate_suite(suite)
+    assert again == findings
+    for field in ("message", "witness"):
+        assert {id(getattr(d, field)) for d in again}.isdisjoint(id(getattr(d, field)) for d in findings), field
 
 
 def test_render_json_peaks_at_about_the_length_of_its_result():

@@ -29,7 +29,6 @@ from ontoarch.model import (
     InstanceFile,
     Level,
     OntologyModule,
-    PartDecl,
     QualifiedRef,
     RelationDecl,
     TermDef,
@@ -84,15 +83,14 @@ RECORDS = (
         {"name": "M", "level": Level.CO, "imports": (), "body": ()},
         {"name": "N", "level": Level.TDO, "imports": (ImportRef("P"),), "body": (TermDef("t", None),)},
     ),
-    (PartDecl, {"name": "p"}, {"name": "q"}),
     (
         ThingNode,
         {"name": "x", "instance_of": None, "properties": (), "powers": ()},
         {
             "name": "y",
             "instance_of": QualifiedRef(None, "T"),
-            "properties": (PartDecl("p"),),
-            "powers": (PartDecl("q"),),
+            "properties": ("p",),
+            "powers": ("q",),
         },
     ),
     (
@@ -225,7 +223,6 @@ REPRS = {
     "OntologyModule": (
         f"OntologyModule(name='M', level=<Level.CO: 1>, imports=(), body=(), {BUILTIN_LOC}, {BUILTIN_SOURCE})"
     ),
-    "PartDecl": f"PartDecl(name='p', {BUILTIN_LOC})",
     "ThingNode": f"ThingNode(name='x', instance_of=None, properties=(), powers=(), {BUILTIN_LOC})",
     "Fact": (
         "Fact(predicate='enables', left=QualifiedRef(module='x', name='p'), "

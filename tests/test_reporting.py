@@ -6,13 +6,14 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, load_fig2, mutate
 from oracles import oracle_render_json
 
-from ontoarch import build_report
+from ontoarch import build_report, reporting
 from ontoarch.reporting import (
     CODE_CATALOG,
     Diagnostic,
@@ -204,3 +205,32 @@ def test_a_report_built_directly_counts_its_severities(drawn, summary):
     assert report.error_count == severities.count("error")
     assert report.warning_count == severities.count("warning")
     assert report.diagnostics is diagnostics and report.summary is summary
+
+
+def _many_chunks() -> Report:
+    """A report of several of `render_json`'s chunks, with findings of every
+    size up to more than a chunk, some of them with awkward characters."""
+    rng = random.Random(3)
+    diagnostics = []
+    for i in range(3000):
+        size = rng.choice([0, 10, 100, 1000]) if i != 1500 else reporting._RENDER_CHUNK + 17
+        message = "".join(rng.choice("ab \"\\\n\u2028é") for _ in range(size))
+        diagnostics.append(Diagnostic(rng.choice(["E311", "W301"]), message, span(i + 1, 1 + i % 7, f"f{i % 3}.onto"),
+                                      "A1", "anchor", None if i % 4 else f"w{i}"))
+    return Report.build(diagnostics, {"files": 3})
+
+
+def test_render_json_under_a_trace_hook_equals_it_without_one():
+    # Under a trace hook CPython copies the text at each `+=` instead of
+    # growing it in place; the text grows by chunks, so that stays linear.
+    report = _many_chunks()
+    plain = render_json(report)
+    assert len(plain) > 8 * reporting._RENDER_CHUNK
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: None)
+    try:
+        traced = render_json(report)
+    finally:
+        sys.settrace(previous)
+    assert traced == plain
+    assert plain == oracle_render_json(report)

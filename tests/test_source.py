@@ -1,10 +1,15 @@
 """The `SourceSpan` contract, a checked, ordered tuple of positions, and
-`Source.span`, which turns a node's packed offsets into one."""
+`Source.span`, which turns a node's packed offsets into one: with one
+bisect of the line table when they lie on one line."""
 
 from __future__ import annotations
 
+import random
+from bisect import bisect_right
+
 import pytest
 
+from ontoarch import source as source_module
 from ontoarch.parser import TokenKind, tokenize
 from ontoarch.source import SYNTHETIC_SOURCE, Source, SourceSpan
 
@@ -82,3 +87,52 @@ def test_the_line_table_is_built_once_and_only_when_a_span_is_asked_for():
     assert list(lines) == [0, 2, 4]
     source.span(0 << 32 | 1)
     assert source._lines is lines
+
+
+def _two_bisect_span(source: Source, loc: int) -> SourceSpan:
+    """`Source.span` as it was: one bisect for each end."""
+    lines = source._lines
+    start = loc >> 32
+    last = max((loc & 0xFFFFFFFF) - 1, start)
+    start_line = bisect_right(lines, start)
+    end_line = bisect_right(lines, last)
+    return SourceSpan(source.path, start_line, start - lines[start_line - 1] + 1,
+                      end_line, last - lines[end_line - 1] + 1)
+
+
+def test_a_span_on_one_line_takes_one_bisect_and_one_line_number(monkeypatch):
+    rng = random.Random(7)
+    # Past line 256, so that a line number is not one of CPython's cached
+    # small ints; lines of 0 to 12 characters, some of them empty.
+    text = "".join("x" * rng.randrange(13) + "\n" for _ in range(600)) + "tail"
+    source = Source("f.onto", text)
+    source.span(0)  # builds the line table
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return bisect_right(*args)
+
+    monkeypatch.setattr(source_module, "bisect_right", counting)
+    n = len(text)
+    feeds = [i for i, c in enumerate(text) if c == "\n"]
+    locs = [start << 32 | end for start, end in (sorted(rng.sample(range(n + 1), 2)) for _ in range(3000))]
+    locs += [start << 32 | start + rng.randrange(8) for start in rng.sample(range(n), 2000)]
+    locs += [
+        (feeds[300] - 3) << 32 | feeds[300] + 1,  # ends at a line feed
+        feeds[400] << 32 | feeds[400] + 1,  # the line feed alone
+        feeds[500] << 32 | feeds[500],  # empty
+        n << 32 | n,  # the end of input
+        (n - 2) << 32 | n,  # the last line, which has no line feed
+    ]
+    one_line = 0
+    for loc in locs:
+        calls.clear()
+        span = source.span(loc)
+        assert span == _two_bisect_span(source, loc), loc
+        if span.start_line == span.end_line:
+            one_line += 1
+            assert len(calls) == 1 and span.end_line is span.start_line, loc
+        else:
+            assert len(calls) == 2, loc
+    assert one_line > 1000 and len(locs) - one_line > 1000

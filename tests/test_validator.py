@@ -11,7 +11,6 @@ from ontoarch.cli import build_report
 from ontoarch.model import (
     Fact,
     InstanceFile,
-    PartDecl,
     QualifiedRef,
     ThingNode,
     World,
@@ -61,8 +60,8 @@ def build_world(things, facts, name="w"):
         ThingNode(
             tname,
             None,
-            tuple(PartDecl(p) for p in props),
-            tuple(PartDecl(p) for p in pows),
+            tuple(props),
+            tuple(pows),
         )
         for tname, props, pows in things
     )
@@ -506,6 +505,13 @@ def test_power_without_acts_upon_is_w301():
     violations = check_relationship_conformance(suite)
     assert codes(violations) == ["W301"]
     assert "idle" in violations[0].message
+    # Reported at the power's own place, on a thing with no type and a
+    # property before its powers as well.
+    things = "thing t1 : X { property p; power q; } thing t2 { property r; power busy; power idle; }"
+    (w301,) = check_relationship_conformance(_world_suite("actsUpon(t1.q, t1.p) actsUpon(t2.busy, t2.r)", things))
+    text = f"instances of A {{ world w {{ {things} "
+    column = text.index("idle") + 1
+    assert (w301.span.start_line, w301.span.start_col, w301.span.end_col) == (1, column, column + 3)
 
 
 def test_no_w301_when_world_declares_no_acting():
@@ -573,7 +579,7 @@ def test_a_fact_listed_twice_is_reported_twice():
     fact = Fact("enables", QualifiedRef("t1", "p1"), QualifiedRef("t2", "w2"))
     world = World(
         "w",
-        (ThingNode("t1", None, (PartDecl("p1"),)), ThingNode("t2", None, (), (PartDecl("w2"),))),
+        (ThingNode("t1", None, ("p1",)), ThingNode("t2", None, (), ("w2",))),
         (fact, fact),
     )
     ast, diags = parse_suite([("a.onto", "ontology A at CO { }")])
