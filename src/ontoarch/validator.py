@@ -6,6 +6,12 @@ cardinality conformance, and the property schema. All checks are pure
 functions returning findings as `Diagnostic`s; nothing here raises on bad
 suites.
 
+Resolution has bound every fact, so the checks read facts as they stand.
+`check_relationship_conformance` finds E232-E234 and gathers W301's covered
+parts in one walk of a world's facts; `check_axioms` walks them again, one
+call per world, which `bench/tracing.py` times by name (see ROADMAP item
+2). A term's root kind is read once per distinct `(module, term)` per call.
+
 The findings on worlds repeat from world to world: the same thing names,
 parts and terms give the same texts, and so do the witnesses made of level
 or root names alone (E211, E231). Each check that makes them keeps a table
@@ -188,14 +194,29 @@ def check_rule2(suite: ResolvedSuite) -> list[Diagnostic]:
 # Rule #3: the instance level holds only individuals of particular Things.
 # ---------------------------------------------------------------------------
 
-def _classify_individual(
-    suite: ResolvedSuite, name: str, type_mod: str, type_name: str, source: Source, loc: int, where: str,
-    texts: dict[str, str],
-) -> Diagnostic | None:
-    anchor = suite.enrichment_root(type_mod, type_name)
-    if anchor is None:
-        return None  # broken enrichment chain, already flagged as E213
-    root = metamodel.root_kind(anchor)
+class _RootKinds(dict):
+    """Each term's enrichment root kind by `(module, term)`, read from the
+    suite at its first lookup; None for a broken chain (E213)."""
+
+    __slots__ = ("suite",)
+
+    def __init__(self, suite: ResolvedSuite):
+        super().__init__()
+        self.suite = suite
+
+    def __missing__(self, key: tuple[str, str]) -> RootKind | None:
+        anchor = self.suite.enrichment_root(*key)
+        root = self[key] = None if anchor is None else metamodel.root_kind(anchor)
+        return root
+
+
+#: The enrichment roots whose terms result in no instances: Thing and
+#: Assertion roots do, and a broken chain is Rule #1's E213.
+_NOT_INSTANTIABLE = (RootKind.THING_CATEGORY, RootKind.PROPERTY, RootKind.POWER)
+
+
+def _not_instantiable(name: str, type_mod: str, type_name: str, root: RootKind, source: Source, loc: int,
+                      where: str, texts: dict[str, str]) -> Diagnostic:
     if root is RootKind.THING_CATEGORY:
         return _finding(
             "E301",
@@ -205,36 +226,30 @@ def _classify_individual(
             witness=f"{name} : {type_mod}.{type_name} (root ThingCategory)",
             texts=texts,
         )
-    if root in (RootKind.PROPERTY, RootKind.POWER):
-        return _finding(
-            "E302",
-            f"{where} {name} instantiates {type_mod}.{type_name}, whose enrichment "
-            f"root is {root.value}; properties and powers exist only as parts of "
-            f"things inside worlds",
-            source.span(loc),
-            witness=f"{name} : {type_mod}.{type_name} (root {root.value})",
-            texts=texts,
-        )
-    return None  # Thing and Assertion roots result in instances
+    return _finding(
+        "E302",
+        f"{where} {name} instantiates {type_mod}.{type_name}, whose enrichment "
+        f"root is {root.value}; properties and powers exist only as parts of "
+        f"things inside worlds",
+        source.span(loc),
+        witness=f"{name} : {type_mod}.{type_name} (root {root.value})",
+        texts=texts,
+    )
 
 
 def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
     texts: dict[str, str] = {}
+    roots = _RootKinds(suite)
     out: list[Diagnostic] = []
     for f in suite.instance_files:
-        for ind in f.individuals:
-            type_mod, type_name = suite.term_target(ind.type_ref, f.of_module)
-            v = _classify_individual(suite, ind.name, type_mod, type_name, f.source, ind.loc, "individual", texts)
-            if v:
-                out.append(v)
-        for w in f.worlds:
-            for thing in w.things:
-                if thing.instance_of is None:
-                    continue
-                type_mod, type_name = suite.term_target(thing.instance_of, f.of_module)
-                v = _classify_individual(suite, thing.name, type_mod, type_name, f.source, thing.loc, "thing", texts)
-                if v:
-                    out.append(v)
+        typed = [(ind, ind.type_ref, "individual") for ind in f.individuals]
+        typed += [(thing, thing.instance_of, "thing") for w in f.worlds for thing in w.things]
+        for node, ref, where in typed:
+            if ref is None:
+                continue  # an untyped thing
+            key = (ref.module or f.of_module, ref.name)
+            if (root := roots[key]) in _NOT_INSTANTIABLE:
+                out.append(_not_instantiable(node.name, *key, root, f.source, node.loc, where, texts))
     return out
 
 
@@ -304,6 +319,21 @@ def _anchor_matches(suite: ResolvedSuite, term: tuple[str, str], anchor: str, re
 #: other than the root of the predicate's range, by that range.
 _TERM_TARGETS = {"ThingCategory": "E232", "Assertion": "E233"}
 
+#: For each world predicate whose target is a term: the finding's code, and
+#: the root kind and the name of the range, whose root the target's
+#: enrichment root must be.
+_TERM_FACTS = {
+    predicate: (_TERM_TARGETS[spec.range], metamodel.root_kind(spec.range), metamodel.term_spec(spec.range).display)
+    for predicate, spec in metamodel.WORLD_PREDICATES.items() if spec.range in _TERM_TARGETS
+}
+
+#: The world predicates that each part of their domain's sort must be the
+#: left side of, once a world uses them at all (W301).
+_REQUIRED_EDGES = {
+    predicate: spec for predicate, spec in metamodel.WORLD_PREDICATES.items()
+    if spec.multiplicity and spec.multiplicity[0] >= 1
+}
+
 
 def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
     texts: dict[str, str] = {}
@@ -339,68 +369,63 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
                     texts=texts,
                 )
             )
+    # One walk of each world's facts finds E232-E234 and gathers the parts
+    # that are the left side of each predicate of `_REQUIRED_EDGES`; W301
+    # then names the parts left out, in worlds that use the predicate.
+    roots = _RootKinds(suite)
     for f, w in suite.all_worlds():
+        covered: dict[str, set[tuple[str, str]]] = {predicate: set() for predicate in _REQUIRED_EDGES}
         for fact in w.facts:
-            spec = metamodel.WORLD_PREDICATES[fact.predicate]
-            code = _TERM_TARGETS.get(spec.range)
-            if code is not None:
-                mod, name = suite.term_target(fact.right, f.of_module)
-                anchor = suite.enrichment_root(mod, name)
-                if anchor is None:
-                    continue  # broken enrichment chain, already flagged as E213
-                root = metamodel.root_kind(anchor)
-                if root is not metamodel.root_kind(spec.range):
+            predicate, left, right = fact.predicate, fact.left, fact.right
+            edges = covered.get(predicate)
+            if edges is not None:
+                edges.add((left.module, left.name))
+            target = _TERM_FACTS.get(predicate)
+            if target is not None:
+                mod, name = right.module or f.of_module, right.name
+                root = roots[(mod, name)]
+                code, required, display = target
+                if root is not required and root is not None:  # None: a broken chain, E213
                     out.append(
                         _finding(
                             code,
-                            f"{fact.predicate} target {mod}.{name} is rooted at {root.value}, "
-                            f"not {metamodel.term_spec(spec.range).display}",
+                            f"{predicate} target {mod}.{name} is rooted at {root.value}, not {display}",
                             f.source.span(fact.loc),
-                            witness=f"{fact.predicate}({fact.left}, {fact.right})",
+                            witness=f"{predicate}({left}, {right})",
                             texts=texts,
                         )
                     )
-            elif fact.predicate == "relatesWith" and fact.left.name == fact.right.name:
+            elif predicate == "relatesWith" and left.name == right.name:
                 out.append(
                     _finding(
                         "E234",
-                        f"thing {fact.left.name} relates with itself in world {w.name}",
+                        f"thing {left.name} relates with itself in world {w.name}",
                         f.source.span(fact.loc),
-                        witness=f"relatesWith({fact.left}, {fact.right})",
+                        witness=f"relatesWith({left}, {right})",
                         texts=texts,
                     )
                 )
-        out.extend(_check_cardinality(w, f.source, texts))
-    return out
-
-
-def _check_cardinality(world: World, source: Source, texts: dict[str, str]) -> list[Diagnostic]:
-    # Only enforced in worlds that use the predicate at all: ground worlds
-    # may legitimately be partial descriptions, hence a warning, not an error.
-    out: list[Diagnostic] = []
-    for predicate, spec in metamodel.WORLD_PREDICATES.items():
-        if not spec.multiplicity or spec.multiplicity[0] < 1:
-            continue
-        covered = {(f.left.module, f.left.name) for f in world.facts if f.predicate == predicate}
-        if not covered:
-            continue
-        sort = spec.domain.lower()
-        for thing in world.things:
-            names, first = thing.parts(spec.domain)
-            locs: tuple[int, ...] = ()  # read at the first part with no edge
-            for index, part in enumerate(names, first):
-                if (thing.name, part) not in covered:
-                    locs = locs or thing.part_locs()
-                    out.append(
-                        _finding(
-                            "W301",
-                            f"{sort} {thing.name}.{part} {spec.display} no {spec.range.lower()} "
-                            f"in world {world.name}, which declares {predicate} facts",
-                            source.span(locs[index]),
-                            witness=f"{sort} {thing.name}.{part}; 0 {predicate} edges",
-                            texts=texts,
+        for predicate, edges in covered.items():
+            if not edges:
+                continue  # only where the world uses it: worlds may be partial, hence a warning
+            spec = _REQUIRED_EDGES[predicate]
+            sort = spec.domain.lower()
+            for thing in w.things:
+                names, first = thing.parts(spec.domain)
+                locs: tuple[int, ...] = ()  # read at the first part with no edge
+                for index, part in enumerate(names, first):
+                    if (thing.name, part) not in edges:
+                        locs = locs or thing.part_locs()
+                        out.append(
+                            _finding(
+                                "W301",
+                                f"{sort} {thing.name}.{part} {spec.display} no {spec.range.lower()} "
+                                f"in world {w.name}, which declares {predicate} facts",
+                                f.source.span(locs[index]),
+                                witness=f"{sort} {thing.name}.{part}; 0 {predicate} edges",
+                                texts=texts,
+                            )
                         )
-                    )
     return out
 
 

@@ -21,7 +21,13 @@ that carry lines and columns counted from the text, with a cursor and a
 method call per token test; its nodes carry spans, not offsets.
 `oracle_render_json` checks the direct JSON writer `render_json`: it is the
 serializer that the writer replaced, which builds one dict per finding and
-has `json.dumps` sort every key.
+has `json.dumps` sort every key. `oracle_world_rules` checks the world
+findings of `check_relationship_conformance` (E232-E234 and W301): it
+judges each fact on its own and looks for each part's edges among all the
+facts, sharing no helper with the validator.
+
+`render_canonical` is no oracle but a test tool: it writes an AST back as
+`.onto` text, which the round-trip tests reparse.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from ontoarch.metamodel import BUILTIN_MODULE, WORLD_PREDICATES
+from ontoarch.metamodel import BUILTIN_MODULE, WORLD_PREDICATES, term_spec
 from ontoarch.model import (
     MODULE_LEVELS,
     AttrPair,
@@ -48,8 +54,8 @@ from ontoarch.model import (
     ThingNode,
     World,
 )
-from ontoarch.parser import KEYWORDS, TokenKind
-from ontoarch.reporting import REPORT_VERSION, Diagnostic, Report
+from ontoarch.parser import KEYWORDS, SuiteAst, TokenKind
+from ontoarch.reporting import CODE_CATALOG, REPORT_VERSION, Diagnostic, Report
 from ontoarch.source import SYNTHETIC_SOURCE, Source, SourceSpan
 from ontoarch.validator import _axiom_finding
 
@@ -202,6 +208,69 @@ def oracle_check_axioms(world: World, source: Source = SYNTHETIC_SOURCE) -> list
             for fact in _facts_of(world, "interacts"):
                 if ref_is(fact.left, w_owner, w_name) and fact.right.module is None and fact.right.name == t:
                     out.append(_axiom_finding("E313", fact, source, {}))
+    return out
+
+
+def _foundational_root(term_id: str) -> str:
+    """The top of a ThingFO term's parent chain, walked link by link."""
+    while (parent := term_spec(term_id).parent) is not None:
+        term_id = parent
+    return term_id
+
+
+#: The code for a fact whose term target has the wrong root, by predicate.
+_WRONG_TARGET = {"belongsTo": "E232", "defines": "E233"}
+
+
+def _oracle_finding(code: str, message: str, span: SourceSpan, witness: str) -> Diagnostic:
+    doc = CODE_CATALOG[code]
+    return Diagnostic(code, message, span, doc.rule, doc.anchor, witness)
+
+
+def oracle_world_rules(suite: ResolvedSuite) -> list[Diagnostic]:
+    """E232, E233, E234 and W301 of every world, brute-forced: each fact is
+    judged on its own against its predicate's relationship, with the target
+    term's root walked from scratch, and each part of each thing is looked
+    for among all the facts of each predicate that must have one. In no
+    particular order."""
+    out: list[Diagnostic] = []
+    for f in suite.instance_files:
+        for world in f.worlds:
+            for fact in world.facts:
+                spec = WORLD_PREDICATES[fact.predicate]
+                span = f.source.span(fact.loc)
+                witness = f"{fact.predicate}({fact.left}, {fact.right})"
+                if fact.predicate in _WRONG_TARGET:
+                    mod, name = fact.right.module or f.of_module, fact.right.name
+                    anchor = oracle_enrichment_root(suite, mod, name)
+                    if anchor is None:
+                        continue  # a broken chain is Rule #1's E213
+                    root = _foundational_root(anchor)
+                    if root != _foundational_root(spec.range):
+                        out.append(_oracle_finding(
+                            _WRONG_TARGET[fact.predicate],
+                            f"{fact.predicate} target {mod}.{name} is rooted at {root}, "
+                            f"not {term_spec(spec.range).display}", span, witness))
+                if fact.predicate == "relatesWith" and fact.left == fact.right:
+                    out.append(_oracle_finding(
+                        "E234", f"thing {fact.left.name} relates with itself in world {world.name}", span, witness))
+            for predicate, spec in WORLD_PREDICATES.items():
+                if spec.multiplicity is None or spec.multiplicity[0] == 0 or not _facts_of(world, predicate):
+                    continue
+                sort = spec.domain.lower()
+                for thing in world.things:
+                    places = thing.part_locs()
+                    for k, part in enumerate(thing.properties + thing.powers):
+                        if spec.domain != ("Property" if k < len(thing.properties) else "Power"):
+                            continue
+                        edges = [fact for fact in _facts_of(world, predicate)
+                                 if (fact.left.module, fact.left.name) == (thing.name, part)]
+                        if not edges:
+                            out.append(_oracle_finding(
+                                "W301",
+                                f"{sort} {thing.name}.{part} {spec.display} no {spec.range.lower()} "
+                                f"in world {world.name}, which declares {predicate} facts",
+                                f.source.span(places[k]), f"{sort} {thing.name}.{part}; 0 {predicate} edges"))
     return out
 
 PUNCTUATION = "{}(),:;."
@@ -670,6 +739,85 @@ class _Parser:
         right, right_span = self.parse_ref()
         end = self.expect_punct(")")
         return Fact(pred.lexeme, left, right, (pred.to(end), left_span, right_span))
+
+
+# ---------------------------------------------------------------------------
+# Canonical rendering, which the round-trip tests use.
+# ---------------------------------------------------------------------------
+
+def _escape(value: str) -> str:
+    return value.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _render_term(t: TermDef, indent: str) -> list[str]:
+    head = f"{indent}term {t.name} enriches {t.enriches}"
+    if t.scope:
+        head += f" scope {t.scope}"
+    if not t.attributes:
+        return [head]
+    lines = [head + " {"]
+    for attr in t.attributes:
+        lines.append(f'{indent}  {attr.key} "{_escape(attr.value)}"')
+    lines.append(indent + "}")
+    return lines
+
+
+def _render_module(m: OntologyModule) -> list[str]:
+    lines = [f"ontology {m.name} at {m.level.name} {{"]
+    for imp in m.imports:
+        lines.append(f"  imports {imp.name}")
+    for decl in m.body:
+        if isinstance(decl, TermDef):
+            lines.extend(_render_term(decl, "  "))
+        else:
+            lines.append(
+                f"  relation {decl.name} from {decl.from_ref} to {decl.to_ref} kind {decl.kind_ref}"
+            )
+    lines.append("}")
+    return lines
+
+
+def _render_thing(t: ThingNode, indent: str) -> list[str]:
+    head = f"{indent}thing {t.name}"
+    if t.instance_of is not None:
+        head += f" : {t.instance_of}"
+    lines = [head + " {"]
+    for part in t.properties:
+        lines.append(f"{indent}  property {part};")
+    for part in t.powers:
+        lines.append(f"{indent}  power {part};")
+    lines.append(indent + "}")
+    return lines
+
+
+def _render_instances(f: InstanceFile) -> list[str]:
+    lines = [f"instances of {f.of_module} {{"]
+    for decl in f.body:
+        if isinstance(decl, Individual):
+            lines.append(f"  individual {decl.name} : {decl.type_ref}")
+        else:
+            lines.append(f"  world {decl.name} {{")
+            for thing in decl.things:
+                lines.extend(_render_thing(thing, "    "))
+            for fact in decl.facts:
+                lines.append(f"    {fact.predicate}({fact.left}, {fact.right})")
+            lines.append("  }")
+    lines.append("}")
+    return lines
+
+
+def render_canonical(ast: SuiteAst) -> str:
+    """Deterministic canonical text for an AST.
+
+    Declarations are re-emitted in source order; reparsing the result yields
+    a structurally identical AST, and rendering is a fixpoint."""
+    blocks: list[str] = []
+    for decl in ast.decls:
+        if isinstance(decl, OntologyModule):
+            blocks.append("\n".join(_render_module(decl)) + "\n")
+        else:
+            blocks.append("\n".join(_render_instances(decl)) + "\n")
+    return "\n".join(blocks)
 
 
 def _diagnostic_json(d: Diagnostic) -> dict[str, Any]:

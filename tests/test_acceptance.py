@@ -13,9 +13,9 @@ import time
 from contextlib import contextmanager
 
 from conftest import FIG2, MUTATIONS, load_fig2, mutate
-from oracles import oracle_check_axioms
+from oracles import oracle_check_axioms, render_canonical
 
-from ontoarch import build_report, parse_suite, render_canonical, resolve
+from ontoarch import build_report, parse_suite, resolve
 from ontoarch.cli import run
 from ontoarch.model import Fact, QualifiedRef, ThingNode, World
 from ontoarch.validator import check_axioms, check_rule1, check_rule2, validate_suite

@@ -14,19 +14,26 @@ grow. `parse_suite` frees each file's token list before it lexes the next
 file, `validate_suite` gives equal finding texts one string, and
 `build_report` lets the AST go before it sorts the findings. The bounds
 below count bytes as `tracemalloc` sees them, with the cyclic collector
-paused as in a CLI verdict; they assert no timings.
+paused as in a CLI verdict; they assert no timings. The bytes per
+declaration of a parse and of a verdict are measured once per run of this
+module, in a fresh interpreter (`figures`), so that they do not depend on
+which tests ran before.
 """
 
 from __future__ import annotations
 
 import gc
+import json
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from conftest import load_bench
 
+import ontoarch
 from ontoarch import parser
 from ontoarch.cli import build_report
 from ontoarch.metamodel import BUILTIN_MODULE, WORLD_PREDICATES
@@ -247,28 +254,64 @@ def _traced_parse(files: list[tuple[str, str]]):
 
 #: Bytes per declaration (terms, relations, individuals, things and facts)
 #: that the AST keeps, and that parsing reaches at peak, on the bench suites
-#: at seed 1 in the CLI's file order. Measured on CPython 3.11 with the test
-#: run alone, at about 149 and 177 on dirty_worlds, and 364 and 504 on
-#: wide_clean, each distinct name included. After other tests the figures
-#: read up to a tenth lower: a tuple taken from CPython's free lists is no
-#: new allocation. With a record and a `loc` per part, alone, 189 and 217,
-#: and 379 and 520; earlier figures, with a `QualifiedRef` and a `loc` per
+#: at seed 1 in the CLI's file order, as `figures` measures them. Measured
+#: on CPython 3.11 at about 149 and 177 on dirty_worlds, and 355 and 496 on
+#: wide_clean, each distinct name included. In the test process the figures
+#: read up to a tenth lower after other tests than alone, since a tuple
+#: taken from CPython's free lists is no new allocation, so they are taken
+#: in a fresh interpreter. Alone in the test process, about 149 and 177, and
+#: 364 and 504; with a record and a `loc` per part, alone, 189 and 217, and
+#: 379 and 520; earlier figures, with a `QualifiedRef` and a `loc` per
 #: reference as well, about 337 and 364, and 441 and 542; with a five-field
 #: `SourceSpan` per node and a six-tuple per token, and with the names
 #: interned beforehand so that they counted for nothing, about 570 and 705,
 #: and 612 and 808.
-BOUNDS = {"dirty_worlds": (163, 193), "wide_clean": (402, 557)}
+BOUNDS = {"dirty_worlds": (163, 193), "wide_clean": (392, 548)}
+
+
+def measure() -> dict[str, dict[str, int]]:
+    """The figures that `BOUNDS` and `VERDICT_BOUNDS` bound, for each bench
+    suite at seed 1 in the CLI's file order: its declarations, the bytes
+    `parse_suite` retains and peaks at, and the bytes a verdict peaks at.
+    Each suite's verdict is measured after its parse, dirty_worlds before
+    wide_clean."""
+    out = {}
+    for workload in sorted(BOUNDS):
+        suite = getattr(load_bench("generators"), workload)(1)
+        files = sorted(suite.files.items())
+        _, diagnostics, retained, peak = _traced_parse(files)
+        assert diagnostics == []
+        length, _, verdict_peak = _traced(_verdict, files)
+        assert length > 0
+        out[workload] = {"decls": suite.props["decls"], "retained": retained, "peak": peak,
+                         "verdict_peak": verdict_peak}
+    return out
+
+
+#: What the fresh interpreter runs: `measure`, with this directory and
+#: `src/` first on its path, written to standard output as JSON.
+_MEASURE = ("import json, sys; sys.path[:0] = sys.argv[1:]; import test_parse_memory; "
+            "print(json.dumps(test_parse_memory.measure()))")
+
+
+@pytest.fixture(scope="module")
+def figures() -> dict[str, dict[str, int]]:
+    """`measure()` as a fresh interpreter takes it, once for this module:
+    no earlier test has left objects on CPython's free lists there, so the
+    figures are the same whichever tests ran before."""
+    paths = [str(Path(__file__).parent), str(Path(ontoarch.__file__).parents[1])]
+    proc = subprocess.run([sys.executable, "-c", _MEASURE, *paths], capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        pytest.fail(f"measuring in a fresh interpreter failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("workload", sorted(BOUNDS))
-def test_parse_suite_bytes_per_declaration(workload):
-    suite = getattr(load_bench("generators"), workload)(1)
-    ast, diagnostics, retained, peak = _traced_parse(sorted(suite.files.items()))
-    assert diagnostics == []
-    decls = suite.props["decls"]
+def test_parse_suite_bytes_per_declaration(figures, workload):
+    figure = figures[workload]
     max_retained, max_peak = BOUNDS[workload]
-    assert retained <= max_retained * decls
-    assert peak <= max_peak * decls
+    assert figure["retained"] <= max_retained * figure["decls"]
+    assert figure["peak"] <= max_peak * figure["decls"]
 
 
 def _token_list_bytes(tokens: list[tuple], starts) -> int:
@@ -368,23 +411,21 @@ def _verdict(files: list[tuple[str, str]]) -> int:
 
 
 #: Bytes per declaration at the peak of `build_report` and `render_json`
-#: together, on the bench suites at seed 1 in the CLI's file order: the
-#: AST with the findings, or the report with its rendering. Measured on
-#: CPython 3.11 with the test run alone (see `BOUNDS`) at about 252 on
-#: dirty_worlds (3.19 MB, in `validate_suite`) and 504 on wide_clean (in
-#: `parse_suite`). With a record per part and a string per finding, alone,
-#: about 334 and 520; earlier, with a `QualifiedRef` per reference, the AST
-#: alive while `Report.build` sorted and the rendering joined from a list
-#: of parts, about 511 and 523.
-VERDICT_BOUNDS = {"dirty_worlds": 272, "wide_clean": 520}
+#: together, on the bench suites at seed 1 in the CLI's file order, as
+#: `figures` measures them: the AST with the findings, or the report with
+#: its rendering. Measured on CPython 3.11 at about 252 on dirty_worlds
+#: (3.19 MB, in `validate_suite`) and 475 on wide_clean (in `parse_suite`).
+#: Alone in the test process, about 252 and 504. With a record per part and
+#: a string per finding, alone, about 334 and 520; earlier, with a
+#: `QualifiedRef` per reference, the AST alive while `Report.build` sorted
+#: and the rendering joined from a list of parts, about 511 and 523.
+VERDICT_BOUNDS = {"dirty_worlds": 272, "wide_clean": 491}
 
 
 @pytest.mark.parametrize("workload", sorted(VERDICT_BOUNDS))
-def test_a_verdict_peaks_below_its_bytes_per_declaration(workload):
-    suite = getattr(load_bench("generators"), workload)(1)
-    length, _, peak = _traced(_verdict, sorted(suite.files.items()))
-    assert length > 0
-    assert peak <= VERDICT_BOUNDS[workload] * suite.props["decls"]
+def test_a_verdict_peaks_below_its_bytes_per_declaration(figures, workload):
+    figure = figures[workload]
+    assert figure["verdict_peak"] <= VERDICT_BOUNDS[workload] * figure["decls"]
 
 
 def test_a_finding_text_is_one_string_per_verdict():

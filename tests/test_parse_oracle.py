@@ -21,12 +21,12 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import MUTATIONS, load_bench, load_fig2, mutate, tree
-from oracles import oracle_parse_file
+from oracles import oracle_parse_file, render_canonical
 from test_file_order import soup_file, suites
 
 from ontoarch import parser
 from ontoarch.cli import build_report
-from ontoarch.parser import parse_suite, render_canonical, tokenize
+from ontoarch.parser import parse_suite, tokenize
 from ontoarch.reporting import render_json
 from ontoarch.source import Source
 
@@ -92,6 +92,15 @@ RECOVERY = (
     "instances of M { world w { relatesWith(t, t) thing u { } } } }",
     "instances of M { world w { ( } } individual",
     "instances of M { world w { enables(, t) } }",
+    # A fact reads both of its references itself: each way either one can fail.
+    "instances of M { world w { enables(t., t.q) } }",
+    "instances of M { world w { enables(t.p, t.) } }",
+    "instances of M { world w { enables(t.p t.q) } }",
+    "instances of M { world w { enables(t.p, t.q } individual i : T }",
+    "instances of M { world w { enables(t.p, ; ) } }",
+    "instances of M { world w { enables(t.p, t.q",
+    "instances of M { world w { enables(t.p.",
+    "instances of M { world w { enables",
     "ontology A at CO { term X enriches , }",
     "instances M { } of } instances of { } instances of M individual",
     "} ; term ontology",

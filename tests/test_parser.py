@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
+from oracles import _escape, render_canonical
+
 from ontoarch.model import Level, OntologyModule
 from ontoarch.parser import (
     SuiteAst,
     TokenKind,
     parse_suite,
-    render_canonical,
     tokenize,
 )
 
@@ -225,8 +226,6 @@ def test_round_trip_is_structural_fixpoint():
     )
 )
 def test_attribute_values_survive_round_trip(value):
-    from ontoarch.parser import _escape
-
     src = f'ontology A at CO {{ term X enriches ThingFO.Thing {{ description "{_escape(value)}" }} }}'
     ast, diags = parse_suite([("f.onto", src)])
     assert not diags

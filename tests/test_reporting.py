@@ -124,6 +124,13 @@ def test_counts_equal_list_tallies():
     )
     assert report.error_count == 2
     assert report.warning_count == 1
+    # A report counts by each code's first letter; `severity` is the
+    # reference, for catalog codes and for codes no check makes.
+    codes = ["E101", "W301", "E311", "W202", "e101", "", "E", "W", "X1", "E232", "W301"]
+    report = Report.build([Diagnostic(code, "m", span(line)) for line, code in enumerate(codes, 1)])
+    severities = [d.severity for d in report.diagnostics]
+    assert (report.error_count, report.warning_count) == (severities.count("error"), severities.count("warning"))
+    assert (report.error_count, report.warning_count) == (4, 7)
 
 
 def test_every_code_is_a_severity_letter_and_three_digits():
