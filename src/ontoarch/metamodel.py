@@ -797,10 +797,6 @@ def term_spec(term_id: str) -> FoundationalTermSpec:
     return _TERM_INDEX[term_id]
 
 
-def is_term(term_id: str) -> bool:
-    return term_id in _TERM_INDEX
-
-
 def is_descendant(a: str, b: str) -> bool:
     """True iff `a` equals `b` or `b` appears on `a`'s parent chain."""
     if a not in _TERM_INDEX or b not in _TERM_INDEX:
@@ -827,7 +823,3 @@ def relationship_variants(key: str) -> tuple[RelationshipSpec, ...]:
     """All relationship specs with the given machine key (1 or 3 entries;
     none for an unknown key)."""
     return _RELATIONSHIP_VARIANTS.get(key, ())
-
-
-def is_relationship_key(key: str) -> bool:
-    return key in _RELATIONSHIP_VARIANTS

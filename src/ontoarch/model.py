@@ -51,13 +51,13 @@ class Level(Enum):
     def rank(self) -> int:
         return self._value_
 
-    def is_exactly_above(self, other: "Level") -> bool:
-        """True iff self is exactly one tier more abstract than `other`."""
-        return self._value_ == other._value_ - 1
-
 
 #: The levels a module can be declared at, most abstract first.
 MODULE_LEVELS: tuple[Level, ...] = tuple(level for level in Level if level is not Level.IO)
+
+#: ThingFO's terms and relationships, keyed as a reference to them binds.
+_THINGFO_TERMS = dict.fromkeys((BUILTIN_MODULE, spec.id) for spec in metamodel.all_term_specs())
+_THINGFO_RELATIONS = dict.fromkeys((BUILTIN_MODULE, key) for key in metamodel.RELATIONSHIP_KEYS)
 
 
 class QualifiedRef(Record):
@@ -263,11 +263,10 @@ class ResolvedSuite:
         self.instance_files: tuple[InstanceFile, ...] = tuple(instance_files)
         self._terms: dict[tuple[str, str], TermDef] = {}
         self._relations: dict[tuple[str, str], RelationDecl] = {}
-        # Each term's foundational root, or None where a missing `enriches`
-        # breaks its chain; ThingFO's terms are their own roots.
-        self._enrichment_roots: dict[tuple[str, str], str | None] = {
-            (BUILTIN_MODULE, spec.id): spec.id for spec in metamodel.all_term_specs()
-        }
+        #: Each term's foundational root by (module, term), or None where a
+        #: missing `enriches` breaks its chain; ThingFO's terms are their own
+        #: roots.
+        self.enrichment_roots: dict[tuple[str, str], str | None] = {key: key[1] for key in _THINGFO_TERMS}
         #: Each module's import-connected component of same-level modules.
         self.components: dict[str, frozenset[str]] = {}
         #: Each relation's kind-chain outcome, by (module, relation).
@@ -283,9 +282,6 @@ class ResolvedSuite:
 
     def get_term(self, module_name: str, term_name: str) -> TermDef | None:
         return self._terms.get((module_name, term_name))
-
-    def all_terms(self) -> Iterator[tuple[str, TermDef]]:
-        return ((module_name, t) for (module_name, _), t in self._terms.items())
 
     def all_relations(self) -> Iterator[tuple[str, RelationDecl]]:
         return ((module_name, r) for (module_name, _), r in self._relations.items())
@@ -304,7 +300,7 @@ class ResolvedSuite:
         """Foundational term reached by following `enriches` links upward;
         None for a chain broken by a missing enrichment link (possible only
         on programmatically built terms)."""
-        return self._enrichment_roots[(module_name, term_name)]
+        return self.enrichment_roots[(module_name, term_name)]
 
     def _error(self, code: str, message: str, source: Source, loc: int) -> None:
         self._diagnostics.append(Diagnostic(code, message, source.span(loc)))
@@ -393,56 +389,52 @@ class ResolvedSuite:
                 self.components.update(dict.fromkeys(group, group))
 
     def _check_module_bodies(self) -> None:
+        # A reference binds when the index of its sort, user declarations
+        # and ThingFO's together, holds its key: one membership test.
+        # `_unbound_term` and `_unbound_relation` only word an E101.
+        terms, relations = {**_THINGFO_TERMS, **self._terms}, {**_THINGFO_RELATIONS, **self._relations}
         for m in self.modules.values():
-            names: set[str] = set()
-            for decl in m.body:
-                if decl.name in names:
-                    self._error("E102", f"duplicate declaration {decl.name} in module {m.name}", m.source, decl.loc)
-                names.add(decl.name)
+            name, body = m.name, m.body
+            if len({decl.name for decl in body}) < len(body):
+                names: set[str] = set()
+                for decl in body:
+                    if decl.name in names:
+                        self._error("E102", f"duplicate declaration {decl.name} in module {name}", m.source, decl.loc)
+                    names.add(decl.name)
             for t in m.terms:
-                self._check_term(m, t)
+                ref = t.enriches
+                if ref is not None and (key := (ref.module or name, ref.name)) not in terms:
+                    problem = self._unbound_term(*key)
+                    self._error("E101", f"term {name}.{t.name}: {problem}", m.source, ref_loc(t.loc, 0))
+                if len(t.attributes) > 1:
+                    seen_keys: set[str] = set()
+                    for attr in t.attributes:
+                        if attr.key in seen_keys:
+                            self._error("E102", f"duplicate attribute {attr.key} on term {name}.{t.name}", m.source,
+                                        attr.loc)
+                        seen_keys.add(attr.key)
             for r in m.relations:
-                self._check_relation(m, r)
+                sides = ((r.from_ref, terms, self._unbound_term), (r.to_ref, terms, self._unbound_term),
+                         (r.kind_ref, relations, self._unbound_relation))
+                for index, (ref, known, unbound) in enumerate(sides):
+                    if (key := (ref.module or name, ref.name)) not in known:
+                        problem = unbound(*key)
+                        self._error("E101", f"relation {name}.{r.name}: {problem}", m.source, ref_loc(r.loc, index))
 
-    def _unbound_term(self, mod: str, name: str) -> str | None:
-        """Why `mod.name` names no term, or None when it names one."""
+    def _unbound_term(self, mod: str, name: str) -> str:
+        """Why `mod.name`, which binds to no term, names none."""
         if mod == BUILTIN_MODULE:
-            return None if metamodel.is_term(name) else f"no foundational term named {name} in {BUILTIN_MODULE}"
-        if mod not in self.modules:
-            return f"unknown module {mod}"
-        if (mod, name) not in self._terms:
-            return f"no term named {name} in module {mod}"
-        return None
+            return f"no foundational term named {name} in {BUILTIN_MODULE}"
+        return f"unknown module {mod}" if mod not in self.modules else f"no term named {name} in module {mod}"
 
-    def _unbound_relation(self, mod: str, name: str) -> str | None:
-        """Why `mod.name` names no relation, or None when it names one."""
+    def _unbound_relation(self, mod: str, name: str) -> str:
+        """Why `mod.name`, which binds to no relation, names none."""
         if mod == BUILTIN_MODULE:
-            return None if metamodel.is_relationship_key(name) else f"no foundational relationship named {name}"
-        if mod not in self.modules:
-            return f"unknown module {mod}"
-        if (mod, name) not in self._relations:
-            return f"no relation named {name} in module {mod}"
-        return None
-
-    # The checks below format an E101 text only for a reference that is unbound.
-
-    def _check_term(self, m: OntologyModule, t: TermDef) -> None:
-        ref = t.enriches
-        if ref is not None and (problem := self._unbound_term(ref.module or m.name, ref.name)):
-            self._error("E101", f"term {m.name}.{t.name}: {problem}", m.source, ref_loc(t.loc, 0))
-        seen_keys: set[str] = set()
-        for attr in t.attributes:
-            if attr.key in seen_keys:
-                self._error("E102", f"duplicate attribute {attr.key} on term {m.name}.{t.name}", m.source, attr.loc)
-            seen_keys.add(attr.key)
-
-    def _check_relation(self, m: OntologyModule, r: RelationDecl) -> None:
-        for index, (ref, unbound) in enumerate(((r.from_ref, self._unbound_term), (r.to_ref, self._unbound_term),
-                                                (r.kind_ref, self._unbound_relation))):
-            if problem := unbound(ref.module or m.name, ref.name):
-                self._error("E101", f"relation {m.name}.{r.name}: {problem}", m.source, ref_loc(r.loc, index))
+            return f"no foundational relationship named {name}"
+        return f"unknown module {mod}" if mod not in self.modules else f"no relation named {name} in module {mod}"
 
     def _check_instances(self) -> None:
+        terms = {**_THINGFO_TERMS, **self._terms}  # binds as in `_check_module_bodies`
         for f in self.instance_files:
             if not (f.of_module == BUILTIN_MODULE or f.of_module in self.modules):
                 self._error("E101", f"instances block names unknown module {f.of_module}", f.source, f.loc)
@@ -456,25 +448,27 @@ class ResolvedSuite:
                 names.add(decl.name)
             for ind in f.individuals:
                 ref = ind.type_ref
-                if problem := self._unbound_term(ref.module or f.of_module, ref.name):
-                    self._error("E101", f"individual {ind.name}: {problem}", f.source, ref_loc(ind.loc, 0))
+                if (key := (ref.module or f.of_module, ref.name)) not in terms:
+                    self._error("E101", f"individual {ind.name}: {self._unbound_term(*key)}", f.source,
+                                ref_loc(ind.loc, 0))
             for w in f.worlds:
-                self._check_world(f, w)
+                self._check_world(f, w, terms)
 
-    def _check_world(self, f: InstanceFile, w: World) -> None:
+    def _check_world(self, f: InstanceFile, w: World, terms: dict[tuple[str, str], object]) -> None:
         # Each sort's table maps a reference's qualifier to the names it may
         # qualify: a part is `thing.part`, a thing a bare name (qualifier
-        # None). No predicate's left side is a term; a right-side term is
-        # looked up as in `_unbound_term`.
+        # None). No predicate's left side is a term; a right-side term, or
+        # a thing's type, binds in `terms`, the index of every term.
         properties: dict[str, set[str]] = {}
         powers: dict[str, set[str]] = {}
+        of_module = f.of_module
         for t in w.things:
             if t.name in properties:
                 self._error("E102", f"duplicate thing {t.name} in world {w.name}", f.source, t.loc)
                 continue
             ref = t.instance_of
-            if ref is not None and (problem := self._unbound_term(ref.module or f.of_module, ref.name)):
-                self._error("E101", f"thing {t.name}: {problem}", f.source, ref_loc(t.loc, 0))
+            if ref is not None and (key := (ref.module or of_module, ref.name)) not in terms:
+                self._error("E101", f"thing {t.name}: {self._unbound_term(*key)}", f.source, ref_loc(t.loc, 0))
             props = properties[t.name] = set(t.properties)
             pows = powers[t.name] = set(t.powers)
             if len(props) + len(pows) < len(t.properties) + len(t.powers) or not props.isdisjoint(pows):
@@ -484,7 +478,6 @@ class ResolvedSuite:
                         self._error("E102", f"duplicate part {part} on thing {t.name}", f.source, loc)
                     seen.add(part)
         tables = {"Property": properties, "Power": powers, "Thing": {None: properties}}
-        terms, of_module = self._terms, f.of_module
         for fact in w.facts:
             spec = metamodel.WORLD_PREDICATES.get(fact.predicate)
             if spec is None:
@@ -495,8 +488,7 @@ class ResolvedSuite:
                 self._unbound_side(f, w, fact, 0, spec.domain, properties)
             table = tables.get(spec.range)
             if table is None:
-                mod = right.module or of_module
-                if (mod, right.name) not in terms and not (mod == BUILTIN_MODULE and metamodel.is_term(right.name)):
+                if (right.module or of_module, right.name) not in terms:
                     self._unbound_side(f, w, fact, 1, spec.range, properties)
             elif right.name not in table.get(right.module, ()):
                 self._unbound_side(f, w, fact, 1, spec.range, properties)
@@ -529,39 +521,48 @@ class ResolvedSuite:
     def _check_enrichment_cycles(self) -> None:
         # Only meaningful for chains whose every link resolved; broken links
         # already produced E101 above. `pending` holds the terms not yet
-        # walked: each walk removes the terms it visited, so each term is
+        # walked: a walk takes out each term it visits, so each term is
         # walked once and a walk stops at a term an earlier walk judged. The
         # first walk to enter a cycle reports it, starting where it entered;
         # modules are walked in name order, so that is independent of the
         # order the files came in. Every visited term records its chain's
-        # outcome in `_enrichment_roots`.
+        # outcome in `enrichment_roots`.
         pending = dict(self._terms)
+        roots = self.enrichment_roots
         for name in sorted(self.modules):
             for t in self.modules[name].terms:
-                path: list[tuple[str, str]] = []
-                on_path: dict[tuple[str, str], int] = {}
                 key = (name, t.name)
-                while key in pending:
-                    if key in on_path:
-                        cycle = path[on_path[key]:]
-                        pretty = " -> ".join(f"{cm}.{cn}" for cm, cn in cycle + [cycle[0]])
-                        first = cycle[0]
-                        self._error("E105", f"enrichment cycle: {pretty}", self.modules[first[0]].source,
-                                    pending[first].loc)
-                        break
-                    on_path[key] = len(path)
-                    path.append(key)
-                    enriches = pending[key].enriches
-                    if enriches is None:
-                        break
+                term = pending.pop(key, None)
+                if term is None:
+                    continue  # an earlier walk judged it
+                enriches = term.enriches
+                if enriches is not None:
+                    target = (enriches.module or name, enriches.name)
+                    if target not in pending and target != key:
+                        # One link, to a ThingFO term, a judged term or an
+                        # unbound one (E101): nothing to keep.
+                        roots[key] = roots.get(target)
+                        continue
+                path = [key]
+                while enriches is not None:
                     key = (enriches.module or key[0], enriches.name)
-                # Still pending: the term lacking `enriches`, or a cycle
-                # (E105). Otherwise a ThingFO term, a term an earlier walk
-                # judged, or an unbound one (E101).
-                root = None if key in pending else self._enrichment_roots.get(key)
+                    term = pending.pop(key, None)
+                    if term is None:
+                        break
+                    path.append(key)
+                    enriches = term.enriches
+                else:
+                    key = None  # the term lacking `enriches` breaks the chain
+                # `key` ends the walk: a ThingFO term, a term an earlier walk
+                # judged, an unbound one, or a term on this path (E105).
+                root = roots.get(key)
+                if root is None and key in path:
+                    cycle = path[path.index(key):]
+                    pretty = " -> ".join(f"{cm}.{cn}" for cm, cn in cycle + [key])
+                    self._error("E105", f"enrichment cycle: {pretty}", self.modules[key[0]].source,
+                                self._terms[key].loc)
                 for visited in path:
-                    del pending[visited]
-                    self._enrichment_roots[visited] = root
+                    roots[visited] = root
 
     def _record_kind_chains(self) -> None:
         # As in `_check_enrichment_cycles`, a walk stops at a relation an

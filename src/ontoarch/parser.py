@@ -21,8 +21,9 @@ Grammar (EBNF; `//` comments run to end of line, files are UTF-8):
     qname       := IDENT "." IDENT | IDENT
 
 `ref` and `qname` are one production, which builds a `QualifiedRef`;
-`parse_qname` reads it, and `parse_fact` reads a fact's two itself, the
-same way. A fact's `thing.part` is qualified by its thing.
+`parse_qname` reads it, but `parse_term` reads a term's target and
+`parse_world` each fact's two in line, the same way. A fact's `thing.part`
+is qualified by its thing.
 
 Files that produce any diagnostic are excluded from the returned AST, so
 resolution only ever sees well-formed declarations.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import TYPE_CHECKING, NoReturn
 
 from .metamodel import BUILTIN_MODULE, SCOPE_FACETS, WORLD_PREDICATES
@@ -156,9 +157,10 @@ def tokenize(
     blanks after it. The matches lie end to end, so their lengths give the
     starts, and a table from each distinct match to its token gives the
     tokens: Python runs once per distinct match in a chunk, not once per
-    token. A chunk holding a comment, an invalid character or a string with
-    an escape or no closing quote is read match by match, since a comment
-    yields no token and the others need offsets. A chunk is cut only after a
+    token. A comment is a match with no token, which a chunk that holds one
+    drops from its tokens and its starts in one pass each. A chunk holding
+    an invalid character or a string with an escape or no closing quote is
+    read match by match, since those need offsets. A chunk is cut only after a
     line feed, so text with none (one long line, or lone carriage returns as
     line ends) is one chunk, and the working set then grows with the text.
 
@@ -181,7 +183,7 @@ def tokenize(
         following = _SCAN.search(text, cut) if cut else None
         matches = _SCAN_WITH_BLANKS.findall(text, pos, following.start() if following else n)
         table = dict.fromkeys(matches)  # each distinct match to its token; a comment's stays None
-        by_offset = False
+        by_offset = commented = False
         for match in table:
             first = match[0]
             if first in _SHAREABLE:
@@ -190,10 +192,10 @@ def tokenize(
                 if tok is None:
                     tok = names[lexeme] = _SHARED.get(lexeme) or (_IDENT, lexeme, "")
                 table[match] = tok
-            elif match[:2] == "//":
-                by_offset = True  # its entry stays None, so the match-by-match loop drops it
             elif first == '"' and (lexeme := match.rstrip(_BLANKS)).endswith('"', 1) and "\\" not in lexeme:
                 table[match] = (_STRING, lexeme, lexeme[1:-1], len(lexeme))
+            elif match[:2] == "//":
+                commented = True  # its entry stays None, which both paths below drop
             else:
                 table[match] = _BY_OFFSET
                 by_offset = True
@@ -213,6 +215,10 @@ def tokenize(
                     continue
                 tokens.append(tok)
                 starts.append(start)
+        elif commented:
+            chunk = list(map(table.__getitem__, matches))
+            tokens.extend(filter(None, chunk))
+            starts.fromlist(list(compress(chunk_starts, chunk)))
         else:
             tokens.extend(map(table.__getitem__, matches))
             starts.fromlist(chunk_starts)
@@ -468,8 +474,29 @@ class _Parser:
             raise self.fail("expected term name", i + 1)
         if toks[i + 2][1] != "enriches":
             raise self.fail("expected 'enriches'", i + 2)
-        target, target_loc, i = self.parse_qname(i + 3)
-        end = starts[i - 1] + len(toks[i - 1][1])  # the target's last name
+        # The target, read in line as `parse_qname` reads a reference.
+        i += 3
+        first = toks[i]
+        if first[0] is not _IDENT:
+            raise self.fail("expected a name", i)
+        at = starts[i]
+        if toks[i + 1][1] == ".":
+            second = toks[i + 2]
+            if second[0] is not _IDENT:
+                raise self.fail("expected a name after '.'", i + 2)
+            module, target_name = first[1], second[1]
+            i += 3
+        else:
+            module, target_name = None, first[1]
+            i += 1
+        end = starts[i - 1] + len(target_name)  # the target's last name
+        target_loc = at << 32 | end
+        by_name = self.refs.get(module)
+        if by_name is None:
+            by_name = self.refs[module] = {}
+        target = by_name.get(target_name)
+        if target is None:
+            target = by_name[target_name] = QualifiedRef(module, target_name)
         scope: str | None = None
         if toks[i][1] == "scope":
             scope = toks[i + 1][1]
@@ -537,33 +564,97 @@ class _Parser:
         return Individual(name[1], type_ref, start << 32 | end | type_loc << 64), i
 
     def parse_world(self, i: int) -> tuple[World, int]:
-        toks = self.toks
-        start = self.starts[i]
-        name = toks[i + 1]
-        if name[0] is not _IDENT:
+        """A world: its things, then its facts. Each fact's two references
+        are read in line, each as `parse_qname` reads one: two calls, or a
+        loop over the sides, cost the 7% of `_Parser`'s time on dirty_worlds
+        that this saves."""
+        toks, starts, refs = self.toks, self.starts, self.refs
+        start = starts[i]
+        world = toks[i + 1]
+        if world[0] is not _IDENT:
             raise self.fail("expected world name", i + 1)
         if toks[i + 2][1] != "{":
             raise self.fail("expected '{'", i + 2)
         i += 3
         things: list[ThingNode] = []
+        while toks[i][1] == "thing":
+            thing, i = self.parse_thing(i)
+            things.append(thing)
         facts: list[Fact] = []
-        while i < self.end:
-            tok = toks[i]
-            if tok[1] == "}":
-                break
-            if tok[1] == "thing":
-                if facts:
-                    raise self.fail("thing declarations must precede facts", i)
-                thing, i = self.parse_thing(i)
-                things.append(thing)
-            elif tok[0] is _IDENT:
-                fact, i = self.parse_fact(i)
-                facts.append(fact)
+        while toks[i][0] is _IDENT:
+            pred = toks[i][1]
+            if pred not in WORLD_PREDICATES:
+                self.diagnostics.append(Diagnostic("E004", f"unknown fact predicate {pred!r}", self.token_span(i)))
+                # Recover past the argument list so later facts still parse.
+                i += 1
+                if toks[i][1] == "(":
+                    while i < self.end and toks[i][1] not in (")", "}"):
+                        i += 1
+                    if toks[i][1] == ")":
+                        i += 1
+                self.pos = i
+                raise _ParseError()
+            if toks[i + 1][1] != "(":
+                raise self.fail("expected '('", i + 1)
+            loc = starts[i] << 32
+            i += 2
+            first = toks[i]
+            if first[0] is not _IDENT:
+                raise self.fail("expected a reference", i)
+            at = starts[i]
+            if toks[i + 1][1] == ".":
+                second = toks[i + 2]
+                if second[0] is not _IDENT:
+                    raise self.fail("expected a name after '.'", i + 2)
+                module, name = first[1], second[1]
+                loc |= (at << 32 | starts[i + 2] + len(name)) << 64
+                i += 3
             else:
-                raise self.fail("expected a thing declaration, a fact or '}'", i)
-        if toks[i][1] != "}":
-            raise self.fail("expected '}'", i)
-        return World(name[1], tuple(things), tuple(facts), start << 32 | self.starts[i] + 1), i + 1
+                module, name = None, first[1]
+                loc |= (at << 32 | at + len(name)) << 64
+                i += 1
+            by_name = refs.get(module)
+            if by_name is None:
+                by_name = refs[module] = {}
+            left = by_name.get(name)
+            if left is None:
+                left = by_name[name] = QualifiedRef(module, name)
+            if toks[i][1] != ",":
+                raise self.fail("expected ','", i)
+            i += 1
+            first = toks[i]
+            if first[0] is not _IDENT:
+                raise self.fail("expected a reference", i)
+            at = starts[i]
+            if toks[i + 1][1] == ".":
+                second = toks[i + 2]
+                if second[0] is not _IDENT:
+                    raise self.fail("expected a name after '.'", i + 2)
+                module, name = first[1], second[1]
+                loc |= (at << 32 | starts[i + 2] + len(name)) << 128
+                i += 3
+            else:
+                module, name = None, first[1]
+                loc |= (at << 32 | at + len(name)) << 128
+                i += 1
+            by_name = refs.get(module)
+            if by_name is None:
+                by_name = refs[module] = {}
+            right = by_name.get(name)
+            if right is None:
+                right = by_name[name] = QualifiedRef(module, name)
+            if toks[i][1] != ")":
+                raise self.fail("expected ')'", i)
+            facts.append(Fact(pred, left, right, loc | starts[i] + 1))
+            i += 1
+        close = toks[i][1]
+        if close != "}":
+            if i == self.end:
+                raise self.fail("expected '}'", i)
+            if close == "thing":  # the things loop took every thing before the first fact
+                raise self.fail("thing declarations must precede facts", i)
+            raise self.fail("expected a thing declaration, a fact or '}'", i)
+        return World(world[1], tuple(things), tuple(facts), start << 32 | starts[i] + 1), i + 1
 
     def parse_thing(self, i: int) -> tuple[ThingNode, int]:
         toks, starts = self.toks, self.starts
@@ -603,78 +694,6 @@ class _Parser:
             # at a time would copy the growing `int` once per part.
             loc |= int.from_bytes(b"".join(places), "little") << 128
         return ThingNode(name[1], instance_of, tuple(parts[0]), tuple(parts[1]), loc), i + 1
-
-    def parse_fact(self, i: int) -> tuple[Fact, int]:
-        """A fact; the caller has checked that its first token is a name.
-        Both references are read in line, each as `parse_qname` reads one:
-        two calls, or a loop over the sides, cost the 7% of `_Parser`'s
-        time on dirty_worlds that this saves."""
-        toks = self.toks
-        pred = toks[i][1]
-        if pred not in WORLD_PREDICATES:
-            self.diagnostics.append(Diagnostic("E004", f"unknown fact predicate {pred!r}", self.token_span(i)))
-            # Recover past the argument list so later facts still parse.
-            i += 1
-            if toks[i][1] == "(":
-                while i < self.end and toks[i][1] not in (")", "}"):
-                    i += 1
-                if toks[i][1] == ")":
-                    i += 1
-            self.pos = i
-            raise _ParseError()
-        starts, refs = self.starts, self.refs
-        if toks[i + 1][1] != "(":
-            raise self.fail("expected '('", i + 1)
-        loc = starts[i] << 32
-        i += 2
-        first = toks[i]
-        if first[0] is not _IDENT:
-            raise self.fail("expected a reference", i)
-        at = starts[i]
-        if toks[i + 1][1] == ".":
-            second = toks[i + 2]
-            if second[0] is not _IDENT:
-                raise self.fail("expected a name after '.'", i + 2)
-            module, name = first[1], second[1]
-            loc |= (at << 32 | starts[i + 2] + len(name)) << 64
-            i += 3
-        else:
-            module, name = None, first[1]
-            loc |= (at << 32 | at + len(name)) << 64
-            i += 1
-        by_name = refs.get(module)
-        if by_name is None:
-            by_name = refs[module] = {}
-        left = by_name.get(name)
-        if left is None:
-            left = by_name[name] = QualifiedRef(module, name)
-        if toks[i][1] != ",":
-            raise self.fail("expected ','", i)
-        i += 1
-        first = toks[i]
-        if first[0] is not _IDENT:
-            raise self.fail("expected a reference", i)
-        at = starts[i]
-        if toks[i + 1][1] == ".":
-            second = toks[i + 2]
-            if second[0] is not _IDENT:
-                raise self.fail("expected a name after '.'", i + 2)
-            module, name = first[1], second[1]
-            loc |= (at << 32 | starts[i + 2] + len(name)) << 128
-            i += 3
-        else:
-            module, name = None, first[1]
-            loc |= (at << 32 | at + len(name)) << 128
-            i += 1
-        by_name = refs.get(module)
-        if by_name is None:
-            by_name = refs[module] = {}
-        right = by_name.get(name)
-        if right is None:
-            right = by_name[name] = QualifiedRef(module, name)
-        if toks[i][1] != ")":
-            raise self.fail("expected ')'", i)
-        return Fact(pred, left, right, loc | starts[i] + 1), i + 1
 
 
 #: Block productions by their first keyword, as plain functions: bound

@@ -10,7 +10,11 @@ Resolution has bound every fact, so the checks read facts as they stand.
 `check_relationship_conformance` finds E232-E234 and gathers W301's covered
 parts in one walk of a world's facts; `check_axioms` walks them again, one
 call per world, which `bench/tracing.py` times by name (see ROADMAP item
-2). A term's root kind is read once per distinct `(module, term)` per call.
+2). The per-term checks read what resolution recorded and make no per-term
+call: a term's root from `ResolvedSuite.enrichment_roots`, each distinct
+root's kind (and allowed attribute keys) from a table kept for one call,
+and, in Rule #1, each module's level from a table of the modules, against
+the level one tier above the term's own module.
 
 The findings on worlds repeat from world to world: the same thing names,
 parts and terms give the same texts, and so do the witnesses made of level
@@ -118,41 +122,45 @@ def chain_status(suite: ResolvedSuite, module_name: str, rel: RelationDecl) -> C
 def check_rule1(suite: ResolvedSuite) -> list[Diagnostic]:
     texts: dict[str, str] = {}
     out: list[Diagnostic] = []
+    levels = {name: m.level for name, m in suite.modules.items()}
+    levels[BUILTIN_MODULE] = Level.FO
     for module in suite.modules.values():
-        source = module.source
+        name, level, source = module.name, module.level, module.source
+        above = Level(level.rank - 1) if level.rank else None  # the level its terms enrich
         for t in module.terms:
-            if t.enriches is None:
+            ref = t.enriches
+            if ref is None:
                 out.append(
                     _finding(
                         "E213",
-                        f"term {module.name}.{t.name} has no enrichment target",
+                        f"term {name}.{t.name} has no enrichment target",
                         source.span(t.loc),
                         witness=f"term {t.name}",
                     )
                 )
                 continue
-            target_mod, target_name = suite.term_target(t.enriches, module.name)
-            target_level = suite.level_of(target_mod)
-            if not target_level.is_exactly_above(module.level):
+            target_mod = ref.module or name
+            target_level = levels[target_mod]
+            if target_level is not above:
                 out.append(
                     _finding(
                         "E211",
-                        f"term {module.name}.{t.name} ({module.level.name}) enriches "
-                        f"{target_mod}.{target_name} ({target_level.name}), which is not "
+                        f"term {name}.{t.name} ({level.name}) enriches "
+                        f"{target_mod}.{ref.name} ({target_level.name}), which is not "
                         f"the immediately higher level",
                         source.span(t.loc),
-                        witness=f"{module.level.name} -> {target_level.name}",
+                        witness=f"{level.name} -> {target_level.name}",
                         texts=texts,
                     )
                 )
         for r in module.relations:
-            status = chain_status(suite, module.name, r)
+            status = chain_status(suite, name, r)
             if not status.escapes and status.outcome in ("cycle", "downward"):
                 detail = status.text
                 out.append(
                     _finding(
                         "E212",
-                        f"relation {module.name}.{r.name} never reaches a foundational "
+                        f"relation {name}.{r.name} never reaches a foundational "
                         f"relationship: {detail}",
                         source.span(r.loc),
                         witness=detail,
@@ -195,19 +203,15 @@ def check_rule2(suite: ResolvedSuite) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 class _RootKinds(dict):
-    """Each term's enrichment root kind by `(module, term)`, read from the
-    suite at its first lookup; None for a broken chain (E213)."""
+    """Each enrichment root's kind, by the root's name, read from the
+    metamodel at its first lookup; the root of a broken chain, None, has
+    none (E213)."""
 
-    __slots__ = ("suite",)
+    __slots__ = ()
 
-    def __init__(self, suite: ResolvedSuite):
-        super().__init__()
-        self.suite = suite
-
-    def __missing__(self, key: tuple[str, str]) -> RootKind | None:
-        anchor = self.suite.enrichment_root(*key)
-        root = self[key] = None if anchor is None else metamodel.root_kind(anchor)
-        return root
+    def __missing__(self, anchor: str | None) -> RootKind | None:
+        kind = self[anchor] = None if anchor is None else metamodel.root_kind(anchor)
+        return kind
 
 
 #: The enrichment roots whose terms result in no instances: Thing and
@@ -239,7 +243,7 @@ def _not_instantiable(name: str, type_mod: str, type_name: str, root: RootKind, 
 
 def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
     texts: dict[str, str] = {}
-    roots = _RootKinds(suite)
+    roots, kinds = suite.enrichment_roots, _RootKinds()
     out: list[Diagnostic] = []
     for f in suite.instance_files:
         typed = [(ind, ind.type_ref, "individual") for ind in f.individuals]
@@ -248,7 +252,7 @@ def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
             if ref is None:
                 continue  # an untyped thing
             key = (ref.module or f.of_module, ref.name)
-            if (root := roots[key]) in _NOT_INSTANTIABLE:
+            if (root := kinds[roots[key]]) in _NOT_INSTANTIABLE:
                 out.append(_not_instantiable(node.name, *key, root, f.source, node.loc, where, texts))
     return out
 
@@ -308,7 +312,7 @@ def _anchor_matches(suite: ResolvedSuite, term: tuple[str, str], anchor: str, re
         return True
     # A scope stands in for the Assertion subtype it names: an
     # assertion-rooted term with a scope satisfies that subtype only.
-    if required in SCOPE_FACETS.values() and metamodel.root_kind(anchor) is RootKind.ASSERTION:
+    if required in SCOPE_FACETS.values() and metamodel.is_descendant(anchor, "Assertion"):
         decl = suite.get_term(*term)
         if decl is not None and decl.scope is not None:
             return SCOPE_FACETS[decl.scope] == required
@@ -343,8 +347,8 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
         if status.outcome != "foundational":
             continue  # chain failures belong to Rule #1 / Rule #2
         variants = metamodel.relationship_variants(status.key or "")
-        from_term = suite.term_target(r.from_ref, module_name)
-        to_term = suite.term_target(r.to_ref, module_name)
+        from_term = (r.from_ref.module or module_name, r.from_ref.name)
+        to_term = (r.to_ref.module or module_name, r.to_ref.name)
         from_root = suite.enrichment_root(*from_term)
         to_root = suite.enrichment_root(*to_term)
         if from_root is None or to_root is None:
@@ -372,7 +376,7 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
     # One walk of each world's facts finds E232-E234 and gathers the parts
     # that are the left side of each predicate of `_REQUIRED_EDGES`; W301
     # then names the parts left out, in worlds that use the predicate.
-    roots = _RootKinds(suite)
+    roots, kinds = suite.enrichment_roots, _RootKinds()
     for f, w in suite.all_worlds():
         covered: dict[str, set[tuple[str, str]]] = {predicate: set() for predicate in _REQUIRED_EDGES}
         for fact in w.facts:
@@ -383,7 +387,7 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
             target = _TERM_FACTS.get(predicate)
             if target is not None:
                 mod, name = right.module or f.of_module, right.name
-                root = roots[(mod, name)]
+                root = kinds[roots[(mod, name)]]
                 code, required, display = target
                 if root is not required and root is not None:  # None: a broken chain, E213
                     out.append(
@@ -436,43 +440,53 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
 def check_property_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     thing, assertion = RootKind.THING, RootKind.ASSERTION
-    for module_name, t in suite.all_terms():
-        anchor = suite.enrichment_root(module_name, t.name)
-        if anchor is None:
-            continue  # broken enrichment chain, already flagged as E213
-        source = suite.modules[module_name].source
-        root = metamodel.root_kind(anchor)
-        allowed = metamodel.property_keys_for_root(root)
-        for attr in t.attributes:
-            if attr.key not in allowed:
+    roots = suite.enrichment_roots
+    schemas: dict[str, tuple[RootKind, tuple[str, ...]]] = {}  # each root's kind and allowed keys
+    for module in suite.modules.values():
+        module_name, source = module.name, module.source
+        for t in module.terms:
+            anchor = roots[(module_name, t.name)]
+            if anchor is None:
+                continue  # broken enrichment chain, already flagged as E213
+            schema = schemas.get(anchor)
+            if schema is None:
+                kind = metamodel.root_kind(anchor)
+                schema = schemas[anchor] = (kind, metamodel.property_keys_for_root(kind))
+            root, allowed = schema
+            described = False
+            for attr in t.attributes:
+                key = attr.key
+                if key not in allowed:
+                    out.append(
+                        _finding(
+                            "W201",
+                            f"attribute {key!r} on term {module_name}.{t.name} is not "
+                            f"owned by {root.value}-rooted terms (allowed: {', '.join(allowed)})",
+                            source.span(attr.loc),
+                            witness=f"{t.name}.{key}",
+                        )
+                    )
+                if key == "description":
+                    described = True
+            if root is thing and not described:
                 out.append(
                     _finding(
-                        "W201",
-                        f"attribute {attr.key!r} on term {module_name}.{t.name} is not "
-                        f"owned by {root.value}-rooted terms (allowed: {', '.join(allowed)})",
-                        source.span(attr.loc),
-                        witness=f"{t.name}.{attr.key}",
+                        "W202",
+                        f"thing-rooted term {module_name}.{t.name} declares no description",
+                        source.span(t.loc),
+                        witness=f"term {t.name}",
                     )
                 )
-        if root is thing and "description" not in {a.key for a in t.attributes}:
-            out.append(
-                _finding(
-                    "W202",
-                    f"thing-rooted term {module_name}.{t.name} declares no description",
-                    source.span(t.loc),
-                    witness=f"term {t.name}",
+            if t.scope is not None and root is not assertion:
+                out.append(
+                    _finding(
+                        "W203",
+                        f"term {module_name}.{t.name} declares scope {t.scope!r} but its "
+                        f"enrichment root is {root.value}, not Assertion",
+                        source.span(t.loc),
+                        witness=f"term {t.name} scope {t.scope}",
+                    )
                 )
-            )
-        if t.scope is not None and root is not assertion:
-            out.append(
-                _finding(
-                    "W203",
-                    f"term {module_name}.{t.name} declares scope {t.scope!r} but its "
-                    f"enrichment root is {root.value}, not Assertion",
-                    source.span(t.loc),
-                    witness=f"term {t.name} scope {t.scope}",
-                )
-            )
     return out
 
 

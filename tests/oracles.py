@@ -24,7 +24,11 @@ serializer that the writer replaced, which builds one dict per finding and
 has `json.dumps` sort every key. `oracle_world_rules` checks the world
 findings of `check_relationship_conformance` (E232-E234 and W301): it
 judges each fact on its own and looks for each part's edges among all the
-facts, sharing no helper with the validator.
+facts, sharing no helper with the validator. `oracle_rule1` checks E211 and
+E213 of `check_rule1` from the module list and the order of the levels, and
+`oracle_property_conformance` checks W201-W203 of
+`check_property_conformance` from the property catalog, walking each term's
+root link by link; both return codes and spans only.
 
 `render_canonical` is no oracle but a test tool: it writes an AST back as
 `.onto` text, which the round-trip tests reparse.
@@ -36,7 +40,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from ontoarch.metamodel import BUILTIN_MODULE, WORLD_PREDICATES, term_spec
+from ontoarch.metamodel import BUILTIN_MODULE, WORLD_PREDICATES, all_property_specs, term_spec
 from ontoarch.model import (
     MODULE_LEVELS,
     AttrPair,
@@ -272,6 +276,54 @@ def oracle_world_rules(suite: ResolvedSuite) -> list[Diagnostic]:
                                 f"in world {world.name}, which declares {predicate} facts",
                                 f.source.span(places[k]), f"{sort} {thing.name}.{part}; 0 {predicate} edges"))
     return out
+
+
+def oracle_rule1(suite: ResolvedSuite) -> list[tuple[str, SourceSpan]]:
+    """The code and span of each E211 and E213, straight from Rule #1's
+    text: a term must enrich a term of the level immediately above its own
+    module's, and a term with no enrichment target corresponds to nothing.
+    The tiers are `Level`'s members sorted by value, most abstract first;
+    nothing is above the first. A target's level is read from the module
+    list. In no particular order."""
+    tiers = [level.name for level in sorted(Level, key=lambda level: level.value)]
+    declared = {m.name: m.level.name for m in suite.modules.values()}
+    declared[BUILTIN_MODULE] = tiers[0]
+    out: list[tuple[str, SourceSpan]] = []
+    for module in suite.modules.values():
+        at = tiers.index(module.level.name)
+        higher = tiers[at - 1] if at > 0 else None
+        for term in module.terms:
+            if term.enriches is None:
+                out.append(("E213", module.source.span(term.loc)))
+            elif declared[term.enriches.module or module.name] != higher:
+                out.append(("E211", module.source.span(term.loc)))
+    return out
+
+
+def oracle_property_conformance(suite: ResolvedSuite) -> list[tuple[str, SourceSpan]]:
+    """The code and span of each W201, W202 and W203: a term's root is the
+    top of the ThingFO parent chain above its enrichment root, both walked
+    link by link; its allowed keys are those of the catalog's properties
+    whose owner is that root (W201); a Thing-rooted term needs a
+    `description` attribute (W202); only an Assertion-rooted term may
+    declare a scope (W203). A term with a broken chain is Rule #1's. In no
+    particular order."""
+    out: list[tuple[str, SourceSpan]] = []
+    for module in suite.modules.values():
+        for term in module.terms:
+            anchor = oracle_enrichment_root(suite, module.name, term.name)
+            if anchor is None:
+                continue
+            root = _foundational_root(anchor)
+            allowed = [p.key for p in all_property_specs() if p.owner == root]
+            keys = [attr.key for attr in term.attributes]
+            out += [("W201", module.source.span(attr.loc)) for attr in term.attributes if attr.key not in allowed]
+            if root == "Thing" and "description" not in keys:
+                out.append(("W202", module.source.span(term.loc)))
+            if term.scope is not None and root != "Assertion":
+                out.append(("W203", module.source.span(term.loc)))
+    return out
+
 
 PUNCTUATION = "{}(),:;."
 

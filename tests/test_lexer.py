@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import load_bench
+from fig2_corpus import load_fig2
 from oracles import oracle_tokenize
 
 from ontoarch import parser
@@ -72,12 +73,15 @@ def test_tokenize_equals_the_character_walk(text):
 
 #: Pieces that `tokenize` must read the same wherever a chunk is cut: a
 #: carriage return before a line feed and alone, indentation after a line
-#: feed, a comment last in a chunk, an invalid character and an escaped
-#: string first or last in one, an unterminated string ending in blanks
-#: before a line feed and at the end of input, and no final line feed.
+#: feed, comments right after a word, a mark and a string, first and last in
+#: a chunk and at the end of input, `//` inside a string, whole and cut off
+#: by a line feed, an invalid character and an escaped string first or last
+#: in one, an unterminated string ending in blanks before a line feed and at
+#: the end of input, and no final line feed.
 AT_A_CUT = (
     "a\r\nb\r\n", "a\rb\r\n", "a\n    b\n\t\tc",
-    "a // c \nb", "a //c\r\n",
+    "a // c \nb", "a //c\r\n", "a// c\nb", "{// c\n}", '"s"// c\nb', "// c\na", "a\n// c",
+    "// c\n// d\n  a // e\n", '"a // b" c\n', 'x "a // b\ny',
     "@ b\n", "a\t@\n", '"x\\"y" b\n', 'a "x\\"y"  \n',
     '"ab \t \n  b', 'a "ab \t', '"ab \\\n', "a b",
 )
@@ -160,3 +164,17 @@ def test_tokenize_builds_no_span_and_shares_every_tuple_but_strings(monkeypatch)
     assert all(names[tok[1]] is tok for tok in shared if tok[0] is not TokenKind.EOI)
     again, _, _ = tokenize(text, "n.onto", names)
     assert all(a is b for a, b in zip(again, tokens) if a[0] is not TokenKind.STRING)
+
+
+def test_a_comment_leaves_its_chunk_on_the_table_path(monkeypatch):
+    # Only the match-by-match path pairs matches with their starts by `zip`.
+    # Every fig2 file starts with a comment and holds no escaped string.
+    walked = []
+    monkeypatch.setattr(parser, "zip", lambda *args: walked.append(args) or zip(*args), raising=False)
+    files = load_fig2()
+    lines = [line for _, text in files for line in text.splitlines()]
+    assert sum(line.lstrip().startswith("//") for line in lines) >= len(files)
+    for name, text in files:
+        assert _lexed(text, name) == _oracle_lexed(text, name)
+    assert walked == []
+    assert _lexed("a @ // c\nb") == _oracle_lexed("a @ // c\nb") and walked != []

@@ -170,10 +170,8 @@ def test_relationship_variants_are_one_table_built_at_import():
         variants = metamodel.relationship_variants(key)
         assert variants == tuple(r for r in specs if r.key == key)
         assert metamodel.relationship_variants(key) is variants
-        assert metamodel.is_relationship_key(key)
     for unknown in ("", "relates", "Thing", "interacts"):
         assert metamodel.relationship_variants(unknown) == ()
-        assert not metamodel.is_relationship_key(unknown)
 
 
 def test_relationship_axiom_links():

@@ -265,10 +265,10 @@ def test_world_ownership_is_functional_by_construction(fig2_suite):
 
 
 def test_level_monotonicity_over_fig2(fig2_suite):
-    for module_name, term in fig2_suite.all_terms():
-        module = fig2_suite.modules[module_name]
-        target_mod, _ = fig2_suite.term_target(term.enriches, module_name)
-        assert fig2_suite.level_of(target_mod).is_exactly_above(module.level)
+    for module_name, module in fig2_suite.modules.items():
+        for term in module.terms:
+            target_mod, _ = fig2_suite.term_target(term.enriches, module_name)
+            assert fig2_suite.level_of(target_mod).rank == module.level.rank - 1
 
 
 def test_programmatic_term_without_enrichment_resolves():
