@@ -533,6 +533,12 @@ _PROPERTY_KEYS: dict[RootKind, tuple[str, ...]] = {
     root: tuple(p.key for p in _PROPERTIES if p.owner == root.value) for root in RootKind
 }
 
+#: Each foundational term's root kind and the attribute keys a term rooted
+#: there may declare, for checks that read them per user term.
+ROOT_SCHEMAS: dict[str, tuple[RootKind, tuple[str, ...]]] = {
+    term_id: (root, _PROPERTY_KEYS[root]) for term_id, root in _ROOT_KINDS.items()
+}
+
 
 # ---------------------------------------------------------------------------
 # Non-taxonomic relationships. `relates with` has three variants, one per

@@ -388,11 +388,13 @@ class ResolvedSuite:
                 group = frozenset(_flood(name, seen, same_level))
                 self.components.update(dict.fromkeys(group, group))
 
-    def _check_module_bodies(self) -> None:
+    def _check_module_bodies(self, terms: dict[tuple[str, str], object]) -> None:
         # A reference binds when the index of its sort, user declarations
         # and ThingFO's together, holds its key: one membership test.
-        # `_unbound_term` and `_unbound_relation` only word an E101.
-        terms, relations = {**_THINGFO_TERMS, **self._terms}, {**_THINGFO_RELATIONS, **self._relations}
+        # `terms` is that index for terms, which `resolve` builds once for
+        # this pass and `_check_instances`. `_unbound_term` and
+        # `_unbound_relation` only word an E101.
+        relations = {**_THINGFO_RELATIONS, **self._relations}
         for m in self.modules.values():
             name, body = m.name, m.body
             if len({decl.name for decl in body}) < len(body):
@@ -433,8 +435,7 @@ class ResolvedSuite:
             return f"no foundational relationship named {name}"
         return f"unknown module {mod}" if mod not in self.modules else f"no relation named {name} in module {mod}"
 
-    def _check_instances(self) -> None:
-        terms = {**_THINGFO_TERMS, **self._terms}  # binds as in `_check_module_bodies`
+    def _check_instances(self, terms: dict[tuple[str, str], object]) -> None:
         for f in self.instance_files:
             if not (f.of_module == BUILTIN_MODULE or f.of_module in self.modules):
                 self._error("E101", f"instances block names unknown module {f.of_module}", f.source, f.loc)
@@ -632,8 +633,9 @@ def resolve(
     suite = ResolvedSuite(instance_files)
     suite._register_modules(list(modules))
     suite._check_imports()
-    suite._check_module_bodies()
-    suite._check_instances()
+    terms = {**_THINGFO_TERMS, **suite._terms}  # the index every term reference binds in
+    suite._check_module_bodies(terms)
+    suite._check_instances(terms)
     suite._check_enrichment_cycles()
     if suite._diagnostics:
         return None, suite._diagnostics

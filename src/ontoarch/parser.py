@@ -21,9 +21,8 @@ Grammar (EBNF; `//` comments run to end of line, files are UTF-8):
     qname       := IDENT "." IDENT | IDENT
 
 `ref` and `qname` are one production, which builds a `QualifiedRef`;
-`parse_qname` reads it, but `parse_term` reads a term's target and
-`parse_world` each fact's two in line, the same way. A fact's `thing.part`
-is qualified by its thing.
+`parse_qname` reads it, and `parse_world` reads each fact's two in line,
+the same way. A fact's `thing.part` is qualified by its thing.
 
 Files that produce any diagnostic are excluded from the returned AST, so
 resolution only ever sees well-formed declarations.
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import TYPE_CHECKING, NoReturn
 
 from .metamodel import BUILTIN_MODULE, SCOPE_FACETS, WORLD_PREDICATES
@@ -157,10 +156,9 @@ def tokenize(
     blanks after it. The matches lie end to end, so their lengths give the
     starts, and a table from each distinct match to its token gives the
     tokens: Python runs once per distinct match in a chunk, not once per
-    token. A comment is a match with no token, which a chunk that holds one
-    drops from its tokens and its starts in one pass each. A chunk holding
-    an invalid character or a string with an escape or no closing quote is
-    read match by match, since those need offsets. A chunk is cut only after a
+    token. A chunk holding a comment, an invalid character or a string with
+    an escape or no closing quote is read match by match, since a comment
+    yields no token and the others need offsets. A chunk is cut only after a
     line feed, so text with none (one long line, or lone carriage returns as
     line ends) is one chunk, and the working set then grows with the text.
 
@@ -183,7 +181,7 @@ def tokenize(
         following = _SCAN.search(text, cut) if cut else None
         matches = _SCAN_WITH_BLANKS.findall(text, pos, following.start() if following else n)
         table = dict.fromkeys(matches)  # each distinct match to its token; a comment's stays None
-        by_offset = commented = False
+        by_offset = False
         for match in table:
             first = match[0]
             if first in _SHAREABLE:
@@ -195,7 +193,7 @@ def tokenize(
             elif first == '"' and (lexeme := match.rstrip(_BLANKS)).endswith('"', 1) and "\\" not in lexeme:
                 table[match] = (_STRING, lexeme, lexeme[1:-1], len(lexeme))
             elif match[:2] == "//":
-                commented = True  # its entry stays None, which both paths below drop
+                by_offset = True  # its entry stays None, so the match-by-match loop drops it
             else:
                 table[match] = _BY_OFFSET
                 by_offset = True
@@ -215,10 +213,6 @@ def tokenize(
                     continue
                 tokens.append(tok)
                 starts.append(start)
-        elif commented:
-            chunk = list(map(table.__getitem__, matches))
-            tokens.extend(filter(None, chunk))
-            starts.fromlist(list(compress(chunk_starts, chunk)))
         else:
             tokens.extend(map(table.__getitem__, matches))
             starts.fromlist(chunk_starts)
@@ -474,29 +468,8 @@ class _Parser:
             raise self.fail("expected term name", i + 1)
         if toks[i + 2][1] != "enriches":
             raise self.fail("expected 'enriches'", i + 2)
-        # The target, read in line as `parse_qname` reads a reference.
-        i += 3
-        first = toks[i]
-        if first[0] is not _IDENT:
-            raise self.fail("expected a name", i)
-        at = starts[i]
-        if toks[i + 1][1] == ".":
-            second = toks[i + 2]
-            if second[0] is not _IDENT:
-                raise self.fail("expected a name after '.'", i + 2)
-            module, target_name = first[1], second[1]
-            i += 3
-        else:
-            module, target_name = None, first[1]
-            i += 1
-        end = starts[i - 1] + len(target_name)  # the target's last name
-        target_loc = at << 32 | end
-        by_name = self.refs.get(module)
-        if by_name is None:
-            by_name = self.refs[module] = {}
-        target = by_name.get(target_name)
-        if target is None:
-            target = by_name[target_name] = QualifiedRef(module, target_name)
+        target, target_loc, i = self.parse_qname(i + 3)
+        end = starts[i - 1] + len(toks[i - 1][1])  # the target's last name
         scope: str | None = None
         if toks[i][1] == "scope":
             scope = toks[i + 1][1]

@@ -10,11 +10,11 @@ Resolution has bound every fact, so the checks read facts as they stand.
 `check_relationship_conformance` finds E232-E234 and gathers W301's covered
 parts in one walk of a world's facts; `check_axioms` walks them again, one
 call per world, which `bench/tracing.py` times by name (see ROADMAP item
-2). The per-term checks read what resolution recorded and make no per-term
-call: a term's root from `ResolvedSuite.enrichment_roots`, each distinct
-root's kind (and allowed attribute keys) from a table kept for one call,
-and, in Rule #1, each module's level from a table of the modules, against
-the level one tier above the term's own module.
+2). The per-term checks read tables and make no per-term call: a term's
+root from `ResolvedSuite.enrichment_roots`, which resolution filled, that
+root's kind and allowed attribute keys from `metamodel.ROOT_SCHEMAS`, built
+at import, and, in Rule #1, each module's level from a table of the
+modules, against the level one tier above the term's own module.
 
 The findings on worlds repeat from world to world: the same thing names,
 parts and terms give the same texts, and so do the witnesses made of level
@@ -202,18 +202,6 @@ def check_rule2(suite: ResolvedSuite) -> list[Diagnostic]:
 # Rule #3: the instance level holds only individuals of particular Things.
 # ---------------------------------------------------------------------------
 
-class _RootKinds(dict):
-    """Each enrichment root's kind, by the root's name, read from the
-    metamodel at its first lookup; the root of a broken chain, None, has
-    none (E213)."""
-
-    __slots__ = ()
-
-    def __missing__(self, anchor: str | None) -> RootKind | None:
-        kind = self[anchor] = None if anchor is None else metamodel.root_kind(anchor)
-        return kind
-
-
 #: The enrichment roots whose terms result in no instances: Thing and
 #: Assertion roots do, and a broken chain is Rule #1's E213.
 _NOT_INSTANTIABLE = (RootKind.THING_CATEGORY, RootKind.PROPERTY, RootKind.POWER)
@@ -243,7 +231,7 @@ def _not_instantiable(name: str, type_mod: str, type_name: str, root: RootKind, 
 
 def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
     texts: dict[str, str] = {}
-    roots, kinds = suite.enrichment_roots, _RootKinds()
+    roots, schemas = suite.enrichment_roots, metamodel.ROOT_SCHEMAS
     out: list[Diagnostic] = []
     for f in suite.instance_files:
         typed = [(ind, ind.type_ref, "individual") for ind in f.individuals]
@@ -252,7 +240,8 @@ def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
             if ref is None:
                 continue  # an untyped thing
             key = (ref.module or f.of_module, ref.name)
-            if (root := kinds[roots[key]]) in _NOT_INSTANTIABLE:
+            schema = schemas.get(roots[key])  # None for a broken chain (E213)
+            if schema is not None and (root := schema[0]) in _NOT_INSTANTIABLE:
                 out.append(_not_instantiable(node.name, *key, root, f.source, node.loc, where, texts))
     return out
 
@@ -312,7 +301,7 @@ def _anchor_matches(suite: ResolvedSuite, term: tuple[str, str], anchor: str, re
         return True
     # A scope stands in for the Assertion subtype it names: an
     # assertion-rooted term with a scope satisfies that subtype only.
-    if required in SCOPE_FACETS.values() and metamodel.is_descendant(anchor, "Assertion"):
+    if required in SCOPE_FACETS.values() and metamodel.root_kind(anchor) is RootKind.ASSERTION:
         decl = suite.get_term(*term)
         if decl is not None and decl.scope is not None:
             return SCOPE_FACETS[decl.scope] == required
@@ -376,7 +365,7 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
     # One walk of each world's facts finds E232-E234 and gathers the parts
     # that are the left side of each predicate of `_REQUIRED_EDGES`; W301
     # then names the parts left out, in worlds that use the predicate.
-    roots, kinds = suite.enrichment_roots, _RootKinds()
+    roots, schemas = suite.enrichment_roots, metamodel.ROOT_SCHEMAS
     for f, w in suite.all_worlds():
         covered: dict[str, set[tuple[str, str]]] = {predicate: set() for predicate in _REQUIRED_EDGES}
         for fact in w.facts:
@@ -387,9 +376,9 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
             target = _TERM_FACTS.get(predicate)
             if target is not None:
                 mod, name = right.module or f.of_module, right.name
-                root = kinds[roots[(mod, name)]]
+                schema = schemas.get(roots[(mod, name)])
                 code, required, display = target
-                if root is not required and root is not None:  # None: a broken chain, E213
+                if schema is not None and (root := schema[0]) is not required:  # None: a broken chain, E213
                     out.append(
                         _finding(
                             code,
@@ -440,18 +429,13 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
 def check_property_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     thing, assertion = RootKind.THING, RootKind.ASSERTION
-    roots = suite.enrichment_roots
-    schemas: dict[str, tuple[RootKind, tuple[str, ...]]] = {}  # each root's kind and allowed keys
+    roots, schemas = suite.enrichment_roots, metamodel.ROOT_SCHEMAS
     for module in suite.modules.values():
         module_name, source = module.name, module.source
         for t in module.terms:
-            anchor = roots[(module_name, t.name)]
-            if anchor is None:
-                continue  # broken enrichment chain, already flagged as E213
-            schema = schemas.get(anchor)
+            schema = schemas.get(roots[(module_name, t.name)])
             if schema is None:
-                kind = metamodel.root_kind(anchor)
-                schema = schemas[anchor] = (kind, metamodel.property_keys_for_root(kind))
+                continue  # broken enrichment chain, already flagged as E213
             root, allowed = schema
             described = False
             for attr in t.attributes:

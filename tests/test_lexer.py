@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import load_bench
-from fig2_corpus import load_fig2
 from oracles import oracle_tokenize
 
 from ontoarch import parser
@@ -165,16 +164,3 @@ def test_tokenize_builds_no_span_and_shares_every_tuple_but_strings(monkeypatch)
     again, _, _ = tokenize(text, "n.onto", names)
     assert all(a is b for a, b in zip(again, tokens) if a[0] is not TokenKind.STRING)
 
-
-def test_a_comment_leaves_its_chunk_on_the_table_path(monkeypatch):
-    # Only the match-by-match path pairs matches with their starts by `zip`.
-    # Every fig2 file starts with a comment and holds no escaped string.
-    walked = []
-    monkeypatch.setattr(parser, "zip", lambda *args: walked.append(args) or zip(*args), raising=False)
-    files = load_fig2()
-    lines = [line for _, text in files for line in text.splitlines()]
-    assert sum(line.lstrip().startswith("//") for line in lines) >= len(files)
-    for name, text in files:
-        assert _lexed(text, name) == _oracle_lexed(text, name)
-    assert walked == []
-    assert _lexed("a @ // c\nb") == _oracle_lexed("a @ // c\nb") and walked != []

@@ -12,7 +12,6 @@ from oracles import oracle_check_axioms
 
 from ontoarch import metamodel
 from ontoarch.cli import build_report
-from ontoarch.metamodel import BUILTIN_MODULE
 from ontoarch.model import (
     Fact,
     InstanceFile,
@@ -611,14 +610,15 @@ def test_every_violation_carries_rule_and_anchor():
         assert v.anchor, v.code
 
 
-def test_root_kinds_and_allowed_keys_are_read_once_per_distinct_root(monkeypatch):
+def test_no_per_term_metamodel_call_remains(monkeypatch):
     """No timing: call counts. On wide_clean's 5,000 terms, 1,000 typed
-    things and 3 relations, each check that reads root kinds asks the
-    metamodel once per distinct enrichment root, and the suite's
-    `enrichment_root` is asked only for relation endpoints, not per term."""
+    things and 3 relations, the checks read each term's root kind and
+    allowed keys from tables. Only relations call the metamodel's lookups,
+    at most once per side of each kind variant, and only relation endpoints
+    ask the suite's `enrichment_root`."""
     ast, _ = parse_suite(sorted(load_bench("generators").wide_clean(1).files.items()))
     suite, _ = resolve(ast.modules, ast.instance_files)
-    roots = {root for (module, _), root in suite.enrichment_roots.items() if module != BUILTIN_MODULE}
+    relations = sum(len(m.relations) for m in suite.modules.values())
     calls: Counter = Counter()
 
     def counted(name, original):
@@ -627,12 +627,12 @@ def test_root_kinds_and_allowed_keys_are_read_once_per_distinct_root(monkeypatch
     for name in ("root_kind", "property_keys_for_root"):
         monkeypatch.setattr(metamodel, name, counted(name, getattr(metamodel, name)))
     monkeypatch.setattr(ResolvedSuite, "enrichment_root", counted("enrichment_root", ResolvedSuite.enrichment_root))
-    for check in (check_rule3, check_relationship_conformance, check_property_conformance):
+    for check in (check_rule1, check_rule3, check_property_conformance):
         calls.clear()
         assert check(suite) == []
-        assert calls["root_kind"] <= len(roots) and calls["property_keys_for_root"] <= len(roots), check.__name__
+        assert not calls, check.__name__
     calls.clear()
     assert validate_suite(suite) == []
-    assert 1 <= calls["property_keys_for_root"] <= len(roots)
-    assert 1 <= calls["root_kind"] <= 3 * len(roots)  # one table in each check above
-    assert calls["enrichment_root"] <= 2 * sum(len(m.relations) for m in suite.modules.values())
+    assert calls["property_keys_for_root"] == 0
+    assert calls["root_kind"] <= 2 * 3 * relations  # `relates with` has three variants
+    assert calls["enrichment_root"] <= 2 * relations
