@@ -139,9 +139,8 @@ def export_graph(suite: ResolvedSuite) -> str:
     for module_name in sorted(suite.modules):
         module = suite.modules[module_name]
         for term in module.terms:
-            if term.enriches:
-                target = suite.term_target(term.enriches, module_name)
-                edges.append(f'  "{module_name}.{term.name}" -> "{target[0]}.{target[1]}";')
+            if ref := term.enriches:
+                edges.append(f'  "{module_name}.{term.name}" -> "{ref.module or module_name}.{ref.name}";')
         for imp in sorted(i.name for i in module.imports):
             edges.append(f'  "{module_name}" -> "{imp}" [style=dashed];')
     for idx, f in enumerate(suite.instance_files):

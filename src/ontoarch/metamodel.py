@@ -414,11 +414,6 @@ _TERMS: tuple[FoundationalTermSpec, ...] = (
 
 _TERM_INDEX: dict[str, FoundationalTermSpec] = {t.id: t for t in _TERMS}
 
-#: Each term's taxonomy root; `_TERMS` lists every parent before its children.
-_ROOT_KINDS: dict[str, RootKind] = {}
-for _spec in _TERMS:
-    _ROOT_KINDS[_spec.id] = _ROOT_KINDS[_spec.parent] if _spec.parent else RootKind(_spec.id)
-
 #: The scopes a user term may declare, each standing in for the Assertion
 #: subtype it names on an Assertion-rooted term.
 SCOPE_FACETS: dict[str, str] = {"particulars": "AssertionOnParticulars", "universals": "AssertionOnUniversals"}
@@ -528,16 +523,13 @@ _PROPERTIES: tuple[PropertySpec, ...] = (
     ),
 )
 
-#: Attribute keys each root's terms may declare, in catalog order.
-_PROPERTY_KEYS: dict[RootKind, tuple[str, ...]] = {
-    root: tuple(p.key for p in _PROPERTIES if p.owner == root.value) for root in RootKind
-}
-
-#: Each foundational term's root kind and the attribute keys a term rooted
-#: there may declare, for checks that read them per user term.
-ROOT_SCHEMAS: dict[str, tuple[RootKind, tuple[str, ...]]] = {
-    term_id: (root, _PROPERTY_KEYS[root]) for term_id, root in _ROOT_KINDS.items()
-}
+#: Each foundational term's taxonomy root and the attribute keys, in catalog
+#: order, that a term rooted there may declare. `_TERMS` lists every parent
+#: before its children, so a child takes its parent's entry.
+ROOT_SCHEMAS: dict[str, tuple[RootKind, tuple[str, ...]]] = {}
+for _spec in _TERMS:
+    ROOT_SCHEMAS[_spec.id] = ROOT_SCHEMAS[_spec.parent] if _spec.parent else (
+        RootKind(_spec.id), tuple(p.key for p in _PROPERTIES if p.owner == _spec.id))
 
 
 # ---------------------------------------------------------------------------
@@ -817,12 +809,12 @@ def is_descendant(a: str, b: str) -> bool:
 
 def root_kind(term_id: str) -> RootKind:
     """The root of `term_id`'s parent chain."""
-    return _ROOT_KINDS[term_id]
+    return ROOT_SCHEMAS[term_id][0]
 
 
 def property_keys_for_root(root: RootKind) -> tuple[str, ...]:
     """Attribute keys a term rooted at `root` may declare."""
-    return _PROPERTY_KEYS[root]
+    return ROOT_SCHEMAS[root.value][1]
 
 
 def relationship_variants(key: str) -> tuple[RelationshipSpec, ...]:

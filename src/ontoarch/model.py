@@ -18,10 +18,11 @@ an instance file's `individuals` and `worlds` are split from `body` at
 construction, so rebinding `body` afterwards does not update them.
 
 `resolve` binds every reference or reports E1xx diagnostics. Its passes are
-`ResolvedSuite` methods that fill the suite's own indexes once: the
-declaration index, each term's enrichment root, each module's same-level
-import component and each relation's kind-chain outcome. On success it
-returns that suite, which never changes them afterwards.
+`ResolvedSuite` methods that fill the suite's own tables once: each
+module's level, the declaration indexes, each term's enrichment root, each
+module's same-level import component and each relation's kind-chain
+outcome. On success it returns that suite, which never changes them
+afterwards.
 """
 
 from __future__ import annotations
@@ -253,16 +254,20 @@ class ResolvedSuite:
     reference known to bind.
 
     `resolve` builds one and runs its resolution passes, which fill its
-    declaration index, each term's enrichment outcome, the same-level import
-    components and each relation's kind-chain outcome. It hands the suite
+    tables: each module's level, the declaration indexes, each term's
+    enrichment outcome, the same-level import components and each relation's
+    kind-chain outcome. Readers read those tables. `resolve` hands the suite
     out only when the passes found nothing wrong; nothing changes it
     afterwards."""
 
     def __init__(self, instance_files: Iterable[InstanceFile]):
         self.modules: dict[str, OntologyModule] = {}
         self.instance_files: tuple[InstanceFile, ...] = tuple(instance_files)
-        self._terms: dict[tuple[str, str], TermDef] = {}
-        self._relations: dict[tuple[str, str], RelationDecl] = {}
+        #: Each module's level by name, with ThingFO at FO.
+        self.levels: dict[str, Level] = {BUILTIN_MODULE: Level.FO}
+        #: The user modules' declarations by (module, name).
+        self.terms: dict[tuple[str, str], TermDef] = {}
+        self.relations: dict[tuple[str, str], RelationDecl] = {}
         #: Each term's foundational root by (module, term), or None where a
         #: missing `enriches` breaks its chain; ThingFO's terms are their own
         #: roots.
@@ -272,29 +277,6 @@ class ResolvedSuite:
         #: Each relation's kind-chain outcome, by (module, relation).
         self.kind_chains: dict[tuple[str, str], ChainStatus] = {}
         self._diagnostics: list[Diagnostic] = []  # what the passes find
-
-    # -- structure queries --------------------------------------------------
-
-    def level_of(self, module_name: str) -> Level:
-        if module_name == BUILTIN_MODULE:
-            return Level.FO
-        return self.modules[module_name].level
-
-    def get_term(self, module_name: str, term_name: str) -> TermDef | None:
-        return self._terms.get((module_name, term_name))
-
-    def all_relations(self) -> Iterator[tuple[str, RelationDecl]]:
-        return ((module_name, r) for (module_name, _), r in self._relations.items())
-
-    def all_worlds(self) -> Iterator[tuple[InstanceFile, World]]:
-        for f in self.instance_files:
-            for w in f.worlds:
-                yield f, w
-
-    # -- reference binding (total after a clean resolve) ---------------------
-
-    def term_target(self, ref: QualifiedRef, context_module: str) -> tuple[str, str]:
-        return (ref.module or context_module, ref.name)
 
     def enrichment_root(self, module_name: str, term_name: str) -> str | None:
         """Foundational term reached by following `enriches` links upward;
@@ -325,8 +307,9 @@ class ResolvedSuite:
                 self._error("E102", f"duplicate module {m.name}", m.source, m.loc)
             else:
                 self.modules[m.name] = m
-                self._terms.update({(m.name, t.name): t for t in m.terms})
-                self._relations.update({(m.name, r.name): r for r in m.relations})
+                self.levels[m.name] = m.level
+                self.terms.update({(m.name, t.name): t for t in m.terms})
+                self.relations.update({(m.name, r.name): r for r in m.relations})
 
     def _check_imports(self) -> None:
         # One walk over each module's imports reports E104/E101 and keeps the
@@ -379,8 +362,8 @@ class ResolvedSuite:
         # Same-level import components: connected over import edges taken
         # as undirected, keeping only edges between modules of one level.
         def same_level(v: str) -> Iterator[str]:
-            level = self.modules[v].level
-            return (w for w in imports[v] + importers[v] if self.modules[w].level is level)
+            level = self.levels[v]
+            return (w for w in imports[v] + importers[v] if self.levels[w] is level)
 
         seen.clear()
         for name in self.modules:
@@ -394,7 +377,7 @@ class ResolvedSuite:
         # `terms` is that index for terms, which `resolve` builds once for
         # this pass and `_check_instances`. `_unbound_term` and
         # `_unbound_relation` only word an E101.
-        relations = {**_THINGFO_RELATIONS, **self._relations}
+        relations = {**_THINGFO_RELATIONS, **self.relations}
         for m in self.modules.values():
             name, body = m.name, m.body
             if len({decl.name for decl in body}) < len(body):
@@ -528,7 +511,7 @@ class ResolvedSuite:
         # modules are walked in name order, so that is independent of the
         # order the files came in. Every visited term records its chain's
         # outcome in `enrichment_roots`.
-        pending = dict(self._terms)
+        pending = dict(self.terms)
         roots = self.enrichment_roots
         for name in sorted(self.modules):
             for t in self.modules[name].terms:
@@ -561,7 +544,7 @@ class ResolvedSuite:
                     cycle = path[path.index(key):]
                     pretty = " -> ".join(f"{cm}.{cn}" for cm, cn in cycle + [key])
                     self._error("E105", f"enrichment cycle: {pretty}", self.modules[key[0]].source,
-                                self._terms[key].loc)
+                                self.terms[key].loc)
                 for visited in path:
                     roots[visited] = root
 
@@ -570,8 +553,8 @@ class ResolvedSuite:
         # earlier walk judged, so each relation is walked once. Lateral hops
         # (same level, other module) are followed inside the hop source's
         # import component, and a chain that takes one escapes its module.
-        chains = self.kind_chains
-        for key in self._relations:
+        chains, levels = self.kind_chains, self.levels
+        for key in self.relations:
             path: dict[tuple[str, str], bool] = {}  # each relation walked: is its hop lateral?
             while key not in chains:
                 if key in path:
@@ -584,12 +567,12 @@ class ResolvedSuite:
                         chains[member] = ChainStatus("cycle", cycle=names, index=i, escapes=escapes)
                     break
                 mod, name = key
-                kind = self._relations[key].kind_ref
+                kind = self.relations[key].kind_ref
                 target = (kind.module or mod, kind.name)
                 if target[0] == BUILTIN_MODULE:
                     chains[key] = ChainStatus("foundational", key=kind.name)
                     break
-                level, target_level = self.modules[mod].level, self.modules[target[0]].level
+                level, target_level = levels[mod], levels[target[0]]
                 path[key] = lateral = target_level is level and target[0] != mod
                 if target_level.rank > level.rank:
                     chains[key] = ChainStatus("downward", detail=f"kind of {mod}.{name} points to the more "
@@ -633,7 +616,7 @@ def resolve(
     suite = ResolvedSuite(instance_files)
     suite._register_modules(list(modules))
     suite._check_imports()
-    terms = {**_THINGFO_TERMS, **suite._terms}  # the index every term reference binds in
+    terms = {**_THINGFO_TERMS, **suite.terms}  # the index every term reference binds in
     suite._check_module_bodies(terms)
     suite._check_instances(terms)
     suite._check_enrichment_cycles()

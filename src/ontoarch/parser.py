@@ -374,13 +374,13 @@ class _Parser:
             return Level.CO, i + 1  # placeholder; the file is excluded anyway
         raise self.fail("expected a level name", i)
 
-    def parse_qname(self, i: int, expected: str = "expected a name") -> tuple[QualifiedRef, int, int]:
+    def parse_qname(self, i: int) -> tuple[QualifiedRef, int, int]:
         """The shared reference from token `i`, its `loc` and the index
-        after it."""
+        after it; E002 "expected a name" where token `i` is no name."""
         toks = self.toks
         first = toks[i]
         if first[0] is not _IDENT:
-            raise self.fail(expected, i)
+            raise self.fail("expected a name", i)
         start = self.starts[i]
         if toks[i + 1][1] == ".":
             second = toks[i + 2]

@@ -10,11 +10,13 @@ Resolution has bound every fact, so the checks read facts as they stand.
 `check_relationship_conformance` finds E232-E234 and gathers W301's covered
 parts in one walk of a world's facts; `check_axioms` walks them again, one
 call per world, which `bench/tracing.py` times by name (see ROADMAP item
-2). The per-term checks read tables and make no per-term call: a term's
-root from `ResolvedSuite.enrichment_roots`, which resolution filled, that
-root's kind and allowed attribute keys from `metamodel.ROOT_SCHEMAS`, built
-at import, and, in Rule #1, each module's level from a table of the
-modules, against the level one tier above the term's own module.
+2), and picks each finding's code and text in one ladder. The checks read
+the resolved suite's tables (`levels`, `terms`, `relations`,
+`enrichment_roots`, `components`, `kind_chains`) and make no per-term
+call: a term's root from `enrichment_roots`, that root's kind and allowed
+attribute keys from `metamodel.ROOT_SCHEMAS`, and, in Rule #1, each
+target module's level from `levels`, against the level one tier above the
+term's own module.
 
 The findings on worlds repeat from world to world: the same thing names,
 parts and terms give the same texts, and so do the witnesses made of level
@@ -34,14 +36,7 @@ from __future__ import annotations
 
 from . import metamodel
 from .metamodel import BUILTIN_MODULE, SCOPE_FACETS, RootKind
-from .model import (
-    ChainStatus,
-    Fact,
-    Level,
-    RelationDecl,
-    ResolvedSuite,
-    World,
-)
+from .model import ChainStatus, Level, RelationDecl, ResolvedSuite, World
 from .reporting import CODE_CATALOG, Diagnostic
 from .source import SYNTHETIC_SOURCE, Source, SourceSpan
 
@@ -87,12 +82,12 @@ def check_architecture(suite: ResolvedSuite) -> list[Diagnostic]:
                         witness=f"{m.name} imports {imp.name}",
                     )
                 )
-            elif suite.level_of(imp.name) is not m.level:
+            elif (level := suite.levels[imp.name]) is not m.level:
                 out.append(
                     _finding(
                         "E202",
                         f"import crosses levels: {m.name} ({m.level.name}) imports "
-                        f"{imp.name} ({suite.level_of(imp.name).name})",
+                        f"{imp.name} ({level.name})",
                         m.source.span(imp.loc),
                         witness=f"{m.name} imports {imp.name}",
                     )
@@ -122,8 +117,7 @@ def chain_status(suite: ResolvedSuite, module_name: str, rel: RelationDecl) -> C
 def check_rule1(suite: ResolvedSuite) -> list[Diagnostic]:
     texts: dict[str, str] = {}
     out: list[Diagnostic] = []
-    levels = {name: m.level for name, m in suite.modules.items()}
-    levels[BUILTIN_MODULE] = Level.FO
+    levels = suite.levels
     for module in suite.modules.values():
         name, level, source = module.name, module.level, module.source
         above = Level(level.rank - 1) if level.rank else None  # the level its terms enrich
@@ -181,7 +175,7 @@ def check_rule2(suite: ResolvedSuite) -> list[Diagnostic]:
     module-locally is Rule #1's and is not reported again here."""
     out: list[Diagnostic] = []
     joined = {component: ", ".join(sorted(component)) for component in set(suite.components.values())}
-    for module_name, r in suite.all_relations():
+    for (module_name, _), r in suite.relations.items():
         status = chain_status(suite, module_name, r)
         if status.escapes and status.outcome in ("cycle", "downward", "dead_end"):
             members = joined[suite.components[module_name]]
@@ -250,24 +244,9 @@ def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
 # Axioms A1-A3 over ground worlds.
 # ---------------------------------------------------------------------------
 
-def _axiom_finding(code: str, fact: Fact, source: Source, texts: dict[str, str]) -> Diagnostic:
-    left, right = fact.left, fact.right
-    if code == "E311":
-        message = (
-            f"property {left} enables power {right}, but they belong to different "
-            f"things ({left.module} vs {right.module})"
-        )
-        witness = f"enables({left}, {right}); owner({left})={left.module}, owner({right})={right.module}"
-    elif code == "E312":
-        message = (
-            f"power {left} acts upon property {right}, but they belong to different "
-            f"things ({left.module} vs {right.module})"
-        )
-        witness = f"actsUpon({left}, {right}); owner({left})={left.module}, owner({right})={right.module}"
-    else:  # E313
-        message = f"power {left} interacts with its own thing {right.name}"
-        witness = f"interacts({left}, {right}); owner({left})={left.module}"
-    return _finding(code, message, source.span(fact.loc), witness=witness, texts=texts)
+#: A1 and A2: the world predicates whose two parts must belong to one
+#: thing, with the code of a fact whose parts do not.
+_SAME_OWNER = {"enables": "E311", "actsUpon": "E312"}
 
 
 def check_axioms(world: World, source: Source = SYNTHETIC_SOURCE,
@@ -282,12 +261,22 @@ def check_axioms(world: World, source: Source = SYNTHETIC_SOURCE,
     texts = {} if texts is None else texts
     out: list[Diagnostic] = []
     for fact in world.facts:
-        if fact.predicate == "enables" and fact.left.module != fact.right.module:
-            out.append(_axiom_finding("E311", fact, source, texts))
-        elif fact.predicate == "actsUpon" and fact.left.module != fact.right.module:
-            out.append(_axiom_finding("E312", fact, source, texts))
-        elif fact.predicate == "interacts" and fact.left.module == fact.right.name:
-            out.append(_axiom_finding("E313", fact, source, texts))
+        predicate, left, right = fact.predicate, fact.left, fact.right
+        code = _SAME_OWNER.get(predicate)
+        if code is not None and left.module != right.module:
+            spec = metamodel.WORLD_PREDICATES[predicate]
+            message = (
+                f"{spec.domain.lower()} {left} {spec.display} {spec.range.lower()} {right}, but they belong "
+                f"to different things ({left.module} vs {right.module})"
+            )
+            witness = f"{predicate}({left}, {right}); owner({left})={left.module}, owner({right})={right.module}"
+        elif predicate == "interacts" and left.module == right.name:
+            code = "E313"
+            message = f"power {left} interacts with its own thing {right.name}"
+            witness = f"interacts({left}, {right}); owner({left})={left.module}"
+        else:
+            continue
+        out.append(_finding(code, message, source.span(fact.loc), witness=witness, texts=texts))
     return out
 
 
@@ -302,7 +291,7 @@ def _anchor_matches(suite: ResolvedSuite, term: tuple[str, str], anchor: str, re
     # A scope stands in for the Assertion subtype it names: an
     # assertion-rooted term with a scope satisfies that subtype only.
     if required in SCOPE_FACETS.values() and metamodel.root_kind(anchor) is RootKind.ASSERTION:
-        decl = suite.get_term(*term)
+        decl = suite.terms.get(term)
         if decl is not None and decl.scope is not None:
             return SCOPE_FACETS[decl.scope] == required
     return False
@@ -331,7 +320,7 @@ _REQUIRED_EDGES = {
 def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
     texts: dict[str, str] = {}
     out: list[Diagnostic] = []
-    for module_name, r in suite.all_relations():
+    for (module_name, _), r in suite.relations.items():
         status = chain_status(suite, module_name, r)
         if status.outcome != "foundational":
             continue  # chain failures belong to Rule #1 / Rule #2
@@ -366,59 +355,60 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
     # that are the left side of each predicate of `_REQUIRED_EDGES`; W301
     # then names the parts left out, in worlds that use the predicate.
     roots, schemas = suite.enrichment_roots, metamodel.ROOT_SCHEMAS
-    for f, w in suite.all_worlds():
-        covered: dict[str, set[tuple[str, str]]] = {predicate: set() for predicate in _REQUIRED_EDGES}
-        for fact in w.facts:
-            predicate, left, right = fact.predicate, fact.left, fact.right
-            edges = covered.get(predicate)
-            if edges is not None:
-                edges.add((left.module, left.name))
-            target = _TERM_FACTS.get(predicate)
-            if target is not None:
-                mod, name = right.module or f.of_module, right.name
-                schema = schemas.get(roots[(mod, name)])
-                code, required, display = target
-                if schema is not None and (root := schema[0]) is not required:  # None: a broken chain, E213
-                    out.append(
-                        _finding(
-                            code,
-                            f"{predicate} target {mod}.{name} is rooted at {root.value}, not {display}",
-                            f.source.span(fact.loc),
-                            witness=f"{predicate}({left}, {right})",
-                            texts=texts,
-                        )
-                    )
-            elif predicate == "relatesWith" and left.name == right.name:
-                out.append(
-                    _finding(
-                        "E234",
-                        f"thing {left.name} relates with itself in world {w.name}",
-                        f.source.span(fact.loc),
-                        witness=f"relatesWith({left}, {right})",
-                        texts=texts,
-                    )
-                )
-        for predicate, edges in covered.items():
-            if not edges:
-                continue  # only where the world uses it: worlds may be partial, hence a warning
-            spec = _REQUIRED_EDGES[predicate]
-            sort = spec.domain.lower()
-            for thing in w.things:
-                names, first = thing.parts(spec.domain)
-                locs: tuple[int, ...] = ()  # read at the first part with no edge
-                for index, part in enumerate(names, first):
-                    if (thing.name, part) not in edges:
-                        locs = locs or thing.part_locs()
+    for f in suite.instance_files:
+        for w in f.worlds:
+            covered: dict[str, set[tuple[str, str]]] = {predicate: set() for predicate in _REQUIRED_EDGES}
+            for fact in w.facts:
+                predicate, left, right = fact.predicate, fact.left, fact.right
+                edges = covered.get(predicate)
+                if edges is not None:
+                    edges.add((left.module, left.name))
+                target = _TERM_FACTS.get(predicate)
+                if target is not None:
+                    mod, name = right.module or f.of_module, right.name
+                    schema = schemas.get(roots[(mod, name)])
+                    code, required, display = target
+                    if schema is not None and (root := schema[0]) is not required:  # None: a broken chain, E213
                         out.append(
                             _finding(
-                                "W301",
-                                f"{sort} {thing.name}.{part} {spec.display} no {spec.range.lower()} "
-                                f"in world {w.name}, which declares {predicate} facts",
-                                f.source.span(locs[index]),
-                                witness=f"{sort} {thing.name}.{part}; 0 {predicate} edges",
+                                code,
+                                f"{predicate} target {mod}.{name} is rooted at {root.value}, not {display}",
+                                f.source.span(fact.loc),
+                                witness=f"{predicate}({left}, {right})",
                                 texts=texts,
                             )
                         )
+                elif predicate == "relatesWith" and left.name == right.name:
+                    out.append(
+                        _finding(
+                            "E234",
+                            f"thing {left.name} relates with itself in world {w.name}",
+                            f.source.span(fact.loc),
+                            witness=f"relatesWith({left}, {right})",
+                            texts=texts,
+                        )
+                    )
+            for predicate, edges in covered.items():
+                if not edges:
+                    continue  # only where the world uses it: worlds may be partial, hence a warning
+                spec = _REQUIRED_EDGES[predicate]
+                sort = spec.domain.lower()
+                for thing in w.things:
+                    names, first = thing.parts(spec.domain)
+                    locs: tuple[int, ...] = ()  # read at the first part with no edge
+                    for index, part in enumerate(names, first):
+                        if (thing.name, part) not in edges:
+                            locs = locs or thing.part_locs()
+                            out.append(
+                                _finding(
+                                    "W301",
+                                    f"{sort} {thing.name}.{part} {spec.display} no {spec.range.lower()} "
+                                    f"in world {w.name}, which declares {predicate} facts",
+                                    f.source.span(locs[index]),
+                                    witness=f"{sort} {thing.name}.{part}; 0 {predicate} edges",
+                                    texts=texts,
+                                )
+                            )
     return out
 
 
@@ -493,8 +483,9 @@ def validate_suite(suite: ResolvedSuite) -> list[Diagnostic]:
     collected.extend(check_rule3(suite))
     collected.extend(check_relationship_conformance(suite))
     collected.extend(check_property_conformance(suite))
-    for f, world in suite.all_worlds():
-        collected.extend(check_axioms(world, f.source, texts))
+    for f in suite.instance_files:
+        for world in f.worlds:
+            collected.extend(check_axioms(world, f.source, texts))
     return collected
 
 

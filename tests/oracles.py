@@ -3,15 +3,17 @@
 `oracle_chain_status` and `oracle_enrichment_root` check the kind-chain
 outcomes and enrichment roots that resolution records for `chain_status`
 and `ResolvedSuite.enrichment_root`: both walk the whole chain from scratch on
-every call and detect cycles by scanning the list of visited links; neither
-reads nor writes any cache. `oracle_chain_status` also keeps the module-local
+every call, reading each link from `suite.modules`, and detect cycles by
+scanning the list of visited links; neither reads the suite's tables or
+lookups, nor keeps any cache. `oracle_chain_status` also keeps the module-local
 mode, where a lateral hop ends the chain as an "escape". `oracle_components`
 checks the same-level import components that resolution records in
 `ResolvedSuite.components` with a breadth-first search from each module.
 `oracle_import_cycles` checks the import cycles (E103) that resolution
 reports: it finds which modules reach each other by a breadth-first search
 from every module. `oracle_check_axioms` checks the edge-wise
-`check_axioms` by enumerating every quantifier instantiation.
+`check_axioms` by enumerating every quantifier instantiation, and words
+each finding itself from the axiom's variables, so a wrong text fails too.
 `oracle_tokenize` checks the regex scanner `tokenize`: it walks the text one
 character at a time, counting lines and columns, and returns `Token` objects,
 where `tokenize` returns shared tuples and start offsets. `oracle_parse_file`
@@ -61,7 +63,6 @@ from ontoarch.model import (
 from ontoarch.parser import KEYWORDS, SuiteAst, TokenKind
 from ontoarch.reporting import CODE_CATALOG, REPORT_VERSION, Diagnostic, Report
 from ontoarch.source import SYNTHETIC_SOURCE, Source, SourceSpan
-from ontoarch.validator import _axiom_finding
 
 
 def oracle_chain_status(
@@ -78,11 +79,11 @@ def oracle_chain_status(
             cycle = " -> ".join(visited[visited.index(here):] + [here])
             return ChainStatus("cycle", detail=f"kind chain cycles: {cycle}")
         visited.append(here)
-        target_mod, target_name = suite.term_target(cur_rel.kind_ref, cur_mod)
+        target_mod, target_name = cur_rel.kind_ref.module or cur_mod, cur_rel.kind_ref.name
         if target_mod == BUILTIN_MODULE:
             return ChainStatus("foundational", key=target_name)
-        cur_level = suite.level_of(cur_mod)
-        target_level = suite.level_of(target_mod)
+        cur_level = suite.modules[cur_mod].level
+        target_level = suite.modules[target_mod].level
         if target_level.rank > cur_level.rank:
             return ChainStatus(
                 "downward",
@@ -107,10 +108,10 @@ def oracle_enrichment_root(suite: ResolvedSuite, module_name: str, term_name: st
     mod, name = module_name, term_name
     while mod != BUILTIN_MODULE:
         chain.append((mod, name))
-        term = suite.get_term(mod, name)
+        term = next(t for t in suite.modules[mod].terms if t.name == name)
         if term.enriches is None:
             return None
-        mod, name = suite.term_target(term.enriches, mod)
+        mod, name = term.enriches.module or mod, term.enriches.name
         if (mod, name) in chain:
             return f"enrichment cycle through {module_name}.{term_name}"
     return name
@@ -193,7 +194,13 @@ def oracle_check_axioms(world: World, source: Source = SYNTHETIC_SOURCE) -> list
                 for fact in _facts_of(world, "enables"):
                     if ref_is(fact.left, p_owner, p_name) and ref_is(fact.right, w_owner, w_name):
                         if w_owner != t:  # consequent partOf(pow, t) falsified
-                            out.append(_axiom_finding("E311", fact, source, {}))
+                            out.append(_oracle_finding(
+                                "E311",
+                                f"property {t}.{p_name} enables power {w_owner}.{w_name}, but they belong to "
+                                f"different things ({t} vs {w_owner})",
+                                source.span(fact.loc),
+                                f"enables({t}.{p_name}, {w_owner}.{w_name}); owner({t}.{p_name})={t}, "
+                                f"owner({w_owner}.{w_name})={w_owner}"))
     # A2: Thing(t) & Power(pow) & partOf(pow,t) & Property(prop) & actsUpon(pow,prop) -> partOf(prop,t)
     for t in things:
         for w_owner, w_name in pows:
@@ -203,7 +210,13 @@ def oracle_check_axioms(world: World, source: Source = SYNTHETIC_SOURCE) -> list
                 for fact in _facts_of(world, "actsUpon"):
                     if ref_is(fact.left, w_owner, w_name) and ref_is(fact.right, p_owner, p_name):
                         if p_owner != t:
-                            out.append(_axiom_finding("E312", fact, source, {}))
+                            out.append(_oracle_finding(
+                                "E312",
+                                f"power {t}.{w_name} acts upon property {p_owner}.{p_name}, but they belong to "
+                                f"different things ({t} vs {p_owner})",
+                                source.span(fact.loc),
+                                f"actsUpon({t}.{w_name}, {p_owner}.{p_name}); owner({t}.{w_name})={t}, "
+                                f"owner({p_owner}.{p_name})={p_owner}"))
     # A3: Thing(t) & Power(pow) & partOf(pow,t) -> not interactsWithOther(pow, t)
     for t in things:
         for w_owner, w_name in pows:
@@ -211,7 +224,9 @@ def oracle_check_axioms(world: World, source: Source = SYNTHETIC_SOURCE) -> list
                 continue
             for fact in _facts_of(world, "interacts"):
                 if ref_is(fact.left, w_owner, w_name) and fact.right.module is None and fact.right.name == t:
-                    out.append(_axiom_finding("E313", fact, source, {}))
+                    out.append(_oracle_finding(
+                        "E313", f"power {t}.{w_name} interacts with its own thing {t}", source.span(fact.loc),
+                        f"interacts({t}.{w_name}, {t}); owner({t}.{w_name})={t}"))
     return out
 
 

@@ -105,7 +105,7 @@ def _local(status: ChainStatus) -> tuple[str, str | None]:
 @given(chain_suites())
 def test_recorded_chains_and_roots_equal_naive_oracles(modules):
     suite = _fresh(modules)
-    for module, rel in suite.all_relations():
+    for (module, _), rel in suite.relations.items():
         status = chain_status(suite, module, rel)
         for joint, got in ((False, _local(status)), (True, (status.outcome, status.key))):
             want = oracle_chain_status(suite, module, rel, suite.components if joint else None)
@@ -125,7 +125,7 @@ def _resolved(files: list[tuple[str, str]]) -> ResolvedSuite | None:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(chain_suites().map(_fresh), suites().map(_resolved)))
+@given(st.one_of(chain_suites().map(_fresh), suites(edits=False, acyclic=True).map(_resolved)))
 def test_components_equal_the_naive_oracle(suite):
     if suite is None:
         event("unresolved")
@@ -260,7 +260,7 @@ def test_resolve_reads_each_relation_of_a_kind_chain_once(monkeypatch):
 
     def init(self, *args):
         original_init(self, *args)
-        self._relations = CountingIndex()
+        self.relations = CountingIndex()
 
     monkeypatch.setattr(model.ResolvedSuite, "__init__", init)
     suite = _fresh([OntologyModule("Kinds", Level.CO, body=tuple(body))])
@@ -283,7 +283,7 @@ def _traced_outcomes(modules: list[OntologyModule]) -> tuple[Counter, int, int]:
     try:
         suite = _fresh(modules)
         outcomes: Counter = Counter()
-        for module, rel in suite.all_relations():
+        for (module, _), rel in suite.relations.items():
             status = chain_status(suite, module, rel)
             outcomes[(False, *_local(status))] += 1
             outcomes[(True, status.outcome, status.key)] += 1

@@ -52,13 +52,20 @@ def ref(draw, declared, builtin, here):
 
 
 @st.composite
-def module_tokens(draw, name, terms, relations):
+def module_tokens(draw, name, terms, relations, rank=None):
+    """Module `name` of the suite's modules and names; given a `rank` of every
+    (module, term), it imports only the modules before it and each term
+    enriches a ThingFO term or a term ranked below it, so nothing cycles."""
     out = ["ontology", name, "at", draw(st.sampled_from(("CO", "CO", "TDO", "LDO"))), "{"]
-    for target in draw(st.lists(st.sampled_from(sorted(terms)), max_size=2, unique=True)):
+    targets = sorted(terms) if rank is None else [m for m in sorted(terms) if m < name]
+    for target in draw(st.lists(st.sampled_from(targets), max_size=2, unique=True)) if targets else ():
         if target != name:
             out += ["imports", target]
     for term in terms[name]:
-        out += ["term", term, "enriches", *draw(ref(terms, FO_TERMS, name))]
+        below = terms if rank is None else {
+            m: [t for t in names if rank[m, t] < rank[name, term]] for m, names in terms.items()
+        }
+        out += ["term", term, "enriches", *draw(ref(below, FO_TERMS, name))]
         if draw(st.booleans()):
             out += ["scope", draw(st.sampled_from(("particulars", "universals")))]
         if draw(st.booleans()):
@@ -114,13 +121,20 @@ def _join(tokens: list[str]) -> str:
 
 
 @st.composite
-def suites(draw, edits: bool = True) -> list[tuple[str, str]]:
+def suites(draw, edits: bool = True, acyclic: bool = False) -> list[tuple[str, str]]:
     """Grammar-generated files; with `edits`, half of them take a single-token
-    edit, and without, every file parses clean."""
+    edit, and without, every file parses clean. With `acyclic`, no imports and
+    no enrichment chain cycle: the terms are ranked at random, and each
+    enriches only terms ranked below it, so every shape of acyclic chain,
+    across modules either way, can be drawn."""
     names = MODULES[:draw(st.integers(2, len(MODULES)))]
     terms = {m: draw(st.lists(st.sampled_from(TERMS), min_size=1, unique=True)) for m in names}
     relations = {m: draw(st.lists(st.sampled_from(RELATIONS), unique=True)) for m in names}
-    files = [draw(module_tokens(m, terms, relations)) for m in names]
+    rank = None
+    if acyclic:
+        order = draw(st.permutations([(m, t) for m in names for t in terms[m]]))
+        rank = {key: i for i, key in enumerate(order)}
+    files = [draw(module_tokens(m, terms, relations, rank)) for m in names]
     files += [draw(instance_tokens(terms)) for _ in range(draw(st.integers(0, 2)))]
     if edits and draw(st.booleans()):
         tokens = files[draw(st.integers(0, len(files) - 1))]

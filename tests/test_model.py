@@ -34,7 +34,7 @@ def test_empty_suite_resolves_to_builtin_only():
     assert diags == []
     assert suite is not None
     assert suite.modules == {}
-    assert suite.level_of(BUILTIN_MODULE) is Level.FO
+    assert suite.levels == {BUILTIN_MODULE: Level.FO}
     assert build_report([]).summary["modules_per_level"] == {"FO": 1, "CO": 0, "TDO": 0, "LDO": 0}
 
 
@@ -251,7 +251,7 @@ def test_a_duplicate_part_is_reported_at_its_own_place():
 
 
 def test_world_ownership_is_functional_by_construction(fig2_suite):
-    for _, world in fig2_suite.all_worlds():
+    for world in (w for f in fig2_suite.instance_files for w in f.worlds):
         seen: dict[str, str] = {}
         for thing in world.things:
             for part in thing.properties + thing.powers:
@@ -267,8 +267,8 @@ def test_world_ownership_is_functional_by_construction(fig2_suite):
 def test_level_monotonicity_over_fig2(fig2_suite):
     for module_name, module in fig2_suite.modules.items():
         for term in module.terms:
-            target_mod, _ = fig2_suite.term_target(term.enriches, module_name)
-            assert fig2_suite.level_of(target_mod).rank == module.level.rank - 1
+            target_mod = term.enriches.module or module_name
+            assert fig2_suite.levels[target_mod].rank == module.level.rank - 1
 
 
 def test_programmatic_term_without_enrichment_resolves():

@@ -3,7 +3,8 @@ against oracles re-derived from the rule text and the metamodel tables.
 
 The oracles in `tests/oracles.py` share no helper with `validator.py`, and
 the property compares each finding's code and span as a multiset, not its
-text. Suites come from the grammar generator of `test_file_order.py` and
+text. Suites come from the grammar generator of `test_file_order.py`, in
+its acyclic mode with no edits, so that almost every one resolves, and
 from `term_suites`, which varies what those leave fixed: module levels,
 attribute keys owned by no root or by another one, and scopes on terms of
 every root. Each suite also holds a programmatic module whose term has no
@@ -58,7 +59,7 @@ def term_suites(draw) -> list[tuple[str, str]]:
 
 
 @settings(max_examples=250, deadline=None)
-@given(st.one_of(suites(), term_suites()))
+@given(st.one_of(suites(edits=False, acyclic=True), term_suites()))
 def test_rule1_and_property_findings_equal_the_oracles(files):
     ast, diagnostics = parse_suite(files)
     if diagnostics:

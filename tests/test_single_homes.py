@@ -1,15 +1,21 @@
-"""Three decisions that the parser, the report and the checks share are each
+"""Four decisions that the parser, the report and the checks share are each
 made in one place, and every reader follows it: the levels a module can sit
-at (`model.Level`), the scopes a term can declare (`metamodel.SCOPE_FACETS`)
-and the root a term-valued world fact requires (`metamodel.root_kind` of the
-predicate's range). A reader that states its own copy of one falls out of
-step with the others, and these tests fail."""
+at (`model.Level`), the level each module of a resolved suite sits at
+(`ResolvedSuite.levels`), the scopes a term can declare
+(`metamodel.SCOPE_FACETS`) and the root a term-valued world fact requires
+(`metamodel.root_kind` of the predicate's range). A reader that states its
+own copy of one falls out of step with the others, and these tests fail."""
 
 from __future__ import annotations
 
+from hypothesis import assume, example, given, settings
+
+from fig2_corpus import load_fig2
+from test_file_order import suites
+
 from ontoarch import metamodel
 from ontoarch.cli import _summary_from_ast, build_report
-from ontoarch.metamodel import SCOPE_FACETS, RootKind
+from ontoarch.metamodel import BUILTIN_MODULE, SCOPE_FACETS, RootKind
 from ontoarch.model import Level, resolve
 from ontoarch.parser import KEYWORDS, SuiteAst, parse_suite
 from ontoarch.validator import _TERM_TARGETS, _anchor_matches
@@ -26,6 +32,17 @@ def test_the_level_keywords_and_summary_keys_are_the_levels_a_module_can_sit_at(
         else:
             assert [d.code for d in diagnostics] == ["E003"], word
             assert diagnostics[0].message.endswith(f"(expected {', '.join(names[:-1])} or {names[-1]})")
+
+
+@settings(max_examples=100, deadline=None)
+@given(suites(edits=False, acyclic=True))
+@example(load_fig2())
+def test_a_resolved_suite_holds_the_level_each_module_declares(files):
+    ast, diagnostics = parse_suite(files)
+    assert diagnostics == []
+    suite, _ = resolve(ast.modules, ast.instance_files)
+    assume(suite is not None)
+    assert suite.levels == {BUILTIN_MODULE: Level.FO, **{m.name: m.level for m in ast.modules}}
 
 
 def test_the_scopes_the_parser_accepts_are_the_scope_facets_each_an_assertion_subtype():
