@@ -375,8 +375,9 @@ class ResolvedSuite:
         # A reference binds when the index of its sort, user declarations
         # and ThingFO's together, holds its key: one membership test.
         # `terms` is that index for terms, which `resolve` builds once for
-        # this pass and `_check_instances`. `_unbound_term` and
-        # `_unbound_relation` only word an E101.
+        # this pass and `_check_instances`. A relation's three references
+        # take three tests; its sides, and `_unbound_term` and
+        # `_unbound_relation`, are looked at only to word an E101.
         relations = {**_THINGFO_RELATIONS, **self.relations}
         for m in self.modules.values():
             name, body = m.name, m.body
@@ -399,8 +400,12 @@ class ResolvedSuite:
                                         attr.loc)
                         seen_keys.add(attr.key)
             for r in m.relations:
-                sides = ((r.from_ref, terms, self._unbound_term), (r.to_ref, terms, self._unbound_term),
-                         (r.kind_ref, relations, self._unbound_relation))
+                source, target, kind = r.from_ref, r.to_ref, r.kind_ref
+                if ((source.module or name, source.name) in terms and (target.module or name, target.name) in terms
+                        and (kind.module or name, kind.name) in relations):
+                    continue
+                sides = ((source, terms, self._unbound_term), (target, terms, self._unbound_term),
+                         (kind, relations, self._unbound_relation))
                 for index, (ref, known, unbound) in enumerate(sides):
                     if (key := (ref.module or name, ref.name)) not in known:
                         problem = unbound(*key)
@@ -553,11 +558,14 @@ class ResolvedSuite:
         # earlier walk judged, so each relation is walked once. Lateral hops
         # (same level, other module) are followed inside the hop source's
         # import component, and a chain that takes one escapes its module.
-        chains, levels = self.kind_chains, self.levels
-        for key in self.relations:
-            path: dict[tuple[str, str], bool] = {}  # each relation walked: is its hop lateral?
+        # A relation whose one hop ends the chain, or lands on a relation an
+        # earlier walk judged, is judged on that hop: the walk keeps a path
+        # only from its second hop on.
+        chains, levels, relations = self.kind_chains, self.levels, self.relations
+        for key in relations:
+            path: dict[tuple[str, str], bool] | None = None  # each relation walked: is its hop lateral?
             while key not in chains:
-                if key in path:
+                if path is not None and key in path:
                     order = list(path)
                     cycle = order[order.index(key):]
                     names = tuple(f"{m}.{n}" for m, n in cycle)
@@ -567,13 +575,13 @@ class ResolvedSuite:
                         chains[member] = ChainStatus("cycle", cycle=names, index=i, escapes=escapes)
                     break
                 mod, name = key
-                kind = self.relations[key].kind_ref
+                kind = relations[key].kind_ref
                 target = (kind.module or mod, kind.name)
                 if target[0] == BUILTIN_MODULE:
                     chains[key] = ChainStatus("foundational", key=kind.name)
                     break
                 level, target_level = levels[mod], levels[target[0]]
-                path[key] = lateral = target_level is level and target[0] != mod
+                lateral = target_level is level and target[0] != mod
                 if target_level.rank > level.rank:
                     chains[key] = ChainStatus("downward", detail=f"kind of {mod}.{name} points to the more "
                                               f"concrete level {target_level.name} ({target[0]}.{target[1]})")
@@ -582,13 +590,26 @@ class ResolvedSuite:
                     chains[key] = ChainStatus("dead_end", escapes=True, detail=f"kind of {mod}.{name} leaves the "
                                               f"import-connected component ({target[0]} is not related to {mod})")
                     break
+                if path is None:
+                    status = chains.get(target)
+                    if status is not None:
+                        chains[key] = _escaping(status) if lateral else status
+                        break
+                    path = {}
+                path[key] = lateral
                 key = target
-            # `key` is judged now, and the path leads into it.
-            status = chains[key]
-            for walked, lateral in reversed(path.items()):
-                if lateral and not status.escapes:
-                    status = ChainStatus(status.outcome, status.key, status.detail, status.cycle, status.index, True)
-                chains[walked] = status
+            if path:
+                # `key` is judged now, and the path leads into it.
+                status = chains[key]
+                for walked, lateral in reversed(path.items()):
+                    chains[walked] = status = _escaping(status) if lateral else status
+
+
+def _escaping(status: ChainStatus) -> ChainStatus:
+    """`status` as reached through a lateral hop: the same outcome, escaping."""
+    if status.escapes:
+        return status
+    return ChainStatus(status.outcome, status.key, status.detail, status.cycle, status.index, True)
 
 
 def _flood(start: str, seen: set[str], step: Callable[[str], Iterable[str]]) -> list[str]:

@@ -18,6 +18,19 @@ attribute keys from `metamodel.ROOT_SCHEMAS`, and, in Rule #1, each
 target module's level from `levels`, against the level one tier above the
 term's own module.
 
+Relationship conformance (E231) asks each relation whose kind chain
+reaches ThingFO one question: may the relationship its chain reaches
+connect these two endpoints, each given by its enrichment root and scope?
+The scopes belong in the question because a scope decides the
+`dealsWith*` and `generalizes` relationships: an Assertion-rooted term with
+a scope is the Assertion subtype that scope names. The check judges each
+distinct question once per call, so the metamodel's lookups run a number of
+times that ThingFO's catalog bounds, whatever the suite's size; each
+relation still costs a few table reads. It reads each relation's outcome
+through `chain_status` and each endpoint's root through
+`ResolvedSuite.enrichment_root`, not from the tables directly, because
+`bench/tracing.py` counts the calls of both by name (ROADMAP item 2).
+
 The findings on worlds repeat from world to world: the same thing names,
 parts and terms give the same texts, and so do the witnesses made of level
 or root names alone (E211, E231). Each check that makes them keeps a table
@@ -284,17 +297,30 @@ def check_axioms(world: World, source: Source = SYNTHETIC_SOURCE,
 # Relationship conformance and cardinality.
 # ---------------------------------------------------------------------------
 
-def _anchor_matches(suite: ResolvedSuite, term: tuple[str, str], anchor: str, required: str) -> bool:
-    """Whether `term`, whose enrichment root is `anchor`, is a `required`."""
+def _anchor_matches(anchor: str, scope: str | None, required: str) -> bool:
+    """Whether a term whose enrichment root is `anchor` and whose scope is
+    `scope` is a `required`."""
     if metamodel.is_descendant(anchor, required):
         return True
     # A scope stands in for the Assertion subtype it names: an
     # assertion-rooted term with a scope satisfies that subtype only.
-    if required in SCOPE_FACETS.values() and metamodel.root_kind(anchor) is RootKind.ASSERTION:
-        decl = suite.terms.get(term)
-        if decl is not None and decl.scope is not None:
-            return SCOPE_FACETS[decl.scope] == required
+    if scope is not None and required in SCOPE_FACETS.values() and metamodel.root_kind(anchor) is RootKind.ASSERTION:
+        return SCOPE_FACETS[scope] == required
     return False
+
+
+def _mismatch(key: str, from_root: str, from_scope: str | None, to_root: str,
+              to_scope: str | None) -> tuple[str, str, str] | None:
+    """None when a relation of kind `key` may connect the two endpoints,
+    each given by its enrichment root and scope; otherwise the kind's
+    display name, the expected domains and ranges, and its definitions,
+    which an E231 names."""
+    variants = metamodel.relationship_variants(key)
+    if any(_anchor_matches(from_root, from_scope, v.domain) and _anchor_matches(to_root, to_scope, v.range)
+           for v in variants):
+        return None
+    expected = " or ".join(f"{v.domain} -> {v.range}" for v in variants)
+    return variants[0].display, expected, "; ".join(dict.fromkeys(v.definition for v in variants))
 
 
 #: The code for a world fact whose target, a term, has an enrichment root
@@ -320,29 +346,32 @@ _REQUIRED_EDGES = {
 def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
     texts: dict[str, str] = {}
     out: list[Diagnostic] = []
+    # Each distinct question, a kind with each endpoint's root and scope, is
+    # judged once per call; ThingFO's catalog bounds how many there are.
+    terms = suite.terms
+    judged: dict[tuple[str, str, str | None, str, str | None], tuple[str, str, str] | None] = {}
     for (module_name, _), r in suite.relations.items():
         status = chain_status(suite, module_name, r)
         if status.outcome != "foundational":
             continue  # chain failures belong to Rule #1 / Rule #2
-        variants = metamodel.relationship_variants(status.key or "")
         from_term = (r.from_ref.module or module_name, r.from_ref.name)
         to_term = (r.to_ref.module or module_name, r.to_ref.name)
         from_root = suite.enrichment_root(*from_term)
         to_root = suite.enrichment_root(*to_term)
         if from_root is None or to_root is None:
             continue  # endpoint chain broken, already flagged as E213
-        ok = any(
-            _anchor_matches(suite, from_term, from_root, v.domain)
-            and _anchor_matches(suite, to_term, to_root, v.range)
-            for v in variants
-        )
-        if not ok:
-            expected = " or ".join(f"{v.domain} -> {v.range}" for v in variants)
-            definition = "; ".join(dict.fromkeys(v.definition for v in variants))
+        from_decl, to_decl = terms.get(from_term), terms.get(to_term)  # None for a ThingFO term
+        question = (status.key, from_root, from_decl and from_decl.scope, to_root, to_decl and to_decl.scope)
+        try:
+            mismatch = judged[question]
+        except KeyError:
+            mismatch = judged[question] = _mismatch(*question)
+        if mismatch is not None:
+            display, expected, definition = mismatch
             out.append(
                 _finding(
                     "E231",
-                    f"relation {module_name}.{r.name} has kind {variants[0].display!r} "
+                    f"relation {module_name}.{r.name} has kind {display!r} "
                     f"but connects {from_root}-rooted to {to_root}-rooted terms "
                     f"(expected {expected})",
                     suite.modules[module_name].source.span(r.loc),

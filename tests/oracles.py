@@ -30,7 +30,12 @@ facts, sharing no helper with the validator. `oracle_rule1` checks E211 and
 E213 of `check_rule1` from the module list and the order of the levels, and
 `oracle_property_conformance` checks W201-W203 of
 `check_property_conformance` from the property catalog, walking each term's
-root link by link; both return codes and spans only.
+root link by link; both return codes and spans only. So does
+`oracle_relationship_conformance`, which checks E231 of
+`check_relationship_conformance` relation by relation: it follows each kind
+chain with `oracle_chain_status`, and judges each endpoint against each
+relationship spec of the chain's key by walking ThingFO's parent links
+itself.
 
 `render_canonical` is no oracle but a test tool: it writes an AST back as
 `.onto` text, which the round-trip tests reparse.
@@ -42,7 +47,14 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from ontoarch.metamodel import BUILTIN_MODULE, WORLD_PREDICATES, all_property_specs, term_spec
+from ontoarch.metamodel import (
+    BUILTIN_MODULE,
+    SCOPE_FACETS,
+    WORLD_PREDICATES,
+    all_property_specs,
+    all_relationship_specs,
+    term_spec,
+)
 from ontoarch.model import (
     MODULE_LEVELS,
     AttrPair,
@@ -337,6 +349,47 @@ def oracle_property_conformance(suite: ResolvedSuite) -> list[tuple[str, SourceS
                 out.append(("W202", module.source.span(term.loc)))
             if term.scope is not None and root != "Assertion":
                 out.append(("W203", module.source.span(term.loc)))
+    return out
+
+
+def _is_a(anchor: str, scope: str | None, sort: str) -> bool:
+    """Whether a term whose enrichment root is `anchor` and whose scope is
+    `scope` is a `sort`: `sort` lies on `anchor`'s ThingFO parent chain, or
+    `sort` is the Assertion subtype that the scope of an Assertion-rooted
+    term stands for."""
+    chain = [anchor]
+    while (parent := term_spec(chain[-1]).parent) is not None:
+        chain.append(parent)
+    if sort in chain:
+        return True
+    return chain[-1] == "Assertion" and scope is not None and SCOPE_FACETS[scope] == sort
+
+
+def oracle_relationship_conformance(suite: ResolvedSuite) -> list[tuple[str, SourceSpan]]:
+    """The code and span of each E231: a relation whose kind chain reaches a
+    ThingFO relationship, with the import components found breadth-first,
+    must connect a term of some spec's domain to a term of the same spec's
+    range, among the specs of that relationship's key. An endpoint is
+    judged by its enrichment root and, for a user term, its scope; one with
+    a broken chain is Rule #1's. In no particular order."""
+    components = oracle_components(suite)
+    out: list[tuple[str, SourceSpan]] = []
+    for module in suite.modules.values():
+        for rel in module.relations:
+            status = oracle_chain_status(suite, module.name, rel, components)
+            if status.outcome != "foundational":
+                continue
+            ends = []
+            for ref in (rel.from_ref, rel.to_ref):
+                mod = ref.module or module.name
+                terms = suite.modules[mod].terms if mod in suite.modules else ()  # ThingFO's have no scope
+                scope = next((t.scope for t in terms if t.name == ref.name), None)
+                ends.append((oracle_enrichment_root(suite, mod, ref.name), scope))
+            if any(anchor is None for anchor, _ in ends):
+                continue
+            specs = [spec for spec in all_relationship_specs() if spec.key == status.key]
+            if not any(_is_a(*ends[0], spec.domain) and _is_a(*ends[1], spec.range) for spec in specs):
+                out.append(("E231", module.source.span(rel.loc)))
     return out
 
 

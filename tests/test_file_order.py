@@ -78,9 +78,10 @@ def module_tokens(draw, name, terms, relations, rank=None):
 
 
 @st.composite
-def side(draw, sort, terms, of):
-    """A fact argument of the given sort, or now and then of any sort."""
-    if draw(st.integers(0, 9)) == 0:
+def side(draw, sort, terms, of, mixed):
+    """A fact argument of the given sort, or, when `mixed`, now and then of
+    any sort, which does not bind (E101)."""
+    if mixed and draw(st.integers(0, 9)) == 0:
         sort = draw(st.sampled_from(("Property", "Power", "Thing", "Assertion")))
     thing = draw(st.sampled_from(("x", "y")))
     if sort in ("Property", "Power"):
@@ -91,7 +92,7 @@ def side(draw, sort, terms, of):
 
 
 @st.composite
-def instance_tokens(draw, terms):
+def instance_tokens(draw, terms, mixed):
     of = draw(st.sampled_from(sorted(terms)))
     out = ["instances", "of", of, "{"]
     for k in range(draw(st.integers(0, 2))):
@@ -105,7 +106,7 @@ def instance_tokens(draw, terms):
             out += ["{", "property", "p", ";", "power", "q", ";", "}"]
         for _ in range(draw(st.integers(0, 5))):
             predicate, spec = draw(st.sampled_from(tuple(metamodel.WORLD_PREDICATES.items())))
-            sides = [draw(side(sort, terms, of)) for sort in (spec.domain, spec.range)]
+            sides = [draw(side(sort, terms, of, mixed)) for sort in (spec.domain, spec.range)]
             out += [predicate, "(", *sides[0], ",", *sides[1], ")"]
         out.append("}")
     return out + ["}"]
@@ -123,10 +124,11 @@ def _join(tokens: list[str]) -> str:
 @st.composite
 def suites(draw, edits: bool = True, acyclic: bool = False) -> list[tuple[str, str]]:
     """Grammar-generated files; with `edits`, half of them take a single-token
-    edit, and without, every file parses clean. With `acyclic`, no imports and
-    no enrichment chain cycle: the terms are ranked at random, and each
-    enriches only terms ranked below it, so every shape of acyclic chain,
-    across modules either way, can be drawn."""
+    edit, and without, every file parses clean. With `acyclic`, no imports,
+    no enrichment chain cycle and every fact argument of its predicate's
+    sort: the terms are ranked at random, and each enriches only terms
+    ranked below it, so every shape of acyclic chain, across modules either
+    way, can be drawn."""
     names = MODULES[:draw(st.integers(2, len(MODULES)))]
     terms = {m: draw(st.lists(st.sampled_from(TERMS), min_size=1, unique=True)) for m in names}
     relations = {m: draw(st.lists(st.sampled_from(RELATIONS), unique=True)) for m in names}
@@ -135,7 +137,7 @@ def suites(draw, edits: bool = True, acyclic: bool = False) -> list[tuple[str, s
         order = draw(st.permutations([(m, t) for m in names for t in terms[m]]))
         rank = {key: i for i, key in enumerate(order)}
     files = [draw(module_tokens(m, terms, relations, rank)) for m in names]
-    files += [draw(instance_tokens(terms)) for _ in range(draw(st.integers(0, 2)))]
+    files += [draw(instance_tokens(terms, not acyclic)) for _ in range(draw(st.integers(0, 2)))]
     if edits and draw(st.booleans()):
         tokens = files[draw(st.integers(0, len(files) - 1))]
         at = draw(st.integers(0, len(tokens) - 1))

@@ -63,7 +63,8 @@ def test_the_scopes_the_parser_accepts_are_the_scope_facets_each_an_assertion_su
     assert diagnostics == [] and suite is not None
     for scope, subtype in SCOPE_FACETS.items():
         for required in subtypes:
-            assert _anchor_matches(suite, ("A", f"T{scope}"), "Assertion", required) is (required == subtype)
+            declared = suite.terms["A", f"T{scope}"].scope
+            assert _anchor_matches("Assertion", declared, required) is (required == subtype)
 
 
 def test_each_term_valued_fact_requires_the_root_of_its_range():

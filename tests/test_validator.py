@@ -636,3 +636,37 @@ def test_no_per_term_metamodel_call_remains(monkeypatch):
     assert calls["property_keys_for_root"] == 0
     assert calls["root_kind"] <= 2 * 3 * relations  # `relates with` has three variants
     assert calls["enrichment_root"] <= 2 * relations
+
+
+def test_relationship_conformance_judges_each_question_once(monkeypatch):
+    """No timing: call counts. On deep_chains, 603 relations whose kind
+    chains reach ThingFO ask one question, a kind with each endpoint's root
+    and scope. The metamodel's lookups run a bounded number of times per
+    distinct question, not per relation, and the suite's `enrichment_root`
+    at most twice per relation."""
+    ast, _ = parse_suite(sorted(load_bench("generators").deep_chains(1).files.items()))
+    suite, _ = resolve(ast.modules, ast.instance_files)
+    roots = suite.enrichment_roots
+
+    def end(module: str, ref: QualifiedRef) -> tuple:
+        key = (ref.module or module, ref.name)
+        return roots[key], getattr(suite.terms.get(key), "scope", None)
+
+    questions = {
+        (suite.kind_chains[module, r.name].key, *end(module, r.from_ref), *end(module, r.to_ref))
+        for (module, _), r in suite.relations.items() if suite.kind_chains[module, r.name].outcome == "foundational"
+    }
+    assert len(questions) == 1 and len(suite.relations) > 600
+    calls: Counter = Counter()
+
+    def counted(name, original):
+        return lambda *args: calls.update([name]) or original(*args)
+
+    for name in ("relationship_variants", "is_descendant", "root_kind"):
+        monkeypatch.setattr(metamodel, name, counted(name, getattr(metamodel, name)))
+    monkeypatch.setattr(ResolvedSuite, "enrichment_root", counted("enrichment_root", ResolvedSuite.enrichment_root))
+    assert check_relationship_conformance(suite) == []
+    assert calls["relationship_variants"] <= len(questions)
+    assert calls["is_descendant"] <= 2 * 3 * len(questions)  # `relates with` has three variants
+    assert calls["root_kind"] <= 2 * 3 * len(questions)
+    assert calls["enrichment_root"] <= 2 * len(suite.relations)
