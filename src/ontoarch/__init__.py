@@ -3,13 +3,12 @@ ontology suites grounded in the ThingFO v1.3 foundational ontology."""
 
 from .metamodel import (
     BUILTIN_MODULE,
+    PROPERTIES,
+    RELATIONSHIPS,
+    TERMS,
     THINGFO_VERSION,
     RootKind,
-    all_property_specs,
-    all_relationship_specs,
-    all_term_specs,
     is_descendant,
-    root_kind,
 )
 from .model import (
     Fact,
@@ -55,13 +54,12 @@ def __getattr__(name: str):
 
 __all__ = [
     "BUILTIN_MODULE",
+    "PROPERTIES",
+    "RELATIONSHIPS",
+    "TERMS",
     "THINGFO_VERSION",
     "RootKind",
-    "all_property_specs",
-    "all_relationship_specs",
-    "all_term_specs",
     "is_descendant",
-    "root_kind",
     "Fact",
     "Individual",
     "InstanceFile",

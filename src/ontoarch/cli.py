@@ -126,7 +126,7 @@ def export_graph(suite: ResolvedSuite) -> str:
         for name in members:
             lines.append(node(name, "box"))
             if name == BUILTIN_MODULE:
-                for spec in metamodel.all_term_specs():
+                for spec in metamodel.TERMS:
                     lines.append(node(f"{BUILTIN_MODULE}.{spec.id}", "ellipse"))
             else:
                 for term in sorted(t.name for t in suite.modules[name].terms):
@@ -161,7 +161,7 @@ def _explain_term(spec: metamodel.FoundationalTermSpec) -> str:
     if spec.synonyms:
         lines.append("synonyms: " + ", ".join(spec.synonyms))
     lines.append(f"definition: {spec.definition}")
-    keys = metamodel.property_keys_for_root(metamodel.root_kind(spec.id))
+    keys = metamodel.ROOT_SCHEMAS[spec.id][1]
     if spec.parent is None and keys:
         lines.append("properties: " + ", ".join(keys))
     if spec.notes:
@@ -171,8 +171,7 @@ def _explain_term(spec: metamodel.FoundationalTermSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _explain_relationship(key: str) -> str:
-    variants = metamodel.relationship_variants(key)
+def _explain_relationship(key: str, variants: tuple[metamodel.RelationshipSpec, ...]) -> str:
     lines = [f"{key} ({variants[0].display})"]
     for v in variants:
         lines.append(f"- {v.domain} -> {v.range}: {v.definition}")
@@ -213,16 +212,15 @@ def explain(topic: str) -> str | None:
         kind = "Guideline" if ident.startswith("G") else "Rule"
         return f"{kind} #{ident[1:]} ({ident}): {ARCHITECTURE_RULES[ident]}\n"
     lowered = topic.lower()
-    for spec in metamodel.all_term_specs():
+    for spec in metamodel.TERMS:
         if lowered == spec.id.lower() or lowered == spec.display.lower() or any(
             lowered == s.lower() for s in spec.synonyms
         ):
             return _explain_term(spec)
-    for key in metamodel.RELATIONSHIP_KEYS:
-        variants = metamodel.relationship_variants(key)
+    for key, variants in metamodel.RELATIONSHIP_VARIANTS.items():
         if lowered == key.lower() or lowered == variants[0].display.lower():
-            return _explain_relationship(key)
-    prop_specs = [p for p in metamodel.all_property_specs() if lowered in (p.key.lower(), p.display.lower())]
+            return _explain_relationship(key, variants)
+    prop_specs = [p for p in metamodel.PROPERTIES if lowered in (p.key.lower(), p.display.lower())]
     if prop_specs:
         lines = [f"property key {prop_specs[0].key!r}"]
         for p in prop_specs:
@@ -280,9 +278,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_metamodel(args: argparse.Namespace) -> int:
-    terms = metamodel.all_term_specs()
-    props = metamodel.all_property_specs()
-    rels = metamodel.all_relationship_specs()
+    terms, props, rels = metamodel.TERMS, metamodel.PROPERTIES, metamodel.RELATIONSHIPS
     if args.counts:
         _write_output(None, f"terms={len(terms)} properties={len(props)} relationships={len(rels)}\n")
         return 0

@@ -2,10 +2,14 @@
 
 This module ships the foundational level itself: the 19 terms with their
 taxonomy, the 10 properties, the 12 non-taxonomic relationships, the three
-axioms, and the architecture guidelines/rules. Everything here is immutable
-data; the rest of the system only queries it. Users cannot extend or edit
-the foundational level (a suite may contain exactly one foundational
-ontology, and it is this one).
+axioms, and the architecture guidelines/rules. Each catalog is one table,
+and readers read the tables: `TERMS`, `PROPERTIES` and `RELATIONSHIPS` in
+catalog order, `TERM_SPECS` by term id, `ROOT_SCHEMAS` for a term's root
+kind and attribute keys, `RELATIONSHIP_VARIANTS` by machine key and
+`WORLD_PREDICATES` by fact predicate. The one function, `is_descendant`,
+walks the taxonomy. Nothing writes to the tables after import. Users
+cannot extend or edit the foundational level (a suite may contain exactly
+one foundational ontology, and it is this one).
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ class AxiomSpec(NamedTuple):
 # terms, since every aspect can be stated for both.
 # ---------------------------------------------------------------------------
 
-_TERMS: tuple[FoundationalTermSpec, ...] = (
+TERMS: tuple[FoundationalTermSpec, ...] = (
     FoundationalTermSpec(
         id="Thing",
         display="Thing",
@@ -412,7 +416,8 @@ _TERMS: tuple[FoundationalTermSpec, ...] = (
     ),
 )
 
-_TERM_INDEX: dict[str, FoundationalTermSpec] = {t.id: t for t in _TERMS}
+#: Each term by its id, in catalog order.
+TERM_SPECS: dict[str, FoundationalTermSpec] = {t.id: t for t in TERMS}
 
 #: The scopes a user term may declare, each standing in for the Assertion
 #: subtype it names on an Assertion-rooted term.
@@ -425,7 +430,7 @@ SCOPE_FACETS: dict[str, str] = {"particulars": "AssertionOnParticulars", "univer
 # key remains declarable.
 # ---------------------------------------------------------------------------
 
-_PROPERTIES: tuple[PropertySpec, ...] = (
+PROPERTIES: tuple[PropertySpec, ...] = (
     PropertySpec(
         owner="Thing",
         key="name",
@@ -524,12 +529,12 @@ _PROPERTIES: tuple[PropertySpec, ...] = (
 )
 
 #: Each foundational term's taxonomy root and the attribute keys, in catalog
-#: order, that a term rooted there may declare. `_TERMS` lists every parent
+#: order, that a term rooted there may declare. `TERMS` lists every parent
 #: before its children, so a child takes its parent's entry.
 ROOT_SCHEMAS: dict[str, tuple[RootKind, tuple[str, ...]]] = {}
-for _spec in _TERMS:
+for _spec in TERMS:
     ROOT_SCHEMAS[_spec.id] = ROOT_SCHEMAS[_spec.parent] if _spec.parent else (
-        RootKind(_spec.id), tuple(p.key for p in _PROPERTIES if p.owner == _spec.id))
+        RootKind(_spec.id), tuple(p.key for p in PROPERTIES if p.owner == _spec.id))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +542,7 @@ for _spec in _TERMS:
 # root that may relate to peers of its own kind; they share the machine key.
 # ---------------------------------------------------------------------------
 
-_RELATIONSHIPS: tuple[RelationshipSpec, ...] = (
+RELATIONSHIPS: tuple[RelationshipSpec, ...] = (
     RelationshipSpec(
         key="actsUpon",
         display="acts upon",
@@ -675,12 +680,11 @@ _RELATIONSHIPS: tuple[RelationshipSpec, ...] = (
 )
 
 #: Each machine key's relationship specs (1 or 3 variants), in catalog order.
-_RELATIONSHIP_VARIANTS: dict[str, tuple[RelationshipSpec, ...]] = {
-    key: tuple(r for r in _RELATIONSHIPS if r.key == key) for key in dict.fromkeys(r.key for r in _RELATIONSHIPS)
+#: Its keys are the names addressable as `ThingFO.<key>` from relation
+#: declarations.
+RELATIONSHIP_VARIANTS: dict[str, tuple[RelationshipSpec, ...]] = {
+    key: tuple(r for r in RELATIONSHIPS if r.key == key) for key in dict.fromkeys(r.key for r in RELATIONSHIPS)
 }
-
-#: Machine keys addressable as `ThingFO.<key>` from relation declarations.
-RELATIONSHIP_KEYS: tuple[str, ...] = tuple(_RELATIONSHIP_VARIANTS)
 
 #: World fact predicates of the DSL, in grammar order, mapped to the
 #: relationship each fact grounds (the first variant of its key, so
@@ -688,7 +692,7 @@ RELATIONSHIP_KEYS: tuple[str, ...] = tuple(_RELATIONSHIP_VARIANTS)
 #: `thing.part` of that sort, a Thing side is a thing of the world, and any
 #: other side is a term whose enrichment root must be that sort.
 WORLD_PREDICATES: dict[str, RelationshipSpec] = {
-    predicate: _RELATIONSHIP_VARIANTS[key][0]
+    predicate: RELATIONSHIP_VARIANTS[key][0]
     for predicate, key in (
         ("enables", "enables"),
         ("actsUpon", "actsUpon"),
@@ -772,52 +776,16 @@ ARCHITECTURE_RULES: dict[str, str] = {
 
 
 # ---------------------------------------------------------------------------
-# Queries.
+# The one query that walks the taxonomy; everything else is a table read.
 # ---------------------------------------------------------------------------
-
-def all_term_specs() -> list[FoundationalTermSpec]:
-    """The full term catalog in its fixed documented order (length 19)."""
-    return list(_TERMS)
-
-
-def all_property_specs() -> list[PropertySpec]:
-    """The 10 property specs, grouped by owner term in catalog order."""
-    return list(_PROPERTIES)
-
-
-def all_relationship_specs() -> list[RelationshipSpec]:
-    """The 12 relationship specs; the `relates with` variants are distinct."""
-    return list(_RELATIONSHIPS)
-
-
-def term_spec(term_id: str) -> FoundationalTermSpec:
-    """Look up one term by id; raises KeyError for unknown ids."""
-    return _TERM_INDEX[term_id]
-
 
 def is_descendant(a: str, b: str) -> bool:
     """True iff `a` equals `b` or `b` appears on `a`'s parent chain."""
-    if a not in _TERM_INDEX or b not in _TERM_INDEX:
-        raise KeyError(f"unknown foundational term: {a if a not in _TERM_INDEX else b}")
+    if a not in TERM_SPECS or b not in TERM_SPECS:
+        raise KeyError(f"unknown foundational term: {a if a not in TERM_SPECS else b}")
     current: str | None = a
     while current is not None:
         if current == b:
             return True
-        current = _TERM_INDEX[current].parent
+        current = TERM_SPECS[current].parent
     return False
-
-
-def root_kind(term_id: str) -> RootKind:
-    """The root of `term_id`'s parent chain."""
-    return ROOT_SCHEMAS[term_id][0]
-
-
-def property_keys_for_root(root: RootKind) -> tuple[str, ...]:
-    """Attribute keys a term rooted at `root` may declare."""
-    return ROOT_SCHEMAS[root.value][1]
-
-
-def relationship_variants(key: str) -> tuple[RelationshipSpec, ...]:
-    """All relationship specs with the given machine key (1 or 3 entries;
-    none for an unknown key)."""
-    return _RELATIONSHIP_VARIANTS.get(key, ())

@@ -57,8 +57,8 @@ class Level(Enum):
 MODULE_LEVELS: tuple[Level, ...] = tuple(level for level in Level if level is not Level.IO)
 
 #: ThingFO's terms and relationships, keyed as a reference to them binds.
-_THINGFO_TERMS = dict.fromkeys((BUILTIN_MODULE, spec.id) for spec in metamodel.all_term_specs())
-_THINGFO_RELATIONS = dict.fromkeys((BUILTIN_MODULE, key) for key in metamodel.RELATIONSHIP_KEYS)
+_THINGFO_TERMS = dict.fromkeys((BUILTIN_MODULE, term_id) for term_id in metamodel.TERM_SPECS)
+_THINGFO_RELATIONS = dict.fromkeys((BUILTIN_MODULE, key) for key in metamodel.RELATIONSHIP_VARIANTS)
 
 
 class QualifiedRef(Record):

@@ -558,7 +558,9 @@ class _Parser:
             pred = toks[i][1]
             if pred not in WORLD_PREDICATES:
                 self.diagnostics.append(Diagnostic("E004", f"unknown fact predicate {pred!r}", self.token_span(i)))
-                # Recover past the argument list so later facts still parse.
+                # Skip the argument list. That only moves where recovery
+                # starts: the world fails, and `parse_body` skips the rest
+                # of it, later facts included (ROADMAP item 9).
                 i += 1
                 if toks[i][1] == "(":
                     while i < self.end and toks[i][1] not in (")", "}"):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, NamedTuple
 
-from .metamodel import ARCHITECTURE_RULES, AXIOMS
+from .metamodel import ARCHITECTURE_RULES, AXIOMS, PROPERTIES, WORLD_PREDICATES
 from .source import Record, SourceSpan
 
 REPORT_VERSION = 1
@@ -131,19 +131,19 @@ CODE_CATALOG: dict[str, CodeDoc] = {
     "E232": CodeDoc(
         "belongsTo target is not a Thing Category",
         "RelConformance",
-        "Particular Things may belong to none or more Thing Categories.",
+        WORLD_PREDICATES["belongsTo"].definition,
         "belongsTo(t1, ProcessCO.Process)",
     ),
     "E233": CodeDoc(
         "defines target is not an Assertion",
         "RelConformance",
-        "A Thing defines none or many Assertions.",
+        WORLD_PREDICATES["defines"].definition,
         "defines(t1, ProcessCO.Process)",
     ),
     "E234": CodeDoc(
         "a thing relates with itself",
         "RelConformance",
-        "A Thing relates to other particular Things.",
+        WORLD_PREDICATES["relatesWith"].definition,
         "relatesWith(t1, t1)",
     ),
     "E301": CodeDoc(
@@ -186,7 +186,7 @@ CODE_CATALOG: dict[str, CodeDoc] = {
     "W202": CodeDoc(
         "thing-rooted term lacks a description",
         "PropConformance",
-        "An unambiguous textual statement describing a particular Thing.",
+        next(p.definition for p in PROPERTIES if (p.owner, p.key) == ("Thing", "description")),
         "term X enriches ThingFO.Thing with no attributes",
     ),
     "W203": CodeDoc(
@@ -198,8 +198,7 @@ CODE_CATALOG: dict[str, CodeDoc] = {
     "W301": CodeDoc(
         "power with no acts-upon edges",
         "Cardinality",
-        "A Power acts upon one or more Properties, so it can look at them or "
-        "update the status of the Thing's properties.",
+        WORLD_PREDICATES["actsUpon"].definition,
         "a world declaring actsUpon facts where some power has none",
     ),
 }

@@ -24,10 +24,10 @@ connect these two endpoints, each given by its enrichment root and scope?
 The scopes belong in the question because a scope decides the
 `dealsWith*` and `generalizes` relationships: an Assertion-rooted term with
 a scope is the Assertion subtype that scope names. The check judges each
-distinct question once per call, so the metamodel's lookups run a number of
-times that ThingFO's catalog bounds, whatever the suite's size; each
-relation still costs a few table reads. It reads each relation's outcome
-through `chain_status` and each endpoint's root through
+distinct question once per call, so `_mismatch` and its `is_descendant`
+walks run a number of times that ThingFO's catalog bounds, whatever the
+suite's size; each relation still costs a few table reads. It reads each
+relation's outcome through `chain_status` and each endpoint's root through
 `ResolvedSuite.enrichment_root`, not from the tables directly, because
 `bench/tracing.py` counts the calls of both by name (ROADMAP item 2).
 
@@ -118,8 +118,12 @@ def chain_status(suite: ResolvedSuite, module_name: str, rel: RelationDecl) -> C
     Hops to a higher level or within the same module are always followed.
     Lateral hops (same level, other module) must stay inside the hop
     source's import-connected component, and a chain that takes one
-    `escapes` its module: Rule #1 leaves it to Rule #2, which judges the
-    joint definition. Hops toward a more concrete level never terminate."""
+    `escapes` its module. Hops toward a more concrete level never terminate.
+
+    A chain that does not reach ThingFO is one finding: Rule #1's E212
+    when it stays in its module, Rule #2's E221 when it escapes, since only
+    the joint definition of the component shows it. A `dead_end` always
+    escapes."""
     return suite.kind_chains[(module_name, rel.name)]
 
 
@@ -162,7 +166,7 @@ def check_rule1(suite: ResolvedSuite) -> list[Diagnostic]:
                 )
         for r in module.relations:
             status = chain_status(suite, name, r)
-            if not status.escapes and status.outcome in ("cycle", "downward"):
+            if not status.escapes and status.outcome != "foundational":
                 detail = status.text
                 out.append(
                     _finding(
@@ -190,7 +194,7 @@ def check_rule2(suite: ResolvedSuite) -> list[Diagnostic]:
     joined = {component: ", ".join(sorted(component)) for component in set(suite.components.values())}
     for (module_name, _), r in suite.relations.items():
         status = chain_status(suite, module_name, r)
-        if status.escapes and status.outcome in ("cycle", "downward", "dead_end"):
+        if status.escapes and status.outcome != "foundational":
             members = joined[suite.components[module_name]]
             detail = status.text
             out.append(
@@ -304,8 +308,8 @@ def _anchor_matches(anchor: str, scope: str | None, required: str) -> bool:
         return True
     # A scope stands in for the Assertion subtype it names: an
     # assertion-rooted term with a scope satisfies that subtype only.
-    if scope is not None and required in SCOPE_FACETS.values() and metamodel.root_kind(anchor) is RootKind.ASSERTION:
-        return SCOPE_FACETS[scope] == required
+    if scope is not None and required in SCOPE_FACETS.values():
+        return metamodel.ROOT_SCHEMAS[anchor][0] is RootKind.ASSERTION and SCOPE_FACETS[scope] == required
     return False
 
 
@@ -315,7 +319,7 @@ def _mismatch(key: str, from_root: str, from_scope: str | None, to_root: str,
     each given by its enrichment root and scope; otherwise the kind's
     display name, the expected domains and ranges, and its definitions,
     which an E231 names."""
-    variants = metamodel.relationship_variants(key)
+    variants = metamodel.RELATIONSHIP_VARIANTS[key]
     if any(_anchor_matches(from_root, from_scope, v.domain) and _anchor_matches(to_root, to_scope, v.range)
            for v in variants):
         return None
@@ -331,7 +335,8 @@ _TERM_TARGETS = {"ThingCategory": "E232", "Assertion": "E233"}
 #: the root kind and the name of the range, whose root the target's
 #: enrichment root must be.
 _TERM_FACTS = {
-    predicate: (_TERM_TARGETS[spec.range], metamodel.root_kind(spec.range), metamodel.term_spec(spec.range).display)
+    predicate: (_TERM_TARGETS[spec.range], metamodel.ROOT_SCHEMAS[spec.range][0],
+                metamodel.TERM_SPECS[spec.range].display)
     for predicate, spec in metamodel.WORLD_PREDICATES.items() if spec.range in _TERM_TARGETS
 }
 

@@ -49,11 +49,11 @@ from typing import Any
 
 from ontoarch.metamodel import (
     BUILTIN_MODULE,
+    PROPERTIES,
+    RELATIONSHIPS,
     SCOPE_FACETS,
+    TERM_SPECS,
     WORLD_PREDICATES,
-    all_property_specs,
-    all_relationship_specs,
-    term_spec,
 )
 from ontoarch.model import (
     MODULE_LEVELS,
@@ -244,7 +244,7 @@ def oracle_check_axioms(world: World, source: Source = SYNTHETIC_SOURCE) -> list
 
 def _foundational_root(term_id: str) -> str:
     """The top of a ThingFO term's parent chain, walked link by link."""
-    while (parent := term_spec(term_id).parent) is not None:
+    while (parent := TERM_SPECS[term_id].parent) is not None:
         term_id = parent
     return term_id
 
@@ -281,7 +281,7 @@ def oracle_world_rules(suite: ResolvedSuite) -> list[Diagnostic]:
                         out.append(_oracle_finding(
                             _WRONG_TARGET[fact.predicate],
                             f"{fact.predicate} target {mod}.{name} is rooted at {root}, "
-                            f"not {term_spec(spec.range).display}", span, witness))
+                            f"not {TERM_SPECS[spec.range].display}", span, witness))
                 if fact.predicate == "relatesWith" and fact.left == fact.right:
                     out.append(_oracle_finding(
                         "E234", f"thing {fact.left.name} relates with itself in world {world.name}", span, witness))
@@ -342,7 +342,7 @@ def oracle_property_conformance(suite: ResolvedSuite) -> list[tuple[str, SourceS
             if anchor is None:
                 continue
             root = _foundational_root(anchor)
-            allowed = [p.key for p in all_property_specs() if p.owner == root]
+            allowed = [p.key for p in PROPERTIES if p.owner == root]
             keys = [attr.key for attr in term.attributes]
             out += [("W201", module.source.span(attr.loc)) for attr in term.attributes if attr.key not in allowed]
             if root == "Thing" and "description" not in keys:
@@ -358,7 +358,7 @@ def _is_a(anchor: str, scope: str | None, sort: str) -> bool:
     `sort` is the Assertion subtype that the scope of an Assertion-rooted
     term stands for."""
     chain = [anchor]
-    while (parent := term_spec(chain[-1]).parent) is not None:
+    while (parent := TERM_SPECS[chain[-1]].parent) is not None:
         chain.append(parent)
     if sort in chain:
         return True
@@ -387,7 +387,7 @@ def oracle_relationship_conformance(suite: ResolvedSuite) -> list[tuple[str, Sou
                 ends.append((oracle_enrichment_root(suite, mod, ref.name), scope))
             if any(anchor is None for anchor, _ in ends):
                 continue
-            specs = [spec for spec in all_relationship_specs() if spec.key == status.key]
+            specs = [spec for spec in RELATIONSHIPS if spec.key == status.key]
             if not any(_is_a(*ends[0], spec.domain) and _is_a(*ends[1], spec.range) for spec in specs):
                 out.append(("E231", module.source.span(rel.loc)))
     return out

@@ -1,5 +1,6 @@
-"""The report-digest corpus: fig2, its ten single-edit mutants and a few
-hundred small generated suites, each with the digests of its report.
+"""The report-digest corpus: fig2, its ten single-edit mutants, a few
+hundred small generated suites and a few hand-written ones, each with the
+digests of its report.
 
 `tests/fixtures/report_digests.json` holds, for each input, the sha256 of
 its files, the exit code, the number of findings per code and the sha256 of
@@ -17,7 +18,9 @@ across Python versions, not from hypothesis, whose examples are not. Their
 vocabulary is that of `test_file_order.py`, with bad levels, unknown
 predicates, self-imports, stray characters and every attribute key added,
 so that together the inputs hit every code of `CODE_CATALOG` but E213 (see
-`test_report_digests.py`).
+`test_report_digests.py`). The hand-written suites reach the wordings of
+E101 and E102 that no generated suite does: every name the generator draws
+is declared once, and every ThingFO name it draws exists.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ LEVELS = ("FO", "CO", "TDO", "LDO", "XX")
 MODULES = ("M0", "M1", "M2", "M3")
 TERMS = ("t0", "t1", "t2", "t3")
 RELATIONS = ("r0", "r1", "r2")
-FO_TERMS = tuple(spec.id for spec in metamodel.all_term_specs())
-RELATIONSHIP_KEYS = tuple(metamodel.RELATIONSHIP_KEYS)
+FO_TERMS = tuple(metamodel.TERM_SPECS)
+FO_RELATIONS = tuple(metamodel.RELATIONSHIP_VARIANTS)
 PREDICATES = tuple(metamodel.WORLD_PREDICATES)
 ATTRIBUTE_KEYS = (
     "description", "description", "name", "structural_description", "behavioral_description",
@@ -119,7 +122,7 @@ def _module(
     for rel in (r for m, r in relations if m == name):
         out += ["relation", rel, "from", *_ref(rnd, terms, FO_TERMS, name)]
         out += ["to", *_ref(rnd, terms, FO_TERMS, name)]
-        out += ["kind", *_above(rnd, name, relations, RELATIONSHIP_KEYS, levels, stray)]
+        out += ["kind", *_above(rnd, name, relations, FO_RELATIONS, levels, stray)]
     return out + ["}"]
 
 
@@ -198,6 +201,23 @@ def random_suite(seed: int) -> list[tuple[str, str]]:
     return [(f"f{k}.onto", _join(tokens)) for k, tokens in enumerate(files)]
 
 
+#: A module with one described term, left open for more declarations.
+_MODULE_A = 'ontology A at CO {\n  term X enriches ThingFO.Thing { description "x" }\n'
+
+#: Each hand-written suite's name and its one file's text.
+HAND_WRITTEN = (
+    ("hand/E102-declaration", _MODULE_A + "  relation X from X to X kind ThingFO.relatesWith\n}\n"),
+    ("hand/E102-attribute",
+     'ontology A at CO {\n  term X enriches ThingFO.Thing { description "x" description "y" }\n}\n'),
+    ("hand/E102-individual", _MODULE_A + "}\ninstances of A {\n  individual a : X\n  individual a : X\n}\n"),
+    ("hand/E102-world", _MODULE_A + "}\ninstances of A {\n  world w { }\n  world w { }\n}\n"),
+    ("hand/E102-part",
+     _MODULE_A + "}\ninstances of A {\n  world w {\n    thing t : X { property p; power p; }\n  }\n}\n"),
+    ("hand/E101-thingfo-term", 'ontology A at CO {\n  term X enriches ThingFO.Entityy { description "x" }\n}\n'),
+    ("hand/E101-thingfo-relationship", _MODULE_A + "  relation r from X to X kind ThingFO.relatesTo\n}\n"),
+)
+
+
 def corpus() -> Iterator[tuple[str, list[tuple[str, str]]]]:
     """Each input's name and its `(path, text)` files."""
     fig2 = load_fig2()
@@ -206,6 +226,8 @@ def corpus() -> Iterator[tuple[str, list[tuple[str, str]]]]:
         yield f"fig2/{code}", mutate(fig2, fname, needle, replacement)
     for seed in range(SUITES):
         yield f"random/{seed:03d}", random_suite(seed)
+    for name, text in HAND_WRITTEN:
+        yield name, [("a.onto", text)]
 
 
 def _sha256(text: str) -> str:

@@ -4,6 +4,7 @@ oracles, and deep chains that must stay linear and free of recursion."""
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from collections import Counter
 
@@ -28,7 +29,7 @@ from ontoarch.model import (
 )
 from ontoarch.parser import parse_suite
 from ontoarch.source import Source
-from ontoarch.validator import chain_status
+from ontoarch.validator import chain_status, check_rule1, check_rule2
 
 DEPTH = 10_000
 
@@ -38,7 +39,8 @@ DEPTH = 10_000
 # ---------------------------------------------------------------------------
 
 THING = QualifiedRef(BUILTIN_MODULE, "Thing")
-FO_TERMS = tuple(spec.id for spec in metamodel.all_term_specs())
+FO_TERMS = tuple(metamodel.TERM_SPECS)
+FO_RELATIONS = tuple(metamodel.RELATIONSHIP_VARIANTS)
 
 
 @st.composite
@@ -60,7 +62,7 @@ def chain_suites(draw) -> list[OntologyModule]:
     for i in range(tail_len):
         kinds.append(cycle_len + i - 1 if i else draw(st.integers(0, cycle_len - 1)))
     for _ in range(n_free):
-        kinds.append(draw(st.one_of(st.sampled_from(metamodel.RELATIONSHIP_KEYS), st.integers(0, total - 1))))
+        kinds.append(draw(st.one_of(st.sampled_from(FO_RELATIONS), st.integers(0, total - 1))))
 
     bodies: list[list[TermDef | RelationDecl]] = [[] for _ in names]
     for i, kind in enumerate(kinds):
@@ -132,6 +134,29 @@ def test_components_equal_the_naive_oracle(suite):
         return
     event(f"{len(set(suite.components.values()))} components over {len(suite.modules)} modules")
     assert suite.components == oracle_components(suite)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(chain_suites().map(_fresh), suites(edits=False, acyclic=True).map(_resolved)))
+def test_each_chain_that_misses_thingfo_is_one_e212_or_one_e221(suite):
+    """Rule #1 and Rule #2 split the kind chains that do not reach ThingFO
+    between them: each such relation gets exactly one E212 or E221, by
+    whether its chain escapes its module, and no other relation gets
+    either."""
+    if suite is None:
+        event("unresolved")
+        return
+    components = oracle_components(suite)
+    missing = Counter(
+        f"{module}.{rel.name}" for (module, _), rel in suite.relations.items()
+        if oracle_chain_status(suite, module, rel, components).outcome != "foundational"
+    )
+    found = Counter(
+        re.search(r"relation (\w+\.\w+) ", d.message).group(1) for d in check_rule1(suite) + check_rule2(suite)
+        if d.code in ("E212", "E221")
+    )
+    event("some relations miss ThingFO" if missing else "every relation reaches ThingFO")
+    assert found == missing
 
 
 @st.composite

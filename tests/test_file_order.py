@@ -28,7 +28,7 @@ from ontoarch.validator import check_rule1, check_rule2, validate_suite
 MODULES = ("M0", "M1", "M2", "M3")
 TERMS = ("t0", "t1", "t2", "t3")
 RELATIONS = ("r0", "r1", "r2")
-FO_TERMS = tuple(spec.id for spec in metamodel.all_term_specs())
+FO_TERMS = tuple(metamodel.TERM_SPECS)
 
 #: Replacement tokens for the single-token edits.
 VOCABULARY = (
@@ -73,7 +73,7 @@ def module_tokens(draw, name, terms, relations, rank=None):
     for rel in relations[name]:
         out += ["relation", rel, "from", *draw(ref(terms, FO_TERMS, name))]
         out += ["to", *draw(ref(terms, FO_TERMS, name))]
-        out += ["kind", *draw(ref(relations, metamodel.RELATIONSHIP_KEYS, name))]
+        out += ["kind", *draw(ref(relations, tuple(metamodel.RELATIONSHIP_VARIANTS), name))]
     return out + ["}"]
 
 

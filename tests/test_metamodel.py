@@ -9,12 +9,14 @@ import pytest
 
 from ontoarch import metamodel, parser
 from ontoarch.metamodel import (
+    PROPERTIES,
+    RELATIONSHIP_VARIANTS,
+    RELATIONSHIPS,
+    ROOT_SCHEMAS,
+    TERM_SPECS,
+    TERMS,
     RootKind,
-    all_property_specs,
-    all_relationship_specs,
-    all_term_specs,
     is_descendant,
-    root_kind,
 )
 from ontoarch.reporting import severity_of
 
@@ -22,36 +24,36 @@ ROOTS = {"Thing", "Property", "Power", "ThingCategory", "Assertion"}
 
 
 def test_catalog_totals():
-    assert len(all_term_specs()) == 19
-    assert len(all_property_specs()) == 10
-    assert len(all_relationship_specs()) == 12
+    assert len(TERMS) == 19
+    assert len(PROPERTIES) == 10
+    assert len(RELATIONSHIPS) == 12
 
 
 def test_term_ids_unique_and_stable():
-    ids = [t.id for t in all_term_specs()]
+    ids = list(TERM_SPECS)
     assert len(set(ids)) == 19
     assert ids[:5] == ["Thing", "Property", "Power", "ThingCategory", "Assertion"]
     assert {"Thing", "ThingCategory", "Assertion"} <= set(ids)
 
 
-def test_repeated_calls_return_equal_lists():
-    assert all_term_specs() == all_term_specs()
-    assert all_property_specs() == all_property_specs()
-    assert all_relationship_specs() == all_relationship_specs()
+def test_the_catalogs_are_tuples_and_the_term_index_follows_their_order():
+    assert all(type(table) is tuple for table in (TERMS, PROPERTIES, RELATIONSHIPS))
+    assert list(TERM_SPECS) == [t.id for t in TERMS]
+    assert all(TERM_SPECS[t.id] is t for t in TERMS)
 
 
 def test_assertion_synonym():
-    assertion = metamodel.term_spec("Assertion")
+    assertion = TERM_SPECS["Assertion"]
     assert "Human Expression" in assertion.synonyms
 
 
 def test_thing_synonyms():
-    thing = metamodel.term_spec("Thing")
+    thing = TERM_SPECS["Thing"]
     assert thing.synonyms == ("Particular Thing", "Object", "Entity", "Instance", "Individual")
 
 
 def test_taxonomy_is_forest_rooted_at_the_five_roots():
-    for spec in all_term_specs():
+    for spec in TERMS:
         if spec.id in ROOTS:
             assert spec.parent is None
         else:
@@ -61,23 +63,24 @@ def test_taxonomy_is_forest_rooted_at_the_five_roots():
             while cur.parent is not None:
                 assert cur.id not in seen, "taxonomy must be acyclic"
                 seen.add(cur.id)
-                cur = metamodel.term_spec(cur.parent)
+                cur = TERM_SPECS[cur.parent]
             assert cur.id == "Assertion"
 
 
 def test_every_term_maps_to_exactly_one_root():
-    for spec in all_term_specs():
-        kind = root_kind(spec.id)
+    assert list(ROOT_SCHEMAS) == list(TERM_SPECS)
+    for spec in TERMS:
+        kind = ROOT_SCHEMAS[spec.id][0]
         assert isinstance(kind, RootKind)
         root = spec
         while root.parent is not None:
-            root = metamodel.term_spec(root.parent)
+            root = TERM_SPECS[root.parent]
         assert kind is RootKind(root.id)
 
 
 def _descendant_oracle() -> dict[tuple[str, str], bool]:
     """Independent reflexive-transitive closure of the parent table."""
-    parents = {t.id: t.parent for t in all_term_specs()}
+    parents = {t.id: t.parent for t in TERMS}
     closure: dict[tuple[str, str], bool] = {}
     for a in parents:
         ancestors = {a}
@@ -92,7 +95,7 @@ def _descendant_oracle() -> dict[tuple[str, str], bool]:
 
 def test_is_descendant_matches_exhaustive_matrix():
     oracle = _descendant_oracle()
-    ids = [t.id for t in all_term_specs()]
+    ids = list(TERM_SPECS)
     for a, b in itertools.product(ids, ids):
         assert is_descendant(a, b) == oracle[(a, b)], (a, b)
 
@@ -104,7 +107,7 @@ def test_is_descendant_examples():
 
 
 def test_is_descendant_is_a_partial_order_per_tree():
-    ids = [t.id for t in all_term_specs()]
+    ids = list(TERM_SPECS)
     for a in ids:
         assert is_descendant(a, a)
     for a, b in itertools.product(ids, ids):
@@ -123,15 +126,15 @@ def test_is_descendant_rejects_unknown_ids():
 
 
 def test_root_kind_examples():
-    assert root_kind("ThingCategory") is RootKind.THING_CATEGORY
-    assert root_kind("TimeAssertion") is RootKind.ASSERTION
-    assert root_kind("Power") is RootKind.POWER
-    assert root_kind("AssertionOnUniversals") is RootKind.ASSERTION
+    assert ROOT_SCHEMAS["ThingCategory"][0] is RootKind.THING_CATEGORY
+    assert ROOT_SCHEMAS["TimeAssertion"][0] is RootKind.ASSERTION
+    assert ROOT_SCHEMAS["Power"][0] is RootKind.POWER
+    assert ROOT_SCHEMAS["AssertionOnUniversals"][0] is RootKind.ASSERTION
 
 
 def test_property_grouping():
     by_owner: dict[str, list[str]] = {}
-    for p in all_property_specs():
+    for p in PROPERTIES:
         by_owner.setdefault(p.owner, []).append(p.key)
     assert by_owner == {
         "Thing": ["name", "description"],
@@ -143,19 +146,19 @@ def test_property_grouping():
 
 
 def test_thing_category_owns_exactly_one_property():
-    keys = [p.key for p in all_property_specs() if p.owner == "ThingCategory"]
+    keys = [p.key for p in PROPERTIES if p.owner == "ThingCategory"]
     assert keys == ["descriptive_statement"]
 
 
 def test_relationship_names_and_variants():
-    keys = [r.key for r in all_relationship_specs()]
+    keys = [r.key for r in RELATIONSHIPS]
     assert keys.count("relatesWith") == 3
     assert set(keys) == {
         "actsUpon", "belongsTo", "dealsWithParticulars", "dealsWithUniversals",
         "defines", "enables", "generalizes", "interactsWithOther",
         "isSeenAsOther", "relatesWith",
     }
-    variants = metamodel.relationship_variants("relatesWith")
+    variants = RELATIONSHIP_VARIANTS["relatesWith"]
     assert [(v.domain, v.range) for v in variants] == [
         ("Thing", "Thing"),
         ("ThingCategory", "ThingCategory"),
@@ -164,18 +167,15 @@ def test_relationship_names_and_variants():
 
 
 def test_relationship_variants_are_one_table_built_at_import():
-    specs = all_relationship_specs()
-    assert metamodel.RELATIONSHIP_KEYS == tuple(dict.fromkeys(r.key for r in specs))
-    for key in metamodel.RELATIONSHIP_KEYS:
-        variants = metamodel.relationship_variants(key)
-        assert variants == tuple(r for r in specs if r.key == key)
-        assert metamodel.relationship_variants(key) is variants
+    assert list(RELATIONSHIP_VARIANTS) == list(dict.fromkeys(r.key for r in RELATIONSHIPS))
+    for key, variants in RELATIONSHIP_VARIANTS.items():
+        assert variants == tuple(r for r in RELATIONSHIPS if r.key == key)
     for unknown in ("", "relates", "Thing", "interacts"):
-        assert metamodel.relationship_variants(unknown) == ()
+        assert unknown not in RELATIONSHIP_VARIANTS
 
 
 def test_relationship_axiom_links():
-    links = {r.key: r.axiom_links for r in all_relationship_specs() if r.axiom_links}
+    links = {r.key: r.axiom_links for r in RELATIONSHIPS if r.axiom_links}
     assert links == {
         "enables": frozenset({"A1"}),
         "actsUpon": frozenset({"A2"}),
@@ -184,40 +184,38 @@ def test_relationship_axiom_links():
 
 
 def test_belongs_to_multiplicity():
-    (spec,) = metamodel.relationship_variants("belongsTo")
+    (spec,) = RELATIONSHIP_VARIANTS["belongsTo"]
     assert spec.multiplicity == (0, None)
 
 
 def test_acts_upon_multiplicity_is_a_warning():
-    (spec,) = metamodel.relationship_variants("actsUpon")
+    (spec,) = RELATIONSHIP_VARIANTS["actsUpon"]
     assert spec.multiplicity == (1, None)
     assert severity_of("W301") == "warning"
 
 
 def test_is_seen_as_other_carries_no_cardinality():
-    (spec,) = metamodel.relationship_variants("isSeenAsOther")
+    (spec,) = RELATIONSHIP_VARIANTS["isSeenAsOther"]
     assert spec.multiplicity is None
 
 
 def test_relationship_endpoints_reference_known_terms():
-    ids = {t.id for t in all_term_specs()}
-    for r in all_relationship_specs():
-        assert r.domain in ids, r
-        assert r.range in ids, r
+    for r in RELATIONSHIPS:
+        assert r.domain in TERM_SPECS, r
+        assert r.range in TERM_SPECS, r
 
 
 def test_property_vocabulary_is_closed_over_roots():
-    catalog_keys = {p.key for p in all_property_specs()}
+    catalog_keys = {p.key for p in PROPERTIES}
     from_roots = set()
     for root in RootKind:
-        from_roots.update(metamodel.property_keys_for_root(root))
+        from_roots.update(ROOT_SCHEMAS[root.value][1])
     assert from_roots == catalog_keys
 
 
 def test_predicates_map_to_relationship_keys():
     grammar = re.search(r'predicate +:=((?:\s*\|?\s*"\w+")+)', parser.__doc__)
     assert list(metamodel.WORLD_PREDICATES) == re.findall(r'"(\w+)"', grammar.group(1))
-    specs = all_relationship_specs()
     for spec in metamodel.WORLD_PREDICATES.values():
-        assert spec in specs
+        assert spec in RELATIONSHIPS
         assert spec.domain in ("Property", "Power", "Thing"), spec

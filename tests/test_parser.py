@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, strategies as st
 
 from oracles import _escape, render_canonical
@@ -134,6 +135,17 @@ def test_parse_unknown_predicate_is_e004():
     ast, diags = parse_suite([("f.onto", src)])
     assert [d.code for d in diags] == ["E004"]
     assert not ast.instance_files
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: recovery from an error inside a world ends the "
+                   "instances block at the world's closing brace")
+def test_an_error_inside_a_world_leaves_the_next_world_to_be_parsed():
+    src = "instances of M { world w { thing a { } foo(a, a) } world v { thing b { } zap(b, b) } }"
+    _, diags = parse_suite([("f.onto", src)])
+    assert [(d.code, d.message) for d in diags] == [
+        ("E004", "unknown fact predicate 'foo'"),
+        ("E004", "unknown fact predicate 'zap'"),
+    ]
 
 
 def test_parse_recovers_and_reports_multiple_errors():

@@ -1,6 +1,6 @@
 """Reports stay byte-identical on a committed corpus: fig2, its ten
-single-edit mutants and 500 small generated suites (`report_digests.py`),
-and that corpus hits every diagnostic code.
+single-edit mutants, 500 small generated suites and seven hand-written
+ones (`report_digests.py`), and that corpus hits every diagnostic code.
 
 The corpus also pins the finding record: every finding `validate_suite`
 returns carries the rule its code has in the catalog and a non-empty

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import FIXTURES, load_fig2, mutate
 from oracles import oracle_render_json
 
-from ontoarch import build_report, reporting
+from ontoarch import build_report, metamodel, reporting
 from ontoarch.reporting import (
     CODE_CATALOG,
     Diagnostic,
@@ -150,6 +150,22 @@ def test_rule_backed_codes_have_anchors_and_examples():
         if doc.rule is not None:
             assert doc.anchor, code
         assert doc.title
+
+
+def test_world_rule_anchors_are_the_catalogs_own_definitions():
+    """The anchors that quote one ThingFO definition whole are that
+    definition, not a copy that could drift from it."""
+    predicates = metamodel.WORLD_PREDICATES
+    (described,) = (p for p in metamodel.PROPERTIES if (p.owner, p.key) == ("Thing", "description"))
+    quoted = {
+        "E232": predicates["belongsTo"].definition,
+        "E233": predicates["defines"].definition,
+        "E234": predicates["relatesWith"].definition,
+        "W202": described.definition,
+        "W301": predicates["actsUpon"].definition,
+    }
+    for code, definition in quoted.items():
+        assert CODE_CATALOG[code].anchor is definition, code
 
 
 def test_each_catalog_example_written_as_a_declaration_raises_exactly_its_own_code():

@@ -33,10 +33,10 @@ from ontoarch.validator import validate_suite
 CODES = frozenset({"E211", "E213", "W201", "W202", "W203"})
 
 #: Every catalog attribute key, and one that no root owns.
-KEYS = (*dict.fromkeys(spec.key for spec in metamodel.all_property_specs()), "colour")
+KEYS = (*dict.fromkeys(spec.key for spec in metamodel.PROPERTIES), "colour")
 
 #: Every relationship spec, each `relates with` variant on its own.
-SPECS = tuple(metamodel.all_relationship_specs())
+SPECS = metamodel.RELATIONSHIPS
 
 #: A term's name suffix and scope clause, for no scope and each scope.
 SCOPES = (("", ""), ("p", " scope particulars"), ("u", " scope universals"))

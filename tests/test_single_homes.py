@@ -3,7 +3,7 @@ made in one place, and every reader follows it: the levels a module can sit
 at (`model.Level`), the level each module of a resolved suite sits at
 (`ResolvedSuite.levels`), the scopes a term can declare
 (`metamodel.SCOPE_FACETS`) and the root a term-valued world fact requires
-(`metamodel.root_kind` of the predicate's range). A reader that states its
+(`metamodel.ROOT_SCHEMAS` of the predicate's range). A reader that states its
 own copy of one falls out of step with the others, and these tests fail."""
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def test_the_scopes_the_parser_accepts_are_the_scope_facets_each_an_assertion_su
             assert [d.code for d in diagnostics] == ["E002"], word
             assert all(f"'{scope}'" in diagnostics[0].message for scope in SCOPE_FACETS)
     subtypes = set(SCOPE_FACETS.values())
-    assert all(metamodel.term_spec(subtype).parent == "Assertion" for subtype in subtypes)
+    assert all(metamodel.TERM_SPECS[subtype].parent == "Assertion" for subtype in subtypes)
     terms = " ".join(f"term T{scope} enriches ThingFO.Assertion scope {scope}" for scope in SCOPE_FACETS)
     ast, _ = parse_suite([("a.onto", f"ontology A at CO {{ {terms} }}")])
     suite, diagnostics = resolve(ast.modules)
@@ -82,5 +82,5 @@ def test_each_term_valued_fact_requires_the_root_of_its_range():
     found = {d.witness: d.code for d in build_report([("m.onto", text)]).diagnostics if d.code in ("E232", "E233")}
     for predicate, root in facts:
         spec = metamodel.WORLD_PREDICATES[predicate]
-        wrong = metamodel.root_kind(root) is not metamodel.root_kind(spec.range)
+        wrong = metamodel.ROOT_SCHEMAS[root][0] is not metamodel.ROOT_SCHEMAS[spec.range][0]
         assert found.get(f"{predicate}(x, T{root})") == (_TERM_TARGETS[spec.range] if wrong else None)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import load_bench
 from oracles import oracle_check_axioms
 
-from ontoarch import metamodel
+from ontoarch import metamodel, validator
 from ontoarch.cli import build_report
 from ontoarch.model import (
     Fact,
@@ -613,9 +613,9 @@ def test_every_violation_carries_rule_and_anchor():
 def test_no_per_term_metamodel_call_remains(monkeypatch):
     """No timing: call counts. On wide_clean's 5,000 terms, 1,000 typed
     things and 3 relations, the checks read each term's root kind and
-    allowed keys from tables. Only relations call the metamodel's lookups,
-    at most once per side of each kind variant, and only relation endpoints
-    ask the suite's `enrichment_root`."""
+    allowed keys from tables. Only relations walk the taxonomy with
+    `is_descendant`, at most once per side of each kind variant, and only
+    relation endpoints ask the suite's `enrichment_root`."""
     ast, _ = parse_suite(sorted(load_bench("generators").wide_clean(1).files.items()))
     suite, _ = resolve(ast.modules, ast.instance_files)
     relations = sum(len(m.relations) for m in suite.modules.values())
@@ -624,8 +624,7 @@ def test_no_per_term_metamodel_call_remains(monkeypatch):
     def counted(name, original):
         return lambda *args: calls.update([name]) or original(*args)
 
-    for name in ("root_kind", "property_keys_for_root"):
-        monkeypatch.setattr(metamodel, name, counted(name, getattr(metamodel, name)))
+    monkeypatch.setattr(metamodel, "is_descendant", counted("is_descendant", metamodel.is_descendant))
     monkeypatch.setattr(ResolvedSuite, "enrichment_root", counted("enrichment_root", ResolvedSuite.enrichment_root))
     for check in (check_rule1, check_rule3, check_property_conformance):
         calls.clear()
@@ -633,17 +632,17 @@ def test_no_per_term_metamodel_call_remains(monkeypatch):
         assert not calls, check.__name__
     calls.clear()
     assert validate_suite(suite) == []
-    assert calls["property_keys_for_root"] == 0
-    assert calls["root_kind"] <= 2 * 3 * relations  # `relates with` has three variants
+    assert calls["is_descendant"] <= 2 * 3 * relations  # `relates with` has three variants
     assert calls["enrichment_root"] <= 2 * relations
 
 
 def test_relationship_conformance_judges_each_question_once(monkeypatch):
     """No timing: call counts. On deep_chains, 603 relations whose kind
     chains reach ThingFO ask one question, a kind with each endpoint's root
-    and scope. The metamodel's lookups run a bounded number of times per
-    distinct question, not per relation, and the suite's `enrichment_root`
-    at most twice per relation."""
+    and scope. `_mismatch` judges each distinct question once, its
+    `is_descendant` walks run a bounded number of times per question, not
+    per relation, and the suite's `enrichment_root` at most twice per
+    relation."""
     ast, _ = parse_suite(sorted(load_bench("generators").deep_chains(1).files.items()))
     suite, _ = resolve(ast.modules, ast.instance_files)
     roots = suite.enrichment_roots
@@ -662,11 +661,10 @@ def test_relationship_conformance_judges_each_question_once(monkeypatch):
     def counted(name, original):
         return lambda *args: calls.update([name]) or original(*args)
 
-    for name in ("relationship_variants", "is_descendant", "root_kind"):
-        monkeypatch.setattr(metamodel, name, counted(name, getattr(metamodel, name)))
+    monkeypatch.setattr(validator, "_mismatch", counted("_mismatch", validator._mismatch))
+    monkeypatch.setattr(metamodel, "is_descendant", counted("is_descendant", metamodel.is_descendant))
     monkeypatch.setattr(ResolvedSuite, "enrichment_root", counted("enrichment_root", ResolvedSuite.enrichment_root))
     assert check_relationship_conformance(suite) == []
-    assert calls["relationship_variants"] <= len(questions)
+    assert calls["_mismatch"] <= len(questions)
     assert calls["is_descendant"] <= 2 * 3 * len(questions)  # `relates with` has three variants
-    assert calls["root_kind"] <= 2 * 3 * len(questions)
     assert calls["enrichment_root"] <= 2 * len(suite.relations)
