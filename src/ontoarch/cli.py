@@ -8,7 +8,7 @@ Subcommands:
 * ``explain <topic>``
 
 Exit codes: 0 clean (warnings allowed unless ``--strict``), 1 any error
-diagnostic, 2 usage or IO failure.
+diagnostic, 2 usage or IO failure, or memory or stack run out.
 """
 
 from __future__ import annotations
@@ -360,8 +360,10 @@ def run(argv: list[str]) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"ontoarch: error: {exc}\n")
+    except (UsageError, MemoryError, RecursionError) as exc:
+        # Running out of memory or stack is no verdict; exit 1 means errors.
+        reason = "out of memory" if isinstance(exc, MemoryError) else exc
+        sys.stderr.write(f"ontoarch: error: {reason}\n")
         return 2
     finally:
         if was_enabled:

@@ -7,15 +7,17 @@ and readers read the tables: `TERMS`, `PROPERTIES` and `RELATIONSHIPS` in
 catalog order, `TERM_SPECS` by term id, `ROOT_SCHEMAS` for a term's root
 kind and attribute keys, `RELATIONSHIP_VARIANTS` by machine key and
 `WORLD_PREDICATES` by fact predicate. The one function, `is_descendant`,
-walks the taxonomy. Nothing writes to the tables after import. Users
-cannot extend or edit the foundational level (a suite may contain exactly
-one foundational ontology, and it is this one).
+walks the taxonomy. The keyed tables are read-only views, so nothing
+writes to them after import. Users cannot extend or edit the foundational
+level (a suite may contain exactly one foundational ontology, and it is
+this one).
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 THINGFO_VERSION = "1.3"
 
@@ -417,11 +419,12 @@ TERMS: tuple[FoundationalTermSpec, ...] = (
 )
 
 #: Each term by its id, in catalog order.
-TERM_SPECS: dict[str, FoundationalTermSpec] = {t.id: t for t in TERMS}
+TERM_SPECS: Mapping[str, FoundationalTermSpec] = MappingProxyType({t.id: t for t in TERMS})
 
 #: The scopes a user term may declare, each standing in for the Assertion
 #: subtype it names on an Assertion-rooted term.
-SCOPE_FACETS: dict[str, str] = {"particulars": "AssertionOnParticulars", "universals": "AssertionOnUniversals"}
+SCOPE_FACETS: Mapping[str, str] = MappingProxyType(
+    {"particulars": "AssertionOnParticulars", "universals": "AssertionOnUniversals"})
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +533,13 @@ PROPERTIES: tuple[PropertySpec, ...] = (
 
 #: Each foundational term's taxonomy root and the attribute keys, in catalog
 #: order, that a term rooted there may declare. `TERMS` lists every parent
-#: before its children, so a child takes its parent's entry.
-ROOT_SCHEMAS: dict[str, tuple[RootKind, tuple[str, ...]]] = {}
+#: before its children, so a child takes its parent's entry. The validator's
+#: one `get` per term reads the dict behind the view, which costs less.
+_ROOT_SCHEMAS: dict[str, tuple[RootKind, tuple[str, ...]]] = {}
 for _spec in TERMS:
-    ROOT_SCHEMAS[_spec.id] = ROOT_SCHEMAS[_spec.parent] if _spec.parent else (
+    _ROOT_SCHEMAS[_spec.id] = _ROOT_SCHEMAS[_spec.parent] if _spec.parent else (
         RootKind(_spec.id), tuple(p.key for p in PROPERTIES if p.owner == _spec.id))
+ROOT_SCHEMAS: Mapping[str, tuple[RootKind, tuple[str, ...]]] = MappingProxyType(_ROOT_SCHEMAS)
 
 
 # ---------------------------------------------------------------------------
@@ -682,16 +687,17 @@ RELATIONSHIPS: tuple[RelationshipSpec, ...] = (
 #: Each machine key's relationship specs (1 or 3 variants), in catalog order.
 #: Its keys are the names addressable as `ThingFO.<key>` from relation
 #: declarations.
-RELATIONSHIP_VARIANTS: dict[str, tuple[RelationshipSpec, ...]] = {
+RELATIONSHIP_VARIANTS: Mapping[str, tuple[RelationshipSpec, ...]] = MappingProxyType({
     key: tuple(r for r in RELATIONSHIPS if r.key == key) for key in dict.fromkeys(r.key for r in RELATIONSHIPS)
-}
+})
 
 #: World fact predicates of the DSL, in grammar order, mapped to the
 #: relationship each fact grounds (the first variant of its key, so
 #: `relatesWith` relates Things). A side whose sort is Property or Power is a
 #: `thing.part` of that sort, a Thing side is a thing of the world, and any
-#: other side is a term whose enrichment root must be that sort.
-WORLD_PREDICATES: dict[str, RelationshipSpec] = {
+#: other side is a term whose enrichment root must be that sort. Resolution
+#: reads one entry per fact, from the dict behind the view.
+_WORLD_PREDICATES: dict[str, RelationshipSpec] = {
     predicate: RELATIONSHIP_VARIANTS[key][0]
     for predicate, key in (
         ("enables", "enables"),
@@ -703,13 +709,14 @@ WORLD_PREDICATES: dict[str, RelationshipSpec] = {
         ("defines", "defines"),
     )
 }
+WORLD_PREDICATES: Mapping[str, RelationshipSpec] = MappingProxyType(_WORLD_PREDICATES)
 
 
 # ---------------------------------------------------------------------------
 # Axioms and architecture rules.
 # ---------------------------------------------------------------------------
 
-AXIOMS: dict[str, AxiomSpec] = {
+AXIOMS: Mapping[str, AxiomSpec] = MappingProxyType({
     "A1": AxiomSpec(
         id="A1",
         description="All Property of a Thing enables only its Powers.",
@@ -738,9 +745,9 @@ AXIOMS: dict[str, AxiomSpec] = {
             "-> not interactsWithOther(pow, t)"
         ),
     ),
-}
+})
 
-ARCHITECTURE_RULES: dict[str, str] = {
+ARCHITECTURE_RULES: Mapping[str, str] = MappingProxyType({
     "G1": (
         "An ontology cannot be conceived in isolation from an explicit "
         "layered ontological architecture; a foundational ontology must be "
@@ -772,7 +779,7 @@ ARCHITECTURE_RULES: dict[str, str] = {
         "in instances; an individual is an instance of a particular class at "
         "higher levels."
     ),
-}
+})
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,12 @@ afterwards.
 from __future__ import annotations
 
 from enum import Enum
+from operator import itemgetter
 from struct import unpack
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import metamodel
-from .metamodel import BUILTIN_MODULE
+from .metamodel import _WORLD_PREDICATES, BUILTIN_MODULE  # the dict behind WORLD_PREDICATES
 from .reporting import Diagnostic
 from .source import SYNTHETIC_SOURCE, Record, Source, ref_loc
 
@@ -55,6 +56,9 @@ class Level(Enum):
 
 #: The levels a module can be declared at, most abstract first.
 MODULE_LEVELS: tuple[Level, ...] = tuple(level for level in Level if level is not Level.IO)
+
+#: A declaration's key, and a reference's: (module, name).
+_Key = tuple[str, str]
 
 #: ThingFO's terms and relationships, keyed as a reference to them binds.
 _THINGFO_TERMS = dict.fromkeys((BUILTIN_MODULE, term_id) for term_id in metamodel.TERM_SPECS)
@@ -256,9 +260,11 @@ class ResolvedSuite:
     `resolve` builds one and runs its resolution passes, which fill its
     tables: each module's level, the declaration indexes, each term's
     enrichment outcome, the same-level import components and each relation's
-    kind-chain outcome. Readers read those tables. `resolve` hands the suite
-    out only when the passes found nothing wrong; nothing changes it
-    afterwards."""
+    kind-chain outcome. One walker, `_walk`, follows both chains, the
+    `enriches` links and the `kind` links, and one rule, `_repeats`, finds
+    every duplicate (E102): each later occurrence of a name in its
+    namespace. Readers read those tables. `resolve` hands the suite out only
+    when the passes found nothing wrong; nothing changes it afterwards."""
 
     def __init__(self, instance_files: Iterable[InstanceFile]):
         self.modules: dict[str, OntologyModule] = {}
@@ -299,17 +305,17 @@ class ResolvedSuite:
             modules = sorted(modules, key=lambda m: (m.source.path, m.loc))
         else:
             modules = sorted(modules, key=lambda m: m.source.span(m.loc))
-        for m in modules:
-            if m.name == BUILTIN_MODULE:
-                self._error("E102", f"module name {BUILTIN_MODULE} is reserved for the built-in foundational ontology",
-                            m.source, m.loc)
-            elif m.name in self.modules:
-                self._error("E102", f"duplicate module {m.name}", m.source, m.loc)
-            else:
+        # ThingFO's name comes first, so that a module taking it repeats it.
+        later = set(_repeats([BUILTIN_MODULE, *(m.name for m in modules)]))
+        for i, m in enumerate(modules, 1):
+            if i not in later:
                 self.modules[m.name] = m
                 self.levels[m.name] = m.level
                 self.terms.update({(m.name, t.name): t for t in m.terms})
                 self.relations.update({(m.name, r.name): r for r in m.relations})
+            else:
+                self._error("E102", f"module name {m.name} is reserved for the built-in foundational ontology"
+                            if m.name == BUILTIN_MODULE else f"duplicate module {m.name}", m.source, m.loc)
 
     def _check_imports(self) -> None:
         # One walk over each module's imports reports E104/E101 and keeps the
@@ -371,104 +377,91 @@ class ResolvedSuite:
                 group = frozenset(_flood(name, seen, same_level))
                 self.components.update(dict.fromkeys(group, group))
 
-    def _check_module_bodies(self, terms: dict[tuple[str, str], object]) -> None:
+    def _check_module_bodies(self, terms: dict[_Key, Any]) -> None:
         # A reference binds when the index of its sort, user declarations
         # and ThingFO's together, holds its key: one membership test.
         # `terms` is that index for terms, which `resolve` builds once for
         # this pass and `_check_instances`. A relation's three references
-        # take three tests; its sides, and `_unbound_term` and
-        # `_unbound_relation`, are looked at only to word an E101.
+        # take three tests; its sides, and `_unbound`, are looked at only to
+        # word an E101.
         relations = {**_THINGFO_RELATIONS, **self.relations}
         for m in self.modules.values():
             name, body = m.name, m.body
-            if len({decl.name for decl in body}) < len(body):
-                names: set[str] = set()
-                for decl in body:
-                    if decl.name in names:
-                        self._error("E102", f"duplicate declaration {decl.name} in module {name}", m.source, decl.loc)
-                    names.add(decl.name)
+            for i in _repeats([decl.name for decl in body]):
+                self._error("E102", f"duplicate declaration {body[i].name} in module {name}", m.source, body[i].loc)
             for t in m.terms:
                 ref = t.enriches
                 if ref is not None and (key := (ref.module or name, ref.name)) not in terms:
-                    problem = self._unbound_term(*key)
+                    problem = self._unbound(*key)
                     self._error("E101", f"term {name}.{t.name}: {problem}", m.source, ref_loc(t.loc, 0))
-                if len(t.attributes) > 1:
-                    seen_keys: set[str] = set()
-                    for attr in t.attributes:
-                        if attr.key in seen_keys:
-                            self._error("E102", f"duplicate attribute {attr.key} on term {name}.{t.name}", m.source,
-                                        attr.loc)
-                        seen_keys.add(attr.key)
+                if len(t.attributes) > 1:  # the common one attribute or none builds no list
+                    keys = [attr.key for attr in t.attributes]
+                    for i in _repeats(keys):
+                        self._error("E102", f"duplicate attribute {keys[i]} on term {name}.{t.name}", m.source,
+                                    t.attributes[i].loc)
             for r in m.relations:
                 source, target, kind = r.from_ref, r.to_ref, r.kind_ref
                 if ((source.module or name, source.name) in terms and (target.module or name, target.name) in terms
                         and (kind.module or name, kind.name) in relations):
                     continue
-                sides = ((source, terms, self._unbound_term), (target, terms, self._unbound_term),
-                         (kind, relations, self._unbound_relation))
-                for index, (ref, known, unbound) in enumerate(sides):
+                sides = ((source, terms, "term"), (target, terms, "term"), (kind, relations, "relation"))
+                for index, (ref, known, sort) in enumerate(sides):
                     if (key := (ref.module or name, ref.name)) not in known:
-                        problem = unbound(*key)
+                        problem = self._unbound(*key, sort)
                         self._error("E101", f"relation {name}.{r.name}: {problem}", m.source, ref_loc(r.loc, index))
 
-    def _unbound_term(self, mod: str, name: str) -> str:
-        """Why `mod.name`, which binds to no term, names none."""
+    def _unbound(self, mod: str, name: str, sort: str = "term") -> str:
+        """Why `mod.name`, which binds to no `sort`, "term" or "relation",
+        names none."""
         if mod == BUILTIN_MODULE:
-            return f"no foundational term named {name} in {BUILTIN_MODULE}"
-        return f"unknown module {mod}" if mod not in self.modules else f"no term named {name} in module {mod}"
+            return (f"no foundational term named {name} in {BUILTIN_MODULE}" if sort == "term"
+                    else f"no foundational relationship named {name}")
+        return f"unknown module {mod}" if mod not in self.modules else f"no {sort} named {name} in module {mod}"
 
-    def _unbound_relation(self, mod: str, name: str) -> str:
-        """Why `mod.name`, which binds to no relation, names none."""
-        if mod == BUILTIN_MODULE:
-            return f"no foundational relationship named {name}"
-        return f"unknown module {mod}" if mod not in self.modules else f"no relation named {name} in module {mod}"
-
-    def _check_instances(self, terms: dict[tuple[str, str], object]) -> None:
+    def _check_instances(self, terms: dict[_Key, Any]) -> None:
         for f in self.instance_files:
             if not (f.of_module == BUILTIN_MODULE or f.of_module in self.modules):
                 self._error("E101", f"instances block names unknown module {f.of_module}", f.source, f.loc)
                 continue
-            names: set[str] = set()
-            for decl in f.body:
-                if decl.name in names:
-                    kind = "individual" if isinstance(decl, Individual) else "world"
-                    self._error("E102", f"duplicate {kind} {decl.name} in instances of {f.of_module}",
-                                f.source, decl.loc)
-                names.add(decl.name)
+            for i in _repeats([decl.name for decl in f.body]):
+                decl = f.body[i]
+                kind = "individual" if isinstance(decl, Individual) else "world"
+                self._error("E102", f"duplicate {kind} {decl.name} in instances of {f.of_module}", f.source, decl.loc)
             for ind in f.individuals:
                 ref = ind.type_ref
                 if (key := (ref.module or f.of_module, ref.name)) not in terms:
-                    self._error("E101", f"individual {ind.name}: {self._unbound_term(*key)}", f.source,
+                    self._error("E101", f"individual {ind.name}: {self._unbound(*key)}", f.source,
                                 ref_loc(ind.loc, 0))
             for w in f.worlds:
                 self._check_world(f, w, terms)
 
-    def _check_world(self, f: InstanceFile, w: World, terms: dict[tuple[str, str], object]) -> None:
+    def _check_world(self, f: InstanceFile, w: World, terms: dict[_Key, Any]) -> None:
         # Each sort's table maps a reference's qualifier to the names it may
         # qualify: a part is `thing.part`, a thing a bare name (qualifier
         # None). No predicate's left side is a term; a right-side term, or
         # a thing's type, binds in `terms`, the index of every term.
         properties: dict[str, set[str]] = {}
         powers: dict[str, set[str]] = {}
-        of_module = f.of_module
-        for t in w.things:
-            if t.name in properties:
+        of_module, predicates = f.of_module, _WORLD_PREDICATES  # a local `get` is the cheapest
+        later = set(_repeats([t.name for t in w.things]))
+        for i, t in enumerate(w.things):
+            if i in later:
                 self._error("E102", f"duplicate thing {t.name} in world {w.name}", f.source, t.loc)
                 continue
             ref = t.instance_of
             if ref is not None and (key := (ref.module or of_module, ref.name)) not in terms:
-                self._error("E101", f"thing {t.name}: {self._unbound_term(*key)}", f.source, ref_loc(t.loc, 0))
+                self._error("E101", f"thing {t.name}: {self._unbound(*key)}", f.source, ref_loc(t.loc, 0))
             props = properties[t.name] = set(t.properties)
             pows = powers[t.name] = set(t.powers)
+            # The sets binding needs show whether any part repeats.
             if len(props) + len(pows) < len(t.properties) + len(t.powers) or not props.isdisjoint(pows):
-                seen: set[str] = set()
-                for part, loc in zip(t.properties + t.powers, t.part_locs()):
-                    if part in seen:
-                        self._error("E102", f"duplicate part {part} on thing {t.name}", f.source, loc)
-                    seen.add(part)
+                parts = t.properties + t.powers
+                locs = t.part_locs()
+                for i in _repeats(parts):
+                    self._error("E102", f"duplicate part {parts[i]} on thing {t.name}", f.source, locs[i])
         tables = {"Property": properties, "Power": powers, "Thing": {None: properties}}
         for fact in w.facts:
-            spec = metamodel.WORLD_PREDICATES.get(fact.predicate)
+            spec = predicates.get(fact.predicate)
             if spec is None:
                 self._error("E101", f"unknown predicate {fact.predicate} in world {w.name}", f.source, fact.loc)
                 continue
@@ -504,112 +497,107 @@ class ResolvedSuite:
             # world has a thing t, it is a part written where a term belongs.
             problem = f"expected a term, got part reference {ref}"
         else:
-            problem = self._unbound_term(ref.module or f.of_module, ref.name)
+            problem = self._unbound(ref.module or f.of_module, ref.name)
         self._error("E101", f"{fact.predicate} fact in world {w.name}: {problem}", f.source, ref_loc(fact.loc, index))
 
-    def _check_enrichment_cycles(self) -> None:
+    def _check_enrichment_cycles(self, terms: dict[_Key, Any]) -> None:
         # Only meaningful for chains whose every link resolved; broken links
-        # already produced E101 above. `pending` holds the terms not yet
-        # walked: a walk takes out each term it visits, so each term is
-        # walked once and a walk stops at a term an earlier walk judged. The
-        # first walk to enter a cycle reports it, starting where it entered;
-        # modules are walked in name order, so that is independent of the
-        # order the files came in. Every visited term records its chain's
-        # outcome in `enrichment_roots`.
-        pending = dict(self.terms)
-        roots = self.enrichment_roots
-        for name in sorted(self.modules):
-            for t in self.modules[name].terms:
-                key = (name, t.name)
-                term = pending.pop(key, None)
-                if term is None:
-                    continue  # an earlier walk judged it
-                enriches = term.enriches
-                if enriches is not None:
-                    target = (enriches.module or name, enriches.name)
-                    if target not in pending and target != key:
-                        # One link, to a ThingFO term, a judged term or an
-                        # unbound one (E101): nothing to keep.
-                        roots[key] = roots.get(target)
-                        continue
-                path = [key]
-                while enriches is not None:
-                    key = (enriches.module or key[0], enriches.name)
-                    term = pending.pop(key, None)
-                    if term is None:
-                        break
-                    path.append(key)
-                    enriches = term.enriches
-                else:
-                    key = None  # the term lacking `enriches` breaks the chain
-                # `key` ends the walk: a ThingFO term, a term an earlier walk
-                # judged, an unbound one, or a term on this path (E105).
-                root = roots.get(key)
-                if root is None and key in path:
-                    cycle = path[path.index(key):]
-                    pretty = " -> ".join(f"{cm}.{cn}" for cm, cn in cycle + [key])
-                    self._error("E105", f"enrichment cycle: {pretty}", self.modules[key[0]].source,
-                                self.terms[key].loc)
-                for visited in path:
-                    roots[visited] = root
+        # already produced E101 above. `terms` is the index of every term,
+        # ThingFO's too. Terms are walked by module name, each module's in
+        # declaration order (the order of its keys), so which walk enters a
+        # cycle first, and reports it from there, does not depend on file order.
+
+        def link(key: _Key) -> tuple[_Key | None, Any]:
+            ref = terms[key].enriches
+            if ref is not None and (target := (ref.module or key[0], ref.name)) in terms:
+                return target, False
+            return None, None  # a missing link, or an unbound one (E101), breaks the chain
+
+        def cycle(members: list[_Key], _lateral: bool) -> list[None]:
+            pretty = " -> ".join(f"{cm}.{cn}" for cm, cn in members + members[:1])
+            entry = members[0]  # where this walk entered the cycle
+            self._error("E105", f"enrichment cycle: {pretty}", self.modules[entry[0]].source, terms[entry].loc)
+            return [None] * len(members)
+
+        _walk(sorted(self.terms, key=itemgetter(0)), self.enrichment_roots, link, cycle)
 
     def _record_kind_chains(self) -> None:
-        # As in `_check_enrichment_cycles`, a walk stops at a relation an
-        # earlier walk judged, so each relation is walked once. Lateral hops
-        # (same level, other module) are followed inside the hop source's
-        # import component, and a chain that takes one escapes its module.
-        # A relation whose one hop ends the chain, or lands on a relation an
-        # earlier walk judged, is judged on that hop: the walk keeps a path
-        # only from its second hop on.
-        chains, levels, relations = self.kind_chains, self.levels, self.relations
-        for key in relations:
-            path: dict[tuple[str, str], bool] | None = None  # each relation walked: is its hop lateral?
-            while key not in chains:
-                if path is not None and key in path:
-                    order = list(path)
-                    cycle = order[order.index(key):]
-                    names = tuple(f"{m}.{n}" for m, n in cycle)
-                    escapes = any(path[member] for member in cycle)
-                    for i, member in enumerate(cycle):
-                        del path[member]
-                        chains[member] = ChainStatus("cycle", cycle=names, index=i, escapes=escapes)
-                    break
-                mod, name = key
-                kind = relations[key].kind_ref
-                target = (kind.module or mod, kind.name)
-                if target[0] == BUILTIN_MODULE:
-                    chains[key] = ChainStatus("foundational", key=kind.name)
-                    break
-                level, target_level = levels[mod], levels[target[0]]
-                lateral = target_level is level and target[0] != mod
-                if target_level.rank > level.rank:
-                    chains[key] = ChainStatus("downward", detail=f"kind of {mod}.{name} points to the more "
-                                              f"concrete level {target_level.name} ({target[0]}.{target[1]})")
-                    break
-                if lateral and target[0] not in self.components[mod]:
-                    chains[key] = ChainStatus("dead_end", escapes=True, detail=f"kind of {mod}.{name} leaves the "
-                                              f"import-connected component ({target[0]} is not related to {mod})")
-                    break
-                if path is None:
-                    status = chains.get(target)
-                    if status is not None:
-                        chains[key] = _escaping(status) if lateral else status
-                        break
-                    path = {}
-                path[key] = lateral
-                key = target
-            if path:
-                # `key` is judged now, and the path leads into it.
-                status = chains[key]
-                for walked, lateral in reversed(path.items()):
-                    chains[walked] = status = _escaping(status) if lateral else status
+        # Lateral hops (same level, other module) are followed inside the
+        # hop source's import component, and a chain that takes one escapes
+        # its module.
+        chains, levels, relations, components = self.kind_chains, self.levels, self.relations, self.components
+
+        def link(key: _Key) -> tuple[_Key | None, Any]:
+            mod, name = key
+            kind = relations[key].kind_ref
+            target = (kind.module or mod, kind.name)
+            if target[0] == BUILTIN_MODULE:
+                return None, ChainStatus("foundational", key=kind.name)
+            level, target_level = levels[mod], levels[target[0]]
+            if target_level.rank > level.rank:
+                return None, ChainStatus("downward", detail=f"kind of {mod}.{name} points to the more concrete "
+                                         f"level {target_level.name} ({target[0]}.{target[1]})")
+            lateral = target_level is level and target[0] != mod
+            if lateral and target[0] not in components[mod]:
+                return None, ChainStatus("dead_end", escapes=True, detail=f"kind of {mod}.{name} leaves the "
+                                         f"import-connected component ({target[0]} is not related to {mod})")
+            return target, lateral
+
+        def cycle(members: list[_Key], escapes: bool) -> list[ChainStatus]:
+            names = tuple(f"{m}.{n}" for m, n in members)
+            return [ChainStatus("cycle", cycle=names, index=i, escapes=escapes) for i in range(len(members))]
+
+        _walk(relations, chains, link, cycle,
+              lambda s: s if s.escapes else ChainStatus(s.outcome, s.key, s.detail, s.cycle, s.index, True))
 
 
-def _escaping(status: ChainStatus) -> ChainStatus:
-    """`status` as reached through a lateral hop: the same outcome, escaping."""
-    if status.escapes:
-        return status
-    return ChainStatus(status.outcome, status.key, status.detail, status.cycle, status.index, True)
+def _walk(starts: Iterable[_Key], judged: dict[_Key, Any], link: Callable[[_Key], tuple[_Key | None, Any]],
+          cycle: Callable[[list[_Key], bool], list[Any]], escape: Callable[[Any], Any] | None = None) -> None:
+    """Judge each key of `starts`, and each key its chain passes, into
+    `judged`, one hop at a time and without recursion.
+
+    `link(key)` returns the next key and whether the hop is lateral, or None
+    and `key`'s verdict when its hop ends the chain. A walk stops at a key
+    judged by then, so each key is walked once, and writes that verdict back
+    along its path, through `escape` across each lateral hop; it keeps no
+    path when its first hop lands on a judged key. A key met again closes a
+    cycle: `cycle` gets its members, from where this walk entered it, and
+    whether any of their hops is lateral, and returns their verdicts."""
+    for key in starts:
+        path: dict[_Key, bool] | None = None  # each key walked: is its hop lateral?
+        while key not in judged:
+            if path and key in path:
+                walked = list(path)
+                members = walked[walked.index(key):]
+                hops = [path.pop(member) for member in members]
+                judged.update(zip(members, cycle(members, any(hops))))
+                break
+            target, hop = link(key)
+            if target is None:
+                judged[key] = hop
+                break
+            if path is None and target in judged:
+                judged[key] = escape(judged[target]) if hop else judged[target]
+                break
+            path = path or {}
+            path[key] = hop
+            key = target
+        if path:
+            # `key` is judged now, and the path leads into it.
+            verdict = judged[key]
+            for walked_key, lateral in reversed(path.items()):
+                judged[walked_key] = verdict = escape(verdict) if lateral else verdict
+
+
+def _repeats(names: Sequence[str]) -> Iterator[int]:
+    """The index of each name in `names` that an earlier one repeats, in
+    order. Fewer than two names build no set; more build one, which counts
+    the distinct names, and are walked only when some name repeats."""
+    if len(names) > 1 and len(unseen := set(names)) < len(names):
+        for i, name in enumerate(names):
+            if name not in unseen:
+                yield i
+            unseen.discard(name)
 
 
 def _flood(start: str, seen: set[str], step: Callable[[str], Iterable[str]]) -> list[str]:
@@ -640,7 +628,7 @@ def resolve(
     terms = {**_THINGFO_TERMS, **suite.terms}  # the index every term reference binds in
     suite._check_module_bodies(terms)
     suite._check_instances(terms)
-    suite._check_enrichment_cycles()
+    suite._check_enrichment_cycles(terms)
     if suite._diagnostics:
         return None, suite._diagnostics
     suite._record_kind_chains()

@@ -13,7 +13,8 @@ enforces, so reports are self-explaining.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .metamodel import ARCHITECTURE_RULES, AXIOMS, PROPERTIES, WORLD_PREDICATES
 from .source import Record, SourceSpan
@@ -61,7 +62,7 @@ def _axiom_anchor(axiom_id: str) -> str:
     return f"{ax.description} [{ax.constraint}]"
 
 
-CODE_CATALOG: dict[str, CodeDoc] = {
+CODE_CATALOG: Mapping[str, CodeDoc] = MappingProxyType({
     "E001": CodeDoc("invalid character", None, "", "term Pro¢ess (the cent sign is not legal in identifiers)"),
     "E002": CodeDoc("unexpected token", None, "", "ontology A CO { }"),
     "E003": CodeDoc("unknown level name", None, "", "ontology A at XX { }"),
@@ -201,7 +202,7 @@ CODE_CATALOG: dict[str, CodeDoc] = {
         WORLD_PREDICATES["actsUpon"].definition,
         "a world declaring actsUpon facts where some power has none",
     ),
-}
+})
 
 
 class Report(Record):

@@ -11,7 +11,12 @@ checks the same-level import components that resolution records in
 `ResolvedSuite.components` with a breadth-first search from each module.
 `oracle_import_cycles` checks the import cycles (E103) that resolution
 reports: it finds which modules reach each other by a breadth-first search
-from every module. `oracle_check_axioms` checks the edge-wise
+from every module. `oracle_duplicates_and_enrichment_cycles` checks
+resolution's duplicates (E102) and enrichment cycles (E105): it compares
+each name with every earlier one of its namespace, and follows each term's
+chain from scratch, in walk order, to find the first that enters each
+cycle; it reads the modules, not the suite's tables.
+`oracle_check_axioms` checks the edge-wise
 `check_axioms` by enumerating every quantifier instantiation, and words
 each finding itself from the axiom's variables, so a wrong text fails too.
 `oracle_tokenize` checks the regex scanner `tokenize`: it walks the text one
@@ -74,7 +79,7 @@ from ontoarch.model import (
 )
 from ontoarch.parser import KEYWORDS, SuiteAst, TokenKind
 from ontoarch.reporting import CODE_CATALOG, REPORT_VERSION, Diagnostic, Report
-from ontoarch.source import SYNTHETIC_SOURCE, Source, SourceSpan
+from ontoarch.source import SYNTHETIC_SOURCE, Source, SourceSpan, ref_loc
 
 
 def oracle_chain_status(
@@ -177,6 +182,96 @@ def oracle_import_cycles(modules: list[OntologyModule]) -> list[tuple[str, Sourc
         for group in sorted(groups)
         if len(group) > 1
     ]
+
+
+def _later(names: list[str] | tuple[str, ...]) -> list[int]:
+    """The index of each name that equals some name before it."""
+    return [j for j, name in enumerate(names) if name in names[:j]]
+
+
+def oracle_duplicates_and_enrichment_cycles(
+    modules: list[OntologyModule], instance_files: list[InstanceFile]
+) -> list[tuple[str, str, SourceSpan]]:
+    """Each E102 and E105 as its code, message and span, re-derived by brute
+    force: each name is compared with every earlier one of its namespace,
+    and every enrichment chain is followed from scratch.
+
+    Modules count in source order, by span, after ThingFO's reserved name:
+    a module named ThingFO is reserved, and a later module of a name taken
+    before is a duplicate. Only the first module of each other name is
+    looked into, with the instances blocks of it or of ThingFO. The other
+    namespaces are a module's declarations, a term's attribute keys, an
+    instances block's individuals and worlds together, a world's things,
+    and a thing's properties and powers together, for the first thing of
+    each name only. A name declared twice in a module binds to its last
+    declaration. An enrichment cycle is reported once: by the first term,
+    modules taken by name and then declaration order, whose chain reaches
+    it, from the member where that chain enters it and at that member."""
+    out: list[tuple[str, str, SourceSpan]] = []
+    ordered = sorted(modules, key=lambda m: m.source.span(m.loc))
+    registered: dict[str, OntologyModule] = {}
+    for j, m in enumerate(ordered):
+        if m.name == BUILTIN_MODULE:
+            message = f"module name {BUILTIN_MODULE} is reserved for the built-in foundational ontology"
+        elif m.name in [earlier.name for earlier in ordered[:j]]:
+            message = f"duplicate module {m.name}"
+        else:
+            registered[m.name] = m
+            continue
+        out.append(("E102", message, m.source.span(m.loc)))
+    for m in registered.values():
+        for j in _later([decl.name for decl in m.body]):
+            out.append(("E102", f"duplicate declaration {m.body[j].name} in module {m.name}",
+                        m.source.span(m.body[j].loc)))
+        for t in m.terms:
+            for j in _later([attr.key for attr in t.attributes]):
+                out.append(("E102", f"duplicate attribute {t.attributes[j].key} on term {m.name}.{t.name}",
+                            m.source.span(t.attributes[j].loc)))
+    for f in instance_files:
+        if f.of_module != BUILTIN_MODULE and f.of_module not in registered:
+            continue
+        for j in _later([decl.name for decl in f.body]):
+            decl = f.body[j]
+            kind = "individual" if isinstance(decl, Individual) else "world"
+            out.append(("E102", f"duplicate {kind} {decl.name} in instances of {f.of_module}",
+                        f.source.span(decl.loc)))
+        for w in f.worlds:
+            for j, thing in enumerate(w.things):
+                if thing.name in [earlier.name for earlier in w.things[:j]]:
+                    out.append(("E102", f"duplicate thing {thing.name} in world {w.name}", f.source.span(thing.loc)))
+                    continue
+                parts = thing.properties + thing.powers
+                for k in _later(parts):
+                    out.append(("E102", f"duplicate part {parts[k]} on thing {thing.name}",
+                                f.source.span(ref_loc(thing.loc, k + 1))))
+
+    terms = {(m.name, t.name): t for m in registered.values() for t in m.terms}
+
+    def chain(key: tuple[str, str]) -> tuple[list[tuple[str, str]], tuple[str, str] | None]:
+        """The terms from `key` on, and the first one met twice, if any."""
+        path = [key]
+        while (ref := terms[path[-1]].enriches) is not None:
+            target = (ref.module or path[-1][0], ref.name)
+            if target not in terms:
+                break  # a ThingFO term, or an unbound reference
+            if target in path:
+                return path, target
+            path.append(target)
+        return path, None
+
+    cycles: list[set[tuple[str, str]]] = []
+    for name in sorted(registered):
+        for t in registered[name].terms:
+            path, entry = chain((name, t.name))
+            if entry is None:
+                continue
+            cycle = path[path.index(entry):]
+            if set(cycle) in cycles:
+                continue
+            cycles.append(set(cycle))
+            text = " -> ".join(f"{mod}.{term}" for mod, term in cycle + [entry])
+            out.append(("E105", f"enrichment cycle: {text}", registered[entry[0]].source.span(terms[entry].loc)))
+    return out
 
 
 def _facts_of(world: World, predicate: str) -> list[Fact]:

@@ -193,6 +193,24 @@ def test_unwritable_out_is_exit_2(subcommand, tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("error, reason", [
+    (MemoryError(), "out of memory"),
+    (RecursionError("maximum recursion depth exceeded"), "maximum recursion depth exceeded"),
+], ids=["memory", "recursion"])
+@pytest.mark.parametrize("subcommand", ["validate", "graph"])
+def test_running_out_of_memory_or_stack_is_exit_2(subcommand, error, reason, capsys, monkeypatch):
+    """Running out ends in no verdict, so it is exit 2 with one line, not a
+    traceback and exit 1, which reads as "errors found". A stand-in parser
+    raises the error; nothing is allocated to provoke it."""
+    def parse_suite(files):
+        raise error
+
+    monkeypatch.setattr(cli, "parse_suite", parse_suite)
+    rc, out, err = invoke(capsys, subcommand, str(FIG2))
+    assert (rc, out, err) == (2, "", f"ontoarch: error: {reason}\n")
+    assert gc.isenabled()
+
+
 def _cli_process(argv: list[str], stdout, **env: str) -> subprocess.CompletedProcess:
     """`python -m ontoarch` run on `argv` with `stdout` as its stdout; its
     stdout, when that is a pipe, and stderr come back as bytes."""

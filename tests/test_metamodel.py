@@ -7,7 +7,8 @@ import re
 
 import pytest
 
-from ontoarch import metamodel, parser
+from ontoarch import metamodel, parser, reporting
+from ontoarch.cli import build_report
 from ontoarch.metamodel import (
     PROPERTIES,
     RELATIONSHIP_VARIANTS,
@@ -40,6 +41,32 @@ def test_the_catalogs_are_tuples_and_the_term_index_follows_their_order():
     assert all(type(table) is tuple for table in (TERMS, PROPERTIES, RELATIONSHIPS))
     assert list(TERM_SPECS) == [t.id for t in TERMS]
     assert all(TERM_SPECS[t.id] is t for t in TERMS)
+
+
+#: The keyed tables of `metamodel`; `reporting.CODE_CATALOG` is the package's other one.
+KEYED_TABLES = ("ROOT_SCHEMAS", "TERM_SPECS", "RELATIONSHIP_VARIANTS", "WORLD_PREDICATES", "AXIOMS",
+                "ARCHITECTURE_RULES", "SCOPE_FACETS")
+
+
+@pytest.mark.parametrize("owner, name", [*((metamodel, n) for n in KEYED_TABLES), (reporting, "CODE_CATALOG")],
+                         ids=[*KEYED_TABLES, "CODE_CATALOG"])
+def test_no_keyed_table_can_be_written(owner, name):
+    """A write to a catalog table would change every later verdict in the
+    process: `ROOT_SCHEMAS['Thing']` without `description` makes a clean
+    suite report W201. Each table refuses a changed entry, a new one and a
+    deletion, and a clean suite stays clean after the attempts."""
+    table = getattr(owner, name)
+    key = next(iter(table))
+    entry = table[key]
+    with pytest.raises(TypeError):
+        table[key] = (RootKind.THING, ("name",))
+    with pytest.raises(TypeError):
+        table["Extra"] = entry
+    with pytest.raises(TypeError):
+        del table[key]
+    assert not hasattr(table, "update") and table[key] is entry and "Extra" not in table
+    report = build_report([("a.onto", 'ontology A at CO { term X enriches ThingFO.Thing { description "d" } }')])
+    assert report.diagnostics == ()
 
 
 def test_assertion_synonym():

@@ -1,6 +1,13 @@
-"""Resolution and enrichment chains."""
+"""Resolution and enrichment chains, and resolution's duplicate and
+enrichment-cycle findings held to a brute-force oracle."""
 
 from __future__ import annotations
+
+from collections import Counter
+
+from hypothesis import event, given, settings, strategies as st
+
+from oracles import oracle_duplicates_and_enrichment_cycles
 
 from ontoarch.cli import build_report
 from ontoarch.metamodel import BUILTIN_MODULE
@@ -281,3 +288,103 @@ def test_programmatic_term_without_enrichment_resolves():
 def test_qualified_ref_str_forms():
     assert str(QualifiedRef("M", "T")) == "M.T"
     assert str(QualifiedRef(None, "T")) == "T"
+
+
+# ---------------------------------------------------------------------------
+# Duplicates (E102) and enrichment cycles (E105) against a brute-force oracle.
+# ---------------------------------------------------------------------------
+
+#: Module names: ThingFO's is reserved, and an instances block may name a
+#: module no one declares. Declaration names are listed largest first, so
+#: that the name hypothesis draws most is not the smallest, and walks often
+#: enter a cycle past its smallest member.
+MODULE_NAMES = ("M0", "M1")
+DECL_NAMES = ("t2", "t1", "t0")
+
+
+@st.composite
+def module_plan(draw) -> tuple[str, str, list[tuple[str, str, list[str]]]]:
+    """A module's name, level and declarations, each a kind, a name and
+    attribute keys; the name, a declaration's name and a key may repeat."""
+    name = BUILTIN_MODULE if draw(st.integers(0, 5)) == 5 else draw(st.sampled_from(MODULE_NAMES))
+    decl = st.tuples(st.sampled_from(("term", "term", "term", "relation")), st.sampled_from(DECL_NAMES),
+                     st.lists(st.sampled_from(("description", "name", "note")), max_size=3))
+    return name, draw(st.sampled_from(("CO", "TDO", "LDO"))), draw(st.lists(decl, max_size=5))
+
+
+@st.composite
+def instances_block(draw) -> list[str]:
+    """An instances block whose individuals and worlds share names, and
+    whose worlds repeat things, and parts across properties and powers."""
+    of = draw(st.sampled_from(MODULE_NAMES + (BUILTIN_MODULE, "Nowhere")))
+    lines = [f"instances of {of} {{"]
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(("a", "b")))
+        if draw(st.booleans()):
+            lines.append(f"  individual {name} : ThingFO.Thing")
+            continue
+        lines.append(f"  world {name} {{")
+        for _ in range(draw(st.integers(0, 3))):
+            parts = draw(st.lists(st.tuples(st.sampled_from(("property", "power")), st.sampled_from(("p", "q"))),
+                                  max_size=4))
+            parts.sort(key=lambda part: part[0] == "power")  # properties come first
+            body = " ".join(f"{sort} {part};" for sort, part in parts)
+            lines.append(f"    thing {draw(st.sampled_from(('x', 'y')))} {{ {body} }}")
+        lines.append("  }")
+    return lines + ["}"]
+
+
+@st.composite
+def duplicate_suites(draw) -> list[tuple[str, str]]:
+    """One to four files of one or two blocks each; now and then two files
+    share a path, so that only their spans order their modules.
+
+    The terms' keys are put in a random cyclic order, and most terms enrich
+    the next key in it, or any key, so that chains run across modules and
+    into cycles, at any member; the rest enrich ThingFO.Thing."""
+    block = st.one_of(module_plan(), module_plan(), instances_block())  # two modules to one instances block
+    files = [draw(st.lists(block, min_size=1, max_size=2)) for _ in range(draw(st.integers(1, 4)))]
+    plans = [block for blocks in files for block in blocks if isinstance(block, tuple)]
+    keys = list(dict.fromkeys((m, d) for m, _, decls in plans for kind, d, _ in decls if kind == "term"))
+    order = draw(st.permutations(keys))
+    after = {key: order[(i + 1) % len(order)] for i, key in enumerate(order)}
+    texts = []
+    for k, blocks in enumerate(files):
+        lines = []
+        for block in blocks:
+            if isinstance(block, list):
+                lines += block
+                continue
+            name, level, decls = block
+            lines.append(f"ontology {name} at {level} {{")
+            for kind, decl, attrs in decls:
+                if kind == "relation":
+                    lines.append(f"  relation {decl} from ThingFO.Thing to ThingFO.Thing kind ThingFO.relatesWith")
+                    continue
+                choice = draw(st.integers(0, 4))
+                module, term = ((BUILTIN_MODULE, "Thing") if choice == 4 or (name, decl) not in after else
+                                draw(st.sampled_from(order)) if choice == 3 else after[(name, decl)])
+                target = term if module == name and draw(st.booleans()) else f"{module}.{term}"
+                body = " { " + " ".join(f'{attr} "v"' for attr in attrs) + " }" if attrs else ""
+                lines.append(f"  term {decl} enriches {target}{body}")
+            lines.append("}")
+        path = f"f{draw(st.integers(0, k))}.onto" if draw(st.integers(0, 4)) == 0 else f"f{k}.onto"
+        texts.append((path, "\n".join(lines) + "\n"))
+    return texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(duplicate_suites())
+def test_duplicates_and_enrichment_cycles_equal_the_brute_force_oracle(files):
+    ast, parse_errors = parse_suite(files)
+    assert parse_errors == []
+    _, diagnostics = resolve(ast.modules, ast.instance_files)
+    got = Counter((d.code, d.message, d.span) for d in diagnostics if d.code in ("E102", "E105"))
+    want = Counter(oracle_duplicates_and_enrichment_cycles(ast.modules, ast.instance_files))
+    for code, message, _ in want:
+        if code == "E105":
+            members = message.split(": ")[1].split(" -> ")[:-1]
+            event(f"E105 entered {'at' if members[0] == min(members) else 'past'} its smallest member")
+        else:
+            event(f"E102 {'reserved' if 'reserved' in message else message.split()[1]}")
+    assert got == want
