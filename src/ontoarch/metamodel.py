@@ -533,13 +533,16 @@ PROPERTIES: tuple[PropertySpec, ...] = (
 
 #: Each foundational term's taxonomy root and the attribute keys, in catalog
 #: order, that a term rooted there may declare. `TERMS` lists every parent
-#: before its children, so a child takes its parent's entry. The validator's
-#: one `get` per term reads the dict behind the view, which costs less.
-_ROOT_SCHEMAS: dict[str, tuple[RootKind, tuple[str, ...]]] = {}
-for _spec in TERMS:
-    _ROOT_SCHEMAS[_spec.id] = _ROOT_SCHEMAS[_spec.parent] if _spec.parent else (
-        RootKind(_spec.id), tuple(p.key for p in PROPERTIES if p.owner == _spec.id))
-ROOT_SCHEMAS: Mapping[str, tuple[RootKind, tuple[str, ...]]] = MappingProxyType(_ROOT_SCHEMAS)
+#: before its children, so a child takes its parent's entry.
+def _root_schemas() -> dict[str, tuple[RootKind, tuple[str, ...]]]:
+    schemas: dict[str, tuple[RootKind, tuple[str, ...]]] = {}
+    for spec in TERMS:
+        schemas[spec.id] = schemas[spec.parent] if spec.parent else (
+            RootKind(spec.id), tuple(p.key for p in PROPERTIES if p.owner == spec.id))
+    return schemas
+
+
+ROOT_SCHEMAS: Mapping[str, tuple[RootKind, tuple[str, ...]]] = MappingProxyType(_root_schemas())
 
 
 # ---------------------------------------------------------------------------
@@ -695,9 +698,8 @@ RELATIONSHIP_VARIANTS: Mapping[str, tuple[RelationshipSpec, ...]] = MappingProxy
 #: relationship each fact grounds (the first variant of its key, so
 #: `relatesWith` relates Things). A side whose sort is Property or Power is a
 #: `thing.part` of that sort, a Thing side is a thing of the world, and any
-#: other side is a term whose enrichment root must be that sort. Resolution
-#: reads one entry per fact, from the dict behind the view.
-_WORLD_PREDICATES: dict[str, RelationshipSpec] = {
+#: other side is a term whose enrichment root must be that sort.
+WORLD_PREDICATES: Mapping[str, RelationshipSpec] = MappingProxyType({
     predicate: RELATIONSHIP_VARIANTS[key][0]
     for predicate, key in (
         ("enables", "enables"),
@@ -708,8 +710,7 @@ _WORLD_PREDICATES: dict[str, RelationshipSpec] = {
         ("isSeenAs", "isSeenAsOther"),
         ("defines", "defines"),
     )
-}
-WORLD_PREDICATES: Mapping[str, RelationshipSpec] = MappingProxyType(_WORLD_PREDICATES)
+})
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from struct import unpack
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import metamodel
-from .metamodel import _WORLD_PREDICATES, BUILTIN_MODULE  # the dict behind WORLD_PREDICATES
+from .metamodel import BUILTIN_MODULE
 from .reporting import Diagnostic
 from .source import SYNTHETIC_SOURCE, Record, Source, ref_loc
 
@@ -63,6 +63,9 @@ _Key = tuple[str, str]
 #: ThingFO's terms and relationships, keyed as a reference to them binds.
 _THINGFO_TERMS = dict.fromkeys((BUILTIN_MODULE, term_id) for term_id in metamodel.TERM_SPECS)
 _THINGFO_RELATIONS = dict.fromkeys((BUILTIN_MODULE, key) for key in metamodel.RELATIONSHIP_VARIANTS)
+
+#: What `_walk` writes for each key on the path it is walking.
+_WALKING = object()
 
 
 class QualifiedRef(Record):
@@ -442,7 +445,7 @@ class ResolvedSuite:
         # a thing's type, binds in `terms`, the index of every term.
         properties: dict[str, set[str]] = {}
         powers: dict[str, set[str]] = {}
-        of_module, predicates = f.of_module, _WORLD_PREDICATES  # a local `get` is the cheapest
+        of_module, predicates = f.of_module, metamodel.WORLD_PREDICATES
         later = set(_repeats([t.name for t in w.things]))
         for i, t in enumerate(w.things):
             if i in later:
@@ -501,11 +504,10 @@ class ResolvedSuite:
         self._error("E101", f"{fact.predicate} fact in world {w.name}: {problem}", f.source, ref_loc(fact.loc, index))
 
     def _check_enrichment_cycles(self, terms: dict[_Key, Any]) -> None:
-        # Only meaningful for chains whose every link resolved; broken links
-        # already produced E101 above. `terms` is the index of every term,
-        # ThingFO's too. Terms are walked by module name, each module's in
-        # declaration order (the order of its keys), so which walk enters a
-        # cycle first, and reports it from there, does not depend on file order.
+        # Broken links already produced E101 above; `terms` is the index of
+        # every term, ThingFO's too. Terms are walked by module name, each
+        # module's in declaration order, so which walk enters a cycle first,
+        # and reports it from there, does not depend on file order.
 
         def link(key: _Key) -> tuple[_Key | None, Any]:
             ref = terms[key].enriches
@@ -559,45 +561,43 @@ def _walk(starts: Iterable[_Key], judged: dict[_Key, Any], link: Callable[[_Key]
     `link(key)` returns the next key and whether the hop is lateral, or None
     and `key`'s verdict when its hop ends the chain. A walk stops at a key
     judged by then, so each key is walked once, and writes that verdict back
-    along its path, through `escape` across each lateral hop; it keeps no
-    path when its first hop lands on a judged key. A key met again closes a
+    along its path, through `escape` across each lateral hop; until then each
+    key on the path is `_WALKING` in `judged`, and a hop to one closes a
     cycle: `cycle` gets its members, from where this walk entered it, and
     whether any of their hops is lateral, and returns their verdicts."""
     for key in starts:
-        path: dict[_Key, bool] | None = None  # each key walked: is its hop lateral?
+        path: list[tuple[_Key, bool]] = []  # each key walked, and whether its hop is lateral
         while key not in judged:
-            if path and key in path:
-                walked = list(path)
-                members = walked[walked.index(key):]
-                hops = [path.pop(member) for member in members]
-                judged.update(zip(members, cycle(members, any(hops))))
-                break
             target, hop = link(key)
             if target is None:
                 judged[key] = hop
                 break
-            if path is None and target in judged:
-                judged[key] = escape(judged[target]) if hop else judged[target]
+            verdict = judged.get(target, _WALKING)
+            if verdict is not _WALKING:
+                judged[key] = escape(verdict) if hop else verdict
                 break
-            path = path or {}
-            path[key] = hop
+            judged[key] = _WALKING
+            path.append((key, hop))
+            if target in judged:  # on this path: a cycle, entered at `target`
+                entry = [walked for walked, _ in path].index(target)
+                members = [walked for walked, _ in path[entry:]]
+                judged.update(zip(members, cycle(members, any(lateral for _, lateral in path[entry:]))))
+                del path[entry:]
             key = target
-        if path:
-            # `key` is judged now, and the path leads into it.
+        if path:  # `key` is judged now, and the path leads into it
             verdict = judged[key]
-            for walked_key, lateral in reversed(path.items()):
-                judged[walked_key] = verdict = escape(verdict) if lateral else verdict
+            for walked, lateral in reversed(path):
+                judged[walked] = verdict = escape(verdict) if lateral else verdict
 
 
-def _repeats(names: Sequence[str]) -> Iterator[int]:
+def _repeats(names: Sequence[str]) -> list[int]:
     """The index of each name in `names` that an earlier one repeats, in
     order. Fewer than two names build no set; more build one, which counts
-    the distinct names, and are walked only when some name repeats."""
-    if len(names) > 1 and len(unseen := set(names)) < len(names):
-        for i, name in enumerate(names):
-            if name not in unseen:
-                yield i
-            unseen.discard(name)
+    the distinct names, and a table of first places only when some repeat."""
+    if len(names) < 2 or len(set(names)) == len(names):
+        return []
+    first = {name: i for i, name in reversed(list(enumerate(names)))}
+    return [i for i, name in enumerate(names) if first[name] != i]
 
 
 def _flood(start: str, seen: set[str], step: Callable[[str], Iterable[str]]) -> list[str]:

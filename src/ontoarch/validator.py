@@ -48,7 +48,7 @@ and format their texts per finding.
 from __future__ import annotations
 
 from . import metamodel
-from .metamodel import _ROOT_SCHEMAS, BUILTIN_MODULE, SCOPE_FACETS, RootKind  # the dict behind ROOT_SCHEMAS
+from .metamodel import BUILTIN_MODULE, SCOPE_FACETS, RootKind
 from .model import ChainStatus, Level, RelationDecl, ResolvedSuite, World
 from .reporting import CODE_CATALOG, Diagnostic
 from .source import SYNTHETIC_SOURCE, Source, SourceSpan
@@ -242,7 +242,7 @@ def _not_instantiable(name: str, type_mod: str, type_name: str, root: RootKind, 
 
 def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
     texts: dict[str, str] = {}
-    roots, schemas = suite.enrichment_roots, _ROOT_SCHEMAS
+    roots, schemas = suite.enrichment_roots, metamodel.ROOT_SCHEMAS
     out: list[Diagnostic] = []
     for f in suite.instance_files:
         typed = [(ind, ind.type_ref, "individual") for ind in f.individuals]
@@ -388,7 +388,7 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
     # One walk of each world's facts finds E232-E234 and gathers the parts
     # that are the left side of each predicate of `_REQUIRED_EDGES`; W301
     # then names the parts left out, in worlds that use the predicate.
-    roots, schemas = suite.enrichment_roots, _ROOT_SCHEMAS
+    roots, schemas = suite.enrichment_roots, metamodel.ROOT_SCHEMAS
     for f in suite.instance_files:
         for w in f.worlds:
             covered: dict[str, set[tuple[str, str]]] = {predicate: set() for predicate in _REQUIRED_EDGES}
@@ -453,7 +453,7 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
 def check_property_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     thing, assertion = RootKind.THING, RootKind.ASSERTION
-    roots, schemas = suite.enrichment_roots, _ROOT_SCHEMAS
+    roots, schemas = suite.enrichment_roots, metamodel.ROOT_SCHEMAS
     for module in suite.modules.values():
         module_name, source = module.name, module.source
         for t in module.terms:
