@@ -68,6 +68,12 @@ _THINGFO_RELATIONS = dict.fromkeys((BUILTIN_MODULE, key) for key in metamodel.RE
 _WALKING = object()
 
 
+def shown(module: str | None, name: str) -> str:
+    """A reference as it reads, `module.name` or a bare `name`: how a
+    `QualifiedRef` shows, and how a finding's text names one."""
+    return f"{module}.{name}" if module else name
+
+
 class QualifiedRef(Record):
     """A `Module.Name` or bare `Name` reference; bare names resolve in the
     declaring module (or the instance file's module). A fact's `thing`,
@@ -85,7 +91,7 @@ class QualifiedRef(Record):
         self.name = name
 
     def __str__(self) -> str:
-        return f"{self.module}.{self.name}" if self.module else self.name
+        return shown(self.module, self.name)
 
 
 class ImportRef(Record):
@@ -314,8 +320,8 @@ class ResolvedSuite:
             if i not in later:
                 self.modules[m.name] = m
                 self.levels[m.name] = m.level
-                self.terms.update({(m.name, t.name): t for t in m.terms})
-                self.relations.update({(m.name, r.name): r for r in m.relations})
+                self.terms.update(_by_name(m.name, m.terms))
+                self.relations.update(_by_name(m.name, m.relations))
             else:
                 self._error("E102", f"module name {m.name} is reserved for the built-in foundational ontology"
                             if m.name == BUILTIN_MODULE else f"duplicate module {m.name}", m.source, m.loc)
@@ -588,6 +594,16 @@ def _walk(starts: Iterable[_Key], judged: dict[_Key, Any], link: Callable[[_Key]
             verdict = judged[key]
             for walked, lateral in reversed(path):
                 judged[walked] = verdict = escape(verdict) if lateral else verdict
+
+
+def _by_name(module: str, decls: Sequence[Any]) -> dict[_Key, Any]:
+    """Each of a module's `decls` under its key `(module, name)`, in
+    declaration order; a name repeated in `decls` binds to its first
+    declaration there, the one E102 keeps."""
+    table = {(module, d.name): d for d in decls}
+    if len(table) < len(decls):  # a repeated name: rebinding a key keeps its place
+        table.update({(module, d.name): d for d in reversed(decls)})
+    return table
 
 
 def _repeats(names: Sequence[str]) -> list[int]:

@@ -84,7 +84,9 @@ class Source:
             lines.extend([m.end() for m in _LINE_END.finditer(self.text)])
         loc &= _LOC_MASK  # the node's own offsets; a declaration's references lie above them
         start = loc >> 32
-        last = max((loc & _END_MASK) - 1, start)
+        last = (loc & _END_MASK) - 1
+        if last < start:  # a test, not a `max()` call: this runs once per finding
+            last = start
         start_line = bisect_right(lines, start)
         line_start = lines[start_line - 1]
         if start_line == len(lines) or last < lines[start_line]:

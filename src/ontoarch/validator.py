@@ -10,8 +10,8 @@ Resolution has bound every fact, so the checks read facts as they stand.
 `check_relationship_conformance` finds E232-E234 and gathers W301's covered
 parts in one walk of a world's facts; `check_axioms` walks them again, one
 call per world, which `bench/tracing.py` times by name (see ROADMAP item
-2), and picks each finding's code and text in one ladder. The checks read
-the resolved suite's tables (`levels`, `terms`, `relations`,
+2), and picks each finding's code and text helper in one ladder. The
+checks read the resolved suite's tables (`levels`, `terms`, `relations`,
 `enrichment_roots`, `components`, `kind_chains`) and make no per-term
 call: a term's root from `enrichment_roots`, that root's kind and allowed
 attribute keys from `metamodel.ROOT_SCHEMAS`, and, in Rule #1, each
@@ -32,24 +32,29 @@ relation's outcome through `chain_status` and each endpoint's root through
 `bench/tracing.py` counts the calls of both by name (ROADMAP item 2).
 
 The findings on worlds repeat from world to world: the same thing names,
-parts and terms give the same texts, and so do the witnesses made of level
-or root names alone (E211, E231). Each check that makes them keeps a table
-for its call, `texts`, from each text to the first string that held it,
-and `_finding` hands a finding that one string, so equal texts are one
-string. A text is its own key: a key that copied the inputs of a text's
-format could drift from it, a `Record` key would hash in Python, and an
-`id()` key could be handed on when a node is freed. The axioms run once per
-world, so `validate_suite` passes one table to all of those calls. The
-tables go with their calls, so no text outlives its verdict in one. The
-other checks name module declarations, which a resolved suite holds once,
-and format their texts per finding.
+parts and terms give the same texts. Each of their texts comes from one
+small helper whose arguments are exactly the strings it reads (the
+predicate, each side's module and name, the instance file's module and
+the target's enrichment root for a term target, the world for E234's
+message), and a check calls it once per distinct argument tuple: the tuple
+is the helper's memo key, so a key cannot drift from its text, and no key
+hashes a `Record`. A finding then costs its span; a W301 also joins its
+part's text to its world's, so only two worlds of one name, in two
+instance blocks, can hold one W301 text in two strings. The memos are
+tables their call creates: relationship conformance keeps one per helper,
+and `validate_suite` passes one to all of its `check_axioms` calls, so no
+text outlives its verdict. Rule #1 and Rule #3 keep a table, `texts`, from
+each E211, E301 and E302 text to the first string that held it, and
+E231's witness comes with its judged question; the other checks name
+module declarations, which a resolved suite holds once, and format their
+texts per finding.
 """
 
 from __future__ import annotations
 
 from . import metamodel
 from .metamodel import BUILTIN_MODULE, SCOPE_FACETS, RootKind
-from .model import ChainStatus, Level, RelationDecl, ResolvedSuite, World
+from .model import ChainStatus, Level, RelationDecl, ResolvedSuite, World, shown
 from .reporting import CODE_CATALOG, Diagnostic
 from .source import SYNTHETIC_SOURCE, Source, SourceSpan
 
@@ -261,13 +266,28 @@ def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
 # Axioms A1-A3 over ground worlds.
 # ---------------------------------------------------------------------------
 
-#: A1 and A2: the world predicates whose two parts must belong to one
-#: thing, with the code of a fact whose parts do not.
-_SAME_OWNER = {"enables": "E311", "actsUpon": "E312"}
+def _owners_differ(predicate: str, left_module: str, left_name: str, right_module: str,
+                   right_name: str) -> tuple[str, str]:
+    """E311's or E312's message and witness: the parts of a fact of
+    `predicate` (A1's `enables` or A2's `actsUpon`) belong to different
+    things."""
+    spec = metamodel.WORLD_PREDICATES[predicate]
+    left, right = shown(left_module, left_name), shown(right_module, right_name)
+    return (f"{spec.domain.lower()} {left} {spec.display} {spec.range.lower()} {right}, but they belong "
+            f"to different things ({left_module} vs {right_module})",
+            f"{predicate}({left}, {right}); owner({left})={left_module}, owner({right})={right_module}")
+
+
+def _own_thing(predicate: str, left_module: str, left_name: str, right_module: str | None,
+               right_name: str) -> tuple[str, str]:
+    """E313's message and witness: a power `interacts` with its own thing."""
+    left = shown(left_module, left_name)
+    return (f"power {left} interacts with its own thing {right_name}",
+            f"{predicate}({left}, {shown(right_module, right_name)}); owner({left})={left_module}")
 
 
 def check_axioms(world: World, source: Source = SYNTHETIC_SOURCE,
-                 texts: dict[str, str] | None = None) -> list[Diagnostic]:
+                 texts: dict[tuple, tuple[str, str]] | None = None) -> list[Diagnostic]:
     """Edge-wise axiom evaluation over a world of the file `source`.
 
     Ownership is functional and syntactically evident (a part `thing.part`
@@ -276,24 +296,22 @@ def check_axioms(world: World, source: Source = SYNTHETIC_SOURCE,
     `texts` shares the findings' texts across the calls that pass it (see
     the module's docstring); without it, across this call's findings."""
     texts = {} if texts is None else texts
+    a1, a2, a3 = CODE_CATALOG["E311"], CODE_CATALOG["E312"], CODE_CATALOG["E313"]
     out: list[Diagnostic] = []
     for fact in world.facts:
         predicate, left, right = fact.predicate, fact.left, fact.right
-        code = _SAME_OWNER.get(predicate)
-        if code is not None and left.module != right.module:
-            spec = metamodel.WORLD_PREDICATES[predicate]
-            message = (
-                f"{spec.domain.lower()} {left} {spec.display} {spec.range.lower()} {right}, but they belong "
-                f"to different things ({left.module} vs {right.module})"
-            )
-            witness = f"{predicate}({left}, {right}); owner({left})={left.module}, owner({right})={right.module}"
+        if predicate == "enables" and left.module != right.module:
+            code, doc, wording = "E311", a1, _owners_differ
+        elif predicate == "actsUpon" and left.module != right.module:
+            code, doc, wording = "E312", a2, _owners_differ
         elif predicate == "interacts" and left.module == right.name:
-            code = "E313"
-            message = f"power {left} interacts with its own thing {right.name}"
-            witness = f"interacts({left}, {right}); owner({left})={left.module}"
+            code, doc, wording = "E313", a3, _own_thing
         else:
             continue
-        out.append(_finding(code, message, source.span(fact.loc), witness=witness, texts=texts))
+        key = (predicate, left.module, left.name, right.module, right.name)
+        if (found := texts.get(key)) is None:
+            found = texts[key] = wording(*key)
+        out.append(Diagnostic(code, found[0], source.span(fact.loc), doc.rule, doc.anchor, found[1]))
     return out
 
 
@@ -314,17 +332,18 @@ def _anchor_matches(anchor: str, scope: str | None, required: str) -> bool:
 
 
 def _mismatch(key: str, from_root: str, from_scope: str | None, to_root: str,
-              to_scope: str | None) -> tuple[str, str, str] | None:
+              to_scope: str | None) -> tuple[str, str, str, str] | None:
     """None when a relation of kind `key` may connect the two endpoints,
     each given by its enrichment root and scope; otherwise the kind's
-    display name, the expected domains and ranges, and its definitions,
-    which an E231 names."""
+    display name, the expected domains and ranges, its definitions and the
+    roots, which an E231 names."""
     variants = metamodel.RELATIONSHIP_VARIANTS[key]
     if any(_anchor_matches(from_root, from_scope, v.domain) and _anchor_matches(to_root, to_scope, v.range)
            for v in variants):
         return None
     expected = " or ".join(f"{v.domain} -> {v.range}" for v in variants)
-    return variants[0].display, expected, "; ".join(dict.fromkeys(v.definition for v in variants))
+    return (variants[0].display, expected, "; ".join(dict.fromkeys(v.definition for v in variants)),
+            f"from root {from_root}, to root {to_root}")
 
 
 #: The code for a world fact whose target, a term, has an enrichment root
@@ -348,13 +367,40 @@ _REQUIRED_EDGES = {
 }
 
 
+def _term_target(predicate: str, right_module: str | None, right_name: str, of_module: str, root: str) -> str:
+    """E232's or E233's message: the target of a fact of `predicate` in
+    an instances block of `of_module` is a term whose enrichment root,
+    `root`, is not of the kind of the predicate's range."""
+    kind, display = metamodel.ROOT_SCHEMAS[root][0].value, _TERM_FACTS[predicate][2]
+    return f"{predicate} target {right_module or of_module}.{right_name} is rooted at {kind}, not {display}"
+
+
+def _fact(predicate: str, left_module: str | None, left_name: str, right_module: str | None,
+          right_name: str) -> str:
+    """The witness of E232, E233 and E234: the fact."""
+    return f"{predicate}({shown(left_module, left_name)}, {shown(right_module, right_name)})"
+
+
+def _self_relation(thing: str, world: str) -> str:
+    """E234's message: `thing` relates with itself in `world`."""
+    return f"thing {thing} relates with itself in world {world}"
+
+
+def _no_edge(predicate: str, thing: str, part: str) -> tuple[str, str]:
+    """W301's message up to its world, and its witness: the part
+    `thing.part` is the left side of no fact of `predicate`."""
+    spec = _REQUIRED_EDGES[predicate]
+    sort = spec.domain.lower()
+    return (f"{sort} {thing}.{part} {spec.display} no {spec.range.lower()} in world ",
+            f"{sort} {thing}.{part}; 0 {predicate} edges")
+
+
 def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
-    texts: dict[str, str] = {}
     out: list[Diagnostic] = []
     # Each distinct question, a kind with each endpoint's root and scope, is
     # judged once per call; ThingFO's catalog bounds how many there are.
     terms = suite.terms
-    judged: dict[tuple[str, str, str | None, str, str | None], tuple[str, str, str] | None] = {}
+    judged: dict[tuple[str, str, str | None, str, str | None], tuple[str, str, str, str] | None] = {}
     for (module_name, _), r in suite.relations.items():
         status = chain_status(suite, module_name, r)
         if status.outcome != "foundational":
@@ -372,7 +418,7 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
         except KeyError:
             mismatch = judged[question] = _mismatch(*question)
         if mismatch is not None:
-            display, expected, definition = mismatch
+            display, expected, definition, witness = mismatch
             out.append(
                 _finding(
                     "E231",
@@ -380,17 +426,25 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
                     f"but connects {from_root}-rooted to {to_root}-rooted terms "
                     f"(expected {expected})",
                     suite.modules[module_name].source.span(r.loc),
-                    witness=f"from root {from_root}, to root {to_root}",
+                    witness=witness,
                     anchor=definition,
-                    texts=texts,
                 )
             )
     # One walk of each world's facts finds E232-E234 and gathers the parts
     # that are the left side of each predicate of `_REQUIRED_EDGES`; W301
-    # then names the parts left out, in worlds that use the predicate.
+    # then names the parts left out, in worlds that use the predicate. Each
+    # helper's texts are memoized under its arguments in a table of its own.
+    targets: dict[tuple[str, str | None, str, str, str], str] = {}
+    facts: dict[tuple[str, str | None, str, str | None, str], str] = {}
+    selves: dict[tuple[str, str], str] = {}
+    edgeless: dict[tuple[str, str, str], tuple[str, str]] = {}
+    docs = {code: CODE_CATALOG[code] for code in ("E232", "E233", "E234", "W301")}
+    self_relation, no_edge = docs["E234"], docs["W301"]
     roots, schemas = suite.enrichment_roots, metamodel.ROOT_SCHEMAS
     for f in suite.instance_files:
+        of_module, span = f.of_module, f.source.span
         for w in f.worlds:
+            world = w.name
             covered: dict[str, set[tuple[str, str]]] = {predicate: set() for predicate in _REQUIRED_EDGES}
             for fact in w.facts:
                 predicate, left, right = fact.predicate, fact.left, fact.right
@@ -399,50 +453,43 @@ def check_relationship_conformance(suite: ResolvedSuite) -> list[Diagnostic]:
                     edges.add((left.module, left.name))
                 target = _TERM_FACTS.get(predicate)
                 if target is not None:
-                    mod, name = right.module or f.of_module, right.name
-                    schema = schemas.get(roots[(mod, name)])
-                    code, required, display = target
-                    if schema is not None and (root := schema[0]) is not required:  # None: a broken chain, E213
-                        out.append(
-                            _finding(
-                                code,
-                                f"{predicate} target {mod}.{name} is rooted at {root.value}, not {display}",
-                                f.source.span(fact.loc),
-                                witness=f"{predicate}({left}, {right})",
-                                texts=texts,
-                            )
-                        )
+                    root = roots[(right.module or of_module, right.name)]
+                    schema = schemas.get(root)
+                    code, required, _ = target
+                    if schema is None or schema[0] is required:  # None: a broken chain, E213
+                        continue
+                    key = (predicate, right.module, right.name, of_module, root)
+                    if (message := targets.get(key)) is None:
+                        message = targets[key] = _term_target(*key)
+                    doc = docs[code]
                 elif predicate == "relatesWith" and left.name == right.name:
-                    out.append(
-                        _finding(
-                            "E234",
-                            f"thing {left.name} relates with itself in world {w.name}",
-                            f.source.span(fact.loc),
-                            witness=f"relatesWith({left}, {right})",
-                            texts=texts,
-                        )
-                    )
+                    key = (left.name, world)
+                    if (message := selves.get(key)) is None:
+                        message = selves[key] = _self_relation(*key)
+                    code, doc = "E234", self_relation
+                else:
+                    continue
+                key = (predicate, left.module, left.name, right.module, right.name)
+                if (witness := facts.get(key)) is None:
+                    witness = facts[key] = _fact(*key)
+                out.append(Diagnostic(code, message, span(fact.loc), doc.rule, doc.anchor, witness))
             for predicate, edges in covered.items():
                 if not edges:
                     continue  # only where the world uses it: worlds may be partial, hence a warning
-                spec = _REQUIRED_EDGES[predicate]
-                sort = spec.domain.lower()
+                domain = _REQUIRED_EDGES[predicate].domain
+                tail = f"{world}, which declares {predicate} facts"
                 for thing in w.things:
-                    names, first = thing.parts(spec.domain)
+                    name = thing.name
+                    names, first = thing.parts(domain)
                     locs: tuple[int, ...] = ()  # read at the first part with no edge
                     for index, part in enumerate(names, first):
-                        if (thing.name, part) not in edges:
+                        if (name, part) not in edges:
                             locs = locs or thing.part_locs()
-                            out.append(
-                                _finding(
-                                    "W301",
-                                    f"{sort} {thing.name}.{part} {spec.display} no {spec.range.lower()} "
-                                    f"in world {w.name}, which declares {predicate} facts",
-                                    f.source.span(locs[index]),
-                                    witness=f"{sort} {thing.name}.{part}; 0 {predicate} edges",
-                                    texts=texts,
-                                )
-                            )
+                            key = (predicate, name, part)
+                            if (found := edgeless.get(key)) is None:
+                                found = edgeless[key] = _no_edge(*key)
+                            out.append(Diagnostic("W301", found[0] + tail, span(locs[index]), no_edge.rule,
+                                                  no_edge.anchor, found[1]))
     return out
 
 

@@ -203,10 +203,11 @@ def oracle_duplicates_and_enrichment_cycles(
     namespaces are a module's declarations, a term's attribute keys, an
     instances block's individuals and worlds together, a world's things,
     and a thing's properties and powers together, for the first thing of
-    each name only. A name declared twice in a module binds to its last
-    declaration. An enrichment cycle is reported once: by the first term,
-    modules taken by name and then declaration order, whose chain reaches
-    it, from the member where that chain enters it and at that member."""
+    each name only. A name declared twice in a module binds to its first
+    declaration, the one its E102 leaves alone. An enrichment cycle is
+    reported once: by the first term, modules taken by name and then
+    declaration order, whose chain reaches it, from the member where that
+    chain enters it and at that member."""
     out: list[tuple[str, str, SourceSpan]] = []
     ordered = sorted(modules, key=lambda m: m.source.span(m.loc))
     registered: dict[str, OntologyModule] = {}
@@ -245,7 +246,10 @@ def oracle_duplicates_and_enrichment_cycles(
                     out.append(("E102", f"duplicate part {parts[k]} on thing {thing.name}",
                                 f.source.span(ref_loc(thing.loc, k + 1))))
 
-    terms = {(m.name, t.name): t for m in registered.values() for t in m.terms}
+    terms: dict[tuple[str, str], TermDef] = {}
+    for m in registered.values():
+        for t in m.terms:
+            terms.setdefault((m.name, t.name), t)
 
     def chain(key: tuple[str, str]) -> tuple[list[tuple[str, str]], tuple[str, str] | None]:
         """The terms from `key` on, and the first one met twice, if any."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from oracles import oracle_duplicates_and_enrichment_cycles
@@ -94,6 +95,24 @@ def test_duplicate_term_is_e102():
     src = "ontology A at CO { term X enriches ThingFO.Thing term X enriches ThingFO.Power }"
     _, diags = resolve_src(src)
     assert codes(diags) == ["E102"]
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        # The kept `a` enriches `b`, which enriches it back: a cycle that the
+        # rejected `a` would hide.
+        ("term a enriches b  term b enriches a  term a enriches ThingFO.Thing",
+         [("E105", "enrichment cycle: M.a -> M.b -> M.a", "m.onto:1:20"),
+          ("E102", "duplicate declaration a in module M", "m.onto:1:58")]),
+        # The cycle runs through the rejected `a` only, so there is none.
+        ("term a enriches ThingFO.Thing  term b enriches a  term a enriches b",
+         [("E102", "duplicate declaration a in module M", "m.onto:1:70")]),
+    ],
+)
+def test_a_name_declared_twice_binds_to_the_declaration_e102_keeps(body, expected):
+    report = build_report([("m.onto", f"ontology M at CO {{ {body} }}")])
+    assert [(d.code, d.message, str(d.span)) for d in report.diagnostics] == expected
 
 
 def test_duplicate_attribute_key_is_e102():

@@ -140,6 +140,34 @@ def test_every_code_is_a_severity_letter_and_three_digits():
         assert re.fullmatch(r"[EW]\d{3}", code), code
 
 
+@st.composite
+def crowded_diagnostics(draw) -> list[Diagnostic]:
+    """Diagnostics at a few start places, so that many share one, each
+    with its own end, code and message."""
+    out = []
+    for _ in range(draw(st.integers(0, 40))):
+        file = draw(st.sampled_from(("a.onto", "b.onto")))
+        line, col = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+        end_line = line + draw(st.integers(0, 1))
+        end_col = draw(st.integers(col if end_line == line else 1, 4))
+        code = draw(st.sampled_from(("E101", "E232", "E311", "W201", "W301")))
+        message = draw(st.sampled_from(("m", "n", "o")))
+        out.append(Diagnostic(code, message, SourceSpan(file, line, col, end_line, end_col)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(crowded_diagnostics())
+def test_a_report_orders_its_diagnostics_by_file_start_code_and_message(diagnostics):
+    report = Report.build(diagnostics)
+    assert sorted(report.diagnostics, key=id) == sorted(diagnostics, key=id)
+    keys = [(d.span.file, d.span.start_line, d.span.start_col, d.code, d.message) for d in report.diagnostics]
+    assert keys == sorted(keys)
+    # At one place, every error comes before every warning.
+    severities = [(key[:3], d.severity) for key, d in zip(keys, report.diagnostics)]
+    assert severities == sorted(severities)
+
+
 def test_severity_derived_from_code_prefix():
     assert Diagnostic("E999", "m", span()).severity == "error"
     assert Diagnostic("W999", "m", span()).severity == "warning"

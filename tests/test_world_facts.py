@@ -255,13 +255,19 @@ TERM_REFS = ("K0", "K1", "K2", "M.K0", "N.K1", "N.K2", "ThingFO.Thing", "ThingFO
 
 @st.composite
 def world_suites(draw) -> list[tuple[str, str]]:
-    """Two CO modules with the same term names rooted at random, and an
+    """Two CO modules with the same term names rooted at random, half the
+    time at the same roots in both, so that a bare name's finding differs
+    between the two instances blocks only by the module it names; and an
     instances block of each holding worlds of random things whose facts are
     well sorted and drawn at random, so that worlds with no `actsUpon` fact
     are common."""
     files = []
+    shared = draw(st.booleans())  # whether N's terms have M's roots as well as M's names
+    roots: list[str] = []
     for module in ("M", "N"):
-        terms = [f"  term K{k} enriches ThingFO.{draw(st.sampled_from(TERM_TARGETS))}" for k in range(3)]
+        if not (roots and shared):
+            roots = [draw(st.sampled_from(TERM_TARGETS)) for _ in range(3)]
+        terms = [f"  term K{k} enriches ThingFO.{root}" for k, root in enumerate(roots)]
         lines = [f"ontology {module} at CO {{", *terms, "}", f"instances of {module} {{"]
         for w in range(draw(st.integers(1, 2))):
             lines.append(f"  world w{w} {{")
