@@ -68,6 +68,45 @@ def test_unknown_module_reference_is_e101():
     assert codes(diags) == ["E101"]
 
 
+#: A comment that names every word and mark a reference can follow.
+_NOTE = "// from A.B to (C, D), kind: enriches"
+_TERM_A = "ontology M at CO { term A enriches ThingFO.Thing }\n"
+
+
+@pytest.mark.parametrize(
+    "src, message, span",
+    [
+        (f"ontology M at CO {{\n  term X enriches {_NOTE}\n    Nowhere {_NOTE}\n    .Thing\n}}",
+         "term M.X: unknown module Nowhere", (3, 5, 4, 10)),
+        (f"ontology M at CO {{\n  term A enriches ThingFO.Thing\n  relation r from {_NOTE}\n    Ghost {_NOTE}\n"
+         "    .A to A kind ThingFO.relatesWith\n}",
+         "relation M.r: unknown module Ghost", (4, 5, 5, 6)),
+        (f"ontology M at CO {{\n  term A enriches ThingFO.Thing\n  relation r from A to {_NOTE}\n    Ghost {_NOTE}\n"
+         "    .A kind ThingFO.relatesWith\n}",
+         "relation M.r: unknown module Ghost", (4, 5, 5, 6)),
+        (f"ontology M at CO {{\n  term A enriches ThingFO.Thing\n  relation r from A to A kind {_NOTE}\n"
+         f"    ThingFO {_NOTE}\n    .nope\n}}",
+         "relation M.r: no foundational relationship named nope", (4, 5, 5, 9)),
+        (f"{_TERM_A}instances of M {{\n  individual i : {_NOTE}\n    Ghost {_NOTE}\n    .A\n}}",
+         "individual i: unknown module Ghost", (4, 5, 5, 6)),
+        (f"{_TERM_A}instances of M {{ world w {{\n  thing t : {_NOTE}\n    Ghost {_NOTE}\n    .A {{ property p; }}\n}} }}",
+         "thing t: unknown module Ghost", (4, 5, 5, 6)),
+        (f"{_TERM_A}instances of M {{ world w {{\n  thing t : A {{ property p; power q; }}\n  enables( {_NOTE}\n"
+         f"    t {_NOTE}\n    .zz, t.q)\n}} }}",
+         "enables fact in world w: thing t has no property named zz", (5, 5, 6, 7)),
+        (f"{_TERM_A}instances of M {{ world w {{\n  thing t : A {{ property p; power q; }}\n  enables(t.p, {_NOTE}\n"
+         f"    t {_NOTE}\n    .zz)\n}} }}",
+         "enables fact in world w: thing t has no power named zz", (5, 5, 6, 7)),
+    ],
+    ids=["term", "relation from", "relation to", "relation kind", "individual", "thing", "fact left", "fact right"],
+)
+def test_an_e101_spans_its_reference_across_comments(src, message, span):
+    # A comment before the reference and one between its name and its `.`,
+    # each naming the words and marks that come before a reference.
+    _, diags = resolve_src(src)
+    assert [(d.code, d.message, tuple(d.span)) for d in diags] == [("E101", message, ("f.onto", *span))]
+
+
 def test_duplicate_module_is_e102():
     src = "ontology A at CO { }\nontology A at CO { }"
     _, diags = resolve_src(src)
