@@ -5,13 +5,13 @@ parser with real source locations and by tests and generators with `loc`
 0. A node's `loc` packs its character offsets (see `source.Source`); its
 module or instance file holds the `Source` that turns it into a span, which
 only a finding needs. A `QualifiedRef` has no `loc`: the parser shares one
-per distinct reference, so the term, relation, individual, thing or fact
-that holds it packs the reference's offsets above its own, and
-`source.ref_loc` reads them back. A thing's parts are names, placed the
-same way in the thing's `loc` (see `ThingNode`). Nodes compare and hash by
-their fields, locations and sources aside, and nothing changes a node after
-it is built,
-which is what lets one reference serve every place that names it. They are
+per distinct reference, and `Source.ref_loc` finds where it stands in the
+term, relation, individual, thing or fact that holds it from that holder's
+own text, which only an E101 needs. A thing's parts are names, whose places
+the thing's `loc` packs above its own (see `ThingNode`). Nodes compare and
+hash by their fields, locations and sources aside, and nothing changes a
+node after it is built, which is what lets one reference serve every place
+that names it. They are
 not frozen: a frozen `__init__` sets each field through `object.__setattr__`
 and costs about three times a plain one. A module's `terms` and `relations` and
 an instance file's `individuals` and `worlds` are split from `body` at
@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from . import metamodel
 from .metamodel import BUILTIN_MODULE
 from .reporting import Diagnostic
-from .source import SYNTHETIC_SOURCE, Record, Source, ref_loc
+from .source import SYNTHETIC_SOURCE, Record, Source
 
 
 class Level(Enum):
@@ -82,7 +82,7 @@ class QualifiedRef(Record):
 
     A reference is a value with no place of its own: `parse_suite` builds one
     per distinct `(module, name)` and shares it, and the declaration that
-    holds it keeps where it stands in its own `loc` (see `source.ref_loc`)."""
+    holds it can tell where it stands (see `source.Source.ref_loc`)."""
 
     __slots__ = ("module", "name")
 
@@ -158,10 +158,11 @@ class ThingNode(Record):
     """A thing of a world, with the names of its properties and its powers.
 
     A part is its name alone, the string the parser's name table shares, so
-    its place lies in the thing's `loc`: after the `instance_of` slot (0 when
-    the thing has no type), one 64-bit place per part, properties first,
-    then powers, in the order written. Part `k`'s is `ref_loc(loc, k + 1)`;
-    `part_locs` reads them all at once."""
+    its place lies in the thing's `loc`: above the thing's own 64 bits, one
+    64-bit place per part, properties first, then powers, in the order
+    written, which `part_locs` reads. W301 and a duplicate part's E102 read
+    them on their hot paths, so unlike a reference's place they are kept,
+    not found again."""
 
     __slots__ = ("name", "instance_of", "properties", "powers", "loc")
 
@@ -180,10 +181,10 @@ class ThingNode(Record):
 
     def part_locs(self) -> tuple[int, ...]:
         """The `loc` of each part, properties then powers, read in one pass:
-        `ref_loc` shifts the whole `loc` for each, which a thing with
-        thousands of parts would pay once per part."""
+        shifting the whole `loc` for each would cost a thing with thousands
+        of parts once per part."""
         count = len(self.properties) + len(self.powers)
-        return unpack(f"<{count}Q", (self.loc >> 128).to_bytes(8 * count, "little"))
+        return unpack(f"<{count}Q", (self.loc >> 64).to_bytes(8 * count, "little"))
 
 
 class Fact(Record):
@@ -402,7 +403,7 @@ class ResolvedSuite:
                 ref = t.enriches
                 if ref is not None and (key := (ref.module or name, ref.name)) not in terms:
                     problem = self._unbound(*key)
-                    self._error("E101", f"term {name}.{t.name}: {problem}", m.source, ref_loc(t.loc, 0))
+                    self._error("E101", f"term {name}.{t.name}: {problem}", m.source, m.source.ref_loc(t.loc, 0))
                 if len(t.attributes) > 1:  # the common one attribute or none builds no list
                     keys = [attr.key for attr in t.attributes]
                     for i in _repeats(keys):
@@ -417,7 +418,8 @@ class ResolvedSuite:
                 for index, (ref, known, sort) in enumerate(sides):
                     if (key := (ref.module or name, ref.name)) not in known:
                         problem = self._unbound(*key, sort)
-                        self._error("E101", f"relation {name}.{r.name}: {problem}", m.source, ref_loc(r.loc, index))
+                        self._error("E101", f"relation {name}.{r.name}: {problem}", m.source,
+                                    m.source.ref_loc(r.loc, index))
 
     def _unbound(self, mod: str, name: str, sort: str = "term") -> str:
         """Why `mod.name`, which binds to no `sort`, "term" or "relation",
@@ -440,7 +442,7 @@ class ResolvedSuite:
                 ref = ind.type_ref
                 if (key := (ref.module or f.of_module, ref.name)) not in terms:
                     self._error("E101", f"individual {ind.name}: {self._unbound(*key)}", f.source,
-                                ref_loc(ind.loc, 0))
+                                f.source.ref_loc(ind.loc, 0))
             for w in f.worlds:
                 self._check_world(f, w, terms)
 
@@ -459,7 +461,7 @@ class ResolvedSuite:
                 continue
             ref = t.instance_of
             if ref is not None and (key := (ref.module or of_module, ref.name)) not in terms:
-                self._error("E101", f"thing {t.name}: {self._unbound(*key)}", f.source, ref_loc(t.loc, 0))
+                self._error("E101", f"thing {t.name}: {self._unbound(*key)}", f.source, f.source.ref_loc(t.loc, 0))
             props = properties[t.name] = set(t.properties)
             pows = powers[t.name] = set(t.powers)
             # The sets binding needs show whether any part repeats.
@@ -507,7 +509,8 @@ class ResolvedSuite:
             problem = f"expected a term, got part reference {ref}"
         else:
             problem = self._unbound(ref.module or f.of_module, ref.name)
-        self._error("E101", f"{fact.predicate} fact in world {w.name}: {problem}", f.source, ref_loc(fact.loc, index))
+        self._error("E101", f"{fact.predicate} fact in world {w.name}: {problem}", f.source,
+                    f.source.ref_loc(fact.loc, index))
 
     def _check_enrichment_cycles(self, terms: dict[_Key, Any]) -> None:
         # Broken links already produced E101 above; `terms` is the index of

@@ -22,7 +22,10 @@ Grammar (EBNF; `//` comments run to end of line, files are UTF-8):
 
 `ref` and `qname` are one production, which builds a `QualifiedRef`;
 `parse_qname` reads it, and `parse_world` reads each fact's two in line,
-the same way. A fact's `thing.part` is qualified by its thing.
+the same way. A fact's `thing.part` is qualified by its thing. A node keeps
+only its own place, and a thing its parts' places too: a reference's place
+is found again from its holder's text (`source.Source.ref_loc`) when an
+E101 names it.
 
 Files that produce any diagnostic are excluded from the returned AST, so
 resolution only ever sees well-formed declarations.
@@ -52,7 +55,7 @@ from .model import (
     World,
 )
 from .reporting import Diagnostic
-from .source import Record, Source, SourceSpan
+from .source import _BLANKS, _LEXEME, _SCAN, Record, Source, SourceSpan
 
 if TYPE_CHECKING:
     from array import array
@@ -94,25 +97,8 @@ _SHARED: dict[str, tuple] = {
 }
 _EOI = (TokenKind.EOI, "", "")
 
-#: The lexemes, as one string of alternatives with no capture group, so
-#: `tokenize` tells them apart by their first characters. What no
-#: alternative matches is exactly the blanks: spaces, tabs, carriage returns
-#: and line feeds. A string match takes every string, well-formed or not: it
-#: ends after the closing quote or before the end of the line. A `/` that
-#: starts no comment is an invalid character. No lexeme spans a line feed.
-_BLANKS = " \t\r\n"
-_LEXEME = (
-    r"//[^\n]*"                       # comment
-    r"|[A-Za-z_][A-Za-z0-9_]*"        # keyword or identifier (ASCII only)
-    r"|[{}(),:;.]"                    # punctuation
-    r'|"[^"\\\n]*(?:\\["\\]?[^"\\\n]*)*"?'  # string: plain runs between escapes
-    f"|[^{_BLANKS}]"                  # invalid character
-)
-
-#: A lexeme alone, to find where the next one starts and to re-read one at
-#: its offset; and a lexeme with the blanks after it, so that the matches of
-#: one `findall` from a lexeme's start lie end to end.
-_SCAN = re.compile(_LEXEME)
+#: A lexeme with the blanks after it, so that the matches of one `findall`
+#: from a lexeme's start lie end to end.
 _SCAN_WITH_BLANKS = re.compile(f"(?:{_LEXEME})[{_BLANKS}]*")
 
 #: About how many characters `tokenize` scans at a time: its working set
@@ -301,10 +287,10 @@ class _Parser:
 
     `refs` holds one `QualifiedRef` per distinct reference, as one dict of
     names per qualifier (None for a bare name), so a lookup builds no key;
-    `parse_suite` passes one table for all its files. A declaration packs
-    the `loc` of each reference it holds above its own (see
-    `source.Source`), and a thing the `loc` of each part after its type's
-    (see `model.ThingNode`)."""
+    `parse_suite` passes one table for all its files. A declaration does
+    not read where its references stand (see `source.Source.ref_loc`); a
+    thing packs the `loc` of each part above its own (see
+    `model.ThingNode`)."""
 
     def __init__(self, tokens: list[tuple], starts: array, source: Source,
                  refs: dict[str | None, dict[str, QualifiedRef]]):
@@ -374,26 +360,23 @@ class _Parser:
             return Level.CO, i + 1  # placeholder; the file is excluded anyway
         raise self.fail("expected a level name", i)
 
-    def parse_qname(self, i: int) -> tuple[QualifiedRef, int, int]:
-        """The shared reference from token `i`, its `loc` and the index
-        after it; E002 "expected a name" where token `i` is no name."""
+    def parse_qname(self, i: int) -> tuple[QualifiedRef, int]:
+        """The shared reference from token `i` and the index after it; E002
+        "expected a name" where token `i` is no name."""
         toks = self.toks
         first = toks[i]
         if first[0] is not _IDENT:
             raise self.fail("expected a name", i)
-        start = self.starts[i]
         if toks[i + 1][1] == ".":
             second = toks[i + 2]
             if second[0] is not _IDENT:
                 raise self.fail("expected a name after '.'", i + 2)
             module = first[1]
             name = second[1]
-            loc = start << 32 | self.starts[i + 2] + len(name)
             i += 3
         else:
             module = None
             name = first[1]
-            loc = start << 32 | start + len(name)
             i += 1
         by_name = self.refs.get(module)
         if by_name is None:
@@ -401,7 +384,7 @@ class _Parser:
         ref = by_name.get(name)
         if ref is None:
             ref = by_name[name] = QualifiedRef(module, name)
-        return ref, loc, i
+        return ref, i
 
     def parse_module(self, i: int) -> tuple[OntologyModule, int]:
         toks, starts = self.toks, self.starts
@@ -468,7 +451,7 @@ class _Parser:
             raise self.fail("expected term name", i + 1)
         if toks[i + 2][1] != "enriches":
             raise self.fail("expected 'enriches'", i + 2)
-        target, target_loc, i = self.parse_qname(i + 3)
+        target, i = self.parse_qname(i + 3)
         end = starts[i - 1] + len(toks[i - 1][1])  # the target's last name
         scope: str | None = None
         if toks[i][1] == "scope":
@@ -477,7 +460,7 @@ class _Parser:
                 raise self.fail(_EXPECTED_SCOPE, i + 1)
             i += 2
         if toks[i][1] != "{":
-            return TermDef(name[1], target, scope, (), start << 32 | end | target_loc << 64), i
+            return TermDef(name[1], target, scope, (), start << 32 | end), i
         i += 1
         attrs: list[AttrPair] = []
         while toks[i][1] != "}":
@@ -489,7 +472,7 @@ class _Parser:
                 raise self.fail("expected a string attribute value", i + 1)
             attrs.append(AttrPair(key[1], value[2], starts[i] << 32 | starts[i + 1] + value[3]))
             i += 2
-        return TermDef(name[1], target, scope, tuple(attrs), start << 32 | starts[i] + 1 | target_loc << 64), i + 1
+        return TermDef(name[1], target, scope, tuple(attrs), start << 32 | starts[i] + 1), i + 1
 
     def parse_relation(self, i: int) -> tuple[RelationDecl, int]:
         toks = self.toks
@@ -499,16 +482,15 @@ class _Parser:
             raise self.fail("expected relation name", i + 1)
         if toks[i + 2][1] != "from":
             raise self.fail("expected 'from'", i + 2)
-        from_ref, from_loc, i = self.parse_qname(i + 3)
+        from_ref, i = self.parse_qname(i + 3)
         if toks[i][1] != "to":
             raise self.fail("expected 'to'", i)
-        to_ref, to_loc, i = self.parse_qname(i + 1)
+        to_ref, i = self.parse_qname(i + 1)
         if toks[i][1] != "kind":
             raise self.fail("expected 'kind'", i)
-        kind_ref, kind_loc, i = self.parse_qname(i + 1)
+        kind_ref, i = self.parse_qname(i + 1)
         end = self.starts[i - 1] + len(toks[i - 1][1])  # the reference's last name
-        loc = start << 32 | end | from_loc << 64 | to_loc << 128 | kind_loc << 192
-        return RelationDecl(name[1], from_ref, to_ref, kind_ref, loc), i
+        return RelationDecl(name[1], from_ref, to_ref, kind_ref, start << 32 | end), i
 
     def parse_instances(self, i: int) -> tuple[InstanceFile, int]:
         toks, starts = self.toks, self.starts
@@ -532,9 +514,9 @@ class _Parser:
             raise self.fail("expected individual name", i + 1)
         if toks[i + 2][1] != ":":
             raise self.fail("expected ':'", i + 2)
-        type_ref, type_loc, i = self.parse_qname(i + 3)
+        type_ref, i = self.parse_qname(i + 3)
         end = self.starts[i - 1] + len(toks[i - 1][1])
-        return Individual(name[1], type_ref, start << 32 | end | type_loc << 64), i
+        return Individual(name[1], type_ref, start << 32 | end), i
 
     def parse_world(self, i: int) -> tuple[World, int]:
         """A world: its things, then its facts. Each fact's two references
@@ -576,17 +558,14 @@ class _Parser:
             first = toks[i]
             if first[0] is not _IDENT:
                 raise self.fail("expected a reference", i)
-            at = starts[i]
             if toks[i + 1][1] == ".":
                 second = toks[i + 2]
                 if second[0] is not _IDENT:
                     raise self.fail("expected a name after '.'", i + 2)
                 module, name = first[1], second[1]
-                loc |= (at << 32 | starts[i + 2] + len(name)) << 64
                 i += 3
             else:
                 module, name = None, first[1]
-                loc |= (at << 32 | at + len(name)) << 64
                 i += 1
             by_name = refs.get(module)
             if by_name is None:
@@ -600,17 +579,14 @@ class _Parser:
             first = toks[i]
             if first[0] is not _IDENT:
                 raise self.fail("expected a reference", i)
-            at = starts[i]
             if toks[i + 1][1] == ".":
                 second = toks[i + 2]
                 if second[0] is not _IDENT:
                     raise self.fail("expected a name after '.'", i + 2)
                 module, name = first[1], second[1]
-                loc |= (at << 32 | starts[i + 2] + len(name)) << 128
                 i += 3
             else:
                 module, name = None, first[1]
-                loc |= (at << 32 | at + len(name)) << 128
                 i += 1
             by_name = refs.get(module)
             if by_name is None:
@@ -639,9 +615,8 @@ class _Parser:
             raise self.fail("expected thing name", i + 1)
         i += 2
         instance_of: QualifiedRef | None = None
-        type_loc = 0
         if toks[i][1] == ":":
-            instance_of, type_loc, i = self.parse_qname(i + 1)
+            instance_of, i = self.parse_qname(i + 1)
         if toks[i][1] != "{":
             raise self.fail("expected '{'", i)
         i += 1
@@ -663,11 +638,11 @@ class _Parser:
             raise self.fail("property declarations must precede power declarations", i)
         if close != "}":
             raise self.fail("expected '}'", i)
-        loc = start << 32 | starts[i] + 1 | type_loc << 64
+        loc = start << 32 | starts[i] + 1
         if places:
-            # Above the type's place, built in one pass: or-ing in one part
-            # at a time would copy the growing `int` once per part.
-            loc |= int.from_bytes(b"".join(places), "little") << 128
+            # Above its own place, built in one pass: or-ing in one part at
+            # a time would copy the growing `int` once per part.
+            loc |= int.from_bytes(b"".join(places), "little") << 64
         return ThingNode(name[1], instance_of, tuple(parts[0]), tuple(parts[1]), loc), i + 1
 
 

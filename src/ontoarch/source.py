@@ -41,12 +41,31 @@ _LINE_END = re.compile("\n")
 _END_MASK = (1 << 32) - 1
 _LOC_MASK = (1 << 64) - 1
 
+#: The lexemes, as one string of alternatives with no capture group, so
+#: `parser.tokenize` tells them apart by their first characters. What no
+#: alternative matches is exactly the blanks: spaces, tabs, carriage returns
+#: and line feeds. A string match takes every string, well-formed or not: it
+#: ends after the closing quote or before the end of the line. A `/` that
+#: starts no comment is an invalid character. No lexeme spans a line feed.
+_BLANKS = " \t\r\n"
+_LEXEME = (
+    r"//[^\n]*"                       # comment
+    r"|[A-Za-z_][A-Za-z0-9_]*"        # keyword or identifier (ASCII only)
+    r"|[{}(),:;.]"                    # punctuation
+    r'|"[^"\\\n]*(?:\\["\\]?[^"\\\n]*)*"?'  # string: plain runs between escapes
+    f"|[^{_BLANKS}]"                  # invalid character
+)
 
-def ref_loc(loc: int, index: int) -> int:
-    """The `loc` of reference `index` (0 for the first, in field order) of
-    a declaration whose own `loc` is `loc`, or of a thing's part `index - 1`;
-    see `Source`."""
-    return loc >> 64 * (index + 1) & _LOC_MASK
+#: A lexeme alone: where the next one starts, one re-read at its offset, or
+#: the lexemes of one declaration's text.
+_SCAN = re.compile(_LEXEME)
+
+#: The words and marks that stand right before a reference in the grammar:
+#: a term's `enriches`, a relation's `from`, `to` and `kind`, the `:` of an
+#: individual's or a thing's type, and a fact's `(` and `,`. In the text of
+#: a term, relation, individual, thing or fact, outside comments and
+#: strings, each stands before a reference and nowhere else.
+_BEFORE_REF = frozenset(("enriches", "from", "to", "kind", ":", "(", ","))
 
 
 class Source:
@@ -54,14 +73,15 @@ class Source:
 
     A node holds its place in the file as one `loc`, the character offsets
     `start << 32 | end`, where `end` is one past its last character. A
-    declaration that holds references holds their places too, since a
-    `QualifiedRef` is shared by every place that names it: above its own 64
-    bits, each reference's `start << 32 | end` in field order, 64 bits
-    each, which `ref_loc` reads. A thing's parts are names, so the thing
-    holds their places the same way, after its type's. `span` reads only
-    the low 64 bits. The line-start table is built the first time `span`
-    needs it, so a file without findings never has one. Columns count code
-    points from 1, and only a line feed ends a line."""
+    `QualifiedRef` is shared by every place that names it, so it has no
+    place; `ref_loc` finds where a declaration's reference stands again,
+    from the declaration's own text, which only an E101 asks for. A thing's
+    parts are names, read on the hot paths of W301 and of a duplicate part,
+    so the thing holds their places above its own, 64 bits each, which
+    `model.ThingNode.part_locs` reads. `span` reads only the low 64 bits.
+    The line-start table is built the first time `span` needs it, so a file
+    without findings never has one. Columns count code points from 1, and
+    only a line feed ends a line."""
 
     __slots__ = ("path", "text", "_lines")
 
@@ -82,7 +102,7 @@ class Source:
 
             lines = self._lines = array("l", [0])
             lines.extend([m.end() for m in _LINE_END.finditer(self.text)])
-        loc &= _LOC_MASK  # the node's own offsets; a declaration's references lie above them
+        loc &= _LOC_MASK  # the node's own offsets; a thing's parts lie above them
         start = loc >> 32
         last = (loc & _END_MASK) - 1
         if last < start:  # a test, not a `max()` call: this runs once per finding
@@ -97,6 +117,28 @@ class Source:
         end_line = bisect_right(lines, last, start_line)
         return tuple.__new__(SourceSpan, (self.path, start_line, start - line_start + 1,
                                           end_line, last - lines[end_line - 1] + 1))
+
+    def ref_loc(self, loc: int, index: int) -> int:
+        """The `loc` of reference `index` (0 for the first, in field order)
+        of the term, relation, individual, thing or fact whose own `loc` is
+        `loc`: the name, or the two names and the `.` between them, after
+        the `index`-th word or mark of `_BEFORE_REF` in its text. Only that
+        text is scanned, comments skipped, so finding a place costs the
+        length of its declaration, not of the file. A declaration built in
+        memory, with `loc` 0, has no text: its reference's `loc` is 0 too."""
+        loc &= _LOC_MASK
+        lexemes = (m for m in _SCAN.finditer(self.text, loc >> 32, loc & _END_MASK) if m[0][:2] != "//")
+        for m in lexemes:
+            if m[0] in _BEFORE_REF:
+                if not index:
+                    break
+                index -= 1
+        else:
+            return loc
+        name = next(lexemes)
+        after = next(lexemes, None)
+        end = next(lexemes).end() if after is not None and after[0] == "." else name.end()
+        return name.start() << 32 | end
 
 
 #: The source of declarations built in memory rather than parsed: their

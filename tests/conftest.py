@@ -12,6 +12,7 @@ import pytest
 
 from fig2_corpus import FIG2, FIXTURES, MUTATIONS, load_fig2, mutate  # noqa: F401 (re-exported)
 
+from ontoarch.model import Fact, Individual, RelationDecl, TermDef, ThingNode
 from ontoarch.source import SYNTHETIC_SOURCE, Record, Source, SourceSpan
 
 
@@ -22,18 +23,19 @@ def tree(node, source: Source = SYNTHETIC_SOURCE):
     node's `loc` is spelled out as the span its file's `Source` gives it: a
     module's or instance file's own `source` places the nodes inside it, and
     `source` places the rest; the `source` fields themselves are left out. A
-    declaration's `loc` that also packs its references' offsets, 64 bits
-    each above its own, is spelled out as the tuple of its span and theirs;
-    a thing's parts come after its type's place, which is None for a thing
-    with no type. A `loc` that holds a `SourceSpan` already, or a tuple of
-    them, as the oracle parser's nodes do, is spelled out as it is. A tree
-    walks a record's `_fields`, not the slots it derives from them."""
+    declaration that holds references is spelled out as the tuple of its own
+    span and theirs, in field order, each place found again in its text by
+    `Source.ref_loc`; a thing's type's place is None when it has no type,
+    and its parts' places, packed 64 bits each above its own, come after
+    it. A `loc` that holds a `SourceSpan` already, or a tuple of them, as
+    the oracle parser's nodes do, is spelled out as it is. A tree walks a
+    record's `_fields`, not the slots it derives from them."""
     if isinstance(node, SourceSpan):
         return ("span", *node)
     if isinstance(node, Record):
         source = getattr(node, "source", source)
         return (type(node).__name__, *(
-            _loc_tree(value, source) if name == "loc" and isinstance(value, int) else tree(value, source)
+            _loc_tree(node, source) if name == "loc" and isinstance(value, int) else tree(value, source)
             for name in node._fields if name != "source"
             for value in (getattr(node, name),)
         ))
@@ -42,13 +44,25 @@ def tree(node, source: Source = SYNTHETIC_SOURCE):
     return node
 
 
-def _loc_tree(loc: int, source: Source) -> tuple:
-    # `Source.span` is given the whole rest of `loc`, so a tree also checks
-    # that it reads only the low 64 bits.
+#: The fields of each holder of references, in the order `Source.ref_loc`
+#: counts them.
+_REFERENCES = {
+    TermDef: ("enriches",), RelationDecl: ("from_ref", "to_ref", "kind_ref"), Individual: ("type_ref",),
+    ThingNode: ("instance_of",), Fact: ("left", "right"),
+}
+
+
+def _loc_tree(node: Record, source: Source) -> tuple:
+    # `Source.span` and `Source.ref_loc` are given the whole `loc`, so a
+    # tree also checks that they read only the low 64 bits.
+    loc = node.loc
+    refs = [getattr(node, name) for name in _REFERENCES.get(type(node), ())]
     spans = [("span", *source.span(loc))]
+    spans += [None if ref is None else ("span", *source.span(source.ref_loc(loc, index)))
+              for index, ref in enumerate(refs)]
     while loc := loc >> 64:
-        spans.append(("span", *source.span(loc)) if loc & (1 << 64) - 1 else None)
-    return spans[0] if len(spans) == 1 else tuple(spans)
+        spans.append(("span", *source.span(loc)))
+    return spans[0] if spans[1:] in ([], [None]) else tuple(spans)
 
 
 def load_bench(stem: str):

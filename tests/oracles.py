@@ -79,7 +79,7 @@ from ontoarch.model import (
 )
 from ontoarch.parser import KEYWORDS, SuiteAst, TokenKind
 from ontoarch.reporting import CODE_CATALOG, REPORT_VERSION, Diagnostic, Report
-from ontoarch.source import SYNTHETIC_SOURCE, Source, SourceSpan, ref_loc
+from ontoarch.source import SYNTHETIC_SOURCE, Source, SourceSpan
 
 
 def oracle_chain_status(
@@ -243,8 +243,10 @@ def oracle_duplicates_and_enrichment_cycles(
                     continue
                 parts = thing.properties + thing.powers
                 for k in _later(parts):
+                    # Part k's place is the (k + 1)-th 64 bits of the thing's
+                    # `loc`, above its own; `span` reads the low 64 bits.
                     out.append(("E102", f"duplicate part {parts[k]} on thing {thing.name}",
-                                f.source.span(ref_loc(thing.loc, k + 1))))
+                                f.source.span(thing.loc >> 64 * (k + 1))))
 
     terms: dict[tuple[str, str], TermDef] = {}
     for m in registered.values():

@@ -7,8 +7,8 @@ report rendered without a second copy.
 builds one token per distinct identifier there and takes each keyword's from
 `KEYWORDS`, so a name that a suite repeats is one string shared by every
 token, node and table key that names it. Beside it a reference table gives
-each distinct `(module, name)` one `QualifiedRef`, whose places its holders
-keep; a thing keeps its parts' places, and their names are those strings.
+each distinct `(module, name)` one `QualifiedRef`, whose places no node
+keeps; a thing keeps its parts' places, and their names are those strings.
 Nothing is interned, so the interpreter's table of interned strings does not
 grow. `parse_suite` frees each file's token list before it lexes the next
 file, `validate_suite` gives equal finding texts one string, and
@@ -40,7 +40,7 @@ from ontoarch.metamodel import BUILTIN_MODULE, WORLD_PREDICATES
 from ontoarch.model import QualifiedRef, resolve
 from ontoarch.parser import KEYWORDS, TokenKind, parse_suite, tokenize
 from ontoarch.reporting import Diagnostic, Report, render_json
-from ontoarch.source import SourceSpan, ref_loc
+from ontoarch.source import SourceSpan
 from ontoarch.validator import validate_suite
 
 CORE = """\
@@ -181,9 +181,11 @@ def test_a_part_is_its_name_with_its_place_in_the_things_loc():
             for thing in world.things:
                 names = thing.properties + thing.powers
                 parts += names
-                # Each part's place, after the type's, spans its name.
+                # Each part's place, 64 bits above the thing's own place and
+                # each other, spans its name.
                 locs = thing.part_locs()
-                assert locs == tuple(ref_loc(thing.loc, k + 1) for k in range(len(names)))
+                assert locs == tuple(thing.loc >> 64 * (k + 1) & (1 << 64) - 1 for k in range(len(names)))
+                assert thing.loc >> 64 * (len(names) + 1) == 0
                 assert [f.source.text[loc >> 32:loc & 0xFFFFFFFF] for loc in locs] == list(names)
     assert len(parts) > 1000
     assert len({id(part) for part in parts}) == len(set(parts)) == 4
@@ -200,17 +202,22 @@ def test_a_reference_shared_across_files_keeps_each_place_in_its_holder():
     enables, _ = world.facts
     assert drives.from_ref is s.instance_of
     assert r.properties[0] is s.properties[0]
-    # Each holder spans its own text; its references' places lie inside it,
-    # 64 bits each above its own, in field order, and a thing's parts'
-    # places after its type's.
+    # Each holder spans its own text, and its `loc` packs no reference's
+    # place: `Source.ref_loc` finds each in that text, in field order. A
+    # thing's parts' places lie above its own, 64 bits each.
+    source = instances.source
+    assert domain.source is source
     mask = (1 << 64) - 1
-    for holder, texts in ((drives, ["Core.Agent", "Core.Skill", "Core.uses"]), (s, ["Core.Agent", "grip"]),
-                          (r, ["Robot", "grip", "move"]), (enables, ["r.grip", "r.move"])):
+    for holder, texts, parts in ((drives, ["Core.Agent", "Core.Skill", "Core.uses"], []),
+                                 (s, ["Core.Agent"], ["grip"]), (r, ["Robot"], ["grip", "move"]),
+                                 (enables, ["r.grip", "r.move"], [])):
         own = holder.loc & mask
-        places = [holder.loc >> 64 * (index + 1) & mask for index in range(len(texts))]
-        assert holder.loc >> 64 * (len(texts) + 1) == 0
+        places = [source.ref_loc(holder.loc, index) for index in range(len(texts))]
+        if parts:
+            places += holder.part_locs()
+        assert holder.loc >> 64 * (len(parts) + 1) == 0
         assert all(own >> 32 <= place >> 32 < place & 0xFFFFFFFF <= own & 0xFFFFFFFF for place in places)
-        assert [DOMAIN[place >> 32:place & 0xFFFFFFFF] for place in places] == texts
+        assert [DOMAIN[place >> 32:place & 0xFFFFFFFF] for place in places] == texts + parts
 
 
 def test_no_name_is_interned():
@@ -255,18 +262,20 @@ def _traced_parse(files: list[tuple[str, str]]):
 #: Bytes per declaration (terms, relations, individuals, things and facts)
 #: that the AST keeps, and that parsing reaches at peak, on the bench suites
 #: at seed 1 in the CLI's file order, as `figures` measures them. Measured
-#: on CPython 3.11 at about 149 and 177 on dirty_worlds, and 355 and 496 on
+#: on CPython 3.11 at about 134 and 164 on dirty_worlds, and 344 and 485 on
 #: wide_clean, each distinct name included. In the test process the figures
 #: read up to a tenth lower after other tests than alone, since a tuple
 #: taken from CPython's free lists is no new allocation, so they are taken
-#: in a fresh interpreter. Alone in the test process, about 149 and 177, and
-#: 364 and 504; with a record and a `loc` per part, alone, 189 and 217, and
+#: in a fresh interpreter. With each reference's place packed in its
+#: holder's `loc`, about 149 and 177, and 355 and 496; alone in the test
+#: process, 149 and 177, and 364 and 504; with a record and a `loc` per
+#: part, alone, 189 and 217, and
 #: 379 and 520; earlier figures, with a `QualifiedRef` and a `loc` per
 #: reference as well, about 337 and 364, and 441 and 542; with a five-field
 #: `SourceSpan` per node and a six-tuple per token, and with the names
 #: interned beforehand so that they counted for nothing, about 570 and 705,
 #: and 612 and 808.
-BOUNDS = {"dirty_worlds": (163, 193), "wide_clean": (392, 548)}
+BOUNDS = {"dirty_worlds": (147, 178), "wide_clean": (380, 536)}
 
 
 def measure() -> dict[str, dict[str, int]]:
@@ -413,13 +422,14 @@ def _verdict(files: list[tuple[str, str]]) -> int:
 #: Bytes per declaration at the peak of `build_report` and `render_json`
 #: together, on the bench suites at seed 1 in the CLI's file order, as
 #: `figures` measures them: the AST with the findings, or the report with
-#: its rendering. Measured on CPython 3.11 at about 252 on dirty_worlds
-#: (3.19 MB, in `validate_suite`) and 475 on wide_clean (in `parse_suite`).
-#: Alone in the test process, about 252 and 504. With a record per part and
+#: its rendering. Measured on CPython 3.11 at about 241 on dirty_worlds
+#: (3.05 MB, in `validate_suite`) and 465 on wide_clean (in `parse_suite`);
+#: with each reference's place packed in its holder's `loc`, about 256 and
+#: 475. Alone in the test process, about 252 and 504. With a record per part and
 #: a string per finding, alone, about 334 and 520; earlier, with a
 #: `QualifiedRef` per reference, the AST alive while `Report.build` sorted
 #: and the rendering joined from a list of parts, about 511 and 523.
-VERDICT_BOUNDS = {"dirty_worlds": 272, "wide_clean": 491}
+VERDICT_BOUNDS = {"dirty_worlds": 260, "wide_clean": 480}
 
 
 @pytest.mark.parametrize("workload", sorted(VERDICT_BOUNDS))

@@ -9,8 +9,9 @@ same declarations and the same diagnostics. Nodes compare without their
 locations, so `tree` (in `conftest.py`) spells every node out field by
 field, with the parser's `loc` turned into a span by `Source.span`, the
 line-start table and `bisect`: the two trees agree only if every node's
-`source.span(loc)`, and every reference's place that its holder's `loc`
-packs, is the span the oracle computes.
+`source.span(loc)`, every reference's place that `Source.ref_loc` finds in
+its holder's text, and every part's place that its thing's `loc` packs, is
+the span the oracle computes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from test_file_order import soup_file, suites
 
 from ontoarch import parser
 from ontoarch.cli import build_report
+from ontoarch.model import TermDef
 from ontoarch.parser import parse_suite, tokenize
 from ontoarch.reporting import render_json
 from ontoarch.source import Source
@@ -131,8 +133,9 @@ def test_parser_equals_the_cursor_parser_on_fig2_and_its_mutants(mutation):
 #: tokens would give: CRLF line ends, a byte order mark (an invalid
 #: character), tabs, escaped strings whose lexeme is shorter than their
 #: source, unterminated strings, declarations cut off by the end of input,
-#: with and without a final line feed, and characters outside ASCII, one
-#: code point each.
+#: with and without a final line feed, characters outside ASCII, one code
+#: point each, and comments that name the words and marks a reference
+#: follows, before each kind of reference and between its name and its `.`.
 LAYOUTS = {
     "crlf": 'ontology A at CO {\r\n  term X enriches ThingFO.Thing {\r\n    description "d"\r\n  }\r\n}\r\n'
             "instances of A {\r\n  individual i : X\r\n}\r\n",
@@ -148,6 +151,11 @@ LAYOUTS = {
     "end of input in a string": 'ontology A at CO { term X enriches ThingFO.Thing { description "d\\',
     "wide characters": 'ontology A at CO {\n  term X enriches ThingFO.Thing { description "é ß 𝔘" }\n'
                        '  term Y enriches X { description "🙂" } term Z enriches Y\n}',
+    "comments": "// from A.B to (C, D)\nontology A at CO { // kind: enriches\n  term X enriches // from X\n"
+                "    ThingFO // .Thing, to\n    .Thing\n  relation r from // (\n    X // .Y\n  to X kind // :\n"
+                "    ThingFO.relatesWith\n}\ninstances of A {\n  individual i : // to\n    X\n  world w {\n"
+                "    thing t : // , kind\n      X { property p; // power q;\n      power q; }\n"
+                "    enables( // t.p,\n      t // .q\n      .p, // (\n      t.q)\n  }\n}",
 }
 
 
@@ -199,15 +207,21 @@ def test_parser_gives_every_node_an_int_loc_and_builds_no_span(monkeypatch):
     assert (diagnostics, asked) == ([], [])
     (module,) = ast.decls
     assert module.source.path == "m.onto" and module.source.text is text
-    # the module and its import; each term and its attribute; each relation
+    # the module and its import; each term and its attribute; each relation:
+    # each its own place alone
     locs = _field_values(ast.decls, "loc")
     assert len(locs) == 1 + 1 + 1000 * 2 + 1000
-    assert all(type(loc) is int for loc in locs)
-    # and in 64-bit places: each term's target, and each relation's three
-    # references, above the declaration's own
-    places = [loc >> shift & (1 << 64) - 1 for loc in locs for shift in range(0, loc.bit_length(), 64)]
-    assert len(places) == 1 + 1 + 1000 * 3 + 1000 * 4
-    assert all(place >> 32 < place & 0xFFFFFFFF <= len(text) for place in places)
+    assert all(type(loc) is int and loc >> 32 < loc & 0xFFFFFFFF <= len(text) for loc in locs)
+    # `ref_loc` finds each term's target, and each relation's three
+    # references, in its declaration's text, and builds no span either
+    refs = [(decl, index, ref) for decl in module.body for index, ref in enumerate(
+        (decl.enriches,) if isinstance(decl, TermDef) else (decl.from_ref, decl.to_ref, decl.kind_ref))]
+    places = [module.source.ref_loc(decl.loc, index) for decl, index, _ in refs]
+    assert asked == []
+    assert len(places) == 1000 * 4
+    assert all(decl.loc >> 32 < place >> 32 < place & 0xFFFFFFFF <= decl.loc & 0xFFFFFFFF
+               for (decl, _, _), place in zip(refs, places))
+    assert [text[place >> 32:place & 0xFFFFFFFF] for place in places] == [str(ref) for _, _, ref in refs]
 
 
 def _field_values(node, name: str) -> list:
