@@ -273,15 +273,16 @@ class ResolvedSuite:
     kind-chain outcome. One walker, `_walk`, follows both chains, the
     `enriches` links and the `kind` links, and one rule, `_repeats`, finds
     every duplicate (E102): each later occurrence of a name in its
-    namespace. Readers read those tables. `resolve` hands the suite out only
-    when the passes found nothing wrong; nothing changes it afterwards."""
+    namespace, which binds nowhere, whatever its sort. Readers read those
+    tables. `resolve` hands the suite out only when the passes found nothing
+    wrong; nothing changes it afterwards."""
 
     def __init__(self, instance_files: Iterable[InstanceFile]):
         self.modules: dict[str, OntologyModule] = {}
         self.instance_files: tuple[InstanceFile, ...] = tuple(instance_files)
         #: Each module's level by name, with ThingFO at FO.
         self.levels: dict[str, Level] = {BUILTIN_MODULE: Level.FO}
-        #: The user modules' declarations by (module, name).
+        #: The user modules' declarations that bind, by (module, name).
         self.terms: dict[tuple[str, str], TermDef] = {}
         self.relations: dict[tuple[str, str], RelationDecl] = {}
         #: Each term's foundational root by (module, term), or None where a
@@ -318,14 +319,23 @@ class ResolvedSuite:
         # ThingFO's name comes first, so that a module taking it repeats it.
         later = set(_repeats([BUILTIN_MODULE, *(m.name for m in modules)]))
         for i, m in enumerate(modules, 1):
-            if i not in later:
-                self.modules[m.name] = m
-                self.levels[m.name] = m.level
-                self.terms.update(_by_name(m.name, m.terms))
-                self.relations.update(_by_name(m.name, m.relations))
-            else:
+            if i in later:
                 self._error("E102", f"module name {m.name} is reserved for the built-in foundational ontology"
                             if m.name == BUILTIN_MODULE else f"duplicate module {m.name}", m.source, m.loc)
+                continue
+            name, body = m.name, m.body
+            self.modules[name] = m
+            self.levels[name] = m.level
+            terms, relations = m.terms, m.relations
+            if repeated := _repeats([decl.name for decl in body]):
+                for j in repeated:
+                    self._error("E102", f"duplicate declaration {body[j].name} in module {name}", m.source, body[j].loc)
+                # Only a name's first declaration, the one E102 keeps, binds, whatever its sort.
+                rejected = set(repeated)
+                terms = [d for j, d in enumerate(body) if j not in rejected and isinstance(d, TermDef)]
+                relations = [d for j, d in enumerate(body) if j not in rejected and isinstance(d, RelationDecl)]
+            self.terms.update({(name, t.name): t for t in terms})
+            self.relations.update({(name, r.name): r for r in relations})
 
     def _check_imports(self) -> None:
         # One walk over each module's imports reports E104/E101 and keeps the
@@ -396,9 +406,7 @@ class ResolvedSuite:
         # word an E101.
         relations = {**_THINGFO_RELATIONS, **self.relations}
         for m in self.modules.values():
-            name, body = m.name, m.body
-            for i in _repeats([decl.name for decl in body]):
-                self._error("E102", f"duplicate declaration {body[i].name} in module {name}", m.source, body[i].loc)
+            name = m.name
             for t in m.terms:
                 ref = t.enriches
                 if ref is not None and (key := (ref.module or name, ref.name)) not in terms:
@@ -597,16 +605,6 @@ def _walk(starts: Iterable[_Key], judged: dict[_Key, Any], link: Callable[[_Key]
             verdict = judged[key]
             for walked, lateral in reversed(path):
                 judged[walked] = verdict = escape(verdict) if lateral else verdict
-
-
-def _by_name(module: str, decls: Sequence[Any]) -> dict[_Key, Any]:
-    """Each of a module's `decls` under its key `(module, name)`, in
-    declaration order; a name repeated in `decls` binds to its first
-    declaration there, the one E102 keeps."""
-    table = {(module, d.name): d for d in decls}
-    if len(table) < len(decls):  # a repeated name: rebinding a key keeps its place
-        table.update({(module, d.name): d for d in reversed(decls)})
-    return table
 
 
 def _repeats(names: Sequence[str]) -> list[int]:

@@ -20,12 +20,11 @@ Grammar (EBNF; `//` comments run to end of line, files are UTF-8):
     ref         := IDENT ("." IDENT)?
     qname       := IDENT "." IDENT | IDENT
 
-`ref` and `qname` are one production, which builds a `QualifiedRef`;
-`parse_qname` reads it, and `parse_world` reads each fact's two in line,
-the same way. A fact's `thing.part` is qualified by its thing. A node keeps
-only its own place, and a thing its parts' places too: a reference's place
-is found again from its holder's text (`source.Source.ref_loc`) when an
-E101 names it.
+`ref` and `qname` are one production, which `parse_qname` alone reads and
+turns into a `QualifiedRef`, a fact's two sides too. A fact's `thing.part`
+is qualified by its thing. A node keeps only its own place, and a thing its
+parts' places too: a reference's place is found again from its holder's
+text (`source.Source.ref_loc`) when an E101 names it.
 
 Files that produce any diagnostic are excluded from the returned AST, so
 resolution only ever sees well-formed declarations.
@@ -360,13 +359,13 @@ class _Parser:
             return Level.CO, i + 1  # placeholder; the file is excluded anyway
         raise self.fail("expected a level name", i)
 
-    def parse_qname(self, i: int) -> tuple[QualifiedRef, int]:
+    def parse_qname(self, i: int, expected: str = "expected a name") -> tuple[QualifiedRef, int]:
         """The shared reference from token `i` and the index after it; E002
-        "expected a name" where token `i` is no name."""
+        `expected` where token `i` is no name."""
         toks = self.toks
         first = toks[i]
         if first[0] is not _IDENT:
-            raise self.fail("expected a name", i)
+            raise self.fail(expected, i)
         if toks[i + 1][1] == ".":
             second = toks[i + 2]
             if second[0] is not _IDENT:
@@ -519,11 +518,9 @@ class _Parser:
         return Individual(name[1], type_ref, start << 32 | end), i
 
     def parse_world(self, i: int) -> tuple[World, int]:
-        """A world: its things, then its facts. Each fact's two references
-        are read in line, each as `parse_qname` reads one: two calls, or a
-        loop over the sides, cost the 7% of `_Parser`'s time on dirty_worlds
-        that this saves."""
-        toks, starts, refs = self.toks, self.starts, self.refs
+        """A world: its things, then its facts. A fact's two sides are read
+        by `parse_qname`, whose E002 there is "expected a reference"."""
+        toks, starts = self.toks, self.starts
         start = starts[i]
         world = toks[i + 1]
         if world[0] is not _IDENT:
@@ -554,46 +551,10 @@ class _Parser:
             if toks[i + 1][1] != "(":
                 raise self.fail("expected '('", i + 1)
             loc = starts[i] << 32
-            i += 2
-            first = toks[i]
-            if first[0] is not _IDENT:
-                raise self.fail("expected a reference", i)
-            if toks[i + 1][1] == ".":
-                second = toks[i + 2]
-                if second[0] is not _IDENT:
-                    raise self.fail("expected a name after '.'", i + 2)
-                module, name = first[1], second[1]
-                i += 3
-            else:
-                module, name = None, first[1]
-                i += 1
-            by_name = refs.get(module)
-            if by_name is None:
-                by_name = refs[module] = {}
-            left = by_name.get(name)
-            if left is None:
-                left = by_name[name] = QualifiedRef(module, name)
+            left, i = self.parse_qname(i + 2, "expected a reference")
             if toks[i][1] != ",":
                 raise self.fail("expected ','", i)
-            i += 1
-            first = toks[i]
-            if first[0] is not _IDENT:
-                raise self.fail("expected a reference", i)
-            if toks[i + 1][1] == ".":
-                second = toks[i + 2]
-                if second[0] is not _IDENT:
-                    raise self.fail("expected a name after '.'", i + 2)
-                module, name = first[1], second[1]
-                i += 3
-            else:
-                module, name = None, first[1]
-                i += 1
-            by_name = refs.get(module)
-            if by_name is None:
-                by_name = refs[module] = {}
-            right = by_name.get(name)
-            if right is None:
-                right = by_name[name] = QualifiedRef(module, name)
+            right, i = self.parse_qname(i + 1, "expected a reference")
             if toks[i][1] != ")":
                 raise self.fail("expected ')'", i)
             facts.append(Fact(pred, left, right, loc | starts[i] + 1))

@@ -204,10 +204,11 @@ def oracle_duplicates_and_enrichment_cycles(
     instances block's individuals and worlds together, a world's things,
     and a thing's properties and powers together, for the first thing of
     each name only. A name declared twice in a module binds to its first
-    declaration, the one its E102 leaves alone. An enrichment cycle is
-    reported once: by the first term, modules taken by name and then
-    declaration order, whose chain reaches it, from the member where that
-    chain enters it and at that member."""
+    declaration there, whatever its sort, the one its E102 leaves alone: a
+    name whose first declaration is a relation names no term. An enrichment
+    cycle is reported once: by the first term that binds, modules taken by
+    name and then declaration order, whose chain reaches it, from the member
+    where that chain enters it and at that member."""
     out: list[tuple[str, str, SourceSpan]] = []
     ordered = sorted(modules, key=lambda m: m.source.span(m.loc))
     registered: dict[str, OntologyModule] = {}
@@ -248,10 +249,11 @@ def oracle_duplicates_and_enrichment_cycles(
                     out.append(("E102", f"duplicate part {parts[k]} on thing {thing.name}",
                                 f.source.span(thing.loc >> 64 * (k + 1))))
 
-    terms: dict[tuple[str, str], TermDef] = {}
+    first: dict[tuple[str, str], TermDef | RelationDecl] = {}
     for m in registered.values():
-        for t in m.terms:
-            terms.setdefault((m.name, t.name), t)
+        for decl in m.body:
+            first.setdefault((m.name, decl.name), decl)
+    terms = {key: decl for key, decl in first.items() if isinstance(decl, TermDef)}
 
     def chain(key: tuple[str, str]) -> tuple[list[tuple[str, str]], tuple[str, str] | None]:
         """The terms from `key` on, and the first one met twice, if any."""
@@ -268,6 +270,8 @@ def oracle_duplicates_and_enrichment_cycles(
     cycles: list[set[tuple[str, str]]] = []
     for name in sorted(registered):
         for t in registered[name].terms:
+            if terms.get((name, t.name)) is not t:
+                continue  # a later declaration of its name, which binds nowhere
             path, entry = chain((name, t.name))
             if entry is None:
                 continue

@@ -147,6 +147,18 @@ def test_duplicate_term_is_e102():
         # The cycle runs through the rejected `a` only, so there is none.
         ("term a enriches ThingFO.Thing  term b enriches a  term a enriches b",
          [("E102", "duplicate declaration a in module M", "m.onto:1:70")]),
+        # Across sorts too: the relation `a` comes first, so the term `a`
+        # binds nowhere, and `b` enriches no term.
+        ("relation a from ThingFO.Thing to ThingFO.Thing kind ThingFO.relatesWith"
+         "  term a enriches b  term b enriches a",
+         [("E102", "duplicate declaration a in module M", "m.onto:1:93"),
+          ("E101", "term M.b: no term named a in module M", "m.onto:1:128")]),
+        # The term `a` comes first, so the relation `a` binds nowhere, and
+        # `r`'s kind names no relation.
+        ("term a enriches ThingFO.Thing  relation a from a to a kind ThingFO.relatesWith"
+         "  relation r from a to a kind a",
+         [("E102", "duplicate declaration a in module M", "m.onto:1:51"),
+          ("E101", "relation M.r: no relation named a in module M", "m.onto:1:128")]),
     ],
 )
 def test_a_name_declared_twice_binds_to_the_declaration_e102_keeps(body, expected):

@@ -94,7 +94,7 @@ RECOVERY = (
     "instances of M { world w { relatesWith(t, t) thing u { } } } }",
     "instances of M { world w { ( } } individual",
     "instances of M { world w { enables(, t) } }",
-    # A fact reads both of its references itself: each way either one can fail.
+    # A fact's two references, each read by `parse_qname`: each way either one can fail.
     "instances of M { world w { enables(t., t.q) } }",
     "instances of M { world w { enables(t.p, t.) } }",
     "instances of M { world w { enables(t.p t.q) } }",

@@ -1,15 +1,18 @@
-"""Four decisions that the parser, the report and the checks share are each
+"""Five decisions that the parser, the report and the checks share are each
 made in one place, and every reader follows it: the levels a module can sit
 at (`model.Level`), the level each module of a resolved suite sits at
 (`ResolvedSuite.levels`), the scopes a term can declare
-(`metamodel.SCOPE_FACETS`) and the root a term-valued world fact requires
-(`metamodel.ROOT_SCHEMAS` of the predicate's range). A reader that states its
-own copy of one falls out of step with the others, and these tests fail."""
+(`metamodel.SCOPE_FACETS`), the root a term-valued world fact requires
+(`metamodel.ROOT_SCHEMAS` of the predicate's range) and how a reference reads
+(`parser._Parser.parse_qname`). A reader that states its own copy of one
+falls out of step with the others, and these tests fail."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import assume, example, given, settings
 
+from conftest import load_bench
 from fig2_corpus import load_fig2
 from test_file_order import suites
 
@@ -17,7 +20,7 @@ from ontoarch import metamodel
 from ontoarch.cli import _summary_from_ast, build_report
 from ontoarch.metamodel import BUILTIN_MODULE, SCOPE_FACETS, RootKind
 from ontoarch.model import Level, resolve
-from ontoarch.parser import KEYWORDS, SuiteAst, parse_suite
+from ontoarch.parser import KEYWORDS, SuiteAst, _Parser, parse_suite
 from ontoarch.validator import _TERM_TARGETS, _anchor_matches
 
 
@@ -84,3 +87,27 @@ def test_each_term_valued_fact_requires_the_root_of_its_range():
         spec = metamodel.WORLD_PREDICATES[predicate]
         wrong = metamodel.ROOT_SCHEMAS[root][0] is not metamodel.ROOT_SCHEMAS[spec.range][0]
         assert found.get(f"{predicate}(x, T{root})") == (_TERM_TARGETS[spec.range] if wrong else None)
+
+
+@pytest.mark.parametrize("workload", ["fig2", "dirty_worlds"])
+def test_every_reference_is_read_by_parse_qname(workload, monkeypatch):
+    files = load_fig2() if workload == "fig2" else sorted(load_bench("generators").dirty_worlds(1).files.items())
+    calls = 0
+    real = _Parser.parse_qname
+
+    def parse_qname(self, *args):
+        nonlocal calls
+        calls += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(_Parser, "parse_qname", parse_qname)
+    ast, diagnostics = parse_suite(files)
+    assert diagnostics == []  # so every reference read is in the AST
+    worlds = [w for f in ast.instance_files for w in f.worlds]
+    references = (
+        sum(len(m.terms) + 3 * len(m.relations) for m in ast.modules)
+        + sum(len(f.individuals) for f in ast.instance_files)
+        + sum(t.instance_of is not None for w in worlds for t in w.things)
+        + sum(2 * len(w.facts) for w in worlds)
+    )
+    assert calls == references > 0
