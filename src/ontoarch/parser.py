@@ -23,8 +23,10 @@ Grammar (EBNF; `//` comments run to end of line, files are UTF-8):
 `ref` and `qname` are one production, which `parse_qname` alone reads and
 turns into a `QualifiedRef`, a fact's two sides too. A fact's `thing.part`
 is qualified by its thing. A node keeps only its own place, and a thing its
-parts' places too: a reference's place is found again from its holder's
-text (`source.Source.ref_loc`) when an E101 names it.
+parts' places too. A reference's place is found again when an E101 names
+it: `source.Source.ref_loc` lexes its holder's text, and the holder's own
+production (`parse_facts` for a fact) reads it again with a `parse_qname`
+that records where each reference stands.
 
 Files that produce any diagnostic are excluded from the returned AST, so
 resolution only ever sees well-formed declarations.
@@ -54,7 +56,7 @@ from .model import (
     World,
 )
 from .reporting import Diagnostic
-from .source import _BLANKS, _LEXEME, _SCAN, Record, Source, SourceSpan
+from .source import SYNTHETIC_SOURCE, Record, Source, SourceSpan
 
 if TYPE_CHECKING:
     from array import array
@@ -95,6 +97,24 @@ _SHARED: dict[str, tuple] = {
     **{mark: (TokenKind.PUNCT, mark, "") for mark in "{}(),:;."},
 }
 _EOI = (TokenKind.EOI, "", "")
+
+#: The lexemes, as one string of alternatives with no capture group, so
+#: `tokenize` tells them apart by their first characters. What no
+#: alternative matches is exactly the blanks: spaces, tabs, carriage returns
+#: and line feeds. A string match takes every string, well-formed or not: it
+#: ends after the closing quote or before the end of the line. A `/` that
+#: starts no comment is an invalid character. No lexeme spans a line feed.
+_BLANKS = " \t\r\n"
+_LEXEME = (
+    r"//[^\n]*"                       # comment
+    r"|[A-Za-z_][A-Za-z0-9_]*"        # keyword or identifier (ASCII only)
+    r"|[{}(),:;.]"                    # punctuation
+    r'|"[^"\\\n]*(?:\\["\\]?[^"\\\n]*)*"?'  # string: plain runs between escapes
+    f"|[^{_BLANKS}]"                  # invalid character
+)
+
+#: A lexeme alone: where the next one starts, or one re-read at its offset.
+_SCAN = re.compile(_LEXEME)
 
 #: A lexeme with the blanks after it, so that the matches of one `findall`
 #: from a lexeme's start lie end to end.
@@ -287,9 +307,9 @@ class _Parser:
     `refs` holds one `QualifiedRef` per distinct reference, as one dict of
     names per qualifier (None for a bare name), so a lookup builds no key;
     `parse_suite` passes one table for all its files. A declaration does
-    not read where its references stand (see `source.Source.ref_loc`); a
-    thing packs the `loc` of each part above its own (see
-    `model.ThingNode`)."""
+    not keep where its references stand (`_PlaceRecorder` finds them again
+    for `source.Source.ref_loc`); a thing packs the `loc` of each part
+    above its own (see `model.ThingNode`)."""
 
     def __init__(self, tokens: list[tuple], starts: array, source: Source,
                  refs: dict[str | None, dict[str, QualifiedRef]]):
@@ -518,8 +538,7 @@ class _Parser:
         return Individual(name[1], type_ref, start << 32 | end), i
 
     def parse_world(self, i: int) -> tuple[World, int]:
-        """A world: its things, then its facts. A fact's two sides are read
-        by `parse_qname`, whose E002 there is "expected a reference"."""
+        """A world: its things, then its facts."""
         toks, starts = self.toks, self.starts
         start = starts[i]
         world = toks[i + 1]
@@ -532,6 +551,21 @@ class _Parser:
         while toks[i][1] == "thing":
             thing, i = self.parse_thing(i)
             things.append(thing)
+        facts, i = self.parse_facts(i)
+        close = toks[i][1]
+        if close != "}":
+            if i == self.end:
+                raise self.fail("expected '}'", i)
+            if close == "thing":  # the things loop took every thing before the first fact
+                raise self.fail("thing declarations must precede facts", i)
+            raise self.fail("expected a thing declaration, a fact or '}'", i)
+        return World(world[1], tuple(things), tuple(facts), start << 32 | starts[i] + 1), i + 1
+
+    def parse_facts(self, i: int) -> tuple[list[Fact], int]:
+        """`factDecl*`: the facts from token `i` and the index after them. A
+        fact's two sides are read by `parse_qname`, whose E002 there is
+        "expected a reference"."""
+        toks, starts = self.toks, self.starts
         facts: list[Fact] = []
         while toks[i][0] is _IDENT:
             pred = toks[i][1]
@@ -559,14 +593,7 @@ class _Parser:
                 raise self.fail("expected ')'", i)
             facts.append(Fact(pred, left, right, loc | starts[i] + 1))
             i += 1
-        close = toks[i][1]
-        if close != "}":
-            if i == self.end:
-                raise self.fail("expected '}'", i)
-            if close == "thing":  # the things loop took every thing before the first fact
-                raise self.fail("thing declarations must precede facts", i)
-            raise self.fail("expected a thing declaration, a fact or '}'", i)
-        return World(world[1], tuple(things), tuple(facts), start << 32 | starts[i] + 1), i + 1
+        return facts, i
 
     def parse_thing(self, i: int) -> tuple[ThingNode, int]:
         toks, starts = self.toks, self.starts
@@ -611,6 +638,36 @@ class _Parser:
 #: methods kept on a parser would make a reference cycle.
 _MODULE_BODY = {"term": _Parser.parse_term, "relation": _Parser.parse_relation, "imports": _Parser.misplaced_imports}
 _INSTANCE_BODY = {"individual": _Parser.parse_individual, "world": _Parser.parse_world}
+
+
+class _PlaceRecorder(_Parser):
+    """A parser that records where each reference it reads stands, as the
+    offsets `start << 32 | end`, in `places`, in the order it reads them."""
+
+    def __init__(self, tokens: list[tuple], starts: array):
+        super().__init__(tokens, starts, SYNTHETIC_SOURCE, {})
+        self.places: list[int] = []
+
+    def parse_qname(self, i: int, expected: str = "expected a name") -> tuple[QualifiedRef, int]:
+        ref, after = super().parse_qname(i, expected)
+        self.places.append(self.starts[i] << 32 | self.starts[after - 1] + len(self.toks[after - 1][1]))
+        return ref, after
+
+
+#: The production of each holder of references by its first word: the
+#: block productions, and `parse_thing`. A fact, whose first word is its
+#: predicate, is read by `parse_facts`.
+_HOLDERS = {**_MODULE_BODY, **_INSTANCE_BODY, "thing": _Parser.parse_thing}
+
+
+def _reference_places(text: str) -> list[int]:
+    """The offsets in `text`, the text of one term, relation, individual,
+    thing or fact, of each reference it holds, in field order: that
+    holder's own production reads them again (see `source.Source.ref_loc`)."""
+    tokens, starts, _ = tokenize(text)
+    parser = _PlaceRecorder(tokens, starts)
+    _HOLDERS.get(tokens[0][1], _Parser.parse_facts)(parser, 0)
+    return parser.places
 
 
 def parse_suite(files: list[tuple[str, str]]) -> tuple[SuiteAst, list[Diagnostic]]:

@@ -1,5 +1,7 @@
 """Source files and positions shared by the tokenizer, parser, model and
-reports, and the base class of their slotted records."""
+reports, and the base class of their slotted records. The lexeme pattern
+and the grammar live in `parser` alone: a reference's place is read again
+by the parser."""
 
 from __future__ import annotations
 
@@ -40,33 +42,6 @@ class SourceSpan(_SpanFields):
 _LINE_END = re.compile("\n")
 _END_MASK = (1 << 32) - 1
 _LOC_MASK = (1 << 64) - 1
-
-#: The lexemes, as one string of alternatives with no capture group, so
-#: `parser.tokenize` tells them apart by their first characters. What no
-#: alternative matches is exactly the blanks: spaces, tabs, carriage returns
-#: and line feeds. A string match takes every string, well-formed or not: it
-#: ends after the closing quote or before the end of the line. A `/` that
-#: starts no comment is an invalid character. No lexeme spans a line feed.
-_BLANKS = " \t\r\n"
-_LEXEME = (
-    r"//[^\n]*"                       # comment
-    r"|[A-Za-z_][A-Za-z0-9_]*"        # keyword or identifier (ASCII only)
-    r"|[{}(),:;.]"                    # punctuation
-    r'|"[^"\\\n]*(?:\\["\\]?[^"\\\n]*)*"?'  # string: plain runs between escapes
-    f"|[^{_BLANKS}]"                  # invalid character
-)
-
-#: A lexeme alone: where the next one starts, one re-read at its offset, or
-#: the lexemes of one declaration's text.
-_SCAN = re.compile(_LEXEME)
-
-#: The words and marks that stand right before a reference in the grammar:
-#: a term's `enriches`, a relation's `from`, `to` and `kind`, the `:` of an
-#: individual's or a thing's type, and a fact's `(` and `,`. In the text of
-#: a term, relation, individual, thing or fact, outside comments and
-#: strings, each stands before a reference and nowhere else.
-_BEFORE_REF = frozenset(("enriches", "from", "to", "kind", ":", "(", ","))
-
 
 class Source:
     """One parsed file: its path, its text, and where its lines start.
@@ -121,24 +96,17 @@ class Source:
     def ref_loc(self, loc: int, index: int) -> int:
         """The `loc` of reference `index` (0 for the first, in field order)
         of the term, relation, individual, thing or fact whose own `loc` is
-        `loc`: the name, or the two names and the `.` between them, after
-        the `index`-th word or mark of `_BEFORE_REF` in its text. Only that
-        text is scanned, comments skipped, so finding a place costs the
-        length of its declaration, not of the file. A declaration built in
-        memory, with `loc` 0, has no text: its reference's `loc` is 0 too."""
+        `loc`: the name, or the two names and the `.` between them. Only that
+        text is lexed, and read again by its own production, so finding a
+        place costs the length of its declaration, not of the file. A
+        declaration built in memory, with `loc` 0, has no text: its
+        reference's `loc` is 0 too."""
+        from .parser import _reference_places  # here: the parser imports this module
+
         loc &= _LOC_MASK
-        lexemes = (m for m in _SCAN.finditer(self.text, loc >> 32, loc & _END_MASK) if m[0][:2] != "//")
-        for m in lexemes:
-            if m[0] in _BEFORE_REF:
-                if not index:
-                    break
-                index -= 1
-        else:
-            return loc
-        name = next(lexemes)
-        after = next(lexemes, None)
-        end = next(lexemes).end() if after is not None and after[0] == "." else name.end()
-        return name.start() << 32 | end
+        start = loc >> 32
+        places = _reference_places(self.text[start:loc & _END_MASK])
+        return places[index] + (start << 32 | start) if index < len(places) else loc
 
 
 #: The source of declarations built in memory rather than parsed: their

@@ -10,7 +10,10 @@ Resolution has bound every fact, so the checks read facts as they stand.
 `check_relationship_conformance` finds E232-E234 and gathers W301's covered
 parts in one walk of a world's facts; `check_axioms` walks them again, one
 call per world, which `bench/tracing.py` times by name (see ROADMAP item
-2), and picks each finding's code and text helper in one ladder. The
+2). It names no predicate and no code: `_AXIOM_FACTS`, built at import,
+maps each predicate whose relationship has `axiom_links` in
+`metamodel.WORLD_PREDICATES` to the code whose `CODE_CATALOG` rule is that
+axiom, and `_JUDGES` holds how each axiom is judged on a fact. The
 checks read the resolved suite's tables (`levels`, `terms`, `relations`,
 `enrichment_roots`, `components`, `kind_chains`) and make no per-term
 call: a term's root from `enrichment_roots`, that root's kind and allowed
@@ -43,11 +46,8 @@ part's text to its world's, so only two worlds of one name, in two
 instance blocks, can hold one W301 text in two strings. The memos are
 tables their call creates: relationship conformance keeps one per helper,
 and `validate_suite` passes one to all of its `check_axioms` calls, so no
-text outlives its verdict. Rule #1 and Rule #3 keep a table, `texts`, from
-each E211, E301 and E302 text to the first string that held it, and
-E231's witness comes with its judged question; the other checks name
-module declarations, which a resolved suite holds once, and format their
-texts per finding.
+text outlives its verdict. E231's witness comes with its judged question;
+the other checks format their texts per finding.
 """
 
 from __future__ import annotations
@@ -59,15 +59,10 @@ from .reporting import CODE_CATALOG, Diagnostic
 from .source import SYNTHETIC_SOURCE, Source, SourceSpan
 
 
-def _finding(code: str, message: str, span: SourceSpan, witness: str, anchor: str | None = None,
-             texts: dict[str, str] | None = None) -> Diagnostic:
+def _finding(code: str, message: str, span: SourceSpan, witness: str, anchor: str | None = None) -> Diagnostic:
     """One falsified rule, with the rule's name and anchor from the code
-    catalog and a witness sufficient to re-derive it by hand; with `texts`,
-    its message and witness are the strings that table holds for them."""
+    catalog and a witness sufficient to re-derive it by hand."""
     doc = CODE_CATALOG[code]
-    if texts is not None:
-        message = texts.setdefault(message, message)
-        witness = texts.setdefault(witness, witness)
     return Diagnostic(code, message, span, doc.rule, doc.anchor if anchor is None else anchor, witness)
 
 
@@ -137,7 +132,6 @@ def chain_status(suite: ResolvedSuite, module_name: str, rel: RelationDecl) -> C
 # ---------------------------------------------------------------------------
 
 def check_rule1(suite: ResolvedSuite) -> list[Diagnostic]:
-    texts: dict[str, str] = {}
     out: list[Diagnostic] = []
     levels = suite.levels
     for module in suite.modules.values():
@@ -166,7 +160,6 @@ def check_rule1(suite: ResolvedSuite) -> list[Diagnostic]:
                         f"the immediately higher level",
                         source.span(t.loc),
                         witness=f"{level.name} -> {target_level.name}",
-                        texts=texts,
                     )
                 )
         for r in module.relations:
@@ -224,7 +217,7 @@ _NOT_INSTANTIABLE = (RootKind.THING_CATEGORY, RootKind.PROPERTY, RootKind.POWER)
 
 
 def _not_instantiable(name: str, type_mod: str, type_name: str, root: RootKind, source: Source, loc: int,
-                      where: str, texts: dict[str, str]) -> Diagnostic:
+                      where: str) -> Diagnostic:
     if root is RootKind.THING_CATEGORY:
         return _finding(
             "E301",
@@ -232,7 +225,6 @@ def _not_instantiable(name: str, type_mod: str, type_name: str, root: RootKind, 
             f"root is Thing Category; categories do not result in instances",
             source.span(loc),
             witness=f"{name} : {type_mod}.{type_name} (root ThingCategory)",
-            texts=texts,
         )
     return _finding(
         "E302",
@@ -241,12 +233,10 @@ def _not_instantiable(name: str, type_mod: str, type_name: str, root: RootKind, 
         f"things inside worlds",
         source.span(loc),
         witness=f"{name} : {type_mod}.{type_name} (root {root.value})",
-        texts=texts,
     )
 
 
 def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
-    texts: dict[str, str] = {}
     roots, schemas = suite.enrichment_roots, metamodel.ROOT_SCHEMAS
     out: list[Diagnostic] = []
     for f in suite.instance_files:
@@ -258,7 +248,7 @@ def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
             key = (ref.module or f.of_module, ref.name)
             schema = schemas.get(roots[key])  # None for a broken chain (E213)
             if schema is not None and (root := schema[0]) in _NOT_INSTANTIABLE:
-                out.append(_not_instantiable(node.name, *key, root, f.source, node.loc, where, texts))
+                out.append(_not_instantiable(node.name, *key, root, f.source, node.loc, where))
     return out
 
 
@@ -268,9 +258,8 @@ def check_rule3(suite: ResolvedSuite) -> list[Diagnostic]:
 
 def _owners_differ(predicate: str, left_module: str, left_name: str, right_module: str,
                    right_name: str) -> tuple[str, str]:
-    """E311's or E312's message and witness: the parts of a fact of
-    `predicate` (A1's `enables` or A2's `actsUpon`) belong to different
-    things."""
+    """A1's or A2's finding's message and witness: the parts of a fact of
+    `predicate` belong to different things."""
     spec = metamodel.WORLD_PREDICATES[predicate]
     left, right = shown(left_module, left_name), shown(right_module, right_name)
     return (f"{spec.domain.lower()} {left} {spec.display} {spec.range.lower()} {right}, but they belong "
@@ -280,15 +269,31 @@ def _owners_differ(predicate: str, left_module: str, left_name: str, right_modul
 
 def _own_thing(predicate: str, left_module: str, left_name: str, right_module: str | None,
                right_name: str) -> tuple[str, str]:
-    """E313's message and witness: a power `interacts` with its own thing."""
+    """A3's finding's message and witness: a power interacts with its own
+    thing."""
     left = shown(left_module, left_name)
     return (f"power {left} interacts with its own thing {right_name}",
             f"{predicate}({left}, {shown(right_module, right_name)}); owner({left})={left_module}")
 
 
+#: How each axiom is judged on a fact, by the axiom's id: whether the fact's
+#: two sides break it, and the helper that words its finding. A part's owner
+#: is the thing that qualifies it, so A1 and A2 hold when both parts have
+#: one owner, and A3 when a power does not interact with its own thing.
+_PARTS_APART = (lambda left, right: left.module != right.module, _owners_differ)
+_JUDGES = {"A1": _PARTS_APART, "A2": _PARTS_APART, "A3": (lambda left, right: left.module == right.name, _own_thing)}
+
+#: Each world predicate whose relationship an axiom restricts (its
+#: `axiom_links`), to that axiom's judge and helper, the code whose catalog
+#: rule is that axiom, and the code's catalog entry.
+_AXIOM_FACTS = {predicate: (*_JUDGES[axiom], code, doc) for predicate, spec in metamodel.WORLD_PREDICATES.items()
+                for axiom in spec.axiom_links for code, doc in CODE_CATALOG.items() if doc.rule == axiom}
+
+
 def check_axioms(world: World, source: Source = SYNTHETIC_SOURCE,
                  texts: dict[tuple, tuple[str, str]] | None = None) -> list[Diagnostic]:
-    """Edge-wise axiom evaluation over a world of the file `source`.
+    """Edge-wise axiom evaluation over a world of the file `source`, each
+    fact judged by the axiom that restricts its predicate (`_AXIOM_FACTS`).
 
     Ownership is functional and syntactically evident (a part `thing.part`
     is qualified by its owner), so A1/A2 reduce to owner equality on each
@@ -296,22 +301,18 @@ def check_axioms(world: World, source: Source = SYNTHETIC_SOURCE,
     `texts` shares the findings' texts across the calls that pass it (see
     the module's docstring); without it, across this call's findings."""
     texts = {} if texts is None else texts
-    a1, a2, a3 = CODE_CATALOG["E311"], CODE_CATALOG["E312"], CODE_CATALOG["E313"]
     out: list[Diagnostic] = []
     for fact in world.facts:
-        predicate, left, right = fact.predicate, fact.left, fact.right
-        if predicate == "enables" and left.module != right.module:
-            code, doc, wording = "E311", a1, _owners_differ
-        elif predicate == "actsUpon" and left.module != right.module:
-            code, doc, wording = "E312", a2, _owners_differ
-        elif predicate == "interacts" and left.module == right.name:
-            code, doc, wording = "E313", a3, _own_thing
-        else:
+        judged = _AXIOM_FACTS.get(fact.predicate)
+        if judged is None:
             continue
-        key = (predicate, left.module, left.name, right.module, right.name)
-        if (found := texts.get(key)) is None:
-            found = texts[key] = wording(*key)
-        out.append(Diagnostic(code, found[0], source.span(fact.loc), doc.rule, doc.anchor, found[1]))
+        breaks, wording, code, doc = judged
+        left, right = fact.left, fact.right
+        if breaks(left, right):
+            key = (fact.predicate, left.module, left.name, right.module, right.name)
+            if (found := texts.get(key)) is None:
+                found = texts[key] = wording(*key)
+            out.append(Diagnostic(code, found[0], source.span(fact.loc), doc.rule, doc.anchor, found[1]))
     return out
 
 
@@ -556,7 +557,7 @@ def validate_suite(suite: ResolvedSuite) -> list[Diagnostic]:
     No check re-derives another's findings, so each one is reported once;
     a fact listed twice in a world is two findings. The axiom checks of
     all worlds share one table of texts, which lives for this call only."""
-    texts: dict[str, str] = {}
+    texts: dict[tuple, tuple[str, str]] = {}
     collected: list[Diagnostic] = []
     collected.extend(check_architecture(suite))
     collected.extend(check_rule1(suite))

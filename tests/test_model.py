@@ -107,6 +107,35 @@ def test_an_e101_spans_its_reference_across_comments(src, message, span):
     assert [(d.code, d.message, tuple(d.span)) for d in diags] == [("E101", message, ("f.onto", *span))]
 
 
+def e101_heavy(n: int) -> str:
+    """A suite with 3n E101s, each placed by re-reading its holder: n terms
+    that each enrich an unknown module's term across a comment, and one
+    world of n things of unknown types, with n facts that each name a thing
+    the world lacks."""
+    terms = "".join(f"  term T{i} enriches {_NOTE}\n    Ghost.A{i}\n" for i in range(n))
+    things = "".join(f"    thing t{i} : Ghost.B{i} {{ property p; power q; }}\n" for i in range(n))
+    facts = "".join(f"    enables(t{i}.p, u{i}.q)\n" for i in range(n))
+    return f"ontology M at CO {{\n{terms}}}\ninstances of M {{\n  world w {{\n{things}{facts}  }}\n}}\n"
+
+
+def test_an_e101_heavy_suite_places_every_reference():
+    # Each E101 re-reads its holder, so the cost stays linear in n; no time
+    # is asserted. Findings sort by place: the terms', the things', the facts'.
+    n = 2_000
+    diags = build_report([("f.onto", e101_heavy(n))]).diagnostics
+    assert Counter(d.code for d in diags) == {"E101": 3 * n}
+    holders = [d.message.split()[0] for d in diags]
+    assert holders == ["term"] * n + ["thing"] * n + ["enables"] * n
+    assert [(d.message, tuple(d.span)) for d in diags[::n] + diags[n - 1::n]] == [
+        ("term M.T0: unknown module Ghost", ("f.onto", 3, 5, 3, 12)),
+        ("thing t0: unknown module Ghost", ("f.onto", 4005, 16, 4005, 23)),
+        ("enables fact in world w: unknown thing u0 in world w", ("f.onto", 6005, 19, 6005, 22)),
+        ("term M.T1999: unknown module Ghost", ("f.onto", 4001, 5, 4001, 15)),
+        ("thing t1999: unknown module Ghost", ("f.onto", 6004, 19, 6004, 29)),
+        ("enables fact in world w: unknown thing u1999 in world w", ("f.onto", 8004, 22, 8004, 28)),
+    ]
+
+
 def test_duplicate_module_is_e102():
     src = "ontology A at CO { }\nontology A at CO { }"
     _, diags = resolve_src(src)
